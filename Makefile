@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-verify bench bench-json bench-regress alloc-gate verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke
+.PHONY: build vet test race race-verify bench bench-json bench-regress perfbench alloc-gate verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,17 @@ bench-json:
 #   go run ./cmd/qbench
 bench-regress: build
 	$(GO) run ./cmd/qbench -quick -append=false -suite quick
+
+# The repository benchmark: one 10 s run (seed 1, tracing off) of every
+# workload BENCHMARK.json declares. Each run prints its metrics as one JSON
+# line last; the build goes to the gitignored .bench_build.
+PERFBENCH_WORKLOADS = $(shell sed -n '/"workloads"/,/^  \]/s/.*"name": "\(.*\)".*/\1/p' BENCHMARK.json)
+
+perfbench:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "== $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
 
 # Zero-alloc steady-state gate: run the batched subtree executor at
 # worker counts 1/2/4/8 over one warm buffer arena and fail if the

@@ -251,6 +251,9 @@ type Server struct {
 	draining bool
 	tenantMs map[string]*obs.Metrics
 
+	// run executes one job; core.Run outside tests.
+	run func(core.Config) (*core.Report, error)
+
 	wg sync.WaitGroup
 }
 
@@ -281,6 +284,7 @@ func New(cfg Config) *Server {
 		jobs:     make(map[string]*job),
 		tenantQs: make(map[string][]*job),
 		tenantMs: make(map[string]*obs.Metrics),
+		run:      core.Run,
 	}
 	s.tracer = trace.New(trace.Config{
 		SampleRate: cfg.TraceSample,
@@ -356,6 +360,12 @@ func (s *Server) buildConfig(req *JobRequest) (core.Config, error) {
 	}
 	if err != nil {
 		return core.Config{}, reqErrf("circuit: %v", err)
+	}
+	if n := circ.NumQubits(); n > statevec.MaxQubits {
+		return core.Config{}, reqErrf("circuit has %d qubits; a state vector holds at most %d", n, statevec.MaxQubits)
+	}
+	if req.Qubits < 0 || req.Qubits > statevec.MaxQubits {
+		return core.Config{}, reqErrf("qubits %d outside [0, %d]", req.Qubits, statevec.MaxQubits)
 	}
 	var dev *device.Device
 	switch req.Device {
@@ -580,7 +590,7 @@ func (s *Server) runJob(j *job) {
 
 	h0 := tm.Counter(obs.SegCacheHits)
 	m0 := tm.Counter(obs.SegCacheMisses)
-	rep, err := core.Run(cfg)
+	rep, err := s.runRecovered(cfg)
 
 	s.mu.Lock()
 	j.finished = time.Now()
@@ -634,6 +644,19 @@ func (s *Server) runJob(j *job) {
 			"trace_id", j.traceID, "span_id", j.span.IDString())
 	}
 	close(j.done)
+}
+
+// runRecovered is s.run with a panic turned into the job's error, so one
+// bad job fails alone instead of taking every tenant's jobs down with the
+// daemon. It covers the job's own goroutine; executor worker goroutines
+// are not covered.
+func (s *Server) runRecovered(cfg core.Config) (rep *core.Report, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			rep, err = nil, fmt.Errorf("service: job panicked: %v", r)
+		}
+	}()
+	return s.run(cfg)
 }
 
 // FormatCounts renders an outcome histogram with fixed-width binary keys,

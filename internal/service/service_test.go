@@ -15,6 +15,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/statevec"
+	"repro/internal/trace"
 )
 
 // newTestServer starts a Server plus an httptest front end and returns a
@@ -204,6 +205,68 @@ func TestBadRequest400(t *testing.T) {
 		if !asAPIError(err, &ae) || ae.Status != http.StatusBadRequest {
 			t.Fatalf("%s: got %v, want HTTP 400", name, err)
 		}
+	}
+}
+
+// TestTooWideCircuit400: a circuit wider than a state vector can hold is
+// refused at admission, before anything sizes an allocation from it.
+func TestTooWideCircuit400(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	ctx := context.Background()
+	wide := fmt.Sprintf("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[%d];\ncreg c[1];\nh q[0];\nmeasure q[0] -> c[0];\n",
+		statevec.MaxQubits+10)
+	for name, req := range map[string]JobRequest{
+		"qreg":           {QASM: wide, Trials: 8},
+		"device qubits":  {Bench: "bv5", Trials: 8, Device: "artificial", Qubits: 1 << 20},
+		"negative width": {Bench: "bv5", Trials: 8, Device: "artificial", Qubits: -1},
+	} {
+		_, err := c.Submit(ctx, req)
+		var ae *APIError
+		if !asAPIError(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Fatalf("%s: got %v, want HTTP 400", name, err)
+		}
+	}
+}
+
+// TestJobPanicRecovered: a job that panics fails alone — its error is on
+// the job and its trace — and the daemon goes on serving the next job.
+func TestJobPanicRecovered(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, TraceSeed: 3})
+	s.run = func(cfg core.Config) (*core.Report, error) {
+		if cfg.Seed == 13 {
+			panic("boom")
+		}
+		return core.Run(cfg)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	v, err := c.Run(ctx, testReq("alice", 13))
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if v.State != StateFailed || !strings.Contains(v.Error, "boom") {
+		t.Fatalf("panicking job: state %q error %q, want failed with the panic", v.State, v.Error)
+	}
+	var sums []trace.Summary
+	getJSON(t, c, "/v1/traces", &sums)
+	kept := false
+	for _, sum := range sums {
+		kept = kept || (sum.TraceID == v.TraceID && sum.Error)
+	}
+	if !kept {
+		t.Fatalf("trace %s of the panicking job not kept as an error trace (%d summaries)", v.TraceID, len(sums))
+	}
+	if body := getBody(t, c, "/v1/traces/"+v.TraceID); !strings.Contains(string(body), "boom") {
+		t.Fatal("exported trace does not carry the panic")
+	}
+
+	v, err = c.Run(ctx, testReq("bob", 5))
+	if err != nil || v.State != StateDone {
+		t.Fatalf("job after the panic: %v, state %q (err %q), want done", err, v.State, v.Error)
+	}
+	if st := s.Stats(); st.Jobs.Failed != 1 || st.Jobs.Completed != 1 {
+		t.Fatalf("jobs failed %d completed %d, want 1 and 1", st.Jobs.Failed, st.Jobs.Completed)
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/reorder"
 	"repro/internal/statevec"
+	"repro/internal/trial"
 )
 
 // The observability contract: a Recorder attached to any executor reports
@@ -136,36 +138,93 @@ func TestMetricsAgreeAllExecutors(t *testing.T) {
 
 // TestRecorderDoesNotPerturbResults runs each executor with and without a
 // recorder and demands bit-identical outcomes and identical accounting.
+// The parallel executors' MSV is a concurrent high-water mark that depends
+// on goroutine interleaving even with no recorder, so for them it is only
+// held to the bound the plan and worker count allow.
 func TestRecorderDoesNotPerturbResults(t *testing.T) {
 	c := bench.QV(4, 3, rand.New(rand.NewSource(9)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 200, 21)
-	runs := map[string]func(Options) (*Result, error){
-		"Reordered": func(o Options) (*Result, error) { return Reordered(c, trials, o) },
-		"Parallel":  func(o Options) (*Result, error) { return Parallel(c, trials, 3, o) },
-		"Subtree":   func(o Options) (*Result, error) { return ParallelSubtree(c, trials, 3, o) },
-		"Baseline":  func(o Options) (*Result, error) { return Baseline(c, trials, o) },
+	const workers = 3
+	runs := map[string]struct {
+		run func(Options) (*Result, error)
+		// msvBound is the largest MSV a concurrent run may report; 0
+		// marks a sequential executor, whose MSV must match exactly.
+		msvBound int
+	}{
+		"Reordered": {func(o Options) (*Result, error) { return Reordered(c, trials, o) }, 0},
+		"Parallel":  {func(o Options) (*Result, error) { return Parallel(c, trials, workers, o) }, chunkedMSVBound(t, c, trials, workers)},
+		"Subtree":   {func(o Options) (*Result, error) { return ParallelSubtree(c, trials, workers, o) }, subtreeMSVBound(t, c, trials, workers)},
+		"Baseline":  {func(o Options) (*Result, error) { return Baseline(c, trials, o) }, 0},
 	}
-	for name, run := range runs {
+	for name, r := range runs {
 		t.Run(name, func(t *testing.T) {
-			bare, err := run(Options{})
+			bare, err := r.run(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := obs.Multi(obs.NewMetrics(), obs.NewTrace())
-			instrumented, err := run(Options{Recorder: rec})
+			instrumented, err := r.run(Options{Recorder: rec})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !EqualOutcomes(bare, instrumented) {
 				t.Error("recorder changed per-trial outcomes")
 			}
-			if bare.Ops != instrumented.Ops || bare.Copies != instrumented.Copies || bare.MSV != instrumented.MSV {
-				t.Errorf("recorder changed accounting: ops %d/%d copies %d/%d MSV %d/%d",
-					bare.Ops, instrumented.Ops, bare.Copies, instrumented.Copies, bare.MSV, instrumented.MSV)
+			if bare.Ops != instrumented.Ops || bare.Copies != instrumented.Copies {
+				t.Errorf("recorder changed accounting: ops %d/%d copies %d/%d",
+					bare.Ops, instrumented.Ops, bare.Copies, instrumented.Copies)
+			}
+			if r.msvBound == 0 {
+				if bare.MSV != instrumented.MSV {
+					t.Errorf("recorder changed MSV: %d/%d", bare.MSV, instrumented.MSV)
+				}
+				return
+			}
+			for _, res := range []*Result{bare, instrumented} {
+				if res.MSV < 1 || res.MSV > r.msvBound {
+					t.Errorf("MSV %d outside [1, %d]", res.MSV, r.msvBound)
+				}
 			}
 		})
 	}
+}
+
+// chunkedMSVBound is the most vectors Parallel can hold at once: every
+// chunk's plan at its own peak simultaneously.
+func chunkedMSVBound(t *testing.T, c *circuit.Circuit, trials []*trial.Trial, workers int) int {
+	t.Helper()
+	ordered := reorder.Sort(trials)
+	bound := 0
+	for w := 0; w < workers; w++ {
+		chunk := ordered[w*len(ordered)/workers : (w+1)*len(ordered)/workers]
+		if len(chunk) == 0 {
+			continue
+		}
+		plan, err := reorder.BuildPlanOrdered(c, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound += plan.MSV()
+	}
+	return bound
+}
+
+// subtreeMSVBound is the most vectors an unbudgeted ParallelSubtree can
+// hold at once: the trunk's peak stack, up to 2x workers queued entry
+// clones, and every worker at the deepest task's peak.
+func subtreeMSVBound(t *testing.T, c *circuit.Circuit, trials []*trial.Trial, workers int) int {
+	t.Helper()
+	ordered := reorder.Sort(trials)
+	sp, err := reorder.SplitPlanOrderedCut(c, ordered, chooseCut(ordered, workers), planBudgetFor(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepest := 0
+	for _, st := range sp.Subtrees {
+		deepest = max(deepest, st.MSV)
+	}
+	return sp.TrunkMSV() + 2*workers + workers*deepest
 }
 
 // TestTraceDepthMatchesMSV checks the trace's structural view against the

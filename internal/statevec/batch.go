@@ -18,9 +18,7 @@ type BatchState struct {
 // NewBatchState allocates a batch register of `lanes` n-qubit lanes with
 // unspecified contents.
 func NewBatchState(n, lanes int) *BatchState {
-	if n < 1 || n > 30 {
-		panic(fmt.Sprintf("statevec: batch qubit count %d outside supported range [1,30]", n))
-	}
+	checkWidth(n)
 	if lanes < 1 {
 		panic(fmt.Sprintf("statevec: batch lane count %d < 1", lanes))
 	}

@@ -963,29 +963,33 @@ func mergeAdjacentChains(ks []kernel) []kernel {
 // product.
 func foldChains(ks []kernel) []kernel {
 	for _, k := range ks {
-		ck, ok := k.(*chainKernel)
-		if !ok || len(ck.steps) == 1 {
-			continue
+		if ck, ok := k.(*chainKernel); ok && len(ck.steps) > 1 {
+			ck.steps = []gstep{stepProduct(ck.steps)}
 		}
-		m00, m01, m10, m11 := ck.steps[0].u00, ck.steps[0].u01, ck.steps[0].u10, ck.steps[0].u11
-		for _, st := range ck.steps[1:] {
-			// later gate multiplies on the left
-			m00, m01, m10, m11 =
-				st.u00*m00+st.u01*m10, st.u00*m01+st.u01*m11,
-				st.u10*m00+st.u11*m10, st.u10*m01+st.u11*m11
-		}
-		st := gstep{op: sGeneric, u00: m00, u01: m01, u10: m10, u11: m11}
-		if m01 == 0 && m10 == 0 {
-			st.d0, st.d1 = m00, m11
-			if m00 == 1 {
-				st.op = sDiag1
-			} else {
-				st.op = sDiag
-			}
-		}
-		ck.steps = []gstep{st}
 	}
 	return ks
+}
+
+// stepProduct multiplies a chain's steps into one step, tagged diagonal
+// when the product is.
+func stepProduct(steps []gstep) gstep {
+	m00, m01, m10, m11 := steps[0].u00, steps[0].u01, steps[0].u10, steps[0].u11
+	for _, st := range steps[1:] {
+		// later gate multiplies on the left
+		m00, m01, m10, m11 =
+			st.u00*m00+st.u01*m10, st.u00*m01+st.u01*m11,
+			st.u10*m00+st.u11*m10, st.u10*m01+st.u11*m11
+	}
+	st := gstep{op: sGeneric, u00: m00, u01: m01, u10: m10, u11: m11}
+	if m01 == 0 && m10 == 0 {
+		st.d0, st.d1 = m00, m11
+		if m00 == 1 {
+			st.op = sDiag1
+		} else {
+			st.op = sDiag
+		}
+	}
+	return st
 }
 
 // foldDiagRuns merges repeated phases per qubit and cancels CZ pairs
@@ -1172,12 +1176,16 @@ func swapConj(m [16]complex128) [16]complex128 {
 	return out
 }
 
-// foldPairs fuses adjacent kernels acting on an overlapping qubit pair
-// into a single 4x4 apply: 1q into 2q (either side) and 2q into 2q on the
-// same pair. Only adjacent kernels fold, so no reordering ever happens.
+// foldPairs fuses kernels acting on an overlapping qubit pair into a
+// single 4x4 apply. A single-qubit chain folds forward into the first later
+// kernel on its qubit (see foldForward); a 1q after a 2q and a 2q after a
+// 2q on the same pair fold when adjacent.
 func foldPairs(ks []kernel) []kernel {
 	var out []kernel
-	for _, k := range ks {
+	for i, k := range ks {
+		if foldForward(ks, i) {
+			continue
+		}
 		if len(out) > 0 {
 			if merged, ok := tryFoldPair(out[len(out)-1], k); ok {
 				out[len(out)-1] = merged
@@ -1189,18 +1197,42 @@ func foldPairs(ks []kernel) []kernel {
 	return out
 }
 
-func tryFoldPair(prev, cur kernel) (kernel, bool) {
-	// 1q then 2q: fold the 1q in from the right.
-	if q, u, ops1, ok := as2x2(prev); ok {
-		if p0, p1, m, ops2, ok2 := as4x4(cur); ok2 && (q == p0 || q == p1) {
-			slot := 1
-			if q == p0 {
-				slot = 0
-			}
-			return &twoQKernel{q0: p0, q1: p1, m: mul4(m, embed2(u, slot)), ops: ops1 + ops2}, true
-		}
-		return nil, false
+// foldForward folds ks[i], if it is a single-step chain on qubit q, into
+// the first later kernel on q: a 4x4 becomes M · embed2(U), a chain its
+// 2x2 product with U (which later folds on in turn). The scan crosses only
+// kernels on disjoint qubits, at most fuseScanDepth of them, so the chain
+// commutes exactly to just before its target. It reports whether ks[i]
+// was absorbed and must be dropped.
+func foldForward(ks []kernel, i int) bool {
+	ck, ok := ks[i].(*chainKernel)
+	if !ok || len(ck.steps) != 1 {
+		return false
 	}
+	q, st := ck.q, ck.steps[0]
+	for j := i + 1; j < len(ks) && j-i <= fuseScanDepth; j++ {
+		if kernelMask(ks[j])&ck.bit == 0 {
+			continue
+		}
+		if next, ok := ks[j].(*chainKernel); ok && next.q == q && len(next.steps) == 1 {
+			ks[j] = &chainKernel{q: q, bit: ck.bit, steps: []gstep{stepProduct([]gstep{st, next.steps[0]})}, ops: ck.ops + next.ops}
+			return true
+		}
+		p0, p1, m, ops2, ok := as4x4(ks[j])
+		if !ok || (q != p0 && q != p1) {
+			return false
+		}
+		slot := 1
+		if q == p0 {
+			slot = 0
+		}
+		u := [4]complex128{st.u00, st.u01, st.u10, st.u11}
+		ks[j] = &twoQKernel{q0: p0, q1: p1, m: mul4(m, embed2(u, slot)), ops: ck.ops + ops2}
+		return true
+	}
+	return false
+}
+
+func tryFoldPair(prev, cur kernel) (kernel, bool) {
 	if p0, p1, mp, ops1, ok := as4x4(prev); ok {
 		// 2q then 1q: fold the 1q in from the left.
 		if q, u, ops2, ok2 := as2x2(cur); ok2 && (q == p0 || q == p1) {

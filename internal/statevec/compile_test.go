@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/gate"
 	"repro/internal/qmath"
@@ -314,6 +315,181 @@ func TestCompileFusesChains(t *testing.T) {
 	p = Compile(s)
 	if ks = p.SegmentKernels(0, p.NumLayers()); len(ks) != 3 {
 		t.Fatalf("exact mode folded across a CX: %+v", ks)
+	}
+}
+
+// TestCompileNumericFoldsLeadingChains pins the forward chain fold: in
+// the 3-CX QV template every u3 — including the first on each qubit of a
+// block — lands inside a 4x4, so a whole QV14 d3 circuit lowers to one
+// dense sweep per two-qubit block.
+func TestCompileNumericFoldsLeadingChains(t *testing.T) {
+	c := bench.QV(14, 3, rand.New(rand.NewSource(1)))
+	p := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
+	ks := p.SegmentKernels(0, p.NumLayers())
+	if len(ks) != 19 {
+		t.Fatalf("QV14 d3 numeric lowering: %d kernels, want 19", len(ks))
+	}
+	for i, k := range ks {
+		if k.Kind != "2q" {
+			t.Fatalf("kernel %d is %q on %v, want every kernel 2q", i, k.Kind, k.Qubits)
+		}
+	}
+}
+
+// is4x4Kind reports whether a kernel kind is a 4x4 the forward fold may
+// absorb a chain into.
+func is4x4Kind(kind string) bool {
+	return kind == "2q" || kind == "cx" || kind == "cz" || kind == "swap"
+}
+
+// unfoldedChain returns the index of a chain whose next kernel on its
+// qubit, within fuseScanDepth kernels, is a 4x4 — a fold the numeric
+// lowering missed — or -1.
+func unfoldedChain(ks []KernelInfo) int {
+	for i, k := range ks {
+		if k.Kind != "chain" {
+			continue
+		}
+		q := k.Qubits[0]
+	scan:
+		for j := i + 1; j < len(ks) && j-i <= fuseScanDepth; j++ {
+			for _, x := range ks[j].Qubits {
+				if x == q {
+					if is4x4Kind(ks[j].Kind) {
+						return i
+					}
+					break scan
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// randCuts splits [0, L) at random layer boundaries.
+func randCuts(rng *rand.Rand, L int) [][2]int {
+	var segs [][2]int
+	for from := 0; from < L; {
+		to := from + 1 + rng.Intn(L-from)
+		segs = append(segs, [2]int{from, to})
+		from = to
+	}
+	return segs
+}
+
+// TestCompileNumericNoChainBeforePair: on random cuts of QV and random
+// circuits, no numeric segment — forward or reverse — keeps a chain whose
+// next kernel on its qubit is a 4x4.
+func TestCompileNumericNoChainBeforePair(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		var c *circuit.Circuit
+		if trial%2 == 0 {
+			c = bench.QV(4+rng.Intn(8), 2+rng.Intn(4), rng)
+		} else {
+			c = randCompileCircuit(rng, 2+rng.Intn(4), 5+rng.Intn(30))
+		}
+		p := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
+		for _, seg := range randCuts(rng, p.NumLayers()) {
+			for dir, ks := range [][]KernelInfo{
+				p.SegmentKernels(seg[0], seg[1]),
+				p.ReverseSegmentKernels(seg[0], seg[1]),
+			} {
+				if i := unfoldedChain(ks); i >= 0 {
+					t.Fatalf("trial %d %s segment %v (dir %d): chain %d on %v precedes a 4x4 on its qubit: %+v",
+						trial, c.Name(), seg, dir, i, ks[i].Qubits, ks)
+				}
+			}
+		}
+	}
+}
+
+// TestCompileNumericChainBlocked: the forward fold crosses only kernels on
+// disjoint qubits. A ccx, a 3-qubit kq or a diagonal run on the chain's
+// qubit sits between it and the later 2q, so the chain must survive.
+func TestCompileNumericChainBlocked(t *testing.T) {
+	k3 := gate.Custom("k3", qmath.KronAll(gate.H().Matrix(), gate.T().Matrix(), gate.RX(0.4).Matrix()))
+	cases := []struct {
+		name    string
+		blocker func(c *circuit.Circuit)
+		kind    string
+	}{
+		{"ccx", func(c *circuit.Circuit) { c.Append(gate.CCX(), 0, 1, 2) }, "ccx"},
+		{"kq", func(c *circuit.Circuit) { c.Append(k3, 0, 1, 2) }, "kq"},
+		{"diag", func(c *circuit.Circuit) { c.Append(gate.CZ(), 0, 1).Append(gate.CZ(), 1, 2) }, "diag"},
+	}
+	for _, tc := range cases {
+		c := circuit.New("blocked-"+tc.name, 3)
+		c.Append(gate.U3(0.3, 0.2, 0.1), 0)
+		tc.blocker(c)
+		c.Append(gate.Controlled(gate.RY(0.7)), 0, 1)
+		p := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
+		ks := p.SegmentKernels(0, p.NumLayers())
+		if len(ks) != 3 || ks[0].Kind != "chain" || ks[1].Kind != tc.kind || ks[2].Kind != "2q" {
+			t.Fatalf("%s: compiled to %+v, want chain, %s, 2q", tc.name, ks, tc.kind)
+		}
+	}
+}
+
+// applyDispatchRange replays layers [from, to) gate by gate; reverse
+// replays their adjoint (layers and ops in reverse order, daggered).
+func applyDispatchRange(c *circuit.Circuit, s *State, from, to int, reverse bool) int {
+	layers := c.Layers()
+	ops := 0
+	if !reverse {
+		for l := from; l < to; l++ {
+			for _, oi := range layers[l] {
+				op := c.Op(oi)
+				s.ApplyOp(op.Gate, op.Qubits...)
+				ops++
+			}
+		}
+		return ops
+	}
+	for l := to - 1; l >= from; l-- {
+		for j := len(layers[l]) - 1; j >= 0; j-- {
+			op := c.Op(layers[l][j])
+			s.ApplyOp(gate.Dagger(op.Gate), op.Qubits...)
+			ops++
+		}
+	}
+	return ops
+}
+
+// TestCompileNumericSegmentsMatchDispatch: with the forward fold, every
+// numeric segment of a random cut — forward and reverse — still matches
+// gate-by-gate dispatch within 1e-9 and reports the same op count.
+func TestCompileNumericSegmentsMatchDispatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 30; trial++ {
+		var c *circuit.Circuit
+		if trial%2 == 0 {
+			c = bench.QV(3+rng.Intn(5), 2+rng.Intn(3), rng)
+		} else {
+			c = randCompileCircuit(rng, 1+rng.Intn(5), 3+rng.Intn(30))
+		}
+		p := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
+		n := c.NumQubits()
+		for _, seg := range randCuts(rng, p.NumLayers()) {
+			for _, reverse := range []bool{false, true} {
+				init := randState(rng, n)
+				want := init.Clone()
+				wantOps := applyDispatchRange(c, want, seg[0], seg[1], reverse)
+				got := init.Clone()
+				var gotOps int
+				if reverse {
+					gotOps = p.RunReverse(got, seg[0], seg[1])
+				} else {
+					gotOps = p.Run(got, seg[0], seg[1])
+				}
+				if gotOps != wantOps {
+					t.Fatalf("trial %d segment %v reverse=%v: ops %d, dispatch %d", trial, seg, reverse, gotOps, wantOps)
+				}
+				if !want.Equal(got, 1e-9) {
+					t.Fatalf("trial %d segment %v reverse=%v: numeric state deviates beyond 1e-9", trial, seg, reverse)
+				}
+			}
+		}
 	}
 }
 

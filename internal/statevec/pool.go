@@ -97,8 +97,10 @@ func (p *BufferPool) Put(buf []complex128) {
 }
 
 // GetState returns an n-qubit state register with unspecified amplitudes
-// (callers overwrite via CopyFrom or Reset before reading).
+// (callers overwrite via CopyFrom or Reset before reading). Like NewState
+// it panics for n outside [1, MaxQubits].
 func (p *BufferPool) GetState(n int) *State {
+	checkWidth(n)
 	p.mu.Lock()
 	list := p.states[n]
 	if ln := len(list); ln > 0 {

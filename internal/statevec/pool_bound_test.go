@@ -81,3 +81,22 @@ func TestPoolDefaultRetention(t *testing.T) {
 		t.Fatalf("drops %d, want 10", got)
 	}
 }
+
+// TestGetStateWidthLimit: the pool refuses the same widths NewState does,
+// so no caller can size an allocation from an unchecked qubit count.
+func TestGetStateWidthLimit(t *testing.T) {
+	p := NewBufferPool()
+	for _, n := range []int{0, -1, MaxQubits + 1, 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("GetState(%d) did not panic", n)
+				}
+			}()
+			p.GetState(n)
+		}()
+	}
+	if s := p.GetState(3); s.NumQubits() != 3 {
+		t.Fatalf("GetState(3) returned %d qubits", s.NumQubits())
+	}
+}

@@ -26,14 +26,23 @@ type State struct {
 	amp []complex128
 }
 
-// NewState returns |0...0> over n qubits. It panics for n outside [1, 30]
-// — a 2^30 complex128 vector is 16 GiB, the practical ceiling for a
-// dynamic (amplitude-carrying) simulation on one machine; larger circuits
-// go through the static analyzer which never allocates amplitudes.
-func NewState(n int) *State {
-	if n < 1 || n > 30 {
-		panic(fmt.Sprintf("statevec: qubit count %d outside supported range [1,30]", n))
+// MaxQubits is the widest register NewState and BufferPool.GetState
+// allocate: a 2^30 complex128 vector is 16 GiB, the practical ceiling for
+// a dynamic (amplitude-carrying) simulation on one machine; larger
+// circuits go through the static analyzer which never allocates
+// amplitudes.
+const MaxQubits = 30
+
+func checkWidth(n int) {
+	if n < 1 || n > MaxQubits {
+		panic(fmt.Sprintf("statevec: qubit count %d outside supported range [1,%d]", n, MaxQubits))
 	}
+}
+
+// NewState returns |0...0> over n qubits. It panics for n outside
+// [1, MaxQubits].
+func NewState(n int) *State {
+	checkWidth(n)
 	s := &State{n: n, amp: make([]complex128, 1<<uint(n))}
 	s.amp[0] = 1
 	return s
