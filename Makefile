@@ -63,8 +63,12 @@ alloc-gate: build
 
 verify: build vet test race
 
+# perfbench is its own module (go vet ./... skips it) but calls the sim,
+# core and service APIs, so an API break fails vet rather than the
+# benchmark run.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 # End-to-end observability check: run a QV circuit with metrics capture,
 # then re-read the file and verify the executed counters agree with the

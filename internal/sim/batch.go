@@ -7,7 +7,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/obs"
 	"repro/internal/reorder"
-	"repro/internal/statevec"
 	"repro/internal/trace"
 )
 
@@ -85,10 +84,7 @@ func ExecuteBatchSubtree(c *circuit.Circuit, bp *reorder.BatchPlan, workers int,
 func demuxBatch(bp *reorder.BatchPlan, res *Result, opt Options) (*BatchResult, error) {
 	per := make([]*Result, bp.NumVariants())
 	for vi := range per {
-		per[vi] = &Result{Counts: make(map[uint64]int)}
-		if opt.KeepStates {
-			per[vi].FinalStates = make(map[int]*statevec.State)
-		}
+		per[vi] = newResult(opt.KeepStates)
 	}
 	for _, o := range res.Outcomes {
 		org := bp.Origin(o.TrialID)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/circuit"
@@ -59,12 +58,7 @@ func Parallel(c *circuit.Circuit, trials []*trial.Trial, workers int, opt Option
 	}
 	// One compiled circuit shared by every chunk (Programs are
 	// goroutine-safe); each chunk plan carries it into executePlan.
-	prog := opt.compileProgram(c)
-	if opt.Policy != PolicySnapshot && prog == nil {
-		// The policy executor reverse-executes through the compiled
-		// program; compile one (dispatch-identical) for all chunks.
-		prog = opt.policyProgram(c)
-	}
+	prog := opt.compileProgram(c, opt.Policy != PolicySnapshot)
 
 	type chunkResult struct {
 		res *Result
@@ -82,40 +76,29 @@ func Parallel(c *circuit.Circuit, trials []*trial.Trial, workers int, opt Option
 		wg.Add(1)
 		go func(w int, chunk []*trial.Trial) {
 			defer wg.Done()
+			cr := &results[w]
+			// A panic fails this chunk, not the process.
+			defer recoverErr(&cr.err)
 			// The chunk is a sub-range of the globally sorted order, so
 			// the presorted plan constructor skips the per-chunk re-sort.
 			plan, err := reorder.BuildPlanOrderedBudget(c, chunk, budget)
 			if err != nil {
-				results[w] = chunkResult{err: err}
+				cr.err = err
 				return
 			}
 			plan.Prog = prog
-			res, err := executePlan(c, plan, opt, &tracker, w)
-			results[w] = chunkResult{res: res, err: err}
+			cr.res, cr.err = executePlan(c, plan, opt, &tracker, w)
 		}(w, ordered[lo:hi])
 	}
 	wg.Wait()
 
-	merged := &Result{Counts: make(map[uint64]int)}
-	if opt.KeepStates {
-		merged.FinalStates = make(map[int]*statevec.State)
-	}
-	for w := range results {
-		cr := results[w]
+	merged := newResult(opt.KeepStates)
+	for w, cr := range results {
 		if cr.err != nil {
 			return traceDone(psp, nil, fmt.Errorf("sim: worker %d: %v", w, cr.err))
 		}
-		if cr.res == nil {
-			continue
-		}
-		merged.Ops += cr.res.Ops
-		merged.UncomputeOps += cr.res.UncomputeOps
-		merged.Copies += cr.res.Copies
-		merged.Outcomes = append(merged.Outcomes, cr.res.Outcomes...)
-		if opt.KeepStates {
-			for id, st := range cr.res.FinalStates {
-				merged.FinalStates[id] = st
-			}
+		if cr.res != nil {
+			merged.absorb(cr.res)
 		}
 	}
 	merged.MSV = tracker.highWater()
@@ -124,11 +107,6 @@ func Parallel(c *circuit.Circuit, trials []*trial.Trial, workers int, opt Option
 		// high-water is the true combined MSV.
 		opt.Recorder.SetMax(obs.MSVHighWater, int64(merged.MSV))
 	}
-	sort.Slice(merged.Outcomes, func(i, j int) bool {
-		return merged.Outcomes[i].TrialID < merged.Outcomes[j].TrialID
-	})
-	for _, o := range merged.Outcomes {
-		merged.Counts[o.Bits]++
-	}
+	finish(merged)
 	return traceDone(psp, merged, nil)
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -274,4 +276,22 @@ func TestBudgetedEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestParallelChunkPanicFailsRun: a panic in a chunk goroutine (here a
+// memory probe that panics at the first adaptive branch point) becomes
+// Parallel's error, and every chunk goroutine exits.
+func TestParallelChunkPanicFailsRun(t *testing.T) {
+	c := bench.QFT(4)
+	m := noise.Uniform("u", 4, 1e-2, 5e-2, 1e-2)
+	trials := genTrials(t, c, m, 300, 29)
+	base := runtime.NumGoroutine()
+	_, err := Parallel(c, trials, 2, Options{
+		Policy:   PolicyAdaptive,
+		MemProbe: func() bool { panic("probe failed") },
+	})
+	if err == nil || !strings.Contains(err.Error(), "probe failed") {
+		t.Fatalf("error = %v, want the chunk's panic", err)
+	}
+	waitGoroutines(t, "parallel", base)
 }

@@ -75,10 +75,12 @@ type Options struct {
 	KeepStates bool
 	// SnapshotBudget caps the stored prefix state vectors, trading
 	// recomputation for memory (reorder.BuildPlanBudget). 0 or negative
-	// means unlimited. It applies to the plan-building entry points —
-	// Reordered, Parallel, and ParallelSubtree (where it caps each
-	// component's stack: the trunk's and every worker's, entry state
-	// included) — and is ignored by ExecutePlan, whose plan is prebuilt.
+	// means unlimited. Under PolicySnapshot it applies to the
+	// plan-building entry points — Reordered, Parallel, and
+	// ParallelSubtree (where it caps each component's stack: the trunk's
+	// and every worker's, entry state included) — and ExecutePlan runs
+	// its prebuilt plan as built. Under PolicyAdaptive every executor,
+	// ExecutePlan included, reads it at run time as the real-frame cap.
 	SnapshotBudget int
 	// Fuse compiles the circuit once per run into a program of fused
 	// kernels (statevec.Compile) that every trial and worker replays for
@@ -131,7 +133,7 @@ type Options struct {
 	// and emitted trials are identical to single-lane execution at every
 	// lane and worker count (bit-identical in non-numeric fuse modes).
 	// Sequential executors ignore it; non-snapshot restore policies run
-	// grouped tasks one lane at a time through the policy executor.
+	// grouped tasks one lane at a time through the single-lane interpreter.
 	Lanes int
 	// Pool, when non-nil, is the amplitude-buffer arena the run draws
 	// snapshots, entry clones and batch registers from, letting callers
@@ -152,9 +154,12 @@ type Options struct {
 }
 
 // compileProgram returns the compiled program the options imply for the
-// circuit, or nil when plain gate-by-gate dispatch should run.
-func (o Options) compileProgram(c *circuit.Circuit) *statevec.Program {
-	if o.Fuse == statevec.FuseOff && o.Stripes <= 1 {
+// circuit, or nil when plain gate-by-gate dispatch should run. always
+// compiles even then: reverse execution (the non-snapshot policies) and
+// batched sweeps exist only on compiled programs, and a FuseOff program
+// is bit-identical to dispatch.
+func (o Options) compileProgram(c *circuit.Circuit, always bool) *statevec.Program {
+	if !always && o.Fuse == statevec.FuseOff && o.Stripes <= 1 {
 		return nil
 	}
 	return statevec.CompileWith(c, statevec.CompileOptions{
@@ -376,172 +381,47 @@ func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, 
 // executePlan is ExecutePlan reporting every stored-vector acquisition
 // and release into a tracker, so concurrent executors (Parallel) can
 // measure their true combined peak. Result.MSV remains this execution's
-// own stack peak. Popped working registers are recycled through a free
-// list rather than garbage-collected, eliminating the 2^n-sized
-// allocation churn of branch returns. wid labels this execution's
-// plan-trace events (0 for a sequential run, the chunk index under
-// Parallel).
+// own stack peak. wid labels this execution's plan-trace events (0 for a
+// sequential run, the chunk index under Parallel).
 //
 // With a span attached it wraps the execution in one "execute_plan"
 // child (on the chunk's worker track under Parallel); all deeper trace
 // activity — segment compiles, snapshot events, policy decisions —
 // nests under that child.
 func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTracker, wid int) (*Result, error) {
-	if opt.Span == nil {
-		return executePlanInner(c, plan, opt, tr, wid)
-	}
-	esp := opt.Span.Child("execute_plan",
-		trace.String("policy", opt.Policy.String()),
-		trace.Int("steps", int64(len(plan.Steps))),
-		trace.Int("trials", int64(len(plan.Order))))
-	if wid > 0 {
-		esp.SetWorker(wid)
-	}
-	opt.Span = esp
-	res, err := executePlanInner(c, plan, opt, tr, wid)
-	if err != nil {
-		esp.SetError(err)
-	} else {
-		esp.SetAttr(trace.Int("ops", res.Ops), trace.Int("copies", res.Copies))
-	}
-	esp.End()
-	return res, err
-}
-
-func executePlanInner(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTracker, wid int) (*Result, error) {
-	if opt.Policy != PolicySnapshot {
-		return executePlanPolicy(c, plan, opt, tr, wid)
+	var esp *trace.Span
+	if opt.Span != nil {
+		esp = opt.Span.Child("execute_plan",
+			trace.String("policy", opt.Policy.String()),
+			trace.Int("steps", int64(len(plan.Steps))),
+			trace.Int("trials", int64(len(plan.Order))))
+		if wid > 0 {
+			esp.SetWorker(wid)
+		}
+		opt.Span = esp
 	}
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return traceDone(esp, nil, err)
 	}
-	res := &Result{Counts: make(map[uint64]int)}
-	if opt.KeepStates {
-		res.FinalStates = make(map[int]*statevec.State)
-	}
+	res := newResult(opt.KeepStates)
 	rec := opt.Recorder
+	prog := plan.Prog
+	if prog == nil {
+		prog = opt.compileProgram(c, opt.Policy != PolicySnapshot)
+	}
 	arena, owned := opt.bufferPool()
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()
 	pool := newStatePool(c.NumQubits(), arena)
-	work := pool.get()
-	work.Reset()
-	var stack []*statevec.State
-	layers := c.Layers()
-	ops := c.Ops()
-	prog := plan.Prog
-	if prog == nil {
-		prog = opt.compileProgram(c)
+	bs := newBranchState(c, opt, prog, res, tr, pool, wid, true)
+	bs.work = pool.get()
+	bs.work.Reset()
+	if err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil); err != nil {
+		return traceDone(esp, nil, err)
 	}
-	// Distribution instrumentation (recorder-only): trials in a plan share
-	// prefix work, so per-trial latency is the wall time since the previous
-	// emit amortized equally over the emit batch — the histogram's count
-	// then always equals the trials emitted. pushTimes shadows the snapshot
-	// stack to measure each snapshot's push→drop lifetime.
-	var emitMark time.Time
-	var pushTimes []time.Time
-	if rec != nil {
-		emitMark = time.Now()
-	}
-	for _, s := range plan.Steps {
-		switch s.Kind {
-		case reorder.StepAdvance:
-			if prog != nil {
-				res.Ops += int64(prog.Run(work, s.From, s.To))
-				continue
-			}
-			for l := s.From; l < s.To; l++ {
-				for _, oi := range layers[l] {
-					op := ops[oi]
-					work.ApplyOp(op.Gate, op.Qubits...)
-					res.Ops++
-				}
-			}
-		case reorder.StepPush:
-			snap := pool.get()
-			snap.CopyFrom(work)
-			stack = append(stack, snap)
-			res.Copies++
-			if len(stack) > res.MSV {
-				res.MSV = len(stack)
-			}
-			tr.add(1)
-			if rec != nil {
-				rec.Add(obs.SnapshotPushes, 1)
-				rec.Event(obs.EvPush, wid, len(stack))
-				pushTimes = append(pushTimes, time.Now())
-			}
-			if sp := opt.Span; sp != nil {
-				sp.Event("snapshot_push", trace.Int("depth", int64(len(stack))))
-			}
-		case reorder.StepInject:
-			work.ApplyPauli(s.Op, s.Qubit)
-			res.Ops++
-		case reorder.StepEmit:
-			for _, idx := range s.Trials {
-				t := plan.Order[idx]
-				res.Outcomes = append(res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(work, c, t)})
-				if opt.KeepStates {
-					res.FinalStates[t.ID] = work.Clone()
-				}
-			}
-			if rec != nil {
-				rec.Add(obs.TrialsEmitted, int64(len(s.Trials)))
-				rec.Event(obs.EvEmit, wid, len(stack))
-				now := time.Now()
-				if n := len(s.Trials); n > 0 {
-					per := int64(now.Sub(emitMark)) / int64(n)
-					for i := 0; i < n; i++ {
-						rec.Observe(obs.HistTrialLatency, per)
-					}
-				}
-				emitMark = now
-			}
-		case reorder.StepPop:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("sim: plan pops an empty snapshot stack")
-			}
-			pool.put(work)
-			work = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			tr.add(-1)
-			if rec != nil {
-				rec.Add(obs.SnapshotDrops, 1)
-				rec.Event(obs.EvDrop, wid, len(stack))
-				rec.Observe(obs.HistSnapshotLifetime, int64(time.Since(pushTimes[len(pushTimes)-1])))
-				pushTimes = pushTimes[:len(pushTimes)-1]
-			}
-		case reorder.StepRestore:
-			// Budgeted plans: resume from a copy of the top snapshot
-			// (keeping it for its own later consumers), or from scratch
-			// when nothing is stored.
-			if len(stack) == 0 {
-				work.Reset()
-			} else {
-				work.CopyFrom(stack[len(stack)-1])
-				res.Copies++
-			}
-			if rec != nil {
-				rec.Add(obs.SnapshotRestores, 1)
-				rec.Event(obs.EvRestore, wid, len(stack))
-				rec.Observe(obs.HistRestoreDepth, int64(len(stack)))
-			}
-			if sp := opt.Span; sp != nil {
-				sp.Event("snapshot_restore", trace.Int("depth", int64(len(stack))))
-			}
-		default:
-			return nil, fmt.Errorf("sim: unknown plan step %v", s.Kind)
-		}
-	}
-	if len(res.Outcomes) != len(plan.Order) {
-		return nil, fmt.Errorf("sim: plan emitted %d of %d trials", len(res.Outcomes), len(plan.Order))
-	}
-	// Return the registers to the arena so a caller-shared pool stays
-	// warm across runs instead of leaking one working set per run.
-	pool.put(work)
-	for _, s := range stack {
-		pool.put(s)
-	}
+	// Return the register to the arena so a caller-shared pool stays warm
+	// across runs instead of leaking one working set per run.
+	pool.put(bs.work)
 	if rec != nil {
 		rec.Add(obs.Ops, res.Ops)
 		rec.Add(obs.Copies, res.Copies)
@@ -553,7 +433,17 @@ func executePlanInner(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *m
 		}
 	}
 	finish(res)
-	return res, nil
+	return traceDone(esp, res, nil)
+}
+
+// newResult returns an empty Result, with the final-state map when the
+// run keeps states.
+func newResult(keepStates bool) *Result {
+	res := &Result{Counts: make(map[uint64]int)}
+	if keepStates {
+		res.FinalStates = make(map[int]*statevec.State)
+	}
+	return res
 }
 
 // traceDone closes an executor span with the run's outcome: the error
@@ -569,6 +459,18 @@ func traceDone(sp *trace.Span, res *Result, err error) (*Result, error) {
 		sp.End()
 	}
 	return res, err
+}
+
+// absorb merges a worker's partial result into r: work counters,
+// outcomes and final states. MSV and the histogram are the caller's.
+func (r *Result) absorb(p *Result) {
+	r.Ops += p.Ops
+	r.UncomputeOps += p.UncomputeOps
+	r.Copies += p.Copies
+	r.Outcomes = append(r.Outcomes, p.Outcomes...)
+	for id, st := range p.FinalStates {
+		r.FinalStates[id] = st
+	}
 }
 
 // finish sorts outcomes by trial ID and fills the histogram.

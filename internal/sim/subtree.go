@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/obs"
@@ -270,12 +269,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 	sem := make(chan struct{}, semCap)
 	prog := sp.Prog
 	if prog == nil {
-		prog = opt.compileProgram(c)
-	}
-	if prog == nil && (opt.Policy != PolicySnapshot || lanes > 1) {
-		// Reverse execution and batched sweeps exist only on compiled
-		// programs; FuseOff compiles one dispatch-identical kernel per op.
-		prog = opt.policyProgram(c)
+		prog = opt.compileProgram(c, opt.Policy != PolicySnapshot || lanes > 1)
 	}
 	arena, owned := opt.bufferPool()
 	h0, m0 := arena.Stats()
@@ -288,10 +282,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res := &Result{}
-			if opt.KeepStates {
-				res.FinalStates = make(map[int]*statevec.State)
-			}
+			res := newResult(opt.KeepStates)
 			pool := newStatePool(c.NumQubits(), arena)
 			var br *batchRunner
 			if lanes > 1 && opt.Policy == PolicySnapshot {
@@ -338,6 +329,8 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 		trunkSpan = esp.Child("trunk")
 		topt.Span = trunkSpan
 	}
+	// runTrunk recovers its own panics, so the queue always closes and no
+	// worker is left waiting on it.
 	trunkRes, trunkErr := runTrunk(c, sp, prog, topt, queue, sem, &tracker, trunkPool)
 	trunkSpan.SetError(trunkErr)
 	trunkSpan.End()
@@ -354,15 +347,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 
 	merged := trunkRes
 	for _, p := range partials {
-		merged.Ops += p.Ops
-		merged.UncomputeOps += p.UncomputeOps
-		merged.Copies += p.Copies
-		merged.Outcomes = append(merged.Outcomes, p.Outcomes...)
-		if opt.KeepStates {
-			for id, st := range p.FinalStates {
-				merged.FinalStates[id] = st
-			}
-		}
+		merged.absorb(p)
 	}
 	if len(merged.Outcomes) != len(sp.Order) {
 		return traceDone(esp, nil, fmt.Errorf("sim: split plan emitted %d of %d trials", len(merged.Outcomes), len(sp.Order)))
@@ -387,242 +372,73 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 // (with cloned entry states) into the queue. It performs each shared
 // prefix computation exactly once; it never emits trials. With a compiled
 // program, trunk advances use the striped Run so the otherwise
-// single-threaded serialization point can borrow idle CPUs.
-func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, opt Options, queue *taskQueue, sem chan struct{}, tr *msvTracker, pool *statePool) (*Result, error) {
-	if opt.Policy != PolicySnapshot {
-		return runTrunkPolicy(c, sp, prog, opt, queue, sem, tr, pool)
-	}
-	res := &Result{Counts: make(map[uint64]int)}
-	if opt.KeepStates {
-		res.FinalStates = make(map[int]*statevec.State)
-	}
-	rec := opt.Recorder // trunk events carry worker id -1
-	work := pool.get()
-	work.Reset()
-	var stack []*statevec.State
-	var pushTimes []time.Time // shadows stack for snapshot-lifetime observation
-	layers := c.Layers()
-	ops := c.Ops()
+// single-threaded serialization point can borrow idle CPUs. Trunk events
+// carry worker id -1.
+func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, opt Options, queue *taskQueue, sem chan struct{}, tr *msvTracker, pool *statePool) (_ *Result, err error) {
+	defer recoverErr(&err)
+	res := newResult(opt.KeepStates)
+	rec := opt.Recorder
+	bs := newBranchState(c, opt, prog, res, tr, pool, -1, true)
+	bs.work = pool.get()
+	bs.work.Reset()
 	grp := newSpawnGroup(opt.Lanes, queue)
-	for _, s := range sp.Trunk {
-		if s.Kind != reorder.StepSpawn {
-			// Only strictly consecutive spawns share a lane group.
+	spawn := func(task int, last bool) {
+		sem <- struct{}{}
+		entry := pool.get()
+		entry.CopyFrom(bs.work)
+		res.Copies++
+		tr.add(1) // the queued entry state is a stored vector
+		if rec != nil {
+			rec.Add(obs.TasksSpawned, 1)
+			rec.Event(obs.EvSpawn, -1, len(bs.frames))
+		}
+		if tsp := opt.Span; tsp != nil {
+			tsp.Event("spawn", trace.Int("task", int64(task)))
+		}
+		// Only strictly consecutive spawns share a lane group.
+		grp.add(sp.Subtrees[task], entry)
+		if last {
 			grp.flush()
 		}
-		switch s.Kind {
-		case reorder.StepAdvance:
-			if prog != nil {
-				res.Ops += int64(prog.Run(work, s.From, s.To))
-				continue
-			}
-			for l := s.From; l < s.To; l++ {
-				for _, oi := range layers[l] {
-					op := ops[oi]
-					work.ApplyOp(op.Gate, op.Qubits...)
-					res.Ops++
-				}
-			}
-		case reorder.StepPush:
-			snap := pool.get()
-			snap.CopyFrom(work)
-			stack = append(stack, snap)
-			res.Copies++
-			tr.add(1)
-			if rec != nil {
-				rec.Add(obs.SnapshotPushes, 1)
-				rec.Event(obs.EvPush, -1, len(stack))
-				pushTimes = append(pushTimes, time.Now())
-			}
-		case reorder.StepInject:
-			work.ApplyPauli(s.Op, s.Qubit)
-			res.Ops++
-		case reorder.StepPop:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("sim: trunk pops an empty snapshot stack")
-			}
-			pool.put(work)
-			work = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			tr.add(-1)
-			if rec != nil {
-				rec.Add(obs.SnapshotDrops, 1)
-				rec.Event(obs.EvDrop, -1, len(stack))
-				rec.Observe(obs.HistSnapshotLifetime, int64(time.Since(pushTimes[len(pushTimes)-1])))
-				pushTimes = pushTimes[:len(pushTimes)-1]
-			}
-		case reorder.StepRestore:
-			if len(stack) == 0 {
-				work.Reset()
-			} else {
-				work.CopyFrom(stack[len(stack)-1])
-				res.Copies++
-			}
-			if rec != nil {
-				rec.Add(obs.SnapshotRestores, 1)
-				rec.Event(obs.EvRestore, -1, len(stack))
-				rec.Observe(obs.HistRestoreDepth, int64(len(stack)))
-			}
-		case reorder.StepSpawn:
-			sem <- struct{}{}
-			entry := pool.get()
-			entry.CopyFrom(work)
-			res.Copies++
-			tr.add(1) // the queued entry state is a stored vector
-			if rec != nil {
-				rec.Add(obs.TasksSpawned, 1)
-				rec.Event(obs.EvSpawn, -1, len(stack))
-			}
-			if tsp := opt.Span; tsp != nil {
-				tsp.Event("spawn", trace.Int("task", int64(s.Task)))
-			}
-			grp.add(sp.Subtrees[s.Task], entry)
-		default:
-			return nil, fmt.Errorf("sim: invalid trunk step %v", s.Kind)
-		}
 	}
-	grp.flush()
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("sim: trunk leaves %d snapshots stored", len(stack))
+	if err := bs.run(sp.Trunk, sp.Order, 0, spawn); err != nil {
+		return nil, fmt.Errorf("sim: trunk: %v", err)
 	}
-	pool.put(work)
+	pool.put(bs.work)
 	return res, nil
 }
 
 // runSubtree executes one task against its entry state, accumulating
 // outcomes and op counts into the worker's partial result.
 //
-// An unbudgeted task adopts the entry clone as its working register (it
-// stops being a stored vector). A budgeted task with budget >= 1 keeps
-// the entry pristine at the bottom of its snapshot stack — the replay
-// floor for StepRestore — and works on a copy; with budget 0 nothing is
-// preserved and restores replay from |0...0>.
+// An unbudgeted snapshot task adopts the entry clone as its working
+// register (it stops being a stored vector). Otherwise the task keeps the
+// entry pristine as a real frame at its stack floor and works on a copy:
+// a budgeted plan (budget >= 1) restores from it, and under the other
+// policies it is the base every replay bottoms out at, because a task's
+// journal covers only its own steps, never the trunk prefix. The entry is
+// a spawn clone, already counted by the tracker at spawn and never
+// reported as a snapshot push — PolicyUncompute still executes with
+// snapshot_pushes == 0. A snapshot plan with budget 0 adopts the entry
+// and restores replay from |0...0>.
 func runSubtree(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, st *reorder.Subtree, entry *statevec.State, opt Options, res *Result, tr *msvTracker, pool *statePool, wid int) error {
-	if opt.Policy != PolicySnapshot {
-		return runSubtreePolicy(c, sp, prog, st, entry, opt, res, tr, pool, wid)
-	}
-	layers := c.Layers()
-	ops := c.Ops()
-	rec := opt.Recorder // task events carry the pool worker's id
-	var work *statevec.State
-	var stack []*statevec.State
-	floor := 0
-	keepEntry := sp.Budget() != math.MaxInt && sp.Budget() >= 1
+	bs := newBranchState(c, opt, prog, res, tr, pool, wid, false)
+	keepEntry := opt.Policy != PolicySnapshot || (sp.Budget() != math.MaxInt && sp.Budget() >= 1)
 	if keepEntry {
-		stack = append(stack, entry) // stays tracked until the task ends
-		floor = 1
-		work = pool.get()
-		work.CopyFrom(entry)
+		bs.work = pool.get()
+		bs.work.CopyFrom(entry)
 		res.Copies++
+		bs.frames = append(bs.frames, pframe{real: true, st: entry})
+		bs.floor = 1
+		bs.realCnt = 1
 	} else {
-		work = entry
+		bs.work = entry
 		tr.add(-1) // adopted as the working register
 	}
-	emitted := 0
-	// Trial latency is task-local: the wall time since the task started
-	// (or since its previous emit), amortized over each emit batch. Trunk
-	// prefix time is shared by construction and not attributed to trials.
-	var emitMark time.Time
-	var pushTimes []time.Time // shadows stack above the entry floor
-	if rec != nil {
-		emitMark = time.Now()
+	if err := bs.run(st.Steps, sp.Order, st.Trials, nil); err != nil {
+		return fmt.Errorf("sim: task %d: %v", st.ID, err)
 	}
-	for _, s := range st.Steps {
-		switch s.Kind {
-		case reorder.StepAdvance:
-			if prog != nil {
-				// Task bodies run serially: the worker pool is the
-				// parallelism here, striping would oversubscribe it.
-				res.Ops += int64(prog.RunSerial(work, s.From, s.To))
-				continue
-			}
-			for l := s.From; l < s.To; l++ {
-				for _, oi := range layers[l] {
-					op := ops[oi]
-					work.ApplyOp(op.Gate, op.Qubits...)
-					res.Ops++
-				}
-			}
-		case reorder.StepPush:
-			snap := pool.get()
-			snap.CopyFrom(work)
-			stack = append(stack, snap)
-			res.Copies++
-			tr.add(1)
-			if rec != nil {
-				rec.Add(obs.SnapshotPushes, 1)
-				rec.Event(obs.EvPush, wid, len(stack))
-				pushTimes = append(pushTimes, time.Now())
-			}
-			if tsp := opt.Span; tsp != nil {
-				tsp.Event("snapshot_push", trace.Int("depth", int64(len(stack))))
-			}
-		case reorder.StepInject:
-			work.ApplyPauli(s.Op, s.Qubit)
-			res.Ops++
-		case reorder.StepEmit:
-			for _, idx := range s.Trials {
-				t := sp.Order[idx]
-				res.Outcomes = append(res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(work, c, t)})
-				emitted++
-				if opt.KeepStates {
-					res.FinalStates[t.ID] = work.Clone()
-				}
-			}
-			if rec != nil {
-				rec.Add(obs.TrialsEmitted, int64(len(s.Trials)))
-				rec.Event(obs.EvEmit, wid, len(stack))
-				now := time.Now()
-				if n := len(s.Trials); n > 0 {
-					per := int64(now.Sub(emitMark)) / int64(n)
-					for i := 0; i < n; i++ {
-						rec.Observe(obs.HistTrialLatency, per)
-					}
-				}
-				emitMark = now
-			}
-		case reorder.StepPop:
-			if len(stack) <= floor {
-				return fmt.Errorf("sim: task %d pops below its entry floor", st.ID)
-			}
-			pool.put(work)
-			work = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			tr.add(-1)
-			if rec != nil {
-				rec.Add(obs.SnapshotDrops, 1)
-				rec.Event(obs.EvDrop, wid, len(stack))
-				// pushTimes holds only StepPush snapshots (never the entry
-				// floor), and pops below the floor error out above, so the
-				// shadow stack is non-empty here.
-				rec.Observe(obs.HistSnapshotLifetime, int64(time.Since(pushTimes[len(pushTimes)-1])))
-				pushTimes = pushTimes[:len(pushTimes)-1]
-			}
-		case reorder.StepRestore:
-			if len(stack) == 0 {
-				work.Reset()
-			} else {
-				work.CopyFrom(stack[len(stack)-1])
-				res.Copies++
-			}
-			if rec != nil {
-				rec.Add(obs.SnapshotRestores, 1)
-				rec.Event(obs.EvRestore, wid, len(stack))
-				rec.Observe(obs.HistRestoreDepth, int64(len(stack)))
-			}
-			if tsp := opt.Span; tsp != nil {
-				tsp.Event("snapshot_restore", trace.Int("depth", int64(len(stack))))
-			}
-		default:
-			return fmt.Errorf("sim: invalid subtree step %v", s.Kind)
-		}
-	}
-	if len(stack) != floor {
-		return fmt.Errorf("sim: task %d leaves %d snapshots stored", st.ID, len(stack)-floor)
-	}
-	if emitted != st.Trials {
-		return fmt.Errorf("sim: task %d emitted %d of %d trials", st.ID, emitted, st.Trials)
-	}
-	pool.put(work)
+	pool.put(bs.work)
 	if keepEntry {
 		tr.add(-1) // the preserved entry state is dropped with the task
 		pool.put(entry)

@@ -41,8 +41,11 @@ func ExecuteBatchedSubtree(c *circuit.Circuit, trials []*trial.Trial, workers, l
 // runTaskGroup executes one popped spawn group. Groups of one, and every
 // group under a non-snapshot restore policy (whose journaled rollbacks are
 // inherently per-lane), run tasks sequentially through the single-lane
-// path; larger snapshot-policy groups go through the batched engine.
-func runTaskGroup(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, qt queuedTask, opt Options, res *Result, tr *msvTracker, pool *statePool, br *batchRunner, wid int) error {
+// path; larger snapshot-policy groups go through the batched engine. A
+// panic in a task becomes the group's error, so the worker survives to
+// keep draining the queue.
+func runTaskGroup(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, qt queuedTask, opt Options, res *Result, tr *msvTracker, pool *statePool, br *batchRunner, wid int) (err error) {
+	defer recoverErr(&err)
 	if br == nil || len(qt.tasks) == 1 || opt.Policy != PolicySnapshot {
 		for i, st := range qt.tasks {
 			if err := runSubtree(c, sp, prog, st, qt.entries[i], opt, res, tr, pool, wid); err != nil {

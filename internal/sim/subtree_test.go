@@ -3,11 +3,15 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
+	"repro/internal/gate"
 	"repro/internal/noise"
 	"repro/internal/reorder"
 	"repro/internal/trial"
@@ -273,5 +277,100 @@ func TestExecuteSplitPlanDirect(t *testing.T) {
 		if res.Outcomes[i-1].TrialID >= res.Outcomes[i].TrialID {
 			t.Fatal("outcomes not sorted by trial ID after merge")
 		}
+	}
+}
+
+// TestSubtreeCopyAccounting pins the copies of an unbudgeted snapshot
+// split run: one per StepPush (trunk and tasks) plus one entry clone per
+// StepSpawn. Tasks adopt their entry clone, so an interpreter that copied
+// the entry once more per task would fail here.
+func TestSubtreeCopyAccounting(t *testing.T) {
+	c := bench.QFT(5)
+	m := noise.Uniform("u", 5, 1e-2, 5e-2, 1e-2)
+	trials := genTrials(t, c, m, 400, 31)
+	ordered := reorder.Sort(trials)
+	for cut := 1; cut <= 3; cut++ {
+		sp, err := reorder.SplitPlanOrderedCut(c, ordered, cut, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		count := func(steps []reorder.Step) {
+			for _, s := range steps {
+				if s.Kind == reorder.StepPush || s.Kind == reorder.StepSpawn {
+					want++
+				}
+			}
+		}
+		count(sp.Trunk)
+		for _, st := range sp.Subtrees {
+			count(st.Steps)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			res, err := ParallelSubtreeCut(c, trials, workers, cut, Options{})
+			if err != nil {
+				t.Fatalf("cut=%d workers=%d: %v", cut, workers, err)
+			}
+			if res.Copies != want {
+				t.Errorf("cut=%d workers=%d: copies %d, want pushes+spawns %d", cut, workers, res.Copies, want)
+			}
+		}
+	}
+}
+
+// TestSubtreeWorkerPanicFailsRun: a panic inside a subtree task or the
+// trunk (an invalid Pauli makes ApplyPauli panic) becomes the executor's
+// error, and every goroutine the executor started exits.
+func TestSubtreeWorkerPanicFailsRun(t *testing.T) {
+	c := bench.QFT(4)
+	m := noise.Uniform("u", 4, 1e-2, 5e-2, 1e-2)
+	trials := genTrials(t, c, m, 300, 28)
+	// corrupt makes the first injection among the step lists panic.
+	corrupt := func(lists ...[]reorder.Step) bool {
+		for _, steps := range lists {
+			for i := range steps {
+				if steps[i].Kind == reorder.StepInject {
+					steps[i].Op = gate.Pauli(99)
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, where := range []string{"subtree", "trunk"} {
+		sp, err := reorder.SplitPlanCut(c, trials, 2, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists := [][]reorder.Step{sp.Trunk}
+		if where == "subtree" {
+			lists = lists[:0]
+			for _, st := range sp.Subtrees {
+				lists = append(lists, st.Steps)
+			}
+		}
+		if !corrupt(lists...) {
+			t.Fatalf("%s: no injection step to corrupt", where)
+		}
+		base := runtime.NumGoroutine()
+		if _, err := ExecuteSplitPlan(c, sp, 2, Options{}); err == nil {
+			t.Fatalf("%s: panicking run returned no error", where)
+		} else if !strings.Contains(err.Error(), "panic") {
+			t.Errorf("%s: error %q does not report the panic", where, err)
+		}
+		waitGoroutines(t, where, base)
+	}
+}
+
+// waitGoroutines fails unless the goroutine count falls back to base
+// within a second (exiting goroutines may still be counted briefly).
+func waitGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines left running, baseline %d", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -152,3 +152,92 @@ func TestTracedExecutorsInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanEventsMatchCounters reconciles the span events every executor
+// emits with the obs counters of the same run: one snapshot_push event
+// per snapshot push under PolicySnapshot, one policy_decision event per
+// counted decision under the other policies, and one event per restore,
+// reverse-executed segment and spawned task.
+func TestSpanEventsMatchCounters(t *testing.T) {
+	c := bench.QV(5, 4, rand.New(rand.NewSource(9)))
+	m := device.Yorktown().Model()
+	trials := genTrials(t, c, m, 300, 13)
+	executors := map[string]func(opt Options) (*Result, error){
+		"plan": func(opt Options) (*Result, error) {
+			plan, err := reorder.BuildPlanBudget(c, trials, opt.planBudget())
+			if err != nil {
+				return nil, err
+			}
+			return ExecutePlan(c, plan, opt)
+		},
+		"subtree":  func(opt Options) (*Result, error) { return ParallelSubtreeCut(c, trials, 2, 2, opt) },
+		"parallel": func(opt Options) (*Result, error) { return Parallel(c, trials, 2, opt) },
+	}
+	configs := map[string]Options{
+		"snapshot":         {Policy: PolicySnapshot},
+		"snapshot-budget1": {Policy: PolicySnapshot, SnapshotBudget: 1},
+		"uncompute":        {Policy: PolicyUncompute},
+		"adaptive-budget1": {Policy: PolicyAdaptive, SnapshotBudget: 1},
+	}
+	for ename, exec := range executors {
+		for cname, opt := range configs {
+			name := ename + "/" + cname
+			// Numeric fusion reverse-executes every rollback, so the
+			// uncompute counts below are not vacuously zero.
+			opt.Fuse = statevec.FuseNumeric
+			rec := obs.NewMetrics()
+			opt.Recorder = rec
+			tracer := trace.New(trace.Config{Seed: 1, MaxEvents: 1 << 20, MaxSpans: 1 << 16})
+			root := tracer.Start("test", trace.SpanContext{})
+			opt.Span = root
+			if _, err := exec(opt); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			root.End()
+			events := make(map[string]int64)
+			for _, ev := range root.Trace().Chrome().TraceEvents {
+				if ev.Cat != "event" {
+					continue
+				}
+				key := ev.Name
+				if d, ok := ev.Args["decision"]; ok {
+					key += "/" + d.(string)
+				}
+				events[key]++
+			}
+			check := func(event string, counter obs.Counter) {
+				t.Helper()
+				if got, want := events[event], rec.Counter(counter); got != want {
+					t.Errorf("%s: %d %s events, counter %s = %d", name, got, event, counter, want)
+				}
+			}
+			if opt.Policy == PolicySnapshot {
+				check("snapshot_push", obs.SnapshotPushes)
+				if rec.Counter(obs.SnapshotPushes) == 0 {
+					t.Errorf("%s: no snapshot pushes", name)
+				}
+				if n := rec.Counter(obs.PolicySnapshotDecisions); n != 0 {
+					t.Errorf("%s: policy_snapshot = %d under PolicySnapshot", name, n)
+				}
+			} else {
+				if n := events["snapshot_push"]; n != 0 {
+					t.Errorf("%s: %d snapshot_push events under a decision policy", name, n)
+				}
+				check("policy_decision/snapshot", obs.PolicySnapshotDecisions)
+				check("policy_decision/uncompute", obs.PolicyUncomputeDecisions)
+				if rec.Counter(obs.PolicyUncomputeDecisions) == 0 || rec.Counter(obs.UncomputeSegments) == 0 {
+					t.Errorf("%s: no uncompute decisions or segments", name)
+				}
+			}
+			check("snapshot_restore", obs.SnapshotRestores)
+			check("uncompute", obs.UncomputeSegments)
+			check("spawn", obs.TasksSpawned)
+			if ename == "subtree" && rec.Counter(obs.TasksSpawned) == 0 {
+				t.Errorf("%s: no tasks spawned", name)
+			}
+			if cname == "snapshot-budget1" && rec.Counter(obs.SnapshotRestores) == 0 {
+				t.Errorf("%s: budgeted run performed no restores", name)
+			}
+		}
+	}
+}

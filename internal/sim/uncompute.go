@@ -3,12 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 
-	"repro/internal/circuit"
-	"repro/internal/gate"
 	"repro/internal/obs"
-	"repro/internal/reorder"
 	"repro/internal/statevec"
 	"repro/internal/trace"
 )
@@ -20,7 +16,8 @@ import (
 // since the branch, in reverse order (statevec.RunReverse), at near-zero
 // memory cost. A per-branch-point restore policy chooses between the two.
 //
-// Mechanics: a policy execution journals every mutation of the working
+// Mechanics (the interpreter is branchState.run, interp.go): under a
+// non-snapshot policy an execution journals every mutation of the working
 // register (layer advances and Pauli injections) along the current path.
 // A branch point becomes either a *real* frame — an ordinary snapshot —
 // or a *virtual* frame that records only the journal position. Returning
@@ -46,8 +43,7 @@ import (
 // executors. Forward replays of non-invertible suffixes do count in
 // Result.Ops, exactly like budgeted-plan replays.
 
-// RestorePolicy selects how a policy-aware executor returns to branch
-// points.
+// RestorePolicy selects how the executors return to branch points.
 type RestorePolicy int
 
 const (
@@ -109,96 +105,6 @@ func SamplerMemProbe(s *obs.Sampler, limitBytes uint64) func() bool {
 	}
 }
 
-// policyProgram returns the compiled program a policy execution requires.
-// Reverse execution exists only on compiled programs, so the policy path
-// compiles even when the options would otherwise choose gate-by-gate
-// dispatch; a FuseOff program is bit-identical to dispatch, keeping the
-// executors' exactness promise intact.
-func (o Options) policyProgram(c *circuit.Circuit) *statevec.Program {
-	if p := o.compileProgram(c); p != nil {
-		return p
-	}
-	return statevec.CompileWith(c, statevec.CompileOptions{
-		Fuse:      o.Fuse,
-		Stripes:   o.Stripes,
-		StripeMin: o.StripeMin,
-		Recorder:  o.Recorder,
-		Span:      o.Span,
-	})
-}
-
-// jentry is one journaled mutation of the working register: a compiled
-// layer advance or a Pauli injection.
-type jentry struct {
-	adv      bool
-	from, to int        // advance: layer range
-	op       gate.Pauli // injection: operator
-	qubit    int        // injection: target
-}
-
-// pframe is one branch point on the policy stack. Real frames hold a
-// snapshot; virtual frames hold only the journal position to unwind to.
-type pframe struct {
-	real  bool
-	st    *statevec.State
-	pos   int // journal length when the frame was created
-	pushT time.Time
-}
-
-// branchState is the working state of one policy-aware execution (one
-// goroutine): the journal, the frame stack, and the counters it feeds.
-type branchState struct {
-	c       *circuit.Circuit
-	opt     Options
-	rec     obs.Recorder
-	tr      *msvTracker
-	pool    *statePool
-	prog    *statevec.Program
-	res     *Result
-	wid     int
-	striped bool // trunk/sequential paths stripe their sweeps, task bodies do not
-
-	work    *statevec.State
-	journal []jentry
-	frames  []pframe
-	floor   int  // frames below this belong to the caller (a subtree's entry)
-	realCnt int  // real frames currently stored (entry floor included)
-	exact   bool // non-numeric mode: reverse only exactly invertible suffixes
-}
-
-func newBranchState(c *circuit.Circuit, opt Options, prog *statevec.Program, res *Result, tr *msvTracker, pool *statePool, wid int, striped bool) *branchState {
-	return &branchState{
-		c: c, opt: opt, rec: opt.Recorder, tr: tr, pool: pool,
-		prog: prog, res: res, wid: wid, striped: striped,
-		exact: opt.Fuse != statevec.FuseNumeric,
-	}
-}
-
-func (bs *branchState) runFwd(from, to int) int {
-	if bs.striped {
-		return bs.prog.Run(bs.work, from, to)
-	}
-	return bs.prog.RunSerial(bs.work, from, to)
-}
-
-func (bs *branchState) runRev(from, to int) int {
-	if bs.striped {
-		return bs.prog.RunReverse(bs.work, from, to)
-	}
-	return bs.prog.RunReverseSerial(bs.work, from, to)
-}
-
-func (bs *branchState) advance(from, to int) {
-	bs.res.Ops += int64(bs.runFwd(from, to))
-	bs.journal = append(bs.journal, jentry{adv: true, from: from, to: to})
-}
-
-func (bs *branchState) inject(op gate.Pauli, qubit int) {
-	bs.work.ApplyPauli(op, qubit)
-	bs.res.Ops++
-	bs.journal = append(bs.journal, jentry{op: op, qubit: qubit})
-}
-
 // decideReal is the per-branch-point policy decision. The adaptive
 // heuristic snapshots while the budget allows and goes virtual beyond it
 // (where the snapshot policy would degrade to drop-and-recompute
@@ -226,94 +132,6 @@ func (bs *branchState) decideReal() bool {
 		return true
 	default:
 		return true
-	}
-}
-
-func (bs *branchState) push() {
-	if bs.decideReal() {
-		snap := bs.pool.get()
-		snap.CopyFrom(bs.work)
-		f := pframe{real: true, st: snap, pos: len(bs.journal)}
-		bs.res.Copies++
-		bs.realCnt++
-		if bs.realCnt > bs.res.MSV {
-			bs.res.MSV = bs.realCnt
-		}
-		bs.tr.add(1)
-		if bs.rec != nil {
-			bs.rec.Add(obs.SnapshotPushes, 1)
-			bs.rec.Add(obs.PolicySnapshotDecisions, 1)
-			bs.rec.Event(obs.EvPush, bs.wid, len(bs.frames)+1)
-			f.pushT = time.Now()
-		}
-		if sp := bs.opt.Span; sp != nil {
-			sp.Event("policy_decision",
-				trace.String("decision", "snapshot"),
-				trace.Int("depth", int64(len(bs.frames)+1)))
-		}
-		bs.frames = append(bs.frames, f)
-		return
-	}
-	bs.frames = append(bs.frames, pframe{pos: len(bs.journal)})
-	if bs.rec != nil {
-		bs.rec.Add(obs.PolicyUncomputeDecisions, 1)
-	}
-	if sp := bs.opt.Span; sp != nil {
-		sp.Event("policy_decision",
-			trace.String("decision", "uncompute"),
-			trace.Int("depth", int64(len(bs.frames))))
-	}
-}
-
-// pop returns to the innermost branch point and removes it: adopt the
-// snapshot of a real frame, unwind the journal suffix of a virtual one.
-func (bs *branchState) pop() error {
-	if len(bs.frames) <= bs.floor {
-		return fmt.Errorf("sim: plan pops below the branch floor")
-	}
-	f := bs.frames[len(bs.frames)-1]
-	bs.frames = bs.frames[:len(bs.frames)-1]
-	if f.real {
-		bs.pool.put(bs.work)
-		bs.work = f.st
-		bs.journal = bs.journal[:f.pos]
-		bs.realCnt--
-		bs.tr.add(-1)
-		if bs.rec != nil {
-			bs.rec.Add(obs.SnapshotDrops, 1)
-			bs.rec.Event(obs.EvDrop, bs.wid, len(bs.frames))
-			bs.rec.Observe(obs.HistSnapshotLifetime, int64(time.Since(f.pushT)))
-		}
-		return nil
-	}
-	bs.rollbackTo(f.pos)
-	bs.journal = bs.journal[:f.pos]
-	return nil
-}
-
-// restore re-enters the innermost branch point without removing it — the
-// policy analogue of StepRestore in prebuilt budgeted plans. A real top
-// frame is copied (kept for its later consumers); a virtual top frame is
-// reverse-executed to (and stays on the stack); an empty stack resets to
-// the base.
-func (bs *branchState) restore() {
-	if len(bs.frames) == 0 {
-		bs.work.Reset()
-		bs.journal = bs.journal[:0]
-	} else {
-		f := bs.frames[len(bs.frames)-1]
-		if f.real {
-			bs.work.CopyFrom(f.st)
-			bs.res.Copies++
-		} else {
-			bs.rollbackTo(f.pos)
-		}
-		bs.journal = bs.journal[:f.pos]
-	}
-	if bs.rec != nil {
-		bs.rec.Add(obs.SnapshotRestores, 1)
-		bs.rec.Event(obs.EvRestore, bs.wid, len(bs.frames))
-		bs.rec.Observe(obs.HistRestoreDepth, int64(bs.realCnt))
 	}
 }
 
@@ -390,224 +208,4 @@ func (bs *branchState) rollbackTo(pos int) {
 			bs.res.Ops++
 		}
 	}
-}
-
-// finishCheck verifies the execution unwound to its floor.
-func (bs *branchState) finishCheck() error {
-	if len(bs.frames) != bs.floor {
-		return fmt.Errorf("sim: policy execution leaves %d branch frames", len(bs.frames)-bs.floor)
-	}
-	return nil
-}
-
-// executePlanPolicy is executePlan for Options.Policy != PolicySnapshot:
-// the same step semantics, with branch points managed by the restore
-// policy instead of an unconditional snapshot stack.
-func executePlanPolicy(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTracker, wid int) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{Counts: make(map[uint64]int)}
-	if opt.KeepStates {
-		res.FinalStates = make(map[int]*statevec.State)
-	}
-	rec := opt.Recorder
-	prog := plan.Prog
-	if prog == nil {
-		prog = opt.policyProgram(c)
-	}
-	arena, owned := opt.bufferPool()
-	h0, m0 := arena.Stats()
-	d0 := arena.Drops()
-	pool := newStatePool(c.NumQubits(), arena)
-	bs := newBranchState(c, opt, prog, res, tr, pool, wid, true)
-	bs.work = pool.get()
-	bs.work.Reset()
-	var emitMark time.Time
-	if rec != nil {
-		emitMark = time.Now()
-	}
-	for _, s := range plan.Steps {
-		switch s.Kind {
-		case reorder.StepAdvance:
-			bs.advance(s.From, s.To)
-		case reorder.StepPush:
-			bs.push()
-		case reorder.StepInject:
-			bs.inject(s.Op, s.Qubit)
-		case reorder.StepEmit:
-			for _, idx := range s.Trials {
-				t := plan.Order[idx]
-				res.Outcomes = append(res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(bs.work, c, t)})
-				if opt.KeepStates {
-					res.FinalStates[t.ID] = bs.work.Clone()
-				}
-			}
-			if rec != nil {
-				rec.Add(obs.TrialsEmitted, int64(len(s.Trials)))
-				rec.Event(obs.EvEmit, wid, len(bs.frames))
-				now := time.Now()
-				if n := len(s.Trials); n > 0 {
-					per := int64(now.Sub(emitMark)) / int64(n)
-					for i := 0; i < n; i++ {
-						rec.Observe(obs.HistTrialLatency, per)
-					}
-				}
-				emitMark = now
-			}
-		case reorder.StepPop:
-			if err := bs.pop(); err != nil {
-				return nil, err
-			}
-		case reorder.StepRestore:
-			bs.restore()
-		default:
-			return nil, fmt.Errorf("sim: unknown plan step %v", s.Kind)
-		}
-	}
-	if len(res.Outcomes) != len(plan.Order) {
-		return nil, fmt.Errorf("sim: plan emitted %d of %d trials", len(res.Outcomes), len(plan.Order))
-	}
-	if err := bs.finishCheck(); err != nil {
-		return nil, err
-	}
-	pool.put(bs.work)
-	if rec != nil {
-		rec.Add(obs.Ops, res.Ops)
-		rec.Add(obs.Copies, res.Copies)
-		rec.SetMax(obs.MSVHighWater, int64(res.MSV))
-		if owned {
-			recordPoolStats(rec, arena, h0, m0, d0)
-		}
-	}
-	finish(res)
-	return res, nil
-}
-
-// runTrunkPolicy is runTrunk under a restore policy: trunk branch points
-// go through the policy, spawns clone the working register as before.
-func runTrunkPolicy(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, opt Options, queue *taskQueue, sem chan struct{}, tr *msvTracker, pool *statePool) (*Result, error) {
-	res := &Result{Counts: make(map[uint64]int)}
-	if opt.KeepStates {
-		res.FinalStates = make(map[int]*statevec.State)
-	}
-	rec := opt.Recorder // trunk events carry worker id -1
-	bs := newBranchState(c, opt, prog, res, tr, pool, -1, true)
-	bs.work = pool.get()
-	bs.work.Reset()
-	grp := newSpawnGroup(opt.Lanes, queue)
-	for _, s := range sp.Trunk {
-		if s.Kind != reorder.StepSpawn {
-			// Only strictly consecutive spawns share a lane group.
-			grp.flush()
-		}
-		switch s.Kind {
-		case reorder.StepAdvance:
-			bs.advance(s.From, s.To)
-		case reorder.StepPush:
-			bs.push()
-		case reorder.StepInject:
-			bs.inject(s.Op, s.Qubit)
-		case reorder.StepPop:
-			if err := bs.pop(); err != nil {
-				return nil, err
-			}
-		case reorder.StepRestore:
-			bs.restore()
-		case reorder.StepSpawn:
-			sem <- struct{}{}
-			entry := pool.get()
-			entry.CopyFrom(bs.work)
-			res.Copies++
-			tr.add(1) // the queued entry state is a stored vector
-			if rec != nil {
-				rec.Add(obs.TasksSpawned, 1)
-				rec.Event(obs.EvSpawn, -1, len(bs.frames))
-			}
-			if tsp := opt.Span; tsp != nil {
-				tsp.Event("spawn", trace.Int("task", int64(s.Task)))
-			}
-			grp.add(sp.Subtrees[s.Task], entry)
-		default:
-			return nil, fmt.Errorf("sim: invalid trunk step %v", s.Kind)
-		}
-	}
-	grp.flush()
-	if err := bs.finishCheck(); err != nil {
-		return nil, err
-	}
-	pool.put(bs.work)
-	return res, nil
-}
-
-// runSubtreePolicy is runSubtree under a restore policy. The entry state
-// is always kept as a real frame at the stack floor: a subtree's journal
-// covers only its own steps (not the trunk prefix), so the base every
-// replay and restore bottoms out at must be the entry, never |0...0>.
-// The entry is a spawn clone, already counted by the tracker at spawn
-// and never reported as a snapshot push — PolicyUncompute still executes
-// with snapshot_pushes == 0.
-func runSubtreePolicy(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, st *reorder.Subtree, entry *statevec.State, opt Options, res *Result, tr *msvTracker, pool *statePool, wid int) error {
-	rec := opt.Recorder // task events carry the pool worker's id
-	bs := newBranchState(c, opt, prog, res, tr, pool, wid, false)
-	bs.work = pool.get()
-	bs.work.CopyFrom(entry)
-	res.Copies++
-	bs.frames = []pframe{{real: true, st: entry, pos: 0}}
-	bs.floor = 1
-	bs.realCnt = 1
-	emitted := 0
-	var emitMark time.Time
-	if rec != nil {
-		emitMark = time.Now()
-	}
-	for _, s := range st.Steps {
-		switch s.Kind {
-		case reorder.StepAdvance:
-			bs.advance(s.From, s.To)
-		case reorder.StepPush:
-			bs.push()
-		case reorder.StepInject:
-			bs.inject(s.Op, s.Qubit)
-		case reorder.StepEmit:
-			for _, idx := range s.Trials {
-				t := sp.Order[idx]
-				res.Outcomes = append(res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(bs.work, c, t)})
-				emitted++
-				if opt.KeepStates {
-					res.FinalStates[t.ID] = bs.work.Clone()
-				}
-			}
-			if rec != nil {
-				rec.Add(obs.TrialsEmitted, int64(len(s.Trials)))
-				rec.Event(obs.EvEmit, wid, len(bs.frames))
-				now := time.Now()
-				if n := len(s.Trials); n > 0 {
-					per := int64(now.Sub(emitMark)) / int64(n)
-					for i := 0; i < n; i++ {
-						rec.Observe(obs.HistTrialLatency, per)
-					}
-				}
-				emitMark = now
-			}
-		case reorder.StepPop:
-			if err := bs.pop(); err != nil {
-				return fmt.Errorf("sim: task %d pops below its entry floor", st.ID)
-			}
-		case reorder.StepRestore:
-			bs.restore()
-		default:
-			return fmt.Errorf("sim: invalid subtree step %v", s.Kind)
-		}
-	}
-	if err := bs.finishCheck(); err != nil {
-		return fmt.Errorf("sim: task %d: %v", st.ID, err)
-	}
-	if emitted != st.Trials {
-		return fmt.Errorf("sim: task %d emitted %d of %d trials", st.ID, emitted, st.Trials)
-	}
-	pool.put(bs.work)
-	tr.add(-1) // the preserved entry state is dropped with the task
-	pool.put(entry)
-	return nil
 }
