@@ -65,8 +65,10 @@ verify: build vet test race
 
 # perfbench is its own module (go vet ./... skips it) but calls the sim,
 # core and service APIs, so an API break fails vet rather than the
-# benchmark run.
+# benchmark run. Any file gofmt would rewrite fails vet too.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet .
 

@@ -309,25 +309,11 @@ func plansEquivalent(a, b *reorder.Plan) error {
 		return fmt.Errorf("step count %d vs %d", len(a.Steps), len(b.Steps))
 	}
 	for i := range a.Steps {
-		if !stepsEqual(a.Steps[i], b.Steps[i]) {
+		if a.Steps[i] != b.Steps[i] {
 			return fmt.Errorf("step %d differs: %+v vs %+v", i, a.Steps[i], b.Steps[i])
 		}
 	}
 	return nil
-}
-
-func stepsEqual(a, b reorder.Step) bool {
-	if a.Kind != b.Kind || a.From != b.From || a.To != b.To ||
-		a.Qubit != b.Qubit || a.Op != b.Op || a.Task != b.Task ||
-		len(a.Trials) != len(b.Trials) {
-		return false
-	}
-	for i := range a.Trials {
-		if a.Trials[i] != b.Trials[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // statesBitIdentical reports exact amplitude equality — the strongest

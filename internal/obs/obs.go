@@ -136,17 +136,17 @@ const (
 )
 
 var counterNames = [numCounters]string{
-	Ops:              "ops",
-	Copies:           "copies",
-	SnapshotPushes:   "snapshot_pushes",
-	SnapshotDrops:    "snapshot_drops",
-	SnapshotRestores: "snapshot_restores",
-	TrialsEmitted:    "trials_emitted",
-	TasksSpawned:     "tasks_spawned",
-	KernelSweeps:     "kernel_sweeps",
-	StripeBarriers:   "stripe_barriers",
-	BatchVariants:    "batch_variants",
-	BatchOpsSaved:    "batch_ops_saved",
+	Ops:                "ops",
+	Copies:             "copies",
+	SnapshotPushes:     "snapshot_pushes",
+	SnapshotDrops:      "snapshot_drops",
+	SnapshotRestores:   "snapshot_restores",
+	TrialsEmitted:      "trials_emitted",
+	TasksSpawned:       "tasks_spawned",
+	KernelSweeps:       "kernel_sweeps",
+	StripeBarriers:     "stripe_barriers",
+	BatchVariants:      "batch_variants",
+	BatchOpsSaved:      "batch_ops_saved",
 	SegCacheHits:       "segcache_hits",
 	SegCacheMisses:     "segcache_misses",
 	SegCacheEvictions:  "segcache_evictions",

@@ -44,9 +44,9 @@ type BatchPlan struct {
 	// Origin to map them back to (variant, original trial).
 	Plan *Plan
 
-	origin    []BatchOrigin   // indexed by merged trial ID
-	src       []*trial.Trial  // original trial per merged ID
-	varKeys   [][]trial.Key   // packed insertions per variant
+	origin    []BatchOrigin    // indexed by merged trial ID
+	src       []*trial.Trial   // original trial per merged ID
+	varKeys   [][]trial.Key    // packed insertions per variant
 	byVariant [][]*trial.Trial // merged trials per variant, source order
 	budget    int
 
@@ -79,9 +79,9 @@ type BatchAnalysis struct {
 	// MSV metrics: the batch plan's peak stored vectors beside the worst
 	// single variant's (independent plans run one at a time, so their
 	// peak is the max, not the sum).
-	BatchMSV    int
-	MaxPartMSV  int
-	BatchCopies int64
+	BatchMSV       int
+	MaxPartMSV     int
+	BatchCopies    int64
 	SumPartsCopies int64
 }
 
@@ -175,7 +175,7 @@ func analyzeBudget(c *circuit.Circuit, trials []*trial.Trial, budget int) (Analy
 	if err != nil {
 		return Analysis{}, err
 	}
-	b := &planBuilder{plan: p, depthCap: math.MaxInt, budget: budget}
+	b := newPlanBuilder(p, math.MaxInt, budget)
 	b.build(0, len(p.Order), 0)
 	if b.layersDone != p.nLayers || len(b.snaps) != 0 {
 		return Analysis{}, fmt.Errorf("reorder: internal analysis error (layer %d of %d, stack %d)", b.layersDone, p.nLayers, len(b.snaps))

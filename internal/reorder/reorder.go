@@ -15,10 +15,11 @@
 package reorder
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/circuit"
@@ -36,7 +37,7 @@ import (
 func Sort(trials []*trial.Trial) []*trial.Trial {
 	out := make([]*trial.Trial, len(trials))
 	copy(out, trials)
-	sort.SliceStable(out, func(i, j int) bool { return trial.Compare(out[i], out[j]) < 0 })
+	slices.SortStableFunc(out, trial.Compare)
 	return out
 }
 
@@ -69,7 +70,7 @@ func algorithmOneRec(s []*trial.Trial, n int) {
 		}
 		return uint64(t.Inj[n])
 	}
-	sort.SliceStable(s, func(i, j int) bool { return key(s[i]) < key(s[j]) })
+	slices.SortStableFunc(s, func(a, b *trial.Trial) int { return cmp.Compare(key(a), key(b)) })
 	// Lines 5-9: divide into groups sharing the nth error and recurse.
 	for lo := 0; lo < len(s); {
 		k := key(s[lo])
@@ -99,7 +100,7 @@ const (
 	// StepInject applies the Pauli Op to Qubit of the working state.
 	StepInject
 	// StepEmit declares the working state (advanced through all layers)
-	// to be the final pre-measurement state of the listed trials.
+	// to be the final pre-measurement state of trials Order[From:To].
 	StepEmit
 	// StepPop discards the working state and resumes from the top
 	// snapshot, which is removed from the stack.
@@ -138,21 +139,22 @@ func (k StepKind) String() string {
 	}
 }
 
-// Step is one instruction of an execution plan.
+// Step is one instruction of an execution plan. It is a flat 40-byte
+// value: plans hold several steps per trial, and executors walk them in
+// their innermost loop.
 type Step struct {
-	Kind StepKind
-	// From, To bound the layer range of an Advance ([From, To)).
+	// From, To bound the layer range of an Advance ([From, To)), and the
+	// trials an Emit finalizes: the contiguous range Order[From:To] of
+	// the plan's trial order. Sort groups duplicated trials, so they
+	// share one entry-point state and one Emit.
 	From, To int
 	// Qubit and Op describe an Inject.
 	Qubit int
-	Op    gate.Pauli
-	// Trials lists the trials (as indices into Plan.Order) finalized by
-	// an Emit. Duplicated trials share one entry-point state and appear
-	// in one Emit together.
-	Trials []int
 	// Task is the SplitPlan.Subtrees index a Spawn hands the cloned
 	// working state to. Meaningful only for StepSpawn.
 	Task int
+	Kind StepKind
+	Op   gate.Pauli
 }
 
 // Plan is a complete reordered execution schedule for one trial set over
@@ -177,6 +179,9 @@ type Plan struct {
 	planOps   int64 // optimized basic-op count
 	msv       int   // peak snapshot-stack depth
 	pushCount int64 // number of state copies the plan performs
+
+	injections int // total injections over Order
+	maxInj     int // longest injection list in Order
 }
 
 // NumLayers returns the circuit depth the plan was built against.
@@ -307,8 +312,15 @@ func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget i
 	if err != nil {
 		return nil, err
 	}
+	// The unbudgeted plan emits at most four steps per trie node (advance,
+	// push, inject, pop), and there are no more trie nodes than
+	// injections, plus an advance and an emit per trial. Presizing to that
+	// bound keeps the append from regrowing; budgeted replays may exceed
+	// it and grow as usual.
+	p.Steps = make([]Step, 0, 4*p.injections+2*len(ordered)+1)
 
-	b := &planBuilder{plan: p, record: true, depthCap: math.MaxInt, budget: budget}
+	b := newPlanBuilder(p, math.MaxInt, budget)
+	b.record = true
 	b.build(0, len(p.Order), 0)
 	if b.layersDone != p.nLayers {
 		// The final emit always advances to the end; reaching here means
@@ -345,6 +357,8 @@ func planShell(c *circuit.Circuit, ordered []*trial.Trial) (*Plan, error) {
 			return nil, fmt.Errorf("reorder: trial %d injects at layer %d, circuit has %d layers", t.ID, t.Inj[len(t.Inj)-1].Layer(), len(layers))
 		}
 		p.baseline += int64(p.totalOps) + int64(len(t.Inj))
+		p.injections += len(t.Inj)
+		p.maxInj = max(p.maxInj, len(t.Inj))
 	}
 	return p, nil
 }
@@ -364,6 +378,17 @@ type planBuilder struct {
 	layersDone int
 	prefix     []trial.Key // injections applied to the working state
 	snaps      []snap
+}
+
+// newPlanBuilder returns a builder over p's trial order. The prefix and
+// the snapshot stack are never deeper than the longest injection list, so
+// both are sized once.
+func newPlanBuilder(p *Plan, depthCap, budget int) *planBuilder {
+	return &planBuilder{
+		plan: p, depthCap: depthCap, budget: budget,
+		prefix: make([]trial.Key, 0, p.maxInj),
+		snaps:  make([]snap, 0, p.maxInj),
+	}
 }
 
 func (b *planBuilder) emit(s Step) {
@@ -449,11 +474,7 @@ func (b *planBuilder) build(lo, hi, depth int) {
 	}
 	if cleanStart < hi {
 		b.advanceTo(b.plan.nLayers)
-		ids := make([]int, 0, hi-cleanStart)
-		for k := cleanStart; k < hi; k++ {
-			ids = append(ids, k)
-		}
-		b.emit(Step{Kind: StepEmit, Trials: ids})
+		b.emit(Step{Kind: StepEmit, From: cleanStart, To: hi})
 	}
 }
 
@@ -512,7 +533,7 @@ func AnalyzeCapped(c *circuit.Circuit, trials []*trial.Trial, maxShared int) (An
 	if err != nil {
 		return Analysis{}, err
 	}
-	b := &planBuilder{plan: p, depthCap: maxShared, budget: math.MaxInt}
+	b := newPlanBuilder(p, maxShared, math.MaxInt)
 	b.build(0, len(p.Order), 0)
 	if b.layersDone != p.nLayers || len(b.snaps) != 0 {
 		return Analysis{}, fmt.Errorf("reorder: internal analysis error (layer %d of %d, stack %d)", b.layersDone, p.nLayers, len(b.snaps))
@@ -568,13 +589,10 @@ func (p *Plan) Validate() error {
 			if layersDone != p.nLayers {
 				return fmt.Errorf("reorder: step %d emits at layer %d of %d", si, layersDone, p.nLayers)
 			}
-			if len(s.Trials) == 0 {
-				return fmt.Errorf("reorder: step %d emits no trials", si)
+			if err := checkEmitRange(s, len(p.Order)); err != nil {
+				return fmt.Errorf("reorder: step %d %v", si, err)
 			}
-			for _, idx := range s.Trials {
-				if idx < 0 || idx >= len(p.Order) {
-					return fmt.Errorf("reorder: step %d emits out-of-range trial %d", si, idx)
-				}
+			for idx := s.From; idx < s.To; idx++ {
 				if emitted[idx] {
 					return fmt.Errorf("reorder: trial %d emitted twice", idx)
 				}
@@ -622,6 +640,15 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
+// checkEmitRange rejects an Emit whose trial range Order[From:To] is empty
+// or reaches outside an order of n trials.
+func checkEmitRange(s Step, n int) error {
+	if s.From < 0 || s.To > n || s.From >= s.To {
+		return fmt.Errorf("emits trial range [%d,%d) outside [0,%d) or empty", s.From, s.To, n)
+	}
+	return nil
+}
+
 // Dump writes the plan as readable text, one step per line with the
 // snapshot-stack depth in the margin — the debugging view of the
 // execution schedule:
@@ -644,9 +671,9 @@ func (p *Plan) Dump(w io.Writer) error {
 		case StepInject:
 			line = fmt.Sprintf("inject %s q%d", s.Op, s.Qubit)
 		case StepEmit:
-			ids := make([]string, len(s.Trials))
-			for i, idx := range s.Trials {
-				ids[i] = fmt.Sprintf("t%d", p.Order[idx].ID)
+			ids := make([]string, 0, s.To-s.From)
+			for _, t := range p.Order[s.From:s.To] {
+				ids = append(ids, fmt.Sprintf("t%d", t.ID))
 			}
 			line = "emit " + strings.Join(ids, " ")
 		case StepPop:

@@ -3,9 +3,11 @@ package reorder
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
@@ -253,8 +255,8 @@ func TestPlanDuplicateTrialsShareEverything(t *testing.T) {
 	for _, s := range p.Steps {
 		if s.Kind == StepEmit {
 			emits++
-			if len(s.Trials) != 3 {
-				t.Errorf("emit carries %d trials, want 3", len(s.Trials))
+			if s.To-s.From != 3 {
+				t.Errorf("emit carries %d trials, want 3", s.To-s.From)
 			}
 		}
 	}
@@ -577,6 +579,77 @@ func TestPlanDump(t *testing.T) {
 	for _, want := range []string{"advance", "push", "inject X q0", "emit t0", "emit t1", "pop", "[1]", "[0]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestBuildPlanAllocsIndependentOfTrials: building a plan allocates the
+// same number of times at 256 and 4,096 trials. Emits name a range of
+// the order instead of a slice of indices, Steps is presized to the
+// unbudgeted bound, and the builder's prefix and stack are sized once.
+func TestBuildPlanAllocsIndependentOfTrials(t *testing.T) {
+	// A collection cycle triggered by the multi-MB step slice can count
+	// runtime allocations of its own; count only the builder's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		c, trials := benchTrials(t, "qv_n5d5", n, 5)
+		ordered := Sort(trials)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := BuildPlanOrdered(c, ordered); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(256), allocs(4096); small != large {
+		t.Errorf("BuildPlanOrdered allocates %.0f times at 256 trials, %.0f at 4096", small, large)
+	}
+}
+
+// TestStepIsFlat pins the plan step at 40 bytes or less: executors stream
+// through several steps per trial.
+func TestStepIsFlat(t *testing.T) {
+	if sz := unsafe.Sizeof(Step{}); sz > 40 {
+		t.Errorf("Step is %d bytes, want <= 40", sz)
+	}
+}
+
+// TestValidateRejectsBadEmitRange: Plan.Validate and SplitPlan.Validate
+// reject an Emit whose trial range is empty or leaves the order.
+func TestValidateRejectsBadEmitRange(t *testing.T) {
+	c, trials := benchTrials(t, "bv5", 300, 9)
+	bad := map[string]func(s *Step, n int){
+		"empty":        func(s *Step, n int) { s.To = s.From },
+		"reversed":     func(s *Step, n int) { s.From, s.To = s.To, s.From },
+		"negative":     func(s *Step, n int) { s.From = -1 },
+		"past the end": func(s *Step, n int) { s.To = n + 1 },
+	}
+	lastEmit := func(steps []Step) *Step {
+		for i := len(steps) - 1; i >= 0; i-- {
+			if steps[i].Kind == StepEmit {
+				return &steps[i]
+			}
+		}
+		t.Fatal("no emit step")
+		return nil
+	}
+	for name, corrupt := range bad {
+		p, err := BuildPlan(c, trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(lastEmit(p.Steps), len(p.Order))
+		if err := p.Validate(); err == nil {
+			t.Errorf("Plan.Validate accepts an emit range that is %s", name)
+		}
+
+		sp, err := SplitPlanCut(c, trials, 2, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := sp.Subtrees[len(sp.Subtrees)-1]
+		corrupt(lastEmit(st.Steps), len(sp.Order))
+		if err := sp.Validate(); err == nil {
+			t.Errorf("SplitPlan.Validate accepts an emit range that is %s", name)
 		}
 	}
 }

@@ -341,11 +341,7 @@ func (b *splitBuilder) spawnClean(lo, hi, depth int) {
 		task.Steps = append(task.Steps, Step{Kind: StepAdvance, From: b.layersDone, To: b.sp.nLayers})
 		task.Ops = int64(b.gatesIn(b.layersDone, b.sp.nLayers))
 	}
-	ids := make([]int, 0, hi-lo)
-	for k := lo; k < hi; k++ {
-		ids = append(ids, k)
-	}
-	task.Steps = append(task.Steps, Step{Kind: StepEmit, Trials: ids})
+	task.Steps = append(task.Steps, Step{Kind: StepEmit, From: lo, To: hi})
 	b.emit(Step{Kind: StepSpawn, Task: task.ID})
 	b.sp.Subtrees = append(b.sp.Subtrees, task)
 }
@@ -480,10 +476,10 @@ func (sp *SplitPlan) validateSubtree(st *Subtree, entry *entryContext, emitted [
 			if layersDone != sp.nLayers {
 				return fmt.Errorf("reorder: task %d step %d emits at layer %d of %d", st.ID, si, layersDone, sp.nLayers)
 			}
-			for _, idx := range s.Trials {
-				if idx < 0 || idx >= len(sp.Order) {
-					return fmt.Errorf("reorder: task %d emits out-of-range trial %d", st.ID, idx)
-				}
+			if err := checkEmitRange(s, len(sp.Order)); err != nil {
+				return fmt.Errorf("reorder: task %d step %d %v", st.ID, si, err)
+			}
+			for idx := s.From; idx < s.To; idx++ {
 				if emitted[idx] {
 					return fmt.Errorf("reorder: trial %d emitted twice", idx)
 				}

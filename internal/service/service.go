@@ -387,6 +387,15 @@ func (s *Server) buildConfig(req *JobRequest) (core.Config, error) {
 	if req.Trials <= 0 {
 		return core.Config{}, reqErrf("trials must be positive, got %d", req.Trials)
 	}
+	if req.Trials > statevec.MaxTrials {
+		return core.Config{}, reqErrf("trials %d above the limit MaxTrials = %d", req.Trials, statevec.MaxTrials)
+	}
+	if req.Workers > statevec.MaxWorkers {
+		return core.Config{}, reqErrf("workers %d above the limit MaxWorkers = %d", req.Workers, statevec.MaxWorkers)
+	}
+	if req.Lanes > statevec.MaxLanes {
+		return core.Config{}, reqErrf("lanes %d above the limit MaxLanes = %d", req.Lanes, statevec.MaxLanes)
+	}
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
@@ -643,6 +652,15 @@ func (s *Server) runJob(j *job) {
 			"segcache_hits", j.segHits, "segcache_misses", j.segMisses,
 			"trace_id", j.traceID, "span_id", j.span.IDString())
 	}
+	// The daemon keeps every job for GET /v1/jobs/{id}, which needs only
+	// the results above. Drop the circuit and the span tree (a kept trace
+	// lives on in the tracer's ring) so a finished job keeps its result,
+	// not the request's whole working set.
+	s.mu.Lock()
+	j.cfg = core.Config{}
+	j.span, j.queueSpan = nil, nil
+	j.req.QASM = ""
+	s.mu.Unlock()
 	close(j.done)
 }
 
@@ -782,7 +800,7 @@ func (s *Server) Stats() Stats {
 			Completed: s.metrics.Counter(obs.JobsCompleted),
 			Failed:    s.metrics.Counter(obs.JobsFailed),
 		},
-		Traces: s.tracer.Stats(),
+		Traces:   s.tracer.Stats(),
 		Tenants:  tenants,
 		Draining: s.draining,
 	}

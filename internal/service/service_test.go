@@ -228,6 +228,72 @@ func TestTooWideCircuit400(t *testing.T) {
 	}
 }
 
+// TestRunCaps400: trials, workers and lanes above their statevec caps are
+// rejected at admission with HTTP 400 naming the limit; at the cap they
+// are admitted.
+func TestRunCaps400(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	ctx := context.Background()
+	for name, tc := range map[string]struct {
+		req   JobRequest
+		limit string
+	}{
+		"trials":  {JobRequest{Bench: "bv5", Trials: statevec.MaxTrials + 1}, "MaxTrials"},
+		"workers": {JobRequest{Bench: "bv5", Trials: 8, Workers: statevec.MaxWorkers + 1}, "MaxWorkers"},
+		"lanes":   {JobRequest{Bench: "bv5", Trials: 8, Lanes: statevec.MaxLanes + 1}, "MaxLanes"},
+	} {
+		_, err := c.Submit(ctx, tc.req)
+		var ae *APIError
+		if !asAPIError(err, &ae) || ae.Status != http.StatusBadRequest {
+			t.Fatalf("%s: got %v, want HTTP 400", name, err)
+		}
+		if !strings.Contains(ae.Error(), tc.limit) {
+			t.Errorf("%s: error %q does not name %s", name, ae.Error(), tc.limit)
+		}
+	}
+	for name, req := range map[string]JobRequest{
+		"workers": {Bench: "bv5", Trials: 8, Workers: statevec.MaxWorkers},
+		"lanes":   {Bench: "bv5", Trials: 8, Workers: 2, Lanes: statevec.MaxLanes},
+	} {
+		if _, err := c.Submit(ctx, req); err != nil {
+			t.Errorf("%s at the cap: %v", name, err)
+		}
+	}
+}
+
+// TestFinishedJobDropsWorkingSet: a finished job still answers GET
+// /v1/jobs/{id} with its counts and ops, but no longer holds its circuit,
+// its QASM source or its spans.
+func TestFinishedJobDropsWorkingSet(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, TraceSeed: 5})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	qasm := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+	id, err := c.Submit(ctx, JobRequest{QASM: qasm, Trials: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := s.WaitJob(ctx, id)
+	if err != nil || done.State != StateDone {
+		t.Fatalf("WaitJob: %+v, %v", done, err)
+	}
+	v, err := c.Job(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != StateDone || len(v.Counts) == 0 || v.Ops == 0 || v.Trials != 64 {
+		t.Fatalf("finished job view %+v, want done with counts, ops and 64 trials", v)
+	}
+	s.mu.Lock()
+	j := s.jobs[id]
+	circ, span, queueSpan, src := j.cfg.Circuit, j.span, j.queueSpan, j.req.QASM
+	s.mu.Unlock()
+	if circ != nil || span != nil || queueSpan != nil || src != "" {
+		t.Errorf("finished job still references circuit %v, span %v, queue span %v, qasm %d bytes",
+			circ != nil, span != nil, queueSpan != nil, len(src))
+	}
+}
+
 // TestJobPanicRecovered: a job that panics fails alone — its error is on
 // the job and its trace — and the daemon goes on serving the next job.
 func TestJobPanicRecovered(t *testing.T) {

@@ -205,8 +205,7 @@ func ExecutePlanBackend(c *circuit.Circuit, plan *reorder.Plan, be Backend) (*Re
 			work.ApplyPauli(s.Op, s.Qubit)
 			res.Ops++
 		case reorder.StepEmit:
-			for _, idx := range s.Trials {
-				t := plan.Order[idx]
+			for _, t := range plan.Order[s.From:s.To] {
 				res.Outcomes = append(res.Outcomes, Outcome{TrialID: t.ID, Bits: work.SampleBits(c, t) ^ t.MeasFlips})
 			}
 		case reorder.StepPop:

@@ -50,9 +50,8 @@ type branchState struct {
 	rec     obs.Recorder
 	tr      *msvTracker
 	pool    *statePool
-	prog    *statevec.Program // nil: gate-by-gate dispatch (snapshot policy only)
-	layers  [][]int           // dispatch tables, set when prog is nil
-	ops     []circuit.Op
+	prog    *statevec.Program // nil: walk tab (snapshot policy only)
+	tab     *dispatchTable
 	res     *Result
 	wid     int
 	striped bool // trunk/sequential paths stripe their sweeps, task bodies do not
@@ -66,19 +65,53 @@ type branchState struct {
 	exact   bool // non-numeric mode: reverse only exactly invertible suffixes
 }
 
+// advancer is what one run advances layer ranges with: the compiled
+// program, or, when the options compile none, the circuit's dispatch
+// table. Built once per run and shared read-only by every goroutine.
+type advancer struct {
+	prog *statevec.Program
+	tab  *dispatchTable
+}
+
+func newAdvancer(c *circuit.Circuit, prog *statevec.Program) advancer {
+	if prog != nil {
+		return advancer{prog: prog}
+	}
+	return advancer{tab: newDispatchTable(c)}
+}
+
+// dispatchTable is the circuit's ops resolved once into kernels
+// (statevec.ResolveOp) in layer order. Walking it applies exactly the
+// kernels gate-by-gate ApplyOp would, without re-reading each op's gate.
+type dispatchTable struct {
+	kern  []statevec.OpKernel
+	start []int // layer l's kernels are kern[start[l]:start[l+1]]
+}
+
+func newDispatchTable(c *circuit.Circuit) *dispatchTable {
+	layers, ops := c.Layers(), c.Ops()
+	t := &dispatchTable{
+		kern:  make([]statevec.OpKernel, 0, len(ops)),
+		start: make([]int, len(layers)+1),
+	}
+	for l, idx := range layers {
+		for _, oi := range idx {
+			t.kern = append(t.kern, statevec.ResolveOp(c.NumQubits(), ops[oi].Gate, ops[oi].Qubits...))
+		}
+		t.start[l+1] = len(t.kern)
+	}
+	return t
+}
+
 // newBranchState returns the state by value so that callers keep it on
 // their stack: one is built per plan, trunk and subtree task.
-func newBranchState(c *circuit.Circuit, opt Options, prog *statevec.Program, res *Result, tr *msvTracker, pool *statePool, wid int, striped bool) branchState {
-	bs := branchState{
+func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, wid int, striped bool) branchState {
+	return branchState{
 		c: c, opt: opt, rec: opt.Recorder, tr: tr, pool: pool,
-		prog: prog, res: res, wid: wid, striped: striped,
+		prog: adv.prog, tab: adv.tab, res: res, wid: wid, striped: striped,
 		policy: opt.Policy != PolicySnapshot,
 		exact:  opt.Fuse != statevec.FuseNumeric,
 	}
-	if prog == nil {
-		bs.layers, bs.ops = c.Layers(), c.Ops()
-	}
-	return bs
 }
 
 // run interprets one step list against the working register: order
@@ -106,19 +139,19 @@ func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int,
 		case reorder.StepInject:
 			bs.inject(s.Op, s.Qubit)
 		case reorder.StepEmit:
-			for _, idx := range s.Trials {
-				t := order[idx]
+			for _, t := range order[s.From:s.To] {
 				bs.res.Outcomes = append(bs.res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(bs.work, bs.c, t)})
 				if bs.opt.KeepStates {
 					bs.res.FinalStates[t.ID] = bs.work.Clone()
 				}
 			}
-			emitted += len(s.Trials)
+			n := s.To - s.From
+			emitted += n
 			if bs.rec != nil {
-				bs.rec.Add(obs.TrialsEmitted, int64(len(s.Trials)))
+				bs.rec.Add(obs.TrialsEmitted, int64(n))
 				bs.rec.Event(obs.EvEmit, bs.wid, len(bs.frames))
 				now := time.Now()
-				if n := len(s.Trials); n > 0 {
+				if n > 0 {
 					per := int64(now.Sub(emitMark)) / int64(n)
 					for j := 0; j < n; j++ {
 						bs.rec.Observe(obs.HistTrialLatency, per)
@@ -166,13 +199,11 @@ func (bs *branchState) runRev(from, to int) int {
 
 func (bs *branchState) advance(from, to int) {
 	if bs.prog == nil {
-		for l := from; l < to; l++ {
-			for _, oi := range bs.layers[l] {
-				op := bs.ops[oi]
-				bs.work.ApplyOp(op.Gate, op.Qubits...)
-				bs.res.Ops++
-			}
+		ks := bs.tab.kern[bs.tab.start[from]:bs.tab.start[to]]
+		for i := range ks {
+			bs.work.ApplyKernel(&ks[i])
 		}
+		bs.res.Ops += int64(len(ks))
 		return
 	}
 	bs.res.Ops += int64(bs.runFwd(from, to))

@@ -18,9 +18,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -413,7 +414,7 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()
 	pool := newStatePool(c.NumQubits(), arena)
-	bs := newBranchState(c, opt, prog, res, tr, pool, wid, true)
+	bs := newBranchState(c, opt, newAdvancer(c, prog), res, tr, pool, wid, true)
 	bs.work = pool.get()
 	bs.work.Reset()
 	if err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil); err != nil {
@@ -475,7 +476,7 @@ func (r *Result) absorb(p *Result) {
 
 // finish sorts outcomes by trial ID and fills the histogram.
 func finish(res *Result) {
-	sort.Slice(res.Outcomes, func(i, j int) bool { return res.Outcomes[i].TrialID < res.Outcomes[j].TrialID })
+	slices.SortFunc(res.Outcomes, func(a, b Outcome) int { return cmp.Compare(a.TrialID, b.TrialID) })
 	for _, o := range res.Outcomes {
 		res.Counts[o.Bits]++
 	}

@@ -271,6 +271,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 	if prog == nil {
 		prog = opt.compileProgram(c, opt.Policy != PolicySnapshot || lanes > 1)
 	}
+	adv := newAdvancer(c, prog)
 	arena, owned := opt.bufferPool()
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()
@@ -303,7 +304,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 						tsp.SetWorker(w)
 						wopt.Span = tsp
 					}
-					errs[w] = runTaskGroup(c, sp, prog, qt, wopt, res, &tracker, pool, br, w)
+					errs[w] = runTaskGroup(c, sp, adv, qt, wopt, res, &tracker, pool, br, w)
 					tsp.SetError(errs[w])
 					tsp.End()
 				} else {
@@ -331,7 +332,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 	}
 	// runTrunk recovers its own panics, so the queue always closes and no
 	// worker is left waiting on it.
-	trunkRes, trunkErr := runTrunk(c, sp, prog, topt, queue, sem, &tracker, trunkPool)
+	trunkRes, trunkErr := runTrunk(c, sp, adv, topt, queue, sem, &tracker, trunkPool)
 	trunkSpan.SetError(trunkErr)
 	trunkSpan.End()
 	queue.close()
@@ -374,11 +375,11 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 // program, trunk advances use the striped Run so the otherwise
 // single-threaded serialization point can borrow idle CPUs. Trunk events
 // carry worker id -1.
-func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, opt Options, queue *taskQueue, sem chan struct{}, tr *msvTracker, pool *statePool) (_ *Result, err error) {
+func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Options, queue *taskQueue, sem chan struct{}, tr *msvTracker, pool *statePool) (_ *Result, err error) {
 	defer recoverErr(&err)
 	res := newResult(opt.KeepStates)
 	rec := opt.Recorder
-	bs := newBranchState(c, opt, prog, res, tr, pool, -1, true)
+	bs := newBranchState(c, opt, adv, res, tr, pool, -1, true)
 	bs.work = pool.get()
 	bs.work.Reset()
 	grp := newSpawnGroup(opt.Lanes, queue)
@@ -421,8 +422,8 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program,
 // reported as a snapshot push — PolicyUncompute still executes with
 // snapshot_pushes == 0. A snapshot plan with budget 0 adopts the entry
 // and restores replay from |0...0>.
-func runSubtree(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, st *reorder.Subtree, entry *statevec.State, opt Options, res *Result, tr *msvTracker, pool *statePool, wid int) error {
-	bs := newBranchState(c, opt, prog, res, tr, pool, wid, false)
+func runSubtree(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, st *reorder.Subtree, entry *statevec.State, opt Options, res *Result, tr *msvTracker, pool *statePool, wid int) error {
+	bs := newBranchState(c, opt, adv, res, tr, pool, wid, false)
 	keepEntry := opt.Policy != PolicySnapshot || (sp.Budget() != math.MaxInt && sp.Budget() >= 1)
 	if keepEntry {
 		bs.work = pool.get()

@@ -44,17 +44,17 @@ func ExecuteBatchedSubtree(c *circuit.Circuit, trials []*trial.Trial, workers, l
 // path; larger snapshot-policy groups go through the batched engine. A
 // panic in a task becomes the group's error, so the worker survives to
 // keep draining the queue.
-func runTaskGroup(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, qt queuedTask, opt Options, res *Result, tr *msvTracker, pool *statePool, br *batchRunner, wid int) (err error) {
+func runTaskGroup(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, qt queuedTask, opt Options, res *Result, tr *msvTracker, pool *statePool, br *batchRunner, wid int) (err error) {
 	defer recoverErr(&err)
 	if br == nil || len(qt.tasks) == 1 || opt.Policy != PolicySnapshot {
 		for i, st := range qt.tasks {
-			if err := runSubtree(c, sp, prog, st, qt.entries[i], opt, res, tr, pool, wid); err != nil {
+			if err := runSubtree(c, sp, adv, st, qt.entries[i], opt, res, tr, pool, wid); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return br.run(c, sp, prog, qt, opt, res, tr, pool, wid)
+	return br.run(c, sp, adv.prog, qt, opt, res, tr, pool, wid)
 }
 
 // laneExec is one lane's execution state within a task group: the task,
@@ -206,8 +206,7 @@ func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, op
 			lane.ApplyPauli(s.Op, s.Qubit)
 			res.Ops++
 		case reorder.StepEmit:
-			for _, idx := range s.Trials {
-				t := sp.Order[idx]
+			for _, t := range sp.Order[s.From:s.To] {
 				res.Outcomes = append(res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(lane, c, t)})
 				le.emitted++
 				if opt.KeepStates {
@@ -215,10 +214,11 @@ func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, op
 				}
 			}
 			if rec != nil {
-				rec.Add(obs.TrialsEmitted, int64(len(s.Trials)))
+				b := s.To - s.From
+				rec.Add(obs.TrialsEmitted, int64(b))
 				rec.Event(obs.EvEmit, wid, len(le.stack))
 				now := time.Now()
-				if b := len(s.Trials); b > 0 {
+				if b > 0 {
 					per := int64(now.Sub(le.emitMark)) / int64(b)
 					for j := 0; j < b; j++ {
 						rec.Observe(obs.HistTrialLatency, per)

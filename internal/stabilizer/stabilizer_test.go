@@ -312,10 +312,10 @@ func TestExpectationZLeavesTableauUntouched(t *testing.T) {
 // to MeasureZ.
 func TestExpectationZMatchesMeasureZ(t *testing.T) {
 	prep := []func(tab *Tableau){
-		func(tab *Tableau) {},                              // |000>
-		func(tab *Tableau) { tab.X(0); tab.X(2) },          // |101>
-		func(tab *Tableau) { tab.X(1); tab.Z(1) },          // phases ignored
-		func(tab *Tableau) { tab.H(0); tab.CX(0, 1) },      // Bell: q2 det
+		func(tab *Tableau) {},                               // |000>
+		func(tab *Tableau) { tab.X(0); tab.X(2) },           // |101>
+		func(tab *Tableau) { tab.X(1); tab.Z(1) },           // phases ignored
+		func(tab *Tableau) { tab.H(0); tab.CX(0, 1) },       // Bell: q2 det
 		func(tab *Tableau) { tab.H(2); tab.S(2); tab.X(0) }, // q2 random
 	}
 	for pi, p := range prep {

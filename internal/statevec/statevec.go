@@ -12,6 +12,7 @@ package statevec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/gate"
@@ -32,6 +33,17 @@ type State struct {
 // circuits go through the static analyzer which never allocates
 // amplitudes.
 const MaxQubits = 30
+
+// Caps on the size of one run, beside MaxQubits: qsimd rejects a request
+// above any of them before it generates a trial. MaxTrials bounds the
+// trial set a run generates, sorts and plans in memory; MaxWorkers and
+// MaxLanes bound the goroutines and the lanes of one BatchState a run may
+// ask for.
+const (
+	MaxTrials  = 1 << 20
+	MaxWorkers = 64
+	MaxLanes   = 64
+)
 
 func checkWidth(n int) {
 	if n < 1 || n > MaxQubits {
@@ -117,22 +129,155 @@ func (s *State) Fidelity(o *State) float64 { return qmath.Fidelity(s.amp, o.amp)
 func (s *State) Equal(o *State, tol float64) bool { return qmath.VecEqual(s.amp, o.amp, tol) }
 
 // ApplyOp applies a circuit operation to the state, dispatching to a
-// specialized kernel where one exists.
+// specialized kernel where one exists. It is ResolveOp followed by
+// ApplyKernel, so a pre-resolved kernel table is bit-identical to
+// dispatch by construction.
 func (s *State) ApplyOp(g gate.Gate, qubits ...int) {
-	switch g.Qubits() {
-	case 1:
-		s.apply1(g, qubits[0])
-	case 2:
-		s.apply2(g, qubits[0], qubits[1])
-	case 3:
-		if g.Kind() == gate.KindCCX {
-			s.applyCCXKernel(qubits[0], qubits[1], qubits[2])
-			return
+	var k OpKernel
+	resolveOp(&k, s.n, &g, qubits)
+	s.ApplyKernel(&k)
+}
+
+// opKernelKind names the sweep an OpKernel runs.
+type opKernelKind uint8
+
+const (
+	okIdentity opKernelKind = iota // counted, never swept
+	okX
+	okY
+	okZ
+	okH
+	okDiag // diag(m[0], m[3])
+	ok1    // general 2x2
+	okCX
+	okCZ
+	okSwap
+	ok2   // general 4x4
+	okCCX // controls b0, b1, target b2
+	okK   // dense 2^k matrix through applyK
+)
+
+// OpKernel is one circuit op with its dispatch decided once: the kernel
+// kind, the amplitude-index bit masks of its qubits (in op order), and
+// the gate's row-major matrix entries (the 2x2, the flat 4x4 kern2 reads,
+// or the dense 2^k matrix). Executors that run a circuit many times
+// resolve each op once and replay the table instead of re-reading the
+// gate on every application. An OpKernel is read-only once built and may
+// be shared between goroutines; it shares the gate's matrix and the op's
+// qubit slice rather than copying them.
+type OpKernel struct {
+	kind       opKernelKind
+	b0, b1, b2 int
+	mat        qmath.Matrix
+	qubits     []int // okK only
+}
+
+// ResolveOp decides the kernel for gate g on qubits of an n-qubit state,
+// panicking on out-of-range or duplicate qubits exactly as dispatch does.
+// It does not allocate.
+func ResolveOp(n int, g gate.Gate, qubits ...int) OpKernel {
+	var k OpKernel
+	resolveOp(&k, n, &g, qubits)
+	return k
+}
+
+// resolveOp is ResolveOp filling a caller-owned kernel, so ApplyOp
+// copies neither the gate nor the kernel.
+func resolveOp(k *OpKernel, n int, g *gate.Gate, qubits []int) {
+	switch {
+	case g.Qubits() == 1:
+		q := qubits[0]
+		if q < 0 || q >= n {
+			panic(fmt.Sprintf("statevec: qubit %d out of range [0,%d)", q, n))
 		}
-		s.applyK(g.Matrix(), qubits)
+		k.b0 = 1 << uint(q)
+		switch kind := g.Kind(); {
+		case kind == gate.KindI:
+			k.kind = okIdentity
+		case kind == gate.KindX:
+			k.kind = okX
+		case kind == gate.KindY:
+			k.kind = okY
+		case kind == gate.KindZ:
+			k.kind = okZ
+		case kind == gate.KindH:
+			k.kind = okH
+		case diagKind(kind):
+			k.kind, k.mat = okDiag, g.Matrix()
+		default:
+			k.kind, k.mat = ok1, g.Matrix()
+		}
+	case g.Qubits() == 2:
+		q0, q1 := qubits[0], qubits[1]
+		if q0 == q1 {
+			panic(fmt.Sprintf("statevec: two-qubit gate on duplicate qubit %d", q0))
+		}
+		if q0 < 0 || q0 >= n || q1 < 0 || q1 >= n {
+			panic(fmt.Sprintf("statevec: qubit pair (%d,%d) out of range [0,%d)", q0, q1, n))
+		}
+		k.b0, k.b1 = 1<<uint(q0), 1<<uint(q1)
+		switch g.Kind() {
+		case gate.KindCX:
+			k.kind = okCX
+		case gate.KindCZ:
+			k.kind = okCZ
+		case gate.KindSwap:
+			k.kind = okSwap
+		default:
+			k.kind, k.mat = ok2, g.Matrix()
+		}
+	case g.Qubits() == 3 && g.Kind() == gate.KindCCX:
+		c0, c1, t := qubits[0], qubits[1], qubits[2]
+		if c0 == c1 || c0 == t || c1 == t {
+			panic(fmt.Sprintf("statevec: CCX on duplicate qubits (%d,%d,%d)", c0, c1, t))
+		}
+		if c0 < 0 || c0 >= n || c1 < 0 || c1 >= n || t < 0 || t >= n {
+			panic(fmt.Sprintf("statevec: CCX qubits (%d,%d,%d) out of range [0,%d)", c0, c1, t, n))
+		}
+		k.kind, k.b0, k.b1, k.b2 = okCCX, 1<<uint(c0), 1<<uint(c1), 1<<uint(t)
 	default:
-		s.applyK(g.Matrix(), qubits)
+		k.kind, k.mat, k.qubits = okK, g.Matrix(), qubits
 	}
+}
+
+// ApplyKernel runs a resolved op on the state, which must have the width
+// the kernel was resolved for.
+func (s *State) ApplyKernel(k *OpKernel) {
+	amp := s.amp
+	switch k.kind {
+	case okIdentity:
+	case okX:
+		kernX(amp, k.b0, 0, units1(amp, k.b0))
+	case okY:
+		kernY(amp, k.b0, 0, units1(amp, k.b0))
+	case okZ:
+		kernZ(amp, k.b0, 0, units1(amp, k.b0))
+	case okH:
+		kernH(amp, k.b0, 0, units1(amp, k.b0))
+	case okDiag:
+		m := k.mat.Data()
+		kernDiag(amp, k.b0, 0, units1(amp, k.b0), m[0], m[3])
+	case ok1:
+		m := k.mat.Data()
+		kern1(amp, k.b0, 0, units1(amp, k.b0), m[0], m[1], m[2], m[3])
+	case okCX:
+		kernCX(amp, k.b0, k.b1, 0, len(amp)>>2)
+	case okCZ:
+		kernCZ(amp, k.b0, k.b1, 0, len(amp)>>2)
+	case okSwap:
+		kernSwap(amp, k.b0, k.b1, 0, len(amp)>>2)
+	case ok2:
+		kern2(amp, k.b0, k.b1, 0, len(amp)>>2, (*[16]complex128)(k.mat.Data()))
+	case okCCX:
+		kernCCX(amp, k.b0, k.b1, k.b2, 0, len(amp)>>3)
+	case okK:
+		s.applyK(k.mat, k.qubits)
+	}
+}
+
+// units1 is the base-block count of a single-qubit sweep on bit.
+func units1(amp []complex128, bit int) int {
+	return len(amp) >> uint(bits.TrailingZeros(uint(bit))+1)
 }
 
 // diagKind reports whether a gate kind is diagonal in the computational
@@ -147,76 +292,6 @@ func diagKind(k gate.Kind) bool {
 	return false
 }
 
-// apply1 applies a single-qubit gate to qubit q.
-func (s *State) apply1(g gate.Gate, q int) {
-	if q < 0 || q >= s.n {
-		panic(fmt.Sprintf("statevec: qubit %d out of range [0,%d)", q, s.n))
-	}
-	amp := s.amp
-	bit := 1 << uint(q)
-	units := len(amp) >> uint(q+1)
-	switch k := g.Kind(); {
-	case k == gate.KindI:
-		return
-	case k == gate.KindX:
-		kernX(amp, bit, 0, units)
-		return
-	case k == gate.KindY:
-		kernY(amp, bit, 0, units)
-		return
-	case k == gate.KindZ:
-		kernZ(amp, bit, 0, units)
-		return
-	case k == gate.KindH:
-		kernH(amp, bit, 0, units)
-		return
-	case diagKind(k):
-		m := g.Matrix()
-		kernDiag(amp, bit, 0, units, m.At(0, 0), m.At(1, 1))
-		return
-	}
-	m := g.Matrix()
-	kern1(amp, bit, 0, units, m.At(0, 0), m.At(0, 1), m.At(1, 0), m.At(1, 1))
-}
-
-func (s *State) applyXKernel(q int) {
-	bit := 1 << uint(q)
-	kernX(s.amp, bit, 0, len(s.amp)>>uint(q+1))
-}
-
-func (s *State) applyZKernel(q int) {
-	bit := 1 << uint(q)
-	kernZ(s.amp, bit, 0, len(s.amp)>>uint(q+1))
-}
-
-// apply2 applies a two-qubit gate with qubit order (q0, q1) matching the
-// gate's matrix convention: the matrix index is (b0 << 1) | b1 where b0 is
-// the value of q0. For CX that makes q0 the control and q1 the target.
-func (s *State) apply2(g gate.Gate, q0, q1 int) {
-	if q0 == q1 {
-		panic(fmt.Sprintf("statevec: two-qubit gate on duplicate qubit %d", q0))
-	}
-	if q0 < 0 || q0 >= s.n || q1 < 0 || q1 >= s.n {
-		panic(fmt.Sprintf("statevec: qubit pair (%d,%d) out of range [0,%d)", q0, q1, s.n))
-	}
-	amp := s.amp
-	units := len(amp) >> 2
-	switch g.Kind() {
-	case gate.KindCX:
-		kernCX(amp, 1<<uint(q0), 1<<uint(q1), 0, units)
-		return
-	case gate.KindCZ:
-		kernCZ(amp, 1<<uint(q0), 1<<uint(q1), 0, units)
-		return
-	case gate.KindSwap:
-		kernSwap(amp, 1<<uint(q0), 1<<uint(q1), 0, units)
-		return
-	}
-	var m [16]complex128
-	mat2Flat(g.Matrix(), &m)
-	kern2(amp, 1<<uint(q0), 1<<uint(q1), 0, units, &m)
-}
-
 // mat2Flat copies a 4x4 qmath.Matrix into the flat row-major array kern2
 // consumes.
 func mat2Flat(m qmath.Matrix, out *[16]complex128) {
@@ -225,21 +300,6 @@ func mat2Flat(m qmath.Matrix, out *[16]complex128) {
 			out[r*4+c] = m.At(r, c)
 		}
 	}
-}
-
-func (s *State) applyCXKernel(control, target int) {
-	kernCX(s.amp, 1<<uint(control), 1<<uint(target), 0, len(s.amp)>>2)
-}
-
-// applyCCXKernel applies a Toffoli with controls c0, c1 and target t.
-func (s *State) applyCCXKernel(c0, c1, t int) {
-	if c0 == c1 || c0 == t || c1 == t {
-		panic(fmt.Sprintf("statevec: CCX on duplicate qubits (%d,%d,%d)", c0, c1, t))
-	}
-	if c0 < 0 || c0 >= s.n || c1 < 0 || c1 >= s.n || t < 0 || t >= s.n {
-		panic(fmt.Sprintf("statevec: CCX qubits (%d,%d,%d) out of range [0,%d)", c0, c1, t, s.n))
-	}
-	kernCCX(s.amp, 1<<uint(c0), 1<<uint(c1), 1<<uint(t), 0, len(s.amp)>>3)
 }
 
 // applyK applies an arbitrary k-qubit unitary given as a 2^k x 2^k matrix.
@@ -293,13 +353,14 @@ func (s *State) applyK(m qmath.Matrix, qubits []int) {
 // ApplyPauli applies a Pauli error operator to qubit q. This is the
 // injected-error fast path used by the Monte Carlo engine.
 func (s *State) ApplyPauli(p gate.Pauli, q int) {
+	bit, units := 1<<uint(q), len(s.amp)>>uint(q+1)
 	switch p {
 	case gate.PauliX:
-		s.applyXKernel(q)
+		kernX(s.amp, bit, 0, units)
 	case gate.PauliY:
-		kernY(s.amp, 1<<uint(q), 0, len(s.amp)>>uint(q+1))
+		kernY(s.amp, bit, 0, units)
 	case gate.PauliZ:
-		s.applyZKernel(q)
+		kernZ(s.amp, bit, 0, units)
 	default:
 		panic(fmt.Sprintf("statevec: invalid Pauli %d", int(p)))
 	}

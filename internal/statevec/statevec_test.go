@@ -365,3 +365,24 @@ func TestApplyKAgreesWithSpecializedKernels(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveOpDoesNotAllocate: resolving and applying an op through the
+// dispatch table allocates nothing for any specialized kernel, so ApplyOp
+// costs no more than the switch it replaced.
+func TestResolveOpDoesNotAllocate(t *testing.T) {
+	s := NewState(4)
+	ops := []struct {
+		g  gate.Gate
+		qs []int
+	}{
+		{gate.I(), []int{0}}, {gate.X(), []int{1}}, {gate.Y(), []int{2}}, {gate.Z(), []int{3}},
+		{gate.H(), []int{0}}, {gate.T(), []int{1}}, {gate.U3(0.1, 0.2, 0.3), []int{2}},
+		{gate.CX(), []int{0, 1}}, {gate.CZ(), []int{1, 2}}, {gate.Swap(), []int{2, 3}},
+		{gate.Controlled(gate.RY(0.4)), []int{3, 0}}, {gate.CCX(), []int{0, 1, 2}},
+	}
+	for _, op := range ops {
+		if n := testing.AllocsPerRun(50, func() { s.ApplyOp(op.g, op.qs...) }); n != 0 {
+			t.Errorf("ApplyOp(%s) allocates %.0f times per call", op.g.Name(), n)
+		}
+	}
+}

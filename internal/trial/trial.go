@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -376,7 +377,7 @@ func (g *Generator) Sample(rng *rand.Rand, id int) *Trial {
 		}
 		// Pair slots can emit a second-qubit injection that interleaves
 		// with later slots of the same layer; restore canonical order.
-		sort.Slice(t.Inj, func(a, b int) bool { return t.Inj[a] < t.Inj[b] })
+		slices.Sort(t.Inj)
 	}
 	for i, p := range g.measProb {
 		if p > 0 && rng.Float64() < p {
