@@ -21,9 +21,12 @@ import (
 //
 // Both carry the sharing invariant (ops == the direct run's), so the
 // daemon path can never silently change the computation it schedules.
+// The job names fuse "exact": the daemon's default, "off", compiles
+// nothing, so it would leave the segment cache these scenarios measure
+// out of the path.
 func buildServiceScenarios(cfg config) ([]scenario, error) {
 	const benchName = "qv_n5d3"
-	req := service.JobRequest{Bench: benchName, Trials: cfg.trials, Seed: cfg.seed}
+	req := service.JobRequest{Bench: benchName, Trials: cfg.trials, Seed: cfg.seed, Fuse: "exact"}
 	srv := service.New(service.Config{Workers: 1, QueueCap: 4})
 	srv.Start()
 	runJob := func() (int64, error) {

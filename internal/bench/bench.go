@@ -223,37 +223,49 @@ func QV(n, d int, rng *rand.Rand) *circuit.Circuit {
 		panic(fmt.Sprintf("bench: QV needs >= 2 qubits, got %d", n))
 	}
 	c := circuit.New(fmt.Sprintf("qv_n%dd%d", n, d), n)
+	drawQV(n, d, rng, func(a, b int, u *[8][3]float64) { appendSU4(c, a, b, u) })
+	c.MeasureAll()
+	return c
+}
+
+// drawQV makes every random draw of an n-qubit, depth-d QV circuit in the
+// order QV consumes them, handing each block's qubit pair and its eight u3
+// angle triples to block. A nil block only advances rng past the circuit.
+func drawQV(n, d int, rng *rand.Rand, block func(a, b int, u *[8][3]float64)) {
 	perm := make([]int, n)
+	var u [8][3]float64
 	for layer := 0; layer < d; layer++ {
 		for i := range perm {
 			perm[i] = i
 		}
 		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		for i := 0; i+1 < n; i += 2 {
-			appendRandomSU4(c, perm[i], perm[i+1], rng)
+			for k := range u {
+				u[k] = [3]float64{rng.Float64() * math.Pi, rng.Float64() * 2 * math.Pi, rng.Float64() * 2 * math.Pi}
+			}
+			if block != nil {
+				block(perm[i], perm[i+1], &u)
+			}
 		}
 	}
-	c.MeasureAll()
-	return c
 }
 
-// appendRandomSU4 emits a Haar-ish random two-qubit block in the standard
-// 3-CX template: u3 pairs interleaved with CNOTs.
-func appendRandomSU4(c *circuit.Circuit, a, b int, rng *rand.Rand) {
-	randU3 := func(q int) {
-		c.Append(gate.U3(rng.Float64()*math.Pi, rng.Float64()*2*math.Pi, rng.Float64()*2*math.Pi), q)
-	}
-	randU3(a)
-	randU3(b)
+// appendSU4 emits a Haar-ish random two-qubit block in the standard 3-CX
+// template: u3 pairs (angles u, in order a, b, a, b, ...) interleaved with
+// CNOTs.
+func appendSU4(c *circuit.Circuit, a, b int, u *[8][3]float64) {
+	u3 := func(k, q int) { c.Append(gate.U3(u[k][0], u[k][1], u[k][2]), q) }
+	u3(0, a)
+	u3(1, b)
 	c.Append(gate.CX(), a, b)
-	randU3(a)
-	randU3(b)
+	u3(2, a)
+	u3(3, b)
 	c.Append(gate.CX(), b, a)
-	randU3(a)
-	randU3(b)
+	u3(4, a)
+	u3(5, b)
 	c.Append(gate.CX(), a, b)
-	randU3(a)
-	randU3(b)
+	u3(6, a)
+	u3(7, b)
 }
 
 // TableIRef records the paper's published post-compilation gate counts for
@@ -282,34 +294,52 @@ var TableI = []TableIRef{
 	{"qv_n5d5", 5, 130, 36, 5},
 }
 
+// fixedCircuits builds each Table I benchmark that draws no random numbers.
+var fixedCircuits = map[string]func() *circuit.Circuit{
+	"rb":       RB2,
+	"grover":   Grover3,
+	"wstate":   WState3,
+	"7x1mod15": Mod15Mul7,
+	"bv4":      func() *circuit.Circuit { return BV(4, 0b111) },
+	"bv5":      func() *circuit.Circuit { return BV(5, 0b1111) },
+	"qft4":     func() *circuit.Circuit { return QFT(4) },
+	"qft5":     func() *circuit.Circuit { return QFT(5) },
+}
+
+// qvDepths are the depths of Table I's 5-qubit QV circuits, in the order
+// they draw from the suite's one rng.
+var qvDepths = []int{2, 3, 4, 5}
+
 // Suite builds the logical (pre-mapping) circuit for each Table I
 // benchmark, keyed by its Table I name. qvSeed drives the random QV
 // circuits so the suite is reproducible.
 func Suite(qvSeed int64) map[string]*circuit.Circuit {
-	rng := rand.New(rand.NewSource(qvSeed))
-	m := map[string]*circuit.Circuit{
-		"rb":       RB2(),
-		"grover":   Grover3(),
-		"wstate":   WState3(),
-		"7x1mod15": Mod15Mul7(),
-		"bv4":      BV(4, 0b111),
-		"bv5":      BV(5, 0b1111),
-		"qft4":     QFT(4),
-		"qft5":     QFT(5),
+	m := make(map[string]*circuit.Circuit, len(TableI))
+	for name, build := range fixedCircuits {
+		m[name] = build()
 	}
-	for _, d := range []int{2, 3, 4, 5} {
+	rng := rand.New(rand.NewSource(qvSeed))
+	for _, d := range qvDepths {
 		c := QV(5, d, rng)
 		m[c.Name()] = c
 	}
 	return m
 }
 
-// Build returns one Table I benchmark by name, or an error naming the
-// valid choices.
+// Build returns one Table I benchmark by name, identical to
+// Suite(qvSeed)[name], or an error naming the valid choices. It builds only
+// that circuit: a QV circuit advances the shared rng past the shallower QV
+// circuits Suite draws before it, without building them.
 func Build(name string, qvSeed int64) (*circuit.Circuit, error) {
-	s := Suite(qvSeed)
-	if c, ok := s[name]; ok {
-		return c, nil
+	if build, ok := fixedCircuits[name]; ok {
+		return build(), nil
+	}
+	rng := rand.New(rand.NewSource(qvSeed))
+	for _, d := range qvDepths {
+		if name == fmt.Sprintf("qv_n5d%d", d) {
+			return QV(5, d, rng), nil
+		}
+		drawQV(5, d, rng, nil)
 	}
 	names := make([]string, 0, len(TableI))
 	for _, r := range TableI {

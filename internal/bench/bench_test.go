@@ -3,6 +3,8 @@ package bench
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -239,6 +241,57 @@ func TestBuild(t *testing.T) {
 	}
 	if _, err := Build("nope", 1); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// TestBuildMatchesSuite: Build builds one circuit alone, yet yields exactly
+// the circuit Suite builds under that name, so the QV circuits draw from
+// the shared rng in Suite's order whatever depth is asked for.
+func TestBuildMatchesSuite(t *testing.T) {
+	seeds := []int64{1 << 40, 1<<40 + 12345}
+	for s := int64(1); s <= 20; s++ {
+		seeds = append(seeds, s)
+	}
+	for _, seed := range seeds {
+		suite := Suite(seed)
+		for _, ref := range TableI {
+			got, err := Build(ref.Name, seed)
+			if err != nil {
+				t.Fatalf("Build(%s, %d): %v", ref.Name, seed, err)
+			}
+			want := suite[ref.Name]
+			if got.Name() != want.Name() || got.NumQubits() != want.NumQubits() || got.NumOps() != want.NumOps() {
+				t.Fatalf("Build(%s, %d): %s on %d qubits with %d ops, Suite has %s on %d with %d",
+					ref.Name, seed, got.Name(), got.NumQubits(), got.NumOps(), want.Name(), want.NumQubits(), want.NumOps())
+			}
+			for i, g := range got.Ops() {
+				w := want.Op(i)
+				if g.Gate.Name() != w.Gate.Name() || !slices.Equal(g.Qubits, w.Qubits) {
+					t.Fatalf("Build(%s, %d) op %d: %v, Suite has %v", ref.Name, seed, i, g, w)
+				}
+				gp, wp := g.Gate.Params(), w.Gate.Params()
+				if len(gp) != len(wp) {
+					t.Fatalf("Build(%s, %d) op %d: %d params, Suite has %d", ref.Name, seed, i, len(gp), len(wp))
+				}
+				for k := range gp {
+					if math.Float64bits(gp[k]) != math.Float64bits(wp[k]) {
+						t.Fatalf("Build(%s, %d) op %d param %d: %v, Suite has %v", ref.Name, seed, i, k, gp[k], wp[k])
+					}
+				}
+			}
+			if !slices.Equal(got.Measurements(), want.Measurements()) {
+				t.Fatalf("Build(%s, %d): measurements %v, Suite has %v", ref.Name, seed, got.Measurements(), want.Measurements())
+			}
+		}
+	}
+	_, err := Build("nope", 1)
+	if err == nil {
+		t.Fatal("unknown benchmark accepted")
+	}
+	for _, ref := range TableI {
+		if !strings.Contains(err.Error(), ref.Name) {
+			t.Errorf("unknown-name error %q does not list %s", err, ref.Name)
+		}
 	}
 }
 

@@ -26,9 +26,12 @@ import (
 //
 //   - Correctness: the daemon's histogram for a job is bit-identical to a
 //     direct in-process core.Run of the same configuration.
-//   - Sharing: after one cold job compiles a circuit, every identical job
-//     from any tenant runs all-hit against the shared segment cache
-//     (segcache hits > 0, misses == 0) with the identical histogram.
+//   - Sharing: after one cold fuse "exact" job compiles a circuit, every
+//     identical job from any tenant runs all-hit against the shared
+//     segment cache (segcache hits > 0, misses == 0) with the identical
+//     histogram.
+//   - Default: the same job naming no fuse mode runs gate-by-gate
+//     dispatch, with the identical histogram and no segcache lookups.
 //   - Bounds: the segment cache stays within its configured capacity and
 //     the shared buffer arena within its retention cap.
 //   - Observability: /metrics serves a valid Prometheus exposition with
@@ -76,7 +79,7 @@ func Service(cfg Config) (*Table, error) {
 	defer cancel()
 	client := service.NewClient("http://"+ln.Addr().String(), nil)
 	seed := ServiceSeed(cfg, 0)
-	req := service.JobRequest{Bench: benchName, Trials: trials, Seed: seed}
+	req := service.JobRequest{Bench: benchName, Trials: trials, Seed: seed, Fuse: "exact"}
 
 	// Reference: a direct in-process run of the job's exact configuration.
 	circ, err := bench.Build(benchName, seed)
@@ -166,6 +169,27 @@ func Service(cfg Config) (*Table, error) {
 		fmt.Sprintf("%d", warmHits), fmt.Sprintf("%d", warmMisses),
 		fmt.Sprintf("all-hit across %d tenants", tenants))
 
+	// Default: the same job without a fuse mode compiles nothing, so it
+	// neither hits nor misses the cache, and its histogram is unchanged.
+	dflt := req
+	dflt.Tenant, dflt.Fuse = "dispatch", ""
+	plain, err := client.Run(ctx, dflt)
+	if err != nil {
+		return fail("default job: %v", err)
+	}
+	if plain.State != service.StateDone || plain.Fuse != "off" {
+		return fail("default job ended %q under fuse %q: %s", plain.State, plain.Fuse, plain.Error)
+	}
+	if plain.SegCacheHits != 0 || plain.SegCacheMisses != 0 {
+		return fail("default job made segcache lookups (hits %d, misses %d), want none",
+			plain.SegCacheHits, plain.SegCacheMisses)
+	}
+	if !sameCounts(plain.Counts, want) {
+		return fail("default job histogram differs from direct core.Run")
+	}
+	t.AddRow("default", "1", durMS(time.Duration(plain.QueueWaitNs+plain.RunNs)),
+		"0", "0", "fuse off: dispatch, nothing compiled")
+
 	// Shared-state bounds.
 	st, err := client.Stats(ctx)
 	if err != nil {
@@ -186,8 +210,8 @@ func Service(cfg Config) (*Table, error) {
 	if err != nil {
 		return fail("traces listing: %v", err)
 	}
-	if len(sums) < 1+warmJobs {
-		return fail("kept ring lists %d traces, want >= %d", len(sums), 1+warmJobs)
+	if len(sums) < 2+warmJobs {
+		return fail("kept ring lists %d traces, want >= %d", len(sums), 2+warmJobs)
 	}
 	chrome, err := client.TraceChrome(ctx, callerTrace)
 	if err != nil {
@@ -238,9 +262,9 @@ func Service(cfg Config) (*Table, error) {
 		return fail("drain: %v", err)
 	}
 	final := srv.Stats()
-	if final.Jobs.Completed != 1+warmJobs || final.Jobs.Failed != 0 {
+	if final.Jobs.Completed != 2+warmJobs || final.Jobs.Failed != 0 {
 		return fail("after drain: %d completed, %d failed (want %d, 0)",
-			final.Jobs.Completed, final.Jobs.Failed, 1+warmJobs)
+			final.Jobs.Completed, final.Jobs.Failed, 2+warmJobs)
 	}
 	if _, err := client.Submit(ctx, coldReq); err == nil {
 		return fail("post-drain submission was admitted")

@@ -8,7 +8,9 @@
 //
 //   - the process-global content-addressed segment cache
 //     (statevec.SetSegmentCacheCapacity bounds it; see internal/statevec):
-//     two tenants submitting the same circuit compile its kernels once;
+//     two tenants submitting the same circuit with fuse "exact" or
+//     "numeric" compile its kernels once (the default, "off", compiles
+//     nothing);
 //   - one amplitude-buffer arena (statevec.BufferPool with per-size-class
 //     retention caps), so state vectors stay warm between jobs.
 //
@@ -108,9 +110,9 @@ type JobRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// Lanes > 1 runs the batched SoA subtree executor with that many lanes.
 	Lanes int `json:"lanes,omitempty"`
-	// Fuse is the kernel compilation mode: "exact" (default — fused
-	// kernels, bit-identical to dispatch, and the mode that exercises the
-	// shared segment cache), "numeric", or "off".
+	// Fuse is the kernel compilation mode: "off" (default — gate-by-gate
+	// dispatch, no compilation), "exact" (fused kernels, bit-identical to
+	// dispatch, compiled through the shared segment cache), or "numeric".
 	Fuse string `json:"fuse,omitempty"`
 	// Budget caps concurrently stored state vectors (0 = unlimited).
 	Budget int `json:"budget,omitempty"`
@@ -137,6 +139,10 @@ type JobView struct {
 	ID     string   `json:"id"`
 	Tenant string   `json:"tenant"`
 	State  JobState `json:"state"`
+	// Fuse and Policy are the kernel mode and restore policy the job runs
+	// under, with the daemon's defaults applied.
+	Fuse   string `json:"fuse"`
+	Policy string `json:"policy"`
 	// TraceID is the job's causal trace (32 hex digits): the trace the
 	// submission's traceparent header joined, or a fresh one minted at
 	// admission. Fetch the tree at GET /v1/traces/{trace_id} once kept.
@@ -155,7 +161,7 @@ type JobView struct {
 	RunNs       int64 `json:"run_ns,omitempty"`
 	// SegCacheHits and SegCacheMisses are the job's own lookups into the
 	// process-global segment cache: hits on a warm cache mean this job
-	// reused kernels another request compiled.
+	// reused kernels another request compiled. A FuseOff job makes none.
 	SegCacheHits   int64 `json:"segcache_hits"`
 	SegCacheMisses int64 `json:"segcache_misses"`
 }
@@ -399,22 +405,21 @@ func (s *Server) buildConfig(req *JobRequest) (core.Config, error) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	// FuseExact by default: bit-identical to gate-by-gate dispatch, and
-	// the only path through the shared segment cache (FuseOff compiles
-	// nothing, so a daemon running FuseOff jobs shares nothing).
-	fuseName := req.Fuse
-	if fuseName == "" {
-		fuseName = "exact"
+	// FuseOff by default, as in qsim: each run walks one dispatch table,
+	// resolved once, and compiles nothing, so it makes no segment-cache
+	// lookups. "exact" and "numeric" compile segments through the shared
+	// cache. The resolved names stay on req, so the job view reports them.
+	if req.Fuse == "" {
+		req.Fuse = statevec.FuseOff.String()
 	}
-	fuse, err := statevec.ParseFuseMode(fuseName)
+	fuse, err := statevec.ParseFuseMode(req.Fuse)
 	if err != nil {
 		return core.Config{}, reqErrf("%v", err)
 	}
-	policyName := req.Policy
-	if policyName == "" {
-		policyName = "snapshot"
+	if req.Policy == "" {
+		req.Policy = sim.PolicySnapshot.String()
 	}
-	policy, err := sim.ParseRestorePolicy(policyName)
+	policy, err := sim.ParseRestorePolicy(req.Policy)
 	if err != nil {
 		return core.Config{}, reqErrf("%v", err)
 	}
@@ -743,6 +748,8 @@ func (s *Server) view(j *job) JobView {
 		ID:             j.id,
 		Tenant:         j.tenant,
 		State:          j.state,
+		Fuse:           j.req.Fuse,
+		Policy:         j.req.Policy,
 		TraceID:        j.traceID,
 		Trials:         j.req.Trials,
 		SegCacheHits:   j.segHits,

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,6 +42,14 @@ func testReq(tenant string, seed int64) JobRequest {
 	return JobRequest{Tenant: tenant, Bench: "bv5", Trials: 192, Seed: seed}
 }
 
+// exactReq is testReq with fuse "exact", the mode that compiles segments
+// through the shared cache; the default, "off", compiles nothing.
+func exactReq(tenant string, seed int64) JobRequest {
+	r := testReq(tenant, seed)
+	r.Fuse = "exact"
+	return r
+}
+
 // TestSubmitPollResultBitIdentical: a job submitted over HTTP produces
 // exactly the histogram a direct in-process core.Run gives for the same
 // configuration — the daemon adds scheduling and sharing, never changes
@@ -56,6 +65,9 @@ func TestSubmitPollResultBitIdentical(t *testing.T) {
 	}
 	if v.State != StateDone {
 		t.Fatalf("job state %q (err %q), want done", v.State, v.Error)
+	}
+	if v.Fuse != "off" || v.Policy != "snapshot" {
+		t.Fatalf("job reports fuse %q policy %q, want the defaults off and snapshot", v.Fuse, v.Policy)
 	}
 
 	circ, err := bench.Build("bv5", 7)
@@ -96,14 +108,14 @@ func TestCrossRequestSegmentSharing(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	first, err := c.Run(ctx, testReq("alice", 3))
+	first, err := c.Run(ctx, exactReq("alice", 3))
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
 	if first.SegCacheMisses == 0 {
 		t.Fatalf("first job compiled nothing (misses 0) — cache not exercised")
 	}
-	second, err := c.Run(ctx, testReq("bob", 3))
+	second, err := c.Run(ctx, exactReq("bob", 3))
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -128,7 +140,7 @@ func TestConcurrentSubmissionsShare(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	if _, err := c.Run(ctx, testReq("warmup", 3)); err != nil {
+	if _, err := c.Run(ctx, exactReq("warmup", 3)); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 
@@ -139,7 +151,7 @@ func TestConcurrentSubmissionsShare(t *testing.T) {
 		wg.Add(1)
 		go func(i int, tenant string) {
 			defer wg.Done()
-			views[i], errs[i] = c.Run(ctx, testReq(tenant, 3))
+			views[i], errs[i] = c.Run(ctx, exactReq(tenant, 3))
 		}(i, tenant)
 	}
 	wg.Wait()
@@ -160,6 +172,57 @@ func TestConcurrentSubmissionsShare(t *testing.T) {
 	}
 	if st := s.Stats(); st.SegCache.Hits == 0 {
 		t.Fatalf("daemon stats show 0 segcache hits after shared runs")
+	}
+}
+
+// TestDefaultRequestRunsDispatch: a request that names no fuse mode runs
+// FuseOff — it makes no segment-cache lookups — and its histogram, ops and
+// copies equal a direct core.Run under FuseOff and under FuseExact.
+func TestDefaultRequestRunsDispatch(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	req := JobRequest{Tenant: "alice", Bench: "qv_n5d3", Trials: 256, Seed: 11}
+	v, err := c.Run(ctx, req)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if v.State != StateDone {
+		t.Fatalf("job state %q (err %q), want done", v.State, v.Error)
+	}
+	if v.SegCacheHits != 0 || v.SegCacheMisses != 0 {
+		t.Fatalf("default job made segcache lookups (hits %d, misses %d), want none", v.SegCacheHits, v.SegCacheMisses)
+	}
+	if st := s.Stats(); st.SegCache.Hits != 0 || st.SegCache.Misses != 0 {
+		t.Fatalf("daemon segcache (hits %d, misses %d) after a default job, want untouched", st.SegCache.Hits, st.SegCache.Misses)
+	}
+
+	circ, err := bench.Build(req.Bench, req.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fuse := range []statevec.FuseMode{statevec.FuseOff, statevec.FuseExact} {
+		rep, err := core.Run(core.Config{
+			Circuit: circ,
+			Device:  device.Yorktown(),
+			Trials:  req.Trials,
+			Seed:    req.Seed,
+			Mode:    core.ModeReordered,
+			Fuse:    fuse,
+			Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := FormatCounts(rep.Reordered.Counts, rep.Circuit)
+		if !maps.Equal(v.Counts, want) {
+			t.Fatalf("fuse %v: daemon histogram %v, direct %v", fuse, v.Counts, want)
+		}
+		if v.Ops != rep.Reordered.Ops || v.Copies != rep.Reordered.Copies {
+			t.Fatalf("fuse %v: daemon ops %d copies %d, direct ops %d copies %d",
+				fuse, v.Ops, v.Copies, rep.Reordered.Ops, rep.Reordered.Copies)
+		}
 	}
 }
 
@@ -417,7 +480,7 @@ func TestMetricsExposition(t *testing.T) {
 	defer cancel()
 
 	for _, tenant := range []string{"alice", "bob"} {
-		if _, err := c.Run(ctx, testReq(tenant, 3)); err != nil {
+		if _, err := c.Run(ctx, exactReq(tenant, 3)); err != nil {
 			t.Fatalf("%s: %v", tenant, err)
 		}
 	}
@@ -508,7 +571,7 @@ func TestStatsEndpoint(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	if _, err := c.Run(ctx, testReq("alice", 3)); err != nil {
+	if _, err := c.Run(ctx, exactReq("alice", 3)); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats(ctx)
@@ -532,7 +595,11 @@ func TestJobListing(t *testing.T) {
 	ctx := context.Background()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := c.Submit(ctx, testReq(fmt.Sprintf("t%d", i), 1))
+		req := testReq(fmt.Sprintf("t%d", i), 1)
+		if i == 1 {
+			req.Fuse, req.Policy = "numeric", "uncompute"
+		}
+		id, err := c.Submit(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,6 +618,13 @@ func TestJobListing(t *testing.T) {
 		}
 		if v.State != StateQueued {
 			t.Fatalf("job %s state %q, want queued (no workers)", v.ID, v.State)
+		}
+		wantFuse, wantPolicy := "off", "snapshot"
+		if i == 1 {
+			wantFuse, wantPolicy = "numeric", "uncompute"
+		}
+		if v.Fuse != wantFuse || v.Policy != wantPolicy {
+			t.Fatalf("job %s lists fuse %q policy %q, want %q %q", v.ID, v.Fuse, v.Policy, wantFuse, wantPolicy)
 		}
 	}
 }

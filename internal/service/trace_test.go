@@ -26,7 +26,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	const callerSpan = "00f067aa0ba902b7"
 	c.Traceparent = "00-" + callerTrace + "-" + callerSpan + "-01"
 
-	v, err := c.Run(ctx, testReq("alice", 5))
+	v, err := c.Run(ctx, exactReq("alice", 5))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
