@@ -61,15 +61,21 @@ perfbench:
 alloc-gate: build
 	$(GO) run ./cmd/qbench -quick -append=false -alloc-gate
 
+# The purego pass runs the statevec, sim and difftest suites (the golden
+# corpus included) on the portable Go kernels, so the fallback behind the
+# amd64 AVX2 kernels stays checked on machines that have AVX2.
 verify: build vet test race
+	$(GO) test -tags purego ./internal/statevec ./internal/sim ./internal/difftest
 
 # perfbench is its own module (go vet ./... skips it) but calls the sim,
 # core and service APIs, so an API break fails vet rather than the
-# benchmark run. Any file gofmt would rewrite fails vet too.
+# benchmark run. Any file gofmt would rewrite fails vet too. The arm64
+# pass proves the build without the amd64 assembly kernels compiles.
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	cd perfbench && $(GO) vet .
 
 # End-to-end observability check: run a QV circuit with metrics capture,
@@ -116,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzCompileParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzDaggerRoundTrip -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzBatchedSweepParity -fuzztime 10s ./internal/statevec
+	$(GO) test -run ^$$ -fuzz FuzzKernelAsmParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace
 
 # The deep correctness gate: everything verify runs, plus vet, the race

@@ -18,7 +18,9 @@
 // fairness: each tenant gets a sub-queue, workers pop tenants in rotation,
 // and a full queue rejects new submissions with 429 rather than queueing
 // unboundedly. Drain (SIGTERM in cmd/qsimd) stops admission with 503,
-// finishes every admitted job, and lets the workers exit.
+// finishes every admitted job, and lets the workers exit. The job table
+// is bounded too: it keeps the last DefaultJobRetention finished jobs,
+// evicting the oldest first.
 //
 // Everything the daemon shares is observable: the aggregate metrics are
 // exported under Prometheus job "qsimd" and every tenant under
@@ -34,6 +36,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,6 +86,12 @@ type Config struct {
 
 // DefaultQueueCap is the queue bound used when Config.QueueCap <= 0.
 const DefaultQueueCap = 64
+
+// DefaultJobRetention bounds the finished (done or failed) jobs a Server
+// keeps for GET /v1/jobs/{id} and the listing. The oldest finished job is
+// evicted first and then answers 404; queued and running jobs are never
+// evicted.
+const DefaultJobRetention = 1024
 
 // JobRequest is the JSON body of POST /v1/jobs. Exactly one of Bench and
 // QASM selects the circuit.
@@ -225,6 +234,7 @@ type job struct {
 	segHits   int64
 	segMisses int64
 	done      chan struct{}
+	retired   bool // finished and counted against the retention cap
 
 	// span is the job's root "request" span; queueSpan is its
 	// "queue_wait" child, open from admission until a worker picks the
@@ -249,7 +259,9 @@ type Server struct {
 	cond     *sync.Cond
 	seq      int
 	jobs     map[string]*job
-	order    []string          // job ids in admission order (for listing)
+	order    []string          // retained job ids in admission order (for listing)
+	retired  int               // finished jobs still in jobs, at most retain
+	retain   int               // DefaultJobRetention; tests lower it
 	tenantQs map[string][]*job // per-tenant FIFO of queued jobs
 	tenants  []string          // round-robin rotation order
 	rr       int               // next tenant index to try
@@ -288,6 +300,7 @@ func New(cfg Config) *Server {
 		metrics:  obs.NewMetrics(),
 		exporter: obs.NewExporter(),
 		jobs:     make(map[string]*job),
+		retain:   DefaultJobRetention,
 		tenantQs: make(map[string][]*job),
 		tenantMs: make(map[string]*obs.Metrics),
 		run:      core.Run,
@@ -657,16 +670,37 @@ func (s *Server) runJob(j *job) {
 			"segcache_hits", j.segHits, "segcache_misses", j.segMisses,
 			"trace_id", j.traceID, "span_id", j.span.IDString())
 	}
-	// The daemon keeps every job for GET /v1/jobs/{id}, which needs only
-	// the results above. Drop the circuit and the span tree (a kept trace
-	// lives on in the tracer's ring) so a finished job keeps its result,
-	// not the request's whole working set.
+	// The daemon keeps the last s.retain finished jobs for
+	// GET /v1/jobs/{id}, which needs only the results above. Drop the
+	// circuit and the span tree (a kept trace lives on in the tracer's
+	// ring) so a finished job keeps its result, not the request's whole
+	// working set.
 	s.mu.Lock()
 	j.cfg = core.Config{}
 	j.span, j.queueSpan = nil, nil
 	j.req.QASM = ""
+	s.retireLocked(j)
 	s.mu.Unlock()
 	close(j.done)
+}
+
+// retireLocked counts a finished job against the retention cap and
+// evicts the oldest finished jobs beyond it from the table and the
+// listing order. Queued and running jobs are not retired, so they stay.
+// Caller holds s.mu.
+func (s *Server) retireLocked(j *job) {
+	j.retired = true
+	s.retired++
+	for i := 0; s.retired > s.retain && i < len(s.order); {
+		id := s.order[i]
+		if !s.jobs[id].retired {
+			i++
+			continue
+		}
+		delete(s.jobs, id)
+		s.order = slices.Delete(s.order, i, i+1)
+		s.retired--
+	}
 }
 
 // runRecovered is s.run with a panic turned into the job's error, so one
@@ -817,8 +851,8 @@ func (s *Server) Stats() Stats {
 //
 //	POST /v1/jobs      submit a JobRequest; 202 {"id": ...} on admission,
 //	                   400 invalid, 429 queue full, 503 draining
-//	GET  /v1/jobs/{id} job status and result
-//	GET  /v1/jobs      all jobs in admission order
+//	GET  /v1/jobs/{id} job status and result; 404 once evicted
+//	GET  /v1/jobs      retained jobs in admission order
 //	GET  /v1/stats     shared-state snapshot (segment cache, pool, queue)
 //	GET  /v1/traces      kept-trace summaries, oldest first
 //	GET  /v1/traces/{id} one kept trace as Chrome trace-event JSON

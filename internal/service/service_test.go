@@ -628,3 +628,132 @@ func TestJobListing(t *testing.T) {
 		}
 	}
 }
+
+// TestJobRetentionBounded: over many more jobs than the retention cap the
+// job table and the listing stay bounded, the oldest finished jobs are
+// evicted first and answer 404, and queued and running jobs are never
+// evicted however old they are.
+func TestJobRetentionBounded(t *testing.T) {
+	const keep = 3
+	s, c := newTestServer(t, Config{Workers: 2, QueueCap: 8})
+	s.mu.Lock()
+	s.retain = keep
+	s.mu.Unlock()
+	// Jobs with seed 1 and 2 run until their gate closes.
+	gates := map[int64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
+	s.run = func(cfg core.Config) (*core.Report, error) {
+		if g := gates[cfg.Seed]; g != nil {
+			<-g
+		}
+		return core.Run(cfg)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	opened := map[int64]bool{}
+	open := func(seed int64) {
+		if !opened[seed] {
+			opened[seed] = true
+			close(gates[seed])
+		}
+	}
+	defer open(1)
+	defer open(2)
+	submit := func(seed int64) string {
+		t.Helper()
+		id, err := c.Submit(ctx, testReq("alice", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	state := func(id string) JobState {
+		t.Helper()
+		v, err := c.Job(ctx, id)
+		if err != nil {
+			t.Fatalf("GET %s: %v", id, err)
+		}
+		return v.State
+	}
+	waitState := func(id string, want JobState) {
+		t.Helper()
+		for state(id) != want {
+			if ctx.Err() != nil {
+				t.Fatalf("job %s never reached %q", id, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	retained := func() (int, int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.jobs), len(s.order)
+	}
+
+	// A running job older than everything else, then N >> keep jobs
+	// through the other worker.
+	running := submit(1)
+	waitState(running, StateRunning)
+	const n = 40
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = submit(int64(10 + i))
+		if _, err := s.WaitJob(ctx, ids[i]); err != nil {
+			t.Fatal(err)
+		}
+		if jobs, order := retained(); jobs > keep+1 || order > keep+1 {
+			t.Fatalf("after %d jobs the table holds %d jobs and %d listed, want at most %d", i+1, jobs, order, keep+1)
+		}
+	}
+	if got := state(running); got != StateRunning {
+		t.Fatalf("running job %s is %q", running, got)
+	}
+	for i, id := range ids {
+		_, err := c.Job(ctx, id)
+		var ae *APIError
+		evicted := asAPIError(err, &ae) && ae.Status == http.StatusNotFound
+		if want := i < n-keep; evicted != want {
+			t.Fatalf("job %d (%s): evicted %v, want %v (err %v)", i, id, evicted, want, err)
+		}
+	}
+	var views []JobView
+	if err := c.getJSON(ctx, "/v1/jobs", &views); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{running}, ids[n-keep:]...)
+	if len(views) != len(want) {
+		t.Fatalf("listed %d jobs, want %d", len(views), len(want))
+	}
+	for i, v := range views {
+		if v.ID != want[i] {
+			t.Fatalf("listing[%d] = %s, want %s", i, v.ID, want[i])
+		}
+	}
+
+	// Block the second worker too and queue a job behind both; finishing
+	// the first running job evicts a finished one, not the queued job
+	// nor the job still running.
+	running2 := submit(2)
+	waitState(running2, StateRunning)
+	queued := submit(99)
+	open(1)
+	if _, err := s.WaitJob(ctx, running); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{running2, queued} {
+		if st := state(id); st != StateRunning && st != StateQueued && st != StateDone {
+			t.Fatalf("job %s is %q", id, st)
+		}
+	}
+	if jobs, _ := retained(); jobs > keep+2 {
+		t.Fatalf("table holds %d jobs, want at most %d finished plus 2 unfinished", jobs, keep)
+	}
+	open(2)
+	for _, id := range []string{running2, queued} {
+		if _, err := s.WaitJob(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if jobs, order := retained(); jobs != keep || order != keep {
+		t.Fatalf("finally %d jobs and %d listed, want %d", jobs, order, keep)
+	}
+}

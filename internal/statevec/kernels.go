@@ -46,8 +46,10 @@ func pairH(a0, a1 complex128) (complex128, complex128) {
 	return (a0 + a1) * c, (a0 - a1) * c
 }
 
-// kern1 sweeps a general 2x2 unitary over base blocks [lo, hi).
-func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
+// kern1Go sweeps a general 2x2 unitary over base blocks [lo, hi). It is
+// the portable body behind kern1 and the reference the AVX2 sweep is
+// tested against bit for bit.
+func kern1Go(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 	stride := bit << 1
 	for u := lo; u < hi; u++ {
 		base := u * stride
@@ -192,11 +194,12 @@ func kernCCX(amp []complex128, c0, c1, tb, lo, hi int) {
 	}
 }
 
-// kern2 sweeps a general 4x4 unitary over free-subcube units. The matrix
-// convention matches apply2/applyK: index (b0 << 1) | b1 where b0 is the
-// value of qubit q0. The accumulation starts from zero and adds row
-// terms in column order, replicating qmath.Matrix.MulVec bit-for-bit.
-func kern2(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
+// kern2Go sweeps a general 4x4 unitary over free-subcube units. The
+// matrix convention matches apply2/applyK: index (b0 << 1) | b1 where b0
+// is the value of qubit q0. The accumulation starts from zero and adds
+// row terms in column order, replicating qmath.Matrix.MulVec bit-for-bit.
+// It is the portable body behind kern2 and the AVX2 sweep's reference.
+func kern2Go(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
 	lowb, highb := sort2(b0, b1)
 	for u := lo; u < hi; u++ {
 		i0 := spreadBit(spreadBit(u, lowb), highb)

@@ -1,0 +1,110 @@
+//go:build amd64 && !purego
+
+package statevec
+
+import "math/bits"
+
+// useAVX2 reports that the CPU has AVX2 and the OS saves YMM state, so
+// kern1 and kern2 take the assembly sweeps in kernels_amd64.s.
+var useAVX2 = hasAVX2()
+
+// hasAVX2 reads CPUID and XGETBV.
+func hasAVX2() bool
+
+// asmChunk bounds the work of one assembly call, in pairs for kern1AVX2
+// and units for kern2AVX2/kern2AVX2Q0 (tens of microseconds). The runtime
+// cannot preempt a goroutine inside assembly, so the wrappers sweep a
+// large state in chunks and a stop-the-world pause waits for one chunk,
+// not one whole sweep. Even, so every chunk edge keeps the evenness the
+// assembly needs.
+const asmChunk = 1 << 12
+
+// kern1AVX2 applies the 2x2 matrix to the amplitude pairs with index
+// p in [plo, phi), pair p being spreadBit(p, bit) and bit amplitudes on,
+// two pairs per YMM register: kern1Go's arithmetic over its pairs. phi-plo
+// is even and positive. For bit >= 2, plo is a multiple of bit or
+// [plo, phi) lies inside one block's pairs [u*bit, (u+1)*bit); the kern1
+// chunks are one or the other, because asmChunk and bit are powers of two.
+//
+//go:noescape
+func kern1AVX2(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
+
+// kern2AVX2 is kern2Go for lowb >= 2 over units [lo, hi), lo and hi even:
+// units u and u+1 are adjacent amplitudes in every matrix slot.
+//
+//go:noescape
+func kern2AVX2(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128)
+
+// kern2AVX2Q0 is kern2Go for a pair that includes qubit 0 (the other bit
+// is highb) over units [lo, hi), hi-lo even and positive. q0low is 1 when
+// qubit 0 is the matrix's q0 (b0 == 1) and 0 when it is q1.
+//
+//go:noescape
+func kern2AVX2Q0(amp []complex128, highb, q0low, lo, hi int, m *[16]complex128)
+
+// kern1 sweeps a general 2x2 unitary over base blocks [lo, hi): the AVX2
+// assembly where the CPU has it, kern1Go otherwise, with Float64bits-
+// identical results. Block u holds the pairs [u*bit, (u+1)*bit). The
+// assembly does no bounds checks, so the wrapper first proves that the
+// highest index the sweep touches, hi*2*bit-1, is in range (compared as
+// hi <= len>>log2(2*bit), which cannot overflow); an out-of-range call
+// takes kern1Go, which panics on the first bad index.
+func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
+	if !useAVX2 || bit <= 0 || bit&(bit-1) != 0 || lo < 0 || lo >= hi ||
+		uint(hi) > uint(len(amp))>>(uint(bits.TrailingZeros(uint(bit)))+1) {
+		kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)
+		return
+	}
+	plo, phi := lo*bit, hi*bit
+	if (phi-plo)&1 != 0 {
+		// Only bit == 1 has an odd pair count; its last pair goes to
+		// the Go body.
+		phi--
+		kern1Go(amp, bit, phi, phi+1, u00, u01, u10, u11)
+	}
+	for plo < phi {
+		end := min(plo+asmChunk, phi)
+		kern1AVX2(amp, bit, plo, end, u00, u01, u10, u11)
+		plo = end
+	}
+}
+
+// kern2 sweeps a general 4x4 unitary over free-subcube units [lo, hi):
+// the AVX2 assembly where the CPU has it, kern2Go otherwise, with
+// Float64bits-identical results. Odd edges of the unit range go to
+// kern2Go. The wrapper bounds hi by the unit count and then checks the
+// highest index the sweep touches once, before any write.
+func kern2(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
+	lowb, highb := sort2(b0, b1)
+	if !useAVX2 || lowb <= 0 || lowb == highb || lowb&(lowb-1) != 0 || highb&(highb-1) != 0 ||
+		lo < 0 || hi-lo < 2 || uint(hi) > uint(len(amp))>>2 {
+		kern2Go(amp, b0, b1, lo, hi, m)
+		return
+	}
+	_ = amp[spreadBit(spreadBit(hi-1, lowb), highb)|lowb|highb]
+	if lowb == 1 {
+		if (hi-lo)&1 != 0 {
+			hi--
+			kern2Go(amp, b0, b1, hi, hi+1, m)
+		}
+		for lo < hi {
+			end := min(lo+asmChunk, hi)
+			kern2AVX2Q0(amp, highb, b0&1, lo, end, m)
+			lo = end
+		}
+		return
+	}
+	if lo&1 != 0 {
+		kern2Go(amp, b0, b1, lo, lo+1, m)
+		lo++
+	}
+	if hi&1 != 0 {
+		hi--
+		kern2Go(amp, b0, b1, hi, hi+1, m)
+	}
+	for lo < hi {
+		end := min(lo+asmChunk, hi)
+		kern2AVX2(amp, lowb, highb, b0, b1, lo, end, m)
+		lo = end
+	}
+}

@@ -1,0 +1,278 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// AVX2 bodies of kern1 and kern2, Float64bits-identical to kern1Go and
+// kern2Go. A YMM register holds two complex128 values [re0 im0 re1 im1].
+// The compiled Go complex product m*a is re = mr*ar - mi*ai and
+// im = mr*ai + mi*ar, each multiply and add rounded separately. The
+// vector form VADDSUBPD(a*bcast(mr), swap(a)*bcast(mi)) does the same
+// IEEE operations: the even lane subtracts, the odd lane adds, and
+// multiplication and addition are commutative bit for bit. No FMA (it
+// rounds once), and every routine ends with VZEROUPPER.
+
+// func hasAVX2() bool
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVL $0, AX
+	CPUID
+	CMPL AX, $7
+	JB   no
+	MOVL $1, AX
+	CPUID
+	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
+	CMPL CX, $0x18000000
+	JNE  no
+	MOVL $0, CX
+	XGETBV
+	ANDL $6, AX          // the OS saves XMM and YMM state
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	TESTL $0x20, BX      // AVX2 (leaf 7 EBX bit 5)
+	JZ   no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// KERN1 applies the broadcast 2x2 matrix (Y0..Y7 = re/im of u00, u01,
+// u10, u11) to a0 lanes in Y8 and a1 lanes in Y9: Y12 = u00*a0 + u01*a1,
+// Y13 = u10*a0 + u11*a1, as pair1 computes them.
+#define KERN1 \
+	VPERMILPD $5, Y8, Y10; \
+	VPERMILPD $5, Y9, Y11; \
+	VMULPD    Y0, Y8, Y12; \
+	VMULPD    Y1, Y10, Y14; \
+	VADDSUBPD Y14, Y12, Y12; \
+	VMULPD    Y2, Y9, Y14; \
+	VMULPD    Y3, Y11, Y15; \
+	VADDSUBPD Y15, Y14, Y14; \
+	VADDPD    Y14, Y12, Y12; \
+	VMULPD    Y4, Y8, Y13; \
+	VMULPD    Y5, Y10, Y14; \
+	VADDSUBPD Y14, Y13, Y13; \
+	VMULPD    Y6, Y9, Y14; \
+	VMULPD    Y7, Y11, Y15; \
+	VADDSUBPD Y15, Y14, Y14; \
+	VADDPD    Y14, Y13, Y13
+
+// func kern1AVX2(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
+TEXT ·kern1AVX2(SB), NOSPLIT, $0-112
+	MOVQ         amp_base+0(FP), SI
+	MOVQ         bit+24(FP), R8
+	MOVQ         plo+32(FP), CX
+	MOVQ         phi+40(FP), BX
+	VBROADCASTSD u00_real+48(FP), Y0
+	VBROADCASTSD u00_imag+56(FP), Y1
+	VBROADCASTSD u01_real+64(FP), Y2
+	VBROADCASTSD u01_imag+72(FP), Y3
+	VBROADCASTSD u10_real+80(FP), Y4
+	VBROADCASTSD u10_imag+88(FP), Y5
+	VBROADCASTSD u11_real+96(FP), Y6
+	VBROADCASTSD u11_imag+104(FP), Y7
+	SUBQ         CX, BX
+	SHRQ         $1, BX            // vectors: two pairs each
+	CMPQ         R8, $1
+	JEQ          pairs
+
+	// bit >= 2: even pair p and p+1 sit side by side at spreadBit(p, bit)
+	// and bit amplitudes on, one vector per half. The walk jumps over the
+	// upper half each time a lower half ends; a range that starts inside
+	// a lower half ends inside it too, so the count starts full.
+	MOVQ R8, DX
+	NEGQ DX
+	ANDQ CX, DX
+	ADDQ CX, DX                    // spreadBit(plo, bit)
+	SHLQ $4, DX
+	ADDQ DX, SI
+	MOVQ R8, DX
+	SHLQ $4, DX                    // bit in bytes
+	SHRQ $1, R8                    // vectors per lower half
+	MOVQ R8, CX
+
+vec:
+	VMOVUPD (SI), Y8
+	VMOVUPD (SI)(DX*1), Y9
+	KERN1
+	VMOVUPD Y12, (SI)
+	VMOVUPD Y13, (SI)(DX*1)
+	ADDQ    $32, SI
+	DECQ    BX
+	JZ      done
+	DECQ    CX
+	JNZ     vec
+	ADDQ    DX, SI
+	MOVQ    R8, CX
+	JMP     vec
+
+done:
+	VZEROUPPER
+	RET
+
+	// bit == 1: pairs p and p+1 are the four amplitudes [2p, 2p+4);
+	// regroup them into a0 and a1 lanes and back.
+pairs:
+	SHLQ $5, CX
+	ADDQ CX, SI                    // &amp[2*plo]
+
+pair:
+	VMOVUPD    (SI), Y12
+	VMOVUPD    32(SI), Y13
+	VPERM2F128 $0x20, Y13, Y12, Y8
+	VPERM2F128 $0x31, Y13, Y12, Y9
+	KERN1
+	VPERM2F128 $0x20, Y13, Y12, Y8
+	VPERM2F128 $0x31, Y13, Y12, Y9
+	VMOVUPD    Y8, (SI)
+	VMOVUPD    Y9, 32(SI)
+	ADDQ       $64, SI
+	DECQ       BX
+	JNZ        pair
+	VZEROUPPER
+	RET
+
+// CMULADD adds m*a to acc, where m is the complex128 at off(DX) and sa
+// is a with re and im swapped.
+#define CMULADD(off, a, sa, acc) \
+	VBROADCASTSD off(DX), Y14; \
+	VMULPD       a, Y14, Y12; \
+	VBROADCASTSD off+8(DX), Y14; \
+	VMULPD       sa, Y14, Y13; \
+	VADDSUBPD    Y13, Y12, Y12; \
+	VADDPD       Y12, acc, acc
+
+// ROW sets acc to matrix row off/64 times (a0..a3) in Y0..Y3: a +0 start,
+// then the four products added in column order, as kern2Go does.
+#define ROW(off, acc) \
+	VXORPD  acc, acc, acc; \
+	CMULADD(off, Y0, Y4, acc); \
+	CMULADD(off+16, Y1, Y5, acc); \
+	CMULADD(off+32, Y2, Y6, acc); \
+	CMULADD(off+48, Y3, Y7, acc)
+
+// KERN2 computes the four output rows into Y8..Y11 from the slot
+// vectors a0..a3 in Y0..Y3 and the 4x4 matrix at DX.
+#define KERN2 \
+	VPERMILPD $5, Y0, Y4; \
+	VPERMILPD $5, Y1, Y5; \
+	VPERMILPD $5, Y2, Y6; \
+	VPERMILPD $5, Y3, Y7; \
+	ROW(0, Y8); \
+	ROW(64, Y9); \
+	ROW(128, Y10); \
+	ROW(192, Y11)
+
+// SPREAD sets dst to spreadBit(src, bit) = src + (src & -bit), with nbit
+// holding -bit.
+#define SPREAD(src, nbit, dst) \
+	MOVQ src, dst; \
+	ANDQ nbit, dst; \
+	ADDQ src, dst
+
+// func kern2AVX2(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128)
+TEXT ·kern2AVX2(SB), NOSPLIT, $0-80
+	MOVQ amp_base+0(FP), SI
+	MOVQ lowb+24(FP), R8
+	NEGQ R8
+	MOVQ highb+32(FP), R9
+	NEGQ R9
+	MOVQ b0+40(FP), R10
+	SHLQ $4, R10                   // slot 2 offset in bytes
+	MOVQ b1+48(FP), R11
+	SHLQ $4, R11                   // slot 1 offset
+	LEAQ (R10)(R11*1), R12         // slot 3 offset
+	MOVQ lo+56(FP), CX
+	MOVQ hi+64(FP), BX
+	MOVQ m+72(FP), DX
+
+	// lowb >= 2 leaves bit 0 of the unit in place, so even unit u and
+	// u+1 sit side by side in every slot.
+loop2:
+	SPREAD(CX, R8, AX)
+	SPREAD(AX, R9, DI)
+	SHLQ    $4, DI
+	ADDQ    SI, DI                 // &amp[i0]
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R11*1), Y1
+	VMOVUPD (DI)(R10*1), Y2
+	VMOVUPD (DI)(R12*1), Y3
+	KERN2
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, (DI)(R11*1)
+	VMOVUPD Y10, (DI)(R10*1)
+	VMOVUPD Y11, (DI)(R12*1)
+	ADDQ    $2, CX
+	CMPQ    CX, BX
+	JLT     loop2
+	VZEROUPPER
+	RET
+
+// Q0UNIT runs kern2 on units u and u+1 (u in CX) of a pair that
+// includes qubit 0, with R9 = -highb and R10 = highb in bytes. Each of
+// the four loads holds two matrix slots of one unit: slots 0 and s1 at
+// i0, slots s2 and 3 at i0|highb. They are regrouped into slot vectors
+// Y0..Y3 (slot s1 into r1, slot s2 into r2) and the output rows o1 and o2
+// of slots s1 and s2 are regrouped back. Qubit 0 as the matrix's q1 gives
+// s1 = 1, s2 = 2; as q0, s1 = 2, s2 = 1.
+#define Q0UNIT(r1, r2, o1, o2) \
+	LEAQ       (CX)(CX*1), AX; \
+	SPREAD(AX, R9, DI); \
+	SHLQ       $4, DI; \
+	ADDQ       SI, DI; \
+	ADDQ       $2, AX; \
+	SPREAD(AX, R9, R11); \
+	SHLQ       $4, R11; \
+	ADDQ       SI, R11; \
+	VMOVUPD    (DI), Y8; \
+	VMOVUPD    (R11), Y9; \
+	VMOVUPD    (DI)(R10*1), Y10; \
+	VMOVUPD    (R11)(R10*1), Y11; \
+	VPERM2F128 $0x20, Y9, Y8, Y0; \
+	VPERM2F128 $0x31, Y9, Y8, r1; \
+	VPERM2F128 $0x20, Y11, Y10, r2; \
+	VPERM2F128 $0x31, Y11, Y10, Y3; \
+	KERN2; \
+	VPERM2F128 $0x20, o1, Y8, Y0; \
+	VPERM2F128 $0x31, o1, Y8, Y1; \
+	VPERM2F128 $0x20, Y11, o2, Y2; \
+	VPERM2F128 $0x31, Y11, o2, Y3; \
+	VMOVUPD    Y0, (DI); \
+	VMOVUPD    Y1, (R11); \
+	VMOVUPD    Y2, (DI)(R10*1); \
+	VMOVUPD    Y3, (R11)(R10*1)
+
+// func kern2AVX2Q0(amp []complex128, highb, q0low, lo, hi int, m *[16]complex128)
+TEXT ·kern2AVX2Q0(SB), NOSPLIT, $0-64
+	MOVQ amp_base+0(FP), SI
+	MOVQ highb+24(FP), R9
+	MOVQ R9, R10
+	SHLQ $4, R10                   // highb in bytes
+	NEGQ R9
+	MOVQ q0low+32(FP), R8
+	MOVQ lo+40(FP), CX
+	MOVQ hi+48(FP), BX
+	MOVQ m+56(FP), DX
+	CMPQ R8, $0
+	JNE  q0
+
+	// Qubit 0 is q1: unit u holds [a0 a1] at i0 and [a2 a3] at i0|highb.
+q1:
+	Q0UNIT(Y1, Y2, Y9, Y10)
+	ADDQ $2, CX
+	CMPQ CX, BX
+	JLT  q1
+	VZEROUPPER
+	RET
+
+	// Qubit 0 is q0: unit u holds [a0 a2] at i0 and [a1 a3] at i0|highb.
+q0:
+	Q0UNIT(Y2, Y1, Y10, Y9)
+	ADDQ $2, CX
+	CMPQ CX, BX
+	JLT  q0
+	VZEROUPPER
+	RET

@@ -1,0 +1,17 @@
+//go:build !amd64 || purego
+
+package statevec
+
+// useAVX2 is false: this build has no assembly kernels (not amd64, or
+// the purego tag forces the portable bodies).
+const useAVX2 = false
+
+// kern1 sweeps a general 2x2 unitary over base blocks [lo, hi).
+func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
+	kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)
+}
+
+// kern2 sweeps a general 4x4 unitary over free-subcube units [lo, hi).
+func kern2(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
+	kern2Go(amp, b0, b1, lo, hi, m)
+}
