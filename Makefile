@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-verify bench bench-json bench-regress perfbench alloc-gate verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke
+.PHONY: build vet test race race-verify bench bench-json perfbench verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -11,9 +11,11 @@ test:
 # The parallel executors share MSV trackers and work queues across
 # goroutines; always gate changes to them on the race detector. The obs
 # package's histograms and sampler are written to concurrently by every
-# parallel executor, so they ride along.
+# parallel executor, so they ride along, as do qsimd's worker pool and
+# job retention (service), the span tracer and its ring (trace) and the
+# pipeline that drives them (core).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/reorder/... ./internal/obs/...
+	$(GO) test -race ./internal/sim/... ./internal/reorder/... ./internal/obs/... ./internal/service ./internal/trace ./internal/core
 
 # Striped kernel execution splits every compiled sweep across goroutines;
 # race-verify drives the compiled paths (fusion + striping) under the race
@@ -33,15 +35,6 @@ bench:
 bench-json:
 	$(GO) run ./cmd/kernbench -out BENCH_kernels.json
 
-# Statistical perf-regression gate: run the quick qbench suite — which
-# includes the cross-circuit batch scenarios (shared trie vs per-variant
-# plans) — and compare against the committed trajectory (Mann-Whitney U,
-# alpha 0.05) without appending, so the working tree stays clean. Exits
-# nonzero on a significant regression. Append a real trajectory point with:
-#   go run ./cmd/qbench
-bench-regress: build
-	$(GO) run ./cmd/qbench -quick -append=false -suite quick
-
 # The repository benchmark: one 10 s run (seed 1, tracing off) of every
 # workload BENCHMARK.json declares. Each run prints its metrics as one JSON
 # line last; the build goes to the gitignored .bench_build.
@@ -52,14 +45,6 @@ perfbench:
 		echo "== $$w"; \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
 	done
-
-# Zero-alloc steady-state gate: run the batched subtree executor at
-# worker counts 1/2/4/8 over one warm buffer arena and fail if the
-# steady-state allocs/trial (minimum Mallocs delta across repetitions)
-# grows with the worker count — the pooled-arena contract of the batched
-# engine.
-alloc-gate: build
-	$(GO) run ./cmd/qbench -quick -append=false -alloc-gate
 
 # The purego pass runs the statevec, sim and difftest suites (the golden
 # corpus included) on the portable Go kernels, so the fallback behind the
@@ -129,14 +114,14 @@ fuzz-smoke:
 # detector over the whole tree (includes the -short-gated deep
 # differential sweep, the batch bit-identity sweep at 1/2/4/8 workers,
 # and the restore-policy matrix), fuzz smoke, the CLI self-test, the
-# zero-alloc steady-state gate, the daemon smoke test, and the
-# cross-circuit batch and restore-policy experiments end to end.
+# daemon smoke test, and the cross-circuit batch and restore-policy
+# experiments end to end. The steady-state allocation contract is a Go
+# test in internal/sim, so every go test run checks it.
 verify-deep: build
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) selftest
-	$(MAKE) alloc-gate
 	$(MAKE) trace-smoke
 	$(MAKE) serve-smoke
 	$(GO) run ./cmd/repro -exp batch

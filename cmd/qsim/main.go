@@ -51,12 +51,13 @@
 //	                validate a -metrics JSON file: counters must agree
 //	                with the recorded plan statics and result; exits
 //	                nonzero on any violation
-//	-trace file     write the plan-trace event stream (snapshot push/
-//	                drop/restore, task spawns, emits) as JSON to file
-//	-trace-summary  print a flame-style per-depth summary of the trace
+//	-trace-summary  print a digest of the run's span trace: per span name
+//	                count and total ms, per event name (snapshot_push,
+//	                spawn, ...) count and peak depth, and cap drops
 //	-trace-out file write the run's causal span trace (phases, executors,
-//	                segment compiles) as Chrome trace-event JSON; load it
-//	                in Perfetto or chrome://tracing
+//	                segment compiles, snapshot events) as Chrome
+//	                trace-event JSON; load it in Perfetto or
+//	                chrome://tracing
 //	-verify-trace file
 //	                validate a -trace-out file (well-formed JSON, one
 //	                root, exact span nesting) and exit; nonzero on any
@@ -151,8 +152,7 @@ func run() error {
 	selftestRuns := flag.Int("selftest-runs", 25, "number of random workloads for -selftest")
 	metricsPath := flag.String("metrics", "", "write run metrics JSON to this file")
 	verifyPath := flag.String("verify-metrics", "", "validate a -metrics JSON file and exit")
-	tracePath := flag.String("trace", "", "write the plan-trace event stream as JSON to this file")
-	traceSummary := flag.Bool("trace-summary", false, "print a flame-style summary of the plan trace")
+	traceSummary := flag.Bool("trace-summary", false, "print a digest of the run's span trace (span times, event counts, peak depth)")
 	traceOut := flag.String("trace-out", "", "write the run's span trace as Chrome trace-event JSON (Perfetto-loadable) to this file")
 	verifyTracePath := flag.String("verify-trace", "", "validate a -trace-out trace file (JSON, span nesting) and exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, expvar, and /metrics on this address")
@@ -250,15 +250,10 @@ func run() error {
 	}
 
 	var metrics *obs.Metrics
-	var trace *obs.Trace
-	var recorders []obs.Recorder
+	var rec obs.Recorder // nil unless metrics are collected
 	if *metricsPath != "" || *pprofAddr != "" || *promSmoke {
 		metrics = obs.NewMetrics()
-		recorders = append(recorders, metrics)
-	}
-	if *tracePath != "" || *traceSummary {
-		trace = obs.NewTrace()
-		recorders = append(recorders, trace)
+		rec = metrics
 	}
 	var exporter *obs.Exporter
 	if *pprofAddr != "" || *promSmoke {
@@ -297,13 +292,13 @@ func run() error {
 		}
 		return runBatch(circ, dev, em, *batchVars, *batchTrials, *batchIns,
 			*seed, *budget, *workers, batchLanes, fuse, *stripes, policy, memProbe,
-			obs.Multi(recorders...), *top)
+			rec, *top)
 	}
 
-	// -trace-out: a span tracer with sampling forced to keep-all — a
-	// one-shot CLI run always keeps its single trace.
+	// -trace-out and -trace-summary: a span tracer with sampling forced
+	// to keep-all — a one-shot CLI run always keeps its single trace.
 	var rootSpan *qtrace.Span
-	if *traceOut != "" {
+	if *traceOut != "" || *traceSummary {
 		tracer := qtrace.New(qtrace.Config{SampleRate: 1})
 		rootSpan = tracer.Start("qsim", qtrace.SpanContext{},
 			qtrace.String("circuit", circ.Name()))
@@ -326,7 +321,7 @@ func run() error {
 		Stripes:         *stripes,
 		Policy:          policy,
 		MemProbe:        memProbe,
-		Recorder:        obs.Multi(recorders...),
+		Recorder:        rec,
 		Span:            rootSpan,
 	})
 	if rootSpan != nil {
@@ -336,6 +331,8 @@ func run() error {
 			rootSpan.SetError(err)
 		}
 		rootSpan.End()
+	}
+	if *traceOut != "" {
 		if werr := rootSpan.Trace().WriteChromeFile(*traceOut); werr != nil {
 			return fmt.Errorf("-trace-out: %v", werr)
 		}
@@ -382,24 +379,8 @@ func run() error {
 		}
 		logger.Info("metrics written", "path", *metricsPath)
 	}
-	if trace != nil {
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				return fmt.Errorf("-trace: %v", err)
-			}
-			werr := trace.WriteJSON(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return fmt.Errorf("-trace: %v", werr)
-			}
-			logger.Info("trace written", "path", *tracePath, "events", trace.Len())
-		}
-		if *traceSummary {
-			fmt.Print(trace.Summary())
-		}
+	if *traceSummary {
+		fmt.Print(rootSpan.Trace().Digest())
 	}
 	if *promSmoke {
 		if err := promSmokeTest(logger, exporter); err != nil {

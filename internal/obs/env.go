@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"os/exec"
 	"runtime"
 	"strings"
@@ -11,7 +10,7 @@ import (
 // EnvMeta stamps a benchmark or metrics artifact with enough environment
 // metadata to decide, later, whether two measurements are comparable:
 // toolchain, platform, parallelism, source revision and wall-clock time.
-// Every BENCH_*.json entry carries one.
+// BENCH_kernels.json (cmd/kernbench) carries one.
 type EnvMeta struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -35,13 +34,6 @@ func CaptureEnv() EnvMeta {
 		GitCommit:  gitCommit(),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
-}
-
-// Fingerprint condenses the comparability-relevant fields (everything
-// except commit and timestamp) into one string: entries with equal
-// fingerprints were measured on interchangeable configurations.
-func (e EnvMeta) Fingerprint() string {
-	return fmt.Sprintf("%s/%s/%s/cpu%d/procs%d", e.GoVersion, e.GOOS, e.GOARCH, e.NumCPU, e.GOMAXPROCS)
 }
 
 func gitCommit() string {

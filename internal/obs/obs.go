@@ -1,7 +1,8 @@
 // Package obs is the execution-observability layer: structured run
-// metrics (counters, high-water gauges, per-phase wall-clock timings), an
-// optional plan-trace event stream, and profiling endpoints
-// (net/http/pprof + expvar) shared by the CLI binaries.
+// metrics (counters, high-water gauges, per-phase wall-clock timings,
+// histograms) and profiling endpoints (net/http/pprof + expvar) shared
+// by the CLI binaries. Per-event detail (snapshot pushes, restores,
+// spawns) lives on the span events of package trace.
 //
 // The design is allocation-conscious so that observability never shows up
 // on the paper's hot path:
@@ -11,7 +12,6 @@
 //     nil-check when disabled.
 //   - The standard Metrics recorder is a fixed array of atomic counters:
 //     recording never allocates and never takes a lock.
-//   - Trace events are fixed-size structs appended to a bounded buffer.
 //
 // Metrics are strictly an observer: they must never perturb the logical
 // basic-operation accounting (executors report ops == plan.OptimizedOps()
@@ -225,42 +225,6 @@ var phaseNames = [numPhases]string{
 // String returns the phase's canonical (JSON) name.
 func (p Phase) String() string { return phaseNames[p] }
 
-// EventKind enumerates plan-trace events.
-type EventKind uint8
-
-// Plan-trace event kinds.
-const (
-	// EvPush: a prefix snapshot was stored.
-	EvPush EventKind = iota
-	// EvDrop: a snapshot was dropped at its last use.
-	EvDrop
-	// EvRestore: a budgeted plan resumed from the top snapshot (or from
-	// scratch).
-	EvRestore
-	// EvSpawn: the trunk handed a subtree task (with a cloned entry
-	// state) to the worker pool.
-	EvSpawn
-	// EvEmit: one or more trial outcomes were emitted.
-	EvEmit
-	// EvUncompute: a branch suffix was rolled back by reverse execution
-	// instead of a snapshot pop/restore.
-	EvUncompute
-
-	numEventKinds
-)
-
-var eventNames = [numEventKinds]string{
-	EvPush:      "push",
-	EvDrop:      "drop",
-	EvRestore:   "restore",
-	EvSpawn:     "spawn",
-	EvEmit:      "emit",
-	EvUncompute: "uncompute",
-}
-
-// String returns the event kind's canonical (JSON) name.
-func (k EventKind) String() string { return eventNames[k] }
-
 // Recorder is the sink the executors report into. All methods must be
 // safe for concurrent use; implementations should treat every call as
 // hot-path adjacent (no locks on Add/SetMax, no allocation).
@@ -274,14 +238,8 @@ type Recorder interface {
 	SetMax(g Gauge, v int64)
 	// PhaseDone accumulates d into a phase's total wall-clock time.
 	PhaseDone(p Phase, d time.Duration)
-	// Event reports one plan-trace event at the given snapshot-stack
-	// depth. Worker identifies the reporting goroutine (-1 = the subtree
-	// trunk, 0 = a sequential executor, 0..n-1 = pool workers).
-	// Metrics-only recorders ignore events.
-	Event(kind EventKind, worker, depth int)
 	// Observe records one value into a distribution (latency in
-	// nanoseconds, or a dimensionless depth). Trace-only recorders
-	// ignore observations.
+	// nanoseconds, or a dimensionless depth).
 	Observe(h Hist, v int64)
 }
 
@@ -328,10 +286,6 @@ func (m *Metrics) SetMax(g Gauge, v int64) {
 
 // PhaseDone implements Recorder.
 func (m *Metrics) PhaseDone(p Phase, d time.Duration) { m.phases[p].Add(int64(d)) }
-
-// Event implements Recorder as a no-op: Metrics aggregates, it does not
-// record streams. Combine with a Trace via Multi for both.
-func (m *Metrics) Event(EventKind, int, int) {}
 
 // Observe implements Recorder: record one value into a log-bucketed
 // histogram (lock-free, allocation-free).
@@ -401,12 +355,6 @@ func (m multi) SetMax(g Gauge, v int64) {
 func (m multi) PhaseDone(p Phase, d time.Duration) {
 	for _, r := range m {
 		r.PhaseDone(p, d)
-	}
-}
-
-func (m multi) Event(kind EventKind, worker, depth int) {
-	for _, r := range m {
-		r.Event(kind, worker, depth)
 	}
 }
 

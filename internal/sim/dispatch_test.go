@@ -94,7 +94,7 @@ func TestDispatchTableBitIdentical(t *testing.T) {
 		}
 
 		res := newResult(false)
-		bs := newBranchState(c, Options{}, newAdvancer(c, nil), res, &msvTracker{}, nil, 0, true)
+		bs := newBranchState(c, Options{}, newAdvancer(c, nil), res, &msvTracker{}, nil, true)
 		if bs.tab == nil {
 			t.Fatal("nil program did not build a dispatch table")
 		}

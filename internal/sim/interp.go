@@ -53,7 +53,6 @@ type branchState struct {
 	prog    *statevec.Program // nil: walk tab (snapshot policy only)
 	tab     *dispatchTable
 	res     *Result
-	wid     int
 	striped bool // trunk/sequential paths stripe their sweeps, task bodies do not
 
 	work    *statevec.State
@@ -105,10 +104,10 @@ func newDispatchTable(c *circuit.Circuit) *dispatchTable {
 
 // newBranchState returns the state by value so that callers keep it on
 // their stack: one is built per plan, trunk and subtree task.
-func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, wid int, striped bool) branchState {
+func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, striped bool) branchState {
 	return branchState{
 		c: c, opt: opt, rec: opt.Recorder, tr: tr, pool: pool,
-		prog: adv.prog, tab: adv.tab, res: res, wid: wid, striped: striped,
+		prog: adv.prog, tab: adv.tab, res: res, striped: striped,
 		policy: opt.Policy != PolicySnapshot,
 		exact:  opt.Fuse != statevec.FuseNumeric,
 	}
@@ -149,7 +148,6 @@ func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int,
 			emitted += n
 			if bs.rec != nil {
 				bs.rec.Add(obs.TrialsEmitted, int64(n))
-				bs.rec.Event(obs.EvEmit, bs.wid, len(bs.frames))
 				now := time.Now()
 				if n > 0 {
 					per := int64(now.Sub(emitMark)) / int64(n)
@@ -251,7 +249,6 @@ func (bs *branchState) push() {
 		if bs.policy {
 			bs.rec.Add(obs.PolicySnapshotDecisions, 1)
 		}
-		bs.rec.Event(obs.EvPush, bs.wid, depth)
 		f.pushT = time.Now()
 	}
 	if sp := bs.opt.Span; sp != nil {
@@ -282,7 +279,6 @@ func (bs *branchState) pop() error {
 		bs.tr.add(-1)
 		if bs.rec != nil {
 			bs.rec.Add(obs.SnapshotDrops, 1)
-			bs.rec.Event(obs.EvDrop, bs.wid, len(bs.frames))
 			bs.rec.Observe(obs.HistSnapshotLifetime, int64(time.Since(f.pushT)))
 		}
 		return nil
@@ -313,7 +309,6 @@ func (bs *branchState) restore() {
 	}
 	if bs.rec != nil {
 		bs.rec.Add(obs.SnapshotRestores, 1)
-		bs.rec.Event(obs.EvRestore, bs.wid, len(bs.frames))
 		bs.rec.Observe(obs.HistRestoreDepth, int64(bs.realCnt))
 	}
 	if sp := bs.opt.Span; sp != nil {

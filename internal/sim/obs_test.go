@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reorder"
 	"repro/internal/statevec"
+	"repro/internal/trace"
 	"repro/internal/trial"
 )
 
@@ -163,11 +164,12 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := obs.Multi(obs.NewMetrics(), obs.NewTrace())
-			instrumented, err := r.run(Options{Recorder: rec})
+			root := trace.New(trace.Config{Seed: 1}).Start("test", trace.SpanContext{})
+			instrumented, err := r.run(Options{Recorder: obs.NewMetrics(), Span: root})
 			if err != nil {
 				t.Fatal(err)
 			}
+			root.End()
 			if !EqualOutcomes(bare, instrumented) {
 				t.Error("recorder changed per-trial outcomes")
 			}
@@ -228,9 +230,10 @@ func subtreeMSVBound(t *testing.T, c *circuit.Circuit, trials []*trial.Trial, wo
 }
 
 // TestTraceDepthMatchesMSV checks the trace's structural view against the
-// executor's accounting: for a sequential unbudgeted run, the peak
-// post-push stack depth seen in events is exactly Result.MSV, and
-// push/drop events balance.
+// executor's accounting: for a sequential unbudgeted run, the peak depth
+// of the snapshot_push span events is exactly Result.MSV, every push
+// event sits on the run's execute_plan span, and pushes and drops
+// balance.
 func TestTraceDepthMatchesMSV(t *testing.T) {
 	c := bench.QV(5, 3, rand.New(rand.NewSource(2)))
 	m := device.Yorktown().Model()
@@ -239,31 +242,32 @@ func TestTraceDepthMatchesMSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTrace()
-	res, err := ExecutePlan(c, plan, Options{Recorder: tr})
+	rec := obs.NewMetrics()
+	root := trace.New(trace.Config{Seed: 1, MaxEvents: 1 << 20}).Start("test", trace.SpanContext{})
+	res, err := ExecutePlan(c, plan, Options{Recorder: rec, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}
-	peak, pushes, drops := 0, 0, 0
-	for _, ev := range tr.Events() {
-		switch ev.Kind {
-		case obs.EvPush:
-			pushes++
-			if int(ev.Depth) > peak {
-				peak = int(ev.Depth)
-			}
-		case obs.EvDrop:
-			drops++
+	root.End()
+	peak, pushes := 0, 0
+	for _, ev := range spanEvents(root.Trace()) {
+		if ev.name != "snapshot_push" {
+			continue
 		}
-		if ev.Worker != 0 {
-			t.Fatalf("sequential execution produced worker id %d", ev.Worker)
+		pushes++
+		peak = max(peak, int(ev.args["depth"].(int64)))
+		if ev.span != "execute_plan" {
+			t.Fatalf("sequential snapshot_push event on span %q", ev.span)
 		}
 	}
 	if peak != res.MSV {
 		t.Errorf("trace peak depth = %d, Result.MSV = %d", peak, res.MSV)
 	}
-	if pushes != drops {
-		t.Errorf("trace pushes %d != drops %d", pushes, drops)
+	if got := rec.Counter(obs.SnapshotPushes); int64(pushes) != got {
+		t.Errorf("%d snapshot_push events, snapshot_pushes = %d", pushes, got)
+	}
+	if p, d := rec.Counter(obs.SnapshotPushes), rec.Counter(obs.SnapshotDrops); p != d {
+		t.Errorf("snapshot pushes %d != drops %d", p, d)
 	}
 	if res.MSV != plan.MSV() {
 		t.Errorf("Result.MSV = %d, plan.MSV() = %d", res.MSV, plan.MSV())
@@ -303,7 +307,8 @@ func TestKernelSweepsRecorded(t *testing.T) {
 }
 
 // TestSubtreeSpawnAccounting: the subtree executor's spawn counter equals
-// the split plan's task count, and trunk events carry worker id -1.
+// the split plan's task count, and every spawn event sits on the trunk
+// span.
 func TestSubtreeSpawnAccounting(t *testing.T) {
 	c := bench.QV(5, 4, rand.New(rand.NewSource(6)))
 	m := device.Yorktown().Model()
@@ -314,33 +319,29 @@ func TestSubtreeSpawnAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := obs.NewMetrics()
-	trace := obs.NewTrace()
-	res, err := ExecuteSplitPlan(c, sp, 4, Options{Recorder: obs.Multi(metrics, trace)})
+	root := trace.New(trace.Config{Seed: 1, MaxEvents: 1 << 20}).Start("test", trace.SpanContext{})
+	res, err := ExecuteSplitPlan(c, sp, 4, Options{Recorder: metrics, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}
+	root.End()
 	if got := metrics.Counter(obs.TasksSpawned); got != int64(len(sp.Subtrees)) {
 		t.Errorf("tasks spawned = %d, split plan has %d subtrees", got, len(sp.Subtrees))
 	}
 	if got := metrics.Counter(obs.Ops); got != res.Ops {
 		t.Errorf("metrics ops = %d, Result.Ops = %d", got, res.Ops)
 	}
-	spawns, trunkEvents := 0, 0
-	for _, ev := range trace.Events() {
-		if ev.Kind == obs.EvSpawn {
-			spawns++
-			if ev.Worker != -1 {
-				t.Errorf("spawn event from worker %d, want trunk (-1)", ev.Worker)
-			}
+	spawns := 0
+	for _, ev := range spanEvents(root.Trace()) {
+		if ev.name != "spawn" {
+			continue
 		}
-		if ev.Worker == -1 {
-			trunkEvents++
+		spawns++
+		if ev.span != "trunk" {
+			t.Errorf("spawn event on span %q, want trunk", ev.span)
 		}
 	}
-	if spawns != len(sp.Subtrees) {
+	if spawns == 0 || spawns != len(sp.Subtrees) {
 		t.Errorf("trace has %d spawn events, want %d", spawns, len(sp.Subtrees))
-	}
-	if trunkEvents == 0 {
-		t.Error("no trunk events recorded")
 	}
 }

@@ -106,10 +106,10 @@ type Options struct {
 	StripeMin int
 	// Recorder, when non-nil, receives run metrics (ops, copies,
 	// snapshot push/drop/restore counts, MSV high-water, emitted trials)
-	// and the plan-trace event stream from every executor. nil disables
-	// observability; the hot path then pays one nil-check per
-	// instrumented site. Recording never perturbs the Result: executors
-	// report ops == plan.OptimizedOps() with or without a recorder.
+	// from every executor. nil disables observability; the hot path then
+	// pays one nil-check per instrumented site. Recording never perturbs
+	// the Result: executors report ops == plan.OptimizedOps() with or
+	// without a recorder.
 	Recorder obs.Recorder
 	// Policy selects how executors return to branch points:
 	// PolicySnapshot (default) stores prefix states as the plan dictates;
@@ -382,8 +382,8 @@ func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, 
 // executePlan is ExecutePlan reporting every stored-vector acquisition
 // and release into a tracker, so concurrent executors (Parallel) can
 // measure their true combined peak. Result.MSV remains this execution's
-// own stack peak. wid labels this execution's plan-trace events (0 for a
-// sequential run, the chunk index under Parallel).
+// own stack peak. wid is the chunk index under Parallel (0 for a
+// sequential run).
 //
 // With a span attached it wraps the execution in one "execute_plan"
 // child (on the chunk's worker track under Parallel); all deeper trace
@@ -414,7 +414,7 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()
 	pool := newStatePool(c.NumQubits(), arena)
-	bs := newBranchState(c, opt, newAdvancer(c, prog), res, tr, pool, wid, true)
+	bs := newBranchState(c, opt, newAdvancer(c, prog), res, tr, pool, true)
 	bs.work = pool.get()
 	bs.work.Reset()
 	if err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil); err != nil {

@@ -304,7 +304,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 						tsp.SetWorker(w)
 						wopt.Span = tsp
 					}
-					errs[w] = runTaskGroup(c, sp, adv, qt, wopt, res, &tracker, pool, br, w)
+					errs[w] = runTaskGroup(c, sp, adv, qt, wopt, res, &tracker, pool, br)
 					tsp.SetError(errs[w])
 					tsp.End()
 				} else {
@@ -355,7 +355,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 	}
 	merged.MSV = tracker.highWater()
 	if rec := opt.Recorder; rec != nil {
-		// Trunk and tasks record their push/drop/restore/spawn events
+		// Trunk and tasks record their push/drop/restore/spawn counts
 		// inline; the logical totals are added once here so they match the
 		// merged Result exactly.
 		rec.Add(obs.Ops, merged.Ops)
@@ -373,13 +373,13 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 // (with cloned entry states) into the queue. It performs each shared
 // prefix computation exactly once; it never emits trials. With a compiled
 // program, trunk advances use the striped Run so the otherwise
-// single-threaded serialization point can borrow idle CPUs. Trunk events
-// carry worker id -1.
+// single-threaded serialization point can borrow idle CPUs. Its span
+// events (spawn included) sit on the "trunk" span.
 func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Options, queue *taskQueue, sem chan struct{}, tr *msvTracker, pool *statePool) (_ *Result, err error) {
 	defer recoverErr(&err)
 	res := newResult(opt.KeepStates)
 	rec := opt.Recorder
-	bs := newBranchState(c, opt, adv, res, tr, pool, -1, true)
+	bs := newBranchState(c, opt, adv, res, tr, pool, true)
 	bs.work = pool.get()
 	bs.work.Reset()
 	grp := newSpawnGroup(opt.Lanes, queue)
@@ -391,7 +391,6 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 		tr.add(1) // the queued entry state is a stored vector
 		if rec != nil {
 			rec.Add(obs.TasksSpawned, 1)
-			rec.Event(obs.EvSpawn, -1, len(bs.frames))
 		}
 		if tsp := opt.Span; tsp != nil {
 			tsp.Event("spawn", trace.Int("task", int64(task)))
@@ -422,8 +421,8 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 // reported as a snapshot push — PolicyUncompute still executes with
 // snapshot_pushes == 0. A snapshot plan with budget 0 adopts the entry
 // and restores replay from |0...0>.
-func runSubtree(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, st *reorder.Subtree, entry *statevec.State, opt Options, res *Result, tr *msvTracker, pool *statePool, wid int) error {
-	bs := newBranchState(c, opt, adv, res, tr, pool, wid, false)
+func runSubtree(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, st *reorder.Subtree, entry *statevec.State, opt Options, res *Result, tr *msvTracker, pool *statePool) error {
+	bs := newBranchState(c, opt, adv, res, tr, pool, false)
 	keepEntry := opt.Policy != PolicySnapshot || (sp.Budget() != math.MaxInt && sp.Budget() >= 1)
 	if keepEntry {
 		bs.work = pool.get()

@@ -44,17 +44,17 @@ func ExecuteBatchedSubtree(c *circuit.Circuit, trials []*trial.Trial, workers, l
 // path; larger snapshot-policy groups go through the batched engine. A
 // panic in a task becomes the group's error, so the worker survives to
 // keep draining the queue.
-func runTaskGroup(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, qt queuedTask, opt Options, res *Result, tr *msvTracker, pool *statePool, br *batchRunner, wid int) (err error) {
+func runTaskGroup(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, qt queuedTask, opt Options, res *Result, tr *msvTracker, pool *statePool, br *batchRunner) (err error) {
 	defer recoverErr(&err)
 	if br == nil || len(qt.tasks) == 1 || opt.Policy != PolicySnapshot {
 		for i, st := range qt.tasks {
-			if err := runSubtree(c, sp, adv, st, qt.entries[i], opt, res, tr, pool, wid); err != nil {
+			if err := runSubtree(c, sp, adv, st, qt.entries[i], opt, res, tr, pool); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return br.run(c, sp, adv.prog, qt, opt, res, tr, pool, wid)
+	return br.run(c, sp, adv.prog, qt, opt, res, tr, pool)
 }
 
 // laneExec is one lane's execution state within a task group: the task,
@@ -107,7 +107,7 @@ func (r *batchRunner) release() { r.arena.PutBatch(r.batch) }
 // sweeping groups of lanes that share the same layer range through one
 // batched segment execution. Lanes whose next range differs (divergent
 // branch structure below the cut) simply sweep in smaller subgroups.
-func (r *batchRunner) run(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, qt queuedTask, opt Options, res *Result, tr *msvTracker, pool *statePool, wid int) error {
+func (r *batchRunner) run(c *circuit.Circuit, sp *reorder.SplitPlan, prog *statevec.Program, qt queuedTask, opt Options, res *Result, tr *msvTracker, pool *statePool) error {
 	rec := opt.Recorder
 	n := len(qt.tasks)
 	keepEntry := sp.Budget() != math.MaxInt && sp.Budget() >= 1
@@ -142,7 +142,7 @@ func (r *batchRunner) run(c *circuit.Circuit, sp *reorder.SplitPlan, prog *state
 			if le.done {
 				continue
 			}
-			if err := r.drain(i, c, sp, opt, res, tr, pool, wid); err != nil {
+			if err := r.drain(i, c, sp, opt, res, tr, pool); err != nil {
 				return err
 			}
 			if le.done {
@@ -182,7 +182,7 @@ func (r *batchRunner) run(c *circuit.Circuit, sp *reorder.SplitPlan, prog *state
 // only difference is that pops and the entry load copy into the pinned
 // lane register instead of adopting a pointer, which changes Copies but no
 // amplitude bit and no forward op count.
-func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, opt Options, res *Result, tr *msvTracker, pool *statePool, wid int) error {
+func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, opt Options, res *Result, tr *msvTracker, pool *statePool) error {
 	le := &r.lanes[i]
 	lane := r.batch.Lane(i)
 	rec := opt.Recorder
@@ -199,7 +199,6 @@ func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, op
 			tr.add(1)
 			if rec != nil {
 				rec.Add(obs.SnapshotPushes, 1)
-				rec.Event(obs.EvPush, wid, len(le.stack))
 				le.pushTimes = append(le.pushTimes, time.Now())
 			}
 		case reorder.StepInject:
@@ -216,7 +215,6 @@ func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, op
 			if rec != nil {
 				b := s.To - s.From
 				rec.Add(obs.TrialsEmitted, int64(b))
-				rec.Event(obs.EvEmit, wid, len(le.stack))
 				now := time.Now()
 				if b > 0 {
 					per := int64(now.Sub(le.emitMark)) / int64(b)
@@ -238,7 +236,6 @@ func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, op
 			tr.add(-1)
 			if rec != nil {
 				rec.Add(obs.SnapshotDrops, 1)
-				rec.Event(obs.EvDrop, wid, len(le.stack))
 				rec.Observe(obs.HistSnapshotLifetime, int64(time.Since(le.pushTimes[len(le.pushTimes)-1])))
 				le.pushTimes = le.pushTimes[:len(le.pushTimes)-1]
 			}
@@ -251,7 +248,6 @@ func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, op
 			}
 			if rec != nil {
 				rec.Add(obs.SnapshotRestores, 1)
-				rec.Event(obs.EvRestore, wid, len(le.stack))
 				rec.Observe(obs.HistRestoreDepth, int64(len(le.stack)))
 			}
 		default:

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -24,6 +27,100 @@ func countSpans(tr *trace.Trace) map[string]int {
 		out[sp.Name()]++
 	}
 	return out
+}
+
+// spanEvent is one exported span event with the name of the span it
+// sits on.
+type spanEvent struct {
+	name, span string
+	args       map[string]any
+}
+
+// spanEvents lists a finished trace's span events, joined to their
+// spans through the exported span IDs.
+func spanEvents(tr *trace.Trace) []spanEvent {
+	evs := tr.Chrome().TraceEvents
+	spanName := make(map[any]string)
+	for _, ev := range evs {
+		if ev.Ph == "X" {
+			spanName[ev.Args["span_id"]] = ev.Name
+		}
+	}
+	var out []spanEvent
+	for _, ev := range evs {
+		if ev.Cat == "event" {
+			out = append(out, spanEvent{name: ev.Name, span: spanName[ev.Args["span_id"]], args: ev.Args})
+		}
+	}
+	return out
+}
+
+// digestRow returns the count column of the digest row named name, and
+// the header's dropped-event figure.
+func digestRow(t *testing.T, digest, name string) (count, droppedEvents int64) {
+	t.Helper()
+	count = -1
+	for i, line := range strings.Split(digest, "\n") {
+		if i == 0 {
+			var spans, droppedSpans, events int64
+			if _, err := fmt.Sscanf(line, "span trace: %d spans (%d dropped), %d events (%d dropped)",
+				&spans, &droppedSpans, &events, &droppedEvents); err != nil {
+				t.Fatalf("digest header %q: %v", line, err)
+			}
+			continue
+		}
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == name {
+			n, err := strconv.ParseInt(f[1], 10, 64)
+			if err != nil {
+				t.Fatalf("digest row %q: %v", line, err)
+			}
+			count = n
+		}
+	}
+	return count, droppedEvents
+}
+
+// TestTraceDigestMatchesCounters pins the qsim -trace-summary digest to
+// the counters of the same run: with the event cap raised its
+// snapshot_push count is obs.SnapshotPushes and nothing is dropped;
+// under the default cap of 256 events per span it shows the cap and
+// reports every push it dropped.
+func TestTraceDigestMatchesCounters(t *testing.T) {
+	c := bench.QV(5, 3, rand.New(rand.NewSource(2)))
+	m := device.Yorktown().Model()
+	trials := genTrials(t, c, m, 2000, 8)
+	plan, err := reorder.BuildPlan(c, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(maxEvents int) (string, int64) {
+		t.Helper()
+		rec := obs.NewMetrics()
+		root := trace.New(trace.Config{Seed: 1, MaxEvents: maxEvents}).Start("test", trace.SpanContext{})
+		if _, err := ExecutePlan(c, plan, Options{Recorder: rec, Span: root}); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		return root.Trace().Digest(), rec.Counter(obs.SnapshotPushes)
+	}
+
+	digest, pushes := run(1 << 20)
+	if pushes <= trace.DefaultMaxEvents {
+		t.Fatalf("workload pushes %d snapshots, need more than %d to hit the cap", pushes, trace.DefaultMaxEvents)
+	}
+	if got, dropped := digestRow(t, digest, "snapshot_push"); got != pushes || dropped != 0 {
+		t.Errorf("uncapped digest: snapshot_push %d (%d dropped), counter %d\n%s", got, dropped, pushes, digest)
+	}
+	if got, _ := digestRow(t, digest, "execute_plan"); got != 1 {
+		t.Errorf("digest lists %d execute_plan spans, want 1\n%s", got, digest)
+	}
+
+	digest, pushes = run(0)
+	got, dropped := digestRow(t, digest, "snapshot_push")
+	if got != trace.DefaultMaxEvents || dropped != pushes-trace.DefaultMaxEvents {
+		t.Errorf("capped digest: snapshot_push %d (%d dropped), counter %d, cap %d\n%s",
+			got, dropped, pushes, trace.DefaultMaxEvents, digest)
+	}
 }
 
 // TestSegmentCompileSpansMatchMisses is the agreement gate: the number

@@ -178,7 +178,6 @@ func (bs *branchState) rollbackTo(pos int) {
 			bs.rec.Add(obs.UncomputeSegments, 1)
 			bs.rec.Add(obs.UncomputeOps, segOps)
 			bs.rec.Observe(obs.HistUncomputeDepth, segOps)
-			bs.rec.Event(obs.EvUncompute, bs.wid, len(bs.frames))
 		}
 		if sp := bs.opt.Span; sp != nil {
 			sp.Event("uncompute", trace.Int("ops", segOps))

@@ -264,7 +264,6 @@ type observeCapture struct {
 func (o *observeCapture) Add(obs.Counter, int64)             {}
 func (o *observeCapture) SetMax(obs.Gauge, int64)            {}
 func (o *observeCapture) PhaseDone(obs.Phase, time.Duration) {}
-func (o *observeCapture) Event(obs.EventKind, int, int)      {}
 func (o *observeCapture) Observe(h obs.Hist, v int64) {
 	if h != o.hist {
 		return

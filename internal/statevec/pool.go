@@ -19,7 +19,8 @@ import (
 // cap, a long-lived arena serving mixed job sizes — the cmd/qsimd daemon —
 // retains the high-water mark of every size class it ever saw, forever.
 // The cap is far above the steady-state working set of a single run, so
-// one-shot behavior (and the `make alloc-gate` zero-alloc contract) is
+// one-shot behavior (and the steady-state allocation contract that
+// internal/sim's TestSteadyStateAllocsFlatAcrossWorkers checks) is
 // unchanged.
 //
 // Buffers come back with unspecified contents — callers overwrite them via

@@ -1,10 +1,14 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
+	"time"
 )
 
 // Chrome trace-event export: the JSON Object Format understood by
@@ -49,15 +53,8 @@ func (tr *Trace) Chrome() *ChromeTrace {
 		local[sp.id] = true
 	}
 	for _, sp := range tr.spans {
-		spEnd := sp.end
-		if spEnd.IsZero() || spEnd.After(end) {
-			spEnd = end
-		}
 		startNs := sp.start.Sub(tr.start).Nanoseconds()
-		durNs := spEnd.Sub(sp.start).Nanoseconds()
-		if durNs < 0 {
-			durNs = 0
-		}
+		durNs := sp.clampedDur(end).Nanoseconds()
 		args := map[string]any{
 			"trace_id":  tr.id.String(),
 			"span_id":   sp.id.String(),
@@ -109,6 +106,85 @@ func (tr *Trace) Chrome() *ChromeTrace {
 		}
 	}
 	return out
+}
+
+// clampedDur is the span's duration with an end still open, or past the
+// trace end, clamped to the trace end; never negative.
+func (sp *Span) clampedDur(traceEnd time.Time) time.Duration {
+	end := sp.end
+	if end.IsZero() || end.After(traceEnd) {
+		end = traceEnd
+	}
+	return max(end.Sub(sp.start), 0)
+}
+
+// Digest renders a finished trace as a short text summary (qsim
+// -trace-summary): per span name the count and total wall time, busiest
+// first; per event name the count and, for events that carry a "depth"
+// attribute, its peak; and the spans and events the caps dropped, so a
+// truncated trace says so.
+func (tr *Trace) Digest() string {
+	type row struct {
+		name     string
+		n        int
+		dur      time.Duration
+		peak     int64
+		hasDepth bool
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	end := tr.start.Add(tr.dur)
+	spans, events := map[string]*row{}, map[string]*row{}
+	get := func(m map[string]*row, name string) *row {
+		r := m[name]
+		if r == nil {
+			r = &row{name: name}
+			m[name] = r
+		}
+		return r
+	}
+	nev := 0
+	for _, sp := range tr.spans {
+		r := get(spans, sp.name)
+		r.n++
+		r.dur += sp.clampedDur(end)
+		for _, ev := range sp.events {
+			nev++
+			e := get(events, ev.Name)
+			e.n++
+			for _, a := range ev.Attrs {
+				if a.Key == "depth" && a.isNum && (!e.hasDepth || a.num > e.peak) {
+					e.peak, e.hasDepth = a.num, true
+				}
+			}
+		}
+	}
+	sorted := func(m map[string]*row, by func(a, b *row) int) []*row {
+		rows := make([]*row, 0, len(m))
+		for _, r := range m {
+			rows = append(rows, r)
+		}
+		slices.SortFunc(rows, func(a, b *row) int { return cmp.Or(by(a, b), strings.Compare(a.name, b.name)) })
+		return rows
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "span trace: %d spans (%d dropped), %d events (%d dropped)\n",
+		len(tr.spans), tr.dropped, nev, tr.droppedEvents)
+	fmt.Fprintf(&b, "  %-18s %8s %12s\n", "span", "count", "total ms")
+	for _, r := range sorted(spans, func(a, b *row) int { return cmp.Compare(b.dur, a.dur) }) {
+		fmt.Fprintf(&b, "  %-18s %8d %12.3f\n", r.name, r.n, float64(r.dur)/1e6)
+	}
+	if len(events) > 0 {
+		fmt.Fprintf(&b, "  %-18s %8s %12s\n", "event", "count", "peak depth")
+		for _, r := range sorted(events, func(*row, *row) int { return 0 }) {
+			peak := "-"
+			if r.hasDepth {
+				peak = fmt.Sprint(r.peak)
+			}
+			fmt.Fprintf(&b, "  %-18s %8d %12s\n", r.name, r.n, peak)
+		}
+	}
+	return b.String()
 }
 
 // WriteChrome writes the Chrome trace-event JSON to w.

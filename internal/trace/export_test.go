@@ -157,3 +157,35 @@ func TestUnendedChildClampedToTraceEnd(t *testing.T) {
 		t.Fatalf("clamped export fails validation: %v", err)
 	}
 }
+
+// TestDigestSummarizesSpansAndEvents: the digest counts spans and events
+// by name, reports the peak "depth" attribute only for events that carry
+// one, and shows the spans and events the caps dropped.
+func TestDigestSummarizesSpansAndEvents(t *testing.T) {
+	tr := New(Config{Seed: 5, MaxSpans: 3, MaxEvents: 2})
+	root := tr.Start("qsim", SpanContext{})
+	ex := root.Child("execute")
+	ex.Event("snapshot_push", Int("depth", 1))
+	ex.Event("snapshot_push", Int("depth", 3))
+	ex.Event("snapshot_push", Int("depth", 2)) // over the event cap
+	ex.Event("snapshot_restore")               // over the event cap
+	task := root.Child("subtree_task")
+	task.Event("spawn", Int("task", 7))
+	root.Child("subtree_task").End() // over the span cap
+	task.End()
+	ex.End()
+	root.End()
+
+	got := root.Trace().Digest()
+	for _, want := range []string{
+		"span trace: 3 spans (1 dropped), 3 events (2 dropped)",
+		"execute                   1",
+		"subtree_task              1",
+		"snapshot_push             2            3",
+		"spawn                     1            -",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("digest missing %q:\n%s", want, got)
+		}
+	}
+}

@@ -117,14 +117,15 @@ type Trace struct {
 	id     TraceID
 	start  time.Time
 
-	mu      sync.Mutex
-	root    *Span
-	spans   []*Span
-	dropped int64
-	errored bool
-	done    bool
-	dur     time.Duration
-	verdict string // sampling verdict once finished: error|slow|sampled|discarded|dropped
+	mu            sync.Mutex
+	root          *Span
+	spans         []*Span
+	dropped       int64 // child spans refused at the span cap
+	droppedEvents int64 // span events refused at the per-span cap
+	errored       bool
+	done          bool
+	dur           time.Duration
+	verdict       string // sampling verdict once finished: error|slow|sampled|discarded|dropped
 }
 
 // Config parameterizes a Tracer. The zero value is a usable default:
@@ -141,7 +142,7 @@ type Config struct {
 	// and the drop is counted (0 → 4096).
 	MaxSpans int
 	// MaxEvents bounds events per span; excess events are dropped and
-	// counted against the trace (0 → 256).
+	// counted against the trace, apart from its dropped spans (0 → 256).
 	MaxEvents int
 	// Seed fixes ID generation for deterministic tests (0 → from the
 	// wall clock).
@@ -501,7 +502,7 @@ func (s *Span) Event(name string, attrs ...Attr) {
 	now := time.Now()
 	tr.mu.Lock()
 	if len(s.events) >= tr.tracer.maxEvents {
-		tr.dropped++
+		tr.droppedEvents++
 		tr.mu.Unlock()
 		return
 	}
