@@ -123,8 +123,6 @@ type Config struct {
 	// amplitude stripes when the state is large enough (intra-state
 	// parallelism; see sim.Options.Stripes). 0 or 1 sweeps serially.
 	Stripes int
-	// KeepStates retains per-trial final states (tests only; memory!).
-	KeepStates bool
 	// Policy selects how executors return to branch points (see
 	// sim.RestorePolicy): snapshot (default, the paper's scheme),
 	// uncompute (reverse execution, near-zero stored vectors), or
@@ -223,7 +221,6 @@ func Run(cfg Config) (*Report, error) {
 	rep.Trials = gen.Generate(rng, cfg.Trials)
 	genSpan.End()
 	genDone()
-	rep.TrialStats = trial.Summarize(rep.Trials)
 
 	// Sort and plan construction are timed as separate phases; building
 	// from the presorted order is equivalent to BuildPlan/BuildPlanBudget
@@ -233,6 +230,7 @@ func Run(cfg Config) (*Report, error) {
 	ordered := reorder.Sort(rep.Trials)
 	sortSpan.End()
 	sortDone()
+	rep.TrialStats = trial.SummarizeSorted(ordered)
 	budget := math.MaxInt
 	if cfg.SnapshotBudget > 0 && cfg.Policy == sim.PolicySnapshot {
 		// Non-snapshot policies enforce the budget themselves; the plan
@@ -260,7 +258,6 @@ func Run(cfg Config) (*Report, error) {
 
 	execSpan := cfg.Span.Child("execute")
 	opt := sim.Options{
-		KeepStates:     cfg.KeepStates,
 		SnapshotBudget: cfg.SnapshotBudget,
 		Fuse:           cfg.Fuse,
 		Stripes:        cfg.Stripes,

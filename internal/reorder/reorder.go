@@ -34,10 +34,29 @@ import (
 // recursive grouping (AlgorithmOne below implements the recursion
 // literally; the test suite proves the two orders identical). The input
 // slice is not modified.
+//
+// Trials with equal sequences keep their input order, as a stable sort
+// would keep them. The sort runs on an index permutation with the input
+// position as the tie-break, which gives exactly the stable order from
+// an unstable O(n log n) sort.
 func Sort(trials []*trial.Trial) []*trial.Trial {
+	if len(trials) > math.MaxInt32 {
+		panic(fmt.Sprintf("reorder: %d trials exceed the int32 sort index", len(trials)))
+	}
+	idx := make([]int32, len(trials))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := trial.Compare(trials[a], trials[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	out := make([]*trial.Trial, len(trials))
-	copy(out, trials)
-	slices.SortStableFunc(out, trial.Compare)
+	for i, j := range idx {
+		out[i] = trials[j]
+	}
 	return out
 }
 

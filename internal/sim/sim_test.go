@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -309,6 +310,53 @@ func TestOutcomesSortedByTrialID(t *testing.T) {
 	for i, o := range res.Outcomes {
 		if o.TrialID != i {
 			t.Fatalf("outcomes not in trial-ID order at %d: %d", i, o.TrialID)
+		}
+	}
+}
+
+// TestFinishOrdersAnyIDSet checks finish on the ID sets it meets: a dense
+// permutation of 0..n-1 (placed in O(n)), and sparse, out-of-range and
+// duplicate IDs (sorted). Each must come out in trial-ID order with the
+// outcome multiset and histogram unchanged.
+func TestFinishOrdersAnyIDSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	dense := make([]int, 500)
+	for i := range dense {
+		dense[i] = i
+	}
+	cases := map[string][]int{
+		"empty":     nil,
+		"dense":     dense,
+		"sparse":    {40, 3, 17, 1000, 8},
+		"negative":  {2, -1, 0, 1},
+		"duplicate": {3, 1, 2, 1, 0, 3},
+		"dup-early": {0, 0, 1},
+	}
+	for name, ids := range cases {
+		ids = append([]int(nil), ids...)
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		res := newResult(false)
+		want := map[Outcome]int{}
+		for _, id := range ids {
+			o := Outcome{TrialID: id, Bits: uint64(rng.Intn(4))}
+			res.Outcomes = append(res.Outcomes, o)
+			want[o]++
+		}
+		finish(res)
+		got := map[Outcome]int{}
+		counts := map[uint64]int{}
+		for i, o := range res.Outcomes {
+			if i > 0 && res.Outcomes[i-1].TrialID > o.TrialID {
+				t.Fatalf("%s: outcomes out of trial-ID order at %d: %v", name, i, res.Outcomes)
+			}
+			got[o]++
+			counts[o.Bits]++
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: outcomes %v, want the multiset %v", name, res.Outcomes, want)
+		}
+		if !maps.Equal(res.Counts, counts) {
+			t.Fatalf("%s: histogram %v, outcomes give %v", name, res.Counts, counts)
 		}
 	}
 }

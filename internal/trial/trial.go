@@ -229,6 +229,8 @@ type Generator struct {
 	mode    ErrorMode
 	slots   []slot
 	maxProb float64
+	// lnq is math.Log1p(-maxProb), the geometric skip's denominator.
+	lnq float64
 	// measured qubits, their readout error rates, and the classical bit
 	// each writes, ordered by classical bit
 	measQubit []int
@@ -306,6 +308,7 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 			g.maxProb = s.prob
 		}
 	}
+	g.lnq = math.Log1p(-g.maxProb)
 	ms := append([]circuit.Measurement(nil), c.Measurements()...)
 	sort.Slice(ms, func(i, j int) bool { return ms[i].Bit < ms[j].Bit })
 	if len(ms) > 64 {
@@ -342,14 +345,25 @@ func (g *Generator) ExpectedErrors() float64 {
 
 // Sample draws one trial with the given ID from rng.
 func (g *Generator) Sample(rng *rand.Rand, id int) *Trial {
-	t := &Trial{ID: id}
+	t := &Trial{}
+	g.sample(rng, id, t, nil)
+	return t
+}
+
+// sample draws trial id from rng into t. Its injections are appended to
+// arena, and t.Inj is the cap-limited tail they occupy (nil when none
+// fired), so an append to t.Inj copies rather than overwriting whatever
+// the arena holds next. It returns the grown arena.
+func (g *Generator) sample(rng *rand.Rand, id int, t *Trial, arena []Key) []Key {
+	t.ID = id
+	start := len(arena)
 	if g.maxProb > 0 {
 		if g.maxProb >= 1 {
 			// Degenerate model: walk every slot directly.
 			for i := range g.slots {
 				sl := &g.slots[i]
 				if rng.Float64() < sl.prob {
-					g.fire(rng, t, sl)
+					arena = g.fire(rng, arena, sl)
 				}
 			}
 		} else {
@@ -357,27 +371,29 @@ func (g *Generator) Sample(rng *rand.Rand, id int) *Trial {
 			// probability, then accept each candidate with prob/maxProb.
 			// Expected work is O(expected errors / min acceptance) rather
 			// than O(slots).
-			lnq := math.Log1p(-g.maxProb)
 			i := 0
 			for {
 				u := rng.Float64()
 				if u == 0 {
 					u = math.SmallestNonzeroFloat64
 				}
-				i += int(math.Log(u) / lnq)
+				i += int(math.Log(u) / g.lnq)
 				if i >= len(g.slots) {
 					break
 				}
 				sl := &g.slots[i]
 				if sl.prob == g.maxProb || rng.Float64()*g.maxProb < sl.prob {
-					g.fire(rng, t, sl)
+					arena = g.fire(rng, arena, sl)
 				}
 				i++
 			}
 		}
 		// Pair slots can emit a second-qubit injection that interleaves
 		// with later slots of the same layer; restore canonical order.
-		slices.Sort(t.Inj)
+		slices.Sort(arena[start:])
+	}
+	if end := len(arena); end > start {
+		t.Inj = arena[start:end:end]
 	}
 	for i, p := range g.measProb {
 		if p > 0 && rng.Float64() < p {
@@ -385,32 +401,42 @@ func (g *Generator) Sample(rng *rand.Rand, id int) *Trial {
 		}
 	}
 	t.SampleU = rng.Float64()
-	return t
+	return arena
 }
 
-// fire records the Pauli operator(s) for a firing slot.
-func (g *Generator) fire(rng *rand.Rand, t *Trial, sl *slot) {
+// fire appends the Pauli operator(s) of a firing slot to inj.
+func (g *Generator) fire(rng *rand.Rand, inj []Key, sl *slot) []Key {
 	if sl.qubit1 < 0 {
-		t.Inj = append(t.Inj, Pack(sl.layer, sl.qubit0, gate.Pauli(rng.Intn(3))))
-		return
+		return append(inj, Pack(sl.layer, sl.qubit0, gate.Pauli(rng.Intn(3))))
 	}
 	// Uniform over the 15 non-identity two-qubit Paulis: v in 1..15,
 	// high two bits for qubit0's operator, low two for qubit1's
 	// (0 = identity, 1..3 = X, Y, Z).
 	v := 1 + rng.Intn(15)
 	if p0 := v >> 2; p0 != 0 {
-		t.Inj = append(t.Inj, Pack(sl.layer, sl.qubit0, gate.Pauli(p0-1)))
+		inj = append(inj, Pack(sl.layer, sl.qubit0, gate.Pauli(p0-1)))
 	}
 	if p1 := v & 3; p1 != 0 {
-		t.Inj = append(t.Inj, Pack(sl.layer, sl.qubit1, gate.Pauli(p1-1)))
+		inj = append(inj, Pack(sl.layer, sl.qubit1, gate.Pauli(p1-1)))
 	}
+	return inj
 }
 
-// Generate draws n trials with IDs 0..n-1.
+// Generate draws n trials with IDs 0..n-1, identical to n Sample calls
+// on rng. The trials live in one slab and their injections in one shared
+// arena, so generation allocates per run rather than per trial; each
+// trial's Inj is cap-limited, so appending to it never disturbs another
+// trial.
 func (g *Generator) Generate(rng *rand.Rand, n int) []*Trial {
+	slab := make([]Trial, n)
 	out := make([]*Trial, n)
-	for i := range out {
-		out[i] = g.Sample(rng, i)
+	// Size the arena for the expected injections plus headroom. A run
+	// that outgrows it moves on to a larger copy; the trials drawn before
+	// keep their keys in the old array.
+	arena := make([]Key, 0, int(float64(n)*g.ExpectedErrors()*1.25)+64)
+	for i := range slab {
+		arena = g.sample(rng, i, &slab[i], arena)
+		out[i] = &slab[i]
 	}
 	return out
 }
@@ -434,29 +460,28 @@ type Stats struct {
 	DuplicateRate float64 // fraction of trials sharing an injection sequence with an earlier one
 }
 
-// Summarize computes Stats for a trial set.
+// Summarize computes Stats for a trial set in any order.
 func Summarize(trials []*Trial) Stats {
-	var st Stats
-	st.Trials = len(trials)
-	seen := make(map[string]bool, len(trials))
-	var keyBuf []byte
-	for _, t := range trials {
+	sorted := slices.Clone(trials)
+	slices.SortFunc(sorted, Compare)
+	return SummarizeSorted(sorted)
+}
+
+// SummarizeSorted computes Stats for a trial set sorted by Compare (the
+// reorder order), where equal injection sequences are adjacent, so it
+// counts distinct sequences without hashing them.
+func SummarizeSorted(sorted []*Trial) Stats {
+	st := Stats{Trials: len(sorted)}
+	for i, t := range sorted {
 		st.TotalErrors += len(t.Inj)
-		if len(t.Inj) > st.MaxErrors {
-			st.MaxErrors = len(t.Inj)
-		}
+		st.MaxErrors = max(st.MaxErrors, len(t.Inj))
 		if len(t.Inj) == 0 {
 			st.ErrorFree++
 		}
-		keyBuf = keyBuf[:0]
-		for _, k := range t.Inj {
-			for s := 0; s < 64; s += 8 {
-				keyBuf = append(keyBuf, byte(k>>uint(s)))
-			}
+		if i == 0 || !slices.Equal(sorted[i-1].Inj, t.Inj) {
+			st.DistinctSeqs++
 		}
-		seen[string(keyBuf)] = true
 	}
-	st.DistinctSeqs = len(seen)
 	if st.Trials > 0 {
 		st.MeanErrors = float64(st.TotalErrors) / float64(st.Trials)
 		st.DuplicateRate = float64(st.Trials-st.DistinctSeqs) / float64(st.Trials)
