@@ -143,8 +143,9 @@ type Config struct {
 	// warm between requests. nil gives each run a private arena.
 	Pool *statevec.BufferPool
 	// Span, when non-nil, parents the run's causal trace: Run opens one
-	// child per pipeline phase (trial_gen, sort, plan_build, execute —
-	// mirroring the Recorder's phase timings) and threads the execute
+	// child per pipeline phase (transpile when mapping is requested, then
+	// trial_gen, sort, plan_build and execute — the last four mirroring
+	// the Recorder's phase timings) and threads the execute
 	// child into the sim executors, which hang their own spans and
 	// segment-compile children under it. nil disables tracing; like the
 	// Recorder, a span never changes any Result field.
@@ -189,7 +190,10 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Device != nil {
 		model = cfg.Device.Model()
 		if cfg.Transpile {
+			trSpan := cfg.Span.Child("transpile")
 			tr, err := transpile.ToDevice(cfg.Circuit, cfg.Device)
+			trSpan.SetError(err)
+			trSpan.End()
 			if err != nil {
 				return nil, err
 			}
@@ -267,22 +271,20 @@ func Run(cfg Config) (*Report, error) {
 		Pool:           cfg.Pool,
 		Span:           execSpan,
 	}
+	// The parallel executors take the plan's order, so each job is sorted
+	// once.
 	runReordered := func() (*sim.Result, error) {
-		if cfg.BatchLanes > 1 {
-			if cfg.ChunkedParallel {
-				return nil, fmt.Errorf("core: BatchLanes requires the subtree decomposition, not ChunkedParallel")
-			}
-			workers := cfg.Workers
-			if workers < 1 {
-				workers = 1
-			}
-			return sim.ExecuteBatchedSubtree(rep.Circuit, rep.Trials, workers, cfg.BatchLanes, opt)
-		}
-		if cfg.Workers > 1 {
-			if cfg.ChunkedParallel {
-				return sim.Parallel(rep.Circuit, rep.Trials, cfg.Workers, opt)
-			}
-			return sim.ParallelSubtree(rep.Circuit, rep.Trials, cfg.Workers, opt)
+		switch {
+		case cfg.BatchLanes > 1 && cfg.ChunkedParallel:
+			return nil, fmt.Errorf("core: BatchLanes requires the subtree decomposition, not ChunkedParallel")
+		case cfg.BatchLanes > 1:
+			batched := opt
+			batched.Lanes = cfg.BatchLanes
+			return sim.ParallelSubtreeOrdered(rep.Circuit, ordered, max(cfg.Workers, 1), batched)
+		case cfg.Workers > 1 && cfg.ChunkedParallel:
+			return sim.ParallelOrdered(rep.Circuit, ordered, cfg.Workers, opt)
+		case cfg.Workers > 1:
+			return sim.ParallelSubtreeOrdered(rep.Circuit, ordered, cfg.Workers, opt)
 		}
 		return sim.ExecutePlan(rep.Circuit, rep.Plan, opt)
 	}

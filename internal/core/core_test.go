@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/device"
 	"repro/internal/noise"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/trial"
 )
 
@@ -196,5 +198,33 @@ func TestRunErrorModeOption(t *testing.T) {
 	if pq.TrialStats.MeanErrors <= pg.TrialStats.MeanErrors {
 		t.Errorf("per-qubit mean errors %g not above per-gate %g",
 			pq.TrialStats.MeanErrors, pg.TrialStats.MeanErrors)
+	}
+}
+
+// TestRunSpanChildrenInOrder: a traced Run opens one child span per
+// pipeline phase under the caller's span, in pipeline order, sequential
+// or parallel.
+func TestRunSpanChildrenInOrder(t *testing.T) {
+	want := []string{"transpile", "trial_gen", "sort", "plan_build", "execute"}
+	for _, workers := range []int{1, 2} {
+		tracer := trace.New(trace.Config{Seed: 1})
+		root := tracer.Start("job", trace.SpanContext{})
+		_, err := Run(Config{
+			Circuit: bench.BV(5, 0b1111), Device: device.Yorktown(), Transpile: true,
+			Trials: 256, Seed: 1, Mode: ModeReordered, Workers: workers, Span: root,
+		})
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, ev := range root.Trace().Chrome().TraceEvents {
+			if ev.Cat == "span" && ev.Args["parent_id"] == root.IDString() {
+				got = append(got, ev.Name)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("workers=%d: Run's child spans are %v, want %v", workers, got, want)
+		}
 	}
 }

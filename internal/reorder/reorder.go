@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -30,77 +31,97 @@ import (
 
 // Sort returns the trials in the paper's optimized execution order: the
 // lexicographic order of packed injection sequences with exhausted trials
-// sorting last. This single comparison-sort is equivalent to Algorithm 1's
-// recursive grouping (AlgorithmOne below implements the recursion
-// literally; the test suite proves the two orders identical). The input
-// slice is not modified.
+// sorting last, and trials with equal sequences in input order — exactly
+// the stable sort by trial.Compare. The input slice is not modified.
 //
-// Trials with equal sequences keep their input order, as a stable sort
-// would keep them. The sort runs on an index permutation with the input
-// position as the tie-break, which gives exactly the stable order from
-// an unstable O(n log n) sort.
+// Sort is Algorithm 1's recursive partition. At each trie node, a range
+// of trials that share their first d injections and sit in input order,
+// the trials with no d-th injection move to the tail in input order, and
+// the rest are sorted by one uint64 each: the d-th key minus the node's
+// smallest, shifted left past the trial's rank in input order, so that
+// equal keys tie by input position. Each run of equal keys is then a
+// child node. When key spread and rank need more than 64 bits, the node
+// sorts ranks by (key, rank) instead. Scratch is sized once per call.
 func Sort(trials []*trial.Trial) []*trial.Trial {
-	if len(trials) > math.MaxInt32 {
-		panic(fmt.Sprintf("reorder: %d trials exceed the int32 sort index", len(trials)))
-	}
-	idx := make([]int32, len(trials))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		if c := trial.Compare(trials[a], trials[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	out := make([]*trial.Trial, len(trials))
-	for i, j := range idx {
-		out[i] = trials[j]
-	}
-	return out
-}
-
-// AlgorithmOne is the literal transcription of the paper's Algorithm 1
-// (Trial_Reorder): order the trials by the location of the n-th injected
-// error, divide them into groups sharing that error, and recurse into each
-// group with n+1. Trials that have no n-th error form the final group and
-// terminate the recursion (they are fully identical within their group, so
-// there is nothing left to order). The input slice is not modified.
-//
-// Sort is the production implementation; AlgorithmOne exists to document
-// the paper's pseudocode faithfully and to cross-check Sort in tests.
-func AlgorithmOne(trials []*trial.Trial) []*trial.Trial {
 	out := make([]*trial.Trial, len(trials))
 	copy(out, trials)
-	algorithmOneRec(out, 0)
+	if len(out) > 1 {
+		p := partitioner{order: out, keys: make([]uint64, len(out)), held: make([]*trial.Trial, len(out))}
+		p.node(0, len(out), 0)
+	}
 	return out
 }
 
-func algorithmOneRec(s []*trial.Trial, n int) {
-	if len(s) <= 1 {
+// partitioner holds Sort's order and its scratch. A node uses only the
+// scratch of its own range, so a child never overwrites what its parent
+// still reads.
+type partitioner struct {
+	order []*trial.Trial
+	keys  []uint64       // a node's sort keys, then each placed trial's group key
+	held  []*trial.Trial // a node's trials with a next key, in input order
+}
+
+// node orders trials order[lo:hi), which share their first depth
+// injections and are in input order.
+func (p *partitioner) node(lo, hi, depth int) {
+	for hi-lo > 1 {
+		// One pass: trials with a depth-th key to held, their keys to
+		// keys, exhausted trials packed to the front of the range.
+		held, keys := p.held[lo:hi], p.keys[lo:hi]
+		live, minK, maxK := 0, ^uint64(0), uint64(0)
+		for i, t := range p.order[lo:hi] {
+			if len(t.Inj) <= depth {
+				p.order[lo+i-live] = t
+				continue
+			}
+			k := uint64(t.Inj[depth])
+			held[live], keys[live] = t, k
+			minK, maxK = min(minK, k), max(maxK, k)
+			live++
+		}
+		if live == 0 {
+			return // all exhausted: identical sequences, already in input order
+		}
+		if live == hi-lo && minK == maxK {
+			depth++ // a single child: nothing moves
+			continue
+		}
+		copy(p.order[lo+live:hi], p.order[lo:hi-live])
+		held, keys = held[:live], keys[:live]
+		if rankBits := bits.Len(uint(live - 1)); bits.Len64(maxK-minK)+rankBits <= 64 {
+			for j, k := range keys {
+				keys[j] = (k-minK)<<rankBits | uint64(j)
+			}
+			slices.Sort(keys)
+			mask := uint64(1)<<rankBits - 1
+			for j, k := range keys {
+				p.order[lo+j] = held[k&mask]
+				keys[j] = k >> rankBits
+			}
+		} else {
+			for j := range keys {
+				keys[j] = uint64(j)
+			}
+			slices.SortFunc(keys, func(a, b uint64) int {
+				if c := cmp.Compare(held[a].Inj[depth], held[b].Inj[depth]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			for j, k := range keys {
+				p.order[lo+j] = held[k]
+				keys[j] = uint64(held[k].Inj[depth])
+			}
+		}
+		for i := 0; i < live; {
+			j := i + 1
+			for j < live && keys[j] == keys[i] {
+				j++
+			}
+			p.node(lo+i, lo+j, depth+1)
+			i = j
+		}
 		return
-	}
-	// Line 4: order the trials by the location of the nth injected error.
-	// Trials without an nth error take a +inf sentinel, placing them last
-	// (see trial.Compare for why that convention minimizes MSV).
-	key := func(t *trial.Trial) uint64 {
-		if n >= len(t.Inj) {
-			return ^uint64(0)
-		}
-		return uint64(t.Inj[n])
-	}
-	slices.SortStableFunc(s, func(a, b *trial.Trial) int { return cmp.Compare(key(a), key(b)) })
-	// Lines 5-9: divide into groups sharing the nth error and recurse.
-	for lo := 0; lo < len(s); {
-		k := key(s[lo])
-		hi := lo + 1
-		for hi < len(s) && key(s[hi]) == k {
-			hi++
-		}
-		if k != ^uint64(0) { // exhausted group: identical trials, stop
-			algorithmOneRec(s[lo:hi], n+1)
-		}
-		lo = hi
 	}
 }
 
@@ -318,25 +339,30 @@ func BuildPlanOrdered(c *circuit.Circuit, ordered []*trial.Trial) (*Plan, error)
 
 // BuildPlanOrderedBudget is BuildPlanBudget over a presorted trial slice
 // (see BuildPlanOrdered).
+//
+// The pass that checks the order also counts the unbudgeted plan's steps
+// from the adjacent common-prefix lengths, so an unbudgeted plan's Steps
+// is allocated once at its exact size. Budgeted plans presize to a bound
+// and grow when their replays exceed it.
 func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
 	if budget < 0 {
 		return nil, fmt.Errorf("reorder: negative snapshot budget %d", budget)
-	}
-	for i := 1; i < len(ordered); i++ {
-		if trial.Compare(ordered[i-1], ordered[i]) > 0 {
-			return nil, fmt.Errorf("reorder: trials not in Sort order at index %d (use BuildPlan to sort)", i)
-		}
 	}
 	p, err := planShell(c, ordered)
 	if err != nil {
 		return nil, err
 	}
-	// The unbudgeted plan emits at most four steps per trie node (advance,
-	// push, inject, pop), and there are no more trie nodes than
-	// injections, plus an advance and an emit per trial. Presizing to that
-	// bound keeps the append from regrowing; budgeted replays may exceed
-	// it and grow as usual.
-	p.Steps = make([]Step, 0, 4*p.injections+2*len(ordered)+1)
+	steps, err := scanOrder(ordered, p.nLayers)
+	if err != nil {
+		return nil, err
+	}
+	if budget != math.MaxInt {
+		// At most four steps per trie node (advance, push, inject, pop),
+		// no more trie nodes than injections, plus an advance and an emit
+		// per trial.
+		steps = 4*p.injections + 2*len(ordered) + 1
+	}
+	p.Steps = make([]Step, 0, steps)
 
 	b := newPlanBuilder(p, math.MaxInt, budget)
 	b.record = true
@@ -349,12 +375,61 @@ func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget i
 	if len(b.snaps) != 0 {
 		return nil, fmt.Errorf("reorder: internal error, %d snapshots leaked", len(b.snaps))
 	}
+	if budget == math.MaxInt && len(p.Steps) != steps {
+		return nil, fmt.Errorf("reorder: internal error, plan has %d steps, counted %d", len(p.Steps), steps)
+	}
 	return p, nil
+}
+
+// scanOrder returns an error unless ordered is in Sort order, and counts
+// the steps of its unbudgeted plan. Each trial that starts a new distinct
+// sequence branches from its predecessor at depth p, their common-prefix
+// length. Exhausted trials sort last, so the predecessor has a p-th
+// injection, and the plan resumes from the snapshot taken before it: one
+// push/pop pair per branch, the state advanced through the layer of that
+// injection. From there the trial adds one inject per injection beyond
+// p, an advance wherever the layer frontier rises (before an injection in
+// a later layer, and to the circuit's end) and one emit. Duplicates share
+// their predecessor's emit and add nothing.
+func scanOrder(ordered []*trial.Trial, nLayers int) (int, error) {
+	steps := 0
+	var prev []trial.Key
+	for i, t := range ordered {
+		cur := t.Inj
+		p, frontier := 0, 0
+		if i > 0 {
+			n := min(len(prev), len(cur))
+			for p < n && prev[p] == cur[p] {
+				p++
+			}
+			if (p < n && prev[p] > cur[p]) || (p == n && len(prev) < len(cur)) {
+				return 0, fmt.Errorf("reorder: trials not in Sort order at index %d (use Sort first)", i)
+			}
+			if p == n && len(prev) == len(cur) {
+				continue
+			}
+			steps += 2
+			frontier = prev[p].Layer() + 1
+		}
+		for _, k := range cur[p:] {
+			if l := k.Layer() + 1; l > frontier {
+				steps++
+				frontier = l
+			}
+			steps++
+		}
+		if frontier < nLayers {
+			steps++
+		}
+		steps++
+		prev = cur
+	}
+	return steps, nil
 }
 
 // planShell builds a Plan over an already-ordered trial sequence with the
 // circuit's layer metadata and the baseline op count filled in, ready for a
-// planBuilder (or splitBuilder) to populate steps and metrics.
+// planBuilder to populate steps and metrics.
 func planShell(c *circuit.Circuit, ordered []*trial.Trial) (*Plan, error) {
 	if len(ordered) == 0 {
 		return nil, fmt.Errorf("reorder: empty trial set")
@@ -389,11 +464,18 @@ type snap struct {
 	prefixLen int
 }
 
+// planBuilder walks the injection-prefix trie of its plan's order. The
+// one walk builds a whole plan, counts one without steps (Analyze), or,
+// with split set, builds a SplitPlan's trunk: it then spawns a task for
+// each trie child at depth cut and for each clean tail above it, and
+// each task body is again a whole-plan walk of that subtree.
 type planBuilder struct {
 	plan       *Plan
-	record     bool // false: streaming analysis, count but emit no steps
-	depthCap   int  // max shared injections exploited; 0 disables sharing
-	budget     int  // max concurrent snapshots (MaxInt for BuildPlan)
+	record     bool       // false: streaming analysis, count but emit no steps
+	depthCap   int        // max shared injections exploited; 0 disables sharing
+	budget     int        // max concurrent snapshots (MaxInt for BuildPlan)
+	split      *SplitPlan // non-nil: this walk is the trunk of split
+	cut        int        // with split, the depth tasks hang at
 	layersDone int
 	prefix     []trial.Key // injections applied to the working state
 	snaps      []snap
@@ -463,6 +545,14 @@ func (b *planBuilder) build(lo, hi, depth int) {
 		}
 		inj := key.Unpack()
 		b.advanceTo(inj.Layer + 1)
+		if b.split != nil && depth == b.cut-1 {
+			b.spawnBranch(i, j, depth, key)
+			i = j
+			continue
+		}
+		// Consume the working state in place for the last child of a
+		// tail-free range, snapshot when the budget allows, replay
+		// otherwise.
 		last := j == cleanStart && cleanStart == hi
 		pushed := false
 		if !last && len(b.snaps) < b.budget {
@@ -491,7 +581,11 @@ func (b *planBuilder) build(lo, hi, depth int) {
 		}
 		i = j
 	}
-	if cleanStart < hi {
+	switch {
+	case cleanStart == hi:
+	case b.split != nil:
+		b.spawnClean(cleanStart, hi, depth)
+	default:
 		b.advanceTo(b.plan.nLayers)
 		b.emit(Step{Kind: StepEmit, From: cleanStart, To: hi})
 	}

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime/debug"
@@ -68,7 +69,7 @@ func TestSortMatchesAlgorithmOne(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		trials := randomTrials(rng, 50, 6, 3, 4)
 		a := Sort(trials)
-		b := AlgorithmOne(trials)
+		b := algorithmOne(trials)
 		if len(a) != len(b) {
 			return false
 		}
@@ -585,8 +586,8 @@ func TestPlanDump(t *testing.T) {
 
 // TestBuildPlanAllocsIndependentOfTrials: building a plan allocates the
 // same number of times at 256 and 4,096 trials. Emits name a range of
-// the order instead of a slice of indices, Steps is presized to the
-// unbudgeted bound, and the builder's prefix and stack are sized once.
+// the order instead of a slice of indices, Steps is allocated once at
+// its exact size, and the builder's prefix and stack are sized once.
 func TestBuildPlanAllocsIndependentOfTrials(t *testing.T) {
 	// A collection cycle triggered by the multi-MB step slice can count
 	// runtime allocations of its own; count only the builder's.
@@ -602,6 +603,29 @@ func TestBuildPlanAllocsIndependentOfTrials(t *testing.T) {
 	}
 	if small, large := allocs(256), allocs(4096); small != large {
 		t.Errorf("BuildPlanOrdered allocates %.0f times at 256 trials, %.0f at 4096", small, large)
+	}
+}
+
+// TestPlanStepsExactSize: an unbudgeted plan's Steps is allocated once,
+// at exactly the size the order scan counts, on the golden jobs and on
+// random sets full of duplicates and shared prefixes.
+func TestPlanStepsExactSize(t *testing.T) {
+	check := func(label string, c *circuit.Circuit, trials []*trial.Trial) {
+		t.Helper()
+		p, err := BuildPlan(c, trials)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(p.Steps) != cap(p.Steps) {
+			t.Fatalf("%s: %d steps in a slice of capacity %d", label, len(p.Steps), cap(p.Steps))
+		}
+	}
+	for _, job := range goldenJobs(t) {
+		check(fmt.Sprintf("%s seed %d", job.name, job.seed), job.c, job.trials)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 200; round++ {
+		check(fmt.Sprintf("random set %d", round), chain(12), randTrialSet(rng, 1+rng.Intn(300)))
 	}
 }
 

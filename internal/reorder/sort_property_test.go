@@ -101,10 +101,10 @@ func TestSortIsStableLexicographicOrder(t *testing.T) {
 		}
 		// And the production sort agrees with the paper's literal
 		// Algorithm 1 transcription on the same multiset.
-		alg := AlgorithmOne(trials)
+		alg := algorithmOne(trials)
 		for i := range alg {
 			if trial.Compare(alg[i], sorted[i]) != 0 {
-				t.Fatalf("round %d: AlgorithmOne and Sort diverge at %d: %s vs %s",
+				t.Fatalf("round %d: algorithmOne and Sort diverge at %d: %s vs %s",
 					round, i, alg[i], sorted[i])
 			}
 		}

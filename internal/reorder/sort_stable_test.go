@@ -38,10 +38,10 @@ func checkSortMatchesStable(t *testing.T, label string, trials []*trial.Trial) {
 	}
 }
 
-// TestSortMatchesStableSort checks that the index sort with the input
+// TestSortMatchesStableSort checks that the partition sort with the input
 // position as tie-break is the stable sort: on random sets full of
-// duplicates and shared prefixes, in ID order and shuffled, and on the
-// empty and one-trial sets.
+// duplicates and shared prefixes, in ID order and shuffled, with keys too
+// wide to pack, and on the empty and one-trial sets.
 func TestSortMatchesStableSort(t *testing.T) {
 	checkSortMatchesStable(t, "nil", nil)
 	checkSortMatchesStable(t, "empty", []*trial.Trial{})
@@ -58,6 +58,20 @@ func TestSortMatchesStableSort(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSortMatchesStable(t, "generated", g.Generate(rand.New(rand.NewSource(3)), 4096))
+	// Lift some sequences to the top layers, so nodes mix keys too wide
+	// to pack with a position.
+	for round := 0; round < 50; round++ {
+		trials := randTrialSet(rng, 1+rng.Intn(300))
+		for _, tr := range trials {
+			if len(tr.Inj) > 0 && tr.Inj[0]%2 == 0 {
+				for k, key := range tr.Inj {
+					in := key.Unpack()
+					tr.Inj[k] = trial.Pack(topLayer-8+in.Layer, in.Qubit, in.Op)
+				}
+			}
+		}
+		checkSortMatchesStable(t, "wide keys", trials)
+	}
 }
 
 // mapSummarize is the hashing trial summary that SummarizeSorted
@@ -114,24 +128,43 @@ func TestSummarizeSortedMatchesMapCount(t *testing.T) {
 	}
 }
 
+// topLayer is the largest layer a trial.Key packs. Keys at that layer set
+// the top bits, so a node that mixes them with layer-0 keys spans more
+// than 64 bits once packed with a position, and Sort takes its wide-key
+// path.
+const topLayer = 1<<40 - 1
+
 // FuzzSortMatchesStable decodes the input into trials over a small key
 // alphabet, so duplicates and shared prefixes are common, and checks
-// Sort against the stable sort. A byte of 0xf0 or above ends a trial;
-// any other byte appends the key byte%8.
+// Sort against the stable sort. A byte of 0xf0 or above ends a trial; a
+// byte from 0x80 appends a key at layer topLayer-byte%8, which drives the
+// wide-key path; any other byte appends the key byte%8.
 func FuzzSortMatchesStable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xf0, 0xf0, 0xf0})
 	f.Add([]byte{1, 2, 0xf0, 1, 0xf0, 1, 2, 0xf0, 0xf0, 1, 0xf0, 3})
 	f.Add([]byte{5, 0xf0, 4, 0xf0, 5, 0xf0, 4, 4, 0xf0, 0xf0, 5})
+	f.Add([]byte{0x80, 0xf0, 0x81, 1, 0xf0, 0x80, 0xf0, 1, 0x81, 0xf0, 0x81, 0xf0, 0x80, 2})
+	// Forty trials over two wide keys and one narrow one: long runs of
+	// equal keys in a wide-key node, where only the position tie-break
+	// keeps the input order.
+	wide := []byte{}
+	for i := 0; i < 40; i++ {
+		wide = append(wide, []byte{0x80, 0x81, 3}[i%3], 0xf0)
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		trials := []*trial.Trial{{ID: 0}}
 		for _, b := range data {
 			cur := trials[len(trials)-1]
-			if b >= 0xf0 {
+			switch {
+			case b >= 0xf0:
 				trials = append(trials, &trial.Trial{ID: len(trials)})
-				continue
+			case b >= 0x80:
+				cur.Inj = append(cur.Inj, trial.Pack(topLayer-int(b%8), 0, 0))
+			default:
+				cur.Inj = append(cur.Inj, trial.Key(b%8))
 			}
-			cur.Inj = append(cur.Inj, trial.Key(b%8))
 		}
 		checkSortMatchesStable(t, "fuzzed", trials)
 	})

@@ -144,13 +144,11 @@ func SplitPlanOrderedCut(c *circuit.Circuit, ordered []*trial.Trial, cut, budget
 	if budget < 0 {
 		return nil, fmt.Errorf("reorder: negative snapshot budget %d", budget)
 	}
-	for i := 1; i < len(ordered); i++ {
-		if trial.Compare(ordered[i-1], ordered[i]) > 0 {
-			return nil, fmt.Errorf("reorder: trials not in Sort order at index %d (use SplitPlanCut to sort)", i)
-		}
-	}
 	shell, err := planShell(c, ordered)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := scanOrder(ordered, shell.nLayers); err != nil {
 		return nil, err
 	}
 	sp := &SplitPlan{
@@ -161,142 +159,35 @@ func SplitPlanOrderedCut(c *circuit.Circuit, ordered []*trial.Trial, cut, budget
 		layerCum: shell.layerCum,
 		baseline: shell.baseline,
 	}
-	b := &splitBuilder{sp: sp, shell: shell, cut: cut, budget: budget}
-	if err := b.walk(0, len(ordered), 0); err != nil {
-		return nil, err
-	}
+	b := newPlanBuilder(shell, math.MaxInt, budget)
+	b.record = true
+	b.split, b.cut = sp, cut
+	b.build(0, len(ordered), 0)
 	if len(b.snaps) != 0 {
 		return nil, fmt.Errorf("reorder: internal error, %d trunk snapshots leaked", len(b.snaps))
 	}
+	sp.Trunk, sp.trunkOps, sp.trunkMSV = shell.Steps, shell.planOps, shell.msv
 	return sp, nil
-}
-
-// splitBuilder walks the trie levels above the cut, producing the trunk
-// program and spawning one Subtree per depth-`cut` branch child and per
-// clean tail. It mirrors planBuilder's recursion; the task bodies
-// themselves are produced by planBuilder so subtree contents are
-// step-for-step what the sequential plan would have run.
-type splitBuilder struct {
-	sp         *SplitPlan
-	shell      *Plan // layer metadata donor for per-task plan shells
-	cut        int
-	budget     int
-	layersDone int
-	prefix     []trial.Key
-	snaps      []snap
-}
-
-func (b *splitBuilder) emit(s Step) { b.sp.Trunk = append(b.sp.Trunk, s) }
-
-func (b *splitBuilder) gatesIn(from, to int) int {
-	return b.sp.layerCum[to] - b.sp.layerCum[from]
-}
-
-func (b *splitBuilder) advanceTo(to int) {
-	if to < b.layersDone {
-		panic(fmt.Sprintf("reorder: trunk advance backwards from %d to %d", b.layersDone, to))
-	}
-	if to == b.layersDone {
-		return
-	}
-	b.emit(Step{Kind: StepAdvance, From: b.layersDone, To: to})
-	b.sp.trunkOps += int64(b.gatesIn(b.layersDone, to))
-	b.layersDone = to
-}
-
-// walk processes sorted trials [lo, hi) sharing their first `depth`
-// injections (already applied to the trunk's working state), with
-// depth < cut.
-func (b *splitBuilder) walk(lo, hi, depth int) error {
-	cleanStart := hi
-	for cleanStart > lo && len(b.sp.Order[cleanStart-1].Inj) == depth {
-		cleanStart--
-	}
-	i := lo
-	for i < cleanStart {
-		key := b.sp.Order[i].Inj[depth]
-		j := i + 1
-		for j < cleanStart && b.sp.Order[j].Inj[depth] == key {
-			j++
-		}
-		inj := key.Unpack()
-		b.advanceTo(inj.Layer + 1)
-		if depth == b.cut-1 {
-			if err := b.spawnBranch(i, j, depth, key); err != nil {
-				return err
-			}
-		} else {
-			// The trunk descends below this branch point exactly as the
-			// sequential builder does: consume the working state in place
-			// for the last child of a tail-free range, snapshot when the
-			// budget allows, replay otherwise.
-			last := j == cleanStart && cleanStart == hi
-			pushed := false
-			if !last && len(b.snaps) < b.budget {
-				b.emit(Step{Kind: StepPush})
-				b.snaps = append(b.snaps, snap{layers: b.layersDone, prefixLen: depth})
-				if len(b.snaps) > b.sp.trunkMSV {
-					b.sp.trunkMSV = len(b.snaps)
-				}
-				pushed = true
-			}
-			b.emit(Step{Kind: StepInject, Qubit: inj.Qubit, Op: inj.Op})
-			b.sp.trunkOps++
-			b.prefix = append(b.prefix[:depth], key)
-			if err := b.walk(i, j, depth+1); err != nil {
-				return err
-			}
-			if !last {
-				if pushed {
-					b.emit(Step{Kind: StepPop})
-					top := b.snaps[len(b.snaps)-1]
-					b.snaps = b.snaps[:len(b.snaps)-1]
-					b.layersDone = top.layers
-					b.prefix = b.prefix[:top.prefixLen]
-				} else {
-					b.restoreTo(depth)
-				}
-			}
-		}
-		i = j
-	}
-	if cleanStart < hi {
-		b.spawnClean(cleanStart, hi, depth)
-	}
-	return nil
-}
-
-// restoreTo mirrors planBuilder.restoreTo for the trunk: resume the
-// working state to (prefix[:depth], its layer frontier) from the nearest
-// stored ancestor, replaying the missing gates and injections.
-func (b *splitBuilder) restoreTo(depth int) {
-	base := snap{}
-	if len(b.snaps) > 0 {
-		base = b.snaps[len(b.snaps)-1]
-	}
-	b.emit(Step{Kind: StepRestore})
-	b.layersDone = base.layers
-	for _, k := range b.prefix[base.prefixLen:depth] {
-		in := k.Unpack()
-		b.advanceTo(in.Layer + 1)
-		b.emit(Step{Kind: StepInject, Qubit: in.Qubit, Op: in.Op})
-		b.sp.trunkOps++
-	}
-	b.prefix = b.prefix[:depth]
 }
 
 // spawnBranch packages trials [lo, hi) — which share injections
 // [0, depth] with the branch key at index depth — as one subtree task:
-// the branch injection followed by the sequential builder's recursion
-// below it, generated against the trunk's current (EntryLayer, prefix).
-func (b *splitBuilder) spawnBranch(lo, hi, depth int, key trial.Key) error {
+// the branch injection followed by the whole-plan walk below it,
+// generated against the trunk's current (EntryLayer, prefix).
+func (b *planBuilder) spawnBranch(lo, hi, depth int, key trial.Key) {
 	task := &Subtree{
-		ID:         len(b.sp.Subtrees),
+		ID:         len(b.split.Subtrees),
 		EntryLayer: b.layersDone,
 		EntryDepth: depth,
 		Trials:     hi - lo,
 	}
-	shell := b.taskShell()
+	shell := &Plan{
+		Order:    b.plan.Order,
+		nLayers:  b.plan.nLayers,
+		layerOps: b.plan.layerOps,
+		layerCum: b.plan.layerCum,
+		totalOps: b.plan.totalOps,
+	}
 	tb := &planBuilder{plan: shell, record: true, depthCap: math.MaxInt, budget: b.budget, layersDone: b.layersDone}
 	tb.prefix = append(tb.prefix, b.prefix[:depth]...)
 	baseSnaps := 0
@@ -313,49 +204,33 @@ func (b *splitBuilder) spawnBranch(lo, hi, depth int, key trial.Key) error {
 	shell.planOps++
 	tb.prefix = append(tb.prefix, key)
 	tb.build(lo, hi, depth+1)
-	if tb.layersDone != b.sp.nLayers {
-		return fmt.Errorf("reorder: internal error, subtree %d ended at layer %d of %d", task.ID, tb.layersDone, b.sp.nLayers)
-	}
-	if len(tb.snaps) != baseSnaps {
-		return fmt.Errorf("reorder: internal error, subtree %d leaked %d snapshots", task.ID, len(tb.snaps)-baseSnaps)
+	if tb.layersDone != shell.nLayers || len(tb.snaps) != baseSnaps {
+		panic(fmt.Sprintf("reorder: subtree %d ended at layer %d of %d with %d of %d snapshots", task.ID, tb.layersDone, shell.nLayers, len(tb.snaps), baseSnaps))
 	}
 	task.Steps = shell.Steps
 	task.Ops = shell.planOps
 	task.MSV = shell.msv
 	b.emit(Step{Kind: StepSpawn, Task: task.ID})
-	b.sp.Subtrees = append(b.sp.Subtrees, task)
-	return nil
+	b.split.Subtrees = append(b.split.Subtrees, task)
 }
 
 // spawnClean packages exhausted trials [lo, hi) at the current depth as
 // an advance-and-emit task, so the trunk never performs the final layers
 // itself and stays free to reach the next spawn point sooner.
-func (b *splitBuilder) spawnClean(lo, hi, depth int) {
+func (b *planBuilder) spawnClean(lo, hi, depth int) {
 	task := &Subtree{
-		ID:         len(b.sp.Subtrees),
+		ID:         len(b.split.Subtrees),
 		EntryLayer: b.layersDone,
 		EntryDepth: depth,
 		Trials:     hi - lo,
 	}
-	if b.layersDone < b.sp.nLayers {
-		task.Steps = append(task.Steps, Step{Kind: StepAdvance, From: b.layersDone, To: b.sp.nLayers})
-		task.Ops = int64(b.gatesIn(b.layersDone, b.sp.nLayers))
+	if b.layersDone < b.plan.nLayers {
+		task.Steps = append(task.Steps, Step{Kind: StepAdvance, From: b.layersDone, To: b.plan.nLayers})
+		task.Ops = int64(b.plan.GatesInLayers(b.layersDone, b.plan.nLayers))
 	}
 	task.Steps = append(task.Steps, Step{Kind: StepEmit, From: lo, To: hi})
 	b.emit(Step{Kind: StepSpawn, Task: task.ID})
-	b.sp.Subtrees = append(b.sp.Subtrees, task)
-}
-
-// taskShell clones the layer metadata of the split's plan shell into a
-// fresh Plan for one task's step accounting.
-func (b *splitBuilder) taskShell() *Plan {
-	return &Plan{
-		Order:    b.shell.Order,
-		nLayers:  b.shell.nLayers,
-		layerOps: b.shell.layerOps,
-		layerCum: b.shell.layerCum,
-		totalOps: b.shell.totalOps,
-	}
+	b.split.Subtrees = append(b.split.Subtrees, task)
 }
 
 // entryContext is the symbolic state a spawn hands to a task: applied

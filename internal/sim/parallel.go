@@ -30,24 +30,30 @@ import (
 // per-chunk peaks, because chunks do not reach their individual peaks at
 // the same instant.
 func Parallel(c *circuit.Circuit, trials []*trial.Trial, workers int, opt Options) (*Result, error) {
+	return ParallelOrdered(c, reorder.Sort(trials), workers, opt)
+}
+
+// ParallelOrdered is Parallel over trials already in reorder.Sort order
+// (see ParallelSubtreeOrdered). Each chunk's plan rejects an unsorted
+// chunk.
+func ParallelOrdered(c *circuit.Circuit, ordered []*trial.Trial, workers int, opt Options) (*Result, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sim: worker count %d < 1", workers)
 	}
-	if len(trials) == 0 {
+	if len(ordered) == 0 {
 		return nil, fmt.Errorf("sim: empty trial set")
 	}
 	var psp *trace.Span
 	if opt.Span != nil {
 		psp = opt.Span.Child("execute_parallel",
 			trace.Int("workers", int64(workers)),
-			trace.Int("trials", int64(len(trials))))
+			trace.Int("trials", int64(len(ordered))))
 		// Chunk spans (execute_plan, one per worker) and the shared
 		// program's segment compiles nest under the parallel span.
 		opt.Span = psp
 	}
 	// Workers beyond the trial count simply get empty chunks (lo == hi
 	// below) and contribute nothing to the merge.
-	ordered := reorder.Sort(trials)
 	budget := opt.planBudget()
 	// One buffer arena shared by every chunk, recorded here (the chunks
 	// see a caller-provided pool and skip their own accounting).

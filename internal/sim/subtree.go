@@ -42,16 +42,27 @@ func ParallelSubtree(c *circuit.Circuit, trials []*trial.Trial, workers int, opt
 // cut 0 chooses automatically (deep enough that every worker has several
 // tasks, capped at 3).
 func ParallelSubtreeCut(c *circuit.Circuit, trials []*trial.Trial, workers, cut int, opt Options) (*Result, error) {
+	return parallelSubtree(c, reorder.Sort(trials), workers, cut, opt)
+}
+
+// ParallelSubtreeOrdered is ParallelSubtree over trials already in
+// reorder.Sort order, as reorder.BuildPlanOrdered is BuildPlan: a caller
+// that has sorted the trials for its own plan hands the order over
+// instead of having it sorted again. An unsorted slice is an error.
+func ParallelSubtreeOrdered(c *circuit.Circuit, ordered []*trial.Trial, workers int, opt Options) (*Result, error) {
+	return parallelSubtree(c, ordered, workers, 0, opt)
+}
+
+func parallelSubtree(c *circuit.Circuit, ordered []*trial.Trial, workers, cut int, opt Options) (*Result, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sim: worker count %d < 1", workers)
 	}
-	if len(trials) == 0 {
+	if len(ordered) == 0 {
 		return nil, fmt.Errorf("sim: empty trial set")
 	}
-	if workers > len(trials) {
-		workers = len(trials)
+	if workers > len(ordered) {
+		workers = len(ordered)
 	}
-	ordered := reorder.Sort(trials)
 	if cut == 0 {
 		cut = chooseCut(ordered, workers)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,6 +47,52 @@ func TestSubtreeMatchesSequential(t *testing.T) {
 				t.Errorf("%s workers=%d: subtree ops %d != sequential %d (sharing lost)",
 					name, workers, par.Ops, seq.Ops)
 			}
+		}
+	}
+}
+
+// TestOrderedEntriesTakeTheOrder: ParallelSubtreeOrdered and
+// ParallelOrdered run the order they are given. On a sorted order they
+// match the sorting entries exactly, and an unsorted order is an error,
+// which it could not be if they sorted it again.
+func TestOrderedEntriesTakeTheOrder(t *testing.T) {
+	c := bench.QFT(5)
+	m := noise.Uniform("u", 5, 1e-2, 5e-2, 1e-2)
+	trials := genTrials(t, c, m, 400, 23)
+	ordered := reorder.Sort(trials)
+	unsorted := slices.Clone(ordered)
+	slices.Reverse(unsorted)
+	for _, workers := range []int{1, 2, 4} {
+		for _, lanes := range []int{0, 4} {
+			opt := Options{Lanes: lanes}
+			want, err := ParallelSubtree(c, trials, workers, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ParallelSubtreeOrdered(c, ordered, workers, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !EqualOutcomes(got, want) || got.Ops != want.Ops || got.Copies != want.Copies {
+				t.Errorf("workers=%d lanes=%d: ParallelSubtreeOrdered differs from ParallelSubtree", workers, lanes)
+			}
+			if _, err := ParallelSubtreeOrdered(c, unsorted, workers, opt); err == nil {
+				t.Errorf("workers=%d lanes=%d: ParallelSubtreeOrdered accepts an unsorted order", workers, lanes)
+			}
+		}
+		want, err := Parallel(c, trials, workers, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParallelOrdered(c, ordered, workers, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !EqualOutcomes(got, want) || got.Ops != want.Ops {
+			t.Errorf("workers=%d: ParallelOrdered differs from Parallel", workers)
+		}
+		if _, err := ParallelOrdered(c, unsorted, workers, Options{}); err == nil {
+			t.Errorf("workers=%d: ParallelOrdered accepts an unsorted order", workers)
 		}
 	}
 }
