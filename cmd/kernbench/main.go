@@ -11,6 +11,11 @@
 //     runs, a QV-style mix).
 //   - exec/<variant>: the end-to-end reordered plan executor on a QV
 //     workload, where compilation cost is part of the measured path.
+//   - host/flops/<loop>: the host's double-precision flop roof in GFLOP/s,
+//     from register-resident assembly loops (amd64 only): "mul-add" with
+//     a separate VMULPD and VADDPD, the ceiling of the Float64bits-exact
+//     kernels, and "fma" with VFMADD231PD, the ceiling of the FuseNumeric
+//     FMA sweeps.
 //
 // Usage:
 //
@@ -50,6 +55,7 @@ type result struct {
 	NsPerOp           float64 `json:"ns_per_op"`
 	Iters             int     `json:"iters"`
 	SpeedupVsDispatch float64 `json:"speedup_vs_dispatch,omitempty"`
+	GFlops            float64 `json:"gflops,omitempty"`
 }
 
 type report struct {
@@ -57,6 +63,7 @@ type report struct {
 	Trials  int         `json:"trials"`
 	Seed    int64       `json:"seed"`
 	GoMaxP  int         `json:"gomaxprocs"`
+	Kernels string      `json:"kernels"`
 	Env     obs.EnvMeta `json:"env"`
 	Results []result    `json:"results"`
 }
@@ -107,8 +114,9 @@ func run() error {
 	}
 
 	rep := &report{Qubits: *qubits, Trials: *trials, Seed: benchSeed,
-		GoMaxP: runtime.GOMAXPROCS(0), Env: obs.CaptureEnv()}
+		GoMaxP: runtime.GOMAXPROCS(0), Kernels: statevec.KernelISA(), Env: obs.CaptureEnv()}
 
+	rep.Results = append(rep.Results, roofCases(*minTime)...)
 	for _, w := range kernelWorkloads(*qubits) {
 		rep.Results = append(rep.Results, kernelCases(w.name, w.c, *qubits, *minTime, mets)...)
 	}
@@ -194,6 +202,33 @@ func kernelWorkloads(n int) []workload {
 	}
 	qv := bench.QV(n, 4, rand.New(rand.NewSource(benchSeed)))
 	return []workload{{"chain", chain}, {"diag", diag}, {"qv", qv}}
+}
+
+// flopRoof is one register-resident flop loop: iters trips of roofFlops.
+type flopRoof struct {
+	name string
+	run  func(iters int, x float64)
+}
+
+const (
+	roofFlops = 96
+	roofIters = 1 << 16
+)
+
+// roofCases measures the host's flop roofs where this build has the
+// loops and the CPU the instructions.
+func roofCases(minTime time.Duration) []result {
+	isa := statevec.KernelISA()
+	if isa == "go" {
+		return nil
+	}
+	var results []result
+	for _, r := range flopRoofs(isa == "avx2+fma") {
+		ns, iters := timeIt(minTime, func() { r.run(roofIters, 0.5) })
+		results = append(results, result{Benchmark: "host/flops", Variant: r.name, NsPerOp: ns, Iters: iters,
+			GFlops: roofFlops * roofIters / ns})
+	}
+	return results
 }
 
 // timeIt runs fn repeatedly until minTime has elapsed and returns ns/op.

@@ -17,10 +17,12 @@ import (
 //
 // Two loop shapes appear below:
 //
-//   - lane-outer (chain and diagonal-run kernels): the serial sweep is
-//     already in-register per lane, so the batch variant replays it per
-//     lane over the caller's cache-sized unit block;
-//   - lane-inner (phase tables, controlled kernels, 2q/kq matrices): the
+//   - lane-outer (chain, diagonal-run and 2q kernels): the serial sweep
+//     is already in-register per lane, so the batch variant replays it per
+//     lane over the caller's cache-sized unit block. A 2q sweep is the
+//     kern2 assembly (the FMA form in FuseNumeric programs), which a Go
+//     replay could neither match in speed nor, under FMA, in rounding;
+//   - lane-inner (phase tables, controlled kernels, kq matrices): the
 //     per-unit index math and table lookups are computed once and applied
 //     to every lane, which is where the SoA layout genuinely saves work.
 
@@ -117,35 +119,8 @@ func (k *ccxKernel) runBatch(lanes [][]complex128, lo, hi int) {
 }
 
 func (k *twoQKernel) runBatch(lanes [][]complex128, lo, hi int) {
-	b0, b1 := 1<<uint(k.q0), 1<<uint(k.q1)
-	lowb, highb := sort2(b0, b1)
-	m := &k.m
-	for u := lo; u < hi; u++ {
-		i0 := spreadBit(spreadBit(u, lowb), highb)
-		i1 := i0 | b1
-		i2 := i0 | b0
-		i3 := i0 | b0 | b1
-		for _, amp := range lanes {
-			a0, a1, a2, a3 := amp[i0], amp[i1], amp[i2], amp[i3]
-			var r0, r1, r2, r3 complex128
-			r0 += m[0] * a0
-			r0 += m[1] * a1
-			r0 += m[2] * a2
-			r0 += m[3] * a3
-			r1 += m[4] * a0
-			r1 += m[5] * a1
-			r1 += m[6] * a2
-			r1 += m[7] * a3
-			r2 += m[8] * a0
-			r2 += m[9] * a1
-			r2 += m[10] * a2
-			r2 += m[11] * a3
-			r3 += m[12] * a0
-			r3 += m[13] * a1
-			r3 += m[14] * a2
-			r3 += m[15] * a3
-			amp[i0], amp[i1], amp[i2], amp[i3] = r0, r1, r2, r3
-		}
+	for _, amp := range lanes {
+		k.run(amp, lo, hi)
 	}
 }
 

@@ -86,6 +86,9 @@ type chainKernel struct {
 	q, bit int
 	steps  []gstep
 	ops    int
+	// numeric routes a one-step generic chain to kern1Numeric. Only
+	// FuseNumeric lowering sets it (see markNumeric).
+	numeric bool
 }
 
 func (k *chainKernel) units(dim int) int { return dim >> uint(k.q+1) }
@@ -107,7 +110,11 @@ func (k *chainKernel) run(amp []complex128, lo, hi int) {
 		case sDiag1, sDiag:
 			kernDiag(amp, bit, lo, hi, st.d0, st.d1)
 		default:
-			kern1(amp, bit, lo, hi, st.u00, st.u01, st.u10, st.u11)
+			if k.numeric {
+				kern1Numeric(amp, bit, lo, hi, st.u00, st.u01, st.u10, st.u11)
+			} else {
+				kern1(amp, bit, lo, hi, st.u00, st.u01, st.u10, st.u11)
+			}
 		}
 		return
 	}
@@ -477,10 +484,17 @@ type twoQKernel struct {
 	q0, q1 int
 	m      [16]complex128
 	ops    int
+	// numeric routes the sweep to kern2Numeric. Only FuseNumeric
+	// lowering sets it (see markNumeric).
+	numeric bool
 }
 
 func (k *twoQKernel) units(dim int) int { return dim >> 2 }
 func (k *twoQKernel) run(amp []complex128, lo, hi int) {
+	if k.numeric {
+		kern2Numeric(amp, 1<<uint(k.q0), 1<<uint(k.q1), lo, hi, &k.m)
+		return
+	}
 	kern2(amp, 1<<uint(k.q0), 1<<uint(k.q1), lo, hi, &k.m)
 }
 func (k *twoQKernel) info() KernelInfo {
@@ -888,8 +902,24 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 		ks = foldDiagRuns(ks)
 		ks = foldPairs(ks)
 		ks = foldDiagTables(ks)
+		markNumeric(ks)
 	}
 	return ks, ops
+}
+
+// markNumeric sends a numeric program's general 4x4 kernels and one-step
+// generic chains to kern2Numeric and kern1Numeric, which may round once
+// per multiply-add (FMA) where FuseOff and FuseExact must not: their
+// kernels stay on kern1/kern2, Float64bits-identical to dispatch.
+func markNumeric(ks []kernel) {
+	for _, k := range ks {
+		switch t := k.(type) {
+		case *twoQKernel:
+			t.numeric = true
+		case *chainKernel:
+			t.numeric = true
+		}
+	}
 }
 
 // demoteSingleGateDiagRuns rewrites diagonal runs that ended up covering a

@@ -27,6 +27,19 @@ import "repro/internal/qmath"
 // the differential harness compares amplitudes by Float64bits, so even a
 // reassociated addition or a flipped zero sign is a detectable bug.
 
+// KernelISA names the sweep bodies this build runs on this CPU: "go" (the
+// portable kernels), "avx2" (the AVX2 assembly, Float64bits-identical to
+// them) or "avx2+fma" (FuseNumeric programs also take the FMA sweeps).
+func KernelISA() string {
+	switch {
+	case useFMA:
+		return "avx2+fma"
+	case useAVX2:
+		return "avx2"
+	}
+	return "go"
+}
+
 // pair1 applies a general 2x2 unitary to an amplitude pair.
 func pair1(a0, a1, u00, u01, u10, u11 complex128) (complex128, complex128) {
 	return u00*a0 + u01*a1, u10*a0 + u11*a1

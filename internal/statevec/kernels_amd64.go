@@ -8,11 +8,19 @@ import "math/bits"
 // kern1 and kern2 take the assembly sweeps in kernels_amd64.s.
 var useAVX2 = hasAVX2()
 
+// useFMA reports that the CPU also has FMA, so kern1Numeric and
+// kern2Numeric take the fused-multiply-add sweeps.
+var useFMA = useAVX2 && hasFMA()
+
 // hasAVX2 reads CPUID and XGETBV.
 func hasAVX2() bool
 
-// asmChunk bounds the work of one assembly call, in pairs for kern1AVX2
-// and units for kern2AVX2/kern2AVX2Q0 (tens of microseconds). The runtime
+// hasFMA reads CPUID; it is only asked once hasAVX2 holds.
+func hasFMA() bool
+
+// asmChunk bounds the work of one assembly call, in pairs for
+// kern1AVX2/kern1FMA and units for the kern2 sweeps (tens of
+// microseconds). The runtime
 // cannot preempt a goroutine inside assembly, so the wrappers sweep a
 // large state in chunks and a stop-the-world pause waits for one chunk,
 // not one whole sweep. Even, so every chunk edge keeps the evenness the
@@ -29,6 +37,12 @@ const asmChunk = 1 << 12
 //go:noescape
 func kern1AVX2(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
 
+// kern1FMA is kern1AVX2 in the FMA row form: within a few ulps of
+// kern1Go, not identical to it.
+//
+//go:noescape
+func kern1FMA(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
+
 // kern2AVX2 is kern2Go for lowb >= 2 over units [lo, hi), lo and hi even:
 // units u and u+1 are adjacent amplitudes in every matrix slot.
 //
@@ -42,14 +56,35 @@ func kern2AVX2(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex
 //go:noescape
 func kern2AVX2Q0(amp []complex128, highb, q0low, lo, hi int, m *[16]complex128)
 
+// kern2FMA and kern2FMAQ0 are kern2AVX2 and kern2AVX2Q0 in the FMA row
+// form: within a few ulps of kern2Go, not identical to it.
+//
+//go:noescape
+func kern2FMA(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128)
+
+//go:noescape
+func kern2FMAQ0(amp []complex128, highb, q0low, lo, hi int, m *[16]complex128)
+
 // kern1 sweeps a general 2x2 unitary over base blocks [lo, hi): the AVX2
 // assembly where the CPU has it, kern1Go otherwise, with Float64bits-
-// identical results. Block u holds the pairs [u*bit, (u+1)*bit). The
-// assembly does no bounds checks, so the wrapper first proves that the
-// highest index the sweep touches, hi*2*bit-1, is in range (compared as
-// hi <= len>>log2(2*bit), which cannot overflow); an out-of-range call
-// takes kern1Go, which panics on the first bad index.
+// identical results.
 func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
+	kern1Sweep(amp, bit, lo, hi, u00, u01, u10, u11, false)
+}
+
+// kern1Numeric is kern1 for FuseNumeric programs: the FMA assembly where
+// the CPU has it, within a few ulps of kern1Go; kern1 otherwise.
+func kern1Numeric(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
+	kern1Sweep(amp, bit, lo, hi, u00, u01, u10, u11, useFMA)
+}
+
+// kern1Sweep is kern1 (fma false) and kern1Numeric (fma true). Block u
+// holds the pairs [u*bit, (u+1)*bit). The assembly does no bounds checks,
+// so the wrapper first proves that the highest index the sweep touches,
+// hi*2*bit-1, is in range (compared as hi <= len>>log2(2*bit), which
+// cannot overflow); an out-of-range call takes kern1Go, which panics on
+// the first bad index.
+func kern1Sweep(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128, fma bool) {
 	if !useAVX2 || bit <= 0 || bit&(bit-1) != 0 || lo < 0 || lo >= hi ||
 		uint(hi) > uint(len(amp))>>(uint(bits.TrailingZeros(uint(bit)))+1) {
 		kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)
@@ -64,17 +99,33 @@ func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 	}
 	for plo < phi {
 		end := min(plo+asmChunk, phi)
-		kern1AVX2(amp, bit, plo, end, u00, u01, u10, u11)
+		if fma {
+			kern1FMA(amp, bit, plo, end, u00, u01, u10, u11)
+		} else {
+			kern1AVX2(amp, bit, plo, end, u00, u01, u10, u11)
+		}
 		plo = end
 	}
 }
 
 // kern2 sweeps a general 4x4 unitary over free-subcube units [lo, hi):
 // the AVX2 assembly where the CPU has it, kern2Go otherwise, with
-// Float64bits-identical results. Odd edges of the unit range go to
-// kern2Go. The wrapper bounds hi by the unit count and then checks the
-// highest index the sweep touches once, before any write.
+// Float64bits-identical results.
 func kern2(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
+	kern2Sweep(amp, b0, b1, lo, hi, m, false)
+}
+
+// kern2Numeric is kern2 for FuseNumeric programs: the FMA assembly where
+// the CPU has it, within a few ulps of kern2Go; kern2 otherwise.
+func kern2Numeric(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
+	kern2Sweep(amp, b0, b1, lo, hi, m, useFMA)
+}
+
+// kern2Sweep is kern2 (fma false) and kern2Numeric (fma true). Odd edges
+// of the unit range go to kern2Go. The wrapper bounds hi by the unit count
+// and then checks the highest index the sweep touches once, before any
+// write.
+func kern2Sweep(amp []complex128, b0, b1, lo, hi int, m *[16]complex128, fma bool) {
 	lowb, highb := sort2(b0, b1)
 	if !useAVX2 || lowb <= 0 || lowb == highb || lowb&(lowb-1) != 0 || highb&(highb-1) != 0 ||
 		lo < 0 || hi-lo < 2 || uint(hi) > uint(len(amp))>>2 {
@@ -89,7 +140,11 @@ func kern2(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
 		}
 		for lo < hi {
 			end := min(lo+asmChunk, hi)
-			kern2AVX2Q0(amp, highb, b0&1, lo, end, m)
+			if fma {
+				kern2FMAQ0(amp, highb, b0&1, lo, end, m)
+			} else {
+				kern2AVX2Q0(amp, highb, b0&1, lo, end, m)
+			}
 			lo = end
 		}
 		return
@@ -104,7 +159,11 @@ func kern2(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
 	}
 	for lo < hi {
 		end := min(lo+asmChunk, hi)
-		kern2AVX2(amp, lowb, highb, b0, b1, lo, end, m)
+		if fma {
+			kern2FMA(amp, lowb, highb, b0, b1, lo, end, m)
+		} else {
+			kern2AVX2(amp, lowb, highb, b0, b1, lo, end, m)
+		}
 		lo = end
 	}
 }

@@ -8,8 +8,15 @@
 // im = mr*ai + mi*ar, each multiply and add rounded separately. The
 // vector form VADDSUBPD(a*bcast(mr), swap(a)*bcast(mi)) does the same
 // IEEE operations: the even lane subtracts, the odd lane adds, and
-// multiplication and addition are commutative bit for bit. No FMA (it
-// rounds once), and every routine ends with VZEROUPPER.
+// multiplication and addition are commutative bit for bit. These sweeps
+// use no FMA (it rounds once), and every routine ends with VZEROUPPER.
+//
+// The *FMA sweeps serve FuseNumeric programs only, which are not
+// bit-exact to begin with. Each output row is computed as
+// P = sum_j bcast(re m_j)*a_j and Q = sum_j bcast(im m_j)*swap(a_j), one
+// VMULPD and then VFMADD231PD per further term, and row =
+// VADDSUBPD(P, Q): every multiply-add rounds once, so the result is
+// within a few ulps of the Go body, not identical to it.
 
 // func hasAVX2() bool
 TEXT ·hasAVX2(SB), NOSPLIT, $0-1
@@ -39,6 +46,17 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func hasFMA() bool
+// CPUID leaf 1 ECX bit 12; the caller has checked AVX2 and YMM state.
+TEXT ·hasFMA(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	MOVL $0, CX
+	CPUID
+	SHRL $12, CX
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
+	RET
+
 // KERN1 applies the broadcast 2x2 matrix (Y0..Y7 = re/im of u00, u01,
 // u10, u11) to a0 lanes in Y8 and a1 lanes in Y9: Y12 = u00*a0 + u01*a1,
 // Y13 = u10*a0 + u11*a1, as pair1 computes them.
@@ -60,6 +78,45 @@ no:
 	VADDSUBPD Y15, Y14, Y14; \
 	VADDPD    Y14, Y13, Y13
 
+// HALVES sets up the bit >= 2 walk: even pair p and p+1 sit side by side
+// at spreadBit(p, bit) and bit amplitudes on, one vector per half. The
+// walk jumps over the upper half each time a lower half ends; a range
+// that starts inside a lower half ends inside it too, so the count in CX
+// starts full. SI points at the first lower-half vector, DX is bit in
+// bytes and R8 the vectors per lower half.
+#define HALVES \
+	MOVQ R8, DX; \
+	NEGQ DX; \
+	ANDQ CX, DX; \
+	ADDQ CX, DX; \
+	SHLQ $4, DX; \
+	ADDQ DX, SI; \
+	MOVQ R8, DX; \
+	SHLQ $4, DX; \
+	SHRQ $1, R8; \
+	MOVQ R8, CX
+
+// HALF runs the row macro K on the vector at SI and its upper half.
+#define HALF(K) \
+	VMOVUPD (SI), Y8; \
+	VMOVUPD (SI)(DX*1), Y9; \
+	K; \
+	VMOVUPD Y12, (SI); \
+	VMOVUPD Y13, (SI)(DX*1)
+
+// PAIRS4 runs the row macro K on pairs p and p+1 for bit == 1: the four
+// amplitudes [2p, 2p+4) at SI, regrouped into a0 and a1 lanes and back.
+#define PAIRS4(K) \
+	VMOVUPD    (SI), Y12; \
+	VMOVUPD    32(SI), Y13; \
+	VPERM2F128 $0x20, Y13, Y12, Y8; \
+	VPERM2F128 $0x31, Y13, Y12, Y9; \
+	K; \
+	VPERM2F128 $0x20, Y13, Y12, Y8; \
+	VPERM2F128 $0x31, Y13, Y12, Y9; \
+	VMOVUPD    Y8, (SI); \
+	VMOVUPD    Y9, 32(SI)
+
 // func kern1AVX2(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
 TEXT ·kern1AVX2(SB), NOSPLIT, $0-112
 	MOVQ         amp_base+0(FP), SI
@@ -78,60 +135,96 @@ TEXT ·kern1AVX2(SB), NOSPLIT, $0-112
 	SHRQ         $1, BX            // vectors: two pairs each
 	CMPQ         R8, $1
 	JEQ          pairs
-
-	// bit >= 2: even pair p and p+1 sit side by side at spreadBit(p, bit)
-	// and bit amplitudes on, one vector per half. The walk jumps over the
-	// upper half each time a lower half ends; a range that starts inside
-	// a lower half ends inside it too, so the count starts full.
-	MOVQ R8, DX
-	NEGQ DX
-	ANDQ CX, DX
-	ADDQ CX, DX                    // spreadBit(plo, bit)
-	SHLQ $4, DX
-	ADDQ DX, SI
-	MOVQ R8, DX
-	SHLQ $4, DX                    // bit in bytes
-	SHRQ $1, R8                    // vectors per lower half
-	MOVQ R8, CX
+	HALVES
 
 vec:
-	VMOVUPD (SI), Y8
-	VMOVUPD (SI)(DX*1), Y9
-	KERN1
-	VMOVUPD Y12, (SI)
-	VMOVUPD Y13, (SI)(DX*1)
-	ADDQ    $32, SI
-	DECQ    BX
-	JZ      done
-	DECQ    CX
-	JNZ     vec
-	ADDQ    DX, SI
-	MOVQ    R8, CX
-	JMP     vec
+	HALF(KERN1)
+	ADDQ $32, SI
+	DECQ BX
+	JZ   done
+	DECQ CX
+	JNZ  vec
+	ADDQ DX, SI
+	MOVQ R8, CX
+	JMP  vec
 
 done:
 	VZEROUPPER
 	RET
 
-	// bit == 1: pairs p and p+1 are the four amplitudes [2p, 2p+4);
-	// regroup them into a0 and a1 lanes and back.
 pairs:
 	SHLQ $5, CX
 	ADDQ CX, SI                    // &amp[2*plo]
 
 pair:
-	VMOVUPD    (SI), Y12
-	VMOVUPD    32(SI), Y13
-	VPERM2F128 $0x20, Y13, Y12, Y8
-	VPERM2F128 $0x31, Y13, Y12, Y9
-	KERN1
-	VPERM2F128 $0x20, Y13, Y12, Y8
-	VPERM2F128 $0x31, Y13, Y12, Y9
-	VMOVUPD    Y8, (SI)
-	VMOVUPD    Y9, 32(SI)
-	ADDQ       $64, SI
-	DECQ       BX
-	JNZ        pair
+	PAIRS4(KERN1)
+	ADDQ $64, SI
+	DECQ BX
+	JNZ  pair
+	VZEROUPPER
+	RET
+
+// KERN1FMA is KERN1 in the FMA row form: for Y12 = u00*a0 + u01*a1,
+// P = re(u00)*a0 + re(u01)*a1 and Q = im(u00)*swap(a0) + im(u01)*swap(a1)
+// with Y12 = VADDSUBPD(P, Q); likewise Y13 from u10 and u11.
+#define KERN1FMA \
+	VPERMILPD   $5, Y8, Y10; \
+	VPERMILPD   $5, Y9, Y11; \
+	VMULPD      Y0, Y8, Y12; \
+	VFMADD231PD Y2, Y9, Y12; \
+	VMULPD      Y1, Y10, Y14; \
+	VFMADD231PD Y3, Y11, Y14; \
+	VADDSUBPD   Y14, Y12, Y12; \
+	VMULPD      Y4, Y8, Y13; \
+	VFMADD231PD Y6, Y9, Y13; \
+	VMULPD      Y5, Y10, Y15; \
+	VFMADD231PD Y7, Y11, Y15; \
+	VADDSUBPD   Y15, Y13, Y13
+
+// func kern1FMA(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
+TEXT ·kern1FMA(SB), NOSPLIT, $0-112
+	MOVQ         amp_base+0(FP), SI
+	MOVQ         bit+24(FP), R8
+	MOVQ         plo+32(FP), CX
+	MOVQ         phi+40(FP), BX
+	VBROADCASTSD u00_real+48(FP), Y0
+	VBROADCASTSD u00_imag+56(FP), Y1
+	VBROADCASTSD u01_real+64(FP), Y2
+	VBROADCASTSD u01_imag+72(FP), Y3
+	VBROADCASTSD u10_real+80(FP), Y4
+	VBROADCASTSD u10_imag+88(FP), Y5
+	VBROADCASTSD u11_real+96(FP), Y6
+	VBROADCASTSD u11_imag+104(FP), Y7
+	SUBQ         CX, BX
+	SHRQ         $1, BX            // vectors: two pairs each
+	CMPQ         R8, $1
+	JEQ          pairs
+	HALVES
+
+vec:
+	HALF(KERN1FMA)
+	ADDQ $32, SI
+	DECQ BX
+	JZ   done
+	DECQ CX
+	JNZ  vec
+	ADDQ DX, SI
+	MOVQ R8, CX
+	JMP  vec
+
+done:
+	VZEROUPPER
+	RET
+
+pairs:
+	SHLQ $5, CX
+	ADDQ CX, SI
+
+pair:
+	PAIRS4(KERN1FMA)
+	ADDQ $64, SI
+	DECQ BX
+	JNZ  pair
 	VZEROUPPER
 	RET
 
@@ -166,12 +259,63 @@ pair:
 	ROW(128, Y10); \
 	ROW(192, Y11)
 
+// FROW sets acc to matrix row off/64 times (a0..a3) in Y0..Y3 in the FMA
+// row form, with the swapped slots in Y4..Y7: P in acc, Q in Y12.
+#define FROW(off, acc) \
+	VBROADCASTSD off(DX), Y14; \
+	VMULPD       Y0, Y14, acc; \
+	VBROADCASTSD off+8(DX), Y15; \
+	VMULPD       Y4, Y15, Y12; \
+	VBROADCASTSD off+16(DX), Y14; \
+	VFMADD231PD  Y1, Y14, acc; \
+	VBROADCASTSD off+24(DX), Y15; \
+	VFMADD231PD  Y5, Y15, Y12; \
+	VBROADCASTSD off+32(DX), Y14; \
+	VFMADD231PD  Y2, Y14, acc; \
+	VBROADCASTSD off+40(DX), Y15; \
+	VFMADD231PD  Y6, Y15, Y12; \
+	VBROADCASTSD off+48(DX), Y14; \
+	VFMADD231PD  Y3, Y14, acc; \
+	VBROADCASTSD off+56(DX), Y15; \
+	VFMADD231PD  Y7, Y15, Y12; \
+	VADDSUBPD    Y12, acc, acc
+
+// KERN2FMA is KERN2 with FROW rows.
+#define KERN2FMA \
+	VPERMILPD $5, Y0, Y4; \
+	VPERMILPD $5, Y1, Y5; \
+	VPERMILPD $5, Y2, Y6; \
+	VPERMILPD $5, Y3, Y7; \
+	FROW(0, Y8); \
+	FROW(64, Y9); \
+	FROW(128, Y10); \
+	FROW(192, Y11)
+
 // SPREAD sets dst to spreadBit(src, bit) = src + (src & -bit), with nbit
 // holding -bit.
 #define SPREAD(src, nbit, dst) \
 	MOVQ src, dst; \
 	ANDQ nbit, dst; \
 	ADDQ src, dst
+
+// UNIT2 runs the row macro K on units u and u+1 (u in CX) for lowb >= 2,
+// which leaves bit 0 of the unit in place, so the two units sit side by
+// side in every slot. R8 = -lowb, R9 = -highb, and R10, R11 and R12 are
+// the byte offsets of slots 2, 1 and 3.
+#define UNIT2(K) \
+	SPREAD(CX, R8, AX); \
+	SPREAD(AX, R9, DI); \
+	SHLQ    $4, DI; \
+	ADDQ    SI, DI; \
+	VMOVUPD (DI), Y0; \
+	VMOVUPD (DI)(R11*1), Y1; \
+	VMOVUPD (DI)(R10*1), Y2; \
+	VMOVUPD (DI)(R12*1), Y3; \
+	K; \
+	VMOVUPD Y8, (DI); \
+	VMOVUPD Y9, (DI)(R11*1); \
+	VMOVUPD Y10, (DI)(R10*1); \
+	VMOVUPD Y11, (DI)(R12*1)
 
 // func kern2AVX2(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128)
 TEXT ·kern2AVX2(SB), NOSPLIT, $0-80
@@ -189,36 +333,46 @@ TEXT ·kern2AVX2(SB), NOSPLIT, $0-80
 	MOVQ hi+64(FP), BX
 	MOVQ m+72(FP), DX
 
-	// lowb >= 2 leaves bit 0 of the unit in place, so even unit u and
-	// u+1 sit side by side in every slot.
 loop2:
-	SPREAD(CX, R8, AX)
-	SPREAD(AX, R9, DI)
-	SHLQ    $4, DI
-	ADDQ    SI, DI                 // &amp[i0]
-	VMOVUPD (DI), Y0
-	VMOVUPD (DI)(R11*1), Y1
-	VMOVUPD (DI)(R10*1), Y2
-	VMOVUPD (DI)(R12*1), Y3
-	KERN2
-	VMOVUPD Y8, (DI)
-	VMOVUPD Y9, (DI)(R11*1)
-	VMOVUPD Y10, (DI)(R10*1)
-	VMOVUPD Y11, (DI)(R12*1)
-	ADDQ    $2, CX
-	CMPQ    CX, BX
-	JLT     loop2
+	UNIT2(KERN2)
+	ADDQ $2, CX
+	CMPQ CX, BX
+	JLT  loop2
 	VZEROUPPER
 	RET
 
-// Q0UNIT runs kern2 on units u and u+1 (u in CX) of a pair that
-// includes qubit 0, with R9 = -highb and R10 = highb in bytes. Each of
-// the four loads holds two matrix slots of one unit: slots 0 and s1 at
+// func kern2FMA(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128)
+TEXT ·kern2FMA(SB), NOSPLIT, $0-80
+	MOVQ amp_base+0(FP), SI
+	MOVQ lowb+24(FP), R8
+	NEGQ R8
+	MOVQ highb+32(FP), R9
+	NEGQ R9
+	MOVQ b0+40(FP), R10
+	SHLQ $4, R10                   // slot 2 offset in bytes
+	MOVQ b1+48(FP), R11
+	SHLQ $4, R11                   // slot 1 offset
+	LEAQ (R10)(R11*1), R12         // slot 3 offset
+	MOVQ lo+56(FP), CX
+	MOVQ hi+64(FP), BX
+	MOVQ m+72(FP), DX
+
+loop2:
+	UNIT2(KERN2FMA)
+	ADDQ $2, CX
+	CMPQ CX, BX
+	JLT  loop2
+	VZEROUPPER
+	RET
+
+// Q0UNIT runs the row macro K on units u and u+1 (u in CX) of a pair
+// that includes qubit 0, with R9 = -highb and R10 = highb in bytes. Each
+// of the four loads holds two matrix slots of one unit: slots 0 and s1 at
 // i0, slots s2 and 3 at i0|highb. They are regrouped into slot vectors
 // Y0..Y3 (slot s1 into r1, slot s2 into r2) and the output rows o1 and o2
 // of slots s1 and s2 are regrouped back. Qubit 0 as the matrix's q1 gives
 // s1 = 1, s2 = 2; as q0, s1 = 2, s2 = 1.
-#define Q0UNIT(r1, r2, o1, o2) \
+#define Q0UNIT(K, r1, r2, o1, o2) \
 	LEAQ       (CX)(CX*1), AX; \
 	SPREAD(AX, R9, DI); \
 	SHLQ       $4, DI; \
@@ -235,7 +389,7 @@ loop2:
 	VPERM2F128 $0x31, Y9, Y8, r1; \
 	VPERM2F128 $0x20, Y11, Y10, r2; \
 	VPERM2F128 $0x31, Y11, Y10, Y3; \
-	KERN2; \
+	K; \
 	VPERM2F128 $0x20, o1, Y8, Y0; \
 	VPERM2F128 $0x31, o1, Y8, Y1; \
 	VPERM2F128 $0x20, Y11, o2, Y2; \
@@ -261,7 +415,7 @@ TEXT ·kern2AVX2Q0(SB), NOSPLIT, $0-64
 
 	// Qubit 0 is q1: unit u holds [a0 a1] at i0 and [a2 a3] at i0|highb.
 q1:
-	Q0UNIT(Y1, Y2, Y9, Y10)
+	Q0UNIT(KERN2, Y1, Y2, Y9, Y10)
 	ADDQ $2, CX
 	CMPQ CX, BX
 	JLT  q1
@@ -270,7 +424,39 @@ q1:
 
 	// Qubit 0 is q0: unit u holds [a0 a2] at i0 and [a1 a3] at i0|highb.
 q0:
-	Q0UNIT(Y2, Y1, Y10, Y9)
+	Q0UNIT(KERN2, Y2, Y1, Y10, Y9)
+	ADDQ $2, CX
+	CMPQ CX, BX
+	JLT  q0
+	VZEROUPPER
+	RET
+
+// func kern2FMAQ0(amp []complex128, highb, q0low, lo, hi int, m *[16]complex128)
+TEXT ·kern2FMAQ0(SB), NOSPLIT, $0-64
+	MOVQ amp_base+0(FP), SI
+	MOVQ highb+24(FP), R9
+	MOVQ R9, R10
+	SHLQ $4, R10                   // highb in bytes
+	NEGQ R9
+	MOVQ q0low+32(FP), R8
+	MOVQ lo+40(FP), CX
+	MOVQ hi+48(FP), BX
+	MOVQ m+56(FP), DX
+	CMPQ R8, $0
+	JNE  q0
+
+	// Qubit 0 is q1, as in kern2AVX2Q0.
+q1:
+	Q0UNIT(KERN2FMA, Y1, Y2, Y9, Y10)
+	ADDQ $2, CX
+	CMPQ CX, BX
+	JLT  q1
+	VZEROUPPER
+	RET
+
+	// Qubit 0 is q0.
+q0:
+	Q0UNIT(KERN2FMA, Y2, Y1, Y10, Y9)
 	ADDQ $2, CX
 	CMPQ CX, BX
 	JLT  q0

@@ -252,8 +252,8 @@ func FuzzKernelAsmParity(f *testing.F) {
 
 // TestKernelBoundsPanic: the assembly does no bounds checks, so an
 // out-of-range unit range or bit must panic with an index error, on the
-// assembly and the Go path alike, without touching memory past the
-// slice.
+// Go path and through the dispatch and numeric (FMA) wrappers alike,
+// without touching memory past the slice.
 func TestKernelBoundsPanic(t *testing.T) {
 	const n = 6
 	const dim = 1 << n
@@ -271,6 +271,9 @@ func TestKernelBoundsPanic(t *testing.T) {
 		{"dispatch",
 			func(a []complex128, bit, lo, hi int) { kern1(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
 			func(a []complex128, b0, b1, lo, hi int) { kern2(a, b0, b1, lo, hi, m) }},
+		{"numeric",
+			func(a []complex128, bit, lo, hi int) { kern1Numeric(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
+			func(a []complex128, b0, b1, lo, hi int) { kern2Numeric(a, b0, b1, lo, hi, m) }},
 	}
 	for _, p := range paths {
 		p := p
@@ -315,8 +318,8 @@ func catchPanic(f func()) (err error) {
 }
 
 // BenchmarkKern1 and BenchmarkKern2 time one full sweep, the Go body
-// against the AVX2 assembly, at n = 5, 10 and 14 on qubit 0 and on the
-// high qubits.
+// against the AVX2 assembly and its FMA form (the numeric wrappers), at
+// n = 5, 10 and 14 on qubit 0 and on the high qubits.
 func BenchmarkKern1(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	u := randU3(r)
@@ -334,6 +337,12 @@ func BenchmarkKern1(b *testing.B) {
 				requireAsm(b)
 				for i := 0; i < b.N; i++ {
 					kern1(amp, bit, 0, units, u[0], u[1], u[2], u[3])
+				}
+			})
+			b.Run(fmt.Sprintf("n=%d/q=%d/fma", n, q), func(b *testing.B) {
+				requireFMA(b)
+				for i := 0; i < b.N; i++ {
+					kern1Numeric(amp, bit, 0, units, u[0], u[1], u[2], u[3])
 				}
 			})
 		}
@@ -357,6 +366,12 @@ func BenchmarkKern2(b *testing.B) {
 				requireAsm(b)
 				for i := 0; i < b.N; i++ {
 					kern2(amp, b0, b1, 0, units, m)
+				}
+			})
+			b.Run(fmt.Sprintf("n=%d/q=%d,%d/fma", n, qs[0], qs[1]), func(b *testing.B) {
+				requireFMA(b)
+				for i := 0; i < b.N; i++ {
+					kern2Numeric(amp, b0, b1, 0, units, m)
 				}
 			})
 		}

@@ -6,6 +6,10 @@ package statevec
 // the purego tag forces the portable bodies).
 const useAVX2 = false
 
+// useFMA is false for the same reason: kern1Numeric and kern2Numeric are
+// kern1 and kern2.
+const useFMA = false
+
 // kern1 sweeps a general 2x2 unitary over base blocks [lo, hi).
 func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 	kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)
@@ -13,5 +17,15 @@ func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 
 // kern2 sweeps a general 4x4 unitary over free-subcube units [lo, hi).
 func kern2(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
+	kern2Go(amp, b0, b1, lo, hi, m)
+}
+
+// kern1Numeric is kern1 for FuseNumeric programs.
+func kern1Numeric(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
+	kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)
+}
+
+// kern2Numeric is kern2 for FuseNumeric programs.
+func kern2Numeric(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
 	kern2Go(amp, b0, b1, lo, hi, m)
 }
