@@ -14,8 +14,9 @@
 //   - host/flops/<loop>: the host's double-precision flop roof in GFLOP/s,
 //     from register-resident assembly loops (amd64 only): "mul-add" with
 //     a separate VMULPD and VADDPD, the ceiling of the Float64bits-exact
-//     kernels, and "fma" with VFMADD231PD, the ceiling of the FuseNumeric
-//     FMA sweeps.
+//     kernels, "fma" with VFMADD231PD on YMM, the ceiling of the
+//     FuseNumeric FMA sweeps, and "fma-zmm" with VFMADD231PD on ZMM, the
+//     ceiling of their AVX-512 form.
 //
 // Usage:
 //
@@ -204,29 +205,23 @@ func kernelWorkloads(n int) []workload {
 	return []workload{{"chain", chain}, {"diag", diag}, {"qv", qv}}
 }
 
-// flopRoof is one register-resident flop loop: iters trips of roofFlops.
+// flopRoof is one register-resident flop loop: iters trips of flops each.
 type flopRoof struct {
-	name string
-	run  func(iters int, x float64)
+	name  string
+	flops int
+	run   func(iters int, x float64)
 }
 
-const (
-	roofFlops = 96
-	roofIters = 1 << 16
-)
+const roofIters = 1 << 16
 
 // roofCases measures the host's flop roofs where this build has the
-// loops and the CPU the instructions.
+// loops and the CPU the instructions the kernels use.
 func roofCases(minTime time.Duration) []result {
-	isa := statevec.KernelISA()
-	if isa == "go" {
-		return nil
-	}
 	var results []result
-	for _, r := range flopRoofs(isa == "avx2+fma") {
+	for _, r := range flopRoofs(statevec.Kernels()) {
 		ns, iters := timeIt(minTime, func() { r.run(roofIters, 0.5) })
 		results = append(results, result{Benchmark: "host/flops", Variant: r.name, NsPerOp: ns, Iters: iters,
-			GFlops: roofFlops * roofIters / ns})
+			GFlops: float64(r.flops) * roofIters / ns})
 	}
 	return results
 }

@@ -6,7 +6,8 @@
 // traffic, iters loop trips of 96 double-precision flops each. Twelve
 // chains cover the FP latency on two or three ports, so the loop runs at
 // the issue rate. roofMulAdd spends a VMULPD and a VADDPD per four
-// multiply-adds, roofFMA one VFMADD231PD.
+// multiply-adds, roofFMA one VFMADD231PD. roofFMAZMM is roofFMA on
+// twelve ZMM accumulators, 192 flops per trip.
 
 // MULADD runs acc = acc*Y14 + Y15 as a separate multiply and add.
 #define MULADD(acc) \
@@ -81,6 +82,43 @@ fma:
 	VFMADD231PD Y15, Y14, Y9
 	VFMADD231PD Y15, Y14, Y10
 	VFMADD231PD Y15, Y14, Y11
+	DECQ CX
+	JNZ  fma
+	VZEROUPPER
+	RET
+
+// func roofFMAZMM(iters int, x float64)
+TEXT ·roofFMAZMM(SB), NOSPLIT, $0-16
+	MOVQ         iters+0(FP), CX
+	VBROADCASTSD x+8(FP), Z14
+	VMOVAPD      Z14, Z15
+	VMOVAPD      Z14, Z0
+	VMOVAPD      Z14, Z1
+	VMOVAPD      Z14, Z2
+	VMOVAPD      Z14, Z3
+	VMOVAPD      Z14, Z4
+	VMOVAPD      Z14, Z5
+	VMOVAPD      Z14, Z6
+	VMOVAPD      Z14, Z7
+	VMOVAPD      Z14, Z8
+	VMOVAPD      Z14, Z9
+	VMOVAPD      Z14, Z10
+	VMOVAPD      Z14, Z11
+
+fma:
+	// acc = Z14*Z15 + acc
+	VFMADD231PD Z15, Z14, Z0
+	VFMADD231PD Z15, Z14, Z1
+	VFMADD231PD Z15, Z14, Z2
+	VFMADD231PD Z15, Z14, Z3
+	VFMADD231PD Z15, Z14, Z4
+	VFMADD231PD Z15, Z14, Z5
+	VFMADD231PD Z15, Z14, Z6
+	VFMADD231PD Z15, Z14, Z7
+	VFMADD231PD Z15, Z14, Z8
+	VFMADD231PD Z15, Z14, Z9
+	VFMADD231PD Z15, Z14, Z10
+	VFMADD231PD Z15, Z14, Z11
 	DECQ CX
 	JNZ  fma
 	VZEROUPPER

@@ -2,5 +2,7 @@
 
 package main
 
+import "repro/internal/statevec"
+
 // flopRoofs is empty: the roof loops are amd64 assembly.
-func flopRoofs(bool) []flopRoof { return nil }
+func flopRoofs(statevec.KernelFeatures) []flopRoof { return nil }

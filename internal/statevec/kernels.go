@@ -29,15 +29,30 @@ import "repro/internal/qmath"
 
 // KernelISA names the sweep bodies this build runs on this CPU: "go" (the
 // portable kernels), "avx2" (the AVX2 assembly, Float64bits-identical to
-// them) or "avx2+fma" (FuseNumeric programs also take the FMA sweeps).
+// them), "avx2+fma" (FuseNumeric programs also take the FMA sweeps) or
+// "avx2+fma+avx512" (the FMA sweeps run in ZMM registers where four pairs
+// or units sit side by side).
 func KernelISA() string {
 	switch {
+	case useAVX512:
+		return "avx2+fma+avx512"
 	case useFMA:
 		return "avx2+fma"
 	case useAVX2:
 		return "avx2"
 	}
 	return "go"
+}
+
+// KernelFeatures reports the instruction sets the sweeps use in this
+// build on this CPU: AVX2 for kern1 and kern2, FMA for the FuseNumeric
+// sweeps and AVX512 (AVX-512F) for their ZMM form. KernelISA names the
+// same set.
+type KernelFeatures struct{ AVX2, FMA, AVX512 bool }
+
+// Kernels returns the KernelFeatures of this build on this CPU.
+func Kernels() KernelFeatures {
+	return KernelFeatures{AVX2: useAVX2, FMA: useFMA, AVX512: useAVX512}
 }
 
 // pair1 applies a general 2x2 unitary to an amplitude pair.

@@ -12,19 +12,28 @@ var useAVX2 = hasAVX2()
 // kern2Numeric take the fused-multiply-add sweeps.
 var useFMA = useAVX2 && hasFMA()
 
+// useAVX512 reports that the CPU also has AVX-512F and the OS saves ZMM
+// state, so kern1Numeric (bit >= 4) and kern2Numeric (lowb >= 4) take the
+// ZMM forms of the FMA sweeps, Float64bits-identical to the YMM ones.
+var useAVX512 = useFMA && hasAVX512()
+
 // hasAVX2 reads CPUID and XGETBV.
 func hasAVX2() bool
 
 // hasFMA reads CPUID; it is only asked once hasAVX2 holds.
 func hasFMA() bool
 
+// hasAVX512 reads CPUID and XGETBV; it is only asked once hasFMA holds.
+func hasAVX512() bool
+
 // asmChunk bounds the work of one assembly call, in pairs for
 // kern1AVX2/kern1FMA and units for the kern2 sweeps (tens of
 // microseconds). The runtime
 // cannot preempt a goroutine inside assembly, so the wrappers sweep a
 // large state in chunks and a stop-the-world pause waits for one chunk,
-// not one whole sweep. Even, so every chunk edge keeps the evenness the
-// assembly needs.
+// not one whole sweep. A multiple of 4, so every chunk edge keeps the
+// alignment the assembly needs: even for the YMM sweeps, a multiple of 4
+// for the ZMM ones.
 const asmChunk = 1 << 12
 
 // kern1AVX2 applies the 2x2 matrix to the amplitude pairs with index
@@ -42,6 +51,13 @@ func kern1AVX2(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex12
 //
 //go:noescape
 func kern1FMA(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
+
+// kern1FMA512 is kern1FMA in ZMM registers, four pairs per vector, for
+// bit >= 4 with plo and phi multiples of 4: Float64bits-identical to
+// kern1FMA.
+//
+//go:noescape
+func kern1FMA512(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
 
 // kern2AVX2 is kern2Go for lowb >= 2 over units [lo, hi), lo and hi even:
 // units u and u+1 are adjacent amplitudes in every matrix slot.
@@ -65,6 +81,13 @@ func kern2FMA(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex1
 //go:noescape
 func kern2FMAQ0(amp []complex128, highb, q0low, lo, hi int, m *[16]complex128)
 
+// kern2FMA512 is kern2FMA in ZMM registers, four units per vector, for
+// lowb >= 4 with lo and hi multiples of 4: Float64bits-identical to
+// kern2FMA.
+//
+//go:noescape
+func kern2FMA512(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128)
+
 // kern1 sweeps a general 2x2 unitary over base blocks [lo, hi): the AVX2
 // assembly where the CPU has it, kern1Go otherwise, with Float64bits-
 // identical results.
@@ -73,7 +96,8 @@ func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 }
 
 // kern1Numeric is kern1 for FuseNumeric programs: the FMA assembly where
-// the CPU has it, within a few ulps of kern1Go; kern1 otherwise.
+// the CPU has it (in ZMM registers for bit >= 4 where it has AVX-512F),
+// within a few ulps of kern1Go; kern1 otherwise.
 func kern1Numeric(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 	kern1Sweep(amp, bit, lo, hi, u00, u01, u10, u11, useFMA)
 }
@@ -99,9 +123,12 @@ func kern1Sweep(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128
 	}
 	for plo < phi {
 		end := min(plo+asmChunk, phi)
-		if fma {
+		switch {
+		case fma && useAVX512 && bit >= 4:
+			kern1FMA512(amp, bit, plo, end, u00, u01, u10, u11)
+		case fma:
 			kern1FMA(amp, bit, plo, end, u00, u01, u10, u11)
-		} else {
+		default:
 			kern1AVX2(amp, bit, plo, end, u00, u01, u10, u11)
 		}
 		plo = end
@@ -116,15 +143,17 @@ func kern2(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
 }
 
 // kern2Numeric is kern2 for FuseNumeric programs: the FMA assembly where
-// the CPU has it, within a few ulps of kern2Go; kern2 otherwise.
+// the CPU has it (in ZMM registers for lowb >= 4 where it has AVX-512F),
+// within a few ulps of kern2Go; kern2 otherwise.
 func kern2Numeric(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
 	kern2Sweep(amp, b0, b1, lo, hi, m, useFMA)
 }
 
 // kern2Sweep is kern2 (fma false) and kern2Numeric (fma true). Odd edges
-// of the unit range go to kern2Go. The wrapper bounds hi by the unit count
-// and then checks the highest index the sweep touches once, before any
-// write.
+// of the unit range go to kern2Go; on the ZMM path the 4-aligned middle
+// goes to kern2FMA512 and the even edges around it to kern2FMA. The
+// wrapper bounds hi by the unit count and then checks the highest index
+// the sweep touches once, before any write.
 func kern2Sweep(amp []complex128, b0, b1, lo, hi int, m *[16]complex128, fma bool) {
 	lowb, highb := sort2(b0, b1)
 	if !useAVX2 || lowb <= 0 || lowb == highb || lowb&(lowb-1) != 0 || highb&(highb-1) != 0 ||
@@ -157,11 +186,23 @@ func kern2Sweep(amp []complex128, b0, b1, lo, hi int, m *[16]complex128, fma boo
 		hi--
 		kern2Go(amp, b0, b1, hi, hi+1, m)
 	}
+	zmm := fma && useAVX512 && lowb >= 4
+	if zmm && lo&2 != 0 && lo < hi {
+		kern2FMA(amp, lowb, highb, b0, b1, lo, lo+2, m)
+		lo += 2
+	}
+	if zmm && hi&2 != 0 && lo < hi {
+		hi -= 2
+		kern2FMA(amp, lowb, highb, b0, b1, hi, hi+2, m)
+	}
 	for lo < hi {
 		end := min(lo+asmChunk, hi)
-		if fma {
+		switch {
+		case zmm:
+			kern2FMA512(amp, lowb, highb, b0, b1, lo, end, m)
+		case fma:
 			kern2FMA(amp, lowb, highb, b0, b1, lo, end, m)
-		} else {
+		default:
 			kern2AVX2(amp, lowb, highb, b0, b1, lo, end, m)
 		}
 		lo = end

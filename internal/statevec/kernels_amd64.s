@@ -17,6 +17,16 @@
 // VMULPD and then VFMADD231PD per further term, and row =
 // VADDSUBPD(P, Q): every multiply-add rounds once, so the result is
 // within a few ulps of the Go body, not identical to it.
+//
+// The *FMA512 sweeps are kern1FMA and kern2FMA in ZMM registers, four
+// complex128 values each, for bit >= 4 and lowb >= 4, where four pairs or
+// units sit side by side. They compute P and Q term for term as the YMM
+// sweeps do, with the matrix entries as embedded-broadcast operands.
+// AVX-512 has no VADDSUBPD; VFMADDSUB231PD with a vector of ones computes
+// 1*P -/+ Q, even lanes subtracting, odd lanes adding. The product 1*P is
+// exact and the instruction rounds once, so it is the same IEEE operation
+// as VADDSUBPD(P, Q), signed zeros included: the ZMM sweeps are
+// Float64bits-identical to the YMM FMA sweeps.
 
 // func hasAVX2() bool
 TEXT ·hasAVX2(SB), NOSPLIT, $0-1
@@ -57,6 +67,34 @@ TEXT ·hasFMA(SB), NOSPLIT, $0-1
 	MOVB CX, ret+0(FP)
 	RET
 
+// func hasAVX512() bool
+// CPUID leaf 7 EBX bit 16 (AVX512F), and XGETBV: the OS saves the opmask,
+// ZMM_Hi256 and Hi16_ZMM state (XCR0 bits 5-7) besides XMM and YMM. The
+// caller has checked AVX2, so leaf 7 exists and OSXSAVE is set.
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	MOVL  $7, AX
+	MOVL  $0, CX
+	CPUID
+	TESTL $0x10000, BX
+	JZ    no
+	MOVL  $0, CX
+	XGETBV
+	ANDL  $0xE6, AX
+	CMPL  AX, $0xE6
+	JNE   no
+	MOVB  $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// ONES sets Z31 to 1.0 in every lane, the multiplier of the closing
+// VFMADDSUB231PD.
+#define ONES \
+	MOVQ         $0x3ff0000000000000, AX; \
+	VPBROADCASTQ AX, Z31
+
 // KERN1 applies the broadcast 2x2 matrix (Y0..Y7 = re/im of u00, u01,
 // u10, u11) to a0 lanes in Y8 and a1 lanes in Y9: Y12 = u00*a0 + u01*a1,
 // Y13 = u10*a0 + u11*a1, as pair1 computes them.
@@ -83,8 +121,8 @@ TEXT ·hasFMA(SB), NOSPLIT, $0-1
 // walk jumps over the upper half each time a lower half ends; a range
 // that starts inside a lower half ends inside it too, so the count in CX
 // starts full. SI points at the first lower-half vector, DX is bit in
-// bytes and R8 the vectors per lower half.
-#define HALVES \
+// bytes and R8 the vectors per lower half, bit >> shift.
+#define HALVES(shift) \
 	MOVQ R8, DX; \
 	NEGQ DX; \
 	ANDQ CX, DX; \
@@ -93,7 +131,7 @@ TEXT ·hasFMA(SB), NOSPLIT, $0-1
 	ADDQ DX, SI; \
 	MOVQ R8, DX; \
 	SHLQ $4, DX; \
-	SHRQ $1, R8; \
+	SHRQ $shift, R8; \
 	MOVQ R8, CX
 
 // HALF runs the row macro K on the vector at SI and its upper half.
@@ -135,7 +173,7 @@ TEXT ·kern1AVX2(SB), NOSPLIT, $0-112
 	SHRQ         $1, BX            // vectors: two pairs each
 	CMPQ         R8, $1
 	JEQ          pairs
-	HALVES
+	HALVES(1)
 
 vec:
 	HALF(KERN1)
@@ -199,7 +237,7 @@ TEXT ·kern1FMA(SB), NOSPLIT, $0-112
 	SHRQ         $1, BX            // vectors: two pairs each
 	CMPQ         R8, $1
 	JEQ          pairs
-	HALVES
+	HALVES(1)
 
 vec:
 	HALF(KERN1FMA)
@@ -225,6 +263,67 @@ pair:
 	ADDQ $64, SI
 	DECQ BX
 	JNZ  pair
+	VZEROUPPER
+	RET
+
+// KERN1FMA512 is KERN1FMA on ZMM: a0 lanes in Z8, a1 lanes in Z9, the
+// matrix broadcast in Z0..Z7, rows into Z12 and Z13. Q accumulates in the
+// row register and P in Z14 or Z15; VFMADDSUB231PD sets row = 1*P -/+ Q.
+#define KERN1FMA512 \
+	VPERMILPD      $0x55, Z8, Z10; \
+	VPERMILPD      $0x55, Z9, Z11; \
+	VMULPD         Z0, Z8, Z14; \
+	VFMADD231PD    Z2, Z9, Z14; \
+	VMULPD         Z1, Z10, Z12; \
+	VFMADD231PD    Z3, Z11, Z12; \
+	VFMADDSUB231PD Z31, Z14, Z12; \
+	VMULPD         Z4, Z8, Z15; \
+	VFMADD231PD    Z6, Z9, Z15; \
+	VMULPD         Z5, Z10, Z13; \
+	VFMADD231PD    Z7, Z11, Z13; \
+	VFMADDSUB231PD Z31, Z15, Z13
+
+// HALF512 is HALF on ZMM: four pairs at SI and their upper half.
+#define HALF512(K) \
+	VMOVUPD (SI), Z8; \
+	VMOVUPD (SI)(DX*1), Z9; \
+	K; \
+	VMOVUPD Z12, (SI); \
+	VMOVUPD Z13, (SI)(DX*1)
+
+// func kern1FMA512(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
+// bit >= 4, and plo and phi are multiples of 4: the HALVES walk with four
+// pairs per vector.
+TEXT ·kern1FMA512(SB), NOSPLIT, $0-112
+	MOVQ         amp_base+0(FP), SI
+	MOVQ         bit+24(FP), R8
+	MOVQ         plo+32(FP), CX
+	MOVQ         phi+40(FP), BX
+	VBROADCASTSD u00_real+48(FP), Z0
+	VBROADCASTSD u00_imag+56(FP), Z1
+	VBROADCASTSD u01_real+64(FP), Z2
+	VBROADCASTSD u01_imag+72(FP), Z3
+	VBROADCASTSD u10_real+80(FP), Z4
+	VBROADCASTSD u10_imag+88(FP), Z5
+	VBROADCASTSD u11_real+96(FP), Z6
+	VBROADCASTSD u11_imag+104(FP), Z7
+	ONES
+	SUBQ         CX, BX
+	SHRQ         $2, BX            // vectors: four pairs each
+	HALVES(2)
+
+vec:
+	HALF512(KERN1FMA512)
+	ADDQ $64, SI
+	DECQ BX
+	JZ   done
+	DECQ CX
+	JNZ  vec
+	ADDQ DX, SI
+	MOVQ R8, CX
+	JMP  vec
+
+done:
 	VZEROUPPER
 	RET
 
@@ -362,6 +461,70 @@ loop2:
 	ADDQ $2, CX
 	CMPQ CX, BX
 	JLT  loop2
+	VZEROUPPER
+	RET
+
+// FROW512 is FROW on ZMM with the matrix entries as embedded broadcasts:
+// P in p, Q in acc, then acc = 1*P -/+ Q.
+#define FROW512(off, acc, p) \
+	VMULPD.BCST         off(DX), Z0, p; \
+	VMULPD.BCST         off+8(DX), Z4, acc; \
+	VFMADD231PD.BCST    off+16(DX), Z1, p; \
+	VFMADD231PD.BCST    off+24(DX), Z5, acc; \
+	VFMADD231PD.BCST    off+32(DX), Z2, p; \
+	VFMADD231PD.BCST    off+40(DX), Z6, acc; \
+	VFMADD231PD.BCST    off+48(DX), Z3, p; \
+	VFMADD231PD.BCST    off+56(DX), Z7, acc; \
+	VFMADDSUB231PD      Z31, p, acc
+
+// UNIT4 runs KERN2FMA on ZMM for units u..u+3 (u in CX, a multiple of 4)
+// with lowb >= 4, which leaves bits 0 and 1 of the unit in place: the four
+// units sit side by side in every slot. Registers as in UNIT2.
+#define UNIT4 \
+	SPREAD(CX, R8, AX); \
+	SPREAD(AX, R9, DI); \
+	SHLQ      $4, DI; \
+	ADDQ      SI, DI; \
+	VMOVUPD   (DI), Z0; \
+	VMOVUPD   (DI)(R11*1), Z1; \
+	VMOVUPD   (DI)(R10*1), Z2; \
+	VMOVUPD   (DI)(R12*1), Z3; \
+	VPERMILPD $0x55, Z0, Z4; \
+	VPERMILPD $0x55, Z1, Z5; \
+	VPERMILPD $0x55, Z2, Z6; \
+	VPERMILPD $0x55, Z3, Z7; \
+	FROW512(0, Z8, Z12); \
+	FROW512(64, Z9, Z13); \
+	FROW512(128, Z10, Z14); \
+	FROW512(192, Z11, Z15); \
+	VMOVUPD   Z8, (DI); \
+	VMOVUPD   Z9, (DI)(R11*1); \
+	VMOVUPD   Z10, (DI)(R10*1); \
+	VMOVUPD   Z11, (DI)(R12*1)
+
+// func kern2FMA512(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128)
+// lowb >= 4, and lo and hi are multiples of 4.
+TEXT ·kern2FMA512(SB), NOSPLIT, $0-80
+	MOVQ amp_base+0(FP), SI
+	MOVQ lowb+24(FP), R8
+	NEGQ R8
+	MOVQ highb+32(FP), R9
+	NEGQ R9
+	MOVQ b0+40(FP), R10
+	SHLQ $4, R10                   // slot 2 offset in bytes
+	MOVQ b1+48(FP), R11
+	SHLQ $4, R11                   // slot 1 offset
+	LEAQ (R10)(R11*1), R12         // slot 3 offset
+	MOVQ lo+56(FP), CX
+	MOVQ hi+64(FP), BX
+	MOVQ m+72(FP), DX
+	ONES
+
+loop4:
+	UNIT4
+	ADDQ $4, CX
+	CMPQ CX, BX
+	JLT  loop4
 	VZEROUPPER
 	RET
 

@@ -7,11 +7,138 @@ import (
 	"testing"
 )
 
+// setAVX512 sets useAVX512 for the rest of the test or benchmark.
+func setAVX512(tb testing.TB, on bool) {
+	saved := useAVX512
+	useAVX512 = on
+	tb.Cleanup(func() { useAVX512 = saved })
+}
+
+// zmmTakes1 and zmmTakes2 report whether kern1Numeric and kern2Numeric
+// hand at least one vector of [lo, hi) to the ZMM sweeps.
+func zmmTakes1(bit, lo, hi int) bool {
+	return useAVX512 && bit >= 4 && hi > lo
+}
+
+func zmmTakes2(b0, b1, lo, hi int) bool {
+	return useAVX512 && min(b0, b1) >= 4 && hi&^3 > (lo+3)&^3
+}
+
+// checkKern1ZMM runs kern1Numeric with and without the ZMM sweeps on
+// copies of amp and fails on the first bit difference: without them the
+// wrapper runs kern1FMA throughout. It reports whether the sweep reached
+// the ZMM assembly. The caller has checked useAVX512.
+func checkKern1ZMM(t testing.TB, amp []complex128, q, lo, hi int, u [4]complex128) bool {
+	t.Helper()
+	bit := 1 << q
+	want := append([]complex128(nil), amp...)
+	got := append([]complex128(nil), amp...)
+	useAVX512 = false
+	kern1Numeric(want, bit, lo, hi, u[0], u[1], u[2], u[3])
+	useAVX512 = true
+	kern1Numeric(got, bit, lo, hi, u[0], u[1], u[2], u[3])
+	if i := bitsDiffer(want, got); i >= 0 {
+		t.Fatalf("kern1 ZMM n=%d q=%d [%d,%d): amplitude %d: ZMM %v, YMM %v",
+			len(amp), q, lo, hi, i, got[i], want[i])
+	}
+	return zmmTakes1(bit, lo, hi)
+}
+
+// checkKern2ZMM is checkKern1ZMM for kern2Numeric on the ordered pair
+// (q0, q1), against kern2FMA and kern2FMAQ0.
+func checkKern2ZMM(t testing.TB, amp []complex128, q0, q1, lo, hi int, m *[16]complex128) bool {
+	t.Helper()
+	b0, b1 := 1<<q0, 1<<q1
+	want := append([]complex128(nil), amp...)
+	got := append([]complex128(nil), amp...)
+	useAVX512 = false
+	kern2Numeric(want, b0, b1, lo, hi, m)
+	useAVX512 = true
+	kern2Numeric(got, b0, b1, lo, hi, m)
+	if i := bitsDiffer(want, got); i >= 0 {
+		t.Fatalf("kern2 ZMM n=%d q=(%d,%d) [%d,%d): amplitude %d: ZMM %v, YMM %v",
+			len(amp), q0, q1, lo, hi, i, got[i], want[i])
+	}
+	return zmmTakes2(b0, b1, lo, hi)
+}
+
+// TestKernelZMMParity holds the ZMM sweeps to the bits of the YMM FMA
+// sweeps on every qubit and every ordered pair for n = 1..13, over the
+// ranges and the ±0, subnormal and sparse states of TestKernelAsmParity.
+func TestKernelZMMParity(t *testing.T) {
+	requireAVX512(t)
+	r := rand.New(rand.NewSource(20200722))
+	var cases, zmm int
+	for n := 1; n <= 13; n++ {
+		dim := 1 << n
+		for q := 0; q < n; q++ {
+			for _, rg := range parityRanges(r, dim>>(q+1)) {
+				u := [4]complex128{parityComplex(r), parityComplex(r), parityComplex(r), parityComplex(r)}
+				cases++
+				if checkKern1ZMM(t, parityAmps(r, dim), q, rg[0], rg[1], u) {
+					zmm++
+				}
+			}
+		}
+		for q0 := 0; q0 < n; q0++ {
+			for q1 := 0; q1 < n; q1++ {
+				if q0 == q1 {
+					continue
+				}
+				for _, rg := range parityRanges(r, dim>>2) {
+					cases++
+					if checkKern2ZMM(t, parityAmps(r, dim), q0, q1, rg[0], rg[1], parityMat(r)) {
+						zmm++
+					}
+				}
+			}
+		}
+	}
+	if zmm < cases/4 {
+		t.Fatalf("only %d of %d cases reached the ZMM assembly", zmm, cases)
+	}
+	t.Logf("%d cases, %d through the ZMM assembly", cases, zmm)
+}
+
+func FuzzKernelZMMParity(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(2), uint8(3), uint16(0), uint16(8))
+	f.Add(int64(2), uint8(12), uint8(11), uint8(2), uint16(3), uint16(1000))
+	f.Add(int64(3), uint8(6), uint8(5), uint8(4), uint16(2), uint16(14))
+	f.Add(int64(4), uint8(1), uint8(0), uint8(0), uint16(0), uint16(1))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, q0Raw, q1Raw uint8, loRaw, hiRaw uint16) {
+		requireAVX512(t)
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)%12
+		dim := 1 << n
+		span := func(units int) (int, int) {
+			lo, hi := int(loRaw)%(units+1), int(hiRaw)%(units+1)
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			return lo, hi
+		}
+		q0 := int(q0Raw) % n
+		lo, hi := span(dim >> (q0 + 1))
+		u := [4]complex128{parityComplex(r), parityComplex(r), parityComplex(r), parityComplex(r)}
+		checkKern1ZMM(t, parityAmps(r, dim), q0, lo, hi, u)
+		if n < 2 {
+			return
+		}
+		q1 := int(q1Raw) % n
+		if q1 == q0 {
+			q1 = (q0 + 1) % n
+		}
+		lo, hi = span(dim >> 2)
+		checkKern2ZMM(t, parityAmps(r, dim), q0, q1, lo, hi, parityMat(r))
+	})
+}
+
 // TestKernelAsmParityChunked covers sweeps longer than asmChunk, which
 // the wrappers split into several assembly calls: at n = 16 a kern1 chunk
 // edge on a high qubit falls inside a block's lower half, and the ranges
 // put odd edges next to chunk edges. Where the CPU has FMA, each case
-// also holds the numeric (FMA) sweep to its error bound.
+// also holds the numeric (FMA) sweep to its error bound, and where it has
+// AVX-512F, the ZMM sweeps to the bits of the YMM ones.
 func TestKernelAsmParityChunked(t *testing.T) {
 	requireAsm(t)
 	const n = 16
@@ -28,7 +155,7 @@ func TestKernelAsmParityChunked(t *testing.T) {
 		return rs
 	}
 	qubits := []int{0, 1, 2, n - 3, n - 2, n - 1}
-	var chunked int
+	var chunked, zmm int
 	for _, q := range qubits {
 		for _, rg := range ranges(dim >> (q + 1)) {
 			u := [4]complex128{parityComplex(r), parityComplex(r), parityComplex(r), parityComplex(r)}
@@ -38,6 +165,9 @@ func TestKernelAsmParityChunked(t *testing.T) {
 			}
 			if useFMA {
 				checkKern1FMA(t, amp, q, rg[0], rg[1], u)
+			}
+			if useAVX512 && checkKern1ZMM(t, amp, q, rg[0], rg[1], u) {
+				zmm++
 			}
 			if (rg[1]-rg[0])<<q > asmChunk {
 				chunked++
@@ -57,12 +187,18 @@ func TestKernelAsmParityChunked(t *testing.T) {
 				if useFMA {
 					checkKern2FMA(t, amp, q0, q1, rg[0], rg[1], m)
 				}
+				if useAVX512 && checkKern2ZMM(t, amp, q0, q1, rg[0], rg[1], m) {
+					zmm++
+				}
 				chunked++
 			}
 		}
 	}
 	if chunked == 0 {
 		t.Fatal("no case spans more than one assembly chunk")
+	}
+	if useAVX512 && zmm == 0 {
+		t.Fatal("no case reached the ZMM assembly")
 	}
 }
 
@@ -97,6 +233,49 @@ func TestKernelNumericWithoutFMA(t *testing.T) {
 			kern2Numeric(amp, 1<<q, 1<<q1, 0, dim>>2, m)
 			if i := bitsDiffer(want, amp); i >= 0 {
 				t.Fatalf("kern2Numeric q=(%d,%d) without FMA: amplitude %d differs from kern2Go", q, q1, i)
+			}
+		}
+	}
+}
+
+// TestKernelNumericWithoutAVX512 runs the numeric wrappers with useAVX512
+// off, the path of an AVX2+FMA CPU without AVX-512F: they must then be the
+// YMM FMA sweeps, Float64bits-identical to one direct kern1FMA, kern2FMA
+// or kern2FMAQ0 call over the whole state.
+func TestKernelNumericWithoutAVX512(t *testing.T) {
+	requireFMA(t)
+	setAVX512(t, false)
+	if isa := KernelISA(); isa != "avx2+fma" {
+		t.Fatalf("KernelISA() = %q without AVX-512, want avx2+fma", isa)
+	}
+	r := rand.New(rand.NewSource(23))
+	const n = 10
+	const dim = 1 << n
+	for q := 0; q < n; q++ {
+		u := [4]complex128{parityComplex(r), parityComplex(r), parityComplex(r), parityComplex(r)}
+		amp := parityAmps(r, dim)
+		want := append([]complex128(nil), amp...)
+		kern1FMA(want, 1<<q, 0, dim/2, u[0], u[1], u[2], u[3])
+		kern1Numeric(amp, 1<<q, 0, dim>>(q+1), u[0], u[1], u[2], u[3])
+		if i := bitsDiffer(want, amp); i >= 0 {
+			t.Fatalf("kern1Numeric q=%d without AVX-512: amplitude %d differs from kern1FMA", q, i)
+		}
+		for q1 := 0; q1 < n; q1++ {
+			if q1 == q {
+				continue
+			}
+			b0, b1 := 1<<q, 1<<q1
+			m := parityMat(r)
+			amp := parityAmps(r, dim)
+			want := append([]complex128(nil), amp...)
+			if lowb, highb := sort2(b0, b1); lowb == 1 {
+				kern2FMAQ0(want, highb, b0&1, 0, dim>>2, m)
+			} else {
+				kern2FMA(want, lowb, highb, b0, b1, 0, dim>>2, m)
+			}
+			kern2Numeric(amp, b0, b1, 0, dim>>2, m)
+			if i := bitsDiffer(want, amp); i >= 0 {
+				t.Fatalf("kern2Numeric q=(%d,%d) without AVX-512: amplitude %d differs from the YMM FMA sweep", q, q1, i)
 			}
 		}
 	}

@@ -253,7 +253,8 @@ func FuzzKernelAsmParity(f *testing.F) {
 // TestKernelBoundsPanic: the assembly does no bounds checks, so an
 // out-of-range unit range or bit must panic with an index error, on the
 // Go path and through the dispatch and numeric (FMA) wrappers alike,
-// without touching memory past the slice.
+// without touching memory past the slice. The /zmm cases have the shapes
+// the numeric wrappers hand to the ZMM sweeps (bit and lowb >= 4).
 func TestKernelBoundsPanic(t *testing.T) {
 	const n = 6
 	const dim = 1 << n
@@ -285,6 +286,9 @@ func TestKernelBoundsPanic(t *testing.T) {
 			"kern2/lo":  func(a []complex128) { p.k2(a, 2, 4, -2, 4) },
 			"kern2/bit": func(a []complex128) { p.k2(a, 1, dim, 0, dim/4) },
 			"kern2/b0":  func(a []complex128) { p.k2(a, dim, 4, 0, 6) },
+			"kern1/zmm": func(a []complex128) { p.k1(a, 16, 0, dim/32+1) },
+			"kern2/zmm": func(a []complex128) { p.k2(a, 16, 4, 0, dim/4+4) },
+			"kern2/zlo": func(a []complex128) { p.k2(a, 4, 8, -4, 8) },
 		}
 		for name, c := range cases {
 			t.Run(p.name+"/"+name, func(t *testing.T) {
@@ -318,8 +322,9 @@ func catchPanic(f func()) (err error) {
 }
 
 // BenchmarkKern1 and BenchmarkKern2 time one full sweep, the Go body
-// against the AVX2 assembly and its FMA form (the numeric wrappers), at
-// n = 5, 10 and 14 on qubit 0 and on the high qubits.
+// against the AVX2 assembly and its FMA form (the numeric wrappers) in YMM
+// (fma) and, where the CPU has AVX-512F, ZMM registers (zmm), at n = 5, 10
+// and 14 on qubit 0 and on the high qubits.
 func BenchmarkKern1(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	u := randU3(r)
@@ -341,6 +346,13 @@ func BenchmarkKern1(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("n=%d/q=%d/fma", n, q), func(b *testing.B) {
 				requireFMA(b)
+				setAVX512(b, false)
+				for i := 0; i < b.N; i++ {
+					kern1Numeric(amp, bit, 0, units, u[0], u[1], u[2], u[3])
+				}
+			})
+			b.Run(fmt.Sprintf("n=%d/q=%d/zmm", n, q), func(b *testing.B) {
+				requireAVX512(b)
 				for i := 0; i < b.N; i++ {
 					kern1Numeric(amp, bit, 0, units, u[0], u[1], u[2], u[3])
 				}
@@ -355,7 +367,7 @@ func BenchmarkKern2(b *testing.B) {
 	for _, n := range []int{5, 10, 14} {
 		amp := randState(r, n).amp
 		units := len(amp) >> 2
-		for _, qs := range [][2]int{{0, n - 1}, {n - 1, 0}, {n - 2, n - 1}} {
+		for _, qs := range [][2]int{{0, n - 1}, {n - 1, 0}, {2, n - 1}, {n - 2, n - 1}} {
 			b0, b1 := 1<<qs[0], 1<<qs[1]
 			b.Run(fmt.Sprintf("n=%d/q=%d,%d/go", n, qs[0], qs[1]), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -370,6 +382,13 @@ func BenchmarkKern2(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("n=%d/q=%d,%d/fma", n, qs[0], qs[1]), func(b *testing.B) {
 				requireFMA(b)
+				setAVX512(b, false)
+				for i := 0; i < b.N; i++ {
+					kern2Numeric(amp, b0, b1, 0, units, m)
+				}
+			})
+			b.Run(fmt.Sprintf("n=%d/q=%d,%d/zmm", n, qs[0], qs[1]), func(b *testing.B) {
+				requireAVX512(b)
 				for i := 0; i < b.N; i++ {
 					kern2Numeric(amp, b0, b1, 0, units, m)
 				}

@@ -37,6 +37,15 @@ func requireFMA(t testing.TB) {
 	}
 }
 
+// requireAVX512 skips when kern1Numeric and kern2Numeric have no ZMM
+// sweeps.
+func requireAVX512(t testing.TB) {
+	t.Helper()
+	if !useAVX512 {
+		t.Skip("no ZMM kernels in this build (CPU without AVX-512F, non-amd64 or purego tag)")
+	}
+}
+
 // checkClose fails on the first amplitude where got and want differ by
 // more than tol (per component) inside the sweep, or differ at all in
 // bits outside it (touched false).

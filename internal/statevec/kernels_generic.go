@@ -10,6 +10,9 @@ const useAVX2 = false
 // kern1 and kern2.
 const useFMA = false
 
+// useAVX512 is false: there are no ZMM sweeps either.
+const useAVX512 = false
+
 // kern1 sweeps a general 2x2 unitary over base blocks [lo, hi).
 func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 	kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)

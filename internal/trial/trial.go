@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/circuit"
@@ -253,24 +252,35 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 	if c.NumLayers() > keyLayerMax || c.NumQubits() > keyQubitMax {
 		return nil, fmt.Errorf("trial: circuit too large to pack (%d layers, %d qubits)", c.NumLayers(), c.NumQubits())
 	}
-	g := &Generator{circ: c, model: m, mode: mode}
+	// An op has at most one slot per qubit and a layer at most one idle
+	// slot per qubit, which bounds the slot table.
+	size := 0
+	for _, op := range c.Ops() {
+		size += len(op.Qubits)
+	}
+	var busy []bool
+	if m.HasIdleErrors() {
+		busy = make([]bool, c.NumQubits())
+		size += c.NumLayers() * c.NumQubits()
+	}
+	g := &Generator{circ: c, model: m, mode: mode, slots: make([]slot, 0, size)}
 	for l, idx := range c.Layers() {
-		var layerSlots []slot
+		start := len(g.slots)
 		for _, i := range idx {
 			op := c.Op(i)
 			switch {
 			case len(op.Qubits) == 1:
-				layerSlots = append(layerSlots, slot{layer: l, qubit0: op.Qubits[0], qubit1: -1, prob: m.Single(op.Qubits[0])})
+				g.slots = append(g.slots, slot{layer: l, qubit0: op.Qubits[0], qubit1: -1, prob: m.Single(op.Qubits[0])})
 			case len(op.Qubits) == 2 && mode == PerGate:
 				p := m.Two(op.Qubits[0], op.Qubits[1])
 				a, b := op.Qubits[0], op.Qubits[1]
 				if a > b {
 					a, b = b, a
 				}
-				layerSlots = append(layerSlots, slot{layer: l, qubit0: a, qubit1: b, prob: p})
+				g.slots = append(g.slots, slot{layer: l, qubit0: a, qubit1: b, prob: p})
 			case len(op.Qubits) == 2:
 				p := m.Two(op.Qubits[0], op.Qubits[1])
-				layerSlots = append(layerSlots,
+				g.slots = append(g.slots,
 					slot{layer: l, qubit0: op.Qubits[0], qubit1: -1, prob: p},
 					slot{layer: l, qubit0: op.Qubits[1], qubit1: -1, prob: p})
 			default:
@@ -278,30 +288,29 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 				// simulation; model them as independent per-qubit errors
 				// so a direct run is still conservative.
 				for _, q := range op.Qubits {
-					layerSlots = append(layerSlots, slot{layer: l, qubit0: q, qubit1: -1, prob: m.GateQubitError(len(op.Qubits), q, op.Qubits[0])})
+					g.slots = append(g.slots, slot{layer: l, qubit0: q, qubit1: -1, prob: m.GateQubitError(len(op.Qubits), q, op.Qubits[0])})
 				}
 			}
 		}
 		// Idle errors: a slot on every qubit no gate touched this layer
 		// (position-independent noise, Section III-B1's "could appear at
 		// any place across the quantum circuit").
-		if m.HasIdleErrors() {
-			busy := make(map[int]bool)
+		if busy != nil {
+			clear(busy)
 			for _, i := range idx {
 				for _, q := range c.Op(i).Qubits {
 					busy[q] = true
 				}
 			}
-			for q := 0; q < c.NumQubits(); q++ {
-				if !busy[q] && m.Idle(q) > 0 {
-					layerSlots = append(layerSlots, slot{layer: l, qubit0: q, qubit1: -1, prob: m.Idle(q)})
+			for q, b := range busy {
+				if !b && m.Idle(q) > 0 {
+					g.slots = append(g.slots, slot{layer: l, qubit0: q, qubit1: -1, prob: m.Idle(q)})
 				}
 			}
 		}
 		// Canonical order within a layer is by first qubit; gates in one
 		// layer never share a qubit, so this is a total order.
-		sort.Slice(layerSlots, func(a, b int) bool { return layerSlots[a].qubit0 < layerSlots[b].qubit0 })
-		g.slots = append(g.slots, layerSlots...)
+		slices.SortFunc(g.slots[start:], func(a, b slot) int { return a.qubit0 - b.qubit0 })
 	}
 	for _, s := range g.slots {
 		if s.prob > g.maxProb {
@@ -309,15 +318,18 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 		}
 	}
 	g.lnq = math.Log1p(-g.maxProb)
-	ms := append([]circuit.Measurement(nil), c.Measurements()...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Bit < ms[j].Bit })
+	ms := slices.Clone(c.Measurements())
+	slices.SortFunc(ms, func(a, b circuit.Measurement) int { return a.Bit - b.Bit })
 	if len(ms) > 64 {
 		return nil, fmt.Errorf("trial: %d measured bits exceed the 64-bit flip mask", len(ms))
 	}
-	for _, mm := range ms {
-		g.measQubit = append(g.measQubit, mm.Qubit)
-		g.measProb = append(g.measProb, m.Measure(mm.Qubit))
-		g.measBits = append(g.measBits, mm.Bit)
+	g.measQubit = make([]int, len(ms))
+	g.measProb = make([]float64, len(ms))
+	g.measBits = make([]int, len(ms))
+	for i, mm := range ms {
+		g.measQubit[i] = mm.Qubit
+		g.measProb[i] = m.Measure(mm.Qubit)
+		g.measBits[i] = mm.Bit
 	}
 	return g, nil
 }
