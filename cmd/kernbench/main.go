@@ -8,7 +8,7 @@
 //   - kernels/<workload>/<variant>: raw sweeps over a single state —
 //     per-gate dispatch vs compiled programs in each fusion mode, serial
 //     and striped, on gate-pattern workloads (same-qubit chains, diagonal
-//     runs, a QV-style mix).
+//     runs, a QV-style mix, Paulis between CX gates).
 //   - exec/<variant>: the end-to-end reordered plan executor on a QV
 //     workload, where compilation cost is part of the measured path.
 //   - host/flops/<loop>: the host's double-precision flop roof in GFLOP/s,
@@ -180,7 +180,9 @@ type workload struct {
 }
 
 // kernelWorkloads mirrors the root BenchmarkKernels patterns: a same-qubit
-// 1q chain, a diagonal-heavy circuit, and a QV-style mix.
+// 1q chain, a diagonal-heavy circuit and a QV-style mix, plus a Pauli
+// pattern: the X, Y, Z and CX sweeps that injected errors and CX gates
+// run, CX between the Paulis so that no fusion mode chains them.
 func kernelWorkloads(n int) []workload {
 	chain := circuit.New("chain", n)
 	for r := 0; r < 8; r++ {
@@ -202,7 +204,18 @@ func kernelWorkloads(n int) []workload {
 		}
 	}
 	qv := bench.QV(n, 4, rand.New(rand.NewSource(benchSeed)))
-	return []workload{{"chain", chain}, {"diag", diag}, {"qv", qv}}
+	pauli := circuit.New("pauli", n)
+	for r := 0; r < 8; r++ {
+		for q := 0; q < n; q++ {
+			next := (q + 1) % n
+			pauli.Append(gate.X(), q)
+			pauli.Append(gate.CX(), q, next)
+			pauli.Append(gate.Y(), q)
+			pauli.Append(gate.CX(), next, q)
+			pauli.Append(gate.Z(), q)
+		}
+	}
+	return []workload{{"chain", chain}, {"diag", diag}, {"qv", qv}, {"pauli", pauli}}
 }
 
 // flopRoof is one register-resident flop loop: iters trips of flops each.

@@ -287,12 +287,23 @@ func sampleBitsRaw(st *statevec.State, c *circuit.Circuit, t *trial.Trial) uint6
 	amp := st.Amplitudes()
 	u := t.SampleU
 	var cum float64
-	idx := len(amp) - 1
+	idx := -1
 	for i, a := range amp {
 		cum += real(a)*real(a) + imag(a)*imag(a)
 		if u < cum {
 			idx = i
 			break
+		}
+	}
+	if idx < 0 {
+		// Round-off left the total mass below u: fall back to the last
+		// outcome with nonzero probability, as State.Sample does.
+		idx = len(amp) - 1
+		for i := len(amp) - 1; i >= 0; i-- {
+			if a := amp[i]; real(a)*real(a)+imag(a)*imag(a) > 0 {
+				idx = i
+				break
+			}
 		}
 	}
 	var bits uint64

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gate"
 	"repro/internal/noise"
 	"repro/internal/reorder"
+	"repro/internal/statevec"
 	"repro/internal/trial"
 )
 
@@ -397,5 +398,26 @@ func TestEquivalenceUnderALAPLayering(t *testing.T) {
 	}
 	if !EqualOutcomes(base, reord) {
 		t.Error("ALAP layering broke equivalence")
+	}
+}
+
+// TestSampleFallbackSkipsZeroAmplitudes: when round-off leaves the total
+// mass below the trial's uniform, the sampled outcome is the last one
+// with nonzero probability, never a zero-probability basis state.
+func TestSampleFallbackSkipsZeroAmplitudes(t *testing.T) {
+	c := circuit.New("fallback", 2).MeasureAll()
+	h := complex(math.Sqrt(0.5)*(1-1e-12), 0)
+	st, err := statevec.FromAmplitudes([]complex128{h, 0, h, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trial.Trial{SampleU: math.Nextafter(1, 0)}
+	if got := sampleBitsRaw(st, c, tr); got != 2 {
+		t.Fatalf("sampled outcome %d with mass %v below u = %v, want 2 (the last nonzero amplitude)",
+			got, 2*real(h)*real(h), tr.SampleU)
+	}
+	empty, _ := statevec.FromAmplitudes(make([]complex128, 4))
+	if got := sampleBitsRaw(empty, c, tr); got != 3 {
+		t.Fatalf("all-zero state sampled %d, want 3 (the last index, as State.Sample)", got)
 	}
 }

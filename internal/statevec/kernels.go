@@ -28,10 +28,11 @@ import "repro/internal/qmath"
 // reassociated addition or a flipped zero sign is a detectable bug.
 
 // KernelISA names the sweep bodies this build runs on this CPU: "go" (the
-// portable kernels), "avx2" (the AVX2 assembly, Float64bits-identical to
-// them), "avx2+fma" (FuseNumeric programs also take the FMA sweeps) or
+// portable kernels), "avx2" (the AVX2 assembly of kern1, kern2 and the
+// Pauli and CX sweeps, Float64bits-identical to them, in every fuse
+// mode), "avx2+fma" (FuseNumeric programs also take the FMA sweeps) or
 // "avx2+fma+avx512" (the FMA sweeps run in ZMM registers where four pairs
-// or units sit side by side).
+// or units fit in a vector, qubit-0 pairs included).
 func KernelISA() string {
 	switch {
 	case useAVX512:
@@ -45,9 +46,9 @@ func KernelISA() string {
 }
 
 // KernelFeatures reports the instruction sets the sweeps use in this
-// build on this CPU: AVX2 for kern1 and kern2, FMA for the FuseNumeric
-// sweeps and AVX512 (AVX-512F) for their ZMM form. KernelISA names the
-// same set.
+// build on this CPU: AVX2 for kern1, kern2 and the X, Y, Z and CX sweeps,
+// FMA for the FuseNumeric sweeps and AVX512 (AVX-512F) for their ZMM
+// form. KernelISA names the same set.
 type KernelFeatures struct{ AVX2, FMA, AVX512 bool }
 
 // Kernels returns the KernelFeatures of this build on this CPU.
@@ -87,8 +88,11 @@ func kern1Go(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 	}
 }
 
-// kernX sweeps Pauli-X: swap the halves of each block.
-func kernX(amp []complex128, bit, lo, hi int) {
+// kernXGo sweeps Pauli-X: swap the halves of each block. It, kernYGo,
+// kernZGo and kernCXGo are the portable bodies behind kernX, kernY,
+// kernZ and kernCX and the references their AVX2 sweeps are tested
+// against bit for bit.
+func kernXGo(amp []complex128, bit, lo, hi int) {
 	stride := bit << 1
 	for u := lo; u < hi; u++ {
 		base := u * stride
@@ -98,8 +102,8 @@ func kernX(amp []complex128, bit, lo, hi int) {
 	}
 }
 
-// kernY sweeps Pauli-Y.
-func kernY(amp []complex128, bit, lo, hi int) {
+// kernYGo sweeps Pauli-Y.
+func kernYGo(amp []complex128, bit, lo, hi int) {
 	stride := bit << 1
 	for u := lo; u < hi; u++ {
 		base := u * stride
@@ -109,8 +113,8 @@ func kernY(amp []complex128, bit, lo, hi int) {
 	}
 }
 
-// kernZ sweeps Pauli-Z: negate the upper half of each block.
-func kernZ(amp []complex128, bit, lo, hi int) {
+// kernZGo sweeps Pauli-Z: negate the upper half of each block.
+func kernZGo(amp []complex128, bit, lo, hi int) {
 	stride := bit << 1
 	for u := lo; u < hi; u++ {
 		base := u * stride
@@ -179,10 +183,10 @@ func sort3(a, b, c int) (int, int, int) {
 	return a, b, c
 }
 
-// kernCX sweeps a controlled-X over free-subcube units [lo, hi): only the
-// control=1, target=0 quarter of the index space is visited, instead of
-// scanning all 2^n indices and testing each.
-func kernCX(amp []complex128, cb, tb, lo, hi int) {
+// kernCXGo sweeps a controlled-X over free-subcube units [lo, hi): only
+// the control=1, target=0 quarter of the index space is visited, instead
+// of scanning all 2^n indices and testing each.
+func kernCXGo(amp []complex128, cb, tb, lo, hi int) {
 	lowb, highb := sort2(cb, tb)
 	for u := lo; u < hi; u++ {
 		j := spreadBit(spreadBit(u, lowb), highb) | cb

@@ -88,6 +88,60 @@ func kern2FMAQ0(amp []complex128, highb, q0low, lo, hi int, m *[16]complex128)
 //go:noescape
 func kern2FMA512(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128)
 
+// kern2FMAQ0512 is kern2FMAQ0 in ZMM registers, four units per vector,
+// with lo and hi multiples of 4: Float64bits-identical to kern2FMAQ0.
+//
+//go:noescape
+func kern2FMAQ0512(amp []complex128, highb, q0low, lo, hi int, m *[16]complex128)
+
+// kernXAVX2, kernYAVX2 and kernZAVX2 are kernXGo, kernYGo and kernZGo
+// over the pairs [plo, phi) of kern1AVX2, with its conditions.
+//
+//go:noescape
+func kernXAVX2(amp []complex128, bit, plo, phi int)
+
+//go:noescape
+func kernYAVX2(amp []complex128, bit, plo, phi int)
+
+//go:noescape
+func kernZAVX2(amp []complex128, bit, plo, phi int)
+
+// kernCXAVX2 is kernCXGo over units [lo, hi), lo < hi, with lowb and
+// highb the sorted bits of cb and tb. For lowb >= 2, lo and hi are even.
+//
+//go:noescape
+func kernCXAVX2(amp []complex128, lowb, highb, cb, tb, lo, hi int)
+
+// asmPairs reports whether a single-qubit sweep on bit over base blocks
+// [lo, hi) can take the assembly and returns its pairs [plo, phi). Block u
+// holds the pairs [u*bit, (u+1)*bit). The assembly does no bounds checks,
+// so asmPairs first proves that the highest index the sweep touches,
+// hi*2*bit-1, is in range (compared as hi <= len>>log2(2*bit), which
+// cannot overflow); an out-of-range call takes the Go body, which panics
+// on the first bad index.
+func asmPairs(amp []complex128, bit, lo, hi int) (plo, phi int, ok bool) {
+	if !useAVX2 || bit <= 0 || bit&(bit-1) != 0 || lo < 0 || lo >= hi ||
+		uint(hi) > uint(len(amp))>>(uint(bits.TrailingZeros(uint(bit)))+1) {
+		return 0, 0, false
+	}
+	return lo * bit, hi * bit, true
+}
+
+// asmUnits2 reports whether a two-qubit sweep on bits b0 and b1 over
+// free-subcube units [lo, hi), at least two of them, can take the
+// assembly and returns the bits sorted. It bounds hi by the unit count
+// and then checks the highest index the sweep touches once, before any
+// write, so an out-of-range call panics there.
+func asmUnits2(amp []complex128, b0, b1, lo, hi int) (lowb, highb int, ok bool) {
+	lowb, highb = sort2(b0, b1)
+	if !useAVX2 || lowb <= 0 || lowb == highb || lowb&(lowb-1) != 0 || highb&(highb-1) != 0 ||
+		lo < 0 || hi-lo < 2 || uint(hi) > uint(len(amp))>>2 {
+		return 0, 0, false
+	}
+	_ = amp[spreadBit(spreadBit(hi-1, lowb), highb)|lowb|highb]
+	return lowb, highb, true
+}
+
 // kern1 sweeps a general 2x2 unitary over base blocks [lo, hi): the AVX2
 // assembly where the CPU has it, kern1Go otherwise, with Float64bits-
 // identical results.
@@ -102,19 +156,13 @@ func kern1Numeric(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex1
 	kern1Sweep(amp, bit, lo, hi, u00, u01, u10, u11, useFMA)
 }
 
-// kern1Sweep is kern1 (fma false) and kern1Numeric (fma true). Block u
-// holds the pairs [u*bit, (u+1)*bit). The assembly does no bounds checks,
-// so the wrapper first proves that the highest index the sweep touches,
-// hi*2*bit-1, is in range (compared as hi <= len>>log2(2*bit), which
-// cannot overflow); an out-of-range call takes kern1Go, which panics on
-// the first bad index.
+// kern1Sweep is kern1 (fma false) and kern1Numeric (fma true).
 func kern1Sweep(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128, fma bool) {
-	if !useAVX2 || bit <= 0 || bit&(bit-1) != 0 || lo < 0 || lo >= hi ||
-		uint(hi) > uint(len(amp))>>(uint(bits.TrailingZeros(uint(bit)))+1) {
+	plo, phi, ok := asmPairs(amp, bit, lo, hi)
+	if !ok {
 		kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)
 		return
 	}
-	plo, phi := lo*bit, hi*bit
 	if (phi-plo)&1 != 0 {
 		// Only bit == 1 has an odd pair count; its last pair goes to
 		// the Go body.
@@ -151,60 +199,117 @@ func kern2Numeric(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
 
 // kern2Sweep is kern2 (fma false) and kern2Numeric (fma true). Odd edges
 // of the unit range go to kern2Go; on the ZMM path the 4-aligned middle
-// goes to kern2FMA512 and the even edges around it to kern2FMA. The
-// wrapper bounds hi by the unit count and then checks the highest index
-// the sweep touches once, before any write.
+// goes to kern2FMA512 or kern2FMAQ0512 and the even edges around it to
+// kern2FMA or kern2FMAQ0.
 func kern2Sweep(amp []complex128, b0, b1, lo, hi int, m *[16]complex128, fma bool) {
-	lowb, highb := sort2(b0, b1)
-	if !useAVX2 || lowb <= 0 || lowb == highb || lowb&(lowb-1) != 0 || highb&(highb-1) != 0 ||
-		lo < 0 || hi-lo < 2 || uint(hi) > uint(len(amp))>>2 {
+	lowb, highb, ok := asmUnits2(amp, b0, b1, lo, hi)
+	if !ok {
 		kern2Go(amp, b0, b1, lo, hi, m)
 		return
 	}
-	_ = amp[spreadBit(spreadBit(hi-1, lowb), highb)|lowb|highb]
-	if lowb == 1 {
+	q0 := lowb == 1
+	if q0 {
+		// The qubit-0 sweeps take any start; only the count must be even.
 		if (hi-lo)&1 != 0 {
 			hi--
 			kern2Go(amp, b0, b1, hi, hi+1, m)
 		}
-		for lo < hi {
-			end := min(lo+asmChunk, hi)
-			if fma {
-				kern2FMAQ0(amp, highb, b0&1, lo, end, m)
-			} else {
-				kern2AVX2Q0(amp, highb, b0&1, lo, end, m)
-			}
-			lo = end
+	} else {
+		if lo&1 != 0 {
+			kern2Go(amp, b0, b1, lo, lo+1, m)
+			lo++
 		}
-		return
+		if hi&1 != 0 {
+			hi--
+			kern2Go(amp, b0, b1, hi, hi+1, m)
+		}
 	}
-	if lo&1 != 0 {
-		kern2Go(amp, b0, b1, lo, lo+1, m)
-		lo++
+	// From an odd start the qubit-0 sweeps never reach a multiple of 4.
+	zmm := fma && useAVX512 && (lowb >= 4 || q0 && lo&1 == 0)
+	ymm := func(lo, hi int) {
+		switch {
+		case q0 && fma:
+			kern2FMAQ0(amp, highb, b0&1, lo, hi, m)
+		case q0:
+			kern2AVX2Q0(amp, highb, b0&1, lo, hi, m)
+		case fma:
+			kern2FMA(amp, lowb, highb, b0, b1, lo, hi, m)
+		default:
+			kern2AVX2(amp, lowb, highb, b0, b1, lo, hi, m)
+		}
 	}
-	if hi&1 != 0 {
-		hi--
-		kern2Go(amp, b0, b1, hi, hi+1, m)
-	}
-	zmm := fma && useAVX512 && lowb >= 4
 	if zmm && lo&2 != 0 && lo < hi {
-		kern2FMA(amp, lowb, highb, b0, b1, lo, lo+2, m)
+		ymm(lo, lo+2)
 		lo += 2
 	}
 	if zmm && hi&2 != 0 && lo < hi {
 		hi -= 2
-		kern2FMA(amp, lowb, highb, b0, b1, hi, hi+2, m)
+		ymm(hi, hi+2)
 	}
 	for lo < hi {
 		end := min(lo+asmChunk, hi)
 		switch {
+		case zmm && q0:
+			kern2FMAQ0512(amp, highb, b0&1, lo, end, m)
 		case zmm:
 			kern2FMA512(amp, lowb, highb, b0, b1, lo, end, m)
-		case fma:
-			kern2FMA(amp, lowb, highb, b0, b1, lo, end, m)
 		default:
-			kern2AVX2(amp, lowb, highb, b0, b1, lo, end, m)
+			ymm(lo, end)
 		}
+		lo = end
+	}
+}
+
+// kernX, kernY and kernZ sweep the Paulis over base blocks [lo, hi): the
+// AVX2 assembly where the CPU has it, kernXGo, kernYGo and kernZGo
+// otherwise, with Float64bits-identical results. Every fuse mode runs
+// them.
+func kernX(amp []complex128, bit, lo, hi int) { pauliSweep(amp, bit, lo, hi, kernXGo, kernXAVX2) }
+
+func kernY(amp []complex128, bit, lo, hi int) { pauliSweep(amp, bit, lo, hi, kernYGo, kernYAVX2) }
+
+func kernZ(amp []complex128, bit, lo, hi int) { pauliSweep(amp, bit, lo, hi, kernZGo, kernZAVX2) }
+
+// pauliSweep is kern1Sweep for a Pauli's Go body and assembly.
+func pauliSweep(amp []complex128, bit, lo, hi int, goBody, asm func([]complex128, int, int, int)) {
+	plo, phi, ok := asmPairs(amp, bit, lo, hi)
+	if !ok {
+		goBody(amp, bit, lo, hi)
+		return
+	}
+	if (phi-plo)&1 != 0 {
+		phi--
+		goBody(amp, bit, phi, phi+1)
+	}
+	for plo < phi {
+		end := min(plo+asmChunk, phi)
+		asm(amp, bit, plo, end)
+		plo = end
+	}
+}
+
+// kernCX sweeps a controlled-X over free-subcube units [lo, hi): the AVX2
+// assembly where the CPU has it, kernCXGo otherwise, with identical
+// results. With lowb >= 2 odd edges go to kernCXGo.
+func kernCX(amp []complex128, cb, tb, lo, hi int) {
+	lowb, highb, ok := asmUnits2(amp, cb, tb, lo, hi)
+	if !ok {
+		kernCXGo(amp, cb, tb, lo, hi)
+		return
+	}
+	if lowb != 1 {
+		if lo&1 != 0 {
+			kernCXGo(amp, cb, tb, lo, lo+1)
+			lo++
+		}
+		if hi&1 != 0 {
+			hi--
+			kernCXGo(amp, cb, tb, hi, hi+1)
+		}
+	}
+	for lo < hi {
+		end := min(lo+asmChunk, hi)
+		kernCXAVX2(amp, lowb, highb, cb, tb, lo, end)
 		lo = end
 	}
 }

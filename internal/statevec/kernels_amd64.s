@@ -625,3 +625,401 @@ q0:
 	JLT  q0
 	VZEROUPPER
 	RET
+
+// The Pauli and CX sweeps are Float64bits-identical to kernXGo,
+// kernYGo, kernZGo and kernCXGo. X and CX only move amplitudes. Z flips
+// the sign bits of the upper half, as the compiled negation does. For Y
+// the compiler evaluates -1i*a1 as (re1*0 - (-im1), 0*im1 + (-re1)) and
+// 1i*a0 as (0*re0 - im0, im0*0 + re0), each multiply and add rounded
+// separately: VADDSUBPD(a*0, swap(a)), with the sign bits of swap(a)
+// flipped on the -1i half, does the same IEEE operations. It keeps the
+// signed zeros of 0*a, and 0*Inf is the same default NaN either way.
+
+// SIGNS sets Y15 to the sign bit in every lane and Y14 to zero.
+#define SIGNS \
+	MOVQ         $0x8000000000000000, AX; \
+	VMOVQ        AX, X15; \
+	VPBROADCASTQ X15, Y15; \
+	VXORPD       Y14, Y14, Y14
+
+// KERNY sets Y12 = -1i*a1 and Y13 = 1i*a0 from a0 lanes in Y8 and a1
+// lanes in Y9, with Y14 zero and Y15 the sign bits, as pairY computes
+// them.
+#define KERNY \
+	VMULPD    Y14, Y9, Y12; \
+	VPERMILPD $5, Y9, Y10; \
+	VXORPD    Y15, Y10, Y10; \
+	VADDSUBPD Y10, Y12, Y12; \
+	VMULPD    Y14, Y8, Y13; \
+	VPERMILPD $5, Y8, Y11; \
+	VADDSUBPD Y11, Y13, Y13
+
+// func kernXAVX2(amp []complex128, bit, plo, phi int)
+// The kern1AVX2 walk, storing each half into the other.
+TEXT ·kernXAVX2(SB), NOSPLIT, $0-48
+	MOVQ amp_base+0(FP), SI
+	MOVQ bit+24(FP), R8
+	MOVQ plo+32(FP), CX
+	MOVQ phi+40(FP), BX
+	SUBQ CX, BX
+	SHRQ $1, BX                    // vectors: two pairs each
+	CMPQ R8, $1
+	JEQ  pairs
+	HALVES(1)
+
+vec:
+	VMOVUPD (SI), Y8
+	VMOVUPD (SI)(DX*1), Y9
+	VMOVUPD Y9, (SI)
+	VMOVUPD Y8, (SI)(DX*1)
+	ADDQ    $32, SI
+	DECQ    BX
+	JZ      done
+	DECQ    CX
+	JNZ     vec
+	ADDQ    DX, SI
+	MOVQ    R8, CX
+	JMP     vec
+
+done:
+	VZEROUPPER
+	RET
+
+	// bit == 1: a vector is one pair; swap its 128-bit lanes.
+pairs:
+	SHLQ $5, CX
+	ADDQ CX, SI
+
+pair:
+	VPERMPD $0x4e, (SI), Y8
+	VPERMPD $0x4e, 32(SI), Y9
+	VMOVUPD Y8, (SI)
+	VMOVUPD Y9, 32(SI)
+	ADDQ    $64, SI
+	DECQ    BX
+	JNZ     pair
+	VZEROUPPER
+	RET
+
+// func kernYAVX2(amp []complex128, bit, plo, phi int)
+TEXT ·kernYAVX2(SB), NOSPLIT, $0-48
+	MOVQ amp_base+0(FP), SI
+	MOVQ bit+24(FP), R8
+	MOVQ plo+32(FP), CX
+	MOVQ phi+40(FP), BX
+	SIGNS
+	SUBQ CX, BX
+	SHRQ $1, BX                    // vectors: two pairs each
+	CMPQ R8, $1
+	JEQ  pairs
+	HALVES(1)
+
+vec:
+	HALF(KERNY)
+	ADDQ $32, SI
+	DECQ BX
+	JZ   done
+	DECQ CX
+	JNZ  vec
+	ADDQ DX, SI
+	MOVQ R8, CX
+	JMP  vec
+
+done:
+	VZEROUPPER
+	RET
+
+pairs:
+	SHLQ $5, CX
+	ADDQ CX, SI
+
+pair:
+	PAIRS4(KERNY)
+	ADDQ $64, SI
+	DECQ BX
+	JNZ  pair
+	VZEROUPPER
+	RET
+
+// func kernZAVX2(amp []complex128, bit, plo, phi int)
+// Loads, flips and stores the upper halves only.
+TEXT ·kernZAVX2(SB), NOSPLIT, $0-48
+	MOVQ amp_base+0(FP), SI
+	MOVQ bit+24(FP), R8
+	MOVQ plo+32(FP), CX
+	MOVQ phi+40(FP), BX
+	SIGNS
+	SUBQ CX, BX
+	SHRQ $1, BX                    // vectors: two pairs each
+	CMPQ R8, $1
+	JEQ  pairs
+	HALVES(1)
+
+vec:
+	VXORPD  (SI)(DX*1), Y15, Y9
+	VMOVUPD Y9, (SI)(DX*1)
+	ADDQ    $32, SI
+	DECQ    BX
+	JZ      done
+	DECQ    CX
+	JNZ     vec
+	ADDQ    DX, SI
+	MOVQ    R8, CX
+	JMP     vec
+
+done:
+	VZEROUPPER
+	RET
+
+	// bit == 1: the upper half of pair p is the amplitude 2p+1.
+pairs:
+	SHLQ $5, CX
+	ADDQ CX, SI
+
+pair:
+	VXORPD  16(SI), X15, X8
+	VXORPD  48(SI), X15, X9
+	VMOVUPD X8, 16(SI)
+	VMOVUPD X9, 48(SI)
+	ADDQ    $64, SI
+	DECQ    BX
+	JNZ     pair
+	VZEROUPPER
+	RET
+
+// func kernCXAVX2(amp []complex128, lowb, highb, cb, tb, lo, hi int)
+// With lowb >= 2, units u and u+1 (lo and hi even) sit side by side, as
+// in UNIT2: one vector at i0|cb swaps with one at i0|cb|tb. With
+// lowb == 1, unit u is the amplitude at i0|cb, i0 = spreadBit(2u, highb),
+// and its partner. A target on qubit 0 puts the partner next to it, so
+// one vector holds both and swaps its 128-bit lanes; a control on qubit
+// 0 leaves them highb apart, and they are moved one at a time.
+TEXT ·kernCXAVX2(SB), NOSPLIT, $0-72
+	MOVQ amp_base+0(FP), SI
+	MOVQ lowb+24(FP), R8
+	MOVQ highb+32(FP), R9
+	NEGQ R9
+	MOVQ cb+40(FP), R10
+	SHLQ $4, R10                   // control offset in bytes
+	MOVQ tb+48(FP), R12
+	SHLQ $4, R12
+	ADDQ R10, R12                  // partner offset
+	MOVQ lo+56(FP), CX
+	MOVQ hi+64(FP), BX
+	CMPQ R8, $1
+	JEQ  q0
+	NEGQ R8
+
+loop2:
+	SPREAD(CX, R8, AX)
+	SPREAD(AX, R9, DI)
+	SHLQ    $4, DI
+	ADDQ    SI, DI
+	VMOVUPD (DI)(R10*1), Y0
+	VMOVUPD (DI)(R12*1), Y1
+	VMOVUPD Y1, (DI)(R10*1)
+	VMOVUPD Y0, (DI)(R12*1)
+	ADDQ    $2, CX
+	CMPQ    CX, BX
+	JLT     loop2
+	VZEROUPPER
+	RET
+
+q0:
+	CMPQ tb+48(FP), $1
+	JEQ  t0
+
+c0:
+	LEAQ    (CX)(CX*1), AX
+	SPREAD(AX, R9, DI)
+	SHLQ    $4, DI
+	ADDQ    SI, DI
+	VMOVUPD (DI)(R10*1), X0
+	VMOVUPD (DI)(R12*1), X1
+	VMOVUPD X1, (DI)(R10*1)
+	VMOVUPD X0, (DI)(R12*1)
+	INCQ    CX
+	CMPQ    CX, BX
+	JLT     c0
+	VZEROUPPER
+	RET
+
+t0:
+	LEAQ    (CX)(CX*1), AX
+	SPREAD(AX, R9, DI)
+	SHLQ    $4, DI
+	ADDQ    SI, DI
+	VPERMPD $0x4e, (DI)(R10*1), Y0
+	VMOVUPD Y0, (DI)(R10*1)
+	INCQ    CX
+	CMPQ    CX, BX
+	JLT     t0
+	VZEROUPPER
+	RET
+
+// q0lo and q0hi are the VPERMT2PD indices that interleave two slot
+// vectors back into memory order, one 128-bit lane of each in turn:
+// q0lo takes lanes 0 and 1, q0hi lanes 2 and 3.
+DATA q0lo<>+0(SB)/8, $0
+DATA q0lo<>+8(SB)/8, $1
+DATA q0lo<>+16(SB)/8, $8
+DATA q0lo<>+24(SB)/8, $9
+DATA q0lo<>+32(SB)/8, $2
+DATA q0lo<>+40(SB)/8, $3
+DATA q0lo<>+48(SB)/8, $10
+DATA q0lo<>+56(SB)/8, $11
+GLOBL q0lo<>(SB), RODATA|NOPTR, $64
+
+DATA q0hi<>+0(SB)/8, $4
+DATA q0hi<>+8(SB)/8, $5
+DATA q0hi<>+16(SB)/8, $12
+DATA q0hi<>+24(SB)/8, $13
+DATA q0hi<>+32(SB)/8, $6
+DATA q0hi<>+40(SB)/8, $7
+DATA q0hi<>+48(SB)/8, $14
+DATA q0hi<>+56(SB)/8, $15
+GLOBL q0hi<>(SB), RODATA|NOPTR, $64
+
+// Q0UNIT4 is Q0UNIT on ZMM for units u..u+3 (u in CX, a multiple of 4)
+// with highb >= 4: units u and u+1 sit side by side at i0 of u, and
+// u+2 and u+3 at i0 of u+2, so each load holds two matrix slots of two
+// units. VSHUFF64X2 picks the even and odd 128-bit lanes of two loads
+// into slot vectors of all four units (slot s1 into r1, slot s2 into
+// r2), FROW512 computes the rows, and VPERMT2PD with the q0lo and q0hi
+// indices in Z16 and Z17 interleaves the rows o1 and o2 of slots s1 and
+// s2 back with rows 0 and 3.
+#define Q0UNIT4(r1, r2, o1, o2) \
+	LEAQ           (CX)(CX*1), AX; \
+	SPREAD(AX, R9, DI); \
+	SHLQ           $4, DI; \
+	ADDQ           SI, DI; \
+	ADDQ           $4, AX; \
+	SPREAD(AX, R9, R11); \
+	SHLQ           $4, R11; \
+	ADDQ           SI, R11; \
+	VMOVUPD        (DI), Z8; \
+	VMOVUPD        (R11), Z9; \
+	VMOVUPD        (DI)(R10*1), Z10; \
+	VMOVUPD        (R11)(R10*1), Z11; \
+	VSHUFF64X2     $0x88, Z9, Z8, Z0; \
+	VSHUFF64X2     $0xdd, Z9, Z8, r1; \
+	VSHUFF64X2     $0x88, Z11, Z10, r2; \
+	VSHUFF64X2     $0xdd, Z11, Z10, Z3; \
+	VPERMILPD      $0x55, Z0, Z4; \
+	VPERMILPD      $0x55, Z1, Z5; \
+	VPERMILPD      $0x55, Z2, Z6; \
+	VPERMILPD      $0x55, Z3, Z7; \
+	FROW512(0, Z8, Z12); \
+	FROW512(64, Z9, Z13); \
+	FROW512(128, Z10, Z14); \
+	FROW512(192, Z11, Z15); \
+	VMOVAPD        Z8, Z18; \
+	VPERMT2PD      o1, Z16, Z18; \
+	VPERMT2PD      o1, Z17, Z8; \
+	VMOVAPD        o2, Z19; \
+	VPERMT2PD      Z11, Z16, Z19; \
+	VPERMT2PD      Z11, Z17, o2; \
+	VMOVUPD        Z18, (DI); \
+	VMOVUPD        Z8, (R11); \
+	VMOVUPD        Z19, (DI)(R10*1); \
+	VMOVUPD        o2, (R11)(R10*1)
+
+// Q0UNIT4N is Q0UNIT4 for highb == 2, where unit u is the four
+// amplitudes [4u, 4u+4), slots 0, s1, s2 and 3 in memory order: the four
+// loads are four units, and a 4x4 transpose of their 128-bit lanes
+// (VSHUFF64X2 twice) turns them into slot vectors and the rows back.
+#define Q0UNIT4N(r1, r2, o1, o2) \
+	MOVQ           CX, DI; \
+	SHLQ           $6, DI; \
+	ADDQ           SI, DI; \
+	VMOVUPD        (DI), Z8; \
+	VMOVUPD        64(DI), Z9; \
+	VMOVUPD        128(DI), Z10; \
+	VMOVUPD        192(DI), Z11; \
+	VSHUFF64X2     $0x44, Z9, Z8, Z12; \
+	VSHUFF64X2     $0xee, Z9, Z8, Z13; \
+	VSHUFF64X2     $0x44, Z11, Z10, Z14; \
+	VSHUFF64X2     $0xee, Z11, Z10, Z15; \
+	VSHUFF64X2     $0x88, Z14, Z12, Z0; \
+	VSHUFF64X2     $0xdd, Z14, Z12, r1; \
+	VSHUFF64X2     $0x88, Z15, Z13, r2; \
+	VSHUFF64X2     $0xdd, Z15, Z13, Z3; \
+	VPERMILPD      $0x55, Z0, Z4; \
+	VPERMILPD      $0x55, Z1, Z5; \
+	VPERMILPD      $0x55, Z2, Z6; \
+	VPERMILPD      $0x55, Z3, Z7; \
+	FROW512(0, Z8, Z12); \
+	FROW512(64, Z9, Z13); \
+	FROW512(128, Z10, Z14); \
+	FROW512(192, Z11, Z15); \
+	VSHUFF64X2     $0x44, o1, Z8, Z12; \
+	VSHUFF64X2     $0xee, o1, Z8, Z13; \
+	VSHUFF64X2     $0x44, Z11, o2, Z14; \
+	VSHUFF64X2     $0xee, Z11, o2, Z15; \
+	VSHUFF64X2     $0x88, Z14, Z12, Z0; \
+	VSHUFF64X2     $0xdd, Z14, Z12, Z1; \
+	VSHUFF64X2     $0x88, Z15, Z13, Z2; \
+	VSHUFF64X2     $0xdd, Z15, Z13, Z3; \
+	VMOVUPD        Z0, (DI); \
+	VMOVUPD        Z1, 64(DI); \
+	VMOVUPD        Z2, 128(DI); \
+	VMOVUPD        Z3, 192(DI)
+
+// func kern2FMAQ0512(amp []complex128, highb, q0low, lo, hi int, m *[16]complex128)
+// lo and hi are multiples of 4.
+TEXT ·kern2FMAQ0512(SB), NOSPLIT, $0-64
+	MOVQ      amp_base+0(FP), SI
+	MOVQ      highb+24(FP), R9
+	MOVQ      R9, R10
+	SHLQ      $4, R10              // highb in bytes
+	NEGQ      R9
+	MOVQ      q0low+32(FP), R8
+	MOVQ      lo+40(FP), CX
+	MOVQ      hi+48(FP), BX
+	MOVQ      m+56(FP), DX
+	VMOVUPD   q0lo<>(SB), Z16
+	VMOVUPD   q0hi<>(SB), Z17
+	ONES
+	CMPQ      R10, $32
+	JEQ       narrow
+	CMPQ      R8, $0
+	JNE       q0
+
+	// Qubit 0 is q1, as in kern2AVX2Q0.
+q1:
+	Q0UNIT4(Z1, Z2, Z9, Z10)
+	ADDQ $4, CX
+	CMPQ CX, BX
+	JLT  q1
+	VZEROUPPER
+	RET
+
+	// Qubit 0 is q0.
+q0:
+	Q0UNIT4(Z2, Z1, Z10, Z9)
+	ADDQ $4, CX
+	CMPQ CX, BX
+	JLT  q0
+	VZEROUPPER
+	RET
+
+	// highb == 2.
+narrow:
+	CMPQ R8, $0
+	JNE  q0n
+
+q1n:
+	Q0UNIT4N(Z1, Z2, Z9, Z10)
+	ADDQ $4, CX
+	CMPQ CX, BX
+	JLT  q1n
+	VZEROUPPER
+	RET
+
+q0n:
+	Q0UNIT4N(Z2, Z1, Z10, Z9)
+	ADDQ $4, CX
+	CMPQ CX, BX
+	JLT  q0n
+	VZEROUPPER
+	RET

@@ -21,6 +21,10 @@ func zmmTakes1(bit, lo, hi int) bool {
 }
 
 func zmmTakes2(b0, b1, lo, hi int) bool {
+	if min(b0, b1) == 1 {
+		hi -= (hi - lo) & 1
+		return useAVX512 && lo&1 == 0 && hi&^3 > (lo+3)&^3
+	}
 	return useAVX512 && min(b0, b1) >= 4 && hi&^3 > (lo+3)&^3
 }
 
@@ -63,12 +67,13 @@ func checkKern2ZMM(t testing.TB, amp []complex128, q0, q1, lo, hi int, m *[16]co
 }
 
 // TestKernelZMMParity holds the ZMM sweeps to the bits of the YMM FMA
-// sweeps on every qubit and every ordered pair for n = 1..13, over the
-// ranges and the ±0, subnormal and sparse states of TestKernelAsmParity.
+// sweeps on every qubit and every ordered pair for n = 1..13, qubit-0
+// pairs included, over the ranges and the ±0, subnormal and sparse
+// states of TestKernelAsmParity.
 func TestKernelZMMParity(t *testing.T) {
 	requireAVX512(t)
 	r := rand.New(rand.NewSource(20200722))
-	var cases, zmm int
+	var cases, zmm, q0zmm int
 	for n := 1; n <= 13; n++ {
 		dim := 1 << n
 		for q := 0; q < n; q++ {
@@ -89,15 +94,18 @@ func TestKernelZMMParity(t *testing.T) {
 					cases++
 					if checkKern2ZMM(t, parityAmps(r, dim), q0, q1, rg[0], rg[1], parityMat(r)) {
 						zmm++
+						if q0 == 0 || q1 == 0 {
+							q0zmm++
+						}
 					}
 				}
 			}
 		}
 	}
-	if zmm < cases/4 {
-		t.Fatalf("only %d of %d cases reached the ZMM assembly", zmm, cases)
+	if zmm < cases/4 || q0zmm < zmm/16 {
+		t.Fatalf("only %d of %d cases reached the ZMM assembly, %d of them qubit-0 pairs", zmm, cases, q0zmm)
 	}
-	t.Logf("%d cases, %d through the ZMM assembly", cases, zmm)
+	t.Logf("%d cases, %d through the ZMM assembly, %d of them qubit-0 pairs", cases, zmm, q0zmm)
 }
 
 func FuzzKernelZMMParity(f *testing.F) {
@@ -105,6 +113,8 @@ func FuzzKernelZMMParity(f *testing.F) {
 	f.Add(int64(2), uint8(12), uint8(11), uint8(2), uint16(3), uint16(1000))
 	f.Add(int64(3), uint8(6), uint8(5), uint8(4), uint16(2), uint16(14))
 	f.Add(int64(4), uint8(1), uint8(0), uint8(0), uint16(0), uint16(1))
+	f.Add(int64(5), uint8(8), uint8(0), uint8(5), uint16(4), uint16(62))
+	f.Add(int64(6), uint8(9), uint8(2), uint8(0), uint16(2), uint16(126))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, q0Raw, q1Raw uint8, loRaw, hiRaw uint16) {
 		requireAVX512(t)
 		r := rand.New(rand.NewSource(seed))
@@ -136,7 +146,8 @@ func FuzzKernelZMMParity(f *testing.F) {
 // TestKernelAsmParityChunked covers sweeps longer than asmChunk, which
 // the wrappers split into several assembly calls: at n = 16 a kern1 chunk
 // edge on a high qubit falls inside a block's lower half, and the ranges
-// put odd edges next to chunk edges. Where the CPU has FMA, each case
+// put odd edges next to chunk edges. A round of the Pauli and CX sweeps
+// runs on the same qubits and ranges. Where the CPU has FMA, each case
 // also holds the numeric (FMA) sweep to its error bound, and where it has
 // AVX-512F, the ZMM sweeps to the bits of the YMM ones.
 func TestKernelAsmParityChunked(t *testing.T) {
@@ -191,6 +202,29 @@ func TestKernelAsmParityChunked(t *testing.T) {
 					zmm++
 				}
 				chunked++
+			}
+		}
+	}
+	// The Pauli and CX sweeps chunk as kern1 and kern2 do.
+	for _, k := range pauliKerns {
+		for _, q0 := range qubits {
+			if !k.two {
+				for _, rg := range ranges(dim >> (q0 + 1)) {
+					if _, changed := checkPauli(t, k, parityAmps(r, dim), q0, 0, rg[0], rg[1]); !changed {
+						t.Fatalf("%s q=%d [%d,%d) left the state unchanged", k.name, q0, rg[0], rg[1])
+					}
+				}
+				continue
+			}
+			for _, q1 := range qubits {
+				if q0 == q1 {
+					continue
+				}
+				for _, rg := range ranges(dim >> 2) {
+					if _, changed := checkPauli(t, k, parityAmps(r, dim), q0, q1, rg[0], rg[1]); !changed {
+						t.Fatalf("CX q=(%d,%d) [%d,%d) left the state unchanged", q0, q1, rg[0], rg[1])
+					}
+				}
 			}
 		}
 	}

@@ -254,7 +254,8 @@ func FuzzKernelAsmParity(f *testing.F) {
 // out-of-range unit range or bit must panic with an index error, on the
 // Go path and through the dispatch and numeric (FMA) wrappers alike,
 // without touching memory past the slice. The /zmm cases have the shapes
-// the numeric wrappers hand to the ZMM sweeps (bit and lowb >= 4).
+// the numeric wrappers hand to the ZMM sweeps (bit and lowb >= 4, and
+// qubit 0). The Pauli and CX sweeps have no numeric form.
 func TestKernelBoundsPanic(t *testing.T) {
 	const n = 6
 	const dim = 1 << n
@@ -265,16 +266,23 @@ func TestKernelBoundsPanic(t *testing.T) {
 		name string
 		k1   func([]complex128, int, int, int)
 		k2   func([]complex128, int, int, int, int)
+		x    func([]complex128, int, int, int)
+		y    func([]complex128, int, int, int)
+		z    func([]complex128, int, int, int)
+		cx   func([]complex128, int, int, int, int)
 	}{
 		{"go",
 			func(a []complex128, bit, lo, hi int) { kern1Go(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
-			func(a []complex128, b0, b1, lo, hi int) { kern2Go(a, b0, b1, lo, hi, m) }},
+			func(a []complex128, b0, b1, lo, hi int) { kern2Go(a, b0, b1, lo, hi, m) },
+			kernXGo, kernYGo, kernZGo, kernCXGo},
 		{"dispatch",
 			func(a []complex128, bit, lo, hi int) { kern1(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
-			func(a []complex128, b0, b1, lo, hi int) { kern2(a, b0, b1, lo, hi, m) }},
+			func(a []complex128, b0, b1, lo, hi int) { kern2(a, b0, b1, lo, hi, m) },
+			kernX, kernY, kernZ, kernCX},
 		{"numeric",
 			func(a []complex128, bit, lo, hi int) { kern1Numeric(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
-			func(a []complex128, b0, b1, lo, hi int) { kern2Numeric(a, b0, b1, lo, hi, m) }},
+			func(a []complex128, b0, b1, lo, hi int) { kern2Numeric(a, b0, b1, lo, hi, m) },
+			nil, nil, nil, nil},
 	}
 	for _, p := range paths {
 		p := p
@@ -289,6 +297,20 @@ func TestKernelBoundsPanic(t *testing.T) {
 			"kern1/zmm": func(a []complex128) { p.k1(a, 16, 0, dim/32+1) },
 			"kern2/zmm": func(a []complex128) { p.k2(a, 16, 4, 0, dim/4+4) },
 			"kern2/zlo": func(a []complex128) { p.k2(a, 4, 8, -4, 8) },
+			"kern2/q0z": func(a []complex128) { p.k2(a, 1, 16, 0, dim/4+4) },
+			"kern2/q0l": func(a []complex128) { p.k2(a, 8, 1, -4, 8) },
+		}
+		if p.x != nil {
+			cases["x/hi"] = func(a []complex128) { p.x(a, 4, 0, dim/8+1) }
+			cases["x/bit"] = func(a []complex128) { p.x(a, dim, 0, 2) }
+			cases["y/hi"] = func(a []complex128) { p.y(a, 1, 0, dim/2+2) }
+			cases["y/lo"] = func(a []complex128) { p.y(a, 2, -1, 4) }
+			cases["z/hi"] = func(a []complex128) { p.z(a, 16, 0, dim/32+1) }
+			cases["z/lo"] = func(a []complex128) { p.z(a, 1, -1, 4) }
+			cases["cx/hi"] = func(a []complex128) { p.cx(a, 1, 8, 0, dim/4+2) }
+			cases["cx/hi2"] = func(a []complex128) { p.cx(a, 4, 2, 0, dim/4+2) }
+			cases["cx/lo"] = func(a []complex128) { p.cx(a, 2, 4, -2, 4) }
+			cases["cx/bit"] = func(a []complex128) { p.cx(a, 1, dim, 0, dim/4) }
 		}
 		for name, c := range cases {
 			t.Run(p.name+"/"+name, func(t *testing.T) {
@@ -324,7 +346,8 @@ func catchPanic(f func()) (err error) {
 // BenchmarkKern1 and BenchmarkKern2 time one full sweep, the Go body
 // against the AVX2 assembly and its FMA form (the numeric wrappers) in YMM
 // (fma) and, where the CPU has AVX-512F, ZMM registers (zmm), at n = 5, 10
-// and 14 on qubit 0 and on the high qubits.
+// and 14 on qubit 0 and on the high qubits. The kern2 qubit-0 rows cover
+// the two load patterns of kern2FMAQ0512, highb = 2 and highb >= 4.
 func BenchmarkKern1(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	u := randU3(r)
@@ -367,7 +390,7 @@ func BenchmarkKern2(b *testing.B) {
 	for _, n := range []int{5, 10, 14} {
 		amp := randState(r, n).amp
 		units := len(amp) >> 2
-		for _, qs := range [][2]int{{0, n - 1}, {n - 1, 0}, {2, n - 1}, {n - 2, n - 1}} {
+		for _, qs := range [][2]int{{0, n - 1}, {n - 1, 0}, {1, 0}, {2, n - 1}, {n - 2, n - 1}} {
 			b0, b1 := 1<<qs[0], 1<<qs[1]
 			b.Run(fmt.Sprintf("n=%d/q=%d,%d/go", n, qs[0], qs[1]), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

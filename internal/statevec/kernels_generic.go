@@ -32,3 +32,13 @@ func kern1Numeric(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex1
 func kern2Numeric(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
 	kern2Go(amp, b0, b1, lo, hi, m)
 }
+
+// kernX, kernY and kernZ sweep the Paulis over base blocks [lo, hi).
+func kernX(amp []complex128, bit, lo, hi int) { kernXGo(amp, bit, lo, hi) }
+
+func kernY(amp []complex128, bit, lo, hi int) { kernYGo(amp, bit, lo, hi) }
+
+func kernZ(amp []complex128, bit, lo, hi int) { kernZGo(amp, bit, lo, hi) }
+
+// kernCX sweeps a controlled-X over free-subcube units [lo, hi).
+func kernCX(amp []complex128, cb, tb, lo, hi int) { kernCXGo(amp, cb, tb, lo, hi) }

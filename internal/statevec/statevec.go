@@ -351,8 +351,12 @@ func (s *State) applyK(m qmath.Matrix, qubits []int) {
 }
 
 // ApplyPauli applies a Pauli error operator to qubit q. This is the
-// injected-error fast path used by the Monte Carlo engine.
+// injected-error fast path used by the Monte Carlo engine. It panics, as
+// ApplyOp does, if q is outside [0, n).
 func (s *State) ApplyPauli(p gate.Pauli, q int) {
+	if q < 0 || q >= s.n {
+		panic(fmt.Sprintf("statevec: qubit %d out of range [0,%d)", q, s.n))
+	}
 	bit, units := 1<<uint(q), len(s.amp)>>uint(q+1)
 	switch p {
 	case gate.PauliX:

@@ -1,6 +1,7 @@
 package statevec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,6 +211,24 @@ func TestApplyPauliMatchesGate(t *testing.T) {
 			ref.ApplyOp(p.Gate(), q)
 			if !s.Equal(ref, 1e-12) {
 				t.Errorf("ApplyPauli(%v, %d) disagrees with gate application", p, q)
+			}
+		}
+	}
+}
+
+// TestApplyPauliOutOfRange: a qubit outside [0, n) panics with ApplyOp's
+// message instead of leaving the state silently unchanged.
+func TestApplyPauliOutOfRange(t *testing.T) {
+	for _, q := range []int{5, 6, 63, 64, -1} {
+		for _, p := range []gate.Pauli{gate.PauliX, gate.PauliY, gate.PauliZ} {
+			s := randomState(rand.New(rand.NewSource(int64(q))), 5)
+			want := fmt.Sprintf("statevec: qubit %d out of range [0,5)", q)
+			err := catchPanic(func() { s.ApplyPauli(p, q) })
+			if err == nil || err.Error() != want {
+				t.Errorf("ApplyPauli(%v, %d) on 5 qubits: panic %v, want %q", p, q, err, want)
+			}
+			if got := catchPanic(func() { s.ApplyOp(p.Gate(), q) }); got == nil || got.Error() != want {
+				t.Errorf("ApplyOp(%v, %d) on 5 qubits: panic %v, want %q", p, q, got, want)
 			}
 		}
 	}
