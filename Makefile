@@ -112,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzKernelFMAParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzKernelZMMParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzKernelPauliParity -fuzztime 10s ./internal/statevec
+	$(GO) test -run ^$$ -fuzz FuzzKernelDiagHParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace
 
 # The deep correctness gate: everything verify runs, plus vet, the race

@@ -182,7 +182,9 @@ type workload struct {
 // kernelWorkloads mirrors the root BenchmarkKernels patterns: a same-qubit
 // 1q chain, a diagonal-heavy circuit and a QV-style mix, plus a Pauli
 // pattern: the X, Y, Z and CX sweeps that injected errors and CX gates
-// run, CX between the Paulis so that no fusion mode chains them.
+// run, CX between the Paulis so that no fusion mode chains them, and an
+// H/RZ/U1 pattern, the H and diagonal sweeps (d0 != 1 and d0 == 1) of
+// the transpiled Table I circuits, spaced by CX the same way.
 func kernelWorkloads(n int) []workload {
 	chain := circuit.New("chain", n)
 	for r := 0; r < 8; r++ {
@@ -215,7 +217,18 @@ func kernelWorkloads(n int) []workload {
 			pauli.Append(gate.Z(), q)
 		}
 	}
-	return []workload{{"chain", chain}, {"diag", diag}, {"qv", qv}, {"pauli", pauli}}
+	hdiag := circuit.New("hdiag", n)
+	for r := 0; r < 8; r++ {
+		for q := 0; q < n; q++ {
+			next := (q + 1) % n
+			hdiag.Append(gate.H(), q)
+			hdiag.Append(gate.CX(), q, next)
+			hdiag.Append(gate.RZ(0.3), q)
+			hdiag.Append(gate.CX(), next, q)
+			hdiag.Append(gate.U1(0.7), q)
+		}
+	}
+	return []workload{{"chain", chain}, {"diag", diag}, {"qv", qv}, {"pauli", pauli}, {"hdiag", hdiag}}
 }
 
 // flopRoof is one register-resident flop loop: iters trips of flops each.

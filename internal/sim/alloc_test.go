@@ -65,3 +65,42 @@ func TestSteadyStateAllocsFlatAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestExecutePlanAllocsFlatInTrials is ExecutePlan's allocation contract:
+// the result's outcome slice and histogram are sized once from the plan,
+// and the emit loop samples without allocating, so over one warm shared
+// pool a prebuilt plan of 4,096 trials runs with as many allocations as
+// one of 256.
+func TestExecutePlanAllocsFlatInTrials(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const seed = 20200721
+	pool := statevec.NewBufferPool()
+	for _, name := range []string{"bv5", "qft5", "qv_n5d5"} {
+		c, err := bench.Build(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := noise.Uniform("uniform", c.NumQubits(), 1e-3, 1e-2, 1e-2)
+		allocs := func(n int) float64 {
+			plan, err := reorder.BuildPlan(c, genTrials(t, c, m, n, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := Options{Pool: pool}
+			return testing.AllocsPerRun(3, func() {
+				res, err := ExecutePlan(c, plan, opt)
+				if err != nil {
+					t.Fatalf("%s/%d: %v", name, n, err)
+				}
+				if len(res.Outcomes) != n || res.Ops != plan.OptimizedOps() {
+					t.Fatalf("%s/%d: %d outcomes, ops %d, plan %d", name, n, len(res.Outcomes), res.Ops, plan.OptimizedOps())
+				}
+			})
+		}
+		small, large := allocs(256), allocs(4096)
+		t.Logf("%s: %.0f allocs at 256 trials, %.0f at 4096", name, small, large)
+		if large != small {
+			t.Errorf("%s: ExecutePlan allocs grow with trials: %.0f at 256, %.0f at 4096", name, small, large)
+		}
+	}
+}

@@ -143,7 +143,7 @@ func BaselineBackend(c *circuit.Circuit, trials []*trial.Trial, be Backend) (*Re
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{Counts: make(map[uint64]int)}
+	res := newResult(c, len(trials), false)
 	layers := c.Layers()
 	ops := c.Ops()
 	for _, t := range trials {
@@ -179,7 +179,7 @@ func ExecutePlanBackend(c *circuit.Circuit, plan *reorder.Plan, be Backend) (*Re
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{Counts: make(map[uint64]int)}
+	res := newResult(c, len(plan.Order), false)
 	var stack []Backend
 	layers := c.Layers()
 	ops := c.Ops()
@@ -275,12 +275,5 @@ func (b *SparseBackend) CopyFrom(src Backend) error {
 
 // SampleBits implements Backend with the trial's pre-drawn uniform.
 func (b *SparseBackend) SampleBits(c *circuit.Circuit, t *trial.Trial) uint64 {
-	idx := b.st.Sample(t.SampleU)
-	var bits uint64
-	for _, m := range c.Measurements() {
-		if idx>>uint(m.Qubit)&1 == 1 {
-			bits |= 1 << uint(m.Bit)
-		}
-	}
-	return bits
+	return measuredBits(c, int(b.st.Sample(t.SampleU)))
 }

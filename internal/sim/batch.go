@@ -84,7 +84,7 @@ func ExecuteBatchSubtree(c *circuit.Circuit, bp *reorder.BatchPlan, workers int,
 func demuxBatch(bp *reorder.BatchPlan, res *Result, opt Options) (*BatchResult, error) {
 	per := make([]*Result, bp.NumVariants())
 	for vi := range per {
-		per[vi] = newResult(opt.KeepStates)
+		per[vi] = newResult(nil, len(bp.VariantTrials(vi)), opt.KeepStates)
 	}
 	for _, o := range res.Outcomes {
 		org := bp.Origin(o.TrialID)

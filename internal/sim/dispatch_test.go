@@ -93,7 +93,7 @@ func TestDispatchTableBitIdentical(t *testing.T) {
 			}
 		}
 
-		res := newResult(false)
+		res := newResult(nil, 0, false)
 		bs := newBranchState(c, Options{}, newAdvancer(c, nil), res, &msvTracker{}, nil, true)
 		if bs.tab == nil {
 			t.Fatal("nil program did not build a dispatch table")

@@ -98,7 +98,7 @@ func ParallelOrdered(c *circuit.Circuit, ordered []*trial.Trial, workers int, op
 	}
 	wg.Wait()
 
-	merged := newResult(opt.KeepStates)
+	merged := newResult(c, len(ordered), opt.KeepStates)
 	for w, cr := range results {
 		if cr.err != nil {
 			return traceDone(psp, nil, fmt.Errorf("sim: worker %d: %v", w, cr.err))

@@ -279,33 +279,16 @@ func sampleOutcome(st *statevec.State, c *circuit.Circuit, t *trial.Trial) uint6
 	return sampleBitsRaw(st, c, t) ^ t.MeasFlips
 }
 
-// sampleBitsRaw is sampleOutcome without the readout flips.
+// sampleBitsRaw is sampleOutcome without the readout flips. Inverse-CDF
+// sampling with the trial's own uniform keeps the result independent of
+// execution order, so baseline and reordered runs agree bit-for-bit.
 func sampleBitsRaw(st *statevec.State, c *circuit.Circuit, t *trial.Trial) uint64 {
-	// Inverse-CDF sampling with the trial's own uniform keeps the result
-	// independent of execution order, so baseline and reordered runs
-	// agree bit-for-bit.
-	amp := st.Amplitudes()
-	u := t.SampleU
-	var cum float64
-	idx := -1
-	for i, a := range amp {
-		cum += real(a)*real(a) + imag(a)*imag(a)
-		if u < cum {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		// Round-off left the total mass below u: fall back to the last
-		// outcome with nonzero probability, as State.Sample does.
-		idx = len(amp) - 1
-		for i := len(amp) - 1; i >= 0; i-- {
-			if a := amp[i]; real(a)*real(a)+imag(a)*imag(a) > 0 {
-				idx = i
-				break
-			}
-		}
-	}
+	return measuredBits(c, statevec.SampleIndex(st.Amplitudes(), t.SampleU))
+}
+
+// measuredBits routes the measured qubits of basis state idx to their
+// classical bits.
+func measuredBits(c *circuit.Circuit, idx int) uint64 {
 	var bits uint64
 	for _, m := range c.Measurements() {
 		if idx>>uint(m.Qubit)&1 == 1 {
@@ -323,10 +306,7 @@ func Baseline(c *circuit.Circuit, trials []*trial.Trial, opt Options) (*Result, 
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{Counts: make(map[uint64]int)}
-	if opt.KeepStates {
-		res.FinalStates = make(map[int]*statevec.State, len(trials))
-	}
+	res := newResult(c, len(trials), opt.KeepStates)
 	rec := opt.Recorder
 	st := statevec.NewState(c.NumQubits())
 	layers := c.Layers()
@@ -415,7 +395,7 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	if err := c.Validate(); err != nil {
 		return traceDone(esp, nil, err)
 	}
-	res := newResult(opt.KeepStates)
+	res := newResult(c, len(plan.Order), opt.KeepStates)
 	rec := opt.Recorder
 	prog := plan.Prog
 	if prog == nil {
@@ -426,6 +406,9 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	d0 := arena.Drops()
 	pool := newStatePool(c.NumQubits(), arena)
 	bs := newBranchState(c, opt, newAdvancer(c, prog), res, tr, pool, true)
+	// Every StepPush opens a frame, so the plan's stack peak sizes the
+	// frame stack once.
+	bs.frames = make([]pframe, 0, plan.MSV())
 	bs.work = pool.get()
 	bs.work.Reset()
 	if err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil); err != nil {
@@ -448,15 +431,35 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	return traceDone(esp, res, nil)
 }
 
-// newResult returns an empty Result, with the final-state map when the
-// run keeps states.
-func newResult(keepStates bool) *Result {
-	res := &Result{Counts: make(map[uint64]int)}
+// newResult returns an empty Result with room for the outcomes of trials
+// trials of circuit c (nil: no histogram hint), with the final-state map
+// when the run keeps states.
+func newResult(c *circuit.Circuit, trials int, keepStates bool) *Result {
+	res := &Result{Outcomes: make([]Outcome, 0, trials), Counts: make(map[uint64]int, countsHint(c, trials))}
 	if keepStates {
-		res.FinalStates = make(map[int]*statevec.State)
+		res.FinalStates = make(map[int]*statevec.State, trials)
 	}
 	return res
 }
+
+// countsHint sizes the histogram for the distinct bit patterns trials
+// trials of c can produce (at most one per trial and one per value of the
+// measured bits), capped at countsHintMax so that a run of many trials
+// over few distinct outcomes does not allocate a map sized to its trial
+// count; a run with more outcomes grows the map from there.
+func countsHint(c *circuit.Circuit, trials int) int {
+	if c == nil {
+		return 0
+	}
+	hint := min(trials, countsHintMax)
+	if m := len(c.Measurements()); m < 20 {
+		hint = min(hint, 1<<m)
+	}
+	return hint
+}
+
+// countsHintMax caps countsHint.
+const countsHintMax = 1024
 
 // traceDone closes an executor span with the run's outcome: the error
 // on failure, the executed ops/copies as attributes on success.

@@ -336,7 +336,7 @@ func TestFinishOrdersAnyIDSet(t *testing.T) {
 	for name, ids := range cases {
 		ids = append([]int(nil), ids...)
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		res := newResult(false)
+		res := newResult(nil, 0, false)
 		want := map[Outcome]int{}
 		for _, id := range ids {
 			o := Outcome{TrialID: id, Bits: uint64(rng.Intn(4))}

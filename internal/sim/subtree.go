@@ -294,7 +294,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res := newResult(opt.KeepStates)
+			res := newResult(c, 0, opt.KeepStates)
 			pool := newStatePool(c.NumQubits(), arena)
 			var br *batchRunner
 			if lanes > 1 && opt.Policy == PolicySnapshot {
@@ -388,7 +388,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 // events (spawn included) sit on the "trunk" span.
 func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Options, queue *taskQueue, sem chan struct{}, tr *msvTracker, pool *statePool) (_ *Result, err error) {
 	defer recoverErr(&err)
-	res := newResult(opt.KeepStates)
+	res := newResult(c, 0, opt.KeepStates)
 	rec := opt.Recorder
 	bs := newBranchState(c, opt, adv, res, tr, pool, true)
 	bs.work = pool.get()

@@ -29,8 +29,8 @@ import "repro/internal/qmath"
 
 // KernelISA names the sweep bodies this build runs on this CPU: "go" (the
 // portable kernels), "avx2" (the AVX2 assembly of kern1, kern2 and the
-// Pauli and CX sweeps, Float64bits-identical to them, in every fuse
-// mode), "avx2+fma" (FuseNumeric programs also take the FMA sweeps) or
+// Pauli, H, diagonal and CX sweeps, Float64bits-identical to them, in
+// every fuse mode), "avx2+fma" (FuseNumeric programs also take the FMA sweeps) or
 // "avx2+fma+avx512" (the FMA sweeps run in ZMM registers where four pairs
 // or units fit in a vector, qubit-0 pairs included).
 func KernelISA() string {
@@ -46,9 +46,9 @@ func KernelISA() string {
 }
 
 // KernelFeatures reports the instruction sets the sweeps use in this
-// build on this CPU: AVX2 for kern1, kern2 and the X, Y, Z and CX sweeps,
-// FMA for the FuseNumeric sweeps and AVX512 (AVX-512F) for their ZMM
-// form. KernelISA names the same set.
+// build on this CPU: AVX2 for kern1, kern2 and the X, Y, Z, H, diagonal
+// and CX sweeps, FMA for the FuseNumeric sweeps and AVX512 (AVX-512F) for
+// their ZMM form. KernelISA names the same set.
 type KernelFeatures struct{ AVX2, FMA, AVX512 bool }
 
 // Kernels returns the KernelFeatures of this build on this CPU.
@@ -124,8 +124,10 @@ func kernZGo(amp []complex128, bit, lo, hi int) {
 	}
 }
 
-// kernH sweeps the Hadamard.
-func kernH(amp []complex128, bit, lo, hi int) {
+// kernHGo sweeps the Hadamard. It and kernDiagGo are the portable bodies
+// behind kernH and kernDiag and the references their AVX2 sweeps are
+// tested against bit for bit.
+func kernHGo(amp []complex128, bit, lo, hi int) {
 	stride := bit << 1
 	for u := lo; u < hi; u++ {
 		base := u * stride
@@ -135,11 +137,11 @@ func kernH(amp []complex128, bit, lo, hi int) {
 	}
 }
 
-// kernDiag sweeps a diagonal single-qubit gate diag(d0, d1). When d0 is
+// kernDiagGo sweeps a diagonal single-qubit gate diag(d0, d1). When d0 is
 // exactly 1 (S, Sdg, T, Tdg, P, U1) only the upper half of each block is
 // touched — half the work and half the memory traffic of the generic
 // kernel, with no pair swaps.
-func kernDiag(amp []complex128, bit, lo, hi int, d0, d1 complex128) {
+func kernDiagGo(amp []complex128, bit, lo, hi int, d0, d1 complex128) {
 	stride := bit << 1
 	if d0 == 1 {
 		for u := lo; u < hi; u++ {

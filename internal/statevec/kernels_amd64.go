@@ -2,7 +2,11 @@
 
 package statevec
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/qmath"
+)
 
 // useAVX2 reports that the CPU has AVX2 and the OS saves YMM state, so
 // kern1 and kern2 take the assembly sweeps in kernels_amd64.s.
@@ -111,6 +115,22 @@ func kernZAVX2(amp []complex128, bit, plo, phi int)
 //
 //go:noescape
 func kernCXAVX2(amp []complex128, lowb, highb, cb, tb, lo, hi int)
+
+// kernHAVX2 is kernHGo over the pairs [plo, phi) of kern1AVX2, with its
+// conditions; c is qmath.SqrtHalf.
+//
+//go:noescape
+func kernHAVX2(amp []complex128, bit, plo, phi int, c complex128)
+
+// kernDiagAVX2 is kernDiagGo for d0 != 1 and kernDiag1AVX2 its d0 == 1
+// branch, which touches the upper halves only, over the pairs [plo, phi)
+// of kern1AVX2, with its conditions.
+//
+//go:noescape
+func kernDiagAVX2(amp []complex128, bit, plo, phi int, d0, d1 complex128)
+
+//go:noescape
+func kernDiag1AVX2(amp []complex128, bit, plo, phi int, d1 complex128)
 
 // asmPairs reports whether a single-qubit sweep on bit over base blocks
 // [lo, hi) can take the assembly and returns its pairs [plo, phi). Block u
@@ -230,12 +250,10 @@ func kern2Sweep(amp []complex128, b0, b1, lo, hi int, m *[16]complex128, fma boo
 		switch {
 		case q0 && fma:
 			kern2FMAQ0(amp, highb, b0&1, lo, hi, m)
-		case q0:
-			kern2AVX2Q0(amp, highb, b0&1, lo, hi, m)
 		case fma:
 			kern2FMA(amp, lowb, highb, b0, b1, lo, hi, m)
 		default:
-			kern2AVX2(amp, lowb, highb, b0, b1, lo, hi, m)
+			kern2Asm(amp, lowb, highb, b0, b1, lo, hi, m)
 		}
 	}
 	if zmm && lo&2 != 0 && lo < hi {
@@ -260,18 +278,31 @@ func kern2Sweep(amp []complex128, b0, b1, lo, hi int, m *[16]complex128, fma boo
 	}
 }
 
+// kern2Asm is kern2's assembly over units [lo, hi), proven in range, of
+// an even count and, unless lowb == 1, from an even start: kern2AVX2Q0
+// for qubit-0 pairs, kern2AVX2 otherwise. kern2Sweep and sweepDirect
+// both call it.
+func kern2Asm(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128) {
+	if lowb == 1 {
+		kern2AVX2Q0(amp, highb, b0&1, lo, hi, m)
+	} else {
+		kern2AVX2(amp, lowb, highb, b0, b1, lo, hi, m)
+	}
+}
+
 // kernX, kernY and kernZ sweep the Paulis over base blocks [lo, hi): the
 // AVX2 assembly where the CPU has it, kernXGo, kernYGo and kernZGo
 // otherwise, with Float64bits-identical results. Every fuse mode runs
 // them.
-func kernX(amp []complex128, bit, lo, hi int) { pauliSweep(amp, bit, lo, hi, kernXGo, kernXAVX2) }
+func kernX(amp []complex128, bit, lo, hi int) { pairSweep(amp, bit, lo, hi, kernXGo, kernXAVX2) }
 
-func kernY(amp []complex128, bit, lo, hi int) { pauliSweep(amp, bit, lo, hi, kernYGo, kernYAVX2) }
+func kernY(amp []complex128, bit, lo, hi int) { pairSweep(amp, bit, lo, hi, kernYGo, kernYAVX2) }
 
-func kernZ(amp []complex128, bit, lo, hi int) { pauliSweep(amp, bit, lo, hi, kernZGo, kernZAVX2) }
+func kernZ(amp []complex128, bit, lo, hi int) { pairSweep(amp, bit, lo, hi, kernZGo, kernZAVX2) }
 
-// pauliSweep is kern1Sweep for a Pauli's Go body and assembly.
-func pauliSweep(amp []complex128, bit, lo, hi int, goBody, asm func([]complex128, int, int, int)) {
+// pairSweep is kern1Sweep for the Go body and assembly of a fixed
+// single-qubit sweep (the Paulis, H, diag).
+func pairSweep(amp []complex128, bit, lo, hi int, goBody, asm func([]complex128, int, int, int)) {
 	plo, phi, ok := asmPairs(amp, bit, lo, hi)
 	if !ok {
 		goBody(amp, bit, lo, hi)
@@ -285,6 +316,38 @@ func pauliSweep(amp []complex128, bit, lo, hi int, goBody, asm func([]complex128
 		end := min(plo+asmChunk, phi)
 		asm(amp, bit, plo, end)
 		plo = end
+	}
+}
+
+// kernH sweeps the Hadamard over base blocks [lo, hi): the AVX2 assembly
+// where the CPU has it, kernHGo otherwise, with Float64bits-identical
+// results. Every fuse mode runs it.
+func kernH(amp []complex128, bit, lo, hi int) { pairSweep(amp, bit, lo, hi, kernHGo, kernHAsm) }
+
+// kernHAsm is kernH's assembly over the pairs [plo, phi), proven in
+// range and of an even count. kernH and sweepDirect both call it.
+func kernHAsm(amp []complex128, bit, plo, phi int) {
+	kernHAVX2(amp, bit, plo, phi, qmath.SqrtHalf)
+}
+
+// kernDiag sweeps diag(d0, d1) over base blocks [lo, hi): the AVX2
+// assembly where the CPU has it, kernDiagGo otherwise, with
+// Float64bits-identical results. With d0 == 1 it touches the upper
+// halves only. Every fuse mode runs it.
+func kernDiag(amp []complex128, bit, lo, hi int, d0, d1 complex128) {
+	pairSweep(amp, bit, lo, hi,
+		func(amp []complex128, bit, lo, hi int) { kernDiagGo(amp, bit, lo, hi, d0, d1) },
+		func(amp []complex128, bit, plo, phi int) { kernDiagAsm(amp, bit, plo, phi, d0, d1) })
+}
+
+// kernDiagAsm is kernDiag's assembly over the pairs [plo, phi), proven
+// in range and of an even count: kernDiag1AVX2 (upper halves only) when
+// d0 == 1, kernDiagAVX2 otherwise. kernDiag and sweepDirect both call it.
+func kernDiagAsm(amp []complex128, bit, plo, phi int, d0, d1 complex128) {
+	if d0 == 1 {
+		kernDiag1AVX2(amp, bit, plo, phi, d1)
+	} else {
+		kernDiagAVX2(amp, bit, plo, phi, d0, d1)
 	}
 }
 
@@ -311,5 +374,56 @@ func kernCX(amp []complex128, cb, tb, lo, hi int) {
 		end := min(lo+asmChunk, hi)
 		kernCXAVX2(amp, lowb, highb, cb, tb, lo, end)
 		lo = end
+	}
+}
+
+// directSweep reports whether ApplyKernel may run k's whole-state sweep
+// as one assembly call, with no range proof at apply time: the CPU has
+// the sweep, the state holds at most one asmChunk of pairs (units for the
+// two-qubit sweeps), and the whole range has the shape the assembly
+// needs (an even pair count, at least two units). ResolveOp has proved
+// the qubits in range for a state of k.dim amplitudes, and ApplyKernel
+// checks the state's length against k.dim, so every index the sweep
+// touches is in range.
+func directSweep(k *OpKernel) bool {
+	if !useAVX2 {
+		return false
+	}
+	switch k.kind {
+	case okX, okY, okZ, okH, okDiag, ok1:
+		return k.dim >= 4 && k.dim>>1 <= asmChunk
+	case okCX, ok2:
+		return k.dim >= 8 && k.dim>>2 <= asmChunk
+	}
+	return false
+}
+
+// sweepDirect runs k's whole-state sweep as one assembly call; it needs
+// directSweep(k) and len(amp) == k.dim. Each kind calls the assembly its
+// wrapper's chunk loop calls (kernHAsm, kernDiagAsm and kern2Asm hold the
+// choices between sweeps), so the result is the wrapper's.
+func sweepDirect(amp []complex128, k *OpKernel) {
+	pairs := len(amp) >> 1
+	switch k.kind {
+	case okX:
+		kernXAVX2(amp, k.b0, 0, pairs)
+	case okY:
+		kernYAVX2(amp, k.b0, 0, pairs)
+	case okZ:
+		kernZAVX2(amp, k.b0, 0, pairs)
+	case okH:
+		kernHAsm(amp, k.b0, 0, pairs)
+	case okDiag:
+		m := k.mat.Data()
+		kernDiagAsm(amp, k.b0, 0, pairs, m[0], m[3])
+	case ok1:
+		m := k.mat.Data()
+		kern1AVX2(amp, k.b0, 0, pairs, m[0], m[1], m[2], m[3])
+	case okCX:
+		lowb, highb := sort2(k.b0, k.b1)
+		kernCXAVX2(amp, lowb, highb, k.b0, k.b1, 0, len(amp)>>2)
+	case ok2:
+		lowb, highb := sort2(k.b0, k.b1)
+		kern2Asm(amp, lowb, highb, k.b0, k.b1, 0, len(amp)>>2, (*[16]complex128)(k.mat.Data()))
 	}
 }

@@ -1023,3 +1023,182 @@ q0n:
 	JLT  q0n
 	VZEROUPPER
 	RET
+
+// The diagonal and Hadamard sweeps are Float64bits-identical to
+// kernDiagGo and kernHGo. Both multiply by a complex constant d the way
+// the compiled a*d does: re = ar*dr - ai*di and im = ar*di + ai*dr, each
+// multiply and add rounded separately, as CMUL's VADDSUBPD(a*bcast(dr),
+// swap(a)*bcast(di)) does. The Hadamard repeats kernHGo's full product by
+// qmath.SqrtHalf = (1/√2, 0), the x*0 terms included, so signed zeros,
+// Inf and NaN come out as the Go body's. Addition is commutative bit for
+// bit except when two NaNs of different bits meet: x86 then returns the
+// first operand's, and the compiler picks the operand order per call
+// site, so no sweep can promise that case.
+
+// CMUL sets dst = a*d for the complex lanes of a, with d's real part
+// broadcast in re and its imaginary part in im; sa and t are scratch.
+#define CMUL(a, re, im, sa, t, dst) \
+	VPERMILPD $5, a, sa; \
+	VMULPD    re, a, dst; \
+	VMULPD    im, sa, t; \
+	VADDSUBPD t, dst, dst
+
+// KERNH sets Y12 = (a0+a1)*c and Y13 = (a0-a1)*c from a0 lanes in Y8 and
+// a1 lanes in Y9, with c's parts broadcast in Y0 and Y1, as pairH
+// computes them.
+#define KERNH \
+	VADDPD Y9, Y8, Y10; \
+	VSUBPD Y9, Y8, Y11; \
+	CMUL(Y10, Y0, Y1, Y14, Y15, Y12); \
+	CMUL(Y11, Y0, Y1, Y14, Y15, Y13)
+
+// func kernHAVX2(amp []complex128, bit, plo, phi int, c complex128)
+// The kern1AVX2 walk with KERNH.
+TEXT ·kernHAVX2(SB), NOSPLIT, $0-64
+	MOVQ         amp_base+0(FP), SI
+	MOVQ         bit+24(FP), R8
+	MOVQ         plo+32(FP), CX
+	MOVQ         phi+40(FP), BX
+	VBROADCASTSD c_real+48(FP), Y0
+	VBROADCASTSD c_imag+56(FP), Y1
+	SUBQ         CX, BX
+	SHRQ         $1, BX            // vectors: two pairs each
+	CMPQ         R8, $1
+	JEQ          pairs
+	HALVES(1)
+
+vec:
+	HALF(KERNH)
+	ADDQ $32, SI
+	DECQ BX
+	JZ   done
+	DECQ CX
+	JNZ  vec
+	ADDQ DX, SI
+	MOVQ R8, CX
+	JMP  vec
+
+done:
+	VZEROUPPER
+	RET
+
+pairs:
+	SHLQ $5, CX
+	ADDQ CX, SI
+
+pair:
+	PAIRS4(KERNH)
+	ADDQ $64, SI
+	DECQ BX
+	JNZ  pair
+	VZEROUPPER
+	RET
+
+// func kernDiagAVX2(amp []complex128, bit, plo, phi int, d0, d1 complex128)
+// The kern1AVX2 walk multiplying lower halves by d0 and upper halves by
+// d1. For bit == 1 a vector is one pair, lower amplitude in the low lane,
+// so the constants are d0 in the low lane and d1 in the high one.
+TEXT ·kernDiagAVX2(SB), NOSPLIT, $0-80
+	MOVQ         amp_base+0(FP), SI
+	MOVQ         bit+24(FP), R8
+	MOVQ         plo+32(FP), CX
+	MOVQ         phi+40(FP), BX
+	VBROADCASTSD d0_real+48(FP), Y0
+	VBROADCASTSD d0_imag+56(FP), Y1
+	VBROADCASTSD d1_real+64(FP), Y2
+	VBROADCASTSD d1_imag+72(FP), Y3
+	SUBQ         CX, BX
+	SHRQ         $1, BX            // vectors: two pairs each
+	CMPQ         R8, $1
+	JEQ          pairs
+	HALVES(1)
+
+vec:
+	VMOVUPD (SI), Y8
+	VMOVUPD (SI)(DX*1), Y9
+	CMUL(Y8, Y0, Y1, Y10, Y14, Y12)
+	CMUL(Y9, Y2, Y3, Y11, Y15, Y13)
+	VMOVUPD Y12, (SI)
+	VMOVUPD Y13, (SI)(DX*1)
+	ADDQ    $32, SI
+	DECQ    BX
+	JZ      done
+	DECQ    CX
+	JNZ     vec
+	ADDQ    DX, SI
+	MOVQ    R8, CX
+	JMP     vec
+
+done:
+	VZEROUPPER
+	RET
+
+pairs:
+	VBLENDPD $12, Y2, Y0, Y4       // d0r d0r d1r d1r
+	VBLENDPD $12, Y3, Y1, Y5       // d0i d0i d1i d1i
+	SHLQ     $5, CX
+	ADDQ     CX, SI
+
+pair:
+	VMOVUPD (SI), Y8
+	VMOVUPD 32(SI), Y9
+	CMUL(Y8, Y4, Y5, Y10, Y14, Y12)
+	CMUL(Y9, Y4, Y5, Y11, Y15, Y13)
+	VMOVUPD Y12, (SI)
+	VMOVUPD Y13, 32(SI)
+	ADDQ    $64, SI
+	DECQ    BX
+	JNZ     pair
+	VZEROUPPER
+	RET
+
+// func kernDiag1AVX2(amp []complex128, bit, plo, phi int, d1 complex128)
+// kernDiagAVX2 for d0 == 1: loads, multiplies and stores the upper halves
+// only, as kernDiagGo's d0 == 1 branch does.
+TEXT ·kernDiag1AVX2(SB), NOSPLIT, $0-64
+	MOVQ         amp_base+0(FP), SI
+	MOVQ         bit+24(FP), R8
+	MOVQ         plo+32(FP), CX
+	MOVQ         phi+40(FP), BX
+	VBROADCASTSD d1_real+48(FP), Y2
+	VBROADCASTSD d1_imag+56(FP), Y3
+	SUBQ         CX, BX
+	SHRQ         $1, BX            // vectors: two pairs each
+	CMPQ         R8, $1
+	JEQ          pairs
+	HALVES(1)
+
+vec:
+	VMOVUPD (SI)(DX*1), Y9
+	CMUL(Y9, Y2, Y3, Y11, Y15, Y13)
+	VMOVUPD Y13, (SI)(DX*1)
+	ADDQ    $32, SI
+	DECQ    BX
+	JZ      done
+	DECQ    CX
+	JNZ     vec
+	ADDQ    DX, SI
+	MOVQ    R8, CX
+	JMP     vec
+
+done:
+	VZEROUPPER
+	RET
+
+	// bit == 1: the upper half of pair p is the amplitude 2p+1.
+pairs:
+	SHLQ $5, CX
+	ADDQ CX, SI
+
+pair:
+	VMOVUPD 16(SI), X8
+	VMOVUPD 48(SI), X9
+	CMUL(X8, X2, X3, X10, X14, X12)
+	CMUL(X9, X2, X3, X11, X15, X13)
+	VMOVUPD X12, 16(SI)
+	VMOVUPD X13, 48(SI)
+	ADDQ    $64, SI
+	DECQ    BX
+	JNZ     pair
+	VZEROUPPER
+	RET

@@ -147,7 +147,7 @@ func FuzzKernelZMMParity(f *testing.F) {
 // the wrappers split into several assembly calls: at n = 16 a kern1 chunk
 // edge on a high qubit falls inside a block's lower half, and the ranges
 // put odd edges next to chunk edges. A round of the Pauli and CX sweeps
-// runs on the same qubits and ranges. Where the CPU has FMA, each case
+// and one of the H and diagonal sweeps run on the same qubits and ranges. Where the CPU has FMA, each case
 // also holds the numeric (FMA) sweep to its error bound, and where it has
 // AVX-512F, the ZMM sweeps to the bits of the YMM ones.
 func TestKernelAsmParityChunked(t *testing.T) {
@@ -224,6 +224,17 @@ func TestKernelAsmParityChunked(t *testing.T) {
 					if _, changed := checkPauli(t, k, parityAmps(r, dim), q0, q1, rg[0], rg[1]); !changed {
 						t.Fatalf("CX q=(%d,%d) [%d,%d) left the state unchanged", q0, q1, rg[0], rg[1])
 					}
+				}
+			}
+		}
+	}
+	// So do the H and diagonal sweeps, d0 == 1 and d0 != 1.
+	for _, k := range diagHKerns {
+		for _, q := range qubits {
+			for i, rg := range ranges(dim >> (q + 1)) {
+				d0, d1 := diagHConsts(r, k.name == "diag" && i&1 == 0)
+				if _, changed := checkDiagH(t, k, parityAmps(r, dim), q, rg[0], rg[1], d0, d1); !changed {
+					t.Fatalf("%s q=%d [%d,%d) left the state unchanged", k.name, q, rg[0], rg[1])
 				}
 			}
 		}

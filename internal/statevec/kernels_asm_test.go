@@ -255,7 +255,7 @@ func FuzzKernelAsmParity(f *testing.F) {
 // Go path and through the dispatch and numeric (FMA) wrappers alike,
 // without touching memory past the slice. The /zmm cases have the shapes
 // the numeric wrappers hand to the ZMM sweeps (bit and lowb >= 4, and
-// qubit 0). The Pauli and CX sweeps have no numeric form.
+// qubit 0). The Pauli, CX, H and diagonal sweeps have no numeric form.
 func TestKernelBoundsPanic(t *testing.T) {
 	const n = 6
 	const dim = 1 << n
@@ -270,19 +270,21 @@ func TestKernelBoundsPanic(t *testing.T) {
 		y    func([]complex128, int, int, int)
 		z    func([]complex128, int, int, int)
 		cx   func([]complex128, int, int, int, int)
+		h    func([]complex128, int, int, int)
+		diag func([]complex128, int, int, int, complex128, complex128)
 	}{
 		{"go",
 			func(a []complex128, bit, lo, hi int) { kern1Go(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
 			func(a []complex128, b0, b1, lo, hi int) { kern2Go(a, b0, b1, lo, hi, m) },
-			kernXGo, kernYGo, kernZGo, kernCXGo},
+			kernXGo, kernYGo, kernZGo, kernCXGo, kernHGo, kernDiagGo},
 		{"dispatch",
 			func(a []complex128, bit, lo, hi int) { kern1(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
 			func(a []complex128, b0, b1, lo, hi int) { kern2(a, b0, b1, lo, hi, m) },
-			kernX, kernY, kernZ, kernCX},
+			kernX, kernY, kernZ, kernCX, kernH, kernDiag},
 		{"numeric",
 			func(a []complex128, bit, lo, hi int) { kern1Numeric(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
 			func(a []complex128, b0, b1, lo, hi int) { kern2Numeric(a, b0, b1, lo, hi, m) },
-			nil, nil, nil, nil},
+			nil, nil, nil, nil, nil, nil},
 	}
 	for _, p := range paths {
 		p := p
@@ -311,6 +313,13 @@ func TestKernelBoundsPanic(t *testing.T) {
 			cases["cx/hi2"] = func(a []complex128) { p.cx(a, 4, 2, 0, dim/4+2) }
 			cases["cx/lo"] = func(a []complex128) { p.cx(a, 2, 4, -2, 4) }
 			cases["cx/bit"] = func(a []complex128) { p.cx(a, 1, dim, 0, dim/4) }
+			cases["h/hi"] = func(a []complex128) { p.h(a, 4, 0, dim/8+1) }
+			cases["h/lo"] = func(a []complex128) { p.h(a, 1, -1, 4) }
+			cases["h/bit"] = func(a []complex128) { p.h(a, dim, 0, 2) }
+			cases["diag/hi"] = func(a []complex128) { p.diag(a, 2, 0, dim/4+2, u[1], u[2]) }
+			cases["diag/lo"] = func(a []complex128) { p.diag(a, 1, -1, 4, u[1], u[2]) }
+			cases["diag1/hi"] = func(a []complex128) { p.diag(a, 8, 0, dim/16+1, 1, u[1]) }
+			cases["diag1/bit"] = func(a []complex128) { p.diag(a, dim, 0, 2, 1, u[1]) }
 		}
 		for name, c := range cases {
 			t.Run(p.name+"/"+name, func(t *testing.T) {

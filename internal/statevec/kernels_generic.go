@@ -40,5 +40,21 @@ func kernY(amp []complex128, bit, lo, hi int) { kernYGo(amp, bit, lo, hi) }
 
 func kernZ(amp []complex128, bit, lo, hi int) { kernZGo(amp, bit, lo, hi) }
 
+// kernH sweeps the Hadamard over base blocks [lo, hi).
+func kernH(amp []complex128, bit, lo, hi int) { kernHGo(amp, bit, lo, hi) }
+
+// kernDiag sweeps diag(d0, d1) over base blocks [lo, hi).
+func kernDiag(amp []complex128, bit, lo, hi int, d0, d1 complex128) {
+	kernDiagGo(amp, bit, lo, hi, d0, d1)
+}
+
 // kernCX sweeps a controlled-X over free-subcube units [lo, hi).
 func kernCX(amp []complex128, cb, tb, lo, hi int) { kernCXGo(amp, cb, tb, lo, hi) }
+
+// directSweep is false: ApplyKernel always takes the Go bodies.
+func directSweep(*OpKernel) bool { return false }
+
+// sweepDirect is never called in this build.
+func sweepDirect([]complex128, *OpKernel) {
+	panic("statevec: no assembly sweeps in this build")
+}

@@ -158,16 +158,18 @@ const (
 )
 
 // OpKernel is one circuit op with its dispatch decided once: the kernel
-// kind, the amplitude-index bit masks of its qubits (in op order), and
-// the gate's row-major matrix entries (the 2x2, the flat 4x4 kern2 reads,
-// or the dense 2^k matrix). Executors that run a circuit many times
-// resolve each op once and replay the table instead of re-reading the
-// gate on every application. An OpKernel is read-only once built and may
-// be shared between goroutines; it shares the gate's matrix and the op's
-// qubit slice rather than copying them.
+// kind, the amplitude-index bit masks of its qubits (in op order), the
+// gate's row-major matrix entries (the 2x2, the flat 4x4 kern2 reads, or
+// the dense 2^k matrix) and the state size it was resolved for. Executors
+// that run a circuit many times resolve each op once and replay the table
+// instead of re-reading the gate on every application. An OpKernel is
+// read-only once built and may be shared between goroutines; it shares
+// the gate's matrix and the op's qubit slice rather than copying them.
 type OpKernel struct {
 	kind       opKernelKind
+	direct     bool // ApplyKernel calls sweepDirect (see directSweep)
 	b0, b1, b2 int
+	dim        int // amplitudes of the state the qubits were checked against
 	mat        qmath.Matrix
 	qubits     []int // okK only
 }
@@ -238,12 +240,23 @@ func resolveOp(k *OpKernel, n int, g *gate.Gate, qubits []int) {
 	default:
 		k.kind, k.mat, k.qubits = okK, g.Matrix(), qubits
 	}
+	k.dim = 1 << uint(n)
+	k.direct = directSweep(k)
 }
 
 // ApplyKernel runs a resolved op on the state, which must have the width
-// the kernel was resolved for.
+// the kernel was resolved for; it panics otherwise. That one length check
+// stands in for the per-call range proofs of the sweep wrappers: a
+// whole-state sweep that fits one assembly call runs it directly.
 func (s *State) ApplyKernel(k *OpKernel) {
 	amp := s.amp
+	if len(amp) != k.dim {
+		panic(fmt.Sprintf("statevec: kernel resolved for %d amplitudes applied to a state of %d", k.dim, len(amp)))
+	}
+	if k.direct {
+		sweepDirect(amp, k)
+		return
+	}
 	switch k.kind {
 	case okIdentity:
 	case okX:
@@ -373,24 +386,11 @@ func (s *State) ApplyPauli(p gate.Pauli, q int) {
 // Sample draws one measurement outcome (a basis-state index over all n
 // qubits) from the state's distribution using rng. The state is not
 // collapsed; terminal measurement in the Monte Carlo scheme only needs the
-// sampled classical outcome.
+// sampled classical outcome. It is SampleIndex with a uniform from rng:
+// an outcome of zero probability is never returned unless every outcome
+// has it.
 func (s *State) Sample(rng *rand.Rand) int {
-	r := rng.Float64()
-	var cum float64
-	for i, a := range s.amp {
-		cum += real(a)*real(a) + imag(a)*imag(a)
-		if r < cum {
-			return i
-		}
-	}
-	// Floating-point round-off can leave cum slightly below 1; return the
-	// last basis state with nonzero probability.
-	for i := len(s.amp) - 1; i >= 0; i-- {
-		if s.amp[i] != 0 {
-			return i
-		}
-	}
-	return len(s.amp) - 1
+	return SampleIndex(s.amp, rng.Float64())
 }
 
 // MeasureQubitProbability returns P(qubit q reads 1).
