@@ -12,6 +12,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/gate"
@@ -77,6 +78,9 @@ type Circuit struct {
 	nbits    int
 	ops      []Op
 	measures []Measurement
+	// qarena is the free tail of the block Append carves each op's
+	// Qubits from, as a capacity-limited slice.
+	qarena []int
 
 	layering    Layering
 	layersDirty bool
@@ -120,26 +124,47 @@ func (c *Circuit) Op(i int) Op { return c.ops[i] }
 func (c *Circuit) Measurements() []Measurement { return c.measures }
 
 // Append adds a gate application. Qubit indices must be distinct and in
-// range, and their count must match the gate's arity.
+// range, and their count must match the gate's arity. The op's Qubits is
+// a capacity-limited slice of a block shared with other ops, so an append
+// to it reallocates rather than overwriting a neighbour.
 func (c *Circuit) Append(g gate.Gate, qubits ...int) *Circuit {
 	if len(qubits) != g.Qubits() {
 		panic(fmt.Sprintf("circuit: gate %q wants %d qubits, got %d", g.Name(), g.Qubits(), len(qubits)))
 	}
-	seen := make(map[int]bool, len(qubits))
-	for _, q := range qubits {
+	for i, q := range qubits {
 		if q < 0 || q >= c.nqubits {
 			panic(fmt.Sprintf("circuit: qubit %d out of range [0,%d)", q, c.nqubits))
 		}
-		if seen[q] {
+		if slices.Contains(qubits[:i], q) {
 			panic(fmt.Sprintf("circuit: duplicate qubit %d in %q application", q, g.Name()))
 		}
-		seen[q] = true
 	}
-	qs := make([]int, len(qubits))
-	copy(qs, qubits)
-	c.ops = append(c.ops, Op{Gate: g, Qubits: qs})
+	if cap(c.qarena)-len(c.qarena) < len(qubits) {
+		c.qarena = make([]int, 0, max(2*cap(c.qarena), len(qubits), minArena))
+	}
+	c.ops = append(c.ops, Op{Gate: g, Qubits: c.carve(qubits)})
 	c.layersDirty = true
 	return c
+}
+
+// minArena is the smallest qubit block an unsized Append allocates.
+const minArena = 32
+
+// carve copies qubits to the arena's free tail, which must have room, and
+// returns the copy with its capacity cut to its length.
+func (c *Circuit) carve(qubits []int) []int {
+	n := len(c.qarena)
+	c.qarena = append(c.qarena, qubits...)
+	return c.qarena[n:len(c.qarena):len(c.qarena)]
+}
+
+// Grow makes room for ops more operations with qubits more qubit indices
+// between them, so that Appends within those counts allocate nothing.
+func (c *Circuit) Grow(ops, qubits int) {
+	c.ops = slices.Grow(c.ops, ops)
+	if cap(c.qarena)-len(c.qarena) < qubits {
+		c.qarena = make([]int, 0, qubits)
+	}
 }
 
 // Measure records a terminal measurement of qubit into classical bit.
@@ -288,10 +313,13 @@ func (c *Circuit) Clone() *Circuit {
 	cp.nbits = c.nbits
 	cp.layering = c.layering
 	cp.ops = make([]Op, len(c.ops))
+	nq := 0
+	for _, op := range c.ops {
+		nq += len(op.Qubits)
+	}
+	cp.qarena = make([]int, 0, nq)
 	for i, op := range c.ops {
-		qs := make([]int, len(op.Qubits))
-		copy(qs, op.Qubits)
-		cp.ops[i] = Op{Gate: op.Gate, Qubits: qs}
+		cp.ops[i] = Op{Gate: op.Gate, Qubits: cp.carve(op.Qubits)}
 	}
 	cp.measures = make([]Measurement, len(c.measures))
 	copy(cp.measures, c.measures)

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -168,6 +169,80 @@ func TestCloneDeep(t *testing.T) {
 	cp.Measure(1, 1)
 	if c.NumOps() != 1 || len(c.Measurements()) != 1 {
 		t.Error("clone mutation leaked into original")
+	}
+}
+
+// TestAppendQubitsDoNotAlias: ops carve their qubit lists from one shared
+// block, each capacity-limited, so an append to one op's Qubits copies
+// instead of overwriting the next op's.
+func TestAppendQubitsDoNotAlias(t *testing.T) {
+	for _, grow := range []bool{false, true} {
+		c := New("t", 4)
+		if grow {
+			c.Grow(3, 5)
+		}
+		c.Append(gate.CX(), 0, 1)
+		c.Append(gate.H(), 2)
+		c.Append(gate.CX(), 3, 2)
+		ops := c.Ops()
+		for i := range ops {
+			if cap(ops[i].Qubits) != len(ops[i].Qubits) {
+				t.Fatalf("grow %v: op %d qubits len %d cap %d", grow, i, len(ops[i].Qubits), cap(ops[i].Qubits))
+			}
+			_ = append(ops[i].Qubits, 3, 3, 3)
+		}
+		want := [][]int{{0, 1}, {2}, {3, 2}}
+		for i, w := range want {
+			if got := c.Op(i).Qubits; !slices.Equal(got, w) {
+				t.Errorf("grow %v: op %d qubits %v after appends, want %v", grow, i, got, w)
+			}
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("grow %v: %v", grow, err)
+		}
+	}
+}
+
+// TestCloneDoesNotShareQubits: a clone's ops own their qubit lists; a
+// write through either circuit leaves the other unchanged.
+func TestCloneDoesNotShareQubits(t *testing.T) {
+	c := New("t", 3)
+	c.Append(gate.CX(), 0, 1)
+	c.Append(gate.CCX(), 0, 1, 2)
+	cp := c.Clone()
+	cp.Ops()[0].Qubits[0] = 2
+	c.Ops()[1].Qubits[2] = 0
+	if got := c.Op(0).Qubits; !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("write to the clone reached the original: %v", got)
+	}
+	if got := cp.Op(1).Qubits; !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("write to the original reached the clone: %v", got)
+	}
+	for i, op := range cp.Ops() {
+		if cap(op.Qubits) != len(op.Qubits) {
+			t.Errorf("clone op %d qubits len %d cap %d", i, len(op.Qubits), cap(op.Qubits))
+		}
+	}
+}
+
+// TestGrowThenAppendAllocatesNothing: after Grow(n, q), n Appends holding
+// q qubit indices between them allocate nothing beyond what New and Grow
+// did.
+func TestGrowThenAppendAllocatesNothing(t *testing.T) {
+	const n = 64
+	build := func(appends int) func() {
+		return func() {
+			c := New("t", 3)
+			c.Grow(n, 3*n/2)
+			for i := 0; i < appends/2; i++ {
+				c.Append(gate.H(), i%3)
+				c.Append(gate.CX(), i%3, (i+1)%3)
+			}
+		}
+	}
+	grown := testing.AllocsPerRun(20, build(0))
+	if filled := testing.AllocsPerRun(20, build(n)); filled != grown {
+		t.Errorf("Grow then %d Appends: %.0f allocations, Grow alone %.0f", n, filled, grown)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/reorder"
 	"repro/internal/sim"
 	"repro/internal/statevec"
+	"repro/internal/transpile"
 	"repro/internal/trial"
 )
 
@@ -71,6 +72,24 @@ func BenchmarkSortPlanYorktown(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTranspileYorktown times transpile.ToDevice alone on the
+// paper-yorktown circuits: one op decomposes and routes all 12 Table I
+// circuits onto Yorktown; allocations are reported.
+//
+//	go test ./internal/core -run ^$ -bench TranspileYorktown -benchmem
+func BenchmarkTranspileYorktown(b *testing.B) {
+	suite := bench.Suite(1)
+	dev := device.Yorktown()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, ref := range bench.TableI {
+			if _, err := transpile.ToDevice(suite[ref.Name], dev); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkExecuteYorktown times plan execution alone on the

@@ -98,7 +98,13 @@ func (d *digester) order(order []*trial.Trial) {
 func (d *digester) steps(steps []Step) {
 	d.ints(int64(len(steps)))
 	for _, s := range steps {
-		d.ints(int64(s.From), int64(s.To), int64(s.Qubit), int64(s.Task), int64(s.Kind), int64(s.Op))
+		// A Spawn keeps its task index in From; the digest reads the same
+		// logical fields as when Task had a field of its own.
+		from, task := int64(s.From), int64(0)
+		if s.Kind == StepSpawn {
+			from, task = 0, int64(s.Task())
+		}
+		d.ints(from, int64(s.To), int64(s.Qubit), task, int64(s.Kind), int64(s.Op))
 	}
 }
 

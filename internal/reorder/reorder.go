@@ -152,7 +152,7 @@ const (
 	// must replay the missing prefix from a shallower state.
 	StepRestore
 	// StepSpawn clones the working state and hands the clone to subtree
-	// task Step.Task as its entry state. Emitted only in SplitPlan trunks
+	// task Step.Task() as its entry state. Emitted only in SplitPlan trunks
 	// (never by BuildPlan); sequential executors reject it.
 	StepSpawn
 )
@@ -179,22 +179,41 @@ func (k StepKind) String() string {
 	}
 }
 
-// Step is one instruction of an execution plan. It is a flat 40-byte
+// Step is one instruction of an execution plan. It is a flat 16-byte
 // value: plans hold several steps per trial, and executors walk them in
-// their innermost loop.
+// their innermost loop. Its index fields are int32, so plan builders
+// reject trial and layer counts beyond math.MaxInt32 (checkStepRange).
 type Step struct {
 	// From, To bound the layer range of an Advance ([From, To)), and the
 	// trials an Emit finalizes: the contiguous range Order[From:To] of
 	// the plan's trial order. Sort groups duplicated trials, so they
-	// share one entry-point state and one Emit.
-	From, To int
+	// share one entry-point state and one Emit. A Spawn, which has no
+	// range, keeps its task index in From (see Task).
+	From, To int32
 	// Qubit and Op describe an Inject.
-	Qubit int
-	// Task is the SplitPlan.Subtrees index a Spawn hands the cloned
-	// working state to. Meaningful only for StepSpawn.
-	Task int
-	Kind StepKind
-	Op   gate.Pauli
+	Qubit int32
+	Kind  StepKind
+	Op    gate.Pauli
+}
+
+// Task returns the SplitPlan.Subtrees index a Spawn hands the cloned
+// working state to. Meaningful only for StepSpawn.
+func (s Step) Task() int { return int(s.From) }
+
+// spawnStep returns the Spawn step for subtree task.
+func spawnStep(task int) Step { return Step{Kind: StepSpawn, From: int32(task)} }
+
+// checkStepRange returns an error when a plan over trials trials and
+// layers circuit layers would not fit a Step's int32 fields. Every task
+// index is below the trial count, so the check covers Spawn too.
+func checkStepRange(trials, layers int) error {
+	if trials > math.MaxInt32 {
+		return fmt.Errorf("reorder: %d trials exceed a plan step's range of %d", trials, math.MaxInt32)
+	}
+	if layers > math.MaxInt32 {
+		return fmt.Errorf("reorder: %d circuit layers exceed a plan step's range of %d", layers, math.MaxInt32)
+	}
+	return nil
 }
 
 // Plan is a complete reordered execution schedule for one trial set over
@@ -279,7 +298,7 @@ func (p *Plan) BranchRollbackOps() []int64 {
 		switch s.Kind {
 		case StepAdvance:
 			if n := len(stack); n > 0 {
-				stack[n-1].acc += int64(p.GatesInLayers(s.From, s.To))
+				stack[n-1].acc += int64(p.GatesInLayers(int(s.From), int(s.To)))
 			}
 		case StepInject:
 			if n := len(stack); n > 0 {
@@ -429,12 +448,16 @@ func scanOrder(ordered []*trial.Trial, nLayers int) (int, error) {
 
 // planShell builds a Plan over an already-ordered trial sequence with the
 // circuit's layer metadata and the baseline op count filled in, ready for a
-// planBuilder to populate steps and metrics.
+// planBuilder to populate steps and metrics. It rejects orders and
+// circuits too large for a Step's int32 fields.
 func planShell(c *circuit.Circuit, ordered []*trial.Trial) (*Plan, error) {
 	if len(ordered) == 0 {
 		return nil, fmt.Errorf("reorder: empty trial set")
 	}
 	layers := c.Layers()
+	if err := checkStepRange(len(ordered), len(layers)); err != nil {
+		return nil, err
+	}
 	p := &Plan{
 		Order:    ordered,
 		nLayers:  len(layers),
@@ -507,7 +530,7 @@ func (b *planBuilder) advanceTo(to int) {
 	if to == b.layersDone {
 		return
 	}
-	b.emit(Step{Kind: StepAdvance, From: b.layersDone, To: to})
+	b.emit(Step{Kind: StepAdvance, From: int32(b.layersDone), To: int32(to)})
 	b.plan.planOps += int64(b.plan.GatesInLayers(b.layersDone, to))
 	b.layersDone = to
 }
@@ -564,7 +587,7 @@ func (b *planBuilder) build(lo, hi, depth int) {
 			}
 			pushed = true
 		}
-		b.emit(Step{Kind: StepInject, Qubit: inj.Qubit, Op: inj.Op})
+		b.emit(Step{Kind: StepInject, Qubit: int32(inj.Qubit), Op: inj.Op})
 		b.plan.planOps++
 		b.prefix = append(b.prefix[:depth], key)
 		b.build(i, j, depth+1)
@@ -587,7 +610,7 @@ func (b *planBuilder) build(lo, hi, depth int) {
 		b.spawnClean(cleanStart, hi, depth)
 	default:
 		b.advanceTo(b.plan.nLayers)
-		b.emit(Step{Kind: StepEmit, From: cleanStart, To: hi})
+		b.emit(Step{Kind: StepEmit, From: int32(cleanStart), To: int32(hi)})
 	}
 }
 
@@ -606,7 +629,7 @@ func (b *planBuilder) restoreTo(depth int) {
 	for _, k := range b.prefix[base.prefixLen:depth] {
 		in := k.Unpack()
 		b.advanceTo(in.Layer + 1)
-		b.emit(Step{Kind: StepInject, Qubit: in.Qubit, Op: in.Op})
+		b.emit(Step{Kind: StepInject, Qubit: int32(in.Qubit), Op: in.Op})
 		b.plan.planOps++
 	}
 	b.prefix = b.prefix[:depth]
@@ -686,10 +709,10 @@ func (p *Plan) Validate() error {
 	for si, s := range p.Steps {
 		switch s.Kind {
 		case StepAdvance:
-			if s.From != layersDone || s.To < s.From || s.To > p.nLayers {
+			if int(s.From) != layersDone || s.To < s.From || int(s.To) > p.nLayers {
 				return fmt.Errorf("reorder: step %d advance [%d,%d) inconsistent with layersDone %d", si, s.From, s.To, layersDone)
 			}
-			layersDone = s.To
+			layersDone = int(s.To)
 		case StepPush:
 			stack = append(stack, layersDone)
 			pendStack = append(pendStack, pending{inj: append([]trial.Key(nil), cur.inj...)})
@@ -697,7 +720,7 @@ func (p *Plan) Validate() error {
 			if layersDone == 0 {
 				return fmt.Errorf("reorder: step %d injects before any layer", si)
 			}
-			cur.inj = append(cur.inj, trial.Pack(layersDone-1, s.Qubit, s.Op))
+			cur.inj = append(cur.inj, trial.Pack(layersDone-1, int(s.Qubit), s.Op))
 		case StepEmit:
 			if layersDone != p.nLayers {
 				return fmt.Errorf("reorder: step %d emits at layer %d of %d", si, layersDone, p.nLayers)
@@ -705,7 +728,7 @@ func (p *Plan) Validate() error {
 			if err := checkEmitRange(s, len(p.Order)); err != nil {
 				return fmt.Errorf("reorder: step %d %v", si, err)
 			}
-			for idx := s.From; idx < s.To; idx++ {
+			for idx := int(s.From); idx < int(s.To); idx++ {
 				if emitted[idx] {
 					return fmt.Errorf("reorder: trial %d emitted twice", idx)
 				}
@@ -756,7 +779,7 @@ func (p *Plan) Validate() error {
 // checkEmitRange rejects an Emit whose trial range Order[From:To] is empty
 // or reaches outside an order of n trials.
 func checkEmitRange(s Step, n int) error {
-	if s.From < 0 || s.To > n || s.From >= s.To {
+	if s.From < 0 || int(s.To) > n || s.From >= s.To {
 		return fmt.Errorf("emits trial range [%d,%d) outside [0,%d) or empty", s.From, s.To, n)
 	}
 	return nil
@@ -778,7 +801,7 @@ func (p *Plan) Dump(w io.Writer) error {
 		var line string
 		switch s.Kind {
 		case StepAdvance:
-			line = fmt.Sprintf("advance L%d..L%d (%d gates)", s.From, s.To, p.GatesInLayers(s.From, s.To))
+			line = fmt.Sprintf("advance L%d..L%d (%d gates)", s.From, s.To, p.GatesInLayers(int(s.From), int(s.To)))
 		case StepPush:
 			line = "push"
 		case StepInject:
@@ -794,7 +817,7 @@ func (p *Plan) Dump(w io.Writer) error {
 		case StepRestore:
 			line = "restore"
 		case StepSpawn:
-			line = fmt.Sprintf("spawn #%d", s.Task)
+			line = fmt.Sprintf("spawn #%d", s.Task())
 		default:
 			line = s.Kind.String()
 		}

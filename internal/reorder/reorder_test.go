@@ -629,11 +629,31 @@ func TestPlanStepsExactSize(t *testing.T) {
 	}
 }
 
-// TestStepIsFlat pins the plan step at 40 bytes or less: executors stream
+// TestStepIsFlat pins the plan step at 16 bytes or less: executors stream
 // through several steps per trial.
 func TestStepIsFlat(t *testing.T) {
-	if sz := unsafe.Sizeof(Step{}); sz > 40 {
-		t.Errorf("Step is %d bytes, want <= 40", sz)
+	if sz := unsafe.Sizeof(Step{}); sz > 16 {
+		t.Errorf("Step is %d bytes, want <= 16", sz)
+	}
+}
+
+// TestCheckStepRange: a trial or layer count past math.MaxInt32 is an
+// error, never a truncated step field; the largest counts that fit pass.
+func TestCheckStepRange(t *testing.T) {
+	for _, tc := range []struct {
+		trials, layers int
+		ok             bool
+	}{
+		{1, 1, true},
+		{math.MaxInt32, math.MaxInt32, true},
+		{math.MaxInt32 + 1, 1, false},
+		{1, math.MaxInt32 + 1, false},
+		{math.MaxInt, math.MaxInt, false},
+	} {
+		err := checkStepRange(tc.trials, tc.layers)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkStepRange(%d, %d) = %v, want ok %v", tc.trials, tc.layers, err, tc.ok)
+		}
 	}
 }
 
@@ -645,7 +665,7 @@ func TestValidateRejectsBadEmitRange(t *testing.T) {
 		"empty":        func(s *Step, n int) { s.To = s.From },
 		"reversed":     func(s *Step, n int) { s.From, s.To = s.To, s.From },
 		"negative":     func(s *Step, n int) { s.From = -1 },
-		"past the end": func(s *Step, n int) { s.To = n + 1 },
+		"past the end": func(s *Step, n int) { s.To = int32(n) + 1 },
 	}
 	lastEmit := func(steps []Step) *Step {
 		for i := len(steps) - 1; i >= 0; i-- {

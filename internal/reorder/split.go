@@ -32,7 +32,7 @@ import (
 // everything beneath it), or a clean tail (trials whose injections are
 // exhausted at the cut, needing only a final advance and emit).
 type Subtree struct {
-	// ID is the task's index in SplitPlan.Subtrees and the Step.Task
+	// ID is the task's index in SplitPlan.Subtrees and the Step.Task()
 	// value of the trunk spawn that feeds it.
 	ID int
 	// EntryLayer is how many gate layers the entry state has applied.
@@ -57,7 +57,7 @@ type Subtree struct {
 // SplitPlan is a parallel decomposition of a reordered execution schedule:
 // a sequential trunk program plus independent subtree tasks. Execute the
 // trunk like a Plan; on StepSpawn, clone the working state and hand it to
-// Subtrees[Step.Task], whose Steps may then run on any worker. Results
+// Subtrees[Step.Task()], whose Steps may then run on any worker. Results
 // are deterministic regardless of task scheduling because every trial
 // carries its own randomness.
 type SplitPlan struct {
@@ -200,7 +200,7 @@ func (b *planBuilder) spawnBranch(lo, hi, depth int, key trial.Key) {
 		baseSnaps = 1
 	}
 	inj := key.Unpack()
-	tb.emit(Step{Kind: StepInject, Qubit: inj.Qubit, Op: inj.Op})
+	tb.emit(Step{Kind: StepInject, Qubit: int32(inj.Qubit), Op: inj.Op})
 	shell.planOps++
 	tb.prefix = append(tb.prefix, key)
 	tb.build(lo, hi, depth+1)
@@ -210,7 +210,7 @@ func (b *planBuilder) spawnBranch(lo, hi, depth int, key trial.Key) {
 	task.Steps = shell.Steps
 	task.Ops = shell.planOps
 	task.MSV = shell.msv
-	b.emit(Step{Kind: StepSpawn, Task: task.ID})
+	b.emit(spawnStep(task.ID))
 	b.split.Subtrees = append(b.split.Subtrees, task)
 }
 
@@ -225,11 +225,11 @@ func (b *planBuilder) spawnClean(lo, hi, depth int) {
 		Trials:     hi - lo,
 	}
 	if b.layersDone < b.plan.nLayers {
-		task.Steps = append(task.Steps, Step{Kind: StepAdvance, From: b.layersDone, To: b.plan.nLayers})
+		task.Steps = append(task.Steps, Step{Kind: StepAdvance, From: int32(b.layersDone), To: int32(b.plan.nLayers)})
 		task.Ops = int64(b.plan.GatesInLayers(b.layersDone, b.plan.nLayers))
 	}
-	task.Steps = append(task.Steps, Step{Kind: StepEmit, From: lo, To: hi})
-	b.emit(Step{Kind: StepSpawn, Task: task.ID})
+	task.Steps = append(task.Steps, Step{Kind: StepEmit, From: int32(lo), To: int32(hi)})
+	b.emit(spawnStep(task.ID))
 	b.split.Subtrees = append(b.split.Subtrees, task)
 }
 
@@ -254,17 +254,17 @@ func (sp *SplitPlan) Validate() error {
 	for si, s := range sp.Trunk {
 		switch s.Kind {
 		case StepAdvance:
-			if s.From != layersDone || s.To < s.From || s.To > sp.nLayers {
+			if int(s.From) != layersDone || s.To < s.From || int(s.To) > sp.nLayers {
 				return fmt.Errorf("reorder: trunk step %d advance [%d,%d) inconsistent with layersDone %d", si, s.From, s.To, layersDone)
 			}
-			layersDone = s.To
+			layersDone = int(s.To)
 		case StepPush:
 			stack = append(stack, entryContext{layers: layersDone, inj: append([]trial.Key(nil), cur.inj...)})
 		case StepInject:
 			if layersDone == 0 {
 				return fmt.Errorf("reorder: trunk step %d injects before any layer", si)
 			}
-			cur.inj = append(cur.inj, trial.Pack(layersDone-1, s.Qubit, s.Op))
+			cur.inj = append(cur.inj, trial.Pack(layersDone-1, int(s.Qubit), s.Op))
 		case StepPop:
 			if len(stack) == 0 {
 				return fmt.Errorf("reorder: trunk step %d pops empty stack", si)
@@ -283,13 +283,14 @@ func (sp *SplitPlan) Validate() error {
 				cur = entryContext{inj: append([]trial.Key(nil), top.inj...)}
 			}
 		case StepSpawn:
-			if s.Task < 0 || s.Task >= len(sp.Subtrees) {
-				return fmt.Errorf("reorder: trunk step %d spawns out-of-range task %d", si, s.Task)
+			task := s.Task()
+			if task < 0 || task >= len(sp.Subtrees) {
+				return fmt.Errorf("reorder: trunk step %d spawns out-of-range task %d", si, task)
 			}
-			if entries[s.Task] != nil {
-				return fmt.Errorf("reorder: task %d spawned twice", s.Task)
+			if entries[task] != nil {
+				return fmt.Errorf("reorder: task %d spawned twice", task)
 			}
-			entries[s.Task] = &entryContext{layers: layersDone, inj: append([]trial.Key(nil), cur.inj...)}
+			entries[task] = &entryContext{layers: layersDone, inj: append([]trial.Key(nil), cur.inj...)}
 		case StepEmit:
 			return fmt.Errorf("reorder: trunk step %d emits; emits belong to subtrees", si)
 		default:
@@ -336,17 +337,17 @@ func (sp *SplitPlan) validateSubtree(st *Subtree, entry *entryContext, emitted [
 	for si, s := range st.Steps {
 		switch s.Kind {
 		case StepAdvance:
-			if s.From != layersDone || s.To < s.From || s.To > sp.nLayers {
+			if int(s.From) != layersDone || s.To < s.From || int(s.To) > sp.nLayers {
 				return fmt.Errorf("reorder: task %d step %d advance [%d,%d) inconsistent with layersDone %d", st.ID, si, s.From, s.To, layersDone)
 			}
-			layersDone = s.To
+			layersDone = int(s.To)
 		case StepPush:
 			stack = append(stack, entryContext{layers: layersDone, inj: append([]trial.Key(nil), cur.inj...)})
 		case StepInject:
 			if layersDone == 0 {
 				return fmt.Errorf("reorder: task %d step %d injects before any layer", st.ID, si)
 			}
-			cur.inj = append(cur.inj, trial.Pack(layersDone-1, s.Qubit, s.Op))
+			cur.inj = append(cur.inj, trial.Pack(layersDone-1, int(s.Qubit), s.Op))
 		case StepEmit:
 			if layersDone != sp.nLayers {
 				return fmt.Errorf("reorder: task %d step %d emits at layer %d of %d", st.ID, si, layersDone, sp.nLayers)
@@ -354,7 +355,7 @@ func (sp *SplitPlan) validateSubtree(st *Subtree, entry *entryContext, emitted [
 			if err := checkEmitRange(s, len(sp.Order)); err != nil {
 				return fmt.Errorf("reorder: task %d step %d %v", st.ID, si, err)
 			}
-			for idx := s.From; idx < s.To; idx++ {
+			for idx := int(s.From); idx < int(s.To); idx++ {
 				if emitted[idx] {
 					return fmt.Errorf("reorder: trial %d emitted twice", idx)
 				}

@@ -187,8 +187,8 @@ func ExecutePlanBackend(c *circuit.Circuit, plan *reorder.Plan, be Backend) (*Re
 	for _, s := range plan.Steps {
 		switch s.Kind {
 		case reorder.StepAdvance:
-			for l := s.From; l < s.To; l++ {
-				for _, oi := range layers[l] {
+			for _, layer := range layers[s.From:s.To] {
+				for _, oi := range layer {
 					if err := work.ApplyOp(ops[oi]); err != nil {
 						return nil, err
 					}
@@ -202,7 +202,7 @@ func ExecutePlanBackend(c *circuit.Circuit, plan *reorder.Plan, be Backend) (*Re
 				res.MSV = len(stack)
 			}
 		case reorder.StepInject:
-			work.ApplyPauli(s.Op, s.Qubit)
+			work.ApplyPauli(s.Op, int(s.Qubit))
 			res.Ops++
 		case reorder.StepEmit:
 			for _, t := range plan.Order[s.From:s.To] {

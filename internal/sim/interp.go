@@ -132,11 +132,11 @@ func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int,
 	for i, s := range steps {
 		switch s.Kind {
 		case reorder.StepAdvance:
-			bs.advance(s.From, s.To)
+			bs.advance(int(s.From), int(s.To))
 		case reorder.StepPush:
 			bs.push()
 		case reorder.StepInject:
-			bs.inject(s.Op, s.Qubit)
+			bs.inject(s.Op, int(s.Qubit))
 		case reorder.StepEmit:
 			for _, t := range order[s.From:s.To] {
 				bs.res.Outcomes = append(bs.res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(bs.work, bs.c, t)})
@@ -144,7 +144,7 @@ func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int,
 					bs.res.FinalStates[t.ID] = bs.work.Clone()
 				}
 			}
-			n := s.To - s.From
+			n := int(s.To - s.From)
 			emitted += n
 			if bs.rec != nil {
 				bs.rec.Add(obs.TrialsEmitted, int64(n))
@@ -167,7 +167,7 @@ func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int,
 			if spawn == nil {
 				return fmt.Errorf("sim: spawn step outside a trunk")
 			}
-			spawn(s.Task, i+1 == len(steps) || steps[i+1].Kind != reorder.StepSpawn)
+			spawn(s.Task(), i+1 == len(steps) || steps[i+1].Kind != reorder.StepSpawn)
 		default:
 			return fmt.Errorf("sim: unknown plan step %v", s.Kind)
 		}

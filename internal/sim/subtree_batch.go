@@ -166,7 +166,7 @@ func (r *batchRunner) run(c *circuit.Circuit, sp *reorder.SplitPlan, prog *state
 					r.rest = append(r.rest, i)
 				}
 			}
-			segOps := prog.RunBatch(r.sweep, want.From, want.To)
+			segOps := prog.RunBatch(r.sweep, int(want.From), int(want.To))
 			res.Ops += int64(segOps) * int64(len(r.members))
 			for _, i := range r.members {
 				r.lanes[i].pc++
@@ -202,7 +202,7 @@ func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, op
 				le.pushTimes = append(le.pushTimes, time.Now())
 			}
 		case reorder.StepInject:
-			lane.ApplyPauli(s.Op, s.Qubit)
+			lane.ApplyPauli(s.Op, int(s.Qubit))
 			res.Ops++
 		case reorder.StepEmit:
 			for _, t := range sp.Order[s.From:s.To] {
@@ -213,7 +213,7 @@ func (r *batchRunner) drain(i int, c *circuit.Circuit, sp *reorder.SplitPlan, op
 				}
 			}
 			if rec != nil {
-				b := s.To - s.From
+				b := int(s.To - s.From)
 				rec.Add(obs.TrialsEmitted, int64(b))
 				now := time.Now()
 				if b > 0 {

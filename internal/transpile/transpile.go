@@ -13,6 +13,7 @@ package transpile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -52,6 +53,12 @@ func ToDevice(c *circuit.Circuit, d *device.Device) (*Result, error) {
 // this reproduction's scope.
 func Decompose(c *circuit.Circuit) (*circuit.Circuit, error) {
 	out := circuit.New(c.Name(), c.NumQubits())
+	nops, nqubits := 0, 0
+	for _, op := range c.Ops() {
+		o, q := decomposedSize(op)
+		nops, nqubits = nops+o, nqubits+q
+	}
+	out.Grow(nops, nqubits)
 	for _, op := range c.Ops() {
 		switch op.Gate.Kind() {
 		case gate.KindCZ:
@@ -82,6 +89,20 @@ func Decompose(c *circuit.Circuit) (*circuit.Circuit, error) {
 		out.Measure(m.Qubit, m.Bit)
 	}
 	return out, nil
+}
+
+// decomposedSize returns how many ops Decompose emits for op, and how
+// many qubit indices those ops hold between them.
+func decomposedSize(op circuit.Op) (ops, qubits int) {
+	switch op.Gate.Kind() {
+	case gate.KindCZ:
+		return 3, 4
+	case gate.KindSwap:
+		return 3, 6
+	case gate.KindCCX:
+		return 15, 21
+	}
+	return 1, len(op.Qubits)
 }
 
 // appendCCX emits the standard 6-CX Toffoli decomposition.
@@ -153,114 +174,146 @@ func initialLayout(c *circuit.Circuit, d *device.Device) []int {
 	return l2p
 }
 
-// route inserts SWAPs so every CX lands on a coupling edge, trying both
-// the identity and the degree-matched initial layouts and keeping the
-// result with fewer inserted SWAPs (different benchmarks favor different
-// placements: interaction stars want the hub on the center qubit, swap
-// chains want the line).
+// route inserts SWAPs so every CX lands on a coupling edge. It scores
+// the identity and the degree-matched initial layouts by the SWAPs each
+// would insert, without emitting ops, and builds the routed circuit once
+// from the winner. The degree-matched layout wins only on strictly fewer
+// SWAPs (different benchmarks favor different placements: interaction
+// stars want the hub on the center qubit, swap chains want the line).
 func route(c *circuit.Circuit, d *device.Device) (*Result, error) {
-	identity := make([]int, d.NumQubits())
-	for i := range identity {
-		identity[i] = i
+	r := newRouter(d)
+	best := make([]int, d.NumQubits())
+	for i := range best {
+		best[i] = i
 	}
-	best, err := routeWith(c, d, identity)
+	swaps, err := r.walk(c, best, nil)
 	if err != nil {
 		return nil, err
 	}
-	alt, err := routeWith(c, d, initialLayout(c, d))
+	alt := initialLayout(c, d)
+	altSwaps, err := r.walk(c, alt, nil)
 	if err != nil {
 		return nil, err
 	}
-	if alt.SwapsInserted < best.SwapsInserted {
-		return alt, nil
+	if altSwaps < swaps {
+		best, swaps = alt, altSwaps
 	}
-	return best, nil
+	nqubits := 0
+	for _, op := range c.Ops() {
+		nqubits += len(op.Qubits)
+	}
+	out := circuit.New(c.Name(), d.NumQubits())
+	out.Grow(c.NumOps()+3*swaps, nqubits+6*swaps)
+	if _, err := r.walk(c, best, out); err != nil {
+		return nil, err
+	}
+	for _, m := range c.Measurements() {
+		out.Measure(r.l2p[m.Qubit], m.Bit)
+	}
+	return &Result{Circuit: out, SwapsInserted: swaps, FinalLayout: r.l2p}, nil
 }
 
-// routeWith routes with a fixed starting layout (l2p[logical] = physical).
-func routeWith(c *circuit.Circuit, d *device.Device, startLayout []int) (*Result, error) {
-	out := circuit.New(c.Name(), d.NumQubits())
-	out.SetName(c.Name())
-	l2p := append([]int(nil), startLayout...)
-	p2l := make([]int, d.NumQubits())
-	for lq, pq := range l2p {
-		p2l[pq] = lq
-	}
-	res := &Result{}
+// router holds the layouts and the path-search scratch of routing onto
+// one device, sized once for every walk.
+type router struct {
+	d        *device.Device
+	l2p, p2l []int // logical -> physical and physical -> logical
+	prev     []int // BFS predecessor per physical qubit
+	queue    []int // BFS queue
+	path     []int // the last path found
+}
 
-	swapPhys := func(pa, pb int) {
-		out.Append(gate.CX(), pa, pb)
-		out.Append(gate.CX(), pb, pa)
-		out.Append(gate.CX(), pa, pb)
-		la, lb := p2l[pa], p2l[pb]
-		l2p[la], l2p[lb] = pb, pa
-		p2l[pa], p2l[pb] = lb, la
-		res.SwapsInserted++
+func newRouter(d *device.Device) *router {
+	n := d.NumQubits()
+	return &router{
+		d:   d,
+		l2p: make([]int, n), p2l: make([]int, n), prev: make([]int, n),
+		queue: make([]int, 0, n), path: make([]int, 0, n),
 	}
+}
 
+// walk routes c from the starting layout start (start[logical] =
+// physical) and returns how many SWAPs it inserts. A nil out only
+// counts; otherwise the routed ops are appended to out. Afterwards r.l2p
+// is the final layout.
+func (r *router) walk(c *circuit.Circuit, start []int, out *circuit.Circuit) (int, error) {
+	copy(r.l2p, start)
+	for lq, pq := range r.l2p {
+		r.p2l[pq] = lq
+	}
+	swaps := 0
 	for _, op := range c.Ops() {
 		switch op.Gate.Qubits() {
 		case 1:
-			out.Append(op.Gate, l2p[op.Qubits[0]])
+			if out != nil {
+				out.Append(op.Gate, r.l2p[op.Qubits[0]])
+			}
 		case 2:
-			pa, pb := l2p[op.Qubits[0]], l2p[op.Qubits[1]]
-			if !d.Coupled(pa, pb) {
-				path, err := shortestPath(d, pa, pb)
+			pa, pb := r.l2p[op.Qubits[0]], r.l2p[op.Qubits[1]]
+			if !r.d.Coupled(pa, pb) {
+				path, err := r.shortestPath(pa, pb)
 				if err != nil {
-					return nil, fmt.Errorf("transpile: routing %s: %v", op, err)
+					return 0, fmt.Errorf("transpile: routing %s: %v", op, err)
 				}
 				// Walk the control along the path until adjacent to the
 				// target.
 				for i := 0; i+2 < len(path); i++ {
-					swapPhys(path[i], path[i+1])
+					r.swap(path[i], path[i+1], out)
+					swaps++
 				}
-				pa, pb = l2p[op.Qubits[0]], l2p[op.Qubits[1]]
-				if !d.Coupled(pa, pb) {
-					return nil, fmt.Errorf("transpile: internal routing error for %s", op)
+				pa, pb = r.l2p[op.Qubits[0]], r.l2p[op.Qubits[1]]
+				if !r.d.Coupled(pa, pb) {
+					return 0, fmt.Errorf("transpile: internal routing error for %s", op)
 				}
 			}
-			out.Append(op.Gate, pa, pb)
+			if out != nil {
+				out.Append(op.Gate, pa, pb)
+			}
 		default:
-			return nil, fmt.Errorf("transpile: gate %q survived decomposition with %d qubits", op.Gate.Name(), op.Gate.Qubits())
+			return 0, fmt.Errorf("transpile: gate %q survived decomposition with %d qubits", op.Gate.Name(), op.Gate.Qubits())
 		}
 	}
-	for _, m := range c.Measurements() {
-		out.Measure(l2p[m.Qubit], m.Bit)
-	}
-	res.Circuit = out
-	res.FinalLayout = l2p
-	return res, nil
+	return swaps, nil
 }
 
-// shortestPath returns a BFS shortest path between physical qubits a and b
-// on the coupling graph, inclusive of both endpoints.
-func shortestPath(d *device.Device, a, b int) ([]int, error) {
+// swap exchanges the logical qubits on physical qubits pa and pb,
+// appending the SWAP's three CX to out unless out is nil.
+func (r *router) swap(pa, pb int, out *circuit.Circuit) {
+	if out != nil {
+		out.Append(gate.CX(), pa, pb)
+		out.Append(gate.CX(), pb, pa)
+		out.Append(gate.CX(), pa, pb)
+	}
+	la, lb := r.p2l[pa], r.p2l[pb]
+	r.l2p[la], r.l2p[lb] = pb, pa
+	r.p2l[pa], r.p2l[pb] = lb, la
+}
+
+// shortestPath returns a BFS shortest path between physical qubits a and
+// b on the coupling graph, inclusive of both endpoints. The path is the
+// router's scratch, valid until the next call.
+func (r *router) shortestPath(a, b int) ([]int, error) {
+	path := r.path[:0]
 	if a == b {
-		return []int{a}, nil
+		return append(path, a), nil
 	}
-	prev := make([]int, d.NumQubits())
-	for i := range prev {
-		prev[i] = -1
+	for i := range r.prev {
+		r.prev[i] = -1
 	}
-	prev[a] = a
-	queue := []int{a}
-	for len(queue) > 0 {
-		q := queue[0]
-		queue = queue[1:]
-		for _, nb := range d.Neighbors(q) {
-			if prev[nb] != -1 {
+	r.prev[a] = a
+	queue := append(r.queue[:0], a)
+	for head := 0; head < len(queue); head++ {
+		for _, nb := range r.d.Neighbors(queue[head]) {
+			if r.prev[nb] != -1 {
 				continue
 			}
-			prev[nb] = q
+			r.prev[nb] = queue[head]
 			if nb == b {
-				var path []int
-				for cur := b; cur != a; cur = prev[cur] {
+				for cur := b; cur != a; cur = r.prev[cur] {
 					path = append(path, cur)
 				}
 				path = append(path, a)
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
+				slices.Reverse(path)
 				return path, nil
 			}
 			queue = append(queue, nb)

@@ -1,7 +1,10 @@
 package transpile
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -250,7 +253,7 @@ func TestTableISuiteTranspilesToYorktown(t *testing.T) {
 
 func TestShortestPath(t *testing.T) {
 	d := device.Linear(5, 0)
-	p, err := shortestPath(d, 0, 4)
+	p, err := newRouter(d).shortestPath(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +266,7 @@ func TestShortestPath(t *testing.T) {
 			t.Fatalf("path = %v, want %v", p, want)
 		}
 	}
-	if p, _ := shortestPath(d, 2, 2); len(p) != 1 {
+	if p, _ := newRouter(d).shortestPath(2, 2); len(p) != 1 {
 		t.Errorf("self path = %v", p)
 	}
 }
@@ -274,7 +277,172 @@ func TestShortestPathDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shortestPath(dd, 0, 2); err == nil {
+	if _, err := newRouter(dd).shortestPath(0, 2); err == nil {
 		t.Error("disconnected path found")
+	}
+}
+
+// twoBuildRoute routes c onto d by building the routed circuit for both
+// initial layouts and keeping the degree-matched one only on strictly
+// fewer SWAPs: what route did before it scored the layouts first. tie
+// reports that both layouts inserted the same nonzero number of SWAPs
+// but built different circuits, so only the tie-break picked the result.
+func twoBuildRoute(t *testing.T, c *circuit.Circuit, d *device.Device) (res *Result, tie bool) {
+	t.Helper()
+	build := func(start []int) *Result {
+		r := newRouter(d)
+		out := circuit.New(c.Name(), d.NumQubits())
+		swaps, err := r.walk(c, start, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range c.Measurements() {
+			out.Measure(r.l2p[m.Qubit], m.Bit)
+		}
+		return &Result{Circuit: out, SwapsInserted: swaps, FinalLayout: slices.Clone(r.l2p)}
+	}
+	identity := make([]int, d.NumQubits())
+	for i := range identity {
+		identity[i] = i
+	}
+	best := build(identity)
+	alt := build(initialLayout(c, d))
+	if alt.SwapsInserted < best.SwapsInserted {
+		return alt, false
+	}
+	tie = alt.SwapsInserted == best.SwapsInserted && best.SwapsInserted > 0 &&
+		!reflect.DeepEqual(alt.Circuit.Ops(), best.Circuit.Ops())
+	return best, tie
+}
+
+// randomLogical draws a circuit of n ops over q qubits mixing the basis
+// gates with CZ, SWAP and CCX, all measured.
+func randomLogical(rng *rand.Rand, q, n int) *circuit.Circuit {
+	c := circuit.New("rand", q)
+	for i := 0; i < n; i++ {
+		p := rng.Perm(q)
+		switch rng.Intn(7) {
+		case 0:
+			c.Append(gate.H(), p[0])
+		case 1:
+			c.Append(gate.RZ(rng.Float64()), p[0])
+		case 2:
+			c.Append(gate.CZ(), p[0], p[1])
+		case 3:
+			c.Append(gate.Swap(), p[0], p[1])
+		case 4:
+			c.Append(gate.CCX(), p[0], p[1], p[2])
+		default:
+			c.Append(gate.CX(), p[0], p[1])
+		}
+	}
+	return c.MeasureAll()
+}
+
+// TestToDeviceMatchesTwoBuildRoute: scoring the layouts before building
+// gives the same ops, measurements, SWAP count and final layout as
+// building both and picking, on the Table I circuits and on random
+// circuits, ties between the two layouts included.
+func TestToDeviceMatchesTwoBuildRoute(t *testing.T) {
+	check := func(name string, c *circuit.Circuit, d *device.Device) (tie bool) {
+		t.Helper()
+		got, err := ToDevice(c, d)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dec, err := Decompose(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, tie := twoBuildRoute(t, dec, d)
+		if !reflect.DeepEqual(got.Circuit.Ops(), want.Circuit.Ops()) {
+			t.Errorf("%s: routed ops differ from the two-build route", name)
+		}
+		if !slices.Equal(got.Circuit.Measurements(), want.Circuit.Measurements()) {
+			t.Errorf("%s: measurements %v, want %v", name, got.Circuit.Measurements(), want.Circuit.Measurements())
+		}
+		if got.SwapsInserted != want.SwapsInserted || !slices.Equal(got.FinalLayout, want.FinalLayout) {
+			t.Errorf("%s: %d swaps, layout %v; want %d, %v", name, got.SwapsInserted, got.FinalLayout, want.SwapsInserted, want.FinalLayout)
+		}
+		return tie
+	}
+	yorktown := device.Yorktown()
+	for name, c := range bench.Suite(1) {
+		check(name, c, yorktown)
+	}
+	rng := rand.New(rand.NewSource(17))
+	ties := 0
+	for i := 0; i < 300; i++ {
+		d := yorktown
+		if i%2 == 1 {
+			d = device.Linear(5, 0)
+		}
+		if check(fmt.Sprintf("random %d", i), randomLogical(rng, 3+rng.Intn(3), 1+rng.Intn(12)), d) {
+			ties++
+		}
+	}
+	t.Logf("%d of 300 random circuits tie the layouts on a nonzero SWAP count with different ops", ties)
+	if ties < 10 {
+		t.Errorf("only %d random circuits tie the layouts", ties)
+	}
+}
+
+// TestToDeviceAllocsFlatInOps: transpiling allocates per call, not per
+// op; the count is the same for a circuit and for its ops repeated four
+// times.
+func TestToDeviceAllocsFlatInOps(t *testing.T) {
+	d := device.Linear(5, 0)
+	base := randomLogical(rand.New(rand.NewSource(3)), 5, 40)
+	long := circuit.New("long", 5)
+	for range 4 {
+		for _, op := range base.Ops() {
+			long.Append(op.Gate, op.Qubits...)
+		}
+	}
+	long.MeasureAll()
+	count := func(c *circuit.Circuit) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := ToDevice(c, d); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	res, err := ToDevice(long, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SwapsInserted == 0 {
+		t.Fatal("test circuit needs no SWAPs; it should exercise routing")
+	}
+	a, b := count(base), count(long)
+	t.Logf("%.0f allocations for %d ops and for %d ops (%d SWAPs)", a, base.NumOps(), long.NumOps(), res.SwapsInserted)
+	if a != b {
+		t.Errorf("ToDevice allocations: %.0f for %d ops, %.0f for %d ops", a, base.NumOps(), b, long.NumOps())
+	}
+}
+
+// TestDecomposedSizeMatchesDecompose: the counts Decompose presizes from
+// are the ops and qubit indices it then emits, gate kind by gate kind.
+func TestDecomposedSizeMatchesDecompose(t *testing.T) {
+	c := circuit.New("kinds", 3)
+	c.Append(gate.H(), 0)
+	c.Append(gate.CX(), 0, 1)
+	c.Append(gate.CZ(), 1, 2)
+	c.Append(gate.Swap(), 2, 0)
+	c.Append(gate.CCX(), 0, 1, 2)
+	for _, op := range c.Ops() {
+		one := circuit.New("one", 3)
+		one.Append(op.Gate, op.Qubits...)
+		dec, err := Decompose(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qubits := 0
+		for _, d := range dec.Ops() {
+			qubits += len(d.Qubits)
+		}
+		if ops, q := decomposedSize(op); ops != dec.NumOps() || q != qubits {
+			t.Errorf("%s: decomposedSize (%d ops, %d qubits), Decompose emits (%d, %d)", op.Gate.Name(), ops, q, dec.NumOps(), qubits)
+		}
 	}
 }

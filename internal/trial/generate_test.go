@@ -115,3 +115,39 @@ func TestNewGeneratorAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleKeysStrictlyAscending: every trial's keys come out strictly
+// ascending under every slot shape, including the dense, degenerate and
+// idle models and PerQubit's split pairs. Sampling sorts a trial's keys
+// only when a pair slot fired, so this covers the trials it leaves as
+// drawn.
+func TestSampleKeysStrictlyAscending(t *testing.T) {
+	c := bench.QFT(4)
+	idle := noise.Uniform("idle", 4, 0.05, 0.1, 0)
+	for q := 0; q < 4; q++ {
+		idle.SetIdle(q, 0.05)
+	}
+	for _, tc := range []struct {
+		name  string
+		model *noise.Model
+		mode  ErrorMode
+	}{
+		{"per-gate", noise.Uniform("u", 4, 0.1, 0.2, 0), PerGate},
+		{"per-qubit", noise.Uniform("u", 4, 0.1, 0.2, 0), PerQubit},
+		{"dense", noise.Uniform("u", 4, 0.5, 0.7, 0), PerGate},
+		{"degenerate", noise.Uniform("u", 4, 1, 1, 0), PerQubit},
+		{"idle", idle, PerGate},
+	} {
+		g, err := NewGeneratorMode(c, tc.model, tc.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range g.Generate(rand.New(rand.NewSource(5)), 500) {
+			for i := 1; i < len(tr.Inj); i++ {
+				if tr.Inj[i-1] >= tr.Inj[i] {
+					t.Fatalf("%s: trial %d keys not strictly ascending: %v", tc.name, tr.ID, tr.Inj)
+				}
+			}
+		}
+	}
+}

@@ -369,6 +369,9 @@ func (g *Generator) Sample(rng *rand.Rand, id int) *Trial {
 func (g *Generator) sample(rng *rand.Rand, id int, t *Trial, arena []Key) []Key {
 	t.ID = id
 	start := len(arena)
+	// Single-qubit slots fire in slot order, which is key order; only a
+	// pair slot's second injection can land out of order.
+	paired := false
 	if g.maxProb > 0 {
 		if g.maxProb >= 1 {
 			// Degenerate model: walk every slot directly.
@@ -376,6 +379,7 @@ func (g *Generator) sample(rng *rand.Rand, id int, t *Trial, arena []Key) []Key 
 				sl := &g.slots[i]
 				if rng.Float64() < sl.prob {
 					arena = g.fire(rng, arena, sl)
+					paired = paired || sl.qubit1 >= 0
 				}
 			}
 		} else {
@@ -396,12 +400,15 @@ func (g *Generator) sample(rng *rand.Rand, id int, t *Trial, arena []Key) []Key 
 				sl := &g.slots[i]
 				if sl.prob == g.maxProb || rng.Float64()*g.maxProb < sl.prob {
 					arena = g.fire(rng, arena, sl)
+					paired = paired || sl.qubit1 >= 0
 				}
 				i++
 			}
 		}
-		// Pair slots can emit a second-qubit injection that interleaves
-		// with later slots of the same layer; restore canonical order.
+	}
+	if paired {
+		// A pair slot's second-qubit injection can interleave with later
+		// slots of the same layer; restore canonical order.
 		slices.Sort(arena[start:])
 	}
 	if end := len(arena); end > start {
