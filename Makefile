@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-verify bench bench-json perfbench verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke
+.PHONY: build vet test race race-verify bench bench-json perfbench verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke asm-digest
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,25 @@ perfbench:
 		echo "== $$w"; \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
 	done
+
+# One sha256 (first 16 hex digits) per TEXT symbol of
+# internal/statevec/kernels_amd64.s, over the instruction bytes go tool
+# objdump reads from the statevec test binary (built into the gitignored
+# .asm_digest). Run it on two trees and diff the outputs to check that
+# the assembly's machine code is byte-identical. kern2FMAQ0512 loads its
+# permutation tables (q0lo, q0hi) RIP-relative: the displacement, and so
+# that symbol's digest, moves whenever the text section grows, with no
+# change to the routine.
+asm-digest:
+	@mkdir -p .asm_digest
+	@$(GO) test -c -o .asm_digest/statevec.test ./internal/statevec
+	@$(GO) tool objdump -s 'statevec\.' .asm_digest/statevec.test | \
+		awk '/^TEXT/ { sym = ($$3 ~ /kernels_amd64\.s$$/) ? $$2 : ""; next } sym != "" { print sym, $$3 }' \
+		> .asm_digest/bytes.txt
+	@for s in $$(cut -d' ' -f1 .asm_digest/bytes.txt | uniq); do \
+		printf '%s %s\n' "$$(awk -v s="$$s" '$$1 == s { printf "%s", $$2 }' .asm_digest/bytes.txt | \
+			sha256sum | cut -c1-16)" "$$s"; \
+	done | sort -k2
 
 # The purego pass runs the statevec, sim and difftest suites (the golden
 # corpus included) on the portable Go kernels, so the fallback behind the

@@ -8,7 +8,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gate"
 	"repro/internal/reorder"
-	"repro/internal/sparse"
 	"repro/internal/stabilizer"
 	"repro/internal/statevec"
 	"repro/internal/trial"
@@ -232,48 +231,4 @@ func ExecutePlanBackend(c *circuit.Circuit, plan *reorder.Plan, be Backend) (*Re
 	}
 	finish(res)
 	return res, nil
-}
-
-// SparseBackend adapts the sparse state-vector simulator to the Backend
-// interface: states with small support (GHZ ladders, basis-state
-// arithmetic) simulate in memory proportional to their support, at full
-// amplitude fidelity — complementing the tableau (Clifford-only) and the
-// dense vector (any circuit, exponential memory).
-type SparseBackend struct {
-	st *sparse.State
-}
-
-// NewSparseBackend returns a |0...0> sparse backend over n qubits.
-func NewSparseBackend(n int) *SparseBackend {
-	return &SparseBackend{st: sparse.NewState(n)}
-}
-
-// State exposes the wrapped sparse state for inspection in tests.
-func (b *SparseBackend) State() *sparse.State { return b.st }
-
-// Reset implements Backend.
-func (b *SparseBackend) Reset() { b.st.Reset() }
-
-// ApplyOp implements Backend.
-func (b *SparseBackend) ApplyOp(op circuit.Op) error { return b.st.ApplyOp(op) }
-
-// ApplyPauli implements Backend.
-func (b *SparseBackend) ApplyPauli(p gate.Pauli, q int) { b.st.ApplyPauli(p, q) }
-
-// Snapshot implements Backend.
-func (b *SparseBackend) Snapshot() Backend { return &SparseBackend{st: b.st.Clone()} }
-
-// CopyFrom implements Backend.
-func (b *SparseBackend) CopyFrom(src Backend) error {
-	o, ok := src.(*SparseBackend)
-	if !ok {
-		return fmt.Errorf("sim: cannot copy %T into SparseBackend", src)
-	}
-	b.st.CopyFrom(o.st)
-	return nil
-}
-
-// SampleBits implements Backend with the trial's pre-drawn uniform.
-func (b *SparseBackend) SampleBits(c *circuit.Circuit, t *trial.Trial) uint64 {
-	return measuredBits(c, int(b.st.Sample(t.SampleU)))
 }

@@ -180,56 +180,3 @@ func TestTableauBackendRejectsNonClifford(t *testing.T) {
 		t.Error("non-Clifford circuit accepted on tableau")
 	}
 }
-
-func TestSparseBackendMatchesDense(t *testing.T) {
-	c := bench.BV(5, 0b1101)
-	m := noise.Uniform("u", 5, 5e-3, 3e-2, 1e-2)
-	trials := genTrials(t, c, m, 400, 50)
-	plan, err := reorder.BuildPlan(c, trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := ExecutePlanBackend(c, plan, NewSVBackend(c.NumQubits()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparse, err := ExecutePlanBackend(c, plan, NewSparseBackend(c.NumQubits()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualOutcomes(dense, sparse) {
-		t.Error("sparse backend disagrees with dense")
-	}
-}
-
-// TestSparseBackendWideGHZ: noisy GHZ at 58 qubits with amplitudes — far
-// beyond dense simulation, trivial for the sparse backend because Pauli
-// noise preserves the 2-element support.
-func TestSparseBackendWideGHZ(t *testing.T) {
-	const n = 58
-	c := bench.GHZ(n)
-	// Readout error must stay low: with 58 measured qubits, a per-qubit
-	// flip rate p leaves only (1-p)^58 of trials unflipped.
-	m := noise.Uniform("u", n, 1e-4, 1e-3, 1e-3)
-	trials := genTrials(t, c, m, 300, 51)
-	plan, err := reorder.BuildPlan(c, trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := BaselineBackend(c, trials, NewSparseBackend(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reord, err := ExecutePlanBackend(c, plan, NewSparseBackend(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualOutcomes(base, reord) {
-		t.Error("wide sparse equivalence violated")
-	}
-	// GHZ parity: most outcomes at the extremes.
-	ends := float64(reord.Counts[0]+reord.Counts[(uint64(1)<<n)-1]) / float64(len(trials))
-	if ends < 0.5 {
-		t.Errorf("GHZ extremes mass = %g", ends)
-	}
-}

@@ -19,9 +19,10 @@ import (
 //
 //   - lane-outer (chain, diagonal-run and 2q kernels): the serial sweep
 //     is already in-register per lane, so the batch variant replays it per
-//     lane over the caller's cache-sized unit block. A 2q sweep is the
-//     kern2 assembly (the FMA form in FuseNumeric programs), which a Go
-//     replay could neither match in speed nor, under FMA, in rounding;
+//     lane over the caller's cache-sized unit block. A 2q sweep is a
+//     unit routine's assembly (an FMA routine in FuseNumeric programs),
+//     which a Go replay could neither match in speed nor, under FMA, in
+//     rounding;
 //   - lane-inner (phase tables, controlled kernels, kq matrices): the
 //     per-unit index math and table lookups are computed once and applied
 //     to every lane, which is where the SoA layout genuinely saves work.

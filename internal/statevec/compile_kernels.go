@@ -35,21 +35,19 @@ const (
 	sDiag  // diag(d0, d1)
 )
 
-// gstep is one gate of a single-qubit chain. The 2x2 entries are always
-// filled (they drive info() and numeric folding); run switches on op.
+// gstep is one gate of a single-qubit chain: its opcode and its 2x2
+// entries u00, u01, u10, u11, always filled (they drive info() and
+// numeric folding). A diagonal step's d0 and d1 are u[0] and u[3]; run
+// switches on op.
 type gstep struct {
-	op                 uint8
-	u00, u01, u10, u11 complex128
-	d0, d1             complex128
+	op uint8
+	u  [4]complex128
 }
 
-// gstepFor lowers a single-qubit gate to a chain step.
-func gstepFor(g gate.Gate) gstep {
-	m := g.Matrix()
-	st := gstep{
-		u00: m.At(0, 0), u01: m.At(0, 1),
-		u10: m.At(1, 0), u11: m.At(1, 1),
-	}
+// gstepFor lowers a single-qubit gate to a chain step; ResolveOp uses it
+// too, so dispatch and lowering classify a gate alike.
+func gstepFor(g *gate.Gate) gstep {
+	st := gstep{u: [4]complex128(g.Matrix().Data())}
 	switch k := g.Kind(); {
 	case k == gate.KindX:
 		st.op = sX
@@ -59,13 +57,10 @@ func gstepFor(g gate.Gate) gstep {
 		st.op = sZ
 	case k == gate.KindH:
 		st.op = sH
+	case diagKind(k) && st.u[0] == 1:
+		st.op = sDiag1
 	case diagKind(k):
-		st.d0, st.d1 = st.u00, st.u11
-		if st.d0 == 1 {
-			st.op = sDiag1
-		} else {
-			st.op = sDiag
-		}
+		st.op = sDiag
 	default:
 		st.op = sGeneric
 	}
@@ -74,8 +69,8 @@ func gstepFor(g gate.Gate) gstep {
 
 func (st gstep) mat() qmath.Matrix {
 	return qmath.FromRows([][]complex128{
-		{st.u00, st.u01},
-		{st.u10, st.u11},
+		{st.u[0], st.u[1]},
+		{st.u[2], st.u[3]},
 	})
 }
 
@@ -86,9 +81,7 @@ type chainKernel struct {
 	q, bit int
 	steps  []gstep
 	ops    int
-	// numeric routes a one-step generic chain to kern1Numeric. Only
-	// FuseNumeric lowering sets it (see markNumeric).
-	numeric bool
+	r      routine // a one-step chain's sweep (see pickRoutines)
 }
 
 func (k *chainKernel) units(dim int) int { return dim >> uint(k.q+1) }
@@ -96,26 +89,8 @@ func (k *chainKernel) units(dim int) int { return dim >> uint(k.q+1) }
 func (k *chainKernel) run(amp []complex128, lo, hi int) {
 	bit := k.bit
 	if len(k.steps) == 1 {
-		// A one-step chain is exactly a dispatch kernel; use it.
-		st := k.steps[0]
-		switch st.op {
-		case sX:
-			kernX(amp, bit, lo, hi)
-		case sY:
-			kernY(amp, bit, lo, hi)
-		case sZ:
-			kernZ(amp, bit, lo, hi)
-		case sH:
-			kernH(amp, bit, lo, hi)
-		case sDiag1, sDiag:
-			kernDiag(amp, bit, lo, hi, st.d0, st.d1)
-		default:
-			if k.numeric {
-				kern1Numeric(amp, bit, lo, hi, st.u00, st.u01, st.u10, st.u11)
-			} else {
-				kern1(amp, bit, lo, hi, st.u00, st.u01, st.u10, st.u11)
-			}
-		}
+		// A one-step chain is exactly a dispatch kernel; sweep its routine.
+		sweepPairs(amp, k.r, bit, lo, hi, &k.steps[0].u)
 		return
 	}
 	stride := bit << 1
@@ -136,12 +111,12 @@ func (k *chainKernel) run(amp []complex128, lo, hi int) {
 				case sH:
 					a0, a1 = pairH(a0, a1)
 				case sDiag1:
-					a1 *= st.d1
+					a1 *= st.u[3]
 				case sDiag:
-					a0 *= st.d0
-					a1 *= st.d1
+					a0 *= st.u[0]
+					a1 *= st.u[3]
 				default:
-					a0, a1 = pair1(a0, a1, st.u00, st.u01, st.u10, st.u11)
+					a0, a1 = pair1(a0, a1, st.u[0], st.u[1], st.u[2], st.u[3])
 				}
 			}
 			amp[i], amp[i|bit] = a0, a1
@@ -240,9 +215,9 @@ func (k *diagRunKernel) add1q(q int, st gstep) {
 	case sZ:
 		d.op = dZ
 	case sDiag1:
-		d.op, d.d0, d.d1 = dD1, st.d0, st.d1
+		d.op, d.d0, d.d1 = dD1, st.u[0], st.u[3]
 	case sDiag:
-		d.op, d.d0, d.d1 = dD, st.d0, st.d1
+		d.op, d.d0, d.d1 = dD, st.u[0], st.u[3]
 	default:
 		panic("statevec: non-diagonal step in diagonal run")
 	}
@@ -438,11 +413,14 @@ func (k *diagTableKernel) info() KernelInfo {
 
 // ---- specialized two- and three-qubit kernels ----
 
-type cxKernel struct{ ctrl, tgt int }
+type cxKernel struct {
+	ctrl, tgt int
+	r         routine // see pickRoutines
+}
 
 func (k *cxKernel) units(dim int) int { return dim >> 2 }
 func (k *cxKernel) run(amp []complex128, lo, hi int) {
-	kernCX(amp, 1<<uint(k.ctrl), 1<<uint(k.tgt), lo, hi)
+	sweepUnits(amp, k.r, 1<<uint(k.ctrl), 1<<uint(k.tgt), lo, hi, nil)
 }
 func (k *cxKernel) info() KernelInfo {
 	return KernelInfo{Kind: "cx", Qubits: []int{k.ctrl, k.tgt}, Ops: 1, Matrix: gate.CX().Matrix()}
@@ -484,18 +462,12 @@ type twoQKernel struct {
 	q0, q1 int
 	m      [16]complex128
 	ops    int
-	// numeric routes the sweep to kern2Numeric. Only FuseNumeric
-	// lowering sets it (see markNumeric).
-	numeric bool
+	r      routine // see pickRoutines
 }
 
 func (k *twoQKernel) units(dim int) int { return dim >> 2 }
 func (k *twoQKernel) run(amp []complex128, lo, hi int) {
-	if k.numeric {
-		kern2Numeric(amp, 1<<uint(k.q0), 1<<uint(k.q1), lo, hi, &k.m)
-		return
-	}
-	kern2(amp, 1<<uint(k.q0), 1<<uint(k.q1), lo, hi, &k.m)
+	sweepUnits(amp, k.r, 1<<uint(k.q0), 1<<uint(k.q1), lo, hi, &k.m)
 }
 func (k *twoQKernel) info() KernelInfo {
 	m := qmath.New(4)
@@ -507,7 +479,8 @@ func (k *twoQKernel) info() KernelInfo {
 	return KernelInfo{Kind: "2q", Qubits: []int{k.q0, k.q1}, Ops: k.ops, Matrix: m}
 }
 
-// kqKernel is the generic k-qubit fallback, replicating applyK (same
+// kqKernel is the generic k-qubit fallback of compiled programs and of
+// dispatch (OpKernel's okK), replicating the test reference applyK (same
 // gather order, same MulVec) over free-subcube units.
 type kqKernel struct {
 	qubits []int
@@ -682,8 +655,7 @@ func mergeOneQ(ks []kernel, q int, st gstep) bool {
 			if p0 == q {
 				slot = 0
 			}
-			u := [4]complex128{st.u00, st.u01, st.u10, st.u11}
-			ks[i] = &twoQKernel{q0: p0, q1: p1, m: mul4(embed2(u, slot), pm), ops: pops + 1}
+			ks[i] = &twoQKernel{q0: p0, q1: p1, m: mul4(embed2(st.u, slot), pm), ops: pops + 1}
 			return true
 		}
 		if kernelMask(k)&bit == 0 {
@@ -797,7 +769,7 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 					continue // counted, not executed — as in dispatch
 				}
 				q := op.qubits[0]
-				st := gstepFor(g)
+				st := gstepFor(&g)
 				switch mode {
 				case FuseNumeric:
 					if mergeOneQ(ks, q, st) {
@@ -902,22 +874,27 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 		ks = foldDiagRuns(ks)
 		ks = foldPairs(ks)
 		ks = foldDiagTables(ks)
-		markNumeric(ks)
 	}
+	pickRoutines(ks, mode)
 	return ks, ops
 }
 
-// markNumeric sends a numeric program's general 4x4 kernels and one-step
-// generic chains to kern2Numeric and kern1Numeric, which may round once
-// per multiply-add (FMA) where FuseOff and FuseExact must not: their
-// kernels stay on kern1/kern2, Float64bits-identical to dispatch.
-func markNumeric(ks []kernel) {
+// pickRoutines resolves the sweep routine of every one-step chain, CX and
+// general 4x4 kernel once the segment is lowered, in its fuse mode: only
+// FuseNumeric kernels may take the FMA routines, which round once per
+// multiply-add where FuseOff and FuseExact must stay Float64bits-identical
+// to dispatch.
+func pickRoutines(ks []kernel, mode FuseMode) {
 	for _, k := range ks {
 		switch t := k.(type) {
-		case *twoQKernel:
-			t.numeric = true
 		case *chainKernel:
-			t.numeric = true
+			if len(t.steps) == 1 {
+				t.r = pairRoutine(t.steps[0].op, t.bit, mode, useAVX2)
+			}
+		case *cxKernel:
+			t.r = unitRoutine(true, 1<<uint(t.ctrl), 1<<uint(t.tgt), mode, useAVX2)
+		case *twoQKernel:
+			t.r = unitRoutine(false, 1<<uint(t.q0), 1<<uint(t.q1), mode, useAVX2)
 		}
 	}
 }
@@ -951,16 +928,14 @@ func demoteSingleGateDiagRuns(ks []kernel) []kernel {
 		q := dk.qubits[0]
 		ck := &chainKernel{q: q, bit: 1 << uint(q), ops: dk.ops}
 		for _, st := range dk.steps {
-			gs := gstep{d0: st.d0, d1: st.d1}
+			gs := gstep{u: [4]complex128{st.d0, 0, 0, st.d1}}
 			switch st.op {
 			case dZ:
-				gs = gstep{op: sZ, u00: 1, u11: -1}
+				gs = gstep{op: sZ, u: [4]complex128{1, 0, 0, -1}}
 			case dD1:
 				gs.op = sDiag1
-				gs.u00, gs.u11 = st.d0, st.d1
 			case dD:
 				gs.op = sDiag
-				gs.u00, gs.u11 = st.d0, st.d1
 			}
 			ck.steps = append(ck.steps, gs)
 		}
@@ -1003,16 +978,16 @@ func foldChains(ks []kernel) []kernel {
 // stepProduct multiplies a chain's steps into one step, tagged diagonal
 // when the product is.
 func stepProduct(steps []gstep) gstep {
-	m00, m01, m10, m11 := steps[0].u00, steps[0].u01, steps[0].u10, steps[0].u11
+	m00, m01, m10, m11 := steps[0].u[0], steps[0].u[1], steps[0].u[2], steps[0].u[3]
 	for _, st := range steps[1:] {
 		// later gate multiplies on the left
+		u := &st.u
 		m00, m01, m10, m11 =
-			st.u00*m00+st.u01*m10, st.u00*m01+st.u01*m11,
-			st.u10*m00+st.u11*m10, st.u10*m01+st.u11*m11
+			u[0]*m00+u[1]*m10, u[0]*m01+u[1]*m11,
+			u[2]*m00+u[3]*m10, u[2]*m01+u[3]*m11
 	}
-	st := gstep{op: sGeneric, u00: m00, u01: m01, u10: m10, u11: m11}
+	st := gstep{op: sGeneric, u: [4]complex128{m00, m01, m10, m11}}
 	if m01 == 0 && m10 == 0 {
-		st.d0, st.d1 = m00, m11
 		if m00 == 1 {
 			st.op = sDiag1
 		} else {
@@ -1151,7 +1126,7 @@ func as2x2(k kernel) (q int, u [4]complex128, ops int, ok bool) {
 		return 0, u, 0, false
 	}
 	st := ck.steps[0]
-	return ck.q, [4]complex128{st.u00, st.u01, st.u10, st.u11}, ck.ops, true
+	return ck.q, st.u, ck.ops, true
 }
 
 // mul4 returns a·b for flat row-major 4x4 matrices.
@@ -1255,8 +1230,7 @@ func foldForward(ks []kernel, i int) bool {
 		if q == p0 {
 			slot = 0
 		}
-		u := [4]complex128{st.u00, st.u01, st.u10, st.u11}
-		ks[j] = &twoQKernel{q0: p0, q1: p1, m: mul4(m, embed2(u, slot)), ops: ck.ops + ops2}
+		ks[j] = &twoQKernel{q0: p0, q1: p1, m: mul4(m, embed2(st.u, slot)), ops: ck.ops + ops2}
 		return true
 	}
 	return false

@@ -1,6 +1,10 @@
 package statevec
 
-import "repro/internal/qmath"
+import (
+	"fmt"
+
+	"repro/internal/qmath"
+)
 
 // This file holds the amplitude-sweep kernels behind every gate
 // application. Each kernel is a free function over a raw amplitude slice
@@ -26,13 +30,22 @@ import "repro/internal/qmath"
 // that fused execution stays bit-identical to gate-by-gate dispatch —
 // the differential harness compares amplitudes by Float64bits, so even a
 // reassociated addition or a flipped zero sign is a detectable bug.
+//
+// The pair sweeps (X, Y, Z, H, diagonal, general 2x2) and the unit sweeps
+// (CX, general 4x4) each have a Go body here and, on amd64, assembly
+// routines in kernels_amd64.s. Which one a kernel runs is its routine,
+// resolved once per kernel from the CPU's instruction sets, the fuse mode
+// and the qubit shape. Two chunk loops run every routine: sweepPairs and
+// sweepUnits (kernels_amd64.go) prove a range in bounds, hand its odd
+// edges to the Go body and the rest to the assembly in asmChunk calls.
 
 // KernelISA names the sweep bodies this build runs on this CPU: "go" (the
-// portable kernels), "avx2" (the AVX2 assembly of kern1, kern2 and the
-// Pauli, H, diagonal and CX sweeps, Float64bits-identical to them, in
-// every fuse mode), "avx2+fma" (FuseNumeric programs also take the FMA sweeps) or
-// "avx2+fma+avx512" (the FMA sweeps run in ZMM registers where four pairs
-// or units fit in a vector, qubit-0 pairs included).
+// portable bodies), "avx2" (the exact AVX2 routines of kernels_amd64.s for
+// every pair and unit sweep, Float64bits-identical to the Go bodies, in
+// every fuse mode), "avx2+fma" (FuseNumeric programs' general 2x2 and 4x4
+// sweeps also take the FMA routines) or "avx2+fma+avx512" (those FMA
+// sweeps run in ZMM registers where four pairs or units fit in a vector,
+// qubit-0 pairs included). pairRoutine and unitRoutine hold the choice.
 func KernelISA() string {
 	switch {
 	case useAVX512:
@@ -45,15 +58,149 @@ func KernelISA() string {
 	return "go"
 }
 
-// KernelFeatures reports the instruction sets the sweeps use in this
-// build on this CPU: AVX2 for kern1, kern2 and the X, Y, Z, H, diagonal
-// and CX sweeps, FMA for the FuseNumeric sweeps and AVX512 (AVX-512F) for
-// their ZMM form. KernelISA names the same set.
+// KernelFeatures reports the instruction sets the sweep routines use in
+// this build on this CPU: AVX2 for the exact routines, FMA for the
+// FuseNumeric ones and AVX512 (AVX-512F) for their ZMM form. KernelISA
+// names the same set.
 type KernelFeatures struct{ AVX2, FMA, AVX512 bool }
 
 // Kernels returns the KernelFeatures of this build on this CPU.
 func Kernels() KernelFeatures {
 	return KernelFeatures{AVX2: useAVX2, FMA: useFMA, AVX512: useAVX512}
+}
+
+// routine names the body a pair or unit sweep runs: a portable Go body or
+// one routine of kernels_amd64.s. Each kernel's routine is picked once,
+// when ResolveOp resolves an op or lowering finishes a segment
+// (pairRoutine, unitRoutine); the chunk loops sweepPairs and sweepUnits
+// then only switch on it. Pair routines serve single-qubit sweeps, unit
+// routines two-qubit ones. The Go bodies come first: r < rXAVX2 means no
+// assembly.
+type routine uint8
+
+const (
+	rNone routine = iota // no pair or unit sweep
+	rXGo
+	rYGo
+	rZGo
+	rHGo
+	rDiagGo // d0 == 1 or not
+	r1Go
+	rCXGo
+	r2Go
+	rXAVX2
+	rYAVX2
+	rZAVX2
+	rHAVX2
+	rDiag1AVX2 // d0 == 1: the upper halves only
+	rDiagAVX2
+	r1AVX2
+	r1FMA
+	r1FMA512
+	rCXAVX2
+	r2AVX2
+	r2AVX2Q0
+	r2FMA
+	r2FMAQ0
+	r2FMA512
+	r2FMAQ0512
+)
+
+// String names the function the routine calls.
+func (r routine) String() string {
+	return [...]string{"none", "kernXGo", "kernYGo", "kernZGo", "kernHGo", "kernDiagGo", "kern1Go",
+		"kernCXGo", "kern2Go", "kernXAVX2", "kernYAVX2", "kernZAVX2", "kernHAVX2", "kernDiag1AVX2",
+		"kernDiagAVX2", "kern1AVX2", "kern1FMA", "kern1FMA512", "kernCXAVX2", "kern2AVX2",
+		"kern2AVX2Q0", "kern2FMA", "kern2FMAQ0", "kern2FMA512", "kern2FMAQ0512"}[r]
+}
+
+// pairGo and pairAVX2 are the Go body and the exact AVX2 routine of each
+// chain opcode.
+var (
+	pairGo   = [...]routine{sGeneric: r1Go, sX: rXGo, sY: rYGo, sZ: rZGo, sH: rHGo, sDiag1: rDiagGo, sDiag: rDiagGo}
+	pairAVX2 = [...]routine{sGeneric: r1AVX2, sX: rXAVX2, sY: rYAVX2, sZ: rZAVX2, sH: rHAVX2, sDiag1: rDiag1AVX2, sDiag: rDiagAVX2}
+)
+
+// pairRoutine picks the sweep of a single-qubit kernel with chain opcode
+// op on bit in fuse mode. asm reports that the assembly may run: the CPU
+// has AVX2 and, for a whole-state sweep, the state holds at least two
+// pairs. Only FuseNumeric general 2x2 sweeps take the FMA routines (in
+// ZMM registers for bit >= 4 where the CPU has AVX-512F): FuseOff and
+// FuseExact stay Float64bits-identical to the Go bodies.
+func pairRoutine(op uint8, bit int, mode FuseMode, asm bool) routine {
+	switch {
+	case !asm:
+		return pairGo[op]
+	case op != sGeneric || mode != FuseNumeric || !useFMA:
+		return pairAVX2[op]
+	case useAVX512 && bit >= 4:
+		return r1FMA512
+	}
+	return r1FMA
+}
+
+// unitRoutine is pairRoutine for a two-qubit kernel on bits b0 and b1: a
+// CX when cx is set (its exact sweep serves every mode), a general 4x4
+// otherwise. A pair that includes qubit 0 takes the Q0 routines. The ZMM
+// FMA sweeps serve qubit-0 pairs and pairs with both bits >= 4; a pair
+// whose lower bit is 2 stays on the YMM kern2FMA.
+func unitRoutine(cx bool, b0, b1 int, mode FuseMode, asm bool) routine {
+	q0 := b0 == 1 || b1 == 1
+	switch {
+	case cx && asm:
+		return rCXAVX2
+	case cx:
+		return rCXGo
+	case !asm:
+		return r2Go
+	case (mode != FuseNumeric || !useFMA) && q0:
+		return r2AVX2Q0
+	case mode != FuseNumeric || !useFMA:
+		return r2AVX2
+	case useAVX512 && q0:
+		return r2FMAQ0512
+	case useAVX512 && min(b0, b1) >= 4:
+		return r2FMA512
+	case q0:
+		return r2FMAQ0
+	}
+	return r2FMA
+}
+
+// goPairs runs the Go body of pair routine r over base blocks [lo, hi) of
+// bit: a Go routine's whole sweep, or the ranges an assembly routine
+// leaves to its body. u holds the 2x2 entries (a diagonal's d0 and d1 are
+// u[0] and u[3]); the Pauli and H bodies ignore it.
+func goPairs(amp []complex128, r routine, bit, lo, hi int, u *[4]complex128) {
+	switch r {
+	case rXGo, rXAVX2:
+		kernXGo(amp, bit, lo, hi)
+	case rYGo, rYAVX2:
+		kernYGo(amp, bit, lo, hi)
+	case rZGo, rZAVX2:
+		kernZGo(amp, bit, lo, hi)
+	case rHGo, rHAVX2:
+		kernHGo(amp, bit, lo, hi)
+	case rDiagGo, rDiag1AVX2, rDiagAVX2:
+		kernDiagGo(amp, bit, lo, hi, u[0], u[3])
+	case r1Go, r1AVX2, r1FMA, r1FMA512:
+		kern1Go(amp, bit, lo, hi, u[0], u[1], u[2], u[3])
+	default:
+		panic(fmt.Sprintf("statevec: %v is not a pair sweep", r))
+	}
+}
+
+// goUnits is goPairs for unit routine r over free-subcube units [lo, hi)
+// of bits b0 and b1 (control and target for CX, which ignores m).
+func goUnits(amp []complex128, r routine, b0, b1, lo, hi int, m *[16]complex128) {
+	switch r {
+	case rCXGo, rCXAVX2:
+		kernCXGo(amp, b0, b1, lo, hi)
+	case r2Go, r2AVX2, r2AVX2Q0, r2FMA, r2FMAQ0, r2FMA512, r2FMAQ0512:
+		kern2Go(amp, b0, b1, lo, hi, m)
+	default:
+		panic(fmt.Sprintf("statevec: %v is not a unit sweep", r))
+	}
 }
 
 // pair1 applies a general 2x2 unitary to an amplitude pair.
@@ -76,8 +223,8 @@ func pairH(a0, a1 complex128) (complex128, complex128) {
 }
 
 // kern1Go sweeps a general 2x2 unitary over base blocks [lo, hi). It is
-// the portable body behind kern1 and the reference the AVX2 sweep is
-// tested against bit for bit.
+// the portable body of the general 2x2 routines and the reference the
+// AVX2 sweep is tested against bit for bit.
 func kern1Go(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 	stride := bit << 1
 	for u := lo; u < hi; u++ {
@@ -89,9 +236,9 @@ func kern1Go(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
 }
 
 // kernXGo sweeps Pauli-X: swap the halves of each block. It, kernYGo,
-// kernZGo and kernCXGo are the portable bodies behind kernX, kernY,
-// kernZ and kernCX and the references their AVX2 sweeps are tested
-// against bit for bit.
+// kernZGo and kernCXGo are the portable bodies of the X, Y, Z and CX
+// routines and the references their AVX2 sweeps are tested against bit
+// for bit.
 func kernXGo(amp []complex128, bit, lo, hi int) {
 	stride := bit << 1
 	for u := lo; u < hi; u++ {
@@ -125,8 +272,8 @@ func kernZGo(amp []complex128, bit, lo, hi int) {
 }
 
 // kernHGo sweeps the Hadamard. It and kernDiagGo are the portable bodies
-// behind kernH and kernDiag and the references their AVX2 sweeps are
-// tested against bit for bit.
+// of the H and diagonal routines and the references their AVX2 sweeps
+// are tested against bit for bit.
 func kernHGo(amp []complex128, bit, lo, hi int) {
 	stride := bit << 1
 	for u := lo; u < hi; u++ {
@@ -232,7 +379,8 @@ func kernCCX(amp []complex128, c0, c1, tb, lo, hi int) {
 // matrix convention matches apply2/applyK: index (b0 << 1) | b1 where b0
 // is the value of qubit q0. The accumulation starts from zero and adds
 // row terms in column order, replicating qmath.Matrix.MulVec bit-for-bit.
-// It is the portable body behind kern2 and the AVX2 sweep's reference.
+// It is the portable body of the general 4x4 routines and the AVX2
+// sweep's reference.
 func kern2Go(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
 	lowb, highb := sort2(b0, b1)
 	for u := lo; u < hi; u++ {

@@ -4,18 +4,28 @@ package statevec
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// setAVX512 sets useAVX512 for the rest of the test or benchmark.
-func setAVX512(tb testing.TB, on bool) {
-	saved := useAVX512
-	useAVX512 = on
-	tb.Cleanup(func() { useAVX512 = saved })
+// setISA switches useAVX2, useFMA and useAVX512 to the KernelISA level
+// isa for the rest of the test and reports whether the host can run it;
+// it changes nothing when the host cannot. Kernels resolved before the
+// switch keep their routines, so a test resolves (or lowers, in a
+// Program that shares no cached segment) after it.
+func setISA(tb testing.TB, isa string) bool {
+	want := KernelFeatures{AVX2: isa != "go", FMA: strings.Contains(isa, "fma"), AVX512: strings.Contains(isa, "avx512")}
+	if want.AVX2 && !hostFeatures.AVX2 || want.FMA && !hostFeatures.FMA || want.AVX512 && !hostFeatures.AVX512 {
+		return false
+	}
+	saved := Kernels()
+	useAVX2, useFMA, useAVX512 = want.AVX2, want.FMA, want.AVX512
+	tb.Cleanup(func() { useAVX2, useFMA, useAVX512 = saved.AVX2, saved.FMA, saved.AVX512 })
+	return true
 }
 
-// zmmTakes1 and zmmTakes2 report whether kern1Numeric and kern2Numeric
-// hand at least one vector of [lo, hi) to the ZMM sweeps.
+// zmmTakes1 and zmmTakes2 report whether the numeric general 2x2 and 4x4
+// sweeps hand at least one vector of [lo, hi) to the ZMM routines.
 func zmmTakes1(bit, lo, hi int) bool {
 	return useAVX512 && bit >= 4 && hi > lo
 }
@@ -28,19 +38,20 @@ func zmmTakes2(b0, b1, lo, hi int) bool {
 	return useAVX512 && min(b0, b1) >= 4 && hi&^3 > (lo+3)&^3
 }
 
-// checkKern1ZMM runs kern1Numeric with and without the ZMM sweeps on
-// copies of amp and fails on the first bit difference: without them the
-// wrapper runs kern1FMA throughout. It reports whether the sweep reached
-// the ZMM assembly. The caller has checked useAVX512.
+// checkKern1ZMM runs the numeric general 2x2 sweep, resolved with and
+// without the ZMM routines, on copies of amp and fails on the first bit
+// difference: without them the sweep runs kern1FMA throughout. It
+// reports whether the sweep reached the ZMM assembly. The caller has
+// checked useAVX512.
 func checkKern1ZMM(t testing.TB, amp []complex128, q, lo, hi int, u [4]complex128) bool {
 	t.Helper()
 	bit := 1 << q
 	want := append([]complex128(nil), amp...)
 	got := append([]complex128(nil), amp...)
 	useAVX512 = false
-	kern1Numeric(want, bit, lo, hi, u[0], u[1], u[2], u[3])
+	run1(want, sGeneric, FuseNumeric, bit, lo, hi, u)
 	useAVX512 = true
-	kern1Numeric(got, bit, lo, hi, u[0], u[1], u[2], u[3])
+	run1(got, sGeneric, FuseNumeric, bit, lo, hi, u)
 	if i := bitsDiffer(want, got); i >= 0 {
 		t.Fatalf("kern1 ZMM n=%d q=%d [%d,%d): amplitude %d: ZMM %v, YMM %v",
 			len(amp), q, lo, hi, i, got[i], want[i])
@@ -48,17 +59,17 @@ func checkKern1ZMM(t testing.TB, amp []complex128, q, lo, hi int, u [4]complex12
 	return zmmTakes1(bit, lo, hi)
 }
 
-// checkKern2ZMM is checkKern1ZMM for kern2Numeric on the ordered pair
-// (q0, q1), against kern2FMA and kern2FMAQ0.
+// checkKern2ZMM is checkKern1ZMM for the numeric general 4x4 sweep on the
+// ordered pair (q0, q1), against kern2FMA and kern2FMAQ0.
 func checkKern2ZMM(t testing.TB, amp []complex128, q0, q1, lo, hi int, m *[16]complex128) bool {
 	t.Helper()
 	b0, b1 := 1<<q0, 1<<q1
 	want := append([]complex128(nil), amp...)
 	got := append([]complex128(nil), amp...)
 	useAVX512 = false
-	kern2Numeric(want, b0, b1, lo, hi, m)
+	run2(want, false, FuseNumeric, b0, b1, lo, hi, m)
 	useAVX512 = true
-	kern2Numeric(got, b0, b1, lo, hi, m)
+	run2(got, false, FuseNumeric, b0, b1, lo, hi, m)
 	if i := bitsDiffer(want, got); i >= 0 {
 		t.Fatalf("kern2 ZMM n=%d q=(%d,%d) [%d,%d): amplitude %d: ZMM %v, YMM %v",
 			len(amp), q0, q1, lo, hi, i, got[i], want[i])
@@ -144,7 +155,7 @@ func FuzzKernelZMMParity(f *testing.F) {
 }
 
 // TestKernelAsmParityChunked covers sweeps longer than asmChunk, which
-// the wrappers split into several assembly calls: at n = 16 a kern1 chunk
+// the chunk loops split into several assembly calls: at n = 16 a pair chunk
 // edge on a high qubit falls inside a block's lower half, and the ranges
 // put odd edges next to chunk edges. A round of the Pauli and CX sweeps
 // and one of the H and diagonal sweeps run on the same qubits and ranges. Where the CPU has FMA, each case
@@ -205,7 +216,7 @@ func TestKernelAsmParityChunked(t *testing.T) {
 			}
 		}
 	}
-	// The Pauli and CX sweeps chunk as kern1 and kern2 do.
+	// The Pauli and CX sweeps chunk as the 2x2 and 4x4 sweeps do.
 	for _, k := range pauliKerns {
 		for _, q0 := range qubits {
 			if !k.two {
@@ -247,14 +258,13 @@ func TestKernelAsmParityChunked(t *testing.T) {
 	}
 }
 
-// TestKernelNumericWithoutFMA runs the numeric wrappers with useFMA off,
-// the path of an AVX2 CPU without FMA: they must then be kern1 and kern2,
-// Float64bits-identical to kern1Go and kern2Go.
+// TestKernelNumericWithoutFMA resolves the numeric general 2x2 and 4x4
+// sweeps at ISA level avx2, the path of an AVX2 CPU without FMA: they must
+// then be the exact routines, Float64bits-identical to kern1Go and
+// kern2Go.
 func TestKernelNumericWithoutFMA(t *testing.T) {
 	requireAsm(t)
-	saved := useFMA
-	useFMA = false
-	t.Cleanup(func() { useFMA = saved })
+	setISA(t, "avx2")
 	r := rand.New(rand.NewSource(18))
 	const n = 10
 	const dim = 1 << n
@@ -263,9 +273,9 @@ func TestKernelNumericWithoutFMA(t *testing.T) {
 		amp := parityAmps(r, dim)
 		want := append([]complex128(nil), amp...)
 		kern1Go(want, 1<<q, 0, dim>>(q+1), u[0], u[1], u[2], u[3])
-		kern1Numeric(amp, 1<<q, 0, dim>>(q+1), u[0], u[1], u[2], u[3])
+		run1(amp, sGeneric, FuseNumeric, 1<<q, 0, dim>>(q+1), u)
 		if i := bitsDiffer(want, amp); i >= 0 {
-			t.Fatalf("kern1Numeric q=%d without FMA: amplitude %d differs from kern1Go", q, i)
+			t.Fatalf("numeric 2x2 q=%d without FMA: amplitude %d differs from kern1Go", q, i)
 		}
 		for q1 := 0; q1 < n; q1++ {
 			if q1 == q {
@@ -275,21 +285,22 @@ func TestKernelNumericWithoutFMA(t *testing.T) {
 			amp := parityAmps(r, dim)
 			want := append([]complex128(nil), amp...)
 			kern2Go(want, 1<<q, 1<<q1, 0, dim>>2, m)
-			kern2Numeric(amp, 1<<q, 1<<q1, 0, dim>>2, m)
+			run2(amp, false, FuseNumeric, 1<<q, 1<<q1, 0, dim>>2, m)
 			if i := bitsDiffer(want, amp); i >= 0 {
-				t.Fatalf("kern2Numeric q=(%d,%d) without FMA: amplitude %d differs from kern2Go", q, q1, i)
+				t.Fatalf("numeric 4x4 q=(%d,%d) without FMA: amplitude %d differs from kern2Go", q, q1, i)
 			}
 		}
 	}
 }
 
-// TestKernelNumericWithoutAVX512 runs the numeric wrappers with useAVX512
-// off, the path of an AVX2+FMA CPU without AVX-512F: they must then be the
-// YMM FMA sweeps, Float64bits-identical to one direct kern1FMA, kern2FMA
-// or kern2FMAQ0 call over the whole state.
+// TestKernelNumericWithoutAVX512 resolves the numeric general 2x2 and 4x4
+// sweeps at ISA level avx2+fma, the path of an AVX2+FMA CPU without
+// AVX-512F: they must then be the YMM FMA routines, Float64bits-identical
+// to one direct kern1FMA, kern2FMA or kern2FMAQ0 call over the whole
+// state.
 func TestKernelNumericWithoutAVX512(t *testing.T) {
 	requireFMA(t)
-	setAVX512(t, false)
+	setISA(t, "avx2+fma")
 	if isa := KernelISA(); isa != "avx2+fma" {
 		t.Fatalf("KernelISA() = %q without AVX-512, want avx2+fma", isa)
 	}
@@ -301,9 +312,9 @@ func TestKernelNumericWithoutAVX512(t *testing.T) {
 		amp := parityAmps(r, dim)
 		want := append([]complex128(nil), amp...)
 		kern1FMA(want, 1<<q, 0, dim/2, u[0], u[1], u[2], u[3])
-		kern1Numeric(amp, 1<<q, 0, dim>>(q+1), u[0], u[1], u[2], u[3])
+		run1(amp, sGeneric, FuseNumeric, 1<<q, 0, dim>>(q+1), u)
 		if i := bitsDiffer(want, amp); i >= 0 {
-			t.Fatalf("kern1Numeric q=%d without AVX-512: amplitude %d differs from kern1FMA", q, i)
+			t.Fatalf("numeric 2x2 q=%d without AVX-512: amplitude %d differs from kern1FMA", q, i)
 		}
 		for q1 := 0; q1 < n; q1++ {
 			if q1 == q {
@@ -318,9 +329,9 @@ func TestKernelNumericWithoutAVX512(t *testing.T) {
 			} else {
 				kern2FMA(want, lowb, highb, b0, b1, 0, dim>>2, m)
 			}
-			kern2Numeric(amp, b0, b1, 0, dim>>2, m)
+			run2(amp, false, FuseNumeric, b0, b1, 0, dim>>2, m)
 			if i := bitsDiffer(want, amp); i >= 0 {
-				t.Fatalf("kern2Numeric q=(%d,%d) without AVX-512: amplitude %d differs from the YMM FMA sweep", q, q1, i)
+				t.Fatalf("numeric 4x4 q=(%d,%d) without AVX-512: amplitude %d differs from the YMM FMA sweep", q, q1, i)
 			}
 		}
 	}

@@ -10,13 +10,28 @@ import (
 	"repro/internal/gate"
 )
 
-// The AVX2 kern1/kern2 must match kern1Go/kern2Go bit for bit. These
-// tests drive the dispatching wrappers against the Go bodies on every
-// qubit, every ordered qubit pair and arbitrary unit ranges, and compare
-// each amplitude by math.Float64bits.
+// The exact AVX2 general 2x2 and 4x4 routines must match kern1Go and
+// kern2Go bit for bit. These tests drive the chunk loops, on the routines
+// FuseOff resolves, against the Go bodies on every qubit, every ordered
+// qubit pair and arbitrary unit ranges, and compare each amplitude by
+// math.Float64bits.
 
-// requireAsm skips when this build runs the Go bodies under kern1/kern2:
-// comparing them with themselves would pass vacuously.
+// run1 sweeps a single-qubit kernel with chain opcode op and entries u
+// over base blocks [lo, hi) of bit, on the routine pairRoutine resolves
+// in mode under the current flags: tests that switch a flag switch it
+// before they call run1.
+func run1(amp []complex128, op uint8, mode FuseMode, bit, lo, hi int, u [4]complex128) {
+	sweepPairs(amp, pairRoutine(op, bit, mode, useAVX2), bit, lo, hi, &u)
+}
+
+// run2 is run1 for a two-qubit kernel on bits b0 and b1: a CX (control
+// b0) when cx is set, the general 4x4 m otherwise.
+func run2(amp []complex128, cx bool, mode FuseMode, b0, b1, lo, hi int, m *[16]complex128) {
+	sweepUnits(amp, unitRoutine(cx, b0, b1, mode, useAVX2), b0, b1, lo, hi, m)
+}
+
+// requireAsm skips when this build resolves every kernel to its Go body:
+// comparing the Go bodies with themselves would pass vacuously.
 func requireAsm(t testing.TB) {
 	t.Helper()
 	if !useAVX2 {
@@ -94,7 +109,7 @@ func bitsDiffer(a, b []complex128) int {
 	return -1
 }
 
-// asmTakes1 and asmTakes2 report whether the wrapper hands at least one
+// asmTakes1 and asmTakes2 report whether the chunk loop hands at least one
 // unit of [lo, hi) to the assembly, so the tests can count real
 // comparisons instead of trusting that some happened.
 func asmTakes1(bit, lo, hi int) bool {
@@ -111,16 +126,16 @@ func asmTakes2(b0, b1, lo, hi int) bool {
 	return (hi&^1)-((lo+1)&^1) >= 2
 }
 
-// checkKern1 runs kern1 and kern1Go on copies of amp and fails on the
-// first bit difference. It reports whether the sweep reached the
-// assembly and whether it changed the state.
+// checkKern1 runs the FuseOff general 2x2 routine and kern1Go on copies
+// of amp and fails on the first bit difference. It reports whether the
+// sweep reached the assembly and whether it changed the state.
 func checkKern1(t testing.TB, amp []complex128, q, lo, hi int, u [4]complex128) (asm, changed bool) {
 	t.Helper()
 	bit := 1 << q
 	want := append([]complex128(nil), amp...)
 	got := append([]complex128(nil), amp...)
 	kern1Go(want, bit, lo, hi, u[0], u[1], u[2], u[3])
-	kern1(got, bit, lo, hi, u[0], u[1], u[2], u[3])
+	run1(got, sGeneric, FuseOff, bit, lo, hi, u)
 	if i := bitsDiffer(want, got); i >= 0 {
 		t.Fatalf("kern1 n=%d q=%d [%d,%d): amplitude %d: asm %v, Go %v (bits %x %x vs %x %x)",
 			len(amp), q, lo, hi, i, got[i], want[i],
@@ -130,14 +145,15 @@ func checkKern1(t testing.TB, amp []complex128, q, lo, hi int, u [4]complex128) 
 	return asmTakes1(bit, lo, hi), bitsDiffer(amp, want) >= 0
 }
 
-// checkKern2 is checkKern1 for kern2 on the ordered pair (q0, q1).
+// checkKern2 is checkKern1 for the general 4x4 routine on the ordered
+// pair (q0, q1).
 func checkKern2(t testing.TB, amp []complex128, q0, q1, lo, hi int, m *[16]complex128) (asm, changed bool) {
 	t.Helper()
 	b0, b1 := 1<<q0, 1<<q1
 	want := append([]complex128(nil), amp...)
 	got := append([]complex128(nil), amp...)
 	kern2Go(want, b0, b1, lo, hi, m)
-	kern2(got, b0, b1, lo, hi, m)
+	run2(got, false, FuseOff, b0, b1, lo, hi, m)
 	if i := bitsDiffer(want, got); i >= 0 {
 		t.Fatalf("kern2 n=%d q=(%d,%d) [%d,%d): amplitude %d: asm %v, Go %v",
 			len(amp), q0, q1, lo, hi, i, got[i], want[i])
@@ -252,10 +268,11 @@ func FuzzKernelAsmParity(f *testing.F) {
 
 // TestKernelBoundsPanic: the assembly does no bounds checks, so an
 // out-of-range unit range or bit must panic with an index error, on the
-// Go path and through the dispatch and numeric (FMA) wrappers alike,
-// without touching memory past the slice. The /zmm cases have the shapes
-// the numeric wrappers hand to the ZMM sweeps (bit and lowb >= 4, and
-// qubit 0). The Pauli, CX, H and diagonal sweeps have no numeric form.
+// Go path and through the chunk loops on the dispatch (FuseOff) and
+// numeric (FMA) routines alike, without touching memory past the slice.
+// The /zmm cases have the shapes that resolve to the ZMM routines (bit
+// and lowb >= 4, and qubit 0). The Pauli, CX, H and diagonal sweeps have
+// no numeric form.
 func TestKernelBoundsPanic(t *testing.T) {
 	const n = 6
 	const dim = 1 << n
@@ -278,12 +295,17 @@ func TestKernelBoundsPanic(t *testing.T) {
 			func(a []complex128, b0, b1, lo, hi int) { kern2Go(a, b0, b1, lo, hi, m) },
 			kernXGo, kernYGo, kernZGo, kernCXGo, kernHGo, kernDiagGo},
 		{"dispatch",
-			func(a []complex128, bit, lo, hi int) { kern1(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
-			func(a []complex128, b0, b1, lo, hi int) { kern2(a, b0, b1, lo, hi, m) },
-			kernX, kernY, kernZ, kernCX, kernH, kernDiag},
+			func(a []complex128, bit, lo, hi int) { run1(a, sGeneric, FuseOff, bit, lo, hi, u) },
+			func(a []complex128, b0, b1, lo, hi int) { run2(a, false, FuseOff, b0, b1, lo, hi, m) },
+			func(a []complex128, bit, lo, hi int) { run1(a, sX, FuseOff, bit, lo, hi, u) },
+			func(a []complex128, bit, lo, hi int) { run1(a, sY, FuseOff, bit, lo, hi, u) },
+			func(a []complex128, bit, lo, hi int) { run1(a, sZ, FuseOff, bit, lo, hi, u) },
+			func(a []complex128, cb, tb, lo, hi int) { run2(a, true, FuseOff, cb, tb, lo, hi, nil) },
+			func(a []complex128, bit, lo, hi int) { run1(a, sH, FuseOff, bit, lo, hi, u) },
+			runDiag},
 		{"numeric",
-			func(a []complex128, bit, lo, hi int) { kern1Numeric(a, bit, lo, hi, u[0], u[1], u[2], u[3]) },
-			func(a []complex128, b0, b1, lo, hi int) { kern2Numeric(a, b0, b1, lo, hi, m) },
+			func(a []complex128, bit, lo, hi int) { run1(a, sGeneric, FuseNumeric, bit, lo, hi, u) },
+			func(a []complex128, b0, b1, lo, hi int) { run2(a, false, FuseNumeric, b0, b1, lo, hi, m) },
 			nil, nil, nil, nil, nil, nil},
 	}
 	for _, p := range paths {
@@ -353,7 +375,7 @@ func catchPanic(f func()) (err error) {
 }
 
 // BenchmarkKern1 and BenchmarkKern2 time one full sweep, the Go body
-// against the AVX2 assembly and its FMA form (the numeric wrappers) in YMM
+// against the AVX2 assembly and its FMA form (the numeric routines) in YMM
 // (fma) and, where the CPU has AVX-512F, ZMM registers (zmm), at n = 5, 10
 // and 14 on qubit 0 and on the high qubits. The kern2 qubit-0 rows cover
 // the two load patterns of kern2FMAQ0512, highb = 2 and highb >= 4.
@@ -370,24 +392,24 @@ func BenchmarkKern1(b *testing.B) {
 					kern1Go(amp, bit, 0, units, u[0], u[1], u[2], u[3])
 				}
 			})
+			sweep := func(b *testing.B, mode FuseMode) {
+				r := pairRoutine(sGeneric, bit, mode, useAVX2)
+				for i := 0; i < b.N; i++ {
+					sweepPairs(amp, r, bit, 0, units, &u)
+				}
+			}
 			b.Run(fmt.Sprintf("n=%d/q=%d/asm", n, q), func(b *testing.B) {
 				requireAsm(b)
-				for i := 0; i < b.N; i++ {
-					kern1(amp, bit, 0, units, u[0], u[1], u[2], u[3])
-				}
+				sweep(b, FuseOff)
 			})
 			b.Run(fmt.Sprintf("n=%d/q=%d/fma", n, q), func(b *testing.B) {
 				requireFMA(b)
-				setAVX512(b, false)
-				for i := 0; i < b.N; i++ {
-					kern1Numeric(amp, bit, 0, units, u[0], u[1], u[2], u[3])
-				}
+				setISA(b, "avx2+fma")
+				sweep(b, FuseNumeric)
 			})
 			b.Run(fmt.Sprintf("n=%d/q=%d/zmm", n, q), func(b *testing.B) {
 				requireAVX512(b)
-				for i := 0; i < b.N; i++ {
-					kern1Numeric(amp, bit, 0, units, u[0], u[1], u[2], u[3])
-				}
+				sweep(b, FuseNumeric)
 			})
 		}
 	}
@@ -406,24 +428,24 @@ func BenchmarkKern2(b *testing.B) {
 					kern2Go(amp, b0, b1, 0, units, m)
 				}
 			})
+			sweep := func(b *testing.B, mode FuseMode) {
+				r := unitRoutine(false, b0, b1, mode, useAVX2)
+				for i := 0; i < b.N; i++ {
+					sweepUnits(amp, r, b0, b1, 0, units, m)
+				}
+			}
 			b.Run(fmt.Sprintf("n=%d/q=%d,%d/asm", n, qs[0], qs[1]), func(b *testing.B) {
 				requireAsm(b)
-				for i := 0; i < b.N; i++ {
-					kern2(amp, b0, b1, 0, units, m)
-				}
+				sweep(b, FuseOff)
 			})
 			b.Run(fmt.Sprintf("n=%d/q=%d,%d/fma", n, qs[0], qs[1]), func(b *testing.B) {
 				requireFMA(b)
-				setAVX512(b, false)
-				for i := 0; i < b.N; i++ {
-					kern2Numeric(amp, b0, b1, 0, units, m)
-				}
+				setISA(b, "avx2+fma")
+				sweep(b, FuseNumeric)
 			})
 			b.Run(fmt.Sprintf("n=%d/q=%d,%d/zmm", n, qs[0], qs[1]), func(b *testing.B) {
 				requireAVX512(b)
-				for i := 0; i < b.N; i++ {
-					kern2Numeric(amp, b0, b1, 0, units, m)
-				}
+				sweep(b, FuseNumeric)
 			})
 		}
 	}

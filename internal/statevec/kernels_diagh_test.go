@@ -15,8 +15,18 @@ import (
 // and ApplyKernel's direct assembly calls must match the Go bodies over
 // the whole state.
 
-// diagHKern is one sweep under test: the wrapper and the Go body it must
-// match. H ignores d0 and d1.
+// runDiag sweeps diag(d0, d1) on the routine FuseOff resolves: the
+// upper-halves routine when d0 == 1.
+func runDiag(amp []complex128, bit, lo, hi int, d0, d1 complex128) {
+	op := uint8(sDiag)
+	if d0 == 1 {
+		op = sDiag1
+	}
+	run1(amp, op, FuseOff, bit, lo, hi, [4]complex128{d0, 0, 0, d1})
+}
+
+// diagHKern is one sweep under test: the chunk loop on its resolved
+// routine and the Go body it must match. H ignores d0 and d1.
 type diagHKern struct {
 	name      string
 	wrap, ref func(amp []complex128, bit, lo, hi int, d0, d1 complex128)
@@ -24,9 +34,11 @@ type diagHKern struct {
 
 var diagHKerns = []diagHKern{
 	{"H",
-		func(a []complex128, bit, lo, hi int, _, _ complex128) { kernH(a, bit, lo, hi) },
+		func(a []complex128, bit, lo, hi int, _, _ complex128) {
+			run1(a, sH, FuseOff, bit, lo, hi, [4]complex128{})
+		},
 		func(a []complex128, bit, lo, hi int, _, _ complex128) { kernHGo(a, bit, lo, hi) }},
-	{"diag", kernDiag, kernDiagGo},
+	{"diag", runDiag, kernDiagGo},
 }
 
 // nanAmps is parityAmps with some components set to one NaN, its sign and
@@ -60,7 +72,7 @@ func diagHAmps(r *rand.Rand, dim int) []complex128 {
 	return parityAmps(r, dim)
 }
 
-// checkDiagH runs k's wrapper and Go body on copies of amp for qubit q
+// checkDiagH runs k's sweep and Go body on copies of amp for qubit q
 // over base blocks [lo, hi) and fails on the first bit difference, or on
 // a d0 == 1 diagonal sweep that changes a lower half. It reports whether
 // the sweep reached the assembly and changed the state.
@@ -156,36 +168,35 @@ func FuzzKernelDiagHParity(f *testing.F) {
 	})
 }
 
-// applyGo is ApplyKernel on the Go bodies, the reference of the direct
-// assembly calls.
-func applyGo(amp []complex128, k *OpKernel) {
-	m := k.mat.Data()
-	units := len(amp) >> 1 / k.b0
-	switch k.kind {
-	case okX:
-		kernXGo(amp, k.b0, 0, units)
-	case okY:
-		kernYGo(amp, k.b0, 0, units)
-	case okZ:
-		kernZGo(amp, k.b0, 0, units)
-	case okH:
-		kernHGo(amp, k.b0, 0, units)
-	case okDiag:
-		kernDiagGo(amp, k.b0, 0, units, m[0], m[3])
-	case ok1:
-		kern1Go(amp, k.b0, 0, units, m[0], m[1], m[2], m[3])
-	case okCX:
-		kernCXGo(amp, k.b0, k.b1, 0, len(amp)>>2)
-	case ok2:
-		kern2Go(amp, k.b0, k.b1, 0, len(amp)>>2, (*[16]complex128)(m))
+// applyGo applies gate g on qubits qs through the Go bodies, the
+// reference of ApplyKernel's direct assembly calls.
+func applyGo(amp []complex128, g gate.Gate, qs []int) {
+	m := g.Matrix().Data()
+	b0 := 1 << qs[0]
+	units := len(amp) >> 1 / b0
+	switch kind := g.Kind(); {
+	case kind == gate.KindX:
+		kernXGo(amp, b0, 0, units)
+	case kind == gate.KindY:
+		kernYGo(amp, b0, 0, units)
+	case kind == gate.KindZ:
+		kernZGo(amp, b0, 0, units)
+	case kind == gate.KindH:
+		kernHGo(amp, b0, 0, units)
+	case diagKind(kind):
+		kernDiagGo(amp, b0, 0, units, m[0], m[3])
+	case g.Qubits() == 1:
+		kern1Go(amp, b0, 0, units, m[0], m[1], m[2], m[3])
+	case kind == gate.KindCX:
+		kernCXGo(amp, b0, 1<<qs[1], 0, len(amp)>>2)
 	default:
-		panic(fmt.Sprintf("applyGo: kind %d", k.kind))
+		kern2Go(amp, b0, 1<<qs[1], 0, len(amp)>>2, (*[16]complex128)(m))
 	}
 }
 
 // directGates are the gates ApplyKernel may run as one assembly call:
-// every kernel kind directSweep accepts, RZ for a general diagonal and
-// U1 for d0 == 1.
+// every pair and unit routine FuseOff resolves to, RZ for a general
+// diagonal and U1 for d0 == 1.
 func directGates(r *rand.Rand) []gate.Gate {
 	th := func() float64 { return (r.Float64() - 0.5) * 8 }
 	u3 := func() qmath.Matrix { return gate.U3(th(), th(), th()).Matrix() }
@@ -198,8 +209,8 @@ func directGates(r *rand.Rand) []gate.Gate {
 // directly for whole-state sweeps of at most asmChunk pairs or units, to
 // the bits of the Go bodies on every qubit (every ordered pair for the
 // two-qubit gates) for n = 1..13, on finite, Inf and NaN states; n = 13
-// is the largest single-chunk single-qubit state and n = 1, 2 keep the
-// wrappers.
+// is the largest single-chunk single-qubit state and n = 1, 2 resolve to
+// the Go bodies.
 func TestApplyKernelDirectParity(t *testing.T) {
 	requireAsm(t)
 	r := rand.New(rand.NewSource(1013))
@@ -224,13 +235,13 @@ func TestApplyKernelDirectParity(t *testing.T) {
 				amp := diagHAmps(r, dim)
 				s := &State{n: n, amp: append([]complex128(nil), amp...)}
 				want := append([]complex128(nil), amp...)
-				applyGo(want, &k)
+				applyGo(want, g, qs)
 				s.ApplyKernel(&k)
 				if i := bitsDiffer(want, s.amp); i >= 0 {
-					t.Fatalf("%s n=%d q=%v direct=%v: amplitude %d: got %v, Go %v", g.Name(), n, qs, k.direct, i, s.amp[i], want[i])
+					t.Fatalf("%s n=%d q=%v %v: amplitude %d: got %v, Go %v", g.Name(), n, qs, k.r, i, s.amp[i], want[i])
 				}
 				cases++
-				if k.direct {
+				if k.r >= rXAVX2 {
 					direct++
 				}
 			}
@@ -266,8 +277,8 @@ func TestApplyKernelWrongSizePanics(t *testing.T) {
 }
 
 // BenchmarkKernDiagH times one full H or diagonal sweep (d0 == 1 and
-// d0 != 1), the Go body against the wrapper (the AVX2 assembly where the
-// CPU has it), at n = 5, 10 and 14 on qubit 0 and the high qubit.
+// d0 != 1), the Go body against the chunk loop (the AVX2 assembly where
+// the CPU has it), at n = 5, 10 and 14 on qubit 0 and the high qubit.
 func BenchmarkKernDiagH(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	d0, d1 := gate.RZ(0.3).Matrix().Data()[0], gate.RZ(0.3).Matrix().Data()[3]

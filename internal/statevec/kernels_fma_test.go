@@ -11,15 +11,15 @@ import (
 	"repro/internal/qmath"
 )
 
-// kern1Numeric and kern2Numeric round once per multiply-add where the
-// CPU has FMA, so they are held to an error bound against kern1Go and
-// kern2Go instead of to their bits. Each output component is a sum of
-// products m_j*a_j. kern2Go rounds each product's real and imaginary
-// term at most five times on its way to the output (a multiply, the
-// complex subtraction or addition, and up to three accumulating adds),
-// and so does the FMA row form (a multiply or FMA per term, up to three
-// further FMAs, and the closing VADDSUBPD). To first order the two differ
-// by at most 10 units of roundoff of S = sum_j |m_j||a_j|, since
+// The numeric general 2x2 and 4x4 routines round once per multiply-add
+// where the CPU has FMA, so they are held to an error bound against
+// kern1Go and kern2Go instead of to their bits. Each output component is
+// a sum of products m_j*a_j. kern2Go rounds each product's real and
+// imaginary term at most five times on its way to the output (a multiply,
+// the complex subtraction or addition, and up to three accumulating
+// adds), and so does the FMA row form (a multiply or FMA per term, up to
+// three further FMAs, and the closing VADDSUBPD). To first order the two
+// differ by at most 10 units of roundoff of S = sum_j |m_j||a_j|, since
 // |re m||re a| + |im m||im a| <= |m||a|; fmaRel leaves room for the
 // second-order terms, and fmaAbs covers the absolute error of results
 // that round into the subnormal range.
@@ -28,7 +28,7 @@ const (
 	fmaAbs = 16 * 0x1p-1074
 )
 
-// requireFMA skips when kern1Numeric and kern2Numeric are kern1 and kern2:
+// requireFMA skips when FuseNumeric kernels resolve to the exact routines:
 // there is no FMA sweep to compare.
 func requireFMA(t testing.TB) {
 	t.Helper()
@@ -37,8 +37,8 @@ func requireFMA(t testing.TB) {
 	}
 }
 
-// requireAVX512 skips when kern1Numeric and kern2Numeric have no ZMM
-// sweeps.
+// requireAVX512 skips when FuseNumeric kernels cannot resolve to the ZMM
+// routines.
 func requireAVX512(t testing.TB) {
 	t.Helper()
 	if !useAVX512 {
@@ -64,16 +64,16 @@ func checkClose(t testing.TB, what string, orig, got, want []complex128, tol []f
 	}
 }
 
-// checkKern1FMA runs kern1Numeric and kern1Go on copies of amp and holds
-// them to the bound. It reports whether the sweep reached the FMA
-// assembly.
+// checkKern1FMA runs the numeric 2x2 sweep and kern1Go on copies of amp
+// and holds them to the bound. It reports whether the sweep reached the
+// FMA assembly.
 func checkKern1FMA(t testing.TB, amp []complex128, q, lo, hi int, u [4]complex128) bool {
 	t.Helper()
 	bit := 1 << q
 	want := append([]complex128(nil), amp...)
 	got := append([]complex128(nil), amp...)
 	kern1Go(want, bit, lo, hi, u[0], u[1], u[2], u[3])
-	kern1Numeric(got, bit, lo, hi, u[0], u[1], u[2], u[3])
+	run1(got, sGeneric, FuseNumeric, bit, lo, hi, u)
 	tol := make([]float64, len(amp))
 	touched := make([]bool, len(amp))
 	for b := lo; b < hi; b++ {
@@ -85,19 +85,19 @@ func checkKern1FMA(t testing.TB, amp []complex128, q, lo, hi int, u [4]complex12
 			touched[i], touched[j] = true, true
 		}
 	}
-	checkClose(t, "kern1Numeric", amp, got, want, tol, touched)
+	checkClose(t, "numeric 2x2", amp, got, want, tol, touched)
 	return useFMA && asmTakes1(bit, lo, hi)
 }
 
-// checkKern2FMA is checkKern1FMA for kern2Numeric on the ordered pair
-// (q0, q1).
+// checkKern2FMA is checkKern1FMA for the numeric 4x4 sweep on the
+// ordered pair (q0, q1).
 func checkKern2FMA(t testing.TB, amp []complex128, q0, q1, lo, hi int, m *[16]complex128) bool {
 	t.Helper()
 	b0, b1 := 1<<q0, 1<<q1
 	want := append([]complex128(nil), amp...)
 	got := append([]complex128(nil), amp...)
 	kern2Go(want, b0, b1, lo, hi, m)
-	kern2Numeric(got, b0, b1, lo, hi, m)
+	run2(got, false, FuseNumeric, b0, b1, lo, hi, m)
 	tol := make([]float64, len(amp))
 	touched := make([]bool, len(amp))
 	lowb, highb := sort2(b0, b1)
@@ -113,7 +113,7 @@ func checkKern2FMA(t testing.TB, amp []complex128, q0, q1, lo, hi int, m *[16]co
 			touched[i] = true
 		}
 	}
-	checkClose(t, "kern2Numeric", amp, got, want, tol, touched)
+	checkClose(t, "numeric 4x4", amp, got, want, tol, touched)
 	return useFMA && asmTakes2(b0, b1, lo, hi)
 }
 
@@ -256,16 +256,16 @@ func TestFMAOnlyInNumericPrograms(t *testing.T) {
 	for _, k := range p.segment(0, p.NumLayers()).kernels {
 		switch t := k.(type) {
 		case *twoQKernel:
-			if t.numeric {
+			if fmaRoutine(t.r) {
 				marked++
 			}
 			kern2Go(plain.amp, 1<<t.q0, 1<<t.q1, 0, dim>>2, &t.m)
 		case *chainKernel:
 			if st := t.steps[0]; len(t.steps) == 1 && st.op == sGeneric {
-				if t.numeric {
+				if fmaRoutine(t.r) {
 					marked++
 				}
-				kern1Go(plain.amp, t.bit, 0, t.units(dim), st.u00, st.u01, st.u10, st.u11)
+				kern1Go(plain.amp, t.bit, 0, t.units(dim), st.u[0], st.u[1], st.u[2], st.u[3])
 				continue
 			}
 			t.run(plain.amp, 0, t.units(dim))
@@ -274,7 +274,7 @@ func TestFMAOnlyInNumericPrograms(t *testing.T) {
 		}
 	}
 	if marked == 0 {
-		t.Fatal("the numeric program has no kernel marked for the FMA sweeps")
+		t.Fatal("the numeric program has no kernel resolved to the FMA routines")
 	}
 	if _, ok := statesBitEqual(plain, got); ok {
 		t.Fatal("the numeric program matches its kernels run without FMA bit for bit: the FMA sweeps were not reached")
@@ -284,4 +284,13 @@ func TestFMAOnlyInNumericPrograms(t *testing.T) {
 			t.Fatalf("numeric amplitude %d: %v, want %v within 1e-9", i, got.amp[i], want.amp[i])
 		}
 	}
+}
+
+// fmaRoutine reports whether r is one of the FMA routines.
+func fmaRoutine(r routine) bool {
+	switch r {
+	case r1FMA, r1FMA512, r2FMA, r2FMAQ0, r2FMA512, r2FMAQ0512:
+		return true
+	}
+	return false
 }

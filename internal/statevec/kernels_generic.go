@@ -2,59 +2,35 @@
 
 package statevec
 
-// useAVX2 is false: this build has no assembly kernels (not amd64, or
-// the purego tag forces the portable bodies).
+// useAVX2 is false: this build has no assembly routines (not amd64, or
+// the purego tag forces the portable bodies), so every kernel resolves to
+// a Go body.
 const useAVX2 = false
 
-// useFMA is false for the same reason: kern1Numeric and kern2Numeric are
-// kern1 and kern2.
+// useFMA is false for the same reason.
 const useFMA = false
 
-// useAVX512 is false: there are no ZMM sweeps either.
+// useAVX512 is false: there are no ZMM routines either.
 const useAVX512 = false
 
-// kern1 sweeps a general 2x2 unitary over base blocks [lo, hi).
-func kern1(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
-	kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)
+// sweepPairs runs pair routine r, a Go body in this build, over base
+// blocks [lo, hi) of bit.
+func sweepPairs(amp []complex128, r routine, bit, lo, hi int, u *[4]complex128) {
+	goPairs(amp, r, bit, lo, hi, u)
 }
 
-// kern2 sweeps a general 4x4 unitary over free-subcube units [lo, hi).
-func kern2(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
-	kern2Go(amp, b0, b1, lo, hi, m)
+// sweepUnits runs unit routine r, a Go body in this build, over
+// free-subcube units [lo, hi) of bits b0 and b1.
+func sweepUnits(amp []complex128, r routine, b0, b1, lo, hi int, m *[16]complex128) {
+	goUnits(amp, r, b0, b1, lo, hi, m)
 }
 
-// kern1Numeric is kern1 for FuseNumeric programs.
-func kern1Numeric(amp []complex128, bit, lo, hi int, u00, u01, u10, u11 complex128) {
-	kern1Go(amp, bit, lo, hi, u00, u01, u10, u11)
+// pairsAsm and unitsAsm are never called in this build: no kernel
+// resolves to an assembly routine.
+func pairsAsm([]complex128, routine, int, int, int, *[4]complex128) {
+	panic("statevec: no assembly routines in this build")
 }
 
-// kern2Numeric is kern2 for FuseNumeric programs.
-func kern2Numeric(amp []complex128, b0, b1, lo, hi int, m *[16]complex128) {
-	kern2Go(amp, b0, b1, lo, hi, m)
-}
-
-// kernX, kernY and kernZ sweep the Paulis over base blocks [lo, hi).
-func kernX(amp []complex128, bit, lo, hi int) { kernXGo(amp, bit, lo, hi) }
-
-func kernY(amp []complex128, bit, lo, hi int) { kernYGo(amp, bit, lo, hi) }
-
-func kernZ(amp []complex128, bit, lo, hi int) { kernZGo(amp, bit, lo, hi) }
-
-// kernH sweeps the Hadamard over base blocks [lo, hi).
-func kernH(amp []complex128, bit, lo, hi int) { kernHGo(amp, bit, lo, hi) }
-
-// kernDiag sweeps diag(d0, d1) over base blocks [lo, hi).
-func kernDiag(amp []complex128, bit, lo, hi int, d0, d1 complex128) {
-	kernDiagGo(amp, bit, lo, hi, d0, d1)
-}
-
-// kernCX sweeps a controlled-X over free-subcube units [lo, hi).
-func kernCX(amp []complex128, cb, tb, lo, hi int) { kernCXGo(amp, cb, tb, lo, hi) }
-
-// directSweep is false: ApplyKernel always takes the Go bodies.
-func directSweep(*OpKernel) bool { return false }
-
-// sweepDirect is never called in this build.
-func sweepDirect([]complex128, *OpKernel) {
-	panic("statevec: no assembly sweeps in this build")
+func unitsAsm([]complex128, routine, int, int, int, int, *[16]complex128) {
+	panic("statevec: no assembly routines in this build")
 }

@@ -4,5 +4,6 @@ package statevec
 
 import "testing"
 
-// setAVX512 does nothing: this build has no ZMM sweeps to switch.
-func setAVX512(testing.TB, bool) {}
+// setISA reports whether this build runs the KernelISA level isa: only
+// "go", which it runs already.
+func setISA(_ testing.TB, isa string) bool { return isa == "go" }

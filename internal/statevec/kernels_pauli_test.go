@@ -11,8 +11,9 @@ import (
 // kernCXGo bit for bit. Y is the only one that does arithmetic; X, Z and
 // CX would show a wrong offset, lane or sign.
 
-// pauliKern is one Pauli or CX sweep: the wrapper under test and the Go
-// body it must match. The single-qubit sweeps ignore b1.
+// pauliKern is one Pauli or CX sweep: the chunk loop on its resolved
+// routine and the Go body it must match. The single-qubit sweeps ignore
+// b1.
 type pauliKern struct {
 	name      string
 	two       bool
@@ -21,15 +22,17 @@ type pauliKern struct {
 
 var pauliKerns = []pauliKern{
 	{"X", false,
-		func(a []complex128, bit, _, lo, hi int) { kernX(a, bit, lo, hi) },
+		func(a []complex128, bit, _, lo, hi int) { run1(a, sX, FuseOff, bit, lo, hi, [4]complex128{}) },
 		func(a []complex128, bit, _, lo, hi int) { kernXGo(a, bit, lo, hi) }},
 	{"Y", false,
-		func(a []complex128, bit, _, lo, hi int) { kernY(a, bit, lo, hi) },
+		func(a []complex128, bit, _, lo, hi int) { run1(a, sY, FuseOff, bit, lo, hi, [4]complex128{}) },
 		func(a []complex128, bit, _, lo, hi int) { kernYGo(a, bit, lo, hi) }},
 	{"Z", false,
-		func(a []complex128, bit, _, lo, hi int) { kernZ(a, bit, lo, hi) },
+		func(a []complex128, bit, _, lo, hi int) { run1(a, sZ, FuseOff, bit, lo, hi, [4]complex128{}) },
 		func(a []complex128, bit, _, lo, hi int) { kernZGo(a, bit, lo, hi) }},
-	{"CX", true, kernCX, kernCXGo},
+	{"CX", true,
+		func(a []complex128, cb, tb, lo, hi int) { run2(a, true, FuseOff, cb, tb, lo, hi, nil) },
+		kernCXGo},
 }
 
 // pauliAmps is parityAmps with some components set to ±Inf: Y multiplies
@@ -49,7 +52,7 @@ func pauliAmps(r *rand.Rand, dim int) []complex128 {
 	return amp
 }
 
-// checkPauli runs k's wrapper and Go body on copies of amp for qubit q0
+// checkPauli runs k's sweep and Go body on copies of amp for qubit q0
 // (control q0, target q1 for CX) over units [lo, hi) and fails on the
 // first bit difference, or on a Z sweep that changes a lower half. It
 // reports whether the sweep reached the assembly and changed the state.
@@ -160,7 +163,7 @@ func FuzzKernelPauliParity(f *testing.F) {
 }
 
 // BenchmarkKernPauli times one full Pauli or CX sweep, the Go body
-// against the wrapper (the AVX2 assembly where the CPU has it), at n = 5,
+// against the chunk loop (the AVX2 assembly where the CPU has it), at n = 5,
 // 10 and 14 on qubit 0 and the high qubit. The copy row copies the whole
 // state, the bandwidth roof of a sweep that reads and writes every
 // amplitude.

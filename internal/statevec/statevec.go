@@ -143,40 +143,39 @@ type opKernelKind uint8
 
 const (
 	okIdentity opKernelKind = iota // counted, never swept
-	okX
-	okY
-	okZ
-	okH
-	okDiag // diag(m[0], m[3])
-	ok1    // general 2x2
-	okCX
+	okPairs                        // single-qubit: routine r on b0 with entries u
+	okUnits                        // CX or general 4x4: routine r on b0, b1 with matrix m
 	okCZ
 	okSwap
-	ok2   // general 4x4
 	okCCX // controls b0, b1, target b2
-	okK   // dense 2^k matrix through applyK
+	okK   // dense 2^k matrix: kq
 )
 
 // OpKernel is one circuit op with its dispatch decided once: the kernel
-// kind, the amplitude-index bit masks of its qubits (in op order), the
-// gate's row-major matrix entries (the 2x2, the flat 4x4 kern2 reads, or
-// the dense 2^k matrix) and the state size it was resolved for. Executors
-// that run a circuit many times resolve each op once and replay the table
-// instead of re-reading the gate on every application. An OpKernel is
-// read-only once built and may be shared between goroutines; it shares
-// the gate's matrix and the op's qubit slice rather than copying them.
+// kind, the sweep routine (pairRoutine, unitRoutine), the amplitude-index
+// bit masks of its qubits (in op order), the gate's matrix entries (a
+// single-qubit gate's 2x2 inline, a general 4x4 shared with the gate, a
+// dense 2^k matrix in a kq kernel) and the state size it was resolved
+// for. Executors that run a circuit many times resolve each op once and
+// replay the table instead of re-reading the gate on every application.
+// An OpKernel is read-only once built and may be shared between
+// goroutines.
 type OpKernel struct {
-	kind       opKernelKind
-	direct     bool // ApplyKernel calls sweepDirect (see directSweep)
-	b0, b1, b2 int
-	dim        int // amplitudes of the state the qubits were checked against
-	mat        qmath.Matrix
-	qubits     []int // okK only
+	kind   opKernelKind
+	r      routine
+	b0, b1 int
+	dim    int // amplitudes of the state the qubits were checked against
+	u      [4]complex128
+	m      *[16]complex128
+	b2     int
+	kq     *kqKernel
 }
 
 // ResolveOp decides the kernel for gate g on qubits of an n-qubit state,
 // panicking on out-of-range or duplicate qubits exactly as dispatch does.
-// It does not allocate.
+// It does not allocate, except for a dense gate on three or more qubits
+// other than CCX, whose kq kernel (the one compiled programs run) it
+// builds.
 func ResolveOp(n int, g gate.Gate, qubits ...int) OpKernel {
 	var k OpKernel
 	resolveOp(&k, n, &g, qubits)
@@ -184,7 +183,10 @@ func ResolveOp(n int, g gate.Gate, qubits ...int) OpKernel {
 }
 
 // resolveOp is ResolveOp filling a caller-owned kernel, so ApplyOp
-// copies neither the gate nor the kernel.
+// copies neither the gate nor the kernel. Dispatch is exact, so the
+// routine is FuseOff's. The assembly needs at least two pairs (units) in
+// a whole-state sweep: a 1-qubit state's pair sweeps and a 2-qubit
+// state's unit sweeps take the Go bodies.
 func resolveOp(k *OpKernel, n int, g *gate.Gate, qubits []int) {
 	switch {
 	case g.Qubits() == 1:
@@ -193,22 +195,13 @@ func resolveOp(k *OpKernel, n int, g *gate.Gate, qubits []int) {
 			panic(fmt.Sprintf("statevec: qubit %d out of range [0,%d)", q, n))
 		}
 		k.b0 = 1 << uint(q)
-		switch kind := g.Kind(); {
-		case kind == gate.KindI:
+		if g.Kind() == gate.KindI {
 			k.kind = okIdentity
-		case kind == gate.KindX:
-			k.kind = okX
-		case kind == gate.KindY:
-			k.kind = okY
-		case kind == gate.KindZ:
-			k.kind = okZ
-		case kind == gate.KindH:
-			k.kind = okH
-		case diagKind(kind):
-			k.kind, k.mat = okDiag, g.Matrix()
-		default:
-			k.kind, k.mat = ok1, g.Matrix()
+			break
 		}
+		st := gstepFor(g)
+		k.kind, k.u = okPairs, st.u
+		k.r = pairRoutine(st.op, k.b0, FuseOff, useAVX2 && n >= 2)
 	case g.Qubits() == 2:
 		q0, q1 := qubits[0], qubits[1]
 		if q0 == q1 {
@@ -218,15 +211,17 @@ func resolveOp(k *OpKernel, n int, g *gate.Gate, qubits []int) {
 			panic(fmt.Sprintf("statevec: qubit pair (%d,%d) out of range [0,%d)", q0, q1, n))
 		}
 		k.b0, k.b1 = 1<<uint(q0), 1<<uint(q1)
-		switch g.Kind() {
-		case gate.KindCX:
-			k.kind = okCX
+		switch kind := g.Kind(); kind {
 		case gate.KindCZ:
 			k.kind = okCZ
 		case gate.KindSwap:
 			k.kind = okSwap
 		default:
-			k.kind, k.mat = ok2, g.Matrix()
+			if kind != gate.KindCX {
+				k.m = (*[16]complex128)(g.Matrix().Data())
+			}
+			k.kind = okUnits
+			k.r = unitRoutine(kind == gate.KindCX, k.b0, k.b1, FuseOff, useAVX2 && n >= 3)
 		}
 	case g.Qubits() == 3 && g.Kind() == gate.KindCCX:
 		c0, c1, t := qubits[0], qubits[1], qubits[2]
@@ -238,53 +233,49 @@ func resolveOp(k *OpKernel, n int, g *gate.Gate, qubits []int) {
 		}
 		k.kind, k.b0, k.b1, k.b2 = okCCX, 1<<uint(c0), 1<<uint(c1), 1<<uint(t)
 	default:
-		k.kind, k.mat, k.qubits = okK, g.Matrix(), qubits
+		for _, q := range qubits {
+			if q < 0 || q >= n {
+				panic(fmt.Sprintf("statevec: qubit %d out of range [0,%d)", q, n))
+			}
+		}
+		k.kind, k.kq = okK, newKQKernel(g.Matrix(), qubits)
 	}
 	k.dim = 1 << uint(n)
-	k.direct = directSweep(k)
 }
 
 // ApplyKernel runs a resolved op on the state, which must have the width
 // the kernel was resolved for; it panics otherwise. That one length check
-// stands in for the per-call range proofs of the sweep wrappers: a
-// whole-state sweep that fits one assembly call runs it directly.
+// stands in for the per-call range proofs of sweepPairs and sweepUnits:
+// ResolveOp proved the qubits in range, so a whole-state sweep goes
+// straight to the chunk loop, one assembly call for at most asmChunk
+// pairs or units.
 func (s *State) ApplyKernel(k *OpKernel) {
 	amp := s.amp
 	if len(amp) != k.dim {
 		panic(fmt.Sprintf("statevec: kernel resolved for %d amplitudes applied to a state of %d", k.dim, len(amp)))
 	}
-	if k.direct {
-		sweepDirect(amp, k)
-		return
-	}
 	switch k.kind {
+	case okPairs:
+		if k.r < rXAVX2 {
+			goPairs(amp, k.r, k.b0, 0, units1(amp, k.b0), &k.u)
+		} else {
+			pairsAsm(amp, k.r, k.b0, 0, len(amp)>>1, &k.u)
+		}
+	case okUnits:
+		if k.r < rXAVX2 {
+			goUnits(amp, k.r, k.b0, k.b1, 0, len(amp)>>2, k.m)
+		} else {
+			unitsAsm(amp, k.r, k.b0, k.b1, 0, len(amp)>>2, k.m)
+		}
 	case okIdentity:
-	case okX:
-		kernX(amp, k.b0, 0, units1(amp, k.b0))
-	case okY:
-		kernY(amp, k.b0, 0, units1(amp, k.b0))
-	case okZ:
-		kernZ(amp, k.b0, 0, units1(amp, k.b0))
-	case okH:
-		kernH(amp, k.b0, 0, units1(amp, k.b0))
-	case okDiag:
-		m := k.mat.Data()
-		kernDiag(amp, k.b0, 0, units1(amp, k.b0), m[0], m[3])
-	case ok1:
-		m := k.mat.Data()
-		kern1(amp, k.b0, 0, units1(amp, k.b0), m[0], m[1], m[2], m[3])
-	case okCX:
-		kernCX(amp, k.b0, k.b1, 0, len(amp)>>2)
 	case okCZ:
 		kernCZ(amp, k.b0, k.b1, 0, len(amp)>>2)
 	case okSwap:
 		kernSwap(amp, k.b0, k.b1, 0, len(amp)>>2)
-	case ok2:
-		kern2(amp, k.b0, k.b1, 0, len(amp)>>2, (*[16]complex128)(k.mat.Data()))
 	case okCCX:
 		kernCCX(amp, k.b0, k.b1, k.b2, 0, len(amp)>>3)
 	case okK:
-		s.applyK(k.mat, k.qubits)
+		k.kq.run(amp, 0, k.kq.units(len(amp)))
 	}
 }
 
@@ -305,60 +296,12 @@ func diagKind(k gate.Kind) bool {
 	return false
 }
 
-// mat2Flat copies a 4x4 qmath.Matrix into the flat row-major array kern2
-// consumes.
+// mat2Flat copies a 4x4 qmath.Matrix into the flat row-major array the
+// unit routines consume.
 func mat2Flat(m qmath.Matrix, out *[16]complex128) {
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 4; c++ {
 			out[r*4+c] = m.At(r, c)
-		}
-	}
-}
-
-// applyK applies an arbitrary k-qubit unitary given as a 2^k x 2^k matrix.
-// qubits[0] corresponds to the most-significant bit of the matrix index,
-// matching the (control, ..., target) ordering of the gate library.
-func (s *State) applyK(m qmath.Matrix, qubits []int) {
-	k := len(qubits)
-	if m.Dim() != 1<<uint(k) {
-		panic(fmt.Sprintf("statevec: matrix dim %d does not match %d qubits", m.Dim(), k))
-	}
-	for _, q := range qubits {
-		if q < 0 || q >= s.n {
-			panic(fmt.Sprintf("statevec: qubit %d out of range [0,%d)", q, s.n))
-		}
-	}
-	sub := 1 << uint(k)
-	// bits[j] is the amplitude-index bit of the j-th matrix-index bit,
-	// where matrix bit j (from LSB) corresponds to qubits[k-1-j].
-	bits := make([]int, k)
-	for j := 0; j < k; j++ {
-		bits[j] = 1 << uint(qubits[k-1-j])
-	}
-	mask := 0
-	for _, b := range bits {
-		mask |= b
-	}
-	scratchIn := make([]complex128, sub)
-	scratchOut := make([]complex128, sub)
-	idx := make([]int, sub)
-	for base := range s.amp {
-		if base&mask != 0 {
-			continue // visit each coset once, at its all-zeros representative
-		}
-		for v := 0; v < sub; v++ {
-			j := base
-			for b := 0; b < k; b++ {
-				if v&(1<<uint(b)) != 0 {
-					j |= bits[b]
-				}
-			}
-			idx[v] = j
-			scratchIn[v] = s.amp[j]
-		}
-		m.MulVec(scratchOut, scratchIn)
-		for v := 0; v < sub; v++ {
-			s.amp[idx[v]] = scratchOut[v]
 		}
 	}
 }
@@ -370,17 +313,19 @@ func (s *State) ApplyPauli(p gate.Pauli, q int) {
 	if q < 0 || q >= s.n {
 		panic(fmt.Sprintf("statevec: qubit %d out of range [0,%d)", q, s.n))
 	}
-	bit, units := 1<<uint(q), len(s.amp)>>uint(q+1)
+	var op uint8
 	switch p {
 	case gate.PauliX:
-		kernX(s.amp, bit, 0, units)
+		op = sX
 	case gate.PauliY:
-		kernY(s.amp, bit, 0, units)
+		op = sY
 	case gate.PauliZ:
-		kernZ(s.amp, bit, 0, units)
+		op = sZ
 	default:
 		panic(fmt.Sprintf("statevec: invalid Pauli %d", int(p)))
 	}
+	bit := 1 << uint(q)
+	sweepPairs(s.amp, pairRoutine(op, bit, FuseOff, useAVX2), bit, 0, len(s.amp)>>uint(q+1), nil)
 }
 
 // Sample draws one measurement outcome (a basis-state index over all n

@@ -11,6 +11,56 @@ import (
 	"repro/internal/qmath"
 )
 
+// applyK applies an arbitrary k-qubit unitary given as a 2^k x 2^k matrix,
+// the plain reference the specialized kernels and the kq kernel are
+// tested against. qubits[0] corresponds to the most-significant bit of
+// the matrix index, matching the (control, ..., target) ordering of the
+// gate library.
+func (s *State) applyK(m qmath.Matrix, qubits []int) {
+	k := len(qubits)
+	if m.Dim() != 1<<uint(k) {
+		panic(fmt.Sprintf("statevec: matrix dim %d does not match %d qubits", m.Dim(), k))
+	}
+	for _, q := range qubits {
+		if q < 0 || q >= s.n {
+			panic(fmt.Sprintf("statevec: qubit %d out of range [0,%d)", q, s.n))
+		}
+	}
+	sub := 1 << uint(k)
+	// bits[j] is the amplitude-index bit of the j-th matrix-index bit,
+	// where matrix bit j (from LSB) corresponds to qubits[k-1-j].
+	bits := make([]int, k)
+	for j := 0; j < k; j++ {
+		bits[j] = 1 << uint(qubits[k-1-j])
+	}
+	mask := 0
+	for _, b := range bits {
+		mask |= b
+	}
+	scratchIn := make([]complex128, sub)
+	scratchOut := make([]complex128, sub)
+	idx := make([]int, sub)
+	for base := range s.amp {
+		if base&mask != 0 {
+			continue // visit each coset once, at its all-zeros representative
+		}
+		for v := 0; v < sub; v++ {
+			j := base
+			for b := 0; b < k; b++ {
+				if v&(1<<uint(b)) != 0 {
+					j |= bits[b]
+				}
+			}
+			idx[v] = j
+			scratchIn[v] = s.amp[j]
+		}
+		m.MulVec(scratchOut, scratchIn)
+		for v := 0; v < sub; v++ {
+			s.amp[idx[v]] = scratchOut[v]
+		}
+	}
+}
+
 // applyReference applies a gate to a state vector the slow, obviously
 // correct way: build the full 2^n x 2^n operator by Kronecker products and
 // index permutation, then multiply.
