@@ -138,9 +138,12 @@ fuzz-smoke:
 # detector over the whole tree (includes the -short-gated deep
 # differential sweep, the batch bit-identity sweep at 1/2/4/8 workers,
 # and the restore-policy matrix), fuzz smoke, the CLI self-test, the
-# daemon smoke test, and the cross-circuit batch and restore-policy
-# experiments end to end. The steady-state allocation contract is a Go
-# test in internal/sim, so every go test run checks it.
+# daemon smoke test, the cross-circuit batch and restore-policy
+# experiments end to end, and the 100-qubit Clifford RB example (the
+# tableau plan path at width; it exits 1 unless the reordered run matches
+# the baseline and executes exactly the plan's ops). The steady-state
+# allocation contract is a Go test in internal/sim, so every go test run
+# checks it.
 verify-deep: build
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -151,3 +154,4 @@ verify-deep: build
 	$(GO) run ./cmd/repro -exp batch
 	$(GO) run ./cmd/repro -exp uncompute
 	$(GO) run ./cmd/repro -exp soabatch
+	$(GO) run ./examples/clifford_rb

@@ -382,14 +382,14 @@ func BenchmarkExecTableau(b *testing.B) {
 	}
 	b.Run("baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.BaselineBackend(c, trials, sim.NewTableauBackend(n)); err != nil {
+			if _, err := sim.BaselineTableau(c, trials); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("reordered", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.ExecutePlanBackend(c, plan, sim.NewTableauBackend(n)); err != nil {
+			if _, err := sim.ExecutePlanTableau(c, plan); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -107,14 +107,14 @@ func main() {
 	}
 
 	start := time.Now()
-	base, err := sim.BaselineBackend(circ, trials, sim.NewTableauBackend(nQubits))
+	base, err := sim.BaselineTableau(circ, trials)
 	if err != nil {
 		log.Fatal(err)
 	}
 	baseT := time.Since(start)
 
 	start = time.Now()
-	reord, err := sim.ExecutePlanBackend(circ, plan, sim.NewTableauBackend(nQubits))
+	reord, err := sim.ExecutePlanTableau(circ, plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,6 +122,9 @@ func main() {
 
 	if !sim.EqualOutcomes(base, reord) {
 		log.Fatal("equivalence violated")
+	}
+	if reord.Ops != plan.OptimizedOps() {
+		log.Fatalf("reordered run executed %d ops, plan has %d", reord.Ops, plan.OptimizedOps())
 	}
 	fmt.Printf("baseline:  %8d ops  %v\n", base.Ops, baseT.Round(time.Millisecond))
 	fmt.Printf("reordered: %8d ops  %v  (%.1f%% saved, MSV %d)\n",

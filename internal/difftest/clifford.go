@@ -9,6 +9,7 @@ import (
 	"repro/internal/noise"
 	"repro/internal/reorder"
 	"repro/internal/sim"
+	"repro/internal/stabilizer"
 	"repro/internal/statevec"
 	"repro/internal/trial"
 )
@@ -46,7 +47,8 @@ func RandomCliffordCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
 //     vector's distribution (catches sign/phase-tracking bugs that
 //     preserve marginals but shift the supported affine subspace);
 //   - tableau execution is order-invariant: plan execution and naive
-//     backend execution produce identical per-trial outcomes.
+//     backend execution produce identical per-trial outcomes, and the
+//     plan execution performs exactly the plan's ops at its MSV.
 func CheckClifford(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(4)
@@ -70,25 +72,29 @@ func checkCliffordTrials(c *circuit.Circuit, trials []*trial.Trial) error {
 	if err != nil {
 		return err
 	}
-	planTab, err := sim.ExecutePlanBackend(c, plan, sim.NewTableauBackend(c.NumQubits()))
+	planTab, err := sim.ExecutePlanTableau(c, plan)
 	if err != nil {
 		return err
 	}
-	naiveTab, err := sim.BaselineBackend(c, trials, sim.NewTableauBackend(c.NumQubits()))
+	naiveTab, err := sim.BaselineTableau(c, trials)
 	if err != nil {
 		return err
 	}
 	if !sim.EqualOutcomes(naiveTab, planTab) {
 		return fmt.Errorf("tableau outcomes differ between naive and plan execution%s", firstOutcomeDiff(naiveTab, planTab))
 	}
+	// The plan contract the state-vector executors are held to.
+	if planTab.Ops != plan.OptimizedOps() || planTab.MSV != plan.MSV() {
+		return fmt.Errorf("tableau plan execution: ops %d, MSV %d; plan says ops %d, MSV %d",
+			planTab.Ops, planTab.MSV, plan.OptimizedOps(), plan.MSV())
+	}
 
 	// Per-trial distribution agreement between backends.
 	for _, t := range trials {
-		sv, tb, err := cliffordFinalStates(c, t)
+		sv, tab, err := cliffordFinalStates(c, t)
 		if err != nil {
 			return err
 		}
-		tab := tb.Tableau()
 		probs := sv.Probabilities()
 		for _, meas := range c.Measurements() {
 			q := meas.Qubit
@@ -110,7 +116,7 @@ func checkCliffordTrials(c *circuit.Circuit, trials []*trial.Trial) error {
 		}
 		// The tableau's sampled joint outcome must be supported by the
 		// state vector's distribution.
-		bits := tb.SampleBits(c, t)
+		bits := sim.SampleTableau(tab, c, t)
 		if p := jointProbability(probs, c, bits); p < 1e-9 {
 			return fmt.Errorf("trial %d: tableau sampled %0*b, outside statevec support (p=%g)", t.ID, c.NumQubits(), bits, p)
 		}
@@ -120,9 +126,9 @@ func checkCliffordTrials(c *circuit.Circuit, trials []*trial.Trial) error {
 
 // cliffordFinalStates replays one trial on both backends, returning the
 // final pre-measurement states.
-func cliffordFinalStates(c *circuit.Circuit, t *trial.Trial) (*statevec.State, *sim.TableauBackend, error) {
+func cliffordFinalStates(c *circuit.Circuit, t *trial.Trial) (*statevec.State, *stabilizer.Tableau, error) {
 	sv := statevec.NewState(c.NumQubits())
-	tb := sim.NewTableauBackend(c.NumQubits())
+	tb := stabilizer.New(c.NumQubits())
 	layers := c.Layers()
 	ops := c.Ops()
 	next := 0

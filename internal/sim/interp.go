@@ -14,7 +14,8 @@ import (
 )
 
 // The plan-step interpreter. Every single-lane executor — a sequential
-// plan, a subtree trunk, a subtree task — walks its steps through
+// plan, a subtree trunk, a subtree task, a tableau plan — walks its
+// steps through runSteps; the state vector does so through
 // branchState.run under every restore policy. A branch point (StepPush)
 // becomes a frame: a *real* frame stores a snapshot of the working
 // register, a *virtual* frame (PolicyUncompute/PolicyAdaptive only, see
@@ -62,6 +63,8 @@ type branchState struct {
 	realCnt int  // real frames currently stored (entry floor included)
 	policy  bool // a non-snapshot policy decides branch points: journal every mutation
 	exact   bool // non-numeric mode: reverse only exactly invertible suffixes
+
+	emitMark time.Time // recorder only: when the previous emit batch ended
 }
 
 // advancer is what one run advances layer ranges with: the compiled
@@ -102,10 +105,12 @@ func newDispatchTable(c *circuit.Circuit) *dispatchTable {
 	return t
 }
 
-// newBranchState returns the state by value so that callers keep it on
-// their stack: one is built per plan, trunk and subtree task.
-func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, striped bool) branchState {
-	return branchState{
+// newBranchState returns a branch state for one plan, trunk or worker;
+// a worker reuses it across its tasks (runSubtree). runSteps takes it as
+// a stepper, so it lives on the heap: reuse keeps that to one allocation
+// per goroutine, not one per task.
+func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, striped bool) *branchState {
+	return &branchState{
 		c: c, opt: opt, rec: opt.Recorder, tr: tr, pool: pool,
 		prog: adv.prog, tab: adv.tab, res: res, striped: striped,
 		policy: opt.Policy != PolicySnapshot,
@@ -113,56 +118,44 @@ func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, 
 	}
 }
 
-// run interprets one step list against the working register: order
-// resolves emitted trial indices, want is the number of trials the list
-// must emit, and spawn serves StepSpawn (nil everywhere but a trunk),
-// with last set when the next step is not a spawn, which closes the
-// current lane group. It fails unless the list emitted exactly want
-// trials and unwound to its floor.
-func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int, spawn func(task int, last bool)) error {
+// stepper is one working register with a stack of branch points: what
+// runSteps drives. *branchState is the state vector's under every restore
+// policy; *tableauRun is the stabilizer tableau's (snapshots only).
+type stepper interface {
+	advance(from, to int)
+	push()
+	inject(op gate.Pauli, qubit int)
+	emit(ts []*trial.Trial)
+	pop() error
+	restore()
+	// unwound fails unless every frame the steps opened was popped.
+	unwound() error
+}
+
+// runSteps interprets one step list against h: order resolves emitted
+// trial indices, want is the number of trials the list must emit, and
+// spawn serves StepSpawn (nil everywhere but a trunk), with last set when
+// the next step is not a spawn, which closes the current lane group. It
+// fails unless the list emitted exactly want trials and unwound.
+func runSteps(h stepper, steps []reorder.Step, order []*trial.Trial, want int, spawn func(task int, last bool)) error {
 	emitted := 0
-	// Trial latency (recorder-only) is the wall time since the previous
-	// emit, amortized equally over the emit batch, so the histogram's
-	// count always equals the trials emitted. Trunk prefix time is shared
-	// by construction and not attributed to trials.
-	var emitMark time.Time
-	if bs.rec != nil {
-		emitMark = time.Now()
-	}
 	for i, s := range steps {
 		switch s.Kind {
 		case reorder.StepAdvance:
-			bs.advance(int(s.From), int(s.To))
+			h.advance(int(s.From), int(s.To))
 		case reorder.StepPush:
-			bs.push()
+			h.push()
 		case reorder.StepInject:
-			bs.inject(s.Op, int(s.Qubit))
+			h.inject(s.Op, int(s.Qubit))
 		case reorder.StepEmit:
-			for _, t := range order[s.From:s.To] {
-				bs.res.Outcomes = append(bs.res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(bs.work, bs.c, t)})
-				if bs.opt.KeepStates {
-					bs.res.FinalStates[t.ID] = bs.work.Clone()
-				}
-			}
-			n := int(s.To - s.From)
-			emitted += n
-			if bs.rec != nil {
-				bs.rec.Add(obs.TrialsEmitted, int64(n))
-				now := time.Now()
-				if n > 0 {
-					per := int64(now.Sub(emitMark)) / int64(n)
-					for j := 0; j < n; j++ {
-						bs.rec.Observe(obs.HistTrialLatency, per)
-					}
-				}
-				emitMark = now
-			}
+			h.emit(order[s.From:s.To])
+			emitted += int(s.To - s.From)
 		case reorder.StepPop:
-			if err := bs.pop(); err != nil {
+			if err := h.pop(); err != nil {
 				return err
 			}
 		case reorder.StepRestore:
-			bs.restore()
+			h.restore()
 		case reorder.StepSpawn:
 			if spawn == nil {
 				return fmt.Errorf("sim: spawn step outside a trunk")
@@ -175,6 +168,43 @@ func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int,
 	if emitted != want {
 		return fmt.Errorf("sim: emitted %d of %d trials", emitted, want)
 	}
+	return h.unwound()
+}
+
+// run is runSteps over the working register.
+func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int, spawn func(task int, last bool)) error {
+	// Trial latency (recorder-only) is the wall time since the previous
+	// emit, amortized equally over the emit batch, so the histogram's
+	// count always equals the trials emitted. Trunk prefix time is shared
+	// by construction and not attributed to trials.
+	if bs.rec != nil {
+		bs.emitMark = time.Now()
+	}
+	return runSteps(bs, steps, order, want, spawn)
+}
+
+func (bs *branchState) emit(ts []*trial.Trial) {
+	for _, t := range ts {
+		bs.res.Outcomes = append(bs.res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(bs.work, bs.c, t)})
+		if bs.opt.KeepStates {
+			bs.res.FinalStates[t.ID] = bs.work.Clone()
+		}
+	}
+	if bs.rec != nil {
+		n := len(ts)
+		bs.rec.Add(obs.TrialsEmitted, int64(n))
+		now := time.Now()
+		if n > 0 {
+			per := int64(now.Sub(bs.emitMark)) / int64(n)
+			for j := 0; j < n; j++ {
+				bs.rec.Observe(obs.HistTrialLatency, per)
+			}
+		}
+		bs.emitMark = now
+	}
+}
+
+func (bs *branchState) unwound() error {
 	if len(bs.frames) != bs.floor {
 		return fmt.Errorf("sim: execution leaves %d branch frames", len(bs.frames)-bs.floor)
 	}

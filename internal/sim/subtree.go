@@ -296,6 +296,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 			defer wg.Done()
 			res := newResult(c, 0, opt.KeepStates)
 			pool := newStatePool(c.NumQubits(), arena)
+			bs := newBranchState(c, opt, adv, res, &tracker, pool, false)
 			var br *batchRunner
 			if lanes > 1 && opt.Policy == PolicySnapshot {
 				br = newBatchRunner(c.NumQubits(), lanes, arena)
@@ -306,16 +307,15 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 					break
 				}
 				if errs[w] == nil {
-					wopt := opt
 					var tsp *trace.Span
 					if esp != nil {
 						tsp = esp.Child("subtree_task",
 							trace.Int("tasks", int64(len(qt.tasks))),
 							trace.Int("static_ops", qt.ops))
 						tsp.SetWorker(w)
-						wopt.Span = tsp
 					}
-					errs[w] = runTaskGroup(c, sp, adv, qt, wopt, res, &tracker, pool, br)
+					bs.opt.Span = tsp
+					errs[w] = runTaskGroup(sp, bs, qt, br)
 					tsp.SetError(errs[w])
 					tsp.End()
 				} else {
@@ -419,8 +419,9 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 	return res, nil
 }
 
-// runSubtree executes one task against its entry state, accumulating
-// outcomes and op counts into the worker's partial result.
+// runSubtree executes one task against its entry state on the worker's
+// branch state, accumulating outcomes and op counts into the worker's
+// partial result.
 //
 // An unbudgeted snapshot task adopts the entry clone as its working
 // register (it stops being a stored vector). Otherwise the task keeps the
@@ -432,27 +433,28 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 // reported as a snapshot push — PolicyUncompute still executes with
 // snapshot_pushes == 0. A snapshot plan with budget 0 adopts the entry
 // and restores replay from |0...0>.
-func runSubtree(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, st *reorder.Subtree, entry *statevec.State, opt Options, res *Result, tr *msvTracker, pool *statePool) error {
-	bs := newBranchState(c, opt, adv, res, tr, pool, false)
-	keepEntry := opt.Policy != PolicySnapshot || (sp.Budget() != math.MaxInt && sp.Budget() >= 1)
+func runSubtree(sp *reorder.SplitPlan, bs *branchState, st *reorder.Subtree, entry *statevec.State) error {
+	bs.frames, bs.journal = bs.frames[:0], bs.journal[:0]
+	bs.floor, bs.realCnt = 0, 0
+	keepEntry := bs.policy || (sp.Budget() != math.MaxInt && sp.Budget() >= 1)
 	if keepEntry {
-		bs.work = pool.get()
+		bs.work = bs.pool.get()
 		bs.work.CopyFrom(entry)
-		res.Copies++
+		bs.res.Copies++
 		bs.frames = append(bs.frames, pframe{real: true, st: entry})
 		bs.floor = 1
 		bs.realCnt = 1
 	} else {
 		bs.work = entry
-		tr.add(-1) // adopted as the working register
+		bs.tr.add(-1) // adopted as the working register
 	}
 	if err := bs.run(st.Steps, sp.Order, st.Trials, nil); err != nil {
 		return fmt.Errorf("sim: task %d: %v", st.ID, err)
 	}
-	pool.put(bs.work)
+	bs.pool.put(bs.work)
 	if keepEntry {
-		tr.add(-1) // the preserved entry state is dropped with the task
-		pool.put(entry)
+		bs.tr.add(-1) // the preserved entry state is dropped with the task
+		bs.pool.put(entry)
 	}
 	return nil
 }

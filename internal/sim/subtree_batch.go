@@ -44,17 +44,17 @@ func ExecuteBatchedSubtree(c *circuit.Circuit, trials []*trial.Trial, workers, l
 // path; larger snapshot-policy groups go through the batched engine. A
 // panic in a task becomes the group's error, so the worker survives to
 // keep draining the queue.
-func runTaskGroup(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, qt queuedTask, opt Options, res *Result, tr *msvTracker, pool *statePool, br *batchRunner) (err error) {
+func runTaskGroup(sp *reorder.SplitPlan, bs *branchState, qt queuedTask, br *batchRunner) (err error) {
 	defer recoverErr(&err)
-	if br == nil || len(qt.tasks) == 1 || opt.Policy != PolicySnapshot {
+	if br == nil || len(qt.tasks) == 1 || bs.policy {
 		for i, st := range qt.tasks {
-			if err := runSubtree(c, sp, adv, st, qt.entries[i], opt, res, tr, pool); err != nil {
+			if err := runSubtree(sp, bs, st, qt.entries[i]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return br.run(c, sp, adv.prog, qt, opt, res, tr, pool)
+	return br.run(bs.c, sp, bs.prog, qt, bs.opt, bs.res, bs.tr, bs.pool)
 }
 
 // laneExec is one lane's execution state within a task group: the task,
