@@ -123,6 +123,7 @@ selftest: build
 fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzTrialSerializeRoundTrip -fuzztime 10s ./internal/trial
 	$(GO) test -run ^$$ -fuzz FuzzSortMatchesStable -fuzztime 10s ./internal/reorder
+	$(GO) test -run ^$$ -fuzz FuzzValidatedPlanExecutes -fuzztime 10s ./internal/sim
 	$(GO) test -run ^$$ -fuzz FuzzParseQASM -fuzztime 10s ./internal/circuit
 	$(GO) test -run ^$$ -fuzz FuzzCompileParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzDaggerRoundTrip -fuzztime 10s ./internal/statevec

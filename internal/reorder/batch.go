@@ -156,7 +156,7 @@ func BuildBatchPlanBudget(c *circuit.Circuit, vars []circuit.Variant, trialSets 
 	bp.perVarMSV = make([]int, len(vars))
 	bp.perVarCopies = make([]int64, len(vars))
 	for vi := range vars {
-		a, err := analyzeBudget(c, bp.byVariant[vi], budget)
+		a, err := analyze(c, bp.byVariant[vi], math.MaxInt, budget)
 		if err != nil {
 			return nil, fmt.Errorf("reorder: variant %d analysis: %v", vi, err)
 		}
@@ -165,22 +165,6 @@ func BuildBatchPlanBudget(c *circuit.Circuit, vars []circuit.Variant, trialSets 
 		bp.perVarCopies[vi] = a.Copies
 	}
 	return bp, nil
-}
-
-// analyzeBudget is Analyze under a snapshot budget: the planBuilder
-// recursion in counting mode, so per-variant reference metrics match
-// BuildPlanBudget exactly without materializing steps.
-func analyzeBudget(c *circuit.Circuit, trials []*trial.Trial, budget int) (Analysis, error) {
-	p, err := planShell(c, Sort(trials))
-	if err != nil {
-		return Analysis{}, err
-	}
-	b := newPlanBuilder(p, math.MaxInt, budget)
-	b.build(0, len(p.Order), 0)
-	if b.layersDone != p.nLayers || len(b.snaps) != 0 {
-		return Analysis{}, fmt.Errorf("reorder: internal analysis error (layer %d of %d, stack %d)", b.layersDone, p.nLayers, len(b.snaps))
-	}
-	return p.Analysis(), nil
 }
 
 // NumVariants returns the batch's variant count.

@@ -128,8 +128,8 @@ func (p *partitioner) node(lo, hi, depth int) {
 // StepKind discriminates plan steps.
 type StepKind uint8
 
-// Plan step kinds. The executor (internal/sim) and the static analyzer
-// both interpret exactly these five.
+// Plan step kinds. Walk dispatches each to one Handler method (a Spawn
+// to its spawn function).
 const (
 	// StepAdvance applies gate layers [From, To) of the circuit to the
 	// working state, error-free.
@@ -288,40 +288,54 @@ func (p *Plan) Copies() int64 { return p.pushCount }
 // open branch point, resetting its accumulator (the restore unwound the
 // outstanding ops); the reported value is what remains at the final pop.
 func (p *Plan) BranchRollbackOps() []int64 {
-	out := make([]int64, 0, p.pushCount)
-	type openBranch struct {
-		idx int
-		acc int64
+	if p.Validate() != nil {
+		return nil // invalid plan; Validate reports the real error
 	}
-	var stack []openBranch
-	for _, s := range p.Steps {
-		switch s.Kind {
-		case StepAdvance:
-			if n := len(stack); n > 0 {
-				stack[n-1].acc += int64(p.GatesInLayers(int(s.From), int(s.To)))
-			}
-		case StepInject:
-			if n := len(stack); n > 0 {
-				stack[n-1].acc++
-			}
-		case StepPush:
-			out = append(out, 0)
-			stack = append(stack, openBranch{idx: len(out) - 1})
-		case StepPop:
-			n := len(stack)
-			if n == 0 {
-				return nil // invalid plan; Validate reports the real error
-			}
-			out[stack[n-1].idx] = stack[n-1].acc
-			stack = stack[:n-1]
-		case StepRestore:
-			if n := len(stack); n > 0 {
-				stack[n-1].acc = 0
-			}
-		}
-	}
-	return out
+	r := &rollback{p: p, out: make([]int64, 0, p.pushCount)}
+	_ = Walk(r, p.Steps, p.Order, len(p.Order), nil) // a valid plan walks without error
+	return r.out
 }
+
+// rollback is BranchRollbackOps' handler. out holds one count per push
+// so far; open indexes the pushes not yet popped, innermost last.
+type rollback struct {
+	p    *Plan
+	out  []int64
+	open []int
+}
+
+// add charges n ops to the innermost open push.
+func (r *rollback) add(n int) error {
+	if k := len(r.open); k > 0 {
+		r.out[r.open[k-1]] += int64(n)
+	}
+	return nil
+}
+
+func (r *rollback) Advance(from, to int) error     { return r.add(r.p.GatesInLayers(from, to)) }
+func (r *rollback) Inject(gate.Pauli, int) error   { return r.add(1) }
+func (r *rollback) Emit(int, []*trial.Trial) error { return nil }
+
+func (r *rollback) Push() error {
+	r.open = append(r.open, len(r.out))
+	r.out = append(r.out, 0)
+	return nil
+}
+
+func (r *rollback) Pop() error {
+	r.open = r.open[:len(r.open)-1]
+	return nil
+}
+
+// Restore unwinds the ops outstanding at the innermost open push.
+func (r *rollback) Restore() error {
+	if k := len(r.open); k > 0 {
+		r.out[r.open[k-1]] = 0
+	}
+	return nil
+}
+
+func (r *rollback) Unwound() error { return nil }
 
 // BuildPlan sorts the trials with Sort and constructs the execution plan:
 // a depth-first walk of the injection-prefix trie in which each trie
@@ -665,11 +679,18 @@ func Analyze(c *circuit.Circuit, trials []*trial.Trial) (Analysis, error) {
 // Algorithm 1's recursion. Intended for ablation studies of the reorder
 // depth.
 func AnalyzeCapped(c *circuit.Circuit, trials []*trial.Trial, maxShared int) (Analysis, error) {
+	return analyze(c, trials, maxShared, math.MaxInt)
+}
+
+// analyze sorts trials and counts their plan under a sharing depth cap
+// and a snapshot budget: the planBuilder recursion without steps, so its
+// metrics match BuildPlanBudget's exactly.
+func analyze(c *circuit.Circuit, trials []*trial.Trial, depthCap, budget int) (Analysis, error) {
 	p, err := planShell(c, Sort(trials))
 	if err != nil {
 		return Analysis{}, err
 	}
-	b := newPlanBuilder(p, maxShared, math.MaxInt)
+	b := newPlanBuilder(p, depthCap, budget)
 	b.build(0, len(p.Order), 0)
 	if b.layersDone != p.nLayers || len(b.snaps) != 0 {
 		return Analysis{}, fmt.Errorf("reorder: internal analysis error (layer %d of %d, stack %d)", b.layersDone, p.nLayers, len(b.snaps))
@@ -690,99 +711,6 @@ func (p *Plan) Analysis() Analysis {
 		CircuitLayers: p.nLayers,
 		CircuitGates:  p.totalOps,
 	}
-}
-
-// Validate walks the plan checking structural invariants: layer ranges
-// monotone and in bounds, stack never underflows, every trial emitted
-// exactly once, every emit at the final layer, and injections consistent
-// with the emitted trials' injection lists. It exists so tests and the
-// executor can trust the plan shape unconditionally.
-func (p *Plan) Validate() error {
-	emitted := make([]bool, len(p.Order))
-	layersDone := 0
-	var stack []int
-	type pending struct {
-		inj []trial.Key
-	}
-	cur := pending{}
-	var pendStack []pending
-	for si, s := range p.Steps {
-		switch s.Kind {
-		case StepAdvance:
-			if int(s.From) != layersDone || s.To < s.From || int(s.To) > p.nLayers {
-				return fmt.Errorf("reorder: step %d advance [%d,%d) inconsistent with layersDone %d", si, s.From, s.To, layersDone)
-			}
-			layersDone = int(s.To)
-		case StepPush:
-			stack = append(stack, layersDone)
-			pendStack = append(pendStack, pending{inj: append([]trial.Key(nil), cur.inj...)})
-		case StepInject:
-			if layersDone == 0 {
-				return fmt.Errorf("reorder: step %d injects before any layer", si)
-			}
-			cur.inj = append(cur.inj, trial.Pack(layersDone-1, int(s.Qubit), s.Op))
-		case StepEmit:
-			if layersDone != p.nLayers {
-				return fmt.Errorf("reorder: step %d emits at layer %d of %d", si, layersDone, p.nLayers)
-			}
-			if err := checkEmitRange(s, len(p.Order)); err != nil {
-				return fmt.Errorf("reorder: step %d %v", si, err)
-			}
-			for idx := int(s.From); idx < int(s.To); idx++ {
-				if emitted[idx] {
-					return fmt.Errorf("reorder: trial %d emitted twice", idx)
-				}
-				emitted[idx] = true
-				t := p.Order[idx]
-				if len(t.Inj) != len(cur.inj) {
-					return fmt.Errorf("reorder: trial %d emitted with %d injections applied, has %d", t.ID, len(cur.inj), len(t.Inj))
-				}
-				for k := range t.Inj {
-					if t.Inj[k] != cur.inj[k] {
-						return fmt.Errorf("reorder: trial %d injection %d mismatch: applied %v, want %v", t.ID, k, cur.inj[k].Unpack(), t.Inj[k].Unpack())
-					}
-				}
-			}
-		case StepPop:
-			if len(stack) == 0 {
-				return fmt.Errorf("reorder: step %d pops empty stack", si)
-			}
-			layersDone = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			cur = pendStack[len(pendStack)-1]
-			pendStack = pendStack[:len(pendStack)-1]
-		case StepRestore:
-			if len(stack) == 0 {
-				layersDone = 0
-				cur = pending{}
-			} else {
-				layersDone = stack[len(stack)-1]
-				cur = pending{inj: append([]trial.Key(nil), pendStack[len(pendStack)-1].inj...)}
-			}
-		case StepSpawn:
-			return fmt.Errorf("reorder: step %d is a spawn; spawns belong in SplitPlan trunks only", si)
-		default:
-			return fmt.Errorf("reorder: step %d has unknown kind %d", si, s.Kind)
-		}
-	}
-	if len(stack) != 0 {
-		return fmt.Errorf("reorder: plan leaves %d snapshots on the stack", len(stack))
-	}
-	for i, ok := range emitted {
-		if !ok {
-			return fmt.Errorf("reorder: trial %d (id %d) never emitted", i, p.Order[i].ID)
-		}
-	}
-	return nil
-}
-
-// checkEmitRange rejects an Emit whose trial range Order[From:To] is empty
-// or reaches outside an order of n trials.
-func checkEmitRange(s Step, n int) error {
-	if s.From < 0 || int(s.To) > n || s.From >= s.To {
-		return fmt.Errorf("emits trial range [%d,%d) outside [0,%d) or empty", s.From, s.To, n)
-	}
-	return nil
 }
 
 // Dump writes the plan as readable text, one step per line with the

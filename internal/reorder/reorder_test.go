@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -657,43 +658,187 @@ func TestCheckStepRange(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBadEmitRange: Plan.Validate and SplitPlan.Validate
-// reject an Emit whose trial range is empty or leaves the order.
-func TestValidateRejectsBadEmitRange(t *testing.T) {
-	c, trials := benchTrials(t, "bv5", 300, 9)
-	bad := map[string]func(s *Step, n int){
-		"empty":        func(s *Step, n int) { s.To = s.From },
-		"reversed":     func(s *Step, n int) { s.From, s.To = s.To, s.From },
-		"negative":     func(s *Step, n int) { s.From = -1 },
-		"past the end": func(s *Step, n int) { s.To = int32(n) + 1 },
-	}
-	lastEmit := func(steps []Step) *Step {
-		for i := len(steps) - 1; i >= 0; i-- {
-			if steps[i].Kind == StepEmit {
-				return &steps[i]
+// TestValidateRejectsCorruptPlans: Plan.Validate and SplitPlan.Validate
+// reject every kind of structural corruption, on plans and cut-2 split
+// plans built unbudgeted and under a snapshot budget of 1, and
+// BranchRollbackOps returns nil for every corrupt plan.
+func TestValidateRejectsCorruptPlans(t *testing.T) {
+	c, trials := benchTrials(t, "qft5", 300, 9)
+	nLayers := int32(len(c.Layers()))
+	// at returns the index of the first step ok accepts.
+	at := func(ss []Step, ok func(i int) bool) int {
+		for i := range ss {
+			if ok(i) {
+				return i
 			}
 		}
-		t.Fatal("no emit step")
-		return nil
+		t.Fatal("no step to corrupt")
+		return -1
 	}
-	for name, corrupt := range bad {
-		p, err := BuildPlan(c, trials)
-		if err != nil {
-			t.Fatal(err)
+	first := func(ss []Step, k StepKind) int {
+		return at(ss, func(i int) bool { return ss[i].Kind == k })
+	}
+	last := func(ss []Step, k StepKind) int {
+		for i := len(ss) - 1; i >= 0; i-- {
+			if ss[i].Kind == k {
+				return i
+			}
 		}
-		corrupt(lastEmit(p.Steps), len(p.Order))
-		if err := p.Validate(); err == nil {
-			t.Errorf("Plan.Validate accepts an emit range that is %s", name)
+		t.Fatal("no step to corrupt")
+		return -1
+	}
+	// Corruptions of one step list: a plan's, or a split plan's largest
+	// task's. n is the order's length.
+	stepCases := []struct {
+		name     string
+		planOnly bool
+		corrupt  func(ss *[]Step, n int)
+	}{
+		{"emit range empty", false, func(ss *[]Step, n int) { s := &(*ss)[last(*ss, StepEmit)]; s.To = s.From }},
+		{"emit range reversed", false, func(ss *[]Step, n int) { s := &(*ss)[last(*ss, StepEmit)]; s.From, s.To = s.To, s.From }},
+		{"emit range negative", false, func(ss *[]Step, n int) { (*ss)[last(*ss, StepEmit)].From = -1 }},
+		{"emit range past the end", false, func(ss *[]Step, n int) { (*ss)[last(*ss, StepEmit)].To = int32(n) + 1 }},
+		{"advance with a gap", false, func(ss *[]Step, n int) { (*ss)[first(*ss, StepAdvance)].From++ }},
+		{"advance running backwards", false, func(ss *[]Step, n int) {
+			s := &(*ss)[at(*ss, func(i int) bool { return (*ss)[i].Kind == StepAdvance && (*ss)[i].From > 0 })]
+			s.To = s.From - 1
+		}},
+		{"advance past the last layer", false, func(ss *[]Step, n int) { (*ss)[last(*ss, StepAdvance)].To = nLayers + 1 }},
+		{"inject before any layer", true, func(ss *[]Step, n int) {
+			*ss = slices.Insert(*ss, 0, Step{Kind: StepInject, Op: gate.PauliX})
+		}},
+		{"emit before the final layer", false, func(ss *[]Step, n int) {
+			i := at(*ss, func(i int) bool { return i > 0 && (*ss)[i].Kind == StepEmit && (*ss)[i-1].Kind == StepAdvance })
+			(*ss)[i-1].To--
+		}},
+		{"trial emitted twice", false, func(ss *[]Step, n int) {
+			i := first(*ss, StepEmit)
+			*ss = slices.Insert(*ss, i+1, (*ss)[i])
+		}},
+		{"trial never emitted", false, func(ss *[]Step, n int) {
+			i := first(*ss, StepEmit)
+			*ss = slices.Delete(*ss, i, i+1)
+		}},
+		{"trial emitted with a wrong injection", false, func(ss *[]Step, n int) {
+			s := &(*ss)[first(*ss, StepInject)]
+			s.Op = (s.Op + 1) % 3
+		}},
+		{"pop below the floor", false, func(ss *[]Step, n int) { *ss = slices.Insert(*ss, 0, Step{Kind: StepPop}) }},
+		{"frames left open", false, func(ss *[]Step, n int) { *ss = append(*ss, Step{Kind: StepPush}) }},
+		{"spawn outside a trunk", false, func(ss *[]Step, n int) { *ss = append(*ss, spawnStep(0)) }},
+	}
+	// Corruptions of a split plan's trunk and task table.
+	splitCases := []struct {
+		name    string
+		corrupt func(sp *SplitPlan)
+	}{
+		{"emit in the trunk", func(sp *SplitPlan) { sp.Trunk = append(sp.Trunk, Step{Kind: StepEmit, From: 0, To: 1}) }},
+		{"spawn of an out-of-range task", func(sp *SplitPlan) {
+			sp.Trunk[first(sp.Trunk, StepSpawn)] = spawnStep(len(sp.Subtrees))
+		}},
+		{"task spawned twice", func(sp *SplitPlan) { sp.Trunk[last(sp.Trunk, StepSpawn)] = spawnStep(0) }},
+		{"task never spawned", func(sp *SplitPlan) {
+			i := last(sp.Trunk, StepSpawn)
+			sp.Trunk = slices.Delete(sp.Trunk, i, i+1)
+		}},
+		{"task entry layer disagrees with its spawn", func(sp *SplitPlan) { sp.Subtrees[len(sp.Subtrees)/2].EntryLayer++ }},
+		{"task trials disagree with its emits", func(sp *SplitPlan) { sp.Subtrees[len(sp.Subtrees)/2].Trials++ }},
+	}
+	// largest returns the split plan's task with the most steps.
+	largest := func(sp *SplitPlan) *Subtree {
+		best := sp.Subtrees[0]
+		for _, st := range sp.Subtrees {
+			if len(st.Steps) > len(best.Steps) {
+				best = st
+			}
 		}
+		return best
+	}
+	for _, budget := range []int{math.MaxInt, 1} {
+		label := budgetLabel(budget)
+		plan := func() *Plan {
+			p, err := BuildPlanBudget(c, trials, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatalf("budget %s: valid plan rejected: %v", label, err)
+			}
+			return p
+		}
+		split := func() *SplitPlan {
+			sp, err := SplitPlanCut(c, trials, 2, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Validate(); err != nil {
+				t.Fatalf("budget %s: valid split plan rejected: %v", label, err)
+			}
+			return sp
+		}
+		for _, tc := range stepCases {
+			p := plan()
+			tc.corrupt(&p.Steps, len(p.Order))
+			if err := p.Validate(); err == nil {
+				t.Errorf("budget %s: Plan.Validate accepts %s", label, tc.name)
+			}
+			if r := p.BranchRollbackOps(); r != nil {
+				t.Errorf("budget %s: BranchRollbackOps answers for a plan with %s", label, tc.name)
+			}
+			if tc.planOnly {
+				continue
+			}
+			sp := split()
+			st := largest(sp)
+			tc.corrupt(&st.Steps, len(sp.Order))
+			if err := sp.Validate(); err == nil {
+				t.Errorf("budget %s: SplitPlan.Validate accepts a task with %s", label, tc.name)
+			}
+		}
+		for _, tc := range splitCases {
+			sp := split()
+			tc.corrupt(sp)
+			if err := sp.Validate(); err == nil {
+				t.Errorf("budget %s: SplitPlan.Validate accepts %s", label, tc.name)
+			}
+		}
+	}
+}
 
-		sp, err := SplitPlanCut(c, trials, 2, math.MaxInt)
-		if err != nil {
-			t.Fatal(err)
+// TestValidateRecountsCounters: Validate recounts ops, MSV and copies
+// from the steps, so a plan or split plan whose declared counters
+// disagree with its steps is rejected.
+func TestValidateRecountsCounters(t *testing.T) {
+	c, trials := benchTrials(t, "qft5", 300, 9)
+	for _, budget := range []int{math.MaxInt, 1} {
+		for name, perturb := range map[string]func(p *Plan){
+			"ops":    func(p *Plan) { p.planOps++ },
+			"MSV":    func(p *Plan) { p.msv++ },
+			"copies": func(p *Plan) { p.pushCount-- },
+		} {
+			p, err := BuildPlanBudget(c, trials, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perturb(p)
+			if err := p.Validate(); err == nil {
+				t.Errorf("budget %s: Plan.Validate accepts a wrong %s count", budgetLabel(budget), name)
+			}
 		}
-		st := sp.Subtrees[len(sp.Subtrees)-1]
-		corrupt(lastEmit(st.Steps), len(sp.Order))
-		if err := sp.Validate(); err == nil {
-			t.Errorf("SplitPlan.Validate accepts an emit range that is %s", name)
+		for name, perturb := range map[string]func(sp *SplitPlan){
+			"trunk ops": func(sp *SplitPlan) { sp.trunkOps-- },
+			"trunk MSV": func(sp *SplitPlan) { sp.trunkMSV++ },
+			"task ops":  func(sp *SplitPlan) { sp.Subtrees[len(sp.Subtrees)/2].Ops++ },
+			"task MSV":  func(sp *SplitPlan) { sp.Subtrees[len(sp.Subtrees)/2].MSV++ },
+		} {
+			sp, err := SplitPlanCut(c, trials, 2, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perturb(sp)
+			if err := sp.Validate(); err == nil {
+				t.Errorf("budget %s: SplitPlan.Validate accepts a wrong %s count", budgetLabel(budget), name)
+			}
 		}
 	}
 }

@@ -232,171 +232,3 @@ func (b *planBuilder) spawnClean(lo, hi, depth int) {
 	b.emit(spawnStep(task.ID))
 	b.split.Subtrees = append(b.split.Subtrees, task)
 }
-
-// entryContext is the symbolic state a spawn hands to a task: applied
-// layers and applied injections.
-type entryContext struct {
-	layers int
-	inj    []trial.Key
-}
-
-// Validate walks the trunk and every subtree checking the structural
-// invariants the executor relies on: monotone in-bounds layer ranges, no
-// stack underflow, spawns referencing tasks exactly once in order, every
-// trial emitted exactly once across all subtrees, emits at the final
-// layer with injections matching the emitted trials, and no emits on the
-// trunk.
-func (sp *SplitPlan) Validate() error {
-	entries := make([]*entryContext, len(sp.Subtrees))
-	layersDone := 0
-	var stack []entryContext
-	cur := entryContext{}
-	for si, s := range sp.Trunk {
-		switch s.Kind {
-		case StepAdvance:
-			if int(s.From) != layersDone || s.To < s.From || int(s.To) > sp.nLayers {
-				return fmt.Errorf("reorder: trunk step %d advance [%d,%d) inconsistent with layersDone %d", si, s.From, s.To, layersDone)
-			}
-			layersDone = int(s.To)
-		case StepPush:
-			stack = append(stack, entryContext{layers: layersDone, inj: append([]trial.Key(nil), cur.inj...)})
-		case StepInject:
-			if layersDone == 0 {
-				return fmt.Errorf("reorder: trunk step %d injects before any layer", si)
-			}
-			cur.inj = append(cur.inj, trial.Pack(layersDone-1, int(s.Qubit), s.Op))
-		case StepPop:
-			if len(stack) == 0 {
-				return fmt.Errorf("reorder: trunk step %d pops empty stack", si)
-			}
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			layersDone = top.layers
-			cur = top
-		case StepRestore:
-			if len(stack) == 0 {
-				layersDone = 0
-				cur = entryContext{}
-			} else {
-				top := stack[len(stack)-1]
-				layersDone = top.layers
-				cur = entryContext{inj: append([]trial.Key(nil), top.inj...)}
-			}
-		case StepSpawn:
-			task := s.Task()
-			if task < 0 || task >= len(sp.Subtrees) {
-				return fmt.Errorf("reorder: trunk step %d spawns out-of-range task %d", si, task)
-			}
-			if entries[task] != nil {
-				return fmt.Errorf("reorder: task %d spawned twice", task)
-			}
-			entries[task] = &entryContext{layers: layersDone, inj: append([]trial.Key(nil), cur.inj...)}
-		case StepEmit:
-			return fmt.Errorf("reorder: trunk step %d emits; emits belong to subtrees", si)
-		default:
-			return fmt.Errorf("reorder: trunk step %d has unknown kind %d", si, s.Kind)
-		}
-	}
-	if len(stack) != 0 {
-		return fmt.Errorf("reorder: trunk leaves %d snapshots on the stack", len(stack))
-	}
-	emitted := make([]bool, len(sp.Order))
-	for _, st := range sp.Subtrees {
-		entry := entries[st.ID]
-		if entry == nil {
-			return fmt.Errorf("reorder: task %d never spawned by the trunk", st.ID)
-		}
-		if entry.layers != st.EntryLayer || len(entry.inj) != st.EntryDepth {
-			return fmt.Errorf("reorder: task %d entry (%d layers, %d injections) disagrees with trunk spawn (%d, %d)",
-				st.ID, st.EntryLayer, st.EntryDepth, entry.layers, len(entry.inj))
-		}
-		if err := sp.validateSubtree(st, entry, emitted); err != nil {
-			return err
-		}
-	}
-	for i, ok := range emitted {
-		if !ok {
-			return fmt.Errorf("reorder: trial %d (id %d) never emitted", i, sp.Order[i].ID)
-		}
-	}
-	return nil
-}
-
-// validateSubtree replays one task's steps from its entry context. The
-// task's implicit restore floor is its preserved entry state when the
-// plan is budgeted with budget >= 1, and |0...0> otherwise.
-func (sp *SplitPlan) validateSubtree(st *Subtree, entry *entryContext, emitted []bool) error {
-	layersDone := entry.layers
-	cur := entryContext{inj: append([]trial.Key(nil), entry.inj...)}
-	var stack []entryContext
-	if sp.budget != math.MaxInt && sp.budget >= 1 {
-		stack = append(stack, entryContext{layers: entry.layers, inj: append([]trial.Key(nil), entry.inj...)})
-	}
-	floor := len(stack)
-	emittedHere := 0
-	for si, s := range st.Steps {
-		switch s.Kind {
-		case StepAdvance:
-			if int(s.From) != layersDone || s.To < s.From || int(s.To) > sp.nLayers {
-				return fmt.Errorf("reorder: task %d step %d advance [%d,%d) inconsistent with layersDone %d", st.ID, si, s.From, s.To, layersDone)
-			}
-			layersDone = int(s.To)
-		case StepPush:
-			stack = append(stack, entryContext{layers: layersDone, inj: append([]trial.Key(nil), cur.inj...)})
-		case StepInject:
-			if layersDone == 0 {
-				return fmt.Errorf("reorder: task %d step %d injects before any layer", st.ID, si)
-			}
-			cur.inj = append(cur.inj, trial.Pack(layersDone-1, int(s.Qubit), s.Op))
-		case StepEmit:
-			if layersDone != sp.nLayers {
-				return fmt.Errorf("reorder: task %d step %d emits at layer %d of %d", st.ID, si, layersDone, sp.nLayers)
-			}
-			if err := checkEmitRange(s, len(sp.Order)); err != nil {
-				return fmt.Errorf("reorder: task %d step %d %v", st.ID, si, err)
-			}
-			for idx := int(s.From); idx < int(s.To); idx++ {
-				if emitted[idx] {
-					return fmt.Errorf("reorder: trial %d emitted twice", idx)
-				}
-				emitted[idx] = true
-				emittedHere++
-				t := sp.Order[idx]
-				if len(t.Inj) != len(cur.inj) {
-					return fmt.Errorf("reorder: trial %d emitted with %d injections applied, has %d", t.ID, len(cur.inj), len(t.Inj))
-				}
-				for k := range t.Inj {
-					if t.Inj[k] != cur.inj[k] {
-						return fmt.Errorf("reorder: trial %d injection %d mismatch", t.ID, k)
-					}
-				}
-			}
-		case StepPop:
-			if len(stack) <= floor {
-				return fmt.Errorf("reorder: task %d step %d pops below its entry floor", st.ID, si)
-			}
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			layersDone = top.layers
-			cur = top
-		case StepRestore:
-			if len(stack) == 0 {
-				layersDone = 0
-				cur = entryContext{}
-			} else {
-				top := stack[len(stack)-1]
-				layersDone = top.layers
-				cur = entryContext{inj: append([]trial.Key(nil), top.inj...)}
-			}
-		default:
-			return fmt.Errorf("reorder: task %d step %d has invalid kind %v", st.ID, si, s.Kind)
-		}
-	}
-	if len(stack) != floor {
-		return fmt.Errorf("reorder: task %d leaves %d snapshots on the stack", st.ID, len(stack)-floor)
-	}
-	if emittedHere != st.Trials {
-		return fmt.Errorf("reorder: task %d emitted %d trials, declared %d", st.ID, emittedHere, st.Trials)
-	}
-	return nil
-}

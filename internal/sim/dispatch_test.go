@@ -99,7 +99,7 @@ func TestDispatchTableBitIdentical(t *testing.T) {
 			t.Fatal("nil program did not build a dispatch table")
 		}
 		bs.work = init.Clone()
-		bs.advance(from, to)
+		bs.Advance(from, to)
 		if !bitIdenticalStates(ref, bs.work) || res.Ops != int64(refOps) {
 			t.Fatalf("iter %d: table path over [%d,%d) differs from ApplyOp (ops %d vs %d)", iter, from, to, res.Ops, refOps)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 	"repro/internal/trial"
 )
 
-// The plan-step interpreter. Every single-lane executor — a sequential
-// plan, a subtree trunk, a subtree task, a tableau plan — walks its
-// steps through runSteps; the state vector does so through
+// The state vector's plan-step handler. Every single-lane executor — a
+// sequential plan, a subtree trunk, a subtree task, a tableau plan —
+// walks its steps through reorder.Walk; the state vector does so through
 // branchState.run under every restore policy. A branch point (StepPush)
 // becomes a frame: a *real* frame stores a snapshot of the working
 // register, a *virtual* frame (PolicyUncompute/PolicyAdaptive only, see
@@ -106,8 +107,8 @@ func newDispatchTable(c *circuit.Circuit) *dispatchTable {
 }
 
 // newBranchState returns a branch state for one plan, trunk or worker;
-// a worker reuses it across its tasks (runSubtree). runSteps takes it as
-// a stepper, so it lives on the heap: reuse keeps that to one allocation
+// a worker reuses it across its tasks (runSubtree). reorder.Walk takes it
+// as a Handler, so it lives on the heap: reuse keeps that to one allocation
 // per goroutine, not one per task.
 func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, striped bool) *branchState {
 	return &branchState{
@@ -118,61 +119,8 @@ func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, 
 	}
 }
 
-// stepper is one working register with a stack of branch points: what
-// runSteps drives. *branchState is the state vector's under every restore
-// policy; *tableauRun is the stabilizer tableau's (snapshots only).
-type stepper interface {
-	advance(from, to int)
-	push()
-	inject(op gate.Pauli, qubit int)
-	emit(ts []*trial.Trial)
-	pop() error
-	restore()
-	// unwound fails unless every frame the steps opened was popped.
-	unwound() error
-}
-
-// runSteps interprets one step list against h: order resolves emitted
-// trial indices, want is the number of trials the list must emit, and
-// spawn serves StepSpawn (nil everywhere but a trunk), with last set when
-// the next step is not a spawn, which closes the current lane group. It
-// fails unless the list emitted exactly want trials and unwound.
-func runSteps(h stepper, steps []reorder.Step, order []*trial.Trial, want int, spawn func(task int, last bool)) error {
-	emitted := 0
-	for i, s := range steps {
-		switch s.Kind {
-		case reorder.StepAdvance:
-			h.advance(int(s.From), int(s.To))
-		case reorder.StepPush:
-			h.push()
-		case reorder.StepInject:
-			h.inject(s.Op, int(s.Qubit))
-		case reorder.StepEmit:
-			h.emit(order[s.From:s.To])
-			emitted += int(s.To - s.From)
-		case reorder.StepPop:
-			if err := h.pop(); err != nil {
-				return err
-			}
-		case reorder.StepRestore:
-			h.restore()
-		case reorder.StepSpawn:
-			if spawn == nil {
-				return fmt.Errorf("sim: spawn step outside a trunk")
-			}
-			spawn(s.Task(), i+1 == len(steps) || steps[i+1].Kind != reorder.StepSpawn)
-		default:
-			return fmt.Errorf("sim: unknown plan step %v", s.Kind)
-		}
-	}
-	if emitted != want {
-		return fmt.Errorf("sim: emitted %d of %d trials", emitted, want)
-	}
-	return h.unwound()
-}
-
-// run is runSteps over the working register.
-func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int, spawn func(task int, last bool)) error {
+// run walks steps over the working register (see reorder.Walk).
+func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int, spawn func(task int, last bool) error) error {
 	// Trial latency (recorder-only) is the wall time since the previous
 	// emit, amortized equally over the emit batch, so the histogram's
 	// count always equals the trials emitted. Trunk prefix time is shared
@@ -180,10 +128,10 @@ func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int,
 	if bs.rec != nil {
 		bs.emitMark = time.Now()
 	}
-	return runSteps(bs, steps, order, want, spawn)
+	return reorder.Walk(bs, steps, order, want, spawn)
 }
 
-func (bs *branchState) emit(ts []*trial.Trial) {
+func (bs *branchState) Emit(_ int, ts []*trial.Trial) error {
 	for _, t := range ts {
 		bs.res.Outcomes = append(bs.res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(bs.work, bs.c, t)})
 		if bs.opt.KeepStates {
@@ -202,11 +150,12 @@ func (bs *branchState) emit(ts []*trial.Trial) {
 		}
 		bs.emitMark = now
 	}
+	return nil
 }
 
-func (bs *branchState) unwound() error {
+func (bs *branchState) Unwound() error {
 	if len(bs.frames) != bs.floor {
-		return fmt.Errorf("sim: execution leaves %d branch frames", len(bs.frames)-bs.floor)
+		return fmt.Errorf("leaves %d branch frames open", len(bs.frames)-bs.floor)
 	}
 	return nil
 }
@@ -225,33 +174,35 @@ func (bs *branchState) runRev(from, to int) int {
 	return bs.prog.RunReverseSerial(bs.work, from, to)
 }
 
-func (bs *branchState) advance(from, to int) {
+func (bs *branchState) Advance(from, to int) error {
 	if bs.prog == nil {
 		ks := bs.tab.kern[bs.tab.start[from]:bs.tab.start[to]]
 		for i := range ks {
 			bs.work.ApplyKernel(&ks[i])
 		}
 		bs.res.Ops += int64(len(ks))
-		return
+		return nil
 	}
 	bs.res.Ops += int64(bs.runFwd(from, to))
 	if bs.policy {
 		bs.journal = append(bs.journal, jentry{adv: true, from: from, to: to})
 	}
+	return nil
 }
 
-func (bs *branchState) inject(op gate.Pauli, qubit int) {
+func (bs *branchState) Inject(op gate.Pauli, qubit int) error {
 	bs.work.ApplyPauli(op, qubit)
 	bs.res.Ops++
 	if bs.policy {
 		bs.journal = append(bs.journal, jentry{op: op, qubit: qubit})
 	}
+	return nil
 }
 
-// push opens a branch point. Under PolicySnapshot it always stores a
+// Push opens a branch point. Under PolicySnapshot it always stores a
 // snapshot and traces a "snapshot_push"; under the other policies the
 // decision itself is counted and traced as a "policy_decision".
-func (bs *branchState) push() {
+func (bs *branchState) Push() error {
 	depth := len(bs.frames) + 1
 	if !bs.decideReal() {
 		bs.frames = append(bs.frames, pframe{pos: len(bs.journal)})
@@ -263,7 +214,7 @@ func (bs *branchState) push() {
 				trace.String("decision", "uncompute"),
 				trace.Int("depth", int64(depth)))
 		}
-		return
+		return nil
 	}
 	snap := bs.pool.get()
 	snap.CopyFrom(bs.work)
@@ -291,13 +242,14 @@ func (bs *branchState) push() {
 		}
 	}
 	bs.frames = append(bs.frames, f)
+	return nil
 }
 
-// pop returns to the innermost branch point and removes it: adopt the
+// Pop returns to the innermost branch point and removes it: adopt the
 // snapshot of a real frame, unwind the journal suffix of a virtual one.
-func (bs *branchState) pop() error {
+func (bs *branchState) Pop() error {
 	if len(bs.frames) <= bs.floor {
-		return fmt.Errorf("sim: plan pops below its branch floor")
+		return errors.New("pops below its branch floor")
 	}
 	f := bs.frames[len(bs.frames)-1]
 	bs.frames = bs.frames[:len(bs.frames)-1]
@@ -318,12 +270,12 @@ func (bs *branchState) pop() error {
 	return nil
 }
 
-// restore re-enters the innermost branch point without removing it
+// Restore re-enters the innermost branch point without removing it
 // (StepRestore in budgeted plans). A real top frame is copied (kept for
 // its later consumers); a virtual top frame is reverse-executed to (and
 // stays on the stack); an empty stack resets to |0...0>, from which the
 // plan replays.
-func (bs *branchState) restore() {
+func (bs *branchState) Restore() error {
 	if len(bs.frames) == 0 {
 		bs.work.Reset()
 		bs.journal = bs.journal[:0]
@@ -344,6 +296,7 @@ func (bs *branchState) restore() {
 	if sp := bs.opt.Span; sp != nil {
 		sp.Event("snapshot_restore", trace.Int("depth", int64(len(bs.frames))))
 	}
+	return nil
 }
 
 // recoverErr turns a panic in an executor goroutine into its error

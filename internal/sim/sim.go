@@ -412,7 +412,7 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	bs.work = pool.get()
 	bs.work.Reset()
 	if err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil); err != nil {
-		return traceDone(esp, nil, err)
+		return traceDone(esp, nil, fmt.Errorf("sim: %w", err))
 	}
 	// Return the register to the arena so a caller-shared pool stays warm
 	// across runs instead of leaking one working set per run.

@@ -394,7 +394,7 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 	bs.work = pool.get()
 	bs.work.Reset()
 	grp := newSpawnGroup(opt.Lanes, queue)
-	spawn := func(task int, last bool) {
+	spawn := func(task int, last bool) error {
 		sem <- struct{}{}
 		entry := pool.get()
 		entry.CopyFrom(bs.work)
@@ -411,6 +411,7 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 		if last {
 			grp.flush()
 		}
+		return nil
 	}
 	if err := bs.run(sp.Trunk, sp.Order, 0, spawn); err != nil {
 		return nil, fmt.Errorf("sim: trunk: %v", err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gate"
 	"repro/internal/noise"
 	"repro/internal/reorder"
+	"repro/internal/statevec"
 )
 
 // cliffordChain returns an n-qubit Clifford circuit: layered H/S/CX with a
@@ -170,5 +171,41 @@ func TestTableauBackendRejectsNonClifford(t *testing.T) {
 	}
 	if _, err := ExecutePlanTableau(c, plan); err == nil {
 		t.Error("non-Clifford circuit accepted by the tableau plan executor")
+	}
+}
+
+// TestExecutorsRejectCorruptEmitRange: a plan whose last Emit starts
+// before the order fails execution with an error, on the state vector
+// (dispatch and compiled) and on the tableau, instead of panicking on
+// the trial slice.
+func TestExecutorsRejectCorruptEmitRange(t *testing.T) {
+	c := cliffordChain(5, 6, 7)
+	trials := genTrials(t, c, noise.Uniform("u", 5, 5e-3, 3e-2, 1e-2), 200, 8)
+	plan, err := reorder.BuildPlan(c, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(plan.Steps) - 1; i >= 0; i-- {
+		if plan.Steps[i].Kind == reorder.StepEmit {
+			plan.Steps[i].From = -1
+			break
+		}
+	}
+	run := map[string]func() (*Result, error){
+		"FuseOff":     func() (*Result, error) { return ExecutePlan(c, plan, Options{Fuse: statevec.FuseOff}) },
+		"FuseNumeric": func() (*Result, error) { return ExecutePlan(c, plan, Options{Fuse: statevec.FuseNumeric}) },
+		"tableau":     func() (*Result, error) { return ExecutePlanTableau(c, plan) },
+	}
+	for name, exec := range run {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panics on a corrupt emit range: %v", name, r)
+				}
+			}()
+			if _, err := exec(); err == nil {
+				t.Errorf("%s: executes a plan whose emit range starts at -1", name)
+			}
+		}()
 	}
 }

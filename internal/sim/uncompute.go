@@ -16,7 +16,7 @@ import (
 // since the branch, in reverse order (statevec.RunReverse), at near-zero
 // memory cost. A per-branch-point restore policy chooses between the two.
 //
-// Mechanics (the interpreter is runSteps, interp.go): under a
+// Mechanics (reorder.Walk drives branchState, interp.go): under a
 // non-snapshot policy an execution journals every mutation of the working
 // register (layer advances and Pauli injections) along the current path.
 // A branch point becomes either a *real* frame — an ordinary snapshot —
