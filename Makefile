@@ -122,6 +122,7 @@ selftest: build
 # Short fuzz passes over every fuzz target (one -fuzz per package run).
 fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzTrialSerializeRoundTrip -fuzztime 10s ./internal/trial
+	$(GO) test -run ^$$ -fuzz FuzzGeometricSkip -fuzztime 10s ./internal/trial
 	$(GO) test -run ^$$ -fuzz FuzzSortMatchesStable -fuzztime 10s ./internal/reorder
 	$(GO) test -run ^$$ -fuzz FuzzValidatedPlanExecutes -fuzztime 10s ./internal/sim
 	$(GO) test -run ^$$ -fuzz FuzzParseQASM -fuzztime 10s ./internal/circuit

@@ -20,9 +20,12 @@ import (
 )
 
 // yorktownJob is one paper-yorktown job shape: the circuit transpiled
-// onto Yorktown, its 1,024 trials and their plan.
+// onto Yorktown, its trial generator and seed, its 1,024 trials and their
+// plan.
 type yorktownJob struct {
 	c       *circuit.Circuit
+	gen     *trial.Generator
+	seed    int64
 	trials  []*trial.Trial
 	ordered []*trial.Trial
 	plan    *reorder.Plan
@@ -34,26 +37,42 @@ func yorktownJobs(b *testing.B) []yorktownJob {
 	dev := device.Yorktown()
 	jobs := make([]yorktownJob, len(bench.TableI))
 	for i, ref := range bench.TableI {
+		seed := 1000 + int64(i) + 1
 		rep, err := Run(Config{
 			Circuit: suite[ref.Name], Device: dev, Transpile: true,
-			Trials: 1024, Seed: 1000 + int64(i) + 1, Mode: ModeStatic,
+			Trials: 1024, Seed: seed, Mode: ModeStatic,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		jobs[i] = yorktownJob{c: rep.Circuit, trials: rep.Trials, ordered: rep.Plan.Order, plan: rep.Plan}
+		gen, err := trial.NewGenerator(rep.Circuit, dev.Model())
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs[i] = yorktownJob{c: rep.Circuit, gen: gen, seed: seed, trials: rep.Trials, ordered: rep.Plan.Order, plan: rep.Plan}
 	}
 	return jobs
 }
 
-// BenchmarkSortPlanYorktown times the reorder sort and the plan build
-// alone on the paper-yorktown job shapes: the 12 Table I circuits
-// transpiled onto Yorktown, 1,024 trials each, trial seeds 1001-1012. One
-// op sorts (or plans) all 12 jobs; allocations are reported.
+// BenchmarkSortPlanYorktown times trial generation, the reorder sort and
+// the plan build alone on the paper-yorktown job shapes: the 12 Table I
+// circuits transpiled onto Yorktown, 1,024 trials each, trial seeds
+// 1001-1012. One op generates (or sorts, or plans) all 12 jobs;
+// allocations are reported.
 //
 //	go test ./internal/core -run ^$ -bench SortPlanYorktown -benchmem
 func BenchmarkSortPlanYorktown(b *testing.B) {
 	jobs := yorktownJobs(b)
+	b.Run("gen", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < b.N; i++ {
+			for _, j := range jobs {
+				rng.Seed(j.seed)
+				j.gen.Generate(rng, len(j.trials))
+			}
+		}
+	})
 	b.Run("sort", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

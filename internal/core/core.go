@@ -163,7 +163,12 @@ type Report struct {
 	Trials []*trial.Trial
 	// TrialStats summarizes the trial set.
 	TrialStats trial.Stats
-	// Plan is the reordered execution plan.
+	// Plan is the reordered execution plan. When the reordered run is
+	// parallel (Workers > 1 or BatchLanes > 1) the plan is counted, not
+	// built (reorder.CountPlanOrderedBudget): it carries the order and
+	// every counter (OptimizedOps, MSV, Analysis) but nil Steps, since
+	// those executors run the order through split or chunk plans of
+	// their own.
 	Plan *reorder.Plan
 	// Analysis holds the paper's static metrics (normalized computation,
 	// MSV) for the plan.
@@ -241,9 +246,14 @@ func Run(cfg Config) (*Report, error) {
 		// stays unbudgeted (no restore/replay steps).
 		budget = cfg.SnapshotBudget
 	}
+	buildPlan := reorder.BuildPlanOrderedBudget
+	if cfg.Workers > 1 || cfg.BatchLanes > 1 {
+		// Only the sequential executor runs the plan's steps.
+		buildPlan = reorder.CountPlanOrderedBudget
+	}
 	planDone := obs.StartPhase(cfg.Recorder, obs.PhasePlanBuild)
 	planSpan := cfg.Span.Child("plan_build")
-	rep.Plan, err = reorder.BuildPlanOrderedBudget(rep.Circuit, ordered, budget)
+	rep.Plan, err = buildPlan(rep.Circuit, ordered, budget)
 	if err != nil {
 		planSpan.SetError(err)
 		planSpan.End()

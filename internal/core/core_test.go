@@ -75,6 +75,40 @@ func TestRunBothModesAgree(t *testing.T) {
 	}
 }
 
+// TestParallelRunCountsPlan: a parallel run's Report.Plan is counted,
+// not built. Its Analysis equals a sequential run's on the same seed,
+// unbudgeted and under a snapshot budget, its Steps are nil, and the
+// parallel executor still runs exactly its OptimizedOps.
+func TestParallelRunCountsPlan(t *testing.T) {
+	c := bench.QFT(5)
+	m := noise.Uniform("u", 5, 5e-3, 3e-2, 1e-2)
+	for _, budget := range []int{0, 2} {
+		run := func(workers int) *Report {
+			rep, err := Run(Config{Circuit: c, Model: m, Trials: 1024, Seed: 9, Mode: ModeReordered, Workers: workers, SnapshotBudget: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		seq, par := run(1), run(3)
+		if par.Analysis != seq.Analysis {
+			t.Errorf("budget %d: 3-worker analysis %+v, sequential %+v", budget, par.Analysis, seq.Analysis)
+		}
+		if par.Plan.Steps != nil {
+			t.Errorf("budget %d: 3-worker plan has %d steps, want none", budget, len(par.Plan.Steps))
+		}
+		if len(seq.Plan.Steps) == 0 {
+			t.Errorf("budget %d: sequential plan has no steps", budget)
+		}
+		if budget == 0 && par.Reordered.Ops != par.Plan.OptimizedOps() {
+			t.Errorf("3 workers executed %d ops, plan has %d", par.Reordered.Ops, par.Plan.OptimizedOps())
+		}
+		if !sim.EqualOutcomes(seq.Reordered, par.Reordered) {
+			t.Errorf("budget %d: 3-worker outcomes differ from sequential", budget)
+		}
+	}
+}
+
 func TestRunWithTranspile(t *testing.T) {
 	d := device.Yorktown()
 	c := bench.QFT(5)

@@ -378,6 +378,23 @@ func BuildPlanOrdered(c *circuit.Circuit, ordered []*trial.Trial) (*Plan, error)
 // is allocated once at its exact size. Budgeted plans presize to a bound
 // and grow when their replays exceed it.
 func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
+	return buildPlanOrdered(c, ordered, budget, true)
+}
+
+// CountPlanOrderedBudget is BuildPlanOrderedBudget without the steps: the
+// same walk counting only, as Analyze does. The plan carries the order
+// and every counter BuildPlanOrderedBudget's would (OptimizedOps, MSV,
+// copies, Analysis), but its Steps are nil, so it cannot be executed or
+// validated. It serves callers that execute the order some other way,
+// such as the subtree-parallel executors, which build their own split
+// plans.
+func CountPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
+	return buildPlanOrdered(c, ordered, budget, false)
+}
+
+// buildPlanOrdered builds (record) or counts the plan of a presorted
+// trial slice under a snapshot budget.
+func buildPlanOrdered(c *circuit.Circuit, ordered []*trial.Trial, budget int, record bool) (*Plan, error) {
 	if budget < 0 {
 		return nil, fmt.Errorf("reorder: negative snapshot budget %d", budget)
 	}
@@ -385,7 +402,7 @@ func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget i
 	if err != nil {
 		return nil, err
 	}
-	steps, err := scanOrder(ordered, p.nLayers)
+	steps, err := scanOrder(ordered, 0, 0, p.nLayers)
 	if err != nil {
 		return nil, err
 	}
@@ -395,10 +412,12 @@ func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget i
 		// per trial.
 		steps = 4*p.injections + 2*len(ordered) + 1
 	}
-	p.Steps = make([]Step, 0, steps)
+	if record {
+		p.Steps = make([]Step, 0, steps)
+	}
 
 	b := newPlanBuilder(p, math.MaxInt, budget)
-	b.record = true
+	b.record = record
 	b.build(0, len(p.Order), 0)
 	if b.layersDone != p.nLayers {
 		// The final emit always advances to the end; reaching here means
@@ -408,28 +427,32 @@ func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget i
 	if len(b.snaps) != 0 {
 		return nil, fmt.Errorf("reorder: internal error, %d snapshots leaked", len(b.snaps))
 	}
-	if budget == math.MaxInt && len(p.Steps) != steps {
+	if record && budget == math.MaxInt && len(p.Steps) != steps {
 		return nil, fmt.Errorf("reorder: internal error, plan has %d steps, counted %d", len(p.Steps), steps)
 	}
 	return p, nil
 }
 
 // scanOrder returns an error unless ordered is in Sort order, and counts
-// the steps of its unbudgeted plan. Each trial that starts a new distinct
-// sequence branches from its predecessor at depth p, their common-prefix
-// length. Exhausted trials sort last, so the predecessor has a p-th
-// injection, and the plan resumes from the snapshot taken before it: one
-// push/pop pair per branch, the state advanced through the layer of that
-// injection. From there the trial adds one inject per injection beyond
-// p, an advance wherever the layer frontier rises (before an injection in
-// a later layer, and to the circuit's end) and one emit. Duplicates share
-// their predecessor's emit and add nothing.
-func scanOrder(ordered []*trial.Trial, nLayers int) (int, error) {
+// the steps of its unbudgeted walk from a working state that has applied
+// the first depth injections every trial shares and entry gate layers: a
+// whole plan from |0...0> (0, 0), or a split plan's task below its branch
+// injection. The first trial adds its injections beyond depth. Each later
+// trial that starts a new distinct sequence branches from its predecessor
+// at depth p, their common-prefix length. Exhausted trials sort last, so
+// the predecessor has a p-th injection, and the walk resumes from the
+// snapshot taken before it: one push/pop pair per branch, the state
+// advanced through the layer of that injection. From there the trial adds
+// one inject per injection beyond p, an advance wherever the layer
+// frontier rises (before an injection in a later layer, and to the
+// circuit's end) and one emit. Duplicates share their predecessor's emit
+// and add nothing.
+func scanOrder(ordered []*trial.Trial, depth, entry, nLayers int) (int, error) {
 	steps := 0
 	var prev []trial.Key
 	for i, t := range ordered {
 		cur := t.Inj
-		p, frontier := 0, 0
+		p, frontier := depth, entry
 		if i > 0 {
 			n := min(len(prev), len(cur))
 			for p < n && prev[p] == cur[p] {

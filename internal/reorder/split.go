@@ -148,7 +148,7 @@ func SplitPlanOrderedCut(c *circuit.Circuit, ordered []*trial.Trial, cut, budget
 	if err != nil {
 		return nil, err
 	}
-	if _, err := scanOrder(ordered, shell.nLayers); err != nil {
+	if _, err := scanOrder(ordered, 0, 0, shell.nLayers); err != nil {
 		return nil, err
 	}
 	sp := &SplitPlan{
@@ -173,7 +173,9 @@ func SplitPlanOrderedCut(c *circuit.Circuit, ordered []*trial.Trial, cut, budget
 // spawnBranch packages trials [lo, hi) — which share injections
 // [0, depth] with the branch key at index depth — as one subtree task:
 // the branch injection followed by the whole-plan walk below it,
-// generated against the trunk's current (EntryLayer, prefix).
+// generated against the trunk's current (EntryLayer, prefix). An
+// unbudgeted task's steps are counted first (scanOrder) and allocated
+// once at that size.
 func (b *planBuilder) spawnBranch(lo, hi, depth int, key trial.Key) {
 	task := &Subtree{
 		ID:         len(b.split.Subtrees),
@@ -187,6 +189,15 @@ func (b *planBuilder) spawnBranch(lo, hi, depth int, key trial.Key) {
 		layerOps: b.plan.layerOps,
 		layerCum: b.plan.layerCum,
 		totalOps: b.plan.totalOps,
+	}
+	counted := -1 // budgeted tasks grow their steps
+	if b.budget == math.MaxInt {
+		n, err := scanOrder(b.plan.Order[lo:hi], depth+1, b.layersDone, b.plan.nLayers)
+		if err != nil {
+			panic(fmt.Sprintf("reorder: subtree %d: %v", task.ID, err))
+		}
+		counted = 1 + n // the branch injection, then the walk below it
+		shell.Steps = make([]Step, 0, counted)
 	}
 	tb := &planBuilder{plan: shell, record: true, depthCap: math.MaxInt, budget: b.budget, layersDone: b.layersDone}
 	tb.prefix = append(tb.prefix, b.prefix[:depth]...)
@@ -206,6 +217,9 @@ func (b *planBuilder) spawnBranch(lo, hi, depth int, key trial.Key) {
 	tb.build(lo, hi, depth+1)
 	if tb.layersDone != shell.nLayers || len(tb.snaps) != baseSnaps {
 		panic(fmt.Sprintf("reorder: subtree %d ended at layer %d of %d with %d of %d snapshots", task.ID, tb.layersDone, shell.nLayers, len(tb.snaps), baseSnaps))
+	}
+	if counted >= 0 && len(shell.Steps) != counted {
+		panic(fmt.Sprintf("reorder: internal error, subtree %d has %d steps, counted %d", task.ID, len(shell.Steps), counted))
 	}
 	task.Steps = shell.Steps
 	task.Ops = shell.planOps

@@ -24,6 +24,14 @@ import (
 // paper's snapshot executor is the case where decideReal is always true:
 // every frame is real, nothing is journaled, and a pop adopts the stored
 // vector as the working register.
+//
+// Registers cycle through the walk without the shared arena: a real pop
+// leaves the register it discards as a spare in the frame slot it
+// vacates, and the next push into that slot snapshots into the spare
+// before it asks the arena. A walk therefore holds at most one register
+// per slot of its frame stack's capacity, plus the working one, and
+// returns them all to the arena when its plan, trunk or task ends
+// (release), also when it fails.
 
 // jentry is one journaled mutation of the working register: a compiled
 // layer advance or a Pauli injection.
@@ -36,6 +44,7 @@ type jentry struct {
 
 // pframe is one branch point on the frame stack. Real frames hold a
 // snapshot; virtual frames hold only the journal position to unwind to.
+// A slot past the stack's length holds its spare register in st, or nil.
 type pframe struct {
 	real  bool
 	st    *statevec.State
@@ -205,6 +214,9 @@ func (bs *branchState) Inject(op gate.Pauli, qubit int) error {
 func (bs *branchState) Push() error {
 	depth := len(bs.frames) + 1
 	if !bs.decideReal() {
+		if s := bs.nextSlot(); s != nil && s.st != nil {
+			bs.pool.put(s.st) // a virtual frame holds no register
+		}
 		bs.frames = append(bs.frames, pframe{pos: len(bs.journal)})
 		if bs.rec != nil {
 			bs.rec.Add(obs.PolicyUncomputeDecisions, 1)
@@ -216,7 +228,13 @@ func (bs *branchState) Push() error {
 		}
 		return nil
 	}
-	snap := bs.pool.get()
+	var snap *statevec.State
+	if s := bs.nextSlot(); s != nil {
+		snap = s.st // the spare; the new frame overwrites the slot
+	}
+	if snap == nil {
+		snap = bs.pool.get()
+	}
 	snap.CopyFrom(bs.work)
 	f := pframe{real: true, st: snap, pos: len(bs.journal)}
 	bs.res.Copies++
@@ -251,10 +269,11 @@ func (bs *branchState) Pop() error {
 	if len(bs.frames) <= bs.floor {
 		return errors.New("pops below its branch floor")
 	}
-	f := bs.frames[len(bs.frames)-1]
-	bs.frames = bs.frames[:len(bs.frames)-1]
+	d := len(bs.frames) - 1
+	f := bs.frames[d]
+	bs.frames = bs.frames[:d]
 	if f.real {
-		bs.pool.put(bs.work)
+		bs.frames[:d+1][d].st = bs.work // the vacated slot's spare
 		bs.work = f.st
 		bs.journal = bs.journal[:f.pos]
 		bs.realCnt--
@@ -297,6 +316,34 @@ func (bs *branchState) Restore() error {
 		sp.Event("snapshot_restore", trace.Int("depth", int64(len(bs.frames))))
 	}
 	return nil
+}
+
+// nextSlot returns the frame slot the next push fills, with the spare
+// its last pop left, or nil when the push must grow the stack.
+func (bs *branchState) nextSlot() *pframe {
+	if d := len(bs.frames); d < cap(bs.frames) {
+		return &bs.frames[:d+1][d]
+	}
+	return nil
+}
+
+// release returns every register the walk holds to the arena: the
+// working register, each real frame's snapshot (a task's preserved entry
+// included) and the spares past the stack's length. It leaves the branch
+// state empty, so a second call is a no-op.
+func (bs *branchState) release() {
+	if bs.work != nil {
+		bs.pool.put(bs.work)
+		bs.work = nil
+	}
+	slots := bs.frames[:cap(bs.frames)]
+	for i := range slots {
+		if st := slots[i].st; st != nil {
+			bs.pool.put(st)
+			slots[i].st = nil
+		}
+	}
+	bs.frames = bs.frames[:0]
 }
 
 // recoverErr turns a panic in an executor goroutine into its error

@@ -407,16 +407,19 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	pool := newStatePool(c.NumQubits(), arena)
 	bs := newBranchState(c, opt, newAdvancer(c, prog), res, tr, pool, true)
 	// Every StepPush opens a frame, so the plan's stack peak sizes the
-	// frame stack once.
+	// frame stack, and with it the spares, once.
 	bs.frames = make([]pframe, 0, plan.MSV())
 	bs.work = pool.get()
+	// A panic (Parallel recovers a chunk's) hands the registers back too.
+	defer bs.release()
 	bs.work.Reset()
-	if err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil); err != nil {
+	err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil)
+	// Return the registers to the arena so a caller-shared pool stays warm
+	// across runs instead of leaking one working set per run.
+	bs.release()
+	if err != nil {
 		return traceDone(esp, nil, fmt.Errorf("sim: %w", err))
 	}
-	// Return the register to the arena so a caller-shared pool stays warm
-	// across runs instead of leaking one working set per run.
-	pool.put(bs.work)
 	if rec != nil {
 		rec.Add(obs.Ops, res.Ops)
 		rec.Add(obs.Copies, res.Copies)

@@ -320,8 +320,11 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 					tsp.End()
 				} else {
 					// Already failed: drain so the trunk never blocks on
-					// the entry-state bound, dropping the queued clones.
+					// the entry-state bound, returning the queued clones.
 					tracker.add(-int64(len(qt.entries)))
+					for _, e := range qt.entries {
+						pool.put(e)
+					}
 				}
 				for range qt.entries {
 					<-sem
@@ -392,6 +395,7 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 	rec := opt.Recorder
 	bs := newBranchState(c, opt, adv, res, tr, pool, true)
 	bs.work = pool.get()
+	defer bs.release()
 	bs.work.Reset()
 	grp := newSpawnGroup(opt.Lanes, queue)
 	spawn := func(task int, last bool) error {
@@ -416,7 +420,6 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 	if err := bs.run(sp.Trunk, sp.Order, 0, spawn); err != nil {
 		return nil, fmt.Errorf("sim: trunk: %v", err)
 	}
-	pool.put(bs.work)
 	return res, nil
 }
 
@@ -449,13 +452,15 @@ func runSubtree(sp *reorder.SplitPlan, bs *branchState, st *reorder.Subtree, ent
 		bs.work = entry
 		bs.tr.add(-1) // adopted as the working register
 	}
-	if err := bs.run(st.Steps, sp.Order, st.Trials, nil); err != nil {
+	err := bs.run(st.Steps, sp.Order, st.Trials, nil)
+	// The entry goes back with the registers: adopted as the working
+	// one, or kept at the stack floor.
+	bs.release()
+	if err != nil {
 		return fmt.Errorf("sim: task %d: %v", st.ID, err)
 	}
-	bs.pool.put(bs.work)
 	if keepEntry {
 		bs.tr.add(-1) // the preserved entry state is dropped with the task
-		bs.pool.put(entry)
 	}
 	return nil
 }

@@ -47,8 +47,13 @@ func ExecuteBatchedSubtree(c *circuit.Circuit, trials []*trial.Trial, workers, l
 func runTaskGroup(sp *reorder.SplitPlan, bs *branchState, qt queuedTask, br *batchRunner) (err error) {
 	defer recoverErr(&err)
 	if br == nil || len(qt.tasks) == 1 || bs.policy {
+		// A panicking task's registers go back to the arena too.
+		defer bs.release()
 		for i, st := range qt.tasks {
 			if err := runSubtree(sp, bs, st, qt.entries[i]); err != nil {
+				for _, e := range qt.entries[i+1:] {
+					bs.pool.put(e)
+				}
 				return err
 			}
 		}

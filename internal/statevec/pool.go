@@ -12,6 +12,11 @@ import (
 // clones entry states that workers later release, so per-goroutine free
 // lists would strand buffers); after warm-up every acquisition is a free-
 // list pop and the steady-state hot loop performs zero heap allocations.
+// Reuse within one goroutine does not come here: a single-lane plan walk
+// (internal/sim) keeps the registers its pops discard as spares for its
+// next pushes and returns them when its plan, trunk or task ends, so the
+// pool sees a walk's first draws and the cross-goroutine entry clones,
+// and its hit and miss counts measure that traffic only.
 //
 // Each size class retains at most a bounded number of idle buffers
 // (DefaultPoolRetain unless NewBufferPoolRetain says otherwise); releases

@@ -13,6 +13,7 @@
 package trial
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -210,11 +211,16 @@ func (m ErrorMode) String() string {
 // For single-qubit gates (and PerQubit mode) qubit1 is -1 and the slot
 // injects one Pauli on qubit0; for PerGate two-qubit slots the injection
 // is a two-qubit Pauli over (qubit0, qubit1).
+//
+// A slot also carries one row of the geometric skip's threshold table,
+// indexed by skip length rather than by position: thr is q^m for the
+// slot's own index m (see initSkip).
 type slot struct {
 	layer  int
-	qubit0 int
-	qubit1 int // -1 for single-qubit slots
+	qubit0 int32
+	qubit1 int32 // -1 for single-qubit slots
 	prob   float64
+	thr    float64
 }
 
 // Generator samples trials for a fixed (circuit, noise model) pair. The
@@ -228,8 +234,12 @@ type Generator struct {
 	mode    ErrorMode
 	slots   []slot
 	maxProb float64
-	// lnq is math.Log1p(-maxProb), the geometric skip's denominator.
-	lnq float64
+	// lnq is math.Log1p(-maxProb), the geometric skip's denominator, and
+	// invLnq its reciprocal for the skip's estimate.
+	lnq, invLnq float64
+	// thresholds is slots extended by one row in its spare capacity:
+	// thresholds[m].thr is q^m for m = 0..len(slots).
+	thresholds []slot
 	// measured qubits, their readout error rates, and the classical bit
 	// each writes, ordered by classical bit
 	measQubit []int
@@ -252,11 +262,16 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 	if c.NumLayers() > keyLayerMax || c.NumQubits() > keyQubitMax {
 		return nil, fmt.Errorf("trial: circuit too large to pack (%d layers, %d qubits)", c.NumLayers(), c.NumQubits())
 	}
-	// An op has at most one slot per qubit and a layer at most one idle
-	// slot per qubit, which bounds the slot table.
-	size := 0
+	// An op has at most one slot per qubit (a PerGate pair has one) and
+	// a layer at most one idle slot per qubit, which bounds the slot
+	// table; one more row holds the last skip threshold.
+	size := 1
 	for _, op := range c.Ops() {
-		size += len(op.Qubits)
+		if len(op.Qubits) == 2 && mode == PerGate {
+			size++
+		} else {
+			size += len(op.Qubits)
+		}
 	}
 	var busy []bool
 	if m.HasIdleErrors() {
@@ -270,25 +285,25 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 			op := c.Op(i)
 			switch {
 			case len(op.Qubits) == 1:
-				g.slots = append(g.slots, slot{layer: l, qubit0: op.Qubits[0], qubit1: -1, prob: m.Single(op.Qubits[0])})
+				g.slots = append(g.slots, slot{layer: l, qubit0: int32(op.Qubits[0]), qubit1: -1, prob: m.Single(op.Qubits[0])})
 			case len(op.Qubits) == 2 && mode == PerGate:
 				p := m.Two(op.Qubits[0], op.Qubits[1])
 				a, b := op.Qubits[0], op.Qubits[1]
 				if a > b {
 					a, b = b, a
 				}
-				g.slots = append(g.slots, slot{layer: l, qubit0: a, qubit1: b, prob: p})
+				g.slots = append(g.slots, slot{layer: l, qubit0: int32(a), qubit1: int32(b), prob: p})
 			case len(op.Qubits) == 2:
 				p := m.Two(op.Qubits[0], op.Qubits[1])
 				g.slots = append(g.slots,
-					slot{layer: l, qubit0: op.Qubits[0], qubit1: -1, prob: p},
-					slot{layer: l, qubit0: op.Qubits[1], qubit1: -1, prob: p})
+					slot{layer: l, qubit0: int32(op.Qubits[0]), qubit1: -1, prob: p},
+					slot{layer: l, qubit0: int32(op.Qubits[1]), qubit1: -1, prob: p})
 			default:
 				// Multi-qubit gates should be decomposed before noisy
 				// simulation; model them as independent per-qubit errors
 				// so a direct run is still conservative.
 				for _, q := range op.Qubits {
-					g.slots = append(g.slots, slot{layer: l, qubit0: q, qubit1: -1, prob: m.GateQubitError(len(op.Qubits), q, op.Qubits[0])})
+					g.slots = append(g.slots, slot{layer: l, qubit0: int32(q), qubit1: -1, prob: m.GateQubitError(len(op.Qubits), q, op.Qubits[0])})
 				}
 			}
 		}
@@ -304,20 +319,20 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 			}
 			for q, b := range busy {
 				if !b && m.Idle(q) > 0 {
-					g.slots = append(g.slots, slot{layer: l, qubit0: q, qubit1: -1, prob: m.Idle(q)})
+					g.slots = append(g.slots, slot{layer: l, qubit0: int32(q), qubit1: -1, prob: m.Idle(q)})
 				}
 			}
 		}
 		// Canonical order within a layer is by first qubit; gates in one
 		// layer never share a qubit, so this is a total order.
-		slices.SortFunc(g.slots[start:], func(a, b slot) int { return a.qubit0 - b.qubit0 })
+		slices.SortFunc(g.slots[start:], func(a, b slot) int { return cmp.Compare(a.qubit0, b.qubit0) })
 	}
 	for _, s := range g.slots {
 		if s.prob > g.maxProb {
 			g.maxProb = s.prob
 		}
 	}
-	g.lnq = math.Log1p(-g.maxProb)
+	g.initSkip()
 	ms := slices.Clone(c.Measurements())
 	slices.SortFunc(ms, func(a, b circuit.Measurement) int { return a.Bit - b.Bit })
 	if len(ms) > 64 {
@@ -387,14 +402,11 @@ func (g *Generator) sample(rng *rand.Rand, id int, t *Trial, arena []Key) []Key 
 			// probability, then accept each candidate with prob/maxProb.
 			// Expected work is O(expected errors / min acceptance) rather
 			// than O(slots).
+			n := len(g.slots)
 			i := 0
 			for {
-				u := rng.Float64()
-				if u == 0 {
-					u = math.SmallestNonzeroFloat64
-				}
-				i += int(math.Log(u) / g.lnq)
-				if i >= len(g.slots) {
+				i += g.skip(rng.Float64(), n-i)
+				if i >= n {
 					break
 				}
 				sl := &g.slots[i]
@@ -423,20 +435,120 @@ func (g *Generator) sample(rng *rand.Rand, id int, t *Trial, arena []Key) []Key 
 	return arena
 }
 
+// skipGuard is the relative half-width of the guard band around each
+// threshold q^m: the bracket [q^m(1-skipGuard), q^m(1+skipGuard)] holds
+// every u whose exact skip could fall on either side of m. The exact skip
+// int(math.Log(u)/lnq) errs by less than 2^-51 relatively (math.Log by
+// under 1 ulp, the division by half an ulp); as |ln u| <= 745 for any
+// positive float64, that moves a threshold in ln u by at most
+// 745*2^-50 < 2^-40.4. The stored q^m = math.Exp(m*lnq) errs by under
+// 2^-43.4 relatively (the product by 745*2^-53 in its exponent, math.Exp
+// by 1 ulp). 2^-36 covers both sixteen times over.
+const skipGuard = 0x1p-36
+
+// skipFloor is where the table and the estimate stop: a threshold below
+// skipFloor/2 is stored as 0, which certifies "fewer than m" for every u
+// at or above skipFloor and "at least m" for none, and a u below
+// skipFloor takes the exact skip. rand.Float64 never draws a nonzero u
+// this small.
+const skipFloor = 0x1p-1000
+
+// initSkip sets lnq and, for 0 < maxProb < 1, the skip thresholds q^m.
+// The rows live in the slot table's spare capacity, so they cost no
+// allocation of their own.
+func (g *Generator) initSkip() {
+	g.lnq = math.Log1p(-g.maxProb)
+	g.invLnq = 1 / g.lnq
+	if g.maxProb <= 0 || g.maxProb >= 1 {
+		return
+	}
+	g.thresholds = g.slots[:len(g.slots)+1]
+	for m := range g.thresholds {
+		e := math.Exp(float64(m) * g.lnq)
+		if e < skipFloor/2 {
+			e = 0
+		}
+		g.thresholds[m].thr = e
+	}
+}
+
+// skip returns the geometric jump from uniform u over the next rem
+// candidate slots: min(int(math.Log(u)/g.lnq), rem), with u == 0 read as
+// math.SmallestNonzeroFloat64 — the exact expression's value, bit for
+// bit, so the trials and the rng stream do not depend on which path
+// computed it. Nearly every u takes no logarithm: below the bracket of
+// q^rem the jump certainly passes the last slot, and otherwise a cheap
+// estimate k is certified when u lies above the bracket of q^(k+1) and
+// below that of q^k. Only u inside a guard band, or below skipFloor,
+// takes the exact expression.
+func (g *Generator) skip(u float64, rem int) int {
+	t := g.thresholds
+	if u < t[rem].thr*(1-skipGuard) {
+		return rem
+	}
+	if u >= skipFloor {
+		// The exact skip is never negative (ln u <= 0 and lnq < 0), so
+		// an estimate of 0 needs only its upper bracket.
+		k := int(fastLn(u) * g.invLnq)
+		if k >= 0 && k < rem && u > t[k+1].thr*(1+skipGuard) && (k == 0 || u < t[k].thr*(1-skipGuard)) {
+			return k
+		}
+	}
+	return g.exactSkip(u, rem)
+}
+
+// exactSkip is skip by the exact expression. The comparison happens in
+// floating point, so a jump too long for an int still reads as rem.
+func (g *Generator) exactSkip(u float64, rem int) int {
+	if u == 0 {
+		u = math.SmallestNonzeroFloat64
+	}
+	r := math.Log(u) / g.lnq
+	if r >= float64(rem) {
+		return rem
+	}
+	return int(r)
+}
+
+// lnTableBits is how many leading mantissa bits index lnTable.
+const lnTableBits = 7
+
+// lnTable holds, for each interval of lnTableBits leading mantissa bits,
+// the reciprocal and the logarithm of its midpoint c.
+var lnTable = func() (t [1 << lnTableBits]struct{ inv, ln float64 }) {
+	for j := range t {
+		c := 1 + (float64(j)+0.5)/(1<<lnTableBits)
+		t[j].inv, t[j].ln = 1/c, math.Log(c)
+	}
+	return t
+}()
+
+// fastLn estimates ln u for a positive normal u to about 2^-30
+// absolutely: the exponent's share plus ln c for the mantissa's table
+// interval plus a cubic for ln(1+r), r = mantissa/c - 1 with |r| < 2^-8.
+// It only proposes skip values; the thresholds' brackets decide.
+func fastLn(u float64) float64 {
+	bits := math.Float64bits(u)
+	e := float64(int(bits>>52) - 1023)
+	c := &lnTable[bits>>(52-lnTableBits)&(1<<lnTableBits-1)]
+	r := math.Float64frombits(bits&(1<<52-1)|1023<<52)*c.inv - 1
+	return e*math.Ln2 + c.ln + r*(1-r*(0.5-r*(1.0/3)))
+}
+
 // fire appends the Pauli operator(s) of a firing slot to inj.
 func (g *Generator) fire(rng *rand.Rand, inj []Key, sl *slot) []Key {
 	if sl.qubit1 < 0 {
-		return append(inj, Pack(sl.layer, sl.qubit0, gate.Pauli(rng.Intn(3))))
+		return append(inj, Pack(sl.layer, int(sl.qubit0), gate.Pauli(rng.Intn(3))))
 	}
 	// Uniform over the 15 non-identity two-qubit Paulis: v in 1..15,
 	// high two bits for qubit0's operator, low two for qubit1's
 	// (0 = identity, 1..3 = X, Y, Z).
 	v := 1 + rng.Intn(15)
 	if p0 := v >> 2; p0 != 0 {
-		inj = append(inj, Pack(sl.layer, sl.qubit0, gate.Pauli(p0-1)))
+		inj = append(inj, Pack(sl.layer, int(sl.qubit0), gate.Pauli(p0-1)))
 	}
 	if p1 := v & 3; p1 != 0 {
-		inj = append(inj, Pack(sl.layer, sl.qubit1, gate.Pauli(p1-1)))
+		inj = append(inj, Pack(sl.layer, int(sl.qubit1), gate.Pauli(p1-1)))
 	}
 	return inj
 }
