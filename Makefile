@@ -134,6 +134,7 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzKernelZMMParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzKernelPauliParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzKernelDiagHParity -fuzztime 10s ./internal/statevec
+	$(GO) test -run ^$$ -fuzz FuzzTapeParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace
 
 # The deep correctness gate: everything verify runs, plus vet, the race

@@ -94,7 +94,7 @@ func TestDispatchTableBitIdentical(t *testing.T) {
 		}
 
 		res := newResult(nil, 0, false)
-		bs := newBranchState(c, Options{}, newAdvancer(c, nil), res, &msvTracker{}, nil, true)
+		bs := newBranchState(c, Options{}, newAdvancer(c, nil, 0), res, &msvTracker{}, nil, true)
 		if bs.tab == nil {
 			t.Fatal("nil program did not build a dispatch table")
 		}

@@ -63,6 +63,7 @@ type branchState struct {
 	pool    *statePool
 	prog    *statevec.Program // nil: walk tab (snapshot policy only)
 	tab     *dispatchTable
+	bits    bitsTable
 	res     *Result
 	striped bool // trunk/sequential paths stripe their sweeps, task bodies do not
 
@@ -79,40 +80,62 @@ type branchState struct {
 
 // advancer is what one run advances layer ranges with: the compiled
 // program, or, when the options compile none, the circuit's dispatch
-// table. Built once per run and shared read-only by every goroutine.
+// table; and the measured-bits table of a run of trials trials. Built
+// once per run and shared read-only by every goroutine.
 type advancer struct {
 	prog *statevec.Program
 	tab  *dispatchTable
+	bits bitsTable
 }
 
-func newAdvancer(c *circuit.Circuit, prog *statevec.Program) advancer {
-	if prog != nil {
-		return advancer{prog: prog}
+func newAdvancer(c *circuit.Circuit, prog *statevec.Program, trials int) advancer {
+	adv := advancer{prog: prog, bits: newBitsTable(c, trials)}
+	if prog == nil {
+		adv.tab = newDispatchTable(c)
 	}
-	return advancer{tab: newDispatchTable(c)}
+	return adv
 }
 
 // dispatchTable is the circuit's ops resolved once into kernels
-// (statevec.ResolveOp) in layer order. Walking it applies exactly the
-// kernels gate-by-gate ApplyOp would, without re-reading each op's gate.
+// (statevec.ResolveOp) in layer order, plus the three Pauli kernels of
+// every qubit. Advancing through it applies exactly the kernels
+// gate-by-gate ApplyOp would, without re-reading each op's gate, and an
+// advance or an injection is one State.ApplyKernels call.
 type dispatchTable struct {
 	kern  []statevec.OpKernel
-	start []int // layer l's kernels are kern[start[l]:start[l+1]]
+	start []int               // layer l's kernels are kern[start[l]:start[l+1]]
+	pauli []statevec.OpKernel // Pauli p on qubit q is pauli[3q+p]
 }
 
 func newDispatchTable(c *circuit.Circuit) *dispatchTable {
-	layers, ops := c.Layers(), c.Ops()
-	t := &dispatchTable{
-		kern:  make([]statevec.OpKernel, 0, len(ops)),
-		start: make([]int, len(layers)+1),
-	}
+	layers, ops, n := c.Layers(), c.Ops(), c.NumQubits()
+	all := make([]statevec.OpKernel, 0, len(ops)+3*n)
+	t := &dispatchTable{start: make([]int, len(layers)+1)}
 	for l, idx := range layers {
 		for _, oi := range idx {
-			t.kern = append(t.kern, statevec.ResolveOp(c.NumQubits(), ops[oi].Gate, ops[oi].Qubits...))
+			all = append(all, statevec.ResolveOp(n, ops[oi].Gate, ops[oi].Qubits...))
 		}
-		t.start[l+1] = len(t.kern)
+		t.start[l+1] = len(all)
 	}
+	t.kern = all
+	for q := range n {
+		for _, p := range []gate.Pauli{gate.PauliX, gate.PauliY, gate.PauliZ} {
+			all = append(all, statevec.ResolveOp(n, p.Gate(), q))
+		}
+	}
+	t.pauli = all[len(t.kern):]
 	return t
+}
+
+// injection returns the kernel of Pauli op on qubit, or nil without a
+// table or for an operator or qubit outside it (ApplyPauli's panic
+// reports those).
+func (t *dispatchTable) injection(op gate.Pauli, qubit int) []statevec.OpKernel {
+	i := 3*qubit + int(op)
+	if t == nil || op > gate.PauliZ || qubit < 0 || i >= len(t.pauli) {
+		return nil
+	}
+	return t.pauli[i : i+1]
 }
 
 // newBranchState returns a branch state for one plan, trunk or worker;
@@ -122,7 +145,7 @@ func newDispatchTable(c *circuit.Circuit) *dispatchTable {
 func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, striped bool) *branchState {
 	return &branchState{
 		c: c, opt: opt, rec: opt.Recorder, tr: tr, pool: pool,
-		prog: adv.prog, tab: adv.tab, res: res, striped: striped,
+		prog: adv.prog, tab: adv.tab, bits: adv.bits, res: res, striped: striped,
 		policy: opt.Policy != PolicySnapshot,
 		exact:  opt.Fuse != statevec.FuseNumeric,
 	}
@@ -142,7 +165,7 @@ func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int,
 
 func (bs *branchState) Emit(_ int, ts []*trial.Trial) error {
 	for _, t := range ts {
-		bs.res.Outcomes = append(bs.res.Outcomes, Outcome{TrialID: t.ID, Bits: sampleOutcome(bs.work, bs.c, t)})
+		bs.res.Outcomes = append(bs.res.Outcomes, Outcome{TrialID: t.ID, Bits: bs.bits.outcome(bs.work, bs.c, t)})
 		if bs.opt.KeepStates {
 			bs.res.FinalStates[t.ID] = bs.work.Clone()
 		}
@@ -186,9 +209,7 @@ func (bs *branchState) runRev(from, to int) int {
 func (bs *branchState) Advance(from, to int) error {
 	if bs.prog == nil {
 		ks := bs.tab.kern[bs.tab.start[from]:bs.tab.start[to]]
-		for i := range ks {
-			bs.work.ApplyKernel(&ks[i])
-		}
+		bs.work.ApplyKernels(ks)
 		bs.res.Ops += int64(len(ks))
 		return nil
 	}
@@ -200,7 +221,11 @@ func (bs *branchState) Advance(from, to int) error {
 }
 
 func (bs *branchState) Inject(op gate.Pauli, qubit int) error {
-	bs.work.ApplyPauli(op, qubit)
+	if k := bs.tab.injection(op, qubit); k != nil {
+		bs.work.ApplyKernels(k)
+	} else {
+		bs.work.ApplyPauli(op, qubit)
+	}
 	bs.res.Ops++
 	if bs.policy {
 		bs.journal = append(bs.journal, jentry{op: op, qubit: qubit})

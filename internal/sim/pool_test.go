@@ -78,6 +78,19 @@ func TestRegistersReturnToArena(t *testing.T) {
 	bad.Steps = slices.Clone(bad.Steps)
 	bad.Steps[len(bad.Steps)/2].Kind = reorder.StepKind(7)
 	taskFail.Subtrees[big] = &bad
+	// A task whose injection names a qubit outside the register panics
+	// mid-walk (ApplyPauli); the executor recovers it as the task's error.
+	taskPanic := *sp
+	taskPanic.Subtrees = slices.Clone(sp.Subtrees)
+	wild := *sp.Subtrees[big]
+	wild.Steps = slices.Clone(wild.Steps)
+	for i := len(wild.Steps) / 2; i < len(wild.Steps); i++ {
+		if wild.Steps[i].Kind == reorder.StepInject {
+			wild.Steps[i].Qubit = 99
+			break
+		}
+	}
+	taskPanic.Subtrees[big] = &wild
 	trunkFail := *sp
 	trunkFail.Trunk = slices.Clone(sp.Trunk)
 	trunkFail.Trunk[len(sp.Trunk)/2].Kind = reorder.StepKind(7)
@@ -114,6 +127,10 @@ func TestRegistersReturnToArena(t *testing.T) {
 		{"split/task-fails/1w", Options{}, split(&taskFail, 1), true},
 		{"split/task-fails/4w", Options{}, split(&taskFail, 4), true},
 		{"split/trunk-fails/2w", Options{}, split(&trunkFail, 2), true},
+		{"split/lanes-4/2w", Options{Lanes: 4}, split(sp, 2), false},
+		{"split/lanes-4/task-fails/2w", Options{Lanes: 4}, split(&taskFail, 2), true},
+		{"split/lanes-4/task-panics/2w", Options{Lanes: 4}, split(&taskPanic, 2), true},
+		{"split/task-panics/2w", Options{}, split(&taskPanic, 2), true},
 	} {
 		pool := statevec.NewBufferPool()
 		tc.opt.Pool = pool

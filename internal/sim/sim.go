@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -286,6 +287,33 @@ func sampleBitsRaw(st *statevec.State, c *circuit.Circuit, t *trial.Trial) uint6
 	return measuredBits(c, statevec.SampleIndex(st.Amplitudes(), t.SampleU))
 }
 
+// bitsTable maps every basis index of a run's state to its measured
+// classical bits (measuredBits), so an emit reads one entry instead of
+// looping over the measurements. A run builds it once, only when the
+// state has no more basis states than the run has trials: there the
+// table costs less than the loops it saves. Otherwise it is nil and
+// outcome loops.
+type bitsTable []uint64
+
+func newBitsTable(c *circuit.Circuit, trials int) bitsTable {
+	if c.NumQubits() >= 31 || 1<<c.NumQubits() > trials {
+		return nil
+	}
+	t := make(bitsTable, 1<<c.NumQubits())
+	for i := range t {
+		t[i] = measuredBits(c, i)
+	}
+	return t
+}
+
+// outcome is sampleOutcome through the table.
+func (t bitsTable) outcome(st *statevec.State, c *circuit.Circuit, tr *trial.Trial) uint64 {
+	if t == nil {
+		return sampleOutcome(st, c, tr)
+	}
+	return t[statevec.SampleIndex(st.Amplitudes(), tr.SampleU)] ^ tr.MeasFlips
+}
+
 // measuredBits routes the measured qubits of basis state idx to their
 // classical bits.
 func measuredBits(c *circuit.Circuit, idx int) uint64 {
@@ -405,7 +433,7 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()
 	pool := newStatePool(c.NumQubits(), arena)
-	bs := newBranchState(c, opt, newAdvancer(c, prog), res, tr, pool, true)
+	bs := newBranchState(c, opt, newAdvancer(c, prog, len(plan.Order)), res, tr, pool, true)
 	// Every StepPush opens a frame, so the plan's stack peak sizes the
 	// frame stack, and with it the spares, once.
 	bs.frames = make([]pframe, 0, plan.MSV())
@@ -491,10 +519,33 @@ func (r *Result) absorb(p *Result) {
 	}
 }
 
-// finish puts outcomes in trial-ID order and fills the histogram.
+// finish puts outcomes in trial-ID order and fills the histogram. When
+// the outcomes' bit patterns fit in 2^w values for 2^w no larger than the
+// outcome count, it counts them in a slice first and writes each pattern
+// seen into the map once.
 func finish(res *Result) {
 	if !placeByID(res.Outcomes) {
 		slices.SortFunc(res.Outcomes, func(a, b Outcome) int { return cmp.Compare(a.TrialID, b.TrialID) })
+	}
+	var seen uint64
+	for _, o := range res.Outcomes {
+		seen |= o.Bits
+	}
+	if w := bits.Len64(seen); w < 31 && 1<<w <= len(res.Outcomes) {
+		var small [64]int
+		dense := small[:]
+		if 1<<w > len(small) {
+			dense = make([]int, 1<<w)
+		}
+		for _, o := range res.Outcomes {
+			dense[o.Bits]++
+		}
+		for b, n := range dense {
+			if n > 0 {
+				res.Counts[uint64(b)] += n
+			}
+		}
+		return
 	}
 	for _, o := range res.Outcomes {
 		res.Counts[o.Bits]++

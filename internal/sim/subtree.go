@@ -282,7 +282,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 	if prog == nil {
 		prog = opt.compileProgram(c, opt.Policy != PolicySnapshot || lanes > 1)
 	}
-	adv := newAdvancer(c, prog)
+	adv := newAdvancer(c, prog, len(sp.Order))
 	arena, owned := opt.bufferPool()
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()

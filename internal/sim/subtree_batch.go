@@ -116,6 +116,26 @@ func (r *batchRunner) run(c *circuit.Circuit, sp *reorder.SplitPlan, prog *state
 	rec := opt.Recorder
 	n := len(qt.tasks)
 	keepEntry := sp.Budget() != math.MaxInt && sp.Budget() >= 1
+	// A group that fails or panics hands back the registers its lanes
+	// still hold, as the single-lane release does: each loaded lane's
+	// stack (snapshots and preserved entry) and the entries not loaded.
+	loaded, ok := 0, false
+	defer func() {
+		if ok {
+			return
+		}
+		for i := range n {
+			if i >= loaded {
+				pool.put(qt.entries[i])
+				continue
+			}
+			le := &r.lanes[i]
+			for _, st := range le.stack {
+				pool.put(st)
+			}
+			le.stack = le.stack[:0]
+		}
+	}()
 	for i := 0; i < n; i++ {
 		le := &r.lanes[i]
 		*le = laneExec{st: qt.tasks[i], stack: le.stack[:0], pushTimes: le.pushTimes[:0]}
@@ -138,6 +158,7 @@ func (r *batchRunner) run(c *circuit.Circuit, sp *reorder.SplitPlan, prog *state
 		if rec != nil {
 			le.emitMark = time.Now()
 		}
+		loaded = i + 1
 	}
 	active := n
 	for active > 0 {
@@ -179,6 +200,7 @@ func (r *batchRunner) run(c *circuit.Circuit, sp *reorder.SplitPlan, prog *state
 			r.pending, r.rest = r.rest, r.pending
 		}
 	}
+	ok = true
 	return nil
 }
 

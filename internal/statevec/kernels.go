@@ -38,6 +38,9 @@ import (
 // and the qubit shape. Two chunk loops run every routine: sweepPairs and
 // sweepUnits (kernels_amd64.go) prove a range in bounds, hand its odd
 // edges to the Go body and the rest to the assembly in asmChunk calls.
+// State.ApplyKernels runs a slice of dispatch kernels through the tape
+// instead, one assembly call for as many whole-state sweeps as fit in
+// asmChunk.
 
 // KernelISA names the sweep bodies this build runs on this CPU: "go" (the
 // portable bodies), "avx2" (the exact AVX2 routines of kernels_amd64.s for

@@ -37,7 +37,8 @@ func hasAVX512() bool
 // routines and units for the unit routines (tens of microseconds). The
 // runtime cannot preempt a goroutine inside assembly, so the chunk loops
 // sweep a large state in chunks and a stop-the-world pause waits for one
-// chunk, not one whole sweep. A multiple of 4, so every chunk edge keeps the
+// chunk, not one whole sweep; a tape call (kernTape) takes kernels only
+// while their summed pairs and units stay within it. A multiple of 4, so every chunk edge keeps the
 // alignment the assembly needs: even for the YMM sweeps, a multiple of 4
 // for the ZMM ones.
 const asmChunk = 1 << 12
@@ -133,6 +134,25 @@ func kernDiagAVX2(amp []complex128, bit, plo, phi int, d0, d1 complex128)
 
 //go:noescape
 func kernDiag1AVX2(amp []complex128, bit, plo, phi int, d1 complex128)
+
+// kernTape runs the kernels of ks in order on amp, each through the loop
+// of the exact AVX2 routine ApplyKernel would call, skipping identity
+// kernels, and returns the index of the first kernel it does not take:
+// one with a Go routine or another kind, one resolved for a state of
+// another size, or one whose pairs or units would take the call's sum
+// past asmChunk (the tape in kernels_amd64.s).
+//
+//go:noescape
+func kernTape(amp []complex128, ks []OpKernel) int
+
+// tape runs what kernTape takes of ks on amp; without AVX2 it takes
+// nothing.
+func tape(amp []complex128, ks []OpKernel) int {
+	if !useAVX2 {
+		return 0
+	}
+	return kernTape(amp, ks)
+}
 
 // asmPairs reports whether a single-qubit sweep on bit over base blocks
 // [lo, hi) has the range an assembly routine can take and returns its

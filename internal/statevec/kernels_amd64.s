@@ -1,6 +1,7 @@
 //go:build amd64 && !purego
 
 #include "textflag.h"
+#include "go_asm.h"
 
 // AVX2 bodies of kern1 and kern2, Float64bits-identical to kern1Go and
 // kern2Go. A YMM register holds two complex128 values [re0 im0 re1 im1].
@@ -155,6 +156,41 @@ no:
 	VMOVUPD    Y8, (SI); \
 	VMOVUPD    Y9, 32(SI)
 
+// PAIRSTART sets up the walk of pairs [plo, phi) (plo in CX, phi in BX,
+// bit in R8): BX becomes the step count, two pairs a step, and bit == 1
+// goes to pairs, the rest through HALVES to the VECLOOP that follows.
+#define PAIRSTART(pairs) \
+	SUBQ CX, BX; \
+	SHRQ $1, BX; \
+	CMPQ R8, $1; \
+	JEQ  pairs; \
+	HALVES(1)
+
+// VECLOOP runs the body B on the vector at SI and moves on, jumping over
+// each upper half, until the BX steps are done; then it goes to done.
+#define VECLOOP(B, vec, done) \
+vec: \
+	B; \
+	ADDQ $32, SI; \
+	DECQ BX; \
+	JZ   done; \
+	DECQ CX; \
+	JNZ  vec; \
+	ADDQ DX, SI; \
+	MOVQ R8, CX; \
+	JMP  vec
+
+// PAIRLOOP runs the body B on the bit == 1 walk, four amplitudes a step
+// from &amp[2*plo], for the BX steps.
+#define PAIRLOOP(B, pair) \
+	SHLQ $5, CX; \
+	ADDQ CX, SI; \
+pair: \
+	B; \
+	ADDQ $64, SI; \
+	DECQ BX; \
+	JNZ  pair
+
 // func kern1AVX2(amp []complex128, bit, plo, phi int, u00, u01, u10, u11 complex128)
 TEXT ·kern1AVX2(SB), NOSPLIT, $0-112
 	MOVQ         amp_base+0(FP), SI
@@ -169,36 +205,15 @@ TEXT ·kern1AVX2(SB), NOSPLIT, $0-112
 	VBROADCASTSD u10_imag+88(FP), Y5
 	VBROADCASTSD u11_real+96(FP), Y6
 	VBROADCASTSD u11_imag+104(FP), Y7
-	SUBQ         CX, BX
-	SHRQ         $1, BX            // vectors: two pairs each
-	CMPQ         R8, $1
-	JEQ          pairs
-	HALVES(1)
-
-vec:
-	HALF(KERN1)
-	ADDQ $32, SI
-	DECQ BX
-	JZ   done
-	DECQ CX
-	JNZ  vec
-	ADDQ DX, SI
-	MOVQ R8, CX
-	JMP  vec
+	PAIRSTART(pairs)
+	VECLOOP(HALF(KERN1), vec, done)
 
 done:
 	VZEROUPPER
 	RET
 
 pairs:
-	SHLQ $5, CX
-	ADDQ CX, SI                    // &amp[2*plo]
-
-pair:
-	PAIRS4(KERN1)
-	ADDQ $64, SI
-	DECQ BX
-	JNZ  pair
+	PAIRLOOP(PAIRS4(KERN1), pair)
 	VZEROUPPER
 	RET
 
@@ -233,36 +248,15 @@ TEXT ·kern1FMA(SB), NOSPLIT, $0-112
 	VBROADCASTSD u10_imag+88(FP), Y5
 	VBROADCASTSD u11_real+96(FP), Y6
 	VBROADCASTSD u11_imag+104(FP), Y7
-	SUBQ         CX, BX
-	SHRQ         $1, BX            // vectors: two pairs each
-	CMPQ         R8, $1
-	JEQ          pairs
-	HALVES(1)
-
-vec:
-	HALF(KERN1FMA)
-	ADDQ $32, SI
-	DECQ BX
-	JZ   done
-	DECQ CX
-	JNZ  vec
-	ADDQ DX, SI
-	MOVQ R8, CX
-	JMP  vec
+	PAIRSTART(pairs)
+	VECLOOP(HALF(KERN1FMA), vec, done)
 
 done:
 	VZEROUPPER
 	RET
 
 pairs:
-	SHLQ $5, CX
-	ADDQ CX, SI
-
-pair:
-	PAIRS4(KERN1FMA)
-	ADDQ $64, SI
-	DECQ BX
-	JNZ  pair
+	PAIRLOOP(PAIRS4(KERN1FMA), pair)
 	VZEROUPPER
 	RET
 
@@ -416,6 +410,15 @@ done:
 	VMOVUPD Y10, (DI)(R10*1); \
 	VMOVUPD Y11, (DI)(R12*1)
 
+// UNITLOOP runs the body B on units u..u+n-1 (u in CX) for u from lo
+// until CX reaches hi (in BX).
+#define UNITLOOP(B, n, l) \
+l: \
+	B; \
+	ADDQ $n, CX; \
+	CMPQ CX, BX; \
+	JLT  l
+
 // func kern2AVX2(amp []complex128, lowb, highb, b0, b1, lo, hi int, m *[16]complex128)
 TEXT ·kern2AVX2(SB), NOSPLIT, $0-80
 	MOVQ amp_base+0(FP), SI
@@ -432,11 +435,7 @@ TEXT ·kern2AVX2(SB), NOSPLIT, $0-80
 	MOVQ hi+64(FP), BX
 	MOVQ m+72(FP), DX
 
-loop2:
-	UNIT2(KERN2)
-	ADDQ $2, CX
-	CMPQ CX, BX
-	JLT  loop2
+	UNITLOOP(UNIT2(KERN2), 2, loop2)
 	VZEROUPPER
 	RET
 
@@ -456,11 +455,7 @@ TEXT ·kern2FMA(SB), NOSPLIT, $0-80
 	MOVQ hi+64(FP), BX
 	MOVQ m+72(FP), DX
 
-loop2:
-	UNIT2(KERN2FMA)
-	ADDQ $2, CX
-	CMPQ CX, BX
-	JLT  loop2
+	UNITLOOP(UNIT2(KERN2FMA), 2, loop2)
 	VZEROUPPER
 	RET
 
@@ -520,11 +515,7 @@ TEXT ·kern2FMA512(SB), NOSPLIT, $0-80
 	MOVQ m+72(FP), DX
 	ONES
 
-loop4:
-	UNIT4
-	ADDQ $4, CX
-	CMPQ CX, BX
-	JLT  loop4
+	UNITLOOP(UNIT4, 4, loop4)
 	VZEROUPPER
 	RET
 
@@ -577,20 +568,12 @@ TEXT ·kern2AVX2Q0(SB), NOSPLIT, $0-64
 	JNE  q0
 
 	// Qubit 0 is q1: unit u holds [a0 a1] at i0 and [a2 a3] at i0|highb.
-q1:
-	Q0UNIT(KERN2, Y1, Y2, Y9, Y10)
-	ADDQ $2, CX
-	CMPQ CX, BX
-	JLT  q1
+	UNITLOOP(Q0UNIT(KERN2, Y1, Y2, Y9, Y10), 2, q1)
 	VZEROUPPER
 	RET
 
 	// Qubit 0 is q0: unit u holds [a0 a2] at i0 and [a1 a3] at i0|highb.
-q0:
-	Q0UNIT(KERN2, Y2, Y1, Y10, Y9)
-	ADDQ $2, CX
-	CMPQ CX, BX
-	JLT  q0
+	UNITLOOP(Q0UNIT(KERN2, Y2, Y1, Y10, Y9), 2, q0)
 	VZEROUPPER
 	RET
 
@@ -609,20 +592,12 @@ TEXT ·kern2FMAQ0(SB), NOSPLIT, $0-64
 	JNE  q0
 
 	// Qubit 0 is q1, as in kern2AVX2Q0.
-q1:
-	Q0UNIT(KERN2FMA, Y1, Y2, Y9, Y10)
-	ADDQ $2, CX
-	CMPQ CX, BX
-	JLT  q1
+	UNITLOOP(Q0UNIT(KERN2FMA, Y1, Y2, Y9, Y10), 2, q1)
 	VZEROUPPER
 	RET
 
 	// Qubit 0 is q0.
-q0:
-	Q0UNIT(KERN2FMA, Y2, Y1, Y10, Y9)
-	ADDQ $2, CX
-	CMPQ CX, BX
-	JLT  q0
+	UNITLOOP(Q0UNIT(KERN2FMA, Y2, Y1, Y10, Y9), 2, q0)
 	VZEROUPPER
 	RET
 
@@ -654,6 +629,21 @@ q0:
 	VPERMILPD $5, Y8, Y11; \
 	VADDSUBPD Y11, Y13, Y13
 
+// XHALF swaps the vector at SI with its upper half.
+#define XHALF \
+	VMOVUPD (SI), Y8; \
+	VMOVUPD (SI)(DX*1), Y9; \
+	VMOVUPD Y9, (SI); \
+	VMOVUPD Y8, (SI)(DX*1)
+
+// XPAIRS swaps the 128-bit lanes of the two pairs at SI (bit == 1: a
+// vector is one pair).
+#define XPAIRS \
+	VPERMPD $0x4e, (SI), Y8; \
+	VPERMPD $0x4e, 32(SI), Y9; \
+	VMOVUPD Y8, (SI); \
+	VMOVUPD Y9, 32(SI)
+
 // func kernXAVX2(amp []complex128, bit, plo, phi int)
 // The kern1AVX2 walk, storing each half into the other.
 TEXT ·kernXAVX2(SB), NOSPLIT, $0-48
@@ -661,43 +651,15 @@ TEXT ·kernXAVX2(SB), NOSPLIT, $0-48
 	MOVQ bit+24(FP), R8
 	MOVQ plo+32(FP), CX
 	MOVQ phi+40(FP), BX
-	SUBQ CX, BX
-	SHRQ $1, BX                    // vectors: two pairs each
-	CMPQ R8, $1
-	JEQ  pairs
-	HALVES(1)
-
-vec:
-	VMOVUPD (SI), Y8
-	VMOVUPD (SI)(DX*1), Y9
-	VMOVUPD Y9, (SI)
-	VMOVUPD Y8, (SI)(DX*1)
-	ADDQ    $32, SI
-	DECQ    BX
-	JZ      done
-	DECQ    CX
-	JNZ     vec
-	ADDQ    DX, SI
-	MOVQ    R8, CX
-	JMP     vec
+	PAIRSTART(pairs)
+	VECLOOP(XHALF, vec, done)
 
 done:
 	VZEROUPPER
 	RET
 
-	// bit == 1: a vector is one pair; swap its 128-bit lanes.
 pairs:
-	SHLQ $5, CX
-	ADDQ CX, SI
-
-pair:
-	VPERMPD $0x4e, (SI), Y8
-	VPERMPD $0x4e, 32(SI), Y9
-	VMOVUPD Y8, (SI)
-	VMOVUPD Y9, 32(SI)
-	ADDQ    $64, SI
-	DECQ    BX
-	JNZ     pair
+	PAIRLOOP(XPAIRS, pair)
 	VZEROUPPER
 	RET
 
@@ -708,38 +670,31 @@ TEXT ·kernYAVX2(SB), NOSPLIT, $0-48
 	MOVQ plo+32(FP), CX
 	MOVQ phi+40(FP), BX
 	SIGNS
-	SUBQ CX, BX
-	SHRQ $1, BX                    // vectors: two pairs each
-	CMPQ R8, $1
-	JEQ  pairs
-	HALVES(1)
-
-vec:
-	HALF(KERNY)
-	ADDQ $32, SI
-	DECQ BX
-	JZ   done
-	DECQ CX
-	JNZ  vec
-	ADDQ DX, SI
-	MOVQ R8, CX
-	JMP  vec
+	PAIRSTART(pairs)
+	VECLOOP(HALF(KERNY), vec, done)
 
 done:
 	VZEROUPPER
 	RET
 
 pairs:
-	SHLQ $5, CX
-	ADDQ CX, SI
-
-pair:
-	PAIRS4(KERNY)
-	ADDQ $64, SI
-	DECQ BX
-	JNZ  pair
+	PAIRLOOP(PAIRS4(KERNY), pair)
 	VZEROUPPER
 	RET
+
+// ZHALF flips the signs of the upper half of the vector at SI, with Y15
+// the sign bits.
+#define ZHALF \
+	VXORPD  (SI)(DX*1), Y15, Y9; \
+	VMOVUPD Y9, (SI)(DX*1)
+
+// ZPAIRS flips the signs of the upper halves of the two pairs at SI
+// (bit == 1: the upper half of pair p is the amplitude 2p+1).
+#define ZPAIRS \
+	VXORPD  16(SI), X15, X8; \
+	VXORPD  48(SI), X15, X9; \
+	VMOVUPD X8, 16(SI); \
+	VMOVUPD X9, 48(SI)
 
 // func kernZAVX2(amp []complex128, bit, plo, phi int)
 // Loads, flips and stores the upper halves only.
@@ -749,43 +704,59 @@ TEXT ·kernZAVX2(SB), NOSPLIT, $0-48
 	MOVQ plo+32(FP), CX
 	MOVQ phi+40(FP), BX
 	SIGNS
-	SUBQ CX, BX
-	SHRQ $1, BX                    // vectors: two pairs each
-	CMPQ R8, $1
-	JEQ  pairs
-	HALVES(1)
-
-vec:
-	VXORPD  (SI)(DX*1), Y15, Y9
-	VMOVUPD Y9, (SI)(DX*1)
-	ADDQ    $32, SI
-	DECQ    BX
-	JZ      done
-	DECQ    CX
-	JNZ     vec
-	ADDQ    DX, SI
-	MOVQ    R8, CX
-	JMP     vec
+	PAIRSTART(pairs)
+	VECLOOP(ZHALF, vec, done)
 
 done:
 	VZEROUPPER
 	RET
 
-	// bit == 1: the upper half of pair p is the amplitude 2p+1.
 pairs:
-	SHLQ $5, CX
-	ADDQ CX, SI
-
-pair:
-	VXORPD  16(SI), X15, X8
-	VXORPD  48(SI), X15, X9
-	VMOVUPD X8, 16(SI)
-	VMOVUPD X9, 48(SI)
-	ADDQ    $64, SI
-	DECQ    BX
-	JNZ     pair
+	PAIRLOOP(ZPAIRS, pair)
 	VZEROUPPER
 	RET
+
+// CXUNIT2 swaps units u and u+1 (u in CX) with their partners for
+// lowb >= 2: R8 = -lowb, R9 = -highb, R10 the control offset in bytes and
+// R12 the partner offset.
+#define CXUNIT2 \
+	SPREAD(CX, R8, AX); \
+	SPREAD(AX, R9, DI); \
+	SHLQ    $4, DI; \
+	ADDQ    SI, DI; \
+	VMOVUPD (DI)(R10*1), Y0; \
+	VMOVUPD (DI)(R12*1), Y1; \
+	VMOVUPD Y1, (DI)(R10*1); \
+	VMOVUPD Y0, (DI)(R12*1)
+
+// CXC0 swaps unit u (u in CX) with its partner for a control on qubit 0.
+#define CXC0 \
+	LEAQ    (CX)(CX*1), AX; \
+	SPREAD(AX, R9, DI); \
+	SHLQ    $4, DI; \
+	ADDQ    SI, DI; \
+	VMOVUPD (DI)(R10*1), X0; \
+	VMOVUPD (DI)(R12*1), X1; \
+	VMOVUPD X1, (DI)(R10*1); \
+	VMOVUPD X0, (DI)(R12*1)
+
+// CXT0 swaps unit u (u in CX) with its partner for a target on qubit 0:
+// the 128-bit lanes of one vector.
+#define CXT0 \
+	LEAQ    (CX)(CX*1), AX; \
+	SPREAD(AX, R9, DI); \
+	SHLQ    $4, DI; \
+	ADDQ    SI, DI; \
+	VPERMPD $0x4e, (DI)(R10*1), Y0; \
+	VMOVUPD Y0, (DI)(R10*1)
+
+// INCLOOP is UNITLOOP one unit a step.
+#define INCLOOP(B, l) \
+l: \
+	B; \
+	INCQ CX; \
+	CMPQ CX, BX; \
+	JLT  l
 
 // func kernCXAVX2(amp []complex128, lowb, highb, cb, tb, lo, hi int)
 // With lowb >= 2, units u and u+1 (lo and hi even) sit side by side, as
@@ -810,50 +781,18 @@ TEXT ·kernCXAVX2(SB), NOSPLIT, $0-72
 	JEQ  q0
 	NEGQ R8
 
-loop2:
-	SPREAD(CX, R8, AX)
-	SPREAD(AX, R9, DI)
-	SHLQ    $4, DI
-	ADDQ    SI, DI
-	VMOVUPD (DI)(R10*1), Y0
-	VMOVUPD (DI)(R12*1), Y1
-	VMOVUPD Y1, (DI)(R10*1)
-	VMOVUPD Y0, (DI)(R12*1)
-	ADDQ    $2, CX
-	CMPQ    CX, BX
-	JLT     loop2
+	UNITLOOP(CXUNIT2, 2, loop2)
 	VZEROUPPER
 	RET
 
 q0:
 	CMPQ tb+48(FP), $1
 	JEQ  t0
-
-c0:
-	LEAQ    (CX)(CX*1), AX
-	SPREAD(AX, R9, DI)
-	SHLQ    $4, DI
-	ADDQ    SI, DI
-	VMOVUPD (DI)(R10*1), X0
-	VMOVUPD (DI)(R12*1), X1
-	VMOVUPD X1, (DI)(R10*1)
-	VMOVUPD X0, (DI)(R12*1)
-	INCQ    CX
-	CMPQ    CX, BX
-	JLT     c0
+	INCLOOP(CXC0, c0)
 	VZEROUPPER
 	RET
 
-t0:
-	LEAQ    (CX)(CX*1), AX
-	SPREAD(AX, R9, DI)
-	SHLQ    $4, DI
-	ADDQ    SI, DI
-	VPERMPD $0x4e, (DI)(R10*1), Y0
-	VMOVUPD Y0, (DI)(R10*1)
-	INCQ    CX
-	CMPQ    CX, BX
-	JLT     t0
+	INCLOOP(CXT0, t0)
 	VZEROUPPER
 	RET
 
@@ -986,20 +925,12 @@ TEXT ·kern2FMAQ0512(SB), NOSPLIT, $0-64
 	JNE       q0
 
 	// Qubit 0 is q1, as in kern2AVX2Q0.
-q1:
-	Q0UNIT4(Z1, Z2, Z9, Z10)
-	ADDQ $4, CX
-	CMPQ CX, BX
-	JLT  q1
+	UNITLOOP(Q0UNIT4(Z1, Z2, Z9, Z10), 4, q1)
 	VZEROUPPER
 	RET
 
 	// Qubit 0 is q0.
-q0:
-	Q0UNIT4(Z2, Z1, Z10, Z9)
-	ADDQ $4, CX
-	CMPQ CX, BX
-	JLT  q0
+	UNITLOOP(Q0UNIT4(Z2, Z1, Z10, Z9), 4, q0)
 	VZEROUPPER
 	RET
 
@@ -1008,19 +939,11 @@ narrow:
 	CMPQ R8, $0
 	JNE  q0n
 
-q1n:
-	Q0UNIT4N(Z1, Z2, Z9, Z10)
-	ADDQ $4, CX
-	CMPQ CX, BX
-	JLT  q1n
+	UNITLOOP(Q0UNIT4N(Z1, Z2, Z9, Z10), 4, q1n)
 	VZEROUPPER
 	RET
 
-q0n:
-	Q0UNIT4N(Z2, Z1, Z10, Z9)
-	ADDQ $4, CX
-	CMPQ CX, BX
-	JLT  q0n
+	UNITLOOP(Q0UNIT4N(Z2, Z1, Z10, Z9), 4, q0n)
 	VZEROUPPER
 	RET
 
@@ -1061,38 +984,36 @@ TEXT ·kernHAVX2(SB), NOSPLIT, $0-64
 	MOVQ         phi+40(FP), BX
 	VBROADCASTSD c_real+48(FP), Y0
 	VBROADCASTSD c_imag+56(FP), Y1
-	SUBQ         CX, BX
-	SHRQ         $1, BX            // vectors: two pairs each
-	CMPQ         R8, $1
-	JEQ          pairs
-	HALVES(1)
-
-vec:
-	HALF(KERNH)
-	ADDQ $32, SI
-	DECQ BX
-	JZ   done
-	DECQ CX
-	JNZ  vec
-	ADDQ DX, SI
-	MOVQ R8, CX
-	JMP  vec
+	PAIRSTART(pairs)
+	VECLOOP(HALF(KERNH), vec, done)
 
 done:
 	VZEROUPPER
 	RET
 
 pairs:
-	SHLQ $5, CX
-	ADDQ CX, SI
-
-pair:
-	PAIRS4(KERNH)
-	ADDQ $64, SI
-	DECQ BX
-	JNZ  pair
+	PAIRLOOP(PAIRS4(KERNH), pair)
 	VZEROUPPER
 	RET
+
+// DIAGHALF multiplies the vector at SI by d0 (Y0, Y1) and its upper half
+// by d1 (Y2, Y3).
+#define DIAGHALF \
+	VMOVUPD (SI), Y8; \
+	VMOVUPD (SI)(DX*1), Y9; \
+	CMUL(Y8, Y0, Y1, Y10, Y14, Y12); \
+	CMUL(Y9, Y2, Y3, Y11, Y15, Y13); \
+	VMOVUPD Y12, (SI); \
+	VMOVUPD Y13, (SI)(DX*1)
+
+// DIAGPAIRS multiplies the two pairs at SI by [d0 d1] (Y4, Y5).
+#define DIAGPAIRS \
+	VMOVUPD (SI), Y8; \
+	VMOVUPD 32(SI), Y9; \
+	CMUL(Y8, Y4, Y5, Y10, Y14, Y12); \
+	CMUL(Y9, Y4, Y5, Y11, Y15, Y13); \
+	VMOVUPD Y12, (SI); \
+	VMOVUPD Y13, 32(SI)
 
 // func kernDiagAVX2(amp []complex128, bit, plo, phi int, d0, d1 complex128)
 // The kern1AVX2 walk multiplying lower halves by d0 and upper halves by
@@ -1107,27 +1028,8 @@ TEXT ·kernDiagAVX2(SB), NOSPLIT, $0-80
 	VBROADCASTSD d0_imag+56(FP), Y1
 	VBROADCASTSD d1_real+64(FP), Y2
 	VBROADCASTSD d1_imag+72(FP), Y3
-	SUBQ         CX, BX
-	SHRQ         $1, BX            // vectors: two pairs each
-	CMPQ         R8, $1
-	JEQ          pairs
-	HALVES(1)
-
-vec:
-	VMOVUPD (SI), Y8
-	VMOVUPD (SI)(DX*1), Y9
-	CMUL(Y8, Y0, Y1, Y10, Y14, Y12)
-	CMUL(Y9, Y2, Y3, Y11, Y15, Y13)
-	VMOVUPD Y12, (SI)
-	VMOVUPD Y13, (SI)(DX*1)
-	ADDQ    $32, SI
-	DECQ    BX
-	JZ      done
-	DECQ    CX
-	JNZ     vec
-	ADDQ    DX, SI
-	MOVQ    R8, CX
-	JMP     vec
+	PAIRSTART(pairs)
+	VECLOOP(DIAGHALF, vec, done)
 
 done:
 	VZEROUPPER
@@ -1136,21 +1038,25 @@ done:
 pairs:
 	VBLENDPD $12, Y2, Y0, Y4       // d0r d0r d1r d1r
 	VBLENDPD $12, Y3, Y1, Y5       // d0i d0i d1i d1i
-	SHLQ     $5, CX
-	ADDQ     CX, SI
-
-pair:
-	VMOVUPD (SI), Y8
-	VMOVUPD 32(SI), Y9
-	CMUL(Y8, Y4, Y5, Y10, Y14, Y12)
-	CMUL(Y9, Y4, Y5, Y11, Y15, Y13)
-	VMOVUPD Y12, (SI)
-	VMOVUPD Y13, 32(SI)
-	ADDQ    $64, SI
-	DECQ    BX
-	JNZ     pair
+	PAIRLOOP(DIAGPAIRS, pair)
 	VZEROUPPER
 	RET
+
+// DIAG1HALF multiplies the upper half of the vector at SI by d1 (Y2, Y3).
+#define DIAG1HALF \
+	VMOVUPD (SI)(DX*1), Y9; \
+	CMUL(Y9, Y2, Y3, Y11, Y15, Y13); \
+	VMOVUPD Y13, (SI)(DX*1)
+
+// DIAG1PAIRS multiplies the upper halves of the two pairs at SI by d1
+// (bit == 1: the upper half of pair p is the amplitude 2p+1).
+#define DIAG1PAIRS \
+	VMOVUPD 16(SI), X8; \
+	VMOVUPD 48(SI), X9; \
+	CMUL(X8, X2, X3, X10, X14, X12); \
+	CMUL(X9, X2, X3, X11, X15, X13); \
+	VMOVUPD X12, 16(SI); \
+	VMOVUPD X13, 48(SI)
 
 // func kernDiag1AVX2(amp []complex128, bit, plo, phi int, d1 complex128)
 // kernDiagAVX2 for d0 == 1: loads, multiplies and stores the upper halves
@@ -1162,43 +1068,241 @@ TEXT ·kernDiag1AVX2(SB), NOSPLIT, $0-64
 	MOVQ         phi+40(FP), BX
 	VBROADCASTSD d1_real+48(FP), Y2
 	VBROADCASTSD d1_imag+56(FP), Y3
-	SUBQ         CX, BX
-	SHRQ         $1, BX            // vectors: two pairs each
-	CMPQ         R8, $1
-	JEQ          pairs
-	HALVES(1)
-
-vec:
-	VMOVUPD (SI)(DX*1), Y9
-	CMUL(Y9, Y2, Y3, Y11, Y15, Y13)
-	VMOVUPD Y13, (SI)(DX*1)
-	ADDQ    $32, SI
-	DECQ    BX
-	JZ      done
-	DECQ    CX
-	JNZ     vec
-	ADDQ    DX, SI
-	MOVQ    R8, CX
-	JMP     vec
+	PAIRSTART(pairs)
+	VECLOOP(DIAG1HALF, vec, done)
 
 done:
 	VZEROUPPER
 	RET
 
-	// bit == 1: the upper half of pair p is the amplitude 2p+1.
 pairs:
-	SHLQ $5, CX
-	ADDQ CX, SI
-
-pair:
-	VMOVUPD 16(SI), X8
-	VMOVUPD 48(SI), X9
-	CMUL(X8, X2, X3, X10, X14, X12)
-	CMUL(X9, X2, X3, X11, X15, X13)
-	VMOVUPD X12, 16(SI)
-	VMOVUPD X13, 48(SI)
-	ADDQ    $64, SI
-	DECQ    BX
-	JNZ     pair
+	PAIRLOOP(DIAG1PAIRS, pair)
 	VZEROUPPER
 	RET
+
+// The tape: kernTape runs a slice of dispatch kernels (OpKernel, laid out
+// as go_asm.h says) on one state in one call, each through the loop of
+// the routine ApplyKernel would call, so every amplitude comes out as
+// ApplyKernel's. Per kernel it loads what the routine's arguments would
+// hold from the kernel (plo and lo are 0, phi and hi the whole state),
+// branches on the routine byte and walks the loop; the loop's exit goes
+// to the next kernel instead of returning. It takes the exact AVX2
+// routines only and skips identity kernels. It stops at the first
+// kernel it does not take: any other routine or kind, a kernel resolved
+// for another state size, or one whose pairs or units would take the
+// call's summed work past asmChunk. R13 points at the kernel, R14 is
+// its index and R15 the work left.
+
+// TAPEPAIR loads a pair kernel's arguments for the whole state: amp in
+// SI, bit in R8 and plo = 0 in CX; BX already holds phi, the pair count.
+#define TAPEPAIR \
+	MOVQ amp_base+0(FP), SI; \
+	MOVQ OpKernel_b0(R13), R8; \
+	XORQ CX, CX
+
+// BCAST loads complex entry j of the kernel's 2x2 into re and im.
+#define BCAST(j, re, im) \
+	VBROADCASTSD OpKernel_u+(16*j)(R13), re; \
+	VBROADCASTSD OpKernel_u+(16*j+8)(R13), im
+
+// func kernTape(amp []complex128, ks []OpKernel) int
+TEXT ·kernTape(SB), NOSPLIT, $0-56
+	MOVQ ks_base+24(FP), R13
+	XORQ R14, R14
+	MOVQ $const_asmChunk, R15
+
+next:
+	CMPQ    R14, ks_len+32(FP)
+	JGE     out
+	MOVQ    amp_len+8(FP), BX
+	CMPQ    OpKernel_dim(R13), BX
+	JNE     out
+	MOVBQZX OpKernel_kind(R13), AX
+	CMPQ    AX, $const_okPairs
+	JEQ     pairk
+	CMPQ    AX, $const_okUnits
+	JEQ     unitk
+	CMPQ    AX, $const_okIdentity
+	JEQ     adv
+	JMP     out
+
+adv:
+	ADDQ $OpKernel__size, R13
+	INCQ R14
+	JMP  next
+
+out:
+	MOVQ R14, ret+48(FP)
+	VZEROUPPER
+	RET
+
+pairk:
+	SHRQ    $1, BX
+	SUBQ    BX, R15
+	JLT     out
+	MOVBQZX OpKernel_r(R13), AX
+	CMPQ    AX, $const_r1AVX2
+	JEQ     t1
+	CMPQ    AX, $const_rDiag1AVX2
+	JEQ     tdiag1
+	CMPQ    AX, $const_rHAVX2
+	JEQ     th
+	CMPQ    AX, $const_rXAVX2
+	JEQ     tx
+	CMPQ    AX, $const_rZAVX2
+	JEQ     tz
+	CMPQ    AX, $const_rYAVX2
+	JEQ     ty
+	CMPQ    AX, $const_rDiagAVX2
+	JEQ     tdiag
+	JMP     out
+
+t1:
+	TAPEPAIR
+	BCAST(0, Y0, Y1)
+	BCAST(1, Y2, Y3)
+	BCAST(2, Y4, Y5)
+	BCAST(3, Y6, Y7)
+	PAIRSTART(t1p)
+	VECLOOP(HALF(KERN1), t1v, adv)
+
+t1p:
+	PAIRLOOP(PAIRS4(KERN1), t1q)
+	JMP adv
+
+	// A diagonal's d0 and d1 are u00 and u11; an H kernel's u00 is
+	// qmath.SqrtHalf, gate.H's entry, which kernHAVX2 takes as c.
+tdiag1:
+	TAPEPAIR
+	BCAST(3, Y2, Y3)
+	PAIRSTART(td1p)
+	VECLOOP(DIAG1HALF, td1v, adv)
+
+td1p:
+	PAIRLOOP(DIAG1PAIRS, td1q)
+	JMP adv
+
+tdiag:
+	TAPEPAIR
+	BCAST(0, Y0, Y1)
+	BCAST(3, Y2, Y3)
+	PAIRSTART(tdp)
+	VECLOOP(DIAGHALF, tdv, adv)
+
+tdp:
+	VBLENDPD $12, Y2, Y0, Y4
+	VBLENDPD $12, Y3, Y1, Y5
+	PAIRLOOP(DIAGPAIRS, tdq)
+	JMP      adv
+
+th:
+	TAPEPAIR
+	BCAST(0, Y0, Y1)
+	PAIRSTART(thp)
+	VECLOOP(HALF(KERNH), thv, adv)
+
+thp:
+	PAIRLOOP(PAIRS4(KERNH), thq)
+	JMP adv
+
+tx:
+	TAPEPAIR
+	PAIRSTART(txp)
+	VECLOOP(XHALF, txv, adv)
+
+txp:
+	PAIRLOOP(XPAIRS, txq)
+	JMP adv
+
+ty:
+	TAPEPAIR
+	SIGNS
+	PAIRSTART(typ)
+	VECLOOP(HALF(KERNY), tyv, adv)
+
+typ:
+	PAIRLOOP(PAIRS4(KERNY), tyq)
+	JMP adv
+
+tz:
+	TAPEPAIR
+	SIGNS
+	PAIRSTART(tzp)
+	VECLOOP(ZHALF, tzv, adv)
+
+tzp:
+	PAIRLOOP(ZPAIRS, tzq)
+	JMP adv
+
+	// Unit kernels: R10 and R11 hold b0 and b1, R8 and R9 the lower and
+	// the higher of them, and BX the unit count.
+unitk:
+	SHRQ    $2, BX
+	SUBQ    BX, R15
+	JLT     out
+	MOVQ    amp_base+0(FP), SI
+	MOVQ    OpKernel_b0(R13), R10
+	MOVQ    OpKernel_b1(R13), R11
+	MOVQ    R10, R8
+	MOVQ    R11, R9
+	CMPQ    R8, R9
+	CMOVQGT R11, R8
+	CMOVQGT R10, R9
+	XORQ    CX, CX
+	MOVBQZX OpKernel_r(R13), AX
+	CMPQ    AX, $const_rCXAVX2
+	JEQ     tcx
+	CMPQ    AX, $const_r2AVX2Q0
+	JEQ     t2q
+	CMPQ    AX, $const_r2AVX2
+	JEQ     t2
+	JMP     out
+
+	// kernCXAVX2: control b0, target b1.
+tcx:
+	NEGQ R9
+	SHLQ $4, R10
+	MOVQ R11, R12
+	SHLQ $4, R12
+	ADDQ R10, R12
+	CMPQ R8, $1
+	JEQ  tcx0
+	NEGQ R8
+	UNITLOOP(CXUNIT2, 2, tcxl)
+	JMP  adv
+
+tcx0:
+	CMPQ R11, $1
+	JEQ  tcxt
+	INCLOOP(CXC0, tcxc)
+	JMP  adv
+
+	INCLOOP(CXT0, tcxt)
+	JMP adv
+
+	// kern2AVX2.
+t2:
+	NEGQ R8
+	NEGQ R9
+	SHLQ $4, R10
+	SHLQ $4, R11
+	LEAQ (R10)(R11*1), R12
+	MOVQ OpKernel_m(R13), DX
+	UNITLOOP(UNIT2(KERN2), 2, t2l)
+	JMP  adv
+
+	// kern2AVX2Q0: q0low is b0&1.
+t2q:
+	MOVQ R9, R10
+	SHLQ $4, R10
+	NEGQ R9
+	MOVQ OpKernel_b0(R13), R8
+	ANDQ $1, R8
+	MOVQ OpKernel_m(R13), DX
+	CMPQ R8, $0
+	JNE  t2q0
+	UNITLOOP(Q0UNIT(KERN2, Y1, Y2, Y9, Y10), 2, t2q1)
+	JMP  adv
+
+	UNITLOOP(Q0UNIT(KERN2, Y2, Y1, Y10, Y9), 2, t2q0)
+	JMP adv

@@ -312,9 +312,37 @@ func BenchmarkKernDiagH(b *testing.B) {
 // FuseOff runs, on the gates of the transpiled Table I circuits (u3, rz,
 // u1, h and cx) at n = 5, 10 and 14, on qubit 0 and the high qubit (cx:
 // control 0, target n-1 and the reverse). Up to n = 13 (14 for cx) the
-// sweep is one direct assembly call.
+// sweep is one direct assembly call. The advance rows time one
+// paper-yorktown-sized advance, 20 u3, cx and u1 kernels at n = 5, as
+// one ApplyKernel per kernel ("loop") and as one ApplyKernels call
+// ("tape").
 func BenchmarkApplyKernel(b *testing.B) {
 	r := rand.New(rand.NewSource(6))
+	adv := make([]OpKernel, 20)
+	for i := range adv {
+		q := i % 5
+		switch i % 4 {
+		case 0, 2:
+			adv[i] = ResolveOp(5, gate.U3(0.3+float64(i), 0.7, 1.1), q)
+		case 1:
+			adv[i] = ResolveOp(5, gate.CX(), q, (q+1+i%3)%5)
+		case 3:
+			adv[i] = ResolveOp(5, gate.U1(0.3*float64(i)), q)
+		}
+	}
+	s5 := randState(r, 5)
+	b.Run("advance/n=5/loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := range adv {
+				s5.ApplyKernel(&adv[j])
+			}
+		}
+	})
+	b.Run("advance/n=5/tape", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s5.ApplyKernels(adv)
+		}
+	})
 	gates := []struct {
 		name string
 		g    gate.Gate

@@ -34,3 +34,7 @@ func pairsAsm([]complex128, routine, int, int, int, *[4]complex128) {
 func unitsAsm([]complex128, routine, int, int, int, int, *[16]complex128) {
 	panic("statevec: no assembly routines in this build")
 }
+
+// tape takes no kernel in this build: ApplyKernels applies each through
+// ApplyKernel.
+func tape([]complex128, []OpKernel) int { return 0 }

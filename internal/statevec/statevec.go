@@ -279,6 +279,25 @@ func (s *State) ApplyKernel(k *OpKernel) {
 	}
 }
 
+// ApplyKernels runs the kernels of ks in order on the state, as
+// ApplyKernel on each would, bit for bit. On amd64 with AVX2 the kernels
+// go through the tape, one assembly call (kernels_amd64.s) for as many
+// kernels as fit in asmChunk pairs or units. The tape stops at the first
+// kernel it does not take (a Go routine, CZ, Swap, CCX, a dense kernel,
+// one too large for a call or one resolved for another width); that
+// kernel goes through ApplyKernel, which panics on a width mismatch, and
+// the tape resumes after it.
+func (s *State) ApplyKernels(ks []OpKernel) {
+	for {
+		i := tape(s.amp, ks)
+		if i == len(ks) {
+			return
+		}
+		s.ApplyKernel(&ks[i])
+		ks = ks[i+1:]
+	}
+}
+
 // units1 is the base-block count of a single-qubit sweep on bit.
 func units1(amp []complex128, bit int) int {
 	return len(amp) >> uint(bits.TrailingZeros(uint(bit))+1)
