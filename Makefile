@@ -26,7 +26,7 @@ race-verify:
 	$(GO) run -race ./cmd/qsim -bench qv_n5d5 -mode both -fuse numeric -stripes 4 -trials 256
 	$(GO) run -race ./cmd/qsim -bench qv_n5d5 -mode both -restore adaptive -budget 2 -workers 4 -trials 256
 	$(GO) run -race ./cmd/qsim -bench qft5 -mode both -restore uncompute -fuse exact -trials 256
-	$(GO) run -race ./cmd/qsim -bench qv_n5d5 -mode both -par subtree-batched -lanes 4 -workers 4 -fuse exact -trials 256
+	$(GO) run -race ./cmd/qsim -bench qv_n5d5 -mode both -par subtree -workers 4 -fuse exact -trials 256
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
@@ -128,7 +128,6 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzParseQASM -fuzztime 10s ./internal/circuit
 	$(GO) test -run ^$$ -fuzz FuzzCompileParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzDaggerRoundTrip -fuzztime 10s ./internal/statevec
-	$(GO) test -run ^$$ -fuzz FuzzBatchedSweepParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzKernelAsmParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzKernelFMAParity -fuzztime 10s ./internal/statevec
 	$(GO) test -run ^$$ -fuzz FuzzKernelZMMParity -fuzztime 10s ./internal/statevec
@@ -156,5 +155,4 @@ verify-deep: build
 	$(MAKE) serve-smoke
 	$(GO) run ./cmd/repro -exp batch
 	$(GO) run ./cmd/repro -exp uncompute
-	$(GO) run ./cmd/repro -exp soabatch
 	$(GO) run ./examples/clifford_rb

@@ -396,36 +396,11 @@ func BenchmarkExecTableau(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelWorkers measures the chunked parallel executor against
-// the sequential plan on the same workload. The "ops" metric grows with
-// the worker count — boundary-spanning prefixes are recomputed per chunk.
-func BenchmarkParallelWorkers(b *testing.B) {
-	c, trials := execCase(b, "qv_n5d5", 2048)
-	seqOps := sequentialOps(b, c, trials)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var ops int64
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Parallel(c, trials, workers, sim.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ops = res.Ops
-			}
-			if workers > 1 && ops <= seqOps {
-				b.Fatalf("chunked ops %d not above sequential %d — expected boundary recomputation", ops, seqOps)
-			}
-			b.ReportMetric(float64(ops), "ops")
-		})
-	}
-}
-
 // BenchmarkParallelSubtreeWorkers measures the subtree-parallel executor
-// on the same workload. Unlike the chunked decomposition above, the "ops"
-// metric stays exactly at the sequential plan's count for every worker
-// count — the trunk computes each shared prefix once and hands clones to
-// the workers, so parallelism adds no redundant amplitude math.
+// on the qv_n5d5 workload. The "ops" metric stays exactly at the
+// sequential plan's count for every worker count — the trunk computes
+// each shared prefix once and hands clones to the workers, so
+// parallelism adds no redundant amplitude math.
 func BenchmarkParallelSubtreeWorkers(b *testing.B) {
 	c, trials := execCase(b, "qv_n5d5", 2048)
 	seqOps := sequentialOps(b, c, trials)

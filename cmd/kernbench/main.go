@@ -298,26 +298,6 @@ func kernelCases(name string, c *circuit.Circuit, n int, minTime time.Duration, 
 			SpeedupVsDispatch: dispatchNs / ns,
 		})
 	}
-	// Batched SoA sweeps: one Program.RunBatch pass over K lane-packed
-	// states per iteration. NsPerOp is the whole K-lane pass, so the
-	// speedup column compares against dispatching all K lanes one at a
-	// time — lane counts where it exceeds K·(single-lane speedup) show the
-	// cache-blocking win of touching each kernel's tables and index chains
-	// once per unit instead of once per unit per state.
-	for _, lanes := range []int{1, 2, 4, 8, 16} {
-		vname := fmt.Sprintf("batched-numeric-l%d", lanes)
-		opt := statevec.CompileOptions{Fuse: statevec.FuseNumeric}
-		_, opt.Recorder = mets.recorder(bench, vname)
-		prog := statevec.CompileWith(c, opt)
-		b := statevec.NewBatchState(n, lanes)
-		amps := b.LaneAmps(lanes)
-		total := c.NumLayers()
-		ns, iters := timeIt(minTime, func() { prog.RunBatch(amps, 0, total) })
-		results = append(results, result{
-			Benchmark: bench, Variant: vname, NsPerOp: ns, Iters: iters,
-			SpeedupVsDispatch: dispatchNs * float64(lanes) / ns,
-		})
-	}
 	return results
 }
 

@@ -32,13 +32,8 @@
 //	-mem-limit n    heap bytes above which the adaptive policy stops
 //	                snapshotting (0 = off; needs -sample-interval)
 //	-workers n      parallel execution workers for reordered mode
-//	-par m          parallel decomposition: subtree (default; preserves all
-//	                prefix sharing), subtree-batched (subtree plus the
-//	                batched SoA engine: sibling tasks advance shared layer
-//	                ranges in one cache-blocked sweep across -lanes packed
-//	                states), or chunked (legacy comparison baseline)
-//	-lanes n        SoA lane count for -par subtree-batched (default 4):
-//	                up to n sibling subtree tasks execute in lockstep
+//	-par m          parallel decomposition: subtree (the default and only
+//	                one; preserves all prefix sharing)
 //	-fuse m         kernel compilation for reordered execution: off
 //	                (default; per-gate dispatch), exact (fused kernels,
 //	                bit-identical to dispatch), or numeric (additionally
@@ -140,8 +135,7 @@ func run() error {
 	restoreName := flag.String("restore", "snapshot", "branch-point restore policy: snapshot, uncompute, or adaptive")
 	memLimit := flag.Uint64("mem-limit", 0, "heap bytes above which the adaptive policy stops snapshotting (0 = off; needs -sample-interval)")
 	workers := flag.Int("workers", 1, "parallel execution workers for reordered mode")
-	parMode := flag.String("par", "subtree", "parallel decomposition with -workers > 1: subtree (shares all prefixes), subtree-batched (batched SoA lanes), or chunked (legacy)")
-	lanes := flag.Int("lanes", 4, "SoA lane count for -par subtree-batched")
+	parMode := flag.String("par", "subtree", "parallel decomposition with -workers > 1: subtree (shares all prefixes)")
 	fuseName := flag.String("fuse", "off", "kernel compilation for reordered execution: off, exact, or numeric")
 	stripes := flag.Int("stripes", 0, "amplitude stripes per kernel sweep on large states (0/1 = serial)")
 	batchVars := flag.Int("batch", 0, "simulate a batch of n circuit variants through one shared trie (0 = off)")
@@ -214,19 +208,8 @@ func run() error {
 		return fmt.Errorf("unknown mode %q (reordered, baseline, both, static)", *modeName)
 	}
 
-	var chunked bool
-	batchLanes := 0
-	switch *parMode {
-	case "subtree":
-	case "subtree-batched":
-		if *lanes < 1 {
-			return fmt.Errorf("-lanes must be >= 1, got %d", *lanes)
-		}
-		batchLanes = *lanes
-	case "chunked":
-		chunked = true
-	default:
-		return fmt.Errorf("unknown parallel mode %q (subtree, subtree-batched, chunked)", *parMode)
+	if *parMode != "subtree" {
+		return fmt.Errorf("unknown parallel mode %q (subtree)", *parMode)
 	}
 
 	fuse, err := statevec.ParseFuseMode(*fuseName)
@@ -291,7 +274,7 @@ func run() error {
 			return fmt.Errorf("-batch does not support -transpile")
 		}
 		return runBatch(circ, dev, em, *batchVars, *batchTrials, *batchIns,
-			*seed, *budget, *workers, batchLanes, fuse, *stripes, policy, memProbe,
+			*seed, *budget, *workers, fuse, *stripes, policy, memProbe,
 			rec, *top)
 	}
 
@@ -306,23 +289,21 @@ func run() error {
 
 	start := time.Now()
 	rep, err := core.Run(core.Config{
-		Circuit:         circ,
-		Device:          dev,
-		Transpile:       *doTranspile,
-		Trials:          *trials,
-		Seed:            *seed,
-		Mode:            mode,
-		ErrorMode:       em,
-		SnapshotBudget:  *budget,
-		Workers:         *workers,
-		ChunkedParallel: chunked,
-		BatchLanes:      batchLanes,
-		Fuse:            fuse,
-		Stripes:         *stripes,
-		Policy:          policy,
-		MemProbe:        memProbe,
-		Recorder:        rec,
-		Span:            rootSpan,
+		Circuit:        circ,
+		Device:         dev,
+		Transpile:      *doTranspile,
+		Trials:         *trials,
+		Seed:           *seed,
+		Mode:           mode,
+		ErrorMode:      em,
+		SnapshotBudget: *budget,
+		Workers:        *workers,
+		Fuse:           fuse,
+		Stripes:        *stripes,
+		Policy:         policy,
+		MemProbe:       memProbe,
+		Recorder:       rec,
+		Span:           rootSpan,
 	})
 	if rootSpan != nil {
 		// Failed runs export too: an errored trace is exactly what the
@@ -373,7 +354,7 @@ func run() error {
 	}
 
 	if metrics != nil && *metricsPath != "" {
-		rm := buildRunMetrics(rep, metrics, *trials, *seed, runModeLabel(mode, *budget, chunked, *workers, policy))
+		rm := buildRunMetrics(rep, metrics, *trials, *seed, runModeLabel(mode, *budget, policy))
 		if err := obs.WriteRunMetrics(*metricsPath, rm); err != nil {
 			return fmt.Errorf("-metrics: %v", err)
 		}
@@ -397,7 +378,7 @@ func run() error {
 // the naive baseline, then the executed totals and the aggregate outcome
 // distribution.
 func runBatch(circ *circuit.Circuit, dev *device.Device, em trial.ErrorMode,
-	vars, trialsPer int, meanIns float64, seed int64, budget, workers, lanes int,
+	vars, trialsPer int, meanIns float64, seed int64, budget, workers int,
 	fuse statevec.FuseMode, stripes int, policy sim.RestorePolicy,
 	memProbe func() bool, rec obs.Recorder, top int) error {
 	g, err := trial.NewGeneratorMode(circ, dev.Model(), em)
@@ -430,7 +411,7 @@ func runBatch(circ *circuit.Circuit, dev *device.Device, em trial.ErrorMode,
 	fmt.Printf("cross-circuit sharing: saved %d ops vs per-variant plans (%.2fx), MSV %d (worst part %d)\n",
 		a.SavedOps, a.SpeedupVsParts, a.BatchMSV, a.MaxPartMSV)
 	opt := sim.Options{SnapshotBudget: budget, Fuse: fuse, Stripes: stripes,
-		Lanes: lanes, Policy: policy, MemProbe: memProbe, Recorder: rec}
+		Policy: policy, MemProbe: memProbe, Recorder: rec}
 	start := time.Now()
 	br, err := sim.ExecuteBatchSubtree(circ, bp, workers, opt)
 	if err != nil {
@@ -480,16 +461,13 @@ func promSmokeTest(logger *slog.Logger, exporter *obs.Exporter) error {
 
 // runModeLabel names the executed configuration in the metrics envelope.
 // Suffixes mark configurations whose executed op count legitimately
-// departs from the static plan count (budget replay, chunk-boundary
-// recomputation, restore-policy replays); -verify-metrics only enforces
-// plan equality on unsuffixed modes.
-func runModeLabel(mode core.Mode, budget int, chunked bool, workers int, policy sim.RestorePolicy) string {
+// departs from the static plan count (budget replay, restore-policy
+// replays); -verify-metrics only enforces plan equality on unsuffixed
+// modes.
+func runModeLabel(mode core.Mode, budget int, policy sim.RestorePolicy) string {
 	label := mode.String()
 	if budget > 0 {
 		label += "+budget"
-	}
-	if chunked && workers > 1 {
-		label += "+chunked"
 	}
 	if policy != sim.PolicySnapshot {
 		label += "+" + policy.String()

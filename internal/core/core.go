@@ -99,18 +99,12 @@ type Config struct {
 	// executor (sim.ParallelSubtree), which preserves all cross-worker
 	// prefix sharing. Ignored for static and baseline modes.
 	Workers int
-	// ChunkedParallel selects the legacy contiguous-chunk executor
-	// (sim.Parallel) instead of the subtree decomposition when Workers >
-	// 1. Chunking recomputes prefixes spanning chunk boundaries; it is
-	// kept for comparison.
+	// Deprecated: the contiguous-chunk executor is removed; Run rejects a
+	// config that sets ChunkedParallel. Workers > 1 runs the subtree
+	// executor.
 	ChunkedParallel bool
-	// BatchLanes > 1 executes reordered mode through the batched SoA
-	// subtree engine (sim.ExecuteBatchedSubtree): sibling subtree tasks
-	// pack into up to BatchLanes lanes of one contiguous register and
-	// advance shared layer ranges in a single cache-blocked sweep per
-	// compiled segment. Outcomes and op counts are identical to the
-	// single-lane subtree executor. Works at any worker count (including
-	// 1); incompatible with ChunkedParallel.
+	// Deprecated: the batched SoA lane executor is removed; Run rejects
+	// BatchLanes > 1.
 	BatchLanes int
 	// Fuse selects the kernel-compilation mode for reordered execution
 	// (see statevec.FuseMode). FuseOff dispatches gate by gate;
@@ -163,12 +157,11 @@ type Report struct {
 	Trials []*trial.Trial
 	// TrialStats summarizes the trial set.
 	TrialStats trial.Stats
-	// Plan is the reordered execution plan. When the reordered run is
-	// parallel (Workers > 1 or BatchLanes > 1) the plan is counted, not
-	// built (reorder.CountPlanOrderedBudget): it carries the order and
-	// every counter (OptimizedOps, MSV, Analysis) but nil Steps, since
-	// those executors run the order through split or chunk plans of
-	// their own.
+	// Plan is the reordered execution plan. When Workers > 1 the plan is
+	// counted, not built (reorder.CountPlanOrderedBudget): it carries the
+	// order and every counter (OptimizedOps, MSV, Analysis) but nil
+	// Steps, since the subtree executor runs the order through a split
+	// plan of its own.
 	Plan *reorder.Plan
 	// Analysis holds the paper's static metrics (normalized computation,
 	// MSV) for the plan.
@@ -188,6 +181,12 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("core: Config.Trials must be positive, got %d", cfg.Trials)
+	}
+	if cfg.ChunkedParallel {
+		return nil, fmt.Errorf("core: Config.ChunkedParallel: the chunked parallel executor was removed; Workers > 1 runs the subtree executor")
+	}
+	if cfg.BatchLanes > 1 {
+		return nil, fmt.Errorf("core: Config.BatchLanes: the batched SoA lane executor was removed; Workers > 1 runs the subtree executor")
 	}
 
 	rep := &Report{Circuit: cfg.Circuit}
@@ -247,7 +246,7 @@ func Run(cfg Config) (*Report, error) {
 		budget = cfg.SnapshotBudget
 	}
 	buildPlan := reorder.BuildPlanOrderedBudget
-	if cfg.Workers > 1 || cfg.BatchLanes > 1 {
+	if cfg.Workers > 1 {
 		// Only the sequential executor runs the plan's steps.
 		buildPlan = reorder.CountPlanOrderedBudget
 	}
@@ -281,19 +280,10 @@ func Run(cfg Config) (*Report, error) {
 		Pool:           cfg.Pool,
 		Span:           execSpan,
 	}
-	// The parallel executors take the plan's order, so each job is sorted
+	// The subtree executor takes the plan's order, so each job is sorted
 	// once.
 	runReordered := func() (*sim.Result, error) {
-		switch {
-		case cfg.BatchLanes > 1 && cfg.ChunkedParallel:
-			return nil, fmt.Errorf("core: BatchLanes requires the subtree decomposition, not ChunkedParallel")
-		case cfg.BatchLanes > 1:
-			batched := opt
-			batched.Lanes = cfg.BatchLanes
-			return sim.ParallelSubtreeOrdered(rep.Circuit, ordered, max(cfg.Workers, 1), batched)
-		case cfg.Workers > 1 && cfg.ChunkedParallel:
-			return sim.ParallelOrdered(rep.Circuit, ordered, cfg.Workers, opt)
-		case cfg.Workers > 1:
+		if cfg.Workers > 1 {
 			return sim.ParallelSubtreeOrdered(rep.Circuit, ordered, cfg.Workers, opt)
 		}
 		return sim.ExecutePlan(rep.Circuit, rep.Plan, opt)

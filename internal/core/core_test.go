@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -30,6 +31,32 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(tc.cfg); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
+	}
+}
+
+// TestRunRejectsRemovedExecutors: the deprecated fields that selected the
+// batched SoA lane executor and the chunked parallel executor make Run
+// fail with an error naming the field, instead of running another
+// executor in their place.
+func TestRunRejectsRemovedExecutors(t *testing.T) {
+	base := Config{Circuit: bench.BV(4, 0b111), Model: noise.Uniform("u", 4, 1e-3, 1e-2, 1e-2),
+		Trials: 16, Seed: 1, Mode: ModeReordered}
+	for _, tc := range []struct {
+		name, field string
+		set         func(*Config)
+	}{
+		{"lanes-4", "BatchLanes", func(c *Config) { c.BatchLanes = 4 }},
+		{"lanes-4/2w", "BatchLanes", func(c *Config) { c.BatchLanes, c.Workers = 4, 2 }},
+		{"chunked/2w", "ChunkedParallel", func(c *Config) { c.ChunkedParallel, c.Workers = true, 2 }},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.field)
+		}
+	}
+	if _, err := Run(base); err != nil {
+		t.Fatalf("plain config: %v", err)
 	}
 }
 

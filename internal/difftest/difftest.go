@@ -4,10 +4,10 @@
 // The paper's central claim is that trial reordering is *exact*: every
 // trial's final state is bit-identical to naive no-reuse execution, and
 // the op-count and MSV metrics reported by the static planner are exactly
-// what the executors realize. PR 1 multiplied the execution paths that
-// must uphold that claim (sequential plan, chunked parallel, subtree
-// parallel, snapshot budgets), so this package hammers all of them with
-// seeded random workloads and proves equivalence:
+// what the executors realize. Every execution path must uphold that
+// claim (sequential plan, subtree parallel, restore policies, snapshot
+// budgets), so this package hammers all of them with seeded random
+// workloads and proves equivalence:
 //
 //   - Workload: a randomized (circuit, noise model, trial count, budget)
 //     tuple, generated deterministically from a printed seed so any

@@ -45,7 +45,7 @@ func Check(seed int64, p Params) (*Report, error) {
 //     even the floating-point rounding must agree);
 //   - averaged output distributions identical;
 //   - measured op counts equal to the static plan's (sequential and
-//     subtree executors) and bounded by plan <= ops <= naive (chunked);
+//     subtree executors);
 //   - MSV within the snapshot budget for every executor;
 //
 // plus the metamorphic properties checkMetamorphic documents. Any
@@ -89,7 +89,7 @@ func CheckWorkload(w *Workload) (*Report, error) {
 		if err := checkAgainstReference(ex.Name, naive, res, trials); err != nil {
 			return nil, err
 		}
-		if err := checkResourceInvariants(w, ex, naive, res, freePlan, budPlan); err != nil {
+		if err := checkResourceInvariants(w, ex, res, freePlan, budPlan); err != nil {
 			return nil, err
 		}
 	}
@@ -180,7 +180,7 @@ func checkAgainstReference(name string, ref, res *sim.Result, trials []*trial.Tr
 // makes: op-count equality with the sequential plan where the
 // decomposition preserves all sharing, bounds everywhere else, and MSV
 // within the snapshot budget.
-func checkResourceInvariants(w *Workload, ex Executor, naive, res *sim.Result, freePlan, budPlan *reorder.Plan) error {
+func checkResourceInvariants(w *Workload, ex Executor, res *sim.Result, freePlan, budPlan *reorder.Plan) error {
 	if res.Ops < freePlan.OptimizedOps() {
 		return fmt.Errorf("%s: %d ops beat the unbudgeted sequential plan's %d", ex.Name, res.Ops, freePlan.OptimizedOps())
 	}
@@ -202,11 +202,6 @@ func checkResourceInvariants(w *Workload, ex Executor, naive, res *sim.Result, f
 		// budgets apply per component, so only the floor holds there).
 		if w.Budget == 0 && res.Ops != freePlan.OptimizedOps() {
 			return fmt.Errorf("%s: executed %d ops, sequential plan has %d (sharing lost)", ex.Name, res.Ops, freePlan.OptimizedOps())
-		}
-	case KindChunked:
-		// Chunk boundaries recompute prefixes, but never more than naive.
-		if w.Budget == 0 && res.Ops > naive.Ops {
-			return fmt.Errorf("%s: %d ops exceed naive %d", ex.Name, res.Ops, naive.Ops)
 		}
 	case KindPlanUncompute:
 		// Pure uncomputation stores nothing: every branch point is a
@@ -232,27 +227,17 @@ func checkResourceInvariants(w *Workload, ex Executor, naive, res *sim.Result, f
 }
 
 // msvBound is the documented stored-vector cap for an executor under a
-// snapshot budget b: the sequential executor keeps at most b; each
-// chunked worker keeps at most b; the subtree executor additionally
-// stores the trunk's stack and up to 2*workers queued entry states.
-// PolicyUncompute stores nothing; PolicyAdaptive respects b like the
-// budgeted sequential executor. Batched subtree execution (Lanes > 1)
-// widens the cap: each worker claims a whole spawn group, so it can hold
-// a budgeted stack (entry floor included) per lane, and the queue's
-// entry-state bound grows to max(2*workers, lanes) so the trunk can
-// always buffer one full group.
+// snapshot budget b: the sequential executor keeps at most b; the
+// subtree executor additionally stores the trunk's stack and up to
+// 2*workers queued entry states. PolicyUncompute stores nothing;
+// PolicyAdaptive respects b like the budgeted sequential executor.
 func msvBound(ex Executor, b int) int {
 	switch ex.Kind {
 	case KindPlan, KindPlanAdaptive:
 		return b
 	case KindPlanUncompute:
 		return 0
-	case KindChunked:
-		return ex.Workers * b
 	default:
-		if ex.Lanes > 1 {
-			return (ex.Workers*ex.Lanes+1)*b + 2*ex.Workers + ex.Lanes
-		}
 		return (ex.Workers+1)*b + 2*ex.Workers
 	}
 }

@@ -18,10 +18,6 @@ const (
 	// KindPlan is sequential plan execution (sim.Reordered): ops, MSV
 	// and copies must equal the static plan's exactly.
 	KindPlan ExecKind = iota
-	// KindChunked is contiguous-chunk parallelism (sim.Parallel):
-	// prefixes spanning chunk boundaries are recomputed, so ops may
-	// exceed the sequential plan's but never the naive baseline's.
-	KindChunked
 	// KindSubtree is trie-cut parallelism (sim.ParallelSubtree): no
 	// sharing is lost, so unbudgeted ops equal the sequential plan's at
 	// every worker count.
@@ -51,10 +47,6 @@ type Executor struct {
 	Kind ExecKind
 	// Workers is the concurrency level (1 for sequential execution).
 	Workers int
-	// Lanes is the batched-SoA lane count (0 or 1 for single-lane
-	// executors). Lanes > 1 widens the stored-vector bound: each worker
-	// group can hold a budgeted stack per lane.
-	Lanes int
 	// Run executes the trial set and returns the merged result.
 	Run func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error)
 }
@@ -70,17 +62,6 @@ func Executors() []Executor {
 		Workers: 1,
 		Run:     sim.Reordered,
 	}}
-	for _, w := range []int{2, 3} {
-		w := w
-		execs = append(execs, Executor{
-			Name:    fmt.Sprintf("chunked-%d", w),
-			Kind:    KindChunked,
-			Workers: w,
-			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
-				return sim.Parallel(c, trials, w, opt)
-			},
-		})
-	}
 	for _, w := range []int{2, 4} {
 		w := w
 		execs = append(execs, Executor{
@@ -120,15 +101,6 @@ func Executors() []Executor {
 			},
 		},
 		Executor{
-			Name:    "chunked-2-fused",
-			Kind:    KindChunked,
-			Workers: 2,
-			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
-				opt.Fuse = statevec.FuseExact
-				return sim.Parallel(c, trials, 2, opt)
-			},
-		},
-		Executor{
 			Name:    "subtree-2-fused-striped",
 			Kind:    KindSubtree,
 			Workers: 2,
@@ -140,42 +112,6 @@ func Executors() []Executor {
 			},
 		},
 	)
-	// Batched SoA variants (sim.ExecuteBatchedSubtree): spawn groups of up
-	// to `lanes` sibling tasks advance their shared layer ranges through
-	// Program.RunBatch instead of one state at a time. The single-lane
-	// executors above already pin the bit-exact reference, so these assert
-	// that lane packing, group scheduling and the per-lane drain machinery
-	// change no outcome bit and no forward op count at any worker x lane
-	// combination. FuseOff batched runs force-compile a dispatch-identical
-	// program; FuseExact runs the fused kernels. (FuseNumeric stays out of
-	// the registry for the same reassociation reason as above.)
-	for _, cfg := range []struct {
-		w, l  int
-		fused bool
-	}{
-		{1, 2, false}, // single worker still routes through the split plan
-		{2, 4, false},
-		{4, 8, true},
-		{8, 2, true},
-	} {
-		cfg := cfg
-		name := fmt.Sprintf("subtree-batched-w%d-l%d", cfg.w, cfg.l)
-		if cfg.fused {
-			name += "-fused"
-		}
-		execs = append(execs, Executor{
-			Name:    name,
-			Kind:    KindSubtree,
-			Workers: cfg.w,
-			Lanes:   cfg.l,
-			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
-				if cfg.fused {
-					opt.Fuse = statevec.FuseExact
-				}
-				return sim.ExecuteBatchedSubtree(c, trials, cfg.w, cfg.l, opt)
-			},
-		})
-	}
 	// Restore-policy variants (see sim.RestorePolicy): reverse execution
 	// instead of — or adaptively mixed with — snapshots. The engine passes
 	// the workload's snapshot budget through Options; the policy executors
@@ -228,30 +164,6 @@ func Executors() []Executor {
 			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
 				opt.Policy = sim.PolicyAdaptive
 				return sim.ParallelSubtree(c, trials, 4, opt)
-			},
-		},
-		// Lane grouping under non-snapshot policies: the trunk still
-		// buffers spawn groups, but workers fall back to sequential
-		// per-lane execution (journaled rollbacks are inherently
-		// single-lane), so these pin the grouped-dispatch path.
-		Executor{
-			Name:    "subtree-batched-uncompute-w2-l4",
-			Kind:    KindSubtreePolicy,
-			Workers: 2,
-			Lanes:   4,
-			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
-				opt.Policy = sim.PolicyUncompute
-				return sim.ExecuteBatchedSubtree(c, trials, 2, 4, opt)
-			},
-		},
-		Executor{
-			Name:    "subtree-batched-adaptive-w4-l2",
-			Kind:    KindSubtreePolicy,
-			Workers: 4,
-			Lanes:   2,
-			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
-				opt.Policy = sim.PolicyAdaptive
-				return sim.ExecuteBatchedSubtree(c, trials, 4, 2, opt)
 			},
 		},
 	)

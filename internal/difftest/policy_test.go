@@ -29,10 +29,6 @@ func TestPolicyMatrix(t *testing.T) {
 	}
 	budgets := []int{0, 1, 2, math.MaxInt}
 	workers := []int{1, 2, 4, 8}
-	// Lanes > 1 routes multi-worker runs through ExecuteBatchedSubtree:
-	// policies fall back to sequential per-lane execution, so this pins
-	// the trunk's spawn grouping under every policy x budget combination.
-	laneCounts := []int{1, 4}
 	if testing.Short() {
 		seeds = seeds[:4]
 		budgets = []int{0, 1}
@@ -54,30 +50,22 @@ func TestPolicyMatrix(t *testing.T) {
 		for _, b := range budgets {
 			for _, wk := range workers {
 				for _, pol := range policies {
-					for _, lanes := range laneCounts {
-						if wk == 1 && lanes > 1 {
-							continue // sequential runs have no spawn groups
-						}
-						name := fmt.Sprintf("seed=%d budget=%d workers=%d lanes=%d policy=%s", seed, b, wk, lanes, pol)
-						opt := sim.Options{KeepStates: true, SnapshotBudget: b, Policy: pol}
-						var res *sim.Result
-						switch {
-						case wk == 1:
-							res, err = sim.Reordered(w.Circuit, trials, opt)
-						case lanes > 1:
-							res, err = sim.ExecuteBatchedSubtree(w.Circuit, trials, wk, lanes, opt)
-						default:
-							res, err = sim.ParallelSubtree(w.Circuit, trials, wk, opt)
-						}
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if err := checkAgainstReference(name, ref, res, trials); err != nil {
-							t.Fatal(err)
-						}
-						if pol == sim.PolicyUncompute && wk == 1 && (res.MSV != 0 || res.Copies != 0) {
-							t.Fatalf("%s: stored %d vectors, %d copies under PolicyUncompute", name, res.MSV, res.Copies)
-						}
+					name := fmt.Sprintf("seed=%d budget=%d workers=%d policy=%s", seed, b, wk, pol)
+					opt := sim.Options{KeepStates: true, SnapshotBudget: b, Policy: pol}
+					var res *sim.Result
+					if wk == 1 {
+						res, err = sim.Reordered(w.Circuit, trials, opt)
+					} else {
+						res, err = sim.ParallelSubtree(w.Circuit, trials, wk, opt)
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if err := checkAgainstReference(name, ref, res, trials); err != nil {
+						t.Fatal(err)
+					}
+					if pol == sim.PolicyUncompute && wk == 1 && (res.MSV != 0 || res.Copies != 0) {
+						t.Fatalf("%s: stored %d vectors, %d copies under PolicyUncompute", name, res.MSV, res.Copies)
 					}
 				}
 			}

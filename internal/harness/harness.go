@@ -479,13 +479,12 @@ func Experiments(cfg Config) map[string]func() (*Table, error) {
 		"latency":   func() (*Table, error) { return Latency(cfg) },
 		"batch":     func() (*Table, error) { return Batch(cfg) },
 		"uncompute": func() (*Table, error) { return Uncompute(cfg) },
-		"soabatch":  func() (*Table, error) { return Soabatch(cfg) },
 		"service":   func() (*Table, error) { return Service(cfg) },
 	}
 }
 
 // ExperimentOrder lists experiment names in report order.
-var ExperimentOrder = []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation", "parallel", "latency", "batch", "uncompute", "soabatch", "service"}
+var ExperimentOrder = []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation", "parallel", "latency", "batch", "uncompute", "service"}
 
 // AblationDepths lists the shared-prefix caps the ablation experiment
 // sweeps (1<<30 = unbounded, the paper's full Algorithm 1).

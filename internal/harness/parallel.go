@@ -78,8 +78,9 @@ func ParallelSharing(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// chunkedOps sums the per-chunk plan op counts of the contiguous-chunk
-// decomposition sim.Parallel uses, without executing anything.
+// chunkedOps sums the per-chunk plan op counts of a contiguous-chunk
+// decomposition (one sorted chunk per worker, each with its own plan),
+// without executing anything.
 func chunkedOps(c *circuit.Circuit, ordered []*trial.Trial, workers int) (int64, error) {
 	var total int64
 	for w := 0; w < workers; w++ {

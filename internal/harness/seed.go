@@ -31,7 +31,6 @@ const (
 	saltLatency     = 0x2e8b_f693_1a5d_c037
 	saltBatch       = 0x9b14_ce72_06ad_5f83
 	saltUncompute   = 0x4fa7_61c9_8e30_b2d5
-	saltSoabatch    = 0x6de1_53b8_29cf_047d
 	saltService     = 0x7c39_e0b5_42f8_1da3
 )
 
@@ -48,7 +47,6 @@ var experimentSalts = map[string]uint64{
 	"latency":     saltLatency,
 	"batch":       saltBatch,
 	"uncompute":   saltUncompute,
-	"soabatch":    saltSoabatch,
 	"service":     saltService,
 }
 
@@ -112,13 +110,6 @@ func LatencySeed(cfg Config) int64 {
 // stream.
 func UncomputeSeed(cfg Config, qubits, depth int) int64 {
 	return seedFor(cfg.Seed, saltUncompute, qubits, depth)
-}
-
-// SoabatchSeed returns the trial seed of the batched-SoA-kernel
-// experiment, keyed by the workload shape so changing the QV circuit
-// draws a fresh stream.
-func SoabatchSeed(cfg Config, qubits, depth int) int64 {
-	return seedFor(cfg.Seed, saltSoabatch, qubits, depth)
 }
 
 // ServiceSeed returns the job seed of the service experiment, keyed by

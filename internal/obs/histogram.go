@@ -51,10 +51,6 @@ const (
 	// segment ran backwards (dimensionless), one observation per
 	// rollback.
 	HistUncomputeDepth
-	// HistBatchLanes is the distribution of lane counts per batched
-	// segment execution (dimensionless), one observation per RunBatch —
-	// how full the SoA register actually runs.
-	HistBatchLanes
 	// HistJobLatency is the end-to-end wall time of one simulation-
 	// service job, submission to completion (ns): queue wait plus
 	// execution.
@@ -73,7 +69,6 @@ var histNames = [numHists]string{
 	HistRestoreDepth:     "restore_depth",
 	HistBatchVariantOps:  "batch_variant_ops",
 	HistUncomputeDepth:   "uncompute_depth",
-	HistBatchLanes:       "batch_lanes",
 	HistJobLatency:       "job_latency_ns",
 	HistJobQueueWait:     "job_queue_wait_ns",
 }

@@ -96,12 +96,6 @@ const (
 	// policy chose a virtual (uncompute) branch point instead of a
 	// snapshot.
 	PolicyUncomputeDecisions
-	// BatchSweeps counts batched kernel invocations — one per kernel per
-	// RunBatch call, however many lanes it swept. KernelSweeps still counts
-	// logical per-state sweeps (a batched sweep over K states adds K), so
-	// KernelSweeps stays comparable across execution modes while
-	// BatchSweeps exposes the dispatch amortization.
-	BatchSweeps
 	// PoolHits counts amplitude-buffer acquisitions served from the
 	// statevec.BufferPool free lists (no allocation).
 	PoolHits
@@ -157,7 +151,6 @@ var counterNames = [numCounters]string{
 	UncomputeOps:             "uncompute_ops",
 	PolicySnapshotDecisions:  "policy_snapshot",
 	PolicyUncomputeDecisions: "policy_uncompute",
-	BatchSweeps:              "batch_sweeps",
 	PoolHits:                 "pool_hits",
 	PoolMisses:               "pool_misses",
 	JobsAccepted:             "jobs_accepted",

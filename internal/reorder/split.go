@@ -1,7 +1,7 @@
 // SplitPlan decomposes the injection-prefix trie into independently
 // executable subtree tasks, the decomposition TQSim-style parallel
-// reuse simulators need: contiguous chunking (sim.Parallel) severs every
-// prefix shared across a chunk boundary, while cutting the trie at a
+// reuse simulators need: contiguous chunking of the sorted trials severs
+// every prefix shared across a chunk boundary, while cutting the trie at a
 // branch level keeps all sharing intact — each shared prefix state is
 // computed exactly once, on the sequential trunk, and handed to workers
 // as cloned entry states.

@@ -32,11 +32,10 @@ type Handler interface {
 
 // Walk interprets one step list against h: order resolves emitted trial
 // indices, want is the number of trials the list must emit, and spawn
-// serves StepSpawn (nil everywhere but a trunk), with last set when the
-// next step is not a spawn, which closes the current lane group. It
-// fails on an Emit range outside order, and unless h unwound and the
-// list emitted exactly want trials.
-func Walk(h Handler, steps []Step, order []*trial.Trial, want int, spawn func(task int, last bool) error) error {
+// serves StepSpawn (nil everywhere but a trunk). It fails on an Emit
+// range outside order, and unless h unwound and the list emitted exactly
+// want trials.
+func Walk(h Handler, steps []Step, order []*trial.Trial, want int, spawn func(task int) error) error {
 	emitted := 0
 	for i, s := range steps {
 		var err error
@@ -62,7 +61,7 @@ func Walk(h Handler, steps []Step, order []*trial.Trial, want int, spawn func(ta
 			if spawn == nil {
 				err = errors.New("spawns outside a trunk")
 			} else {
-				err = spawn(s.Task(), i+1 == len(steps) || steps[i+1].Kind != StepSpawn)
+				err = spawn(s.Task())
 			}
 		default:
 			err = fmt.Errorf("has unknown kind %v", s.Kind)
@@ -186,7 +185,7 @@ func (c *checker) Unwound() error {
 }
 
 // spawn records the working register as task's entry.
-func (c *checker) spawn(task int, _ bool) error {
+func (c *checker) spawn(task int) error {
 	if task < 0 || task >= len(c.entries) || c.entries[task] != nil {
 		return fmt.Errorf("spawns task %d, out of [0,%d) or already spawned", task, len(c.entries))
 	}

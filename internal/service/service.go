@@ -117,8 +117,6 @@ type JobRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Workers is the per-job execution parallelism (default 1).
 	Workers int `json:"workers,omitempty"`
-	// Lanes > 1 runs the batched SoA subtree executor with that many lanes.
-	Lanes int `json:"lanes,omitempty"`
 	// Fuse is the kernel compilation mode: "off" (default — gate-by-gate
 	// dispatch, no compilation), "exact" (fused kernels, bit-identical to
 	// dispatch, compiled through the shared segment cache), or "numeric".
@@ -412,9 +410,6 @@ func (s *Server) buildConfig(req *JobRequest) (core.Config, error) {
 	if req.Workers > statevec.MaxWorkers {
 		return core.Config{}, reqErrf("workers %d above the limit MaxWorkers = %d", req.Workers, statevec.MaxWorkers)
 	}
-	if req.Lanes > statevec.MaxLanes {
-		return core.Config{}, reqErrf("lanes %d above the limit MaxLanes = %d", req.Lanes, statevec.MaxLanes)
-	}
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
@@ -458,7 +453,6 @@ func (s *Server) buildConfig(req *JobRequest) (core.Config, error) {
 		ErrorMode:      em,
 		SnapshotBudget: req.Budget,
 		Workers:        workers,
-		BatchLanes:     req.Lanes,
 		Fuse:           fuse,
 		Policy:         policy,
 		Pool:           s.pool,

@@ -291,7 +291,7 @@ func TestTooWideCircuit400(t *testing.T) {
 	}
 }
 
-// TestRunCaps400: trials, workers and lanes above their statevec caps are
+// TestRunCaps400: trials and workers above their statevec caps are
 // rejected at admission with HTTP 400 naming the limit; at the cap they
 // are admitted.
 func TestRunCaps400(t *testing.T) {
@@ -303,7 +303,6 @@ func TestRunCaps400(t *testing.T) {
 	}{
 		"trials":  {JobRequest{Bench: "bv5", Trials: statevec.MaxTrials + 1}, "MaxTrials"},
 		"workers": {JobRequest{Bench: "bv5", Trials: 8, Workers: statevec.MaxWorkers + 1}, "MaxWorkers"},
-		"lanes":   {JobRequest{Bench: "bv5", Trials: 8, Lanes: statevec.MaxLanes + 1}, "MaxLanes"},
 	} {
 		_, err := c.Submit(ctx, tc.req)
 		var ae *APIError
@@ -316,7 +315,6 @@ func TestRunCaps400(t *testing.T) {
 	}
 	for name, req := range map[string]JobRequest{
 		"workers": {Bench: "bv5", Trials: 8, Workers: statevec.MaxWorkers},
-		"lanes":   {Bench: "bv5", Trials: 8, Workers: 2, Lanes: statevec.MaxLanes},
 	} {
 		if _, err := c.Submit(ctx, req); err != nil {
 			t.Errorf("%s at the cap: %v", name, err)
@@ -514,13 +512,8 @@ func TestJobFailureReported(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	// A QASM circuit with no gates parses but draws zero trials' worth of
-	// ops; use an invalid lane/policy combination instead: BatchLanes with
-	// uncompute runs fine, so force failure via a conflicting option the
-	// executor rejects — chunked is not exposed, so use a valid parse but
-	// run-time error: trials beyond what the plan can... none exist.
-	// Simplest honest run-time failure: a bench seed mismatch cannot fail,
-	// so submit a QASM program whose width exceeds the yorktown device.
+	// An 8-qubit QASM program parses at admission but fails at run time
+	// on the 5-qubit Yorktown device.
 	qasm := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[8];\ncreg c[8];\nh q[0];\nmeasure q[0] -> c[0];\n"
 	v, err := c.Run(ctx, JobRequest{Tenant: "alice", QASM: qasm, Trials: 4})
 	if err != nil {

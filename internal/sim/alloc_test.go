@@ -30,38 +30,28 @@ func TestSteadyStateAllocsFlatAcrossWorkers(t *testing.T) {
 	}
 	static := plan.OptimizedOps()
 
-	executors := map[string]func(workers int, opt Options) (*Result, error){
-		"batched-subtree-4l": func(w int, opt Options) (*Result, error) {
-			return ExecuteBatchedSubtree(c, trials, w, 4, opt)
-		},
-		"subtree": func(w int, opt Options) (*Result, error) {
-			return ParallelSubtree(c, trials, w, opt)
-		},
-	}
 	workerCounts := []int{1, 2, 4, 8}
-	for name, exec := range executors {
-		// One arena across every worker count: the steady state a
-		// long-lived caller shares.
-		opt := Options{Fuse: statevec.FuseNumeric, Pool: statevec.NewBufferPool()}
-		perTrial := make([]float64, len(workerCounts))
-		for i, w := range workerCounts {
-			perTrial[i] = testing.AllocsPerRun(5, func() {
-				res, err := exec(w, opt)
-				if err != nil {
-					t.Fatalf("%s/%dw: %v", name, w, err)
-				}
-				if res.Ops != static {
-					t.Fatalf("%s/%dw: ops %d, plan %d", name, w, res.Ops, static)
-				}
-			}) / nTrials
-		}
-		bound := 1.25*perTrial[0] + 2
-		for i, w := range workerCounts {
-			t.Logf("%s/%dw: %.2f allocs/trial (bound %.2f)", name, w, perTrial[i], bound)
-			if perTrial[i] > bound {
-				t.Errorf("%s/%dw: %.2f allocs/trial exceeds %.2f: steady-state allocation grows with workers",
-					name, w, perTrial[i], bound)
+	// One arena across every worker count: the steady state a long-lived
+	// caller shares.
+	opt := Options{Fuse: statevec.FuseNumeric, Pool: statevec.NewBufferPool()}
+	perTrial := make([]float64, len(workerCounts))
+	for i, w := range workerCounts {
+		perTrial[i] = testing.AllocsPerRun(5, func() {
+			res, err := ParallelSubtree(c, trials, w, opt)
+			if err != nil {
+				t.Fatalf("subtree/%dw: %v", w, err)
 			}
+			if res.Ops != static {
+				t.Fatalf("subtree/%dw: ops %d, plan %d", w, res.Ops, static)
+			}
+		}) / nTrials
+	}
+	bound := 1.25*perTrial[0] + 2
+	for i, w := range workerCounts {
+		t.Logf("subtree/%dw: %.2f allocs/trial (bound %.2f)", w, perTrial[i], bound)
+		if perTrial[i] > bound {
+			t.Errorf("subtree/%dw: %.2f allocs/trial exceeds %.2f: steady-state allocation grows with workers",
+				w, perTrial[i], bound)
 		}
 	}
 }

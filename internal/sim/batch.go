@@ -51,14 +51,8 @@ func ExecuteBatchPlan(c *circuit.Circuit, bp *reorder.BatchPlan, opt Options) (*
 // invariant). The batch's own snapshot budget bounds the trunk's and each
 // worker's stack. workers <= 1 falls back to the sequential executor.
 func ExecuteBatchSubtree(c *circuit.Circuit, bp *reorder.BatchPlan, workers int, opt Options) (*BatchResult, error) {
-	// With Options.Lanes > 1 even a single worker routes through the
-	// split plan, so sibling branches advance through the batched SoA
-	// engine rather than the sequential plan executor.
-	if workers <= 1 && opt.Lanes <= 1 {
+	if workers <= 1 {
 		return ExecuteBatchPlan(c, bp, opt)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	ordered := bp.Plan.Order
 	cut := chooseCut(ordered, workers)

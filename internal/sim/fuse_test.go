@@ -57,8 +57,6 @@ func TestFusedExecutionBitIdentical(t *testing.T) {
 				func(opt Options) (*Result, error) { return Reordered(c, trials, opt) }},
 			{"plan-fused-budget2", Options{KeepStates: true, Fuse: statevec.FuseExact, SnapshotBudget: 2},
 				func(opt Options) (*Result, error) { return Reordered(c, trials, opt) }},
-			{"chunked-2-fused", Options{KeepStates: true, Fuse: statevec.FuseExact},
-				func(opt Options) (*Result, error) { return Parallel(c, trials, 2, opt) }},
 			{"subtree-2-fused-striped", Options{KeepStates: true, Fuse: statevec.FuseExact, Stripes: 2, StripeMin: 1},
 				func(opt Options) (*Result, error) { return ParallelSubtree(c, trials, 2, opt) }},
 		}

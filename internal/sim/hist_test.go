@@ -43,9 +43,6 @@ func TestTrialLatencyCountMatchesTrials(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		w := w
 		runners = append(runners,
-			runner{name: "Parallel/" + string(rune('0'+w)), run: func(o Options) (*Result, error) {
-				return Parallel(c, trials, w, o)
-			}},
 			runner{name: "ParallelSubtree/" + string(rune('0'+w)), sharing: true, run: func(o Options) (*Result, error) {
 				return ParallelSubtree(c, trials, w, o)
 			}},
@@ -74,8 +71,9 @@ func TestTrialLatencyCountMatchesTrials(t *testing.T) {
 	}
 }
 
-// TestWorkerHistogramsMergeOrderInvariant executes the chunk decomposition
-// of Parallel by hand, one Metrics per chunk, and checks that merging the
+// TestWorkerHistogramsMergeOrderInvariant executes a contiguous-chunk
+// decomposition of the sorted trials by hand, one Metrics per chunk, and
+// checks that merging the
 // worker-local trial-latency histograms in any order yields identical
 // per-bucket counts summing to the trial count — the mergeability claim
 // the fixed power-of-two bucket grid exists for.
@@ -144,13 +142,5 @@ func TestConcurrentHistogramRecording(t *testing.T) {
 	}
 	if bucketTotal != h.Count() {
 		t.Errorf("bucket total %d != count %d under concurrent recording", bucketTotal, h.Count())
-	}
-	// Chunked Parallel shares the recorder across goroutines too.
-	rec2 := obs.NewMetrics()
-	if _, err := Parallel(c, trials, 8, Options{Recorder: rec2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec2.Hist(obs.HistTrialLatency).Count(); got != int64(len(trials)) {
-		t.Errorf("chunked trial-latency count = %d, want %d", got, len(trials))
 	}
 }

@@ -14,10 +14,10 @@ import (
 	"repro/internal/trial"
 )
 
-// The state vector's plan-step handler. Every single-lane executor — a
-// sequential plan, a subtree trunk, a subtree task, a tableau plan —
-// walks its steps through reorder.Walk; the state vector does so through
-// branchState.run under every restore policy. A branch point (StepPush)
+// The state vector's plan-step handler. Every executor — a sequential
+// plan, a subtree trunk, a subtree task, a tableau plan — walks its steps
+// through reorder.Walk; the state vector does so through branchState.run
+// under every restore policy. A branch point (StepPush)
 // becomes a frame: a *real* frame stores a snapshot of the working
 // register, a *virtual* frame (PolicyUncompute/PolicyAdaptive only, see
 // uncompute.go) records just the journal position to roll back to. The
@@ -152,7 +152,7 @@ func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, 
 }
 
 // run walks steps over the working register (see reorder.Walk).
-func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int, spawn func(task int, last bool) error) error {
+func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int, spawn func(task int) error) error {
 	// Trial latency (recorder-only) is the wall time since the previous
 	// emit, amortized equally over the emit batch, so the histogram's
 	// count always equals the trials emitted. Trunk prefix time is shared

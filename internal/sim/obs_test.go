@@ -99,9 +99,6 @@ func TestMetricsAgreeAllExecutors(t *testing.T) {
 			o.StripeMin = 1
 			return ExecutePlan(c, plan, o)
 		}},
-		{"Parallel4", false, func(o Options) (*Result, error) {
-			return Parallel(c, trials, 4, o)
-		}},
 		{"ParallelSubtree4", true, func(o Options) (*Result, error) {
 			return ParallelSubtree(c, trials, 4, o)
 		}},
@@ -139,8 +136,8 @@ func TestMetricsAgreeAllExecutors(t *testing.T) {
 
 // TestRecorderDoesNotPerturbResults runs each executor with and without a
 // recorder and demands bit-identical outcomes and identical accounting.
-// The parallel executors' MSV is a concurrent high-water mark that depends
-// on goroutine interleaving even with no recorder, so for them it is only
+// The subtree executor's MSV is a concurrent high-water mark that depends
+// on goroutine interleaving even with no recorder, so for it it is only
 // held to the bound the plan and worker count allow.
 func TestRecorderDoesNotPerturbResults(t *testing.T) {
 	c := bench.QV(4, 3, rand.New(rand.NewSource(9)))
@@ -154,7 +151,6 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 		msvBound int
 	}{
 		"Reordered": {func(o Options) (*Result, error) { return Reordered(c, trials, o) }, 0},
-		"Parallel":  {func(o Options) (*Result, error) { return Parallel(c, trials, workers, o) }, chunkedMSVBound(t, c, trials, workers)},
 		"Subtree":   {func(o Options) (*Result, error) { return ParallelSubtree(c, trials, workers, o) }, subtreeMSVBound(t, c, trials, workers)},
 		"Baseline":  {func(o Options) (*Result, error) { return Baseline(c, trials, o) }, 0},
 	}
@@ -190,26 +186,6 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 			}
 		})
 	}
-}
-
-// chunkedMSVBound is the most vectors Parallel can hold at once: every
-// chunk's plan at its own peak simultaneously.
-func chunkedMSVBound(t *testing.T, c *circuit.Circuit, trials []*trial.Trial, workers int) int {
-	t.Helper()
-	ordered := reorder.Sort(trials)
-	bound := 0
-	for w := 0; w < workers; w++ {
-		chunk := ordered[w*len(ordered)/workers : (w+1)*len(ordered)/workers]
-		if len(chunk) == 0 {
-			continue
-		}
-		plan, err := reorder.BuildPlanOrdered(c, chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound += plan.MSV()
-	}
-	return bound
 }
 
 // subtreeMSVBound is the most vectors an unbudgeted ParallelSubtree can

@@ -127,9 +127,6 @@ func TestRegistersReturnToArena(t *testing.T) {
 		{"split/task-fails/1w", Options{}, split(&taskFail, 1), true},
 		{"split/task-fails/4w", Options{}, split(&taskFail, 4), true},
 		{"split/trunk-fails/2w", Options{}, split(&trunkFail, 2), true},
-		{"split/lanes-4/2w", Options{Lanes: 4}, split(sp, 2), false},
-		{"split/lanes-4/task-fails/2w", Options{Lanes: 4}, split(&taskFail, 2), true},
-		{"split/lanes-4/task-panics/2w", Options{Lanes: 4}, split(&taskPanic, 2), true},
 		{"split/task-panics/2w", Options{}, split(&taskPanic, 2), true},
 	} {
 		pool := statevec.NewBufferPool()

@@ -78,9 +78,9 @@ type Options struct {
 	// SnapshotBudget caps the stored prefix state vectors, trading
 	// recomputation for memory (reorder.BuildPlanBudget). 0 or negative
 	// means unlimited. Under PolicySnapshot it applies to the
-	// plan-building entry points — Reordered, Parallel, and
-	// ParallelSubtree (where it caps each component's stack: the trunk's
-	// and every worker's, entry state included) — and ExecutePlan runs
+	// plan-building entry points — Reordered and ParallelSubtree (where
+	// it caps each component's stack: the trunk's and every worker's,
+	// entry state included) — and ExecutePlan runs
 	// its prebuilt plan as built. Under PolicyAdaptive every executor,
 	// ExecutePlan included, reads it at run time as the real-frame cap.
 	SnapshotBudget int
@@ -126,40 +126,29 @@ type Options struct {
 	// only the shallowest branch frames as real snapshots. See
 	// SamplerMemProbe. nil means no pressure.
 	MemProbe func() bool
-	// Lanes > 1 enables the batched SoA executor on the subtree paths:
-	// the trunk gathers up to Lanes consecutively spawned sibling tasks
-	// (siblings entering at the same layer, cloned from the same trunk
-	// state) into one group, and a worker advances the group's common
-	// layer ranges through statevec.Program.RunBatch — one cache-blocked
-	// sweep across all lanes per compiled segment. Outcomes, forward ops
-	// and emitted trials are identical to single-lane execution at every
-	// lane and worker count (bit-identical in non-numeric fuse modes).
-	// Sequential executors ignore it; non-snapshot restore policies run
-	// grouped tasks one lane at a time through the single-lane interpreter.
-	Lanes int
 	// Pool, when non-nil, is the amplitude-buffer arena the run draws
-	// snapshots, entry clones and batch registers from, letting callers
-	// keep buffers warm across runs (the zero-alloc steady state). nil
-	// gives the run a private arena. Pool hit/miss counters are recorded
+	// snapshots and entry clones from, letting callers keep buffers warm
+	// across runs (the zero-alloc steady state). nil gives the run a
+	// private arena. Pool hit/miss counters are recorded
 	// only by runs that own their arena, so a shared pool is counted by
 	// exactly one accountant.
 	Pool *statevec.BufferPool
 	// Span, when non-nil, parents this run's causal trace: executors
 	// open one child span per execution (execute_plan /
-	// execute_parallel / execute_subtree, plus trunk and per-group
-	// subtree_task spans), segment-cache misses compile under
-	// "segment_compile" spans, and snapshot pushes, restores, policy
-	// decisions and rollbacks become span events. nil disables tracing
-	// at one pointer check per site; like Recorder, a span never
-	// perturbs the Result (ops == plan.OptimizedOps() either way).
+	// execute_subtree, plus trunk and per-task subtree_task spans),
+	// segment-cache misses compile under "segment_compile" spans, and
+	// snapshot pushes, restores, policy decisions and rollbacks become
+	// span events. nil disables tracing at one pointer check per site;
+	// like Recorder, a span never perturbs the Result
+	// (ops == plan.OptimizedOps() either way).
 	Span *trace.Span
 }
 
 // compileProgram returns the compiled program the options imply for the
 // circuit, or nil when plain gate-by-gate dispatch should run. always
-// compiles even then: reverse execution (the non-snapshot policies) and
-// batched sweeps exist only on compiled programs, and a FuseOff program
-// is bit-identical to dispatch.
+// compiles even then: reverse execution (the non-snapshot policies)
+// exists only on compiled programs, and a FuseOff program is
+// bit-identical to dispatch.
 func (o Options) compileProgram(c *circuit.Circuit, always bool) *statevec.Program {
 	if !always && o.Fuse == statevec.FuseOff && o.Stripes <= 1 {
 		return nil
@@ -394,30 +383,17 @@ func Reordered(c *circuit.Circuit, trials []*trial.Trial, opt Options) (*Result,
 
 // ExecutePlan runs a prebuilt plan. Exposed separately so callers can
 // reuse one plan across analyses and execution.
-func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, error) {
-	return executePlan(c, plan, opt, &msvTracker{}, 0)
-}
-
-// executePlan is ExecutePlan reporting every stored-vector acquisition
-// and release into a tracker, so concurrent executors (Parallel) can
-// measure their true combined peak. Result.MSV remains this execution's
-// own stack peak. wid is the chunk index under Parallel (0 for a
-// sequential run).
 //
 // With a span attached it wraps the execution in one "execute_plan"
-// child (on the chunk's worker track under Parallel); all deeper trace
-// activity — segment compiles, snapshot events, policy decisions —
-// nests under that child.
-func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTracker, wid int) (*Result, error) {
+// child; all deeper trace activity — segment compiles, snapshot events,
+// policy decisions — nests under that child.
+func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, error) {
 	var esp *trace.Span
 	if opt.Span != nil {
 		esp = opt.Span.Child("execute_plan",
 			trace.String("policy", opt.Policy.String()),
 			trace.Int("steps", int64(len(plan.Steps))),
 			trace.Int("trials", int64(len(plan.Order))))
-		if wid > 0 {
-			esp.SetWorker(wid)
-		}
 		opt.Span = esp
 	}
 	if err := c.Validate(); err != nil {
@@ -433,12 +409,12 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()
 	pool := newStatePool(c.NumQubits(), arena)
-	bs := newBranchState(c, opt, newAdvancer(c, prog, len(plan.Order)), res, tr, pool, true)
+	bs := newBranchState(c, opt, newAdvancer(c, prog, len(plan.Order)), res, &msvTracker{}, pool, true)
 	// Every StepPush opens a frame, so the plan's stack peak sizes the
 	// frame stack, and with it the spares, once.
 	bs.frames = make([]pframe, 0, plan.MSV())
 	bs.work = pool.get()
-	// A panic (Parallel recovers a chunk's) hands the registers back too.
+	// A panic hands the registers back too.
 	defer bs.release()
 	bs.work.Reset()
 	err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil)
@@ -451,8 +427,6 @@ func executePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options, tr *msvTra
 	if rec != nil {
 		rec.Add(obs.Ops, res.Ops)
 		rec.Add(obs.Copies, res.Copies)
-		// This execution's own stack peak; concurrent executors raise the
-		// gauge again with the cross-worker tracker peak after merging.
 		rec.SetMax(obs.MSVHighWater, int64(res.MSV))
 		if owned {
 			recordPoolStats(rec, arena, h0, m0, d0)

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -419,5 +420,97 @@ func TestSampleFallbackSkipsZeroAmplitudes(t *testing.T) {
 	empty, _ := statevec.FromAmplitudes(make([]complex128, 4))
 	if got := sampleBitsRaw(empty, c, tr); got != 3 {
 		t.Fatalf("all-zero state sampled %d, want 3 (the last index, as State.Sample)", got)
+	}
+}
+
+// TestMSVTrackerConcurrentHighWater hammers the tracker from many
+// goroutines (the -race gate) and checks the peak is at least the
+// documented lower bound and at most the arithmetic maximum.
+func TestMSVTrackerConcurrentHighWater(t *testing.T) {
+	var tr msvTracker
+	const workers, perWorker = 8, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				tr.add(1)
+				tr.add(1)
+				tr.add(-1)
+				tr.add(-1)
+			}
+		}()
+	}
+	wg.Wait()
+	hw := tr.highWater()
+	// Each goroutine holds at most 2 concurrently; at least one held 2.
+	if hw < 2 || hw > 2*workers {
+		t.Errorf("high-water %d outside [2, %d]", hw, 2*workers)
+	}
+	if got := tr.cur.Load(); got != 0 {
+		t.Errorf("tracker did not return to zero: %d", got)
+	}
+}
+
+// TestBudgetedExecutionEquivalence: executing a memory-budgeted plan gives
+// bit-identical outcomes to the baseline, with bounded stored vectors.
+func TestBudgetedExecutionEquivalence(t *testing.T) {
+	c := bench.Grover3()
+	m := noise.Uniform("u", 3, 5e-3, 5e-2, 2e-2)
+	trials := genTrials(t, c, m, 300, 24)
+	base, err := Baseline(c, trials, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{0, 1, 2, 5} {
+		plan, err := reorder.BuildPlanBudget(c, trials, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ExecutePlan(c, plan, Options{})
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if !EqualOutcomes(base, res) {
+			t.Errorf("budget %d: outcomes differ from baseline", budget)
+		}
+		if res.MSV > budget {
+			t.Errorf("budget %d: executed MSV %d exceeds budget", budget, res.MSV)
+		}
+		if res.Ops != plan.OptimizedOps() {
+			t.Errorf("budget %d: executed ops %d != planned %d", budget, res.Ops, plan.OptimizedOps())
+		}
+	}
+}
+
+// TestBudgetedEquivalenceProperty fuzzes budgets and trial sets.
+func TestBudgetedEquivalenceProperty(t *testing.T) {
+	f := func(seed int64, budgetRaw uint8) bool {
+		budget := int(budgetRaw % 6)
+		rng := rand.New(rand.NewSource(seed))
+		c := bench.QV(3, 2, rng)
+		m := noise.Uniform("u", 3, rng.Float64()*0.05, rng.Float64()*0.2, rng.Float64()*0.05)
+		g, err := genOK(c, m)
+		if err != nil {
+			return false
+		}
+		trials := g.Generate(rng, 80)
+		base, err := Baseline(c, trials, Options{})
+		if err != nil {
+			return false
+		}
+		plan, err := reorder.BuildPlanBudget(c, trials, budget)
+		if err != nil {
+			return false
+		}
+		res, err := ExecutePlan(c, plan, Options{})
+		if err != nil {
+			return false
+		}
+		return EqualOutcomes(base, res) && res.MSV <= budget
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }

@@ -18,9 +18,8 @@ import (
 // (reorder.SplitPlan): the coordinator executes the sequential trunk —
 // computing every shared prefix state exactly once — and on each spawn
 // point clones the working state into a task that any worker can pick up.
-// Unlike the contiguous chunking of Parallel, no prefix sharing is lost:
-// the decomposition's total basic-operation count equals the sequential
-// plan's for every worker count.
+// No prefix sharing is lost: the decomposition's total basic-operation
+// count equals the sequential plan's for every worker count.
 //
 // Scheduling is dynamic: workers pull from a ready queue ordered
 // largest-static-ops-first, so load balance does not depend on how trials
@@ -119,58 +118,11 @@ func countSubtrees(ordered []*trial.Trial, cut int) int {
 	return count
 }
 
-// queuedTask is a group of spawned subtrees waiting for a worker: the
-// static tasks plus their materialized entry states, one per lane. With
-// Options.Lanes <= 1 every group holds a single task (the original
-// one-task-per-pop behavior); larger groups are executed through the
-// batched SoA engine.
+// queuedTask is a spawned subtree waiting for a worker: the static task
+// and its materialized entry state.
 type queuedTask struct {
-	tasks   []*reorder.Subtree
-	entries []*statevec.State
-	ops     int64 // summed static task ops: the heap priority
-}
-
-// spawnGroup buffers consecutively spawned sibling tasks into one queued
-// group. Non-spawn trunk steps flush the buffer, so only strictly
-// consecutive spawns — siblings entering at the same layer, cloned from
-// the same trunk state — share a group, which is exactly the set a
-// batched sweep can advance in lockstep from its first segment.
-type spawnGroup struct {
-	lanes   int
-	queue   *taskQueue
-	tasks   []*reorder.Subtree
-	entries []*statevec.State
-}
-
-func newSpawnGroup(lanes int, queue *taskQueue) *spawnGroup {
-	if lanes < 1 {
-		lanes = 1
-	}
-	return &spawnGroup{lanes: lanes, queue: queue}
-}
-
-// add buffers one spawned task; a full buffer is flushed immediately. The
-// caller has already acquired one sem slot per entry, so buffering never
-// exceeds the queue's entry-state bound.
-func (g *spawnGroup) add(st *reorder.Subtree, entry *statevec.State) {
-	g.tasks = append(g.tasks, st)
-	g.entries = append(g.entries, entry)
-	if len(g.tasks) >= g.lanes {
-		g.flush()
-	}
-}
-
-func (g *spawnGroup) flush() {
-	if len(g.tasks) == 0 {
-		return
-	}
-	var ops int64
-	for _, st := range g.tasks {
-		ops += st.Ops
-	}
-	g.queue.push(queuedTask{tasks: g.tasks, entries: g.entries, ops: ops})
-	g.tasks = nil
-	g.entries = nil
+	task  *reorder.Subtree
+	entry *statevec.State
 }
 
 // taskQueue is the ready queue: a max-heap on static task ops under a
@@ -193,7 +145,7 @@ func (q *taskQueue) push(t queuedTask) {
 	q.items = append(q.items, t)
 	for i := len(q.items) - 1; i > 0; {
 		p := (i - 1) / 2
-		if q.items[p].ops >= q.items[i].ops {
+		if q.items[p].task.Ops >= q.items[i].task.Ops {
 			break
 		}
 		q.items[p], q.items[i] = q.items[i], q.items[p]
@@ -220,10 +172,10 @@ func (q *taskQueue) pop() (queuedTask, bool) {
 	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		big := i
-		if l <= last-1 && q.items[l].ops > q.items[big].ops {
+		if l <= last-1 && q.items[l].task.Ops > q.items[big].task.Ops {
 			big = l
 		}
-		if r <= last-1 && q.items[r].ops > q.items[big].ops {
+		if r <= last-1 && q.items[r].task.Ops > q.items[big].task.Ops {
 			big = r
 		}
 		if big == i {
@@ -252,35 +204,24 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 	if workers < 1 {
 		return nil, fmt.Errorf("sim: worker count %d < 1", workers)
 	}
-	lanes := opt.Lanes
-	if lanes < 1 {
-		lanes = 1
-	}
 	var esp *trace.Span
 	if opt.Span != nil {
 		esp = opt.Span.Child("execute_subtree",
 			trace.String("policy", opt.Policy.String()),
 			trace.Int("workers", int64(workers)),
-			trace.Int("lanes", int64(lanes)),
 			trace.Int("tasks", int64(len(sp.Subtrees))))
-		// The trunk span, per-group subtree_task spans and all segment
+		// The trunk span, per-task subtree_task spans and all segment
 		// compiles (the shared program included) nest under it.
 		opt.Span = esp
 	}
 	var tracker msvTracker
 	queue := newTaskQueue()
 	// Bound on cloned-but-unfinished entry states: the trunk blocks
-	// rather than materializing an entry vector per task up front. The
-	// trunk acquires a slot per entry before buffering a lane group, so
-	// the bound must admit at least one full group.
-	semCap := 2 * workers
-	if lanes > semCap {
-		semCap = lanes
-	}
-	sem := make(chan struct{}, semCap)
+	// rather than materializing an entry vector per task up front.
+	sem := make(chan struct{}, 2*workers)
 	prog := sp.Prog
 	if prog == nil {
-		prog = opt.compileProgram(c, opt.Policy != PolicySnapshot || lanes > 1)
+		prog = opt.compileProgram(c, opt.Policy != PolicySnapshot)
 	}
 	adv := newAdvancer(c, prog, len(sp.Order))
 	arena, owned := opt.bufferPool()
@@ -297,10 +238,6 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 			res := newResult(c, 0, opt.KeepStates)
 			pool := newStatePool(c.NumQubits(), arena)
 			bs := newBranchState(c, opt, adv, res, &tracker, pool, false)
-			var br *batchRunner
-			if lanes > 1 && opt.Policy == PolicySnapshot {
-				br = newBatchRunner(c.NumQubits(), lanes, arena)
-			}
 			for {
 				qt, ok := queue.pop()
 				if !ok {
@@ -310,28 +247,21 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 					var tsp *trace.Span
 					if esp != nil {
 						tsp = esp.Child("subtree_task",
-							trace.Int("tasks", int64(len(qt.tasks))),
-							trace.Int("static_ops", qt.ops))
+							trace.Int("task", int64(qt.task.ID)),
+							trace.Int("static_ops", qt.task.Ops))
 						tsp.SetWorker(w)
 					}
 					bs.opt.Span = tsp
-					errs[w] = runTaskGroup(sp, bs, qt, br)
+					errs[w] = runSubtree(sp, bs, qt)
 					tsp.SetError(errs[w])
 					tsp.End()
 				} else {
 					// Already failed: drain so the trunk never blocks on
-					// the entry-state bound, returning the queued clones.
-					tracker.add(-int64(len(qt.entries)))
-					for _, e := range qt.entries {
-						pool.put(e)
-					}
+					// the entry-state bound, returning the queued clone.
+					tracker.add(-1)
+					pool.put(qt.entry)
 				}
-				for range qt.entries {
-					<-sem
-				}
-			}
-			if br != nil {
-				br.release()
+				<-sem
 			}
 			partials[w] = res
 		}(w)
@@ -397,8 +327,7 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 	bs.work = pool.get()
 	defer bs.release()
 	bs.work.Reset()
-	grp := newSpawnGroup(opt.Lanes, queue)
-	spawn := func(task int, last bool) error {
+	spawn := func(task int) error {
 		sem <- struct{}{}
 		entry := pool.get()
 		entry.CopyFrom(bs.work)
@@ -410,11 +339,7 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 		if tsp := opt.Span; tsp != nil {
 			tsp.Event("spawn", trace.Int("task", int64(task)))
 		}
-		// Only strictly consecutive spawns share a lane group.
-		grp.add(sp.Subtrees[task], entry)
-		if last {
-			grp.flush()
-		}
+		queue.push(queuedTask{task: sp.Subtrees[task], entry: entry})
 		return nil
 	}
 	if err := bs.run(sp.Trunk, sp.Order, 0, spawn); err != nil {
@@ -423,9 +348,11 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 	return res, nil
 }
 
-// runSubtree executes one task against its entry state on the worker's
-// branch state, accumulating outcomes and op counts into the worker's
-// partial result.
+// runSubtree executes one popped task against its entry state on the
+// worker's branch state, accumulating outcomes and op counts into the
+// worker's partial result. A panic in the task becomes its error, so the
+// worker survives to keep draining the queue, and the task's registers go
+// back to the arena either way.
 //
 // An unbudgeted snapshot task adopts the entry clone as its working
 // register (it stops being a stored vector). Otherwise the task keeps the
@@ -437,7 +364,12 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 // reported as a snapshot push — PolicyUncompute still executes with
 // snapshot_pushes == 0. A snapshot plan with budget 0 adopts the entry
 // and restores replay from |0...0>.
-func runSubtree(sp *reorder.SplitPlan, bs *branchState, st *reorder.Subtree, entry *statevec.State) error {
+func runSubtree(sp *reorder.SplitPlan, bs *branchState, qt queuedTask) (err error) {
+	defer recoverErr(&err)
+	// The entry goes back with the registers: adopted as the working
+	// one, or kept at the stack floor.
+	defer bs.release()
+	st, entry := qt.task, qt.entry
 	bs.frames, bs.journal = bs.frames[:0], bs.journal[:0]
 	bs.floor, bs.realCnt = 0, 0
 	keepEntry := bs.policy || (sp.Budget() != math.MaxInt && sp.Budget() >= 1)
@@ -452,11 +384,7 @@ func runSubtree(sp *reorder.SplitPlan, bs *branchState, st *reorder.Subtree, ent
 		bs.work = entry
 		bs.tr.add(-1) // adopted as the working register
 	}
-	err := bs.run(st.Steps, sp.Order, st.Trials, nil)
-	// The entry goes back with the registers: adopted as the working
-	// one, or kept at the stack floor.
-	bs.release()
-	if err != nil {
+	if err := bs.run(st.Steps, sp.Order, st.Trials, nil); err != nil {
 		return fmt.Errorf("sim: task %d: %v", st.ID, err)
 	}
 	if keepEntry {

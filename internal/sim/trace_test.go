@@ -267,8 +267,7 @@ func TestSpanEventsMatchCounters(t *testing.T) {
 			}
 			return ExecutePlan(c, plan, opt)
 		},
-		"subtree":  func(opt Options) (*Result, error) { return ParallelSubtreeCut(c, trials, 2, 2, opt) },
-		"parallel": func(opt Options) (*Result, error) { return Parallel(c, trials, 2, opt) },
+		"subtree": func(opt Options) (*Result, error) { return ParallelSubtreeCut(c, trials, 2, 2, opt) },
 	}
 	configs := map[string]Options{
 		"snapshot":         {Policy: PolicySnapshot},

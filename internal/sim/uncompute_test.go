@@ -206,7 +206,6 @@ func TestUncomputeAccountingSeparate(t *testing.T) {
 	// Legacy snapshot executors never uncompute.
 	for name, run := range map[string]func() (*Result, error){
 		"plan":    func() (*Result, error) { return Reordered(c, trials, Options{}) },
-		"chunked": func() (*Result, error) { return Parallel(c, trials, 2, Options{}) },
 		"subtree": func() (*Result, error) { return ParallelSubtree(c, trials, 2, Options{}) },
 	} {
 		res, err := run()
@@ -219,8 +218,8 @@ func TestUncomputeAccountingSeparate(t *testing.T) {
 	}
 }
 
-// TestPolicyParallelExecutors: the policy threads through the chunked
-// and subtree executors — outcomes stay bit-identical to the sequential
+// TestPolicyParallelExecutors: the policy threads through the subtree
+// executor — outcomes stay bit-identical to the sequential
 // snapshot reference, and pure uncompute keeps snapshot_pushes at 0 at
 // every worker count.
 func TestPolicyParallelExecutors(t *testing.T) {
@@ -245,11 +244,6 @@ func TestPolicyParallelExecutors(t *testing.T) {
 					t.Errorf("subtree %dw uncompute: snapshot_pushes = %d, want 0", workers, got)
 				}
 			}
-			chk, err := Parallel(c, trials, workers, opt)
-			if err != nil {
-				t.Fatalf("chunked %d %v: %v", workers, pol, err)
-			}
-			outcomesAndStatesIdentical(t, "chunked", ref, chk)
 		}
 	}
 }

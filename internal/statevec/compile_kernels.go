@@ -11,13 +11,9 @@ import (
 // how many independent work units the sweep decomposes into for a given
 // state dimension; run executes units [lo, hi). Units never overlap, so
 // striped execution may call run concurrently on disjoint ranges.
-// runBatch executes the same unit range across K independent lanes
-// (see compile_batch.go); per-lane arithmetic is identical to run's, so
-// batched execution stays bit-identical in every fusion mode.
 type kernel interface {
 	units(dim int) int
 	run(amp []complex128, lo, hi int)
-	runBatch(lanes [][]complex128, lo, hi int)
 	info() KernelInfo
 }
 

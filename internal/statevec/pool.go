@@ -7,13 +7,12 @@ import (
 
 // BufferPool is a size-classed arena of amplitude buffers shared by every
 // consumer of 2^n-sized storage in a run: snapshot stacks, subtree entry
-// clones, uncompute journal frames, and the lane-packed batch registers of
-// the SoA executor. One pool serves all goroutines of a run (the trunk
-// clones entry states that workers later release, so per-goroutine free
-// lists would strand buffers); after warm-up every acquisition is a free-
-// list pop and the steady-state hot loop performs zero heap allocations.
-// Reuse within one goroutine does not come here: a single-lane plan walk
-// (internal/sim) keeps the registers its pops discard as spares for its
+// clones and uncompute journal frames. One pool serves all goroutines of
+// a run (the trunk clones entry states that workers later release, so
+// per-goroutine free lists would strand buffers); after warm-up every
+// acquisition is a free-list pop and the steady-state hot loop performs
+// zero heap allocations. Reuse within one goroutine does not come here: a
+// plan walk (internal/sim) keeps the registers its pops discard as spares for its
 // next pushes and returns them when its plan, trunk or task ends, so the
 // pool sees a walk's first draws and the cross-goroutine entry clones,
 // and its hit and miss counts measure that traffic only.
@@ -31,20 +30,17 @@ import (
 // Buffers come back with unspecified contents — callers overwrite them via
 // CopyFrom or Reset. The zero value is not usable; use NewBufferPool.
 type BufferPool struct {
-	mu      sync.Mutex
-	retain  int
-	bufs    map[int][][]complex128 // raw buffers by length
-	states  map[int][]*State       // state registers by qubit count
-	batches map[batchKey][]*BatchState
-	hits    atomic.Int64
-	misses  atomic.Int64
-	drops   atomic.Int64
+	mu     sync.Mutex
+	retain int
+	bufs   map[int][][]complex128 // raw buffers by length
+	states map[int][]*State       // state registers by qubit count
+	hits   atomic.Int64
+	misses atomic.Int64
+	drops  atomic.Int64
 }
 
-type batchKey struct{ n, lanes int }
-
 // DefaultPoolRetain is the default per-size-class retention cap: the
-// maximum number of idle buffers (or states, or batch registers) one size
+// maximum number of idle buffers (or states) one size
 // class keeps. A run's concurrent buffer demand is bounded by its MSV plus
 // per-worker scratch, comfortably below this; the cap only bites when a
 // long-lived arena outlives the workload that filled it.
@@ -58,10 +54,9 @@ func NewBufferPool() *BufferPool { return NewBufferPoolRetain(DefaultPoolRetain)
 // pre-cap behavior, for callers that manage lifetime themselves).
 func NewBufferPoolRetain(perClass int) *BufferPool {
 	return &BufferPool{
-		retain:  perClass,
-		bufs:    make(map[int][][]complex128),
-		states:  make(map[int][]*State),
-		batches: make(map[batchKey][]*BatchState),
+		retain: perClass,
+		bufs:   make(map[int][][]complex128),
+		states: make(map[int][]*State),
 	}
 }
 
@@ -138,44 +133,8 @@ func (p *BufferPool) PutState(s *State) {
 	p.mu.Unlock()
 }
 
-// GetBatch returns a lane-packed batch register for `lanes` independent
-// n-qubit states. Lane contents are unspecified.
-func (p *BufferPool) GetBatch(n, lanes int) *BatchState {
-	key := batchKey{n, lanes}
-	p.mu.Lock()
-	list := p.batches[key]
-	if ln := len(list); ln > 0 {
-		b := list[ln-1]
-		list[ln-1] = nil
-		p.batches[key] = list[:ln-1]
-		p.mu.Unlock()
-		p.hits.Add(1)
-		return b
-	}
-	p.mu.Unlock()
-	p.misses.Add(1)
-	return NewBatchState(n, lanes)
-}
-
-// PutBatch returns a batch register to the pool, dropping it when the
-// class is at its retention cap. nil is ignored.
-func (p *BufferPool) PutBatch(b *BatchState) {
-	if b == nil {
-		return
-	}
-	p.mu.Lock()
-	key := batchKey{b.n, b.lanes}
-	if p.full(len(p.batches[key])) {
-		p.mu.Unlock()
-		p.drops.Add(1)
-		return
-	}
-	p.batches[key] = append(p.batches[key], b)
-	p.mu.Unlock()
-}
-
-// Stats returns the cumulative hit and miss counts across Get, GetState
-// and GetBatch. A miss allocates; a steady-state run shows hits only.
+// Stats returns the cumulative hit and miss counts across Get and
+// GetState. A miss allocates; a steady-state run shows hits only.
 func (p *BufferPool) Stats() (hits, misses int64) {
 	return p.hits.Load(), p.misses.Load()
 }
@@ -185,7 +144,7 @@ func (p *BufferPool) Stats() (hits, misses int64) {
 func (p *BufferPool) Drops() int64 { return p.drops.Load() }
 
 // Retained returns the current number of idle buffers held across all
-// size classes (raw buffers + state registers + batch registers), for
+// size classes (raw buffers + state registers), for
 // bound checks and daemon stats.
 func (p *BufferPool) Retained() int {
 	p.mu.Lock()
@@ -195,9 +154,6 @@ func (p *BufferPool) Retained() int {
 		n += len(l)
 	}
 	for _, l := range p.states {
-		n += len(l)
-	}
-	for _, l := range p.batches {
 		n += len(l)
 	}
 	return n

@@ -29,18 +29,15 @@ func TestPoolRetentionCap(t *testing.T) {
 		t.Fatalf("drops %d, want 4", got)
 	}
 
-	// States and batch registers are capped the same way.
+	// States are capped the same way.
 	for i := 0; i < 4; i++ {
 		p.PutState(NewState(3))
 	}
-	for i := 0; i < 4; i++ {
-		p.PutBatch(NewBatchState(2, 2))
+	if got := p.Retained(); got != 6 {
+		t.Fatalf("retained with states %d, want 6", got)
 	}
-	if got := p.Retained(); got != 8 {
-		t.Fatalf("retained with states and batches %d, want 8", got)
-	}
-	if got := p.Drops(); got != 8 {
-		t.Fatalf("drops with states and batches %d, want 8", got)
+	if got := p.Drops(); got != 6 {
+		t.Fatalf("drops with states %d, want 6", got)
 	}
 
 	// The retained buffers are still served as hits.
@@ -98,5 +95,55 @@ func TestGetStateWidthLimit(t *testing.T) {
 	}
 	if s := p.GetState(3); s.NumQubits() != 3 {
 		t.Fatalf("GetState(3) returned %d qubits", s.NumQubits())
+	}
+}
+
+// TestBufferPoolReuse pins the zero-alloc contract: the second acquisition
+// of every pooled shape is a free-list hit returning the same object.
+func TestBufferPoolReuse(t *testing.T) {
+	p := NewBufferPool()
+
+	buf := p.Get(16)
+	if len(buf) != 16 {
+		t.Fatalf("Get(16) returned %d elements", len(buf))
+	}
+	p.Put(buf)
+	if again := p.Get(16); &again[0] != &buf[0] {
+		t.Fatal("Get after Put did not reuse the buffer")
+	}
+
+	s := p.GetState(4)
+	if s.NumQubits() != 4 {
+		t.Fatalf("GetState(4) returned %d qubits", s.NumQubits())
+	}
+	p.PutState(s)
+	if again := p.GetState(4); again != s {
+		t.Fatal("GetState after PutState did not reuse the register")
+	}
+
+	hits, misses := p.Stats()
+	if hits != 2 || misses != 2 {
+		t.Fatalf("Stats() = %d hits, %d misses; want 2, 2", hits, misses)
+	}
+
+	// nil returns are ignored.
+	p.Put(nil)
+	p.PutState(nil)
+}
+
+// TestBufferPoolSteadyStateAllocs proves the pooled cycle itself is
+// allocation-free after warm-up.
+func TestBufferPoolSteadyStateAllocs(t *testing.T) {
+	p := NewBufferPool()
+	p.PutState(p.GetState(6))
+	p.Put(p.Get(64))
+	allocs := testing.AllocsPerRun(100, func() {
+		s := p.GetState(6)
+		b := p.Get(64)
+		p.Put(b)
+		p.PutState(s)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state pooled cycle allocates %.1f objects per op", allocs)
 	}
 }

@@ -36,13 +36,11 @@ const MaxQubits = 30
 
 // Caps on the size of one run, beside MaxQubits: qsimd rejects a request
 // above any of them before it generates a trial. MaxTrials bounds the
-// trial set a run generates, sorts and plans in memory; MaxWorkers and
-// MaxLanes bound the goroutines and the lanes of one BatchState a run may
-// ask for.
+// trial set a run generates, sorts and plans in memory; MaxWorkers bounds
+// the goroutines a run may ask for.
 const (
 	MaxTrials  = 1 << 20
 	MaxWorkers = 64
-	MaxLanes   = 64
 )
 
 func checkWidth(n int) {
