@@ -95,14 +95,20 @@ metrics-smoke: build
 # End-to-end tracing check: run a fused QV circuit with span-trace
 # capture, then re-read the exported Chrome trace-event JSON and verify
 # it is Perfetto-loadable with exact span nesting (one root, every
-# parent resolvable, children contained in their parents). The serve
-# smoke (below, also under verify-deep) covers the HTTP side: traces
-# scraped from a live qsimd over /v1/traces with the traceparent header
-# propagated and segment-compile spans reconciled against segcache
-# misses.
+# parent resolvable, children contained in their parents). The second
+# run is qsimd's default path (FuseOff, one worker: the sequential walk
+# whose step events the sink writes); its digest must list the walk's
+# snapshot_push events. The serve smoke (below, also under verify-deep)
+# covers the HTTP side: traces scraped from a live qsimd over /v1/traces
+# with the traceparent header propagated and segment-compile spans
+# reconciled against segcache misses.
 trace-smoke: build
 	$(GO) run ./cmd/qsim -bench qv_n5d5 -trials 512 -mode reordered -fuse exact -workers 2 -trace-out /tmp/qsim_trace_smoke.json
 	$(GO) run ./cmd/qsim -verify-trace /tmp/qsim_trace_smoke.json
+	$(GO) run ./cmd/qsim -bench qv_n5d5 -trials 512 -mode reordered -fuse off -workers 1 -trace-out /tmp/qsim_trace_smoke_off.json -trace-summary > /tmp/qsim_trace_smoke_off.txt
+	cat /tmp/qsim_trace_smoke_off.txt
+	grep -q '^  snapshot_push ' /tmp/qsim_trace_smoke_off.txt
+	$(GO) run ./cmd/qsim -verify-trace /tmp/qsim_trace_smoke_off.json
 
 # Daemon smoke test: start a qsimd core on a loopback listener, drive it
 # with the client-side load generator (one cold job, then identical jobs

@@ -12,9 +12,11 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/device"
 	"repro/internal/noise"
+	"repro/internal/obs"
 	"repro/internal/reorder"
 	"repro/internal/sim"
 	"repro/internal/statevec"
+	"repro/internal/trace"
 	"repro/internal/transpile"
 	"repro/internal/trial"
 )
@@ -193,6 +195,56 @@ func BenchmarkRunYorktown(b *testing.B) {
 	metrics.Read(heap)
 	b.ReportMetric(sum/float64(max(samples, 1))/1e6, "mean-MB")
 	b.ReportMetric(float64(heap[0].Value.Uint64())/1e6, "live-MB")
+}
+
+// BenchmarkRunDaemonShape runs qsimd's default job shape through core.Run
+// with the observability qsimd's runJob attaches: the Recorder is
+// obs.Multi of two Metrics (the daemon's aggregate and the tenant's) and
+// the Span is the root of a keep-all tracer's trace. One op is 12 jobs,
+// one per Table I circuit on Yorktown (not transpiled), reordered with
+// FuseOff, one worker and one shared pool. Each circuit rotates through
+// 64, 128, 256 and 640 trials and seeds 1 and 2 (the shapes of
+// qsimd-mixed's repeated requests), so every 8 ops run each of its 8
+// shapes once. Allocations are reported per op, that is per 12 jobs.
+//
+//	go test ./internal/core -run ^$ -bench RunDaemonShape -benchmem -count 5
+func BenchmarkRunDaemonShape(b *testing.B) {
+	trials := []int{64, 128, 256, 640}
+	var circs [2][]*circuit.Circuit
+	for s := range circs {
+		for _, ref := range bench.TableI {
+			c, err := bench.Build(ref.Name, int64(s+1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			circs[s] = append(circs[s], c)
+		}
+	}
+	dev := device.Yorktown()
+	pool := statevec.NewBufferPool()
+	agg, tenant := obs.NewMetrics(), obs.NewMetrics()
+	tracer := trace.New(trace.Config{Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range bench.TableI {
+			k := (i + j) % (2 * len(trials))
+			seed := k / len(trials)
+			root := tracer.Start("request", trace.SpanContext{})
+			rep, err := Run(Config{
+				Circuit: circs[seed][j], Device: dev,
+				Trials: trials[k%len(trials)], Seed: int64(seed + 1), Mode: ModeReordered,
+				Workers: 1, Pool: pool, Recorder: obs.Multi(agg, tenant), Span: root,
+			})
+			root.End()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got, want := rep.Reordered.Ops, rep.Plan.OptimizedOps(); got != want {
+				b.Fatalf("%s: executed %d ops, plan has %d", bench.TableI[j].Name, got, want)
+			}
+		}
+	}
 }
 
 // BenchmarkRunQV14Snapshot times core.Run on the qv14-snapshot job shape:

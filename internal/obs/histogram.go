@@ -163,6 +163,27 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
+// mergeTally adds a tally histogram's contents into h, exactly as Merge
+// adds a Histogram's.
+func (h *Histogram) mergeTally(t *tallyHist) {
+	if t.count == 0 {
+		return
+	}
+	for i, c := range t.buckets {
+		if c != 0 {
+			h.buckets[i].Add(c)
+		}
+	}
+	h.count.Add(t.count)
+	h.sum.Add(t.sum)
+	for {
+		cur := h.max.Load()
+		if t.max <= cur || h.max.CompareAndSwap(cur, t.max) {
+			return
+		}
+	}
+}
+
 // Quantile estimates the q-quantile (q in [0, 1]) by linear
 // interpolation within the containing bucket, clamped to the observed
 // max. Returns 0 for an empty histogram.
@@ -242,3 +263,41 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
+
+// Tally is a single-owner accumulation of counter deltas and histogram
+// observations: plain integers on the same fixed bucket grid as
+// Histogram, so merging one into a Recorder (Recorder.Merge) is exact and
+// order-independent. A plan walk keeps one and merges it when it ends,
+// instead of making atomic adds per step. A Tally is not safe for
+// concurrent use; the zero value is empty and ready to use.
+type Tally struct {
+	counters [numCounters]int64
+	hists    [numHists]tallyHist
+}
+
+// tallyHist is a Histogram without atomics.
+type tallyHist struct {
+	buckets         [NumHistBuckets]int64
+	count, sum, max int64
+}
+
+// Add adds delta to a counter.
+func (t *Tally) Add(c Counter, delta int64) { t.counters[c] += delta }
+
+// ObserveN records n observations of the value v into a distribution
+// (none when n <= 0).
+func (t *Tally) ObserveN(h Hist, v, n int64) {
+	if n <= 0 {
+		return
+	}
+	th := &t.hists[h]
+	th.buckets[histBucket(v)] += n
+	th.count += n
+	th.sum += v * n
+	if v > th.max {
+		th.max = v
+	}
+}
+
+// Reset empties the tally.
+func (t *Tally) Reset() { *t = Tally{} }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
@@ -164,5 +165,42 @@ func TestMultiFansOutObserve(t *testing.T) {
 	rec.Observe(HistKernelSweep, 5)
 	if a.Hist(HistKernelSweep).Count() != 1 || b.Hist(HistKernelSweep).Count() != 1 {
 		t.Error("Multi did not fan out Observe to both Metrics")
+	}
+}
+
+// TestTallyMergeMatchesDirect: merging a tally into a Recorder, through
+// Multi too, leaves every counter and histogram (buckets, count, sum,
+// max and so the quantiles) exactly as recording the same values one
+// call at a time; a merged-then-reset tally merges nothing more.
+func TestTallyMergeMatchesDirect(t *testing.T) {
+	direct, a, b := NewMetrics(), NewMetrics(), NewMetrics()
+	var tally Tally
+	for i := int64(0); i < 300; i++ {
+		v, n := i*i%977-5, i%4
+		direct.Add(SnapshotPushes, i)
+		tally.Add(SnapshotPushes, i)
+		for j := int64(0); j < n; j++ {
+			direct.Observe(HistTrialLatency, v)
+		}
+		tally.ObserveN(HistTrialLatency, v, n)
+		direct.Observe(HistRestoreDepth, i%7)
+		tally.ObserveN(HistRestoreDepth, i%7, 1)
+	}
+	rec := Multi(a, b)
+	rec.Merge(&tally)
+	tally.Reset()
+	rec.Merge(&tally)
+	want, err := json.Marshal(direct.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Metrics{"a": a, "b": b} {
+		got, err := json.Marshal(m.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("merged %s:\n%s\nwant\n%s", name, got, want)
+		}
 	}
 }

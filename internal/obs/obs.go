@@ -12,6 +12,9 @@
 //     nil-check when disabled.
 //   - The standard Metrics recorder is a fixed array of atomic counters:
 //     recording never allocates and never takes a lock.
+//   - A hot loop that records per step (a plan walk) accumulates into a
+//     plain Tally it owns and hands it to Recorder.Merge in one call, so
+//     a step costs a few plain adds, not atomic adds on shared lines.
 //
 // Metrics are strictly an observer: they must never perturb the logical
 // basic-operation accounting (executors report ops == plan.OptimizedOps()
@@ -234,6 +237,10 @@ type Recorder interface {
 	// Observe records one value into a distribution (latency in
 	// nanoseconds, or a dimensionless depth).
 	Observe(h Hist, v int64)
+	// Merge adds a tally's counter deltas and observations, as if each
+	// had been recorded through Add and Observe. The tally must be
+	// quiescent: its owner does not write it during the call.
+	Merge(t *Tally)
 }
 
 // StartPhase begins timing a phase and returns the function that stops
@@ -283,6 +290,19 @@ func (m *Metrics) PhaseDone(p Phase, d time.Duration) { m.phases[p].Add(int64(d)
 // Observe implements Recorder: record one value into a log-bucketed
 // histogram (lock-free, allocation-free).
 func (m *Metrics) Observe(h Hist, v int64) { m.hists[h].Observe(v) }
+
+// Merge implements Recorder: one atomic add per non-zero counter and
+// per non-empty histogram bucket of the tally.
+func (m *Metrics) Merge(t *Tally) {
+	for c, v := range t.counters {
+		if v != 0 {
+			m.counters[c].Add(v)
+		}
+	}
+	for h := range t.hists {
+		m.hists[h].mergeTally(&t.hists[h])
+	}
+}
 
 // Counter returns a counter's current value.
 func (m *Metrics) Counter(c Counter) int64 { return m.counters[c].Load() }
@@ -354,6 +374,12 @@ func (m multi) PhaseDone(p Phase, d time.Duration) {
 func (m multi) Observe(h Hist, v int64) {
 	for _, r := range m {
 		r.Observe(h, v)
+	}
+}
+
+func (m multi) Merge(t *Tally) {
+	for _, r := range m {
+		r.Merge(t)
 	}
 }
 

@@ -30,6 +30,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -38,6 +39,7 @@ import (
 	"net/http"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -222,7 +224,7 @@ type job struct {
 
 	state     JobState
 	err       error
-	counts    map[string]int
+	counts    countList // the histogram, formatted only when the job is read
 	ops       int64
 	copies    int64
 	msv       int
@@ -628,7 +630,7 @@ func (s *Server) runJob(j *job) {
 	} else {
 		res := rep.Reordered
 		j.state = StateDone
-		j.counts = FormatCounts(res.Counts, rep.Circuit)
+		j.counts = newCountList(res.Counts, rep.Circuit)
 		j.ops = res.Ops
 		j.copies = res.Copies
 		j.msv = res.MSV
@@ -715,13 +717,70 @@ func (s *Server) runRecovered(cfg core.Config) (rep *core.Report, err error) {
 // daemon serves job histograms in this form; callers comparing a daemon
 // result against a direct core.Run format the direct counts with it.
 func FormatCounts(counts map[uint64]int, c *circuit.Circuit) map[string]int {
-	width := len(c.Measurements())
-	if width == 0 {
-		width = c.NumQubits()
-	}
+	width := countsWidth(c)
 	out := make(map[string]int, len(counts))
 	for bits, n := range counts {
-		out[fmt.Sprintf("%0*b", width, bits)] = n
+		out[formatBits(bits, width)] = n
+	}
+	return out
+}
+
+// countsWidth is the key width of c's histogram: the classical register
+// width, or the qubit count for a circuit that measures nothing.
+func countsWidth(c *circuit.Circuit) int {
+	if w := len(c.Measurements()); w > 0 {
+		return w
+	}
+	return c.NumQubits()
+}
+
+// formatBits renders bits in binary, zero-padded to width digits: the
+// string fmt.Sprintf("%0*b", width, bits) gives.
+func formatBits(bits uint64, width int) string {
+	var buf [64]byte
+	digits := strconv.AppendUint(buf[:0], bits, 2)
+	pad := width - len(digits)
+	switch {
+	case pad <= 0:
+		return string(digits)
+	case width > len(buf):
+		return strings.Repeat("0", pad) + string(digits)
+	}
+	copy(buf[pad:], digits)
+	for i := range pad {
+		buf[i] = '0'
+	}
+	return string(buf[:width])
+}
+
+// countList is a finished job's histogram as the daemon retains it: the
+// (bits, count) pairs sorted by bits and the key width, a pointer-free
+// slice in place of a map of strings. view formats it (format) when the
+// job is read.
+type countList struct {
+	width int
+	cells []countCell
+}
+
+type countCell struct {
+	bits uint64
+	n    int
+}
+
+func newCountList(counts map[uint64]int, c *circuit.Circuit) countList {
+	cl := countList{width: countsWidth(c), cells: make([]countCell, 0, len(counts))}
+	for bits, n := range counts {
+		cl.cells = append(cl.cells, countCell{bits, n})
+	}
+	slices.SortFunc(cl.cells, func(a, b countCell) int { return cmp.Compare(a.bits, b.bits) })
+	return cl
+}
+
+// format builds the JobView.Counts map, as FormatCounts would.
+func (cl countList) format() map[string]int {
+	out := make(map[string]int, len(cl.cells))
+	for _, c := range cl.cells {
+		out[formatBits(c.bits, cl.width)] = c.n
 	}
 	return out
 }
@@ -787,7 +846,7 @@ func (s *Server) view(j *job) JobView {
 		v.Error = j.err.Error()
 	}
 	if j.state == StateDone {
-		v.Counts = j.counts
+		v.Counts = j.counts.format()
 		v.Ops = j.ops
 		v.Copies = j.copies
 		v.MSV = j.msv

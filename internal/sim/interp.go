@@ -3,14 +3,11 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/gate"
-	"repro/internal/obs"
 	"repro/internal/reorder"
 	"repro/internal/statevec"
-	"repro/internal/trace"
 	"repro/internal/trial"
 )
 
@@ -48,8 +45,8 @@ type jentry struct {
 type pframe struct {
 	real  bool
 	st    *statevec.State
-	pos   int // journal length when the frame was created
-	pushT time.Time
+	pos   int   // journal length when the frame was created
+	pushT int64 // sink only: the push time on the sink's clock
 }
 
 // branchState is the working state of one execution (one goroutine): the
@@ -58,7 +55,7 @@ type pframe struct {
 type branchState struct {
 	c       *circuit.Circuit
 	opt     Options
-	rec     obs.Recorder
+	sink    *stepSink // nil: no Recorder and no span
 	tr      *msvTracker
 	pool    *statePool
 	prog    *statevec.Program // nil: walk tab (snapshot policy only)
@@ -74,8 +71,6 @@ type branchState struct {
 	realCnt int  // real frames currently stored (entry floor included)
 	policy  bool // a non-snapshot policy decides branch points: journal every mutation
 	exact   bool // non-numeric mode: reverse only exactly invertible suffixes
-
-	emitMark time.Time // recorder only: when the previous emit batch ended
 }
 
 // advancer is what one run advances layer ranges with: the compiled
@@ -144,21 +139,18 @@ func (t *dispatchTable) injection(op gate.Pauli, qubit int) []statevec.OpKernel 
 // per goroutine, not one per task.
 func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, striped bool) *branchState {
 	return &branchState{
-		c: c, opt: opt, rec: opt.Recorder, tr: tr, pool: pool,
+		c: c, opt: opt, sink: newStepSink(opt.Recorder, opt.Span), tr: tr, pool: pool,
 		prog: adv.prog, tab: adv.tab, bits: adv.bits, res: res, striped: striped,
 		policy: opt.Policy != PolicySnapshot,
 		exact:  opt.Fuse != statevec.FuseNumeric,
 	}
 }
 
-// run walks steps over the working register (see reorder.Walk).
+// run walks steps over the working register (see reorder.Walk). Its
+// owner flushes the sink.
 func (bs *branchState) run(steps []reorder.Step, order []*trial.Trial, want int, spawn func(task int) error) error {
-	// Trial latency (recorder-only) is the wall time since the previous
-	// emit, amortized equally over the emit batch, so the histogram's
-	// count always equals the trials emitted. Trunk prefix time is shared
-	// by construction and not attributed to trials.
-	if bs.rec != nil {
-		bs.emitMark = time.Now()
+	if bs.sink != nil {
+		bs.sink.start()
 	}
 	return reorder.Walk(bs, steps, order, want, spawn)
 }
@@ -170,17 +162,8 @@ func (bs *branchState) Emit(_ int, ts []*trial.Trial) error {
 			bs.res.FinalStates[t.ID] = bs.work.Clone()
 		}
 	}
-	if bs.rec != nil {
-		n := len(ts)
-		bs.rec.Add(obs.TrialsEmitted, int64(n))
-		now := time.Now()
-		if n > 0 {
-			per := int64(now.Sub(bs.emitMark)) / int64(n)
-			for j := 0; j < n; j++ {
-				bs.rec.Observe(obs.HistTrialLatency, per)
-			}
-		}
-		bs.emitMark = now
+	if bs.sink != nil {
+		bs.sink.emit(len(ts))
 	}
 	return nil
 }
@@ -234,8 +217,8 @@ func (bs *branchState) Inject(op gate.Pauli, qubit int) error {
 }
 
 // Push opens a branch point. Under PolicySnapshot it always stores a
-// snapshot and traces a "snapshot_push"; under the other policies the
-// decision itself is counted and traced as a "policy_decision".
+// snapshot, a "snapshot_push"; under the other policies the decision
+// itself is counted and traced as a "policy_decision".
 func (bs *branchState) Push() error {
 	depth := len(bs.frames) + 1
 	if !bs.decideReal() {
@@ -243,13 +226,8 @@ func (bs *branchState) Push() error {
 			bs.pool.put(s.st) // a virtual frame holds no register
 		}
 		bs.frames = append(bs.frames, pframe{pos: len(bs.journal)})
-		if bs.rec != nil {
-			bs.rec.Add(obs.PolicyUncomputeDecisions, 1)
-		}
-		if sp := bs.opt.Span; sp != nil {
-			sp.Event("policy_decision",
-				trace.String("decision", "uncompute"),
-				trace.Int("depth", int64(depth)))
+		if bs.sink != nil {
+			bs.sink.virtual(depth)
 		}
 		return nil
 	}
@@ -268,21 +246,8 @@ func (bs *branchState) Push() error {
 		bs.res.MSV = bs.realCnt
 	}
 	bs.tr.add(1)
-	if bs.rec != nil {
-		bs.rec.Add(obs.SnapshotPushes, 1)
-		if bs.policy {
-			bs.rec.Add(obs.PolicySnapshotDecisions, 1)
-		}
-		f.pushT = time.Now()
-	}
-	if sp := bs.opt.Span; sp != nil {
-		if bs.policy {
-			sp.Event("policy_decision",
-				trace.String("decision", "snapshot"),
-				trace.Int("depth", int64(depth)))
-		} else {
-			sp.Event("snapshot_push", trace.Int("depth", int64(depth)))
-		}
+	if bs.sink != nil {
+		f.pushT = bs.sink.push(depth, bs.policy)
 	}
 	bs.frames = append(bs.frames, f)
 	return nil
@@ -303,9 +268,8 @@ func (bs *branchState) Pop() error {
 		bs.journal = bs.journal[:f.pos]
 		bs.realCnt--
 		bs.tr.add(-1)
-		if bs.rec != nil {
-			bs.rec.Add(obs.SnapshotDrops, 1)
-			bs.rec.Observe(obs.HistSnapshotLifetime, int64(time.Since(f.pushT)))
+		if bs.sink != nil {
+			bs.sink.drop(f.pushT)
 		}
 		return nil
 	}
@@ -333,12 +297,8 @@ func (bs *branchState) Restore() error {
 		}
 		bs.journal = bs.journal[:f.pos]
 	}
-	if bs.rec != nil {
-		bs.rec.Add(obs.SnapshotRestores, 1)
-		bs.rec.Observe(obs.HistRestoreDepth, int64(bs.realCnt))
-	}
-	if sp := bs.opt.Span; sp != nil {
-		sp.Event("snapshot_restore", trace.Int("depth", int64(len(bs.frames))))
+	if bs.sink != nil {
+		bs.sink.restore(bs.realCnt, len(bs.frames))
 	}
 	return nil
 }

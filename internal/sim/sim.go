@@ -108,7 +108,9 @@ type Options struct {
 	// Recorder, when non-nil, receives run metrics (ops, copies,
 	// snapshot push/drop/restore counts, MSV high-water, emitted trials)
 	// from every executor. nil disables observability; the hot path then
-	// pays one nil-check per instrumented site. Recording never perturbs
+	// pays one nil-check per instrumented site. A plan walk's step counts
+	// and histograms reach it in one Merge when the walk ends and every
+	// 4,096 step events (stepSink). Recording never perturbs
 	// the Result: executors report ops == plan.OptimizedOps() with or
 	// without a recorder.
 	Recorder obs.Recorder
@@ -418,6 +420,7 @@ func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, 
 	defer bs.release()
 	bs.work.Reset()
 	err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil)
+	bs.sink.flush()
 	// Return the registers to the arena so a caller-shared pool stays warm
 	// across runs instead of leaking one working set per run.
 	bs.release()

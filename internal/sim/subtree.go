@@ -251,7 +251,9 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 							trace.Int("static_ops", qt.task.Ops))
 						tsp.SetWorker(w)
 					}
-					bs.opt.Span = tsp
+					if bs.sink != nil {
+						bs.sink.span = tsp
+					}
 					errs[w] = runSubtree(sp, bs, qt)
 					tsp.SetError(errs[w])
 					tsp.End()
@@ -263,6 +265,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 				}
 				<-sem
 			}
+			bs.sink.flush()
 			partials[w] = res
 		}(w)
 	}
@@ -299,9 +302,9 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 	}
 	merged.MSV = tracker.highWater()
 	if rec := opt.Recorder; rec != nil {
-		// Trunk and tasks record their push/drop/restore/spawn counts
-		// inline; the logical totals are added once here so they match the
-		// merged Result exactly.
+		// Trunk and tasks merge their push/drop/restore/spawn counts from
+		// their sinks; the logical totals are added once here so they
+		// match the merged Result exactly.
 		rec.Add(obs.Ops, merged.Ops)
 		rec.Add(obs.Copies, merged.Copies)
 		rec.SetMax(obs.MSVHighWater, int64(merged.MSV))
@@ -317,15 +320,15 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 // (with cloned entry states) into the queue. It performs each shared
 // prefix computation exactly once; it never emits trials. With a compiled
 // program, trunk advances use the striped Run so the otherwise
-// single-threaded serialization point can borrow idle CPUs. Its span
+// single-threaded serialization point can borrow idle CPUs. Its step
 // events (spawn included) sit on the "trunk" span.
 func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Options, queue *taskQueue, sem chan struct{}, tr *msvTracker, pool *statePool) (_ *Result, err error) {
 	defer recoverErr(&err)
 	res := newResult(c, 0, opt.KeepStates)
-	rec := opt.Recorder
 	bs := newBranchState(c, opt, adv, res, tr, pool, true)
 	bs.work = pool.get()
 	defer bs.release()
+	defer bs.sink.flush()
 	bs.work.Reset()
 	spawn := func(task int) error {
 		sem <- struct{}{}
@@ -333,11 +336,8 @@ func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Optio
 		entry.CopyFrom(bs.work)
 		res.Copies++
 		tr.add(1) // the queued entry state is a stored vector
-		if rec != nil {
-			rec.Add(obs.TasksSpawned, 1)
-		}
-		if tsp := opt.Span; tsp != nil {
-			tsp.Event("spawn", trace.Int("task", int64(task)))
+		if bs.sink != nil {
+			bs.sink.spawn(task)
 		}
 		queue.push(queuedTask{task: sp.Subtrees[task], entry: entry})
 		return nil
@@ -369,6 +369,9 @@ func runSubtree(sp *reorder.SplitPlan, bs *branchState, qt queuedTask) (err erro
 	// The entry goes back with the registers: adopted as the working
 	// one, or kept at the stack floor.
 	defer bs.release()
+	// The task's step events go to its span before the span ends; the
+	// worker merges its tally when it exits.
+	defer bs.sink.flushEvents()
 	st, entry := qt.task, qt.entry
 	bs.frames, bs.journal = bs.frames[:0], bs.journal[:0]
 	bs.floor, bs.realCnt = 0, 0

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/statevec"
-	"repro/internal/trace"
 )
 
 // Uncomputation as an alternative to snapshots. The paper's executor
@@ -174,13 +173,8 @@ func (bs *branchState) rollbackTo(pos int) {
 			}
 		}
 		bs.res.UncomputeOps += segOps
-		if bs.rec != nil {
-			bs.rec.Add(obs.UncomputeSegments, 1)
-			bs.rec.Add(obs.UncomputeOps, segOps)
-			bs.rec.Observe(obs.HistUncomputeDepth, segOps)
-		}
-		if sp := bs.opt.Span; sp != nil {
-			sp.Event("uncompute", trace.Int("ops", segOps))
+		if bs.sink != nil {
+			bs.sink.uncompute(segOps)
 		}
 		return
 	}

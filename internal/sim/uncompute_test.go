@@ -258,6 +258,7 @@ type observeCapture struct {
 func (o *observeCapture) Add(obs.Counter, int64)             {}
 func (o *observeCapture) SetMax(obs.Gauge, int64)            {}
 func (o *observeCapture) PhaseDone(obs.Phase, time.Duration) {}
+func (o *observeCapture) Merge(*obs.Tally)                   {}
 func (o *observeCapture) Observe(h obs.Hist, v int64) {
 	if h != o.hist {
 		return

@@ -86,7 +86,7 @@ func (tr *Trace) Chrome() *ChromeTrace {
 			TID:  int64(sp.lane),
 			Args: args,
 		})
-		for _, ev := range sp.events {
+		for _, ev := range sp.eventsInOrder() {
 			evArgs := map[string]any{"span_id": sp.id.String()}
 			for _, a := range ev.Attrs {
 				if a.Key != "" {
@@ -148,7 +148,7 @@ func (tr *Trace) Digest() string {
 		r := get(spans, sp.name)
 		r.n++
 		r.dur += sp.clampedDur(end)
-		for _, ev := range sp.events {
+		for _, ev := range sp.eventsInOrder() {
 			nev++
 			e := get(events, ev.Name)
 			e.n++

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func buildTestTrace(t *testing.T) *Trace {
@@ -187,5 +189,49 @@ func TestDigestSummarizesSpansAndEvents(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("digest missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestStepEventsExportAsEvents: step events added in one AddSteps call
+// export as the named events they stand for, merged with the span's
+// Event calls in time order, and share the span's event cap and the
+// trace's dropped-event count with them.
+func TestStepEventsExportAsEvents(t *testing.T) {
+	tr := New(Config{Seed: 6, MaxEvents: 4})
+	root := tr.Start("qsim", SpanContext{})
+	sp := root.Child("execute_plan")
+	at := func() int64 { return int64(time.Since(sp.TraceStart())) }
+	sp.Event("first")
+	steps := []StepEvent{
+		{At: at(), Kind: StepSnapshotPush, Value: 1},
+		{At: at(), Kind: StepPolicyUncompute, Value: 2},
+	}
+	time.Sleep(time.Millisecond)
+	sp.Event("between")
+	steps = append(steps, StepEvent{At: at(), Kind: StepUncompute, Value: 9}, StepEvent{At: at(), Kind: StepSpawn, Value: 3})
+	sp.AddSteps(steps) // two fit beside the two events; uncompute and spawn are dropped
+	sp.Event("late")   // over the cap
+	sp.End()
+	root.End()
+
+	var got []string
+	for _, ev := range root.Trace().Chrome().TraceEvents {
+		if ev.Cat != "event" {
+			continue
+		}
+		line := ev.Name
+		for _, k := range []string{"decision", "depth", "ops", "task"} {
+			if v, ok := ev.Args[k]; ok {
+				line += fmt.Sprintf(" %s=%v", k, v)
+			}
+		}
+		got = append(got, line)
+	}
+	want := []string{"first", "snapshot_push depth=1", "policy_decision decision=uncompute depth=2", "between"}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("exported events %q, want %q", got, want)
+	}
+	if head := strings.SplitN(root.Trace().Digest(), "\n", 2)[0]; head != "span trace: 2 spans (0 dropped), 4 events (3 dropped)" {
+		t.Errorf("digest header %q", head)
 	}
 }

@@ -93,6 +93,61 @@ type SpanEvent struct {
 	Attrs []Attr
 }
 
+// StepKind names a plan-walk step event. The walk's steps are frequent,
+// so they are stored as StepEvent values, not as SpanEvents with a name
+// and attributes; export expands each back to its name and attribute.
+type StepKind uint8
+
+// Step event kinds, with the name and attribute each exports as.
+const (
+	// StepSnapshotPush is "snapshot_push" {depth}.
+	StepSnapshotPush StepKind = iota
+	// StepPolicySnapshot is "policy_decision" {decision: "snapshot", depth}.
+	StepPolicySnapshot
+	// StepPolicyUncompute is "policy_decision" {decision: "uncompute", depth}.
+	StepPolicyUncompute
+	// StepSnapshotRestore is "snapshot_restore" {depth}.
+	StepSnapshotRestore
+	// StepSpawn is "spawn" {task}.
+	StepSpawn
+	// StepUncompute is "uncompute" {ops}.
+	StepUncompute
+
+	numStepKinds
+)
+
+// stepNames maps each kind to its event name, the key of its value
+// attribute, and its "decision" attribute (empty: none).
+var stepNames = [numStepKinds]struct{ name, key, decision string }{
+	StepSnapshotPush:    {"snapshot_push", "depth", ""},
+	StepPolicySnapshot:  {"policy_decision", "depth", "snapshot"},
+	StepPolicyUncompute: {"policy_decision", "depth", "uncompute"},
+	StepSnapshotRestore: {"snapshot_restore", "depth", ""},
+	StepSpawn:           {"spawn", "task", ""},
+	StepUncompute:       {"uncompute", "ops", ""},
+}
+
+// StepEvent is one plan-walk step event: pointer-free, so a span's slab
+// of them costs the garbage collector nothing to scan.
+type StepEvent struct {
+	// At is the event's time in nanoseconds since the trace started
+	// (Span.TraceStart).
+	At    int64
+	Kind  StepKind
+	Value int64
+}
+
+// event expands a step event to the SpanEvent it stands for.
+func (e StepEvent) event(traceStart time.Time) SpanEvent {
+	n := stepNames[e.Kind]
+	ev := SpanEvent{Name: n.name, At: traceStart.Add(time.Duration(e.At))}
+	if n.decision != "" {
+		ev.Attrs = append(ev.Attrs, String("decision", n.decision))
+	}
+	ev.Attrs = append(ev.Attrs, Int(n.key, e.Value))
+	return ev
+}
+
 // Span is one node of a trace's causal tree. All methods are safe on a
 // nil receiver (tracing off) and safe for concurrent use: subtree
 // workers create sibling spans under the shared trace lock.
@@ -107,6 +162,7 @@ type Span struct {
 	errMsg string
 	attrs  []Attr
 	events []SpanEvent
+	steps  []StepEvent // plan-walk step events; they share the event cap
 }
 
 // Trace is one request's span tree, owned by the Tracer that started
@@ -141,8 +197,9 @@ type Config struct {
 	// MaxSpans bounds spans per trace; Child returns nil past the cap
 	// and the drop is counted (0 → 4096).
 	MaxSpans int
-	// MaxEvents bounds events per span; excess events are dropped and
-	// counted against the trace, apart from its dropped spans (0 → 256).
+	// MaxEvents bounds events per span, Event and AddSteps events
+	// together; excess events are dropped and counted against the
+	// trace, apart from its dropped spans (0 → 256).
 	MaxEvents int
 	// Seed fixes ID generation for deterministic tests (0 → from the
 	// wall clock).
@@ -501,13 +558,60 @@ func (s *Span) Event(name string, attrs ...Attr) {
 	tr := s.tr
 	now := time.Now()
 	tr.mu.Lock()
-	if len(s.events) >= tr.tracer.maxEvents {
+	if len(s.events)+len(s.steps) >= tr.tracer.maxEvents {
 		tr.droppedEvents++
 		tr.mu.Unlock()
 		return
 	}
 	s.events = append(s.events, SpanEvent{Name: name, At: now, Attrs: attrs})
 	tr.mu.Unlock()
+}
+
+// AddSteps appends plan-walk step events, in time order, to the span
+// under one lock. They count against the same per-span event cap as
+// Event: the events past it are dropped and counted. Nil-safe.
+func (s *Span) AddSteps(evs []StepEvent) {
+	if s == nil || len(evs) == 0 {
+		return
+	}
+	tr := s.tr
+	tr.mu.Lock()
+	room := max(tr.tracer.maxEvents-len(s.events)-len(s.steps), 0)
+	if len(evs) > room {
+		tr.droppedEvents += int64(len(evs) - room)
+		evs = evs[:room]
+	}
+	s.steps = append(s.steps, evs...)
+	tr.mu.Unlock()
+}
+
+// TraceStart returns the time the span's trace started, the origin of
+// StepEvent.At (the zero time for nil).
+func (s *Span) TraceStart() time.Time {
+	if s == nil {
+		return time.Time{}
+	}
+	return s.tr.start
+}
+
+// eventsInOrder returns the span's events and step events merged in
+// time order (events first among equal times). Caller holds the trace
+// lock.
+func (s *Span) eventsInOrder() []SpanEvent {
+	if len(s.steps) == 0 {
+		return s.events
+	}
+	out := make([]SpanEvent, 0, len(s.events)+len(s.steps))
+	evs, start := s.events, s.tr.start
+	for _, st := range s.steps {
+		ev := st.event(start)
+		for len(evs) > 0 && !evs[0].At.After(ev.At) {
+			out = append(out, evs[0])
+			evs = evs[1:]
+		}
+		out = append(out, ev)
+	}
+	return append(out, evs...)
 }
 
 // SetError marks the span (and therefore its trace) as errored; errored
