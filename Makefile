@@ -17,16 +17,15 @@ test:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/reorder/... ./internal/obs/... ./internal/service ./internal/trace ./internal/core
 
-# Striped kernel execution splits every compiled sweep across goroutines;
-# race-verify drives the compiled paths (fusion + striping) under the race
-# detector, including an end-to-end striped CLI run.
+# Compiled programs and their segments are shared by every worker of a
+# run; race-verify drives the compiled paths (numeric fusion, and the
+# FuseOff programs reverse execution compiles) under the race detector,
+# end to end through the CLI.
 race-verify:
 	$(GO) test -race ./internal/statevec/... ./internal/sim/... ./internal/reorder/... ./internal/difftest/... ./internal/obs/...
-	$(GO) run -race ./cmd/qsim -bench qft5 -mode both -fuse exact -stripes 4 -trials 256
-	$(GO) run -race ./cmd/qsim -bench qv_n5d5 -mode both -fuse numeric -stripes 4 -trials 256
+	$(GO) run -race ./cmd/qsim -bench qv_n5d5 -mode both -fuse numeric -workers 4 -trials 256
 	$(GO) run -race ./cmd/qsim -bench qv_n5d5 -mode both -restore adaptive -budget 2 -workers 4 -trials 256
-	$(GO) run -race ./cmd/qsim -bench qft5 -mode both -restore uncompute -fuse exact -trials 256
-	$(GO) run -race ./cmd/qsim -bench qv_n5d5 -mode both -par subtree -workers 4 -fuse exact -trials 256
+	$(GO) run -race ./cmd/qsim -bench qft5 -mode both -fuse numeric -restore uncompute -trials 256
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
@@ -103,7 +102,7 @@ metrics-smoke: build
 # with the traceparent header propagated and segment-compile spans
 # reconciled against segcache misses.
 trace-smoke: build
-	$(GO) run ./cmd/qsim -bench qv_n5d5 -trials 512 -mode reordered -fuse exact -workers 2 -trace-out /tmp/qsim_trace_smoke.json
+	$(GO) run ./cmd/qsim -bench qv_n5d5 -trials 512 -mode reordered -fuse numeric -workers 2 -trace-out /tmp/qsim_trace_smoke.json
 	$(GO) run ./cmd/qsim -verify-trace /tmp/qsim_trace_smoke.json
 	$(GO) run ./cmd/qsim -bench qv_n5d5 -trials 512 -mode reordered -fuse off -workers 1 -trace-out /tmp/qsim_trace_smoke_off.json -trace-summary > /tmp/qsim_trace_smoke_off.txt
 	cat /tmp/qsim_trace_smoke_off.txt

@@ -468,21 +468,13 @@ func kernelWorkloads(n int) map[string]*circuit.Circuit {
 }
 
 // BenchmarkKernels measures the compiled-kernel layer head to head with
-// per-gate dispatch on a raw 12-qubit state: fused vs unfused, striped vs
-// serial, per gate-pattern workload. Compilation happens once outside the
-// timed loop; each iteration sweeps the full program over the state.
+// per-gate dispatch on a raw 12-qubit state, per gate-pattern workload.
+// Compilation happens once outside the timed loop; each iteration sweeps
+// the full program over the state.
 func BenchmarkKernels(b *testing.B) {
 	const n = 12
 	for wname, c := range kernelWorkloads(n) {
-		progs := []struct {
-			name string
-			prog *statevec.Program
-		}{
-			{"fused-exact", statevec.CompileWith(c, statevec.CompileOptions{Fuse: statevec.FuseExact})},
-			{"fused-numeric", statevec.CompileWith(c, statevec.CompileOptions{Fuse: statevec.FuseNumeric})},
-			{"unfused-striped4", statevec.CompileWith(c, statevec.CompileOptions{Fuse: statevec.FuseOff, Stripes: 4, StripeMin: 1})},
-			{"fused-numeric-striped4", statevec.CompileWith(c, statevec.CompileOptions{Fuse: statevec.FuseNumeric, Stripes: 4, StripeMin: 1})},
-		}
+		prog := statevec.CompileWith(c, statevec.CompileOptions{Fuse: statevec.FuseNumeric})
 		b.Run(wname+"/dispatch", func(b *testing.B) {
 			s := statevec.NewState(n)
 			layers := c.Layers()
@@ -496,17 +488,14 @@ func BenchmarkKernels(b *testing.B) {
 				}
 			}
 		})
-		for _, pv := range progs {
-			pv := pv
-			b.Run(wname+"/"+pv.name, func(b *testing.B) {
-				s := statevec.NewState(n)
-				pv.prog.RunAll(s) // warm the segment cache
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pv.prog.RunAll(s)
-				}
-			})
-		}
+		b.Run(wname+"/fused-numeric", func(b *testing.B) {
+			s := statevec.NewState(n)
+			prog.RunAll(s) // warm the segment cache
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prog.RunAll(s)
+			}
+		})
 	}
 }
 
@@ -532,9 +521,7 @@ func BenchmarkExecFused(b *testing.B) {
 		opt  sim.Options
 	}{
 		{"dispatch", sim.Options{}},
-		{"fused-exact", sim.Options{Fuse: statevec.FuseExact}},
 		{"fused-numeric", sim.Options{Fuse: statevec.FuseNumeric}},
-		{"fused-numeric-striped4", sim.Options{Fuse: statevec.FuseNumeric, Stripes: 4}},
 	}
 	for _, tc := range modes {
 		tc := tc

@@ -6,9 +6,9 @@
 // case is repeated until it has run for at least -mintime):
 //
 //   - kernels/<workload>/<variant>: raw sweeps over a single state —
-//     per-gate dispatch vs compiled programs in each fusion mode, serial
-//     and striped, on gate-pattern workloads (same-qubit chains, diagonal
-//     runs, a QV-style mix, Paulis between CX gates).
+//     per-gate dispatch vs the FuseNumeric compiled program, on
+//     gate-pattern workloads (same-qubit chains, diagonal runs, a
+//     QV-style mix, Paulis between CX gates).
 //   - exec/<variant>: the end-to-end reordered plan executor on a QV
 //     workload, where compilation cost is part of the measured path.
 //   - host/flops/<loop>: the host's double-precision flop roof in GFLOP/s,
@@ -278,27 +278,15 @@ func kernelCases(name string, c *circuit.Circuit, n int, minTime time.Duration, 
 	})
 	results := []result{{Benchmark: bench, Variant: "dispatch", NsPerOp: dispatchNs, Iters: dispatchIters, SpeedupVsDispatch: 1}}
 
-	variants := []struct {
-		name string
-		opt  statevec.CompileOptions
-	}{
-		{"fused-exact", statevec.CompileOptions{Fuse: statevec.FuseExact}},
-		{"fused-numeric", statevec.CompileOptions{Fuse: statevec.FuseNumeric}},
-		{"unfused-striped4", statevec.CompileOptions{Fuse: statevec.FuseOff, Stripes: 4, StripeMin: 1}},
-		{"fused-numeric-striped4", statevec.CompileOptions{Fuse: statevec.FuseNumeric, Stripes: 4, StripeMin: 1}},
-	}
-	for _, v := range variants {
-		opt := v.opt
-		_, opt.Recorder = mets.recorder(bench, v.name)
-		prog := statevec.CompileWith(c, opt)
-		st := statevec.NewState(n)
-		ns, iters := timeIt(minTime, func() { prog.RunAll(st) })
-		results = append(results, result{
-			Benchmark: bench, Variant: v.name, NsPerOp: ns, Iters: iters,
-			SpeedupVsDispatch: dispatchNs / ns,
-		})
-	}
-	return results
+	opt := statevec.CompileOptions{Fuse: statevec.FuseNumeric}
+	_, opt.Recorder = mets.recorder(bench, "fused-numeric")
+	prog := statevec.CompileWith(c, opt)
+	st := statevec.NewState(n)
+	ns, iters := timeIt(minTime, func() { prog.RunAll(st) })
+	return append(results, result{
+		Benchmark: bench, Variant: "fused-numeric", NsPerOp: ns, Iters: iters,
+		SpeedupVsDispatch: dispatchNs / ns,
+	})
 }
 
 func execCases(n, trials int, minTime time.Duration, mets *benchMetrics) ([]result, error) {
@@ -318,9 +306,7 @@ func execCases(n, trials int, minTime time.Duration, mets *benchMetrics) ([]resu
 		opt  sim.Options
 	}{
 		{"dispatch", sim.Options{}},
-		{"fused-exact", sim.Options{Fuse: statevec.FuseExact}},
 		{"fused-numeric", sim.Options{Fuse: statevec.FuseNumeric}},
-		{"fused-numeric-striped4", sim.Options{Fuse: statevec.FuseNumeric, Stripes: 4}},
 	}
 	var results []result
 	var dispatchNs float64

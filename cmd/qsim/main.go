@@ -32,14 +32,10 @@
 //	-mem-limit n    heap bytes above which the adaptive policy stops
 //	                snapshotting (0 = off; needs -sample-interval)
 //	-workers n      parallel execution workers for reordered mode
-//	-par m          parallel decomposition: subtree (the default and only
-//	                one; preserves all prefix sharing)
 //	-fuse m         kernel compilation for reordered execution: off
-//	                (default; per-gate dispatch), exact (fused kernels,
-//	                bit-identical to dispatch), or numeric (additionally
-//	                folds gate matrices algebraically; fastest, ~1 ulp)
-//	-stripes n      sweep each kernel across n goroutine-partitioned
-//	                amplitude stripes on large states (0/1 = serial)
+//	                (default; per-gate dispatch) or numeric (fused
+//	                kernels that fold gate matrices algebraically;
+//	                fastest, ~1 ulp)
 //	-metrics file   write run metrics (phase timings, executor counters,
 //	                plan statics) as JSON to file (see EXPERIMENTS.md)
 //	-verify-metrics file
@@ -71,8 +67,8 @@
 //	                (sampled Pauli insertions over the base circuit) through
 //	                one shared cross-circuit trie instead of a single
 //	                circuit; reports the ops saved versus independent
-//	                per-variant plans. Honors -budget, -workers, -fuse,
-//	                -stripes and -seed.
+//	                per-variant plans. Honors -budget, -workers, -fuse
+//	                and -seed.
 //	-batch-trials n Monte Carlo trials per variant in -batch mode (default 8)
 //	-batch-ins f    mean Pauli insertions per variant in -batch mode
 //	                (default 0.8)
@@ -135,9 +131,7 @@ func run() error {
 	restoreName := flag.String("restore", "snapshot", "branch-point restore policy: snapshot, uncompute, or adaptive")
 	memLimit := flag.Uint64("mem-limit", 0, "heap bytes above which the adaptive policy stops snapshotting (0 = off; needs -sample-interval)")
 	workers := flag.Int("workers", 1, "parallel execution workers for reordered mode")
-	parMode := flag.String("par", "subtree", "parallel decomposition with -workers > 1: subtree (shares all prefixes)")
-	fuseName := flag.String("fuse", "off", "kernel compilation for reordered execution: off, exact, or numeric")
-	stripes := flag.Int("stripes", 0, "amplitude stripes per kernel sweep on large states (0/1 = serial)")
+	fuseName := flag.String("fuse", "off", "kernel compilation for reordered execution: off or numeric")
 	batchVars := flag.Int("batch", 0, "simulate a batch of n circuit variants through one shared trie (0 = off)")
 	batchTrials := flag.Int("batch-trials", 8, "Monte Carlo trials per variant in -batch mode")
 	batchIns := flag.Float64("batch-ins", 0.8, "mean Pauli insertions per variant in -batch mode")
@@ -208,10 +202,6 @@ func run() error {
 		return fmt.Errorf("unknown mode %q (reordered, baseline, both, static)", *modeName)
 	}
 
-	if *parMode != "subtree" {
-		return fmt.Errorf("unknown parallel mode %q (subtree)", *parMode)
-	}
-
 	fuse, err := statevec.ParseFuseMode(*fuseName)
 	if err != nil {
 		return err
@@ -274,7 +264,7 @@ func run() error {
 			return fmt.Errorf("-batch does not support -transpile")
 		}
 		return runBatch(circ, dev, em, *batchVars, *batchTrials, *batchIns,
-			*seed, *budget, *workers, fuse, *stripes, policy, memProbe,
+			*seed, *budget, *workers, fuse, policy, memProbe,
 			rec, *top)
 	}
 
@@ -299,7 +289,6 @@ func run() error {
 		SnapshotBudget: *budget,
 		Workers:        *workers,
 		Fuse:           fuse,
-		Stripes:        *stripes,
 		Policy:         policy,
 		MemProbe:       memProbe,
 		Recorder:       rec,
@@ -379,7 +368,7 @@ func run() error {
 // distribution.
 func runBatch(circ *circuit.Circuit, dev *device.Device, em trial.ErrorMode,
 	vars, trialsPer int, meanIns float64, seed int64, budget, workers int,
-	fuse statevec.FuseMode, stripes int, policy sim.RestorePolicy,
+	fuse statevec.FuseMode, policy sim.RestorePolicy,
 	memProbe func() bool, rec obs.Recorder, top int) error {
 	g, err := trial.NewGeneratorMode(circ, dev.Model(), em)
 	if err != nil {
@@ -410,7 +399,7 @@ func runBatch(circ *circuit.Circuit, dev *device.Device, em trial.ErrorMode,
 		a.BaselineOps, a.SumPartsOps, a.BatchOps)
 	fmt.Printf("cross-circuit sharing: saved %d ops vs per-variant plans (%.2fx), MSV %d (worst part %d)\n",
 		a.SavedOps, a.SpeedupVsParts, a.BatchMSV, a.MaxPartMSV)
-	opt := sim.Options{SnapshotBudget: budget, Fuse: fuse, Stripes: stripes,
+	opt := sim.Options{SnapshotBudget: budget, Fuse: fuse,
 		Policy: policy, MemProbe: memProbe, Recorder: rec}
 	start := time.Now()
 	br, err := sim.ExecuteBatchSubtree(circ, bp, workers, opt)

@@ -19,20 +19,35 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestParRejectsRemovedModes: -par names only the subtree decomposition;
-// the removed chunked and subtree-batched modes exit 1 with an error
-// naming the valid choice.
+// qsimExit runs the CLI with args and returns its output and exit status.
+func qsimExit(t *testing.T, args string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "QSIM_TEST_ARGS="+args)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("%s: %v", args, err)
+	}
+	if ee != nil {
+		return string(out), ee.ExitCode()
+	}
+	return string(out), 0
+}
+
+// TestParRejectsRemovedModes: the removed exact fusion mode exits 1 with
+// an error naming the valid modes, and the removed -par and -stripes
+// flags fail as unknown flags (status 2 from the flag package).
 func TestParRejectsRemovedModes(t *testing.T) {
-	for _, mode := range []string{"chunked", "subtree-batched"} {
-		cmd := exec.Command(os.Args[0], "-test.run=^$")
-		cmd.Env = append(os.Environ(), "QSIM_TEST_ARGS=-bench bv4 -trials 8 -workers 2 -par "+mode)
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
-			t.Fatalf("-par %s: %v, want exit status 1\n%s", mode, err, out)
-		}
-		if !strings.Contains(string(out), "unknown parallel mode") || !strings.Contains(string(out), "(subtree)") {
-			t.Errorf("-par %s: output does not name the valid mode:\n%s", mode, out)
+	const base = "-bench bv4 -trials 8 -workers 2 "
+	if out, code := qsimExit(t, base+"-fuse exact"); code != 1 || !strings.Contains(out, "(off, numeric)") {
+		t.Errorf("-fuse exact: exit %d, want 1 naming (off, numeric):\n%s", code, out)
+	}
+	for _, flag := range []string{"-par subtree", "-stripes 4"} {
+		name := strings.Fields(flag)[0]
+		out, code := qsimExit(t, base+flag)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+name) {
+			t.Errorf("%s: exit %d, want 2 for an unknown flag:\n%s", flag, code, out)
 		}
 	}
 }

@@ -108,14 +108,12 @@ type Config struct {
 	BatchLanes int
 	// Fuse selects the kernel-compilation mode for reordered execution
 	// (see statevec.FuseMode). FuseOff dispatches gate by gate;
-	// FuseExact compiles fused kernels that replay dispatch arithmetic
-	// bit-for-bit; FuseNumeric additionally folds gate matrices
+	// FuseNumeric compiles fused kernels that fold gate matrices
 	// algebraically. Baseline mode always dispatches — it is the
 	// reference the optimized paths are checked against.
 	Fuse statevec.FuseMode
-	// Stripes applies each kernel across this many goroutine-partitioned
-	// amplitude stripes when the state is large enough (intra-state
-	// parallelism; see sim.Options.Stripes). 0 or 1 sweeps serially.
+	// Deprecated: intra-state striping is removed; Run rejects
+	// Stripes > 1. Workers > 1 runs the subtree executor.
 	Stripes int
 	// Policy selects how executors return to branch points (see
 	// sim.RestorePolicy): snapshot (default, the paper's scheme),
@@ -187,6 +185,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if cfg.BatchLanes > 1 {
 		return nil, fmt.Errorf("core: Config.BatchLanes: the batched SoA lane executor was removed; Workers > 1 runs the subtree executor")
+	}
+	if cfg.Stripes > 1 {
+		return nil, fmt.Errorf("core: Config.Stripes: intra-state striping was removed; Workers > 1 runs the subtree executor")
 	}
 
 	rep := &Report{Circuit: cfg.Circuit}
@@ -273,7 +274,6 @@ func Run(cfg Config) (*Report, error) {
 	opt := sim.Options{
 		SnapshotBudget: cfg.SnapshotBudget,
 		Fuse:           cfg.Fuse,
-		Stripes:        cfg.Stripes,
 		Recorder:       cfg.Recorder,
 		Policy:         cfg.Policy,
 		MemProbe:       cfg.MemProbe,

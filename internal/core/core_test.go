@@ -35,9 +35,9 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestRunRejectsRemovedExecutors: the deprecated fields that selected the
-// batched SoA lane executor and the chunked parallel executor make Run
-// fail with an error naming the field, instead of running another
-// executor in their place.
+// batched SoA lane executor, the chunked parallel executor and striped
+// sweeps make Run fail with an error naming the field, instead of running
+// another executor in their place.
 func TestRunRejectsRemovedExecutors(t *testing.T) {
 	base := Config{Circuit: bench.BV(4, 0b111), Model: noise.Uniform("u", 4, 1e-3, 1e-2, 1e-2),
 		Trials: 16, Seed: 1, Mode: ModeReordered}
@@ -48,6 +48,7 @@ func TestRunRejectsRemovedExecutors(t *testing.T) {
 		{"lanes-4", "BatchLanes", func(c *Config) { c.BatchLanes = 4 }},
 		{"lanes-4/2w", "BatchLanes", func(c *Config) { c.BatchLanes, c.Workers = 4, 2 }},
 		{"chunked/2w", "ChunkedParallel", func(c *Config) { c.ChunkedParallel, c.Workers = true, 2 }},
+		{"stripes-2", "Stripes", func(c *Config) { c.Stripes = 2 }},
 	} {
 		cfg := base
 		tc.set(&cfg)

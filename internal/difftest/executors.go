@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/sim"
-	"repro/internal/statevec"
 	"repro/internal/trial"
 )
 
@@ -73,52 +72,16 @@ func Executors() []Executor {
 			},
 		})
 	}
-	// Compiled-kernel variants. Only the exact fusion mode joins the
-	// registry: the engine compares states by Float64bits, and FuseExact
-	// (like FuseOff-with-striping) replays dispatch arithmetic verbatim.
-	// FuseNumeric reassociates products and is validated by tolerance
-	// tests in statevec instead. StripeMin 1 forces striping onto the
-	// engine's small states so the concurrent sweep path is exercised.
-	execs = append(execs,
-		Executor{
-			Name:    "plan-fused",
-			Kind:    KindPlan,
-			Workers: 1,
-			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
-				opt.Fuse = statevec.FuseExact
-				return sim.Reordered(c, trials, opt)
-			},
-		},
-		Executor{
-			Name:    "plan-fused-striped",
-			Kind:    KindPlan,
-			Workers: 1,
-			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
-				opt.Fuse = statevec.FuseExact
-				opt.Stripes = 4
-				opt.StripeMin = 1
-				return sim.Reordered(c, trials, opt)
-			},
-		},
-		Executor{
-			Name:    "subtree-2-fused-striped",
-			Kind:    KindSubtree,
-			Workers: 2,
-			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
-				opt.Fuse = statevec.FuseExact
-				opt.Stripes = 2
-				opt.StripeMin = 1
-				return sim.ParallelSubtree(c, trials, 2, opt)
-			},
-		},
-	)
 	// Restore-policy variants (see sim.RestorePolicy): reverse execution
 	// instead of — or adaptively mixed with — snapshots. The engine passes
 	// the workload's snapshot budget through Options; the policy executors
 	// enforce it at run time over an unbudgeted plan, so bit-identity must
 	// survive a completely different restore mechanism. plan-uncompute
-	// additionally proves the zero-snapshot claim (MSV == 0, copies == 0),
-	// in both dispatch and exact-fused compilation.
+	// additionally proves the zero-snapshot claim (MSV == 0, copies == 0).
+	// It runs the compiled FuseOff program (reverse execution exists only
+	// on compiled programs), so the compiled bit-exact path stays in the
+	// registry. FuseNumeric reassociates products and is validated by
+	// tolerance tests in statevec instead.
 	execs = append(execs,
 		Executor{
 			Name:    "plan-uncompute",
@@ -126,16 +89,6 @@ func Executors() []Executor {
 			Workers: 1,
 			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
 				opt.Policy = sim.PolicyUncompute
-				return sim.Reordered(c, trials, opt)
-			},
-		},
-		Executor{
-			Name:    "plan-uncompute-fused",
-			Kind:    KindPlanUncompute,
-			Workers: 1,
-			Run: func(c *circuit.Circuit, trials []*trial.Trial, opt sim.Options) (*sim.Result, error) {
-				opt.Policy = sim.PolicyUncompute
-				opt.Fuse = statevec.FuseExact
 				return sim.Reordered(c, trials, opt)
 			},
 		},

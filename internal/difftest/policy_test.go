@@ -10,7 +10,6 @@ import (
 	"repro/internal/gate"
 	"repro/internal/reorder"
 	"repro/internal/sim"
-	"repro/internal/statevec"
 	"repro/internal/trial"
 )
 
@@ -125,27 +124,24 @@ func TestPolicyUncomputeExactReversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fuse := range []statevec.FuseMode{statevec.FuseOff, statevec.FuseExact} {
-		name := fmt.Sprintf("exact-uncompute-fuse=%v", fuse)
-		opt := sim.Options{KeepStates: true, Policy: sim.PolicyUncompute, Fuse: fuse}
-		res, err := sim.Reordered(c, trials, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := checkAgainstReference(name, naive, res, trials); err != nil {
-			t.Fatal(err)
-		}
-		if res.MSV != 0 || res.Copies != 0 {
-			t.Fatalf("%s: stored %d vectors, %d copies", name, res.MSV, res.Copies)
-		}
-		// No replays happened: forward work is exactly the unbudgeted
-		// plan's, and the reverse path actually ran.
-		if res.Ops != freePlan.OptimizedOps() {
-			t.Fatalf("%s: %d forward ops, plan has %d (replay fallback fired on an invertible suffix)",
-				name, res.Ops, freePlan.OptimizedOps())
-		}
-		if res.UncomputeOps == 0 {
-			t.Fatalf("%s: zero uncompute ops — the reverse path never executed (vacuous test)", name)
-		}
+	const name = "exact-uncompute"
+	res, err := sim.Reordered(c, trials, sim.Options{KeepStates: true, Policy: sim.PolicyUncompute})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := checkAgainstReference(name, naive, res, trials); err != nil {
+		t.Fatal(err)
+	}
+	if res.MSV != 0 || res.Copies != 0 {
+		t.Fatalf("%s: stored %d vectors, %d copies", name, res.MSV, res.Copies)
+	}
+	// No replays happened: forward work is exactly the unbudgeted
+	// plan's, and the reverse path actually ran.
+	if res.Ops != freePlan.OptimizedOps() {
+		t.Fatalf("%s: %d forward ops, plan has %d (replay fallback fired on an invertible suffix)",
+			name, res.Ops, freePlan.OptimizedOps())
+	}
+	if res.UncomputeOps == 0 {
+		t.Fatalf("%s: zero uncompute ops — the reverse path never executed (vacuous test)", name)
 	}
 }

@@ -25,13 +25,15 @@ import (
 // run:
 //
 //   - Correctness: the daemon's histogram for a job is bit-identical to a
-//     direct in-process core.Run of the same configuration.
-//   - Sharing: after one cold fuse "exact" job compiles a circuit, every
+//     direct in-process core.Run of the same configuration (fuse mode
+//     included).
+//   - Sharing: after one cold fuse "numeric" job compiles a circuit, every
 //     identical job from any tenant runs all-hit against the shared
 //     segment cache (segcache hits > 0, misses == 0) with the identical
 //     histogram.
 //   - Default: the same job naming no fuse mode runs gate-by-gate
-//     dispatch, with the identical histogram and no segcache lookups.
+//     dispatch, with the direct FuseOff run's histogram and no segcache
+//     lookups.
 //   - Bounds: the segment cache stays within its configured capacity and
 //     the shared buffer arena within its retention cap.
 //   - Observability: /metrics serves a valid Prometheus exposition with
@@ -79,23 +81,35 @@ func Service(cfg Config) (*Table, error) {
 	defer cancel()
 	client := service.NewClient("http://"+ln.Addr().String(), nil)
 	seed := ServiceSeed(cfg, 0)
-	req := service.JobRequest{Bench: benchName, Trials: trials, Seed: seed, Fuse: "exact"}
+	req := service.JobRequest{Bench: benchName, Trials: trials, Seed: seed, Fuse: "numeric"}
 
-	// Reference: a direct in-process run of the job's exact configuration.
+	// References: direct in-process runs of the job's configuration, under
+	// the numeric fusion the sharing phases request and under the FuseOff
+	// default.
 	circ, err := bench.Build(benchName, seed)
 	if err != nil {
 		return nil, fmt.Errorf("harness: service: %v", err)
 	}
-	rep, err := core.Run(core.Config{
-		Circuit: circ, Device: device.Yorktown(), Trials: trials, Seed: seed,
-		Mode: core.ModeReordered, Fuse: statevec.FuseExact, Workers: 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: service: reference run: %v", err)
+	reference := func(fuse statevec.FuseMode) (map[string]int, error) {
+		rep, err := core.Run(core.Config{
+			Circuit: circ, Device: device.Yorktown(), Trials: trials, Seed: seed,
+			Mode: core.ModeReordered, Fuse: fuse, Workers: 1,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("harness: service: reference run: %v", err)
+		}
+		return service.FormatCounts(rep.Reordered.Counts, rep.Circuit), nil
 	}
-	want := service.FormatCounts(rep.Reordered.Counts, rep.Circuit)
-	// The reference run itself warmed the shared cache; reset so the
-	// daemon's cold job really compiles.
+	want, err := reference(statevec.FuseNumeric)
+	if err != nil {
+		return nil, err
+	}
+	wantOff, err := reference(statevec.FuseOff)
+	if err != nil {
+		return nil, err
+	}
+	// The numeric reference run itself warmed the shared cache; reset so
+	// the daemon's cold job really compiles.
 	statevec.ResetSegmentCache()
 
 	t := &Table{
@@ -184,7 +198,7 @@ func Service(cfg Config) (*Table, error) {
 		return fail("default job made segcache lookups (hits %d, misses %d), want none",
 			plain.SegCacheHits, plain.SegCacheMisses)
 	}
-	if !sameCounts(plain.Counts, want) {
+	if !sameCounts(plain.Counts, wantOff) {
 		return fail("default job histogram differs from direct core.Run")
 	}
 	t.AddRow("default", "1", durMS(time.Duration(plain.QueueWaitNs+plain.RunNs)),

@@ -33,7 +33,7 @@ const (
 	// histogram's count always equals the trials emitted.
 	HistTrialLatency Hist = iota
 	// HistKernelSweep is the duration of one compiled-kernel sweep over
-	// a state vector (ns), striped or serial.
+	// a state vector (ns).
 	HistKernelSweep
 	// HistSnapshotLifetime is the wall time between a prefix snapshot's
 	// push and its drop (ns) — how long stored vectors actually live.

@@ -54,9 +54,6 @@ const (
 	TasksSpawned
 	// KernelSweeps counts compiled fused-kernel invocations.
 	KernelSweeps
-	// StripeBarriers counts kernel sweeps that ran striped (each striped
-	// sweep is one WaitGroup barrier).
-	StripeBarriers
 	// BatchVariants counts circuit variants executed through shared
 	// batch plans (reorder.BatchPlan).
 	BatchVariants
@@ -141,7 +138,6 @@ var counterNames = [numCounters]string{
 	TrialsEmitted:      "trials_emitted",
 	TasksSpawned:       "tasks_spawned",
 	KernelSweeps:       "kernel_sweeps",
-	StripeBarriers:     "stripe_barriers",
 	BatchVariants:      "batch_variants",
 	BatchOpsSaved:      "batch_ops_saved",
 	SegCacheHits:       "segcache_hits",

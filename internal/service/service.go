@@ -8,9 +8,8 @@
 //
 //   - the process-global content-addressed segment cache
 //     (statevec.SetSegmentCacheCapacity bounds it; see internal/statevec):
-//     two tenants submitting the same circuit with fuse "exact" or
-//     "numeric" compile its kernels once (the default, "off", compiles
-//     nothing);
+//     two tenants submitting the same circuit with fuse "numeric"
+//     compile its kernels once (the default, "off", compiles nothing);
 //   - one amplitude-buffer arena (statevec.BufferPool with per-size-class
 //     retention caps), so state vectors stay warm between jobs.
 //
@@ -120,8 +119,10 @@ type JobRequest struct {
 	// Workers is the per-job execution parallelism (default 1).
 	Workers int `json:"workers,omitempty"`
 	// Fuse is the kernel compilation mode: "off" (default — gate-by-gate
-	// dispatch, no compilation), "exact" (fused kernels, bit-identical to
-	// dispatch, compiled through the shared segment cache), or "numeric".
+	// dispatch, no compilation, bit-identical to direct core.Run) or
+	// "numeric" (fused kernels that fold gate matrices, ~1 ulp, compiled
+	// through the shared segment cache). Any other value, the removed
+	// "exact" included, is a 400 naming the valid modes.
 	Fuse string `json:"fuse,omitempty"`
 	// Budget caps concurrently stored state vectors (0 = unlimited).
 	Budget int `json:"budget,omitempty"`
@@ -417,8 +418,8 @@ func (s *Server) buildConfig(req *JobRequest) (core.Config, error) {
 	}
 	// FuseOff by default, as in qsim: each run walks one dispatch table,
 	// resolved once, and compiles nothing, so it makes no segment-cache
-	// lookups. "exact" and "numeric" compile segments through the shared
-	// cache. The resolved names stay on req, so the job view reports them.
+	// lookups. "numeric" compiles segments through the shared cache. The
+	// resolved names stay on req, so the job view reports them.
 	if req.Fuse == "" {
 		req.Fuse = statevec.FuseOff.String()
 	}

@@ -42,11 +42,11 @@ func testReq(tenant string, seed int64) JobRequest {
 	return JobRequest{Tenant: tenant, Bench: "bv5", Trials: 192, Seed: seed}
 }
 
-// exactReq is testReq with fuse "exact", the mode that compiles segments
-// through the shared cache; the default, "off", compiles nothing.
-func exactReq(tenant string, seed int64) JobRequest {
+// numericReq is testReq with fuse "numeric", the mode that compiles
+// segments through the shared cache; the default, "off", compiles nothing.
+func numericReq(tenant string, seed int64) JobRequest {
 	r := testReq(tenant, seed)
-	r.Fuse = "exact"
+	r.Fuse = "numeric"
 	return r
 }
 
@@ -80,7 +80,7 @@ func TestSubmitPollResultBitIdentical(t *testing.T) {
 		Trials:  192,
 		Seed:    7,
 		Mode:    core.ModeReordered,
-		Fuse:    statevec.FuseExact,
+		Fuse:    statevec.FuseOff,
 		Workers: 1,
 	})
 	if err != nil {
@@ -108,14 +108,14 @@ func TestCrossRequestSegmentSharing(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	first, err := c.Run(ctx, exactReq("alice", 3))
+	first, err := c.Run(ctx, numericReq("alice", 3))
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
 	if first.SegCacheMisses == 0 {
 		t.Fatalf("first job compiled nothing (misses 0) — cache not exercised")
 	}
-	second, err := c.Run(ctx, exactReq("bob", 3))
+	second, err := c.Run(ctx, numericReq("bob", 3))
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestConcurrentSubmissionsShare(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	if _, err := c.Run(ctx, exactReq("warmup", 3)); err != nil {
+	if _, err := c.Run(ctx, numericReq("warmup", 3)); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 
@@ -151,7 +151,7 @@ func TestConcurrentSubmissionsShare(t *testing.T) {
 		wg.Add(1)
 		go func(i int, tenant string) {
 			defer wg.Done()
-			views[i], errs[i] = c.Run(ctx, exactReq(tenant, 3))
+			views[i], errs[i] = c.Run(ctx, numericReq(tenant, 3))
 		}(i, tenant)
 	}
 	wg.Wait()
@@ -177,7 +177,7 @@ func TestConcurrentSubmissionsShare(t *testing.T) {
 
 // TestDefaultRequestRunsDispatch: a request that names no fuse mode runs
 // FuseOff — it makes no segment-cache lookups — and its histogram, ops and
-// copies equal a direct core.Run under FuseOff and under FuseExact.
+// copies equal a direct core.Run under FuseOff.
 func TestDefaultRequestRunsDispatch(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -202,27 +202,25 @@ func TestDefaultRequestRunsDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fuse := range []statevec.FuseMode{statevec.FuseOff, statevec.FuseExact} {
-		rep, err := core.Run(core.Config{
-			Circuit: circ,
-			Device:  device.Yorktown(),
-			Trials:  req.Trials,
-			Seed:    req.Seed,
-			Mode:    core.ModeReordered,
-			Fuse:    fuse,
-			Workers: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := FormatCounts(rep.Reordered.Counts, rep.Circuit)
-		if !maps.Equal(v.Counts, want) {
-			t.Fatalf("fuse %v: daemon histogram %v, direct %v", fuse, v.Counts, want)
-		}
-		if v.Ops != rep.Reordered.Ops || v.Copies != rep.Reordered.Copies {
-			t.Fatalf("fuse %v: daemon ops %d copies %d, direct ops %d copies %d",
-				fuse, v.Ops, v.Copies, rep.Reordered.Ops, rep.Reordered.Copies)
-		}
+	rep, err := core.Run(core.Config{
+		Circuit: circ,
+		Device:  device.Yorktown(),
+		Trials:  req.Trials,
+		Seed:    req.Seed,
+		Mode:    core.ModeReordered,
+		Fuse:    statevec.FuseOff,
+		Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FormatCounts(rep.Reordered.Counts, rep.Circuit)
+	if !maps.Equal(v.Counts, want) {
+		t.Fatalf("daemon histogram %v, direct %v", v.Counts, want)
+	}
+	if v.Ops != rep.Reordered.Ops || v.Copies != rep.Reordered.Copies {
+		t.Fatalf("daemon ops %d copies %d, direct ops %d copies %d",
+			v.Ops, v.Copies, rep.Reordered.Ops, rep.Reordered.Copies)
 	}
 }
 
@@ -261,12 +259,16 @@ func TestBadRequest400(t *testing.T) {
 		"both":        {Bench: "bv5", QASM: "OPENQASM 2.0;", Trials: 8},
 		"zero trials": {Bench: "bv5"},
 		"bad bench":   {Bench: "no-such-bench", Trials: 8},
-		"bad fuse":    {Bench: "bv5", Trials: 8, Fuse: "sideways"},
+		"fuse bad":    {Bench: "bv5", Trials: 8, Fuse: "sideways"},
+		"fuse exact":  {Bench: "bv5", Trials: 8, Fuse: "exact"}, // the removed exact fusion
 	} {
 		_, err := c.Submit(ctx, req)
 		var ae *APIError
 		if !asAPIError(err, &ae) || ae.Status != http.StatusBadRequest {
 			t.Fatalf("%s: got %v, want HTTP 400", name, err)
+		}
+		if strings.HasPrefix(name, "fuse") && !strings.Contains(ae.Msg, "(off, numeric)") {
+			t.Errorf("%s: message %q does not name the valid modes", name, ae.Msg)
 		}
 	}
 }
@@ -478,7 +480,7 @@ func TestMetricsExposition(t *testing.T) {
 	defer cancel()
 
 	for _, tenant := range []string{"alice", "bob"} {
-		if _, err := c.Run(ctx, exactReq(tenant, 3)); err != nil {
+		if _, err := c.Run(ctx, numericReq(tenant, 3)); err != nil {
 			t.Fatalf("%s: %v", tenant, err)
 		}
 	}
@@ -564,7 +566,7 @@ func TestStatsEndpoint(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	if _, err := c.Run(ctx, exactReq("alice", 3)); err != nil {
+	if _, err := c.Run(ctx, numericReq("alice", 3)); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats(ctx)

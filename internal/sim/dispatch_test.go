@@ -67,9 +67,9 @@ func randomState(rng *rand.Rand, n int) *statevec.State {
 }
 
 // TestDispatchTableBitIdentical: a nil-program branchState advancing
-// through the resolved dispatch table, gate-by-gate ApplyOp, and FuseOff
-// and FuseExact programs leave Float64bits-identical states and count the
-// same ops, over random layer ranges of circuits using every gate kind.
+// through the resolved dispatch table, gate-by-gate ApplyOp, and a FuseOff
+// program leave Float64bits-identical states and count the same ops,
+// over random layer ranges of circuits using every gate kind.
 func TestDispatchTableBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for iter := 0; iter < 40; iter++ {
@@ -94,7 +94,7 @@ func TestDispatchTableBitIdentical(t *testing.T) {
 		}
 
 		res := newResult(nil, 0, false)
-		bs := newBranchState(c, Options{}, newAdvancer(c, nil, 0), res, &msvTracker{}, nil, true)
+		bs := newBranchState(c, Options{}, newAdvancer(c, nil, 0), res, &msvTracker{}, nil)
 		if bs.tab == nil {
 			t.Fatal("nil program did not build a dispatch table")
 		}
@@ -104,12 +104,10 @@ func TestDispatchTableBitIdentical(t *testing.T) {
 			t.Fatalf("iter %d: table path over [%d,%d) differs from ApplyOp (ops %d vs %d)", iter, from, to, res.Ops, refOps)
 		}
 
-		for _, mode := range []statevec.FuseMode{statevec.FuseOff, statevec.FuseExact} {
-			st := init.Clone()
-			ops := statevec.CompileWith(c, statevec.CompileOptions{Fuse: mode}).RunSerial(st, from, to)
-			if !bitIdenticalStates(ref, st) || ops != refOps {
-				t.Fatalf("iter %d: %v program over [%d,%d) differs from ApplyOp (ops %d vs %d)", iter, mode, from, to, ops, refOps)
-			}
+		st := init.Clone()
+		ops := statevec.CompileWith(c, statevec.CompileOptions{Fuse: statevec.FuseOff}).Run(st, from, to)
+		if !bitIdenticalStates(ref, st) || ops != refOps {
+			t.Fatalf("iter %d: FuseOff program over [%d,%d) differs from ApplyOp (ops %d vs %d)", iter, from, to, ops, refOps)
 		}
 	}
 }

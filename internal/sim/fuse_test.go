@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -26,9 +27,11 @@ func bitIdenticalStates(a, b *statevec.State) bool {
 }
 
 // TestFusedExecutionBitIdentical runs every compiled-execution
-// configuration in FuseExact mode against plain dispatch execution and
-// demands bit-identical per-trial outcomes AND final states: exact
-// fusion must not change a single floating-point operation.
+// configuration on a FuseOff program against plain dispatch execution and
+// demands bit-identical per-trial outcomes AND final states: a FuseOff
+// program sweeps exactly the routines dispatch does. The snapshot policy
+// runs compiled only with a prebuilt Plan.Prog; the uncompute policy
+// always compiles.
 func TestFusedExecutionBitIdentical(t *testing.T) {
 	circuits := map[string]*circuit.Circuit{
 		"bv4":    bench.BV(4, 0b101),
@@ -38,30 +41,49 @@ func TestFusedExecutionBitIdentical(t *testing.T) {
 	for name, c := range circuits {
 		m := noise.Uniform("u", c.NumQubits(), 5e-3, 5e-2, 2e-2)
 		trials := genTrials(t, c, m, 200, 11)
-		ref, err := Reordered(c, trials, Options{KeepStates: true})
+		opt := Options{KeepStates: true}
+		ref, err := Reordered(c, trials, opt)
 		if err != nil {
 			t.Fatalf("%s reference: %v", name, err)
 		}
+		prog := statevec.CompileWith(c, statevec.CompileOptions{Fuse: statevec.FuseOff})
 
-		type cfg struct {
+		cases := []struct {
 			cname string
-			opt   Options
-			run   func(opt Options) (*Result, error)
-		}
-		cases := []cfg{
-			{"plan-fused", Options{KeepStates: true, Fuse: statevec.FuseExact},
-				func(opt Options) (*Result, error) { return Reordered(c, trials, opt) }},
-			{"plan-striped-only", Options{KeepStates: true, Stripes: 3, StripeMin: 1},
-				func(opt Options) (*Result, error) { return Reordered(c, trials, opt) }},
-			{"plan-fused-striped", Options{KeepStates: true, Fuse: statevec.FuseExact, Stripes: 4, StripeMin: 1},
-				func(opt Options) (*Result, error) { return Reordered(c, trials, opt) }},
-			{"plan-fused-budget2", Options{KeepStates: true, Fuse: statevec.FuseExact, SnapshotBudget: 2},
-				func(opt Options) (*Result, error) { return Reordered(c, trials, opt) }},
-			{"subtree-2-fused-striped", Options{KeepStates: true, Fuse: statevec.FuseExact, Stripes: 2, StripeMin: 1},
-				func(opt Options) (*Result, error) { return ParallelSubtree(c, trials, 2, opt) }},
+			run   func() (*Result, error)
+		}{
+			{"plan-compiled", func() (*Result, error) {
+				plan, err := reorder.BuildPlan(c, trials)
+				if err != nil {
+					return nil, err
+				}
+				plan.Prog = prog
+				return ExecutePlan(c, plan, opt)
+			}},
+			{"plan-compiled-budget2", func() (*Result, error) {
+				plan, err := reorder.BuildPlanBudget(c, trials, 2)
+				if err != nil {
+					return nil, err
+				}
+				plan.Prog = prog
+				return ExecutePlan(c, plan, opt)
+			}},
+			{"subtree-2-compiled", func() (*Result, error) {
+				sp, err := reorder.SplitPlanCut(c, trials, 1, math.MaxInt)
+				if err != nil {
+					return nil, err
+				}
+				sp.Prog = prog
+				return ExecuteSplitPlan(c, sp, 2, opt)
+			}},
+			{"plan-uncompute", func() (*Result, error) {
+				o := opt
+				o.Policy = PolicyUncompute
+				return Reordered(c, trials, o)
+			}},
 		}
 		for _, tc := range cases {
-			res, err := tc.run(tc.opt)
+			res, err := tc.run()
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, tc.cname, err)
 			}
@@ -76,25 +98,6 @@ func TestFusedExecutionBitIdentical(t *testing.T) {
 				if !bitIdenticalStates(want, got) {
 					t.Fatalf("%s %s: trial %d final state not bit-identical", name, tc.cname, id)
 				}
-			}
-		}
-
-		// Budgeted fused run must be bit-identical to the budgeted
-		// dispatch run (replays included).
-		refBud, err := Reordered(c, trials, Options{KeepStates: true, SnapshotBudget: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotBud, err := Reordered(c, trials, Options{KeepStates: true, SnapshotBudget: 2, Fuse: statevec.FuseExact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !EqualOutcomes(refBud, gotBud) {
-			t.Errorf("%s: budgeted fused outcomes differ", name)
-		}
-		for id, want := range refBud.FinalStates {
-			if !bitIdenticalStates(want, gotBud.FinalStates[id]) {
-				t.Fatalf("%s: budgeted fused trial %d state not bit-identical", name, id)
 			}
 		}
 	}
@@ -112,8 +115,8 @@ func TestFusedOpAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []statevec.FuseMode{statevec.FuseOff, statevec.FuseExact, statevec.FuseNumeric} {
-		res, err := Reordered(c, trials, Options{Fuse: mode, Stripes: 2, StripeMin: 1})
+	for _, mode := range []statevec.FuseMode{statevec.FuseOff, statevec.FuseNumeric} {
+		res, err := Reordered(c, trials, Options{Fuse: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +134,7 @@ func TestFusedOpAccounting(t *testing.T) {
 	// Subtree decomposition keeps all sharing: fused subtree ops must
 	// still equal the sequential plan's.
 	for _, w := range []int{2, 4} {
-		res, err := ParallelSubtree(c, trials, w, Options{Fuse: statevec.FuseExact, Stripes: 2, StripeMin: 1})
+		res, err := ParallelSubtree(c, trials, w, Options{Fuse: statevec.FuseNumeric})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,5 +172,29 @@ func TestNumericFusedEquivalence(t *testing.T) {
 		if !want.Equal(got, 1e-9) {
 			t.Fatalf("trial %d numeric state deviates beyond 1e-9", id)
 		}
+	}
+}
+
+// TestExecutorsRejectStripes: intra-state striping is removed, so the
+// deprecated Options.Stripes > 1 fails every plan executor with an error
+// naming the field instead of running serially in its place.
+func TestExecutorsRejectStripes(t *testing.T) {
+	c := bench.QFT(3)
+	trials := genTrials(t, c, noise.Uniform("u", 3, 1e-2, 5e-2, 0), 64, 5)
+	plan, err := reorder.BuildPlan(c, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Stripes: 2}
+	for name, run := range map[string]func() (*Result, error){
+		"ExecutePlan":     func() (*Result, error) { return ExecutePlan(c, plan, opt) },
+		"ParallelSubtree": func() (*Result, error) { return ParallelSubtree(c, trials, 2, opt) },
+	} {
+		if _, err := run(); err == nil || !strings.Contains(err.Error(), "Stripes") {
+			t.Errorf("%s: error %v, want one naming Stripes", name, err)
+		}
+	}
+	if _, err := ExecutePlan(c, plan, Options{Stripes: 1}); err != nil {
+		t.Errorf("Stripes 1 (serial) rejected: %v", err)
 	}
 }

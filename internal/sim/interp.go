@@ -53,16 +53,15 @@ type pframe struct {
 // working register, the frame stack, the journal, and the counters it
 // feeds.
 type branchState struct {
-	c       *circuit.Circuit
-	opt     Options
-	sink    *stepSink // nil: no Recorder and no span
-	tr      *msvTracker
-	pool    *statePool
-	prog    *statevec.Program // nil: walk tab (snapshot policy only)
-	tab     *dispatchTable
-	bits    bitsTable
-	res     *Result
-	striped bool // trunk/sequential paths stripe their sweeps, task bodies do not
+	c    *circuit.Circuit
+	opt  Options
+	sink *stepSink // nil: no Recorder and no span
+	tr   *msvTracker
+	pool *statePool
+	prog *statevec.Program // nil: walk tab (snapshot policy only)
+	tab  *dispatchTable
+	bits bitsTable
+	res  *Result
 
 	work    *statevec.State
 	journal []jentry
@@ -70,7 +69,7 @@ type branchState struct {
 	floor   int  // frames below this belong to the caller (a subtree's entry)
 	realCnt int  // real frames currently stored (entry floor included)
 	policy  bool // a non-snapshot policy decides branch points: journal every mutation
-	exact   bool // non-numeric mode: reverse only exactly invertible suffixes
+	exact   bool // FuseOff: reverse only exactly invertible suffixes
 }
 
 // advancer is what one run advances layer ranges with: the compiled
@@ -137,10 +136,10 @@ func (t *dispatchTable) injection(op gate.Pauli, qubit int) []statevec.OpKernel 
 // a worker reuses it across its tasks (runSubtree). reorder.Walk takes it
 // as a Handler, so it lives on the heap: reuse keeps that to one allocation
 // per goroutine, not one per task.
-func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, striped bool) *branchState {
+func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool) *branchState {
 	return &branchState{
 		c: c, opt: opt, sink: newStepSink(opt.Recorder, opt.Span), tr: tr, pool: pool,
-		prog: adv.prog, tab: adv.tab, bits: adv.bits, res: res, striped: striped,
+		prog: adv.prog, tab: adv.tab, bits: adv.bits, res: res,
 		policy: opt.Policy != PolicySnapshot,
 		exact:  opt.Fuse != statevec.FuseNumeric,
 	}
@@ -175,20 +174,6 @@ func (bs *branchState) Unwound() error {
 	return nil
 }
 
-func (bs *branchState) runFwd(from, to int) int {
-	if bs.striped {
-		return bs.prog.Run(bs.work, from, to)
-	}
-	return bs.prog.RunSerial(bs.work, from, to)
-}
-
-func (bs *branchState) runRev(from, to int) int {
-	if bs.striped {
-		return bs.prog.RunReverse(bs.work, from, to)
-	}
-	return bs.prog.RunReverseSerial(bs.work, from, to)
-}
-
 func (bs *branchState) Advance(from, to int) error {
 	if bs.prog == nil {
 		ks := bs.tab.kern[bs.tab.start[from]:bs.tab.start[to]]
@@ -196,7 +181,7 @@ func (bs *branchState) Advance(from, to int) error {
 		bs.res.Ops += int64(len(ks))
 		return nil
 	}
-	bs.res.Ops += int64(bs.runFwd(from, to))
+	bs.res.Ops += int64(bs.prog.Run(bs.work, from, to))
 	if bs.policy {
 		bs.journal = append(bs.journal, jentry{adv: true, from: from, to: to})
 	}

@@ -89,14 +89,8 @@ func TestMetricsAgreeAllExecutors(t *testing.T) {
 			o.SnapshotBudget = 3
 			return Reordered(c, trials, o)
 		}},
-		{"ExecutePlan/fuseExact", true, func(o Options) (*Result, error) {
-			o.Fuse = statevec.FuseExact
-			return ExecutePlan(c, plan, o)
-		}},
-		{"ExecutePlan/fuseNumericStriped", true, func(o Options) (*Result, error) {
+		{"ExecutePlan/fuseNumeric", true, func(o Options) (*Result, error) {
 			o.Fuse = statevec.FuseNumeric
-			o.Stripes = 4
-			o.StripeMin = 1
 			return ExecutePlan(c, plan, o)
 		}},
 		{"ParallelSubtree4", true, func(o Options) (*Result, error) {
@@ -251,8 +245,7 @@ func TestTraceDepthMatchesMSV(t *testing.T) {
 }
 
 // TestKernelSweepsRecorded checks that compiled-program execution reports
-// kernel sweeps (and stripe barriers when striping is on) without
-// disturbing the logical-op invariant.
+// kernel sweeps without disturbing the logical-op invariant.
 func TestKernelSweepsRecorded(t *testing.T) {
 	c := bench.QV(5, 3, rand.New(rand.NewSource(4)))
 	m := device.Yorktown().Model()
@@ -263,7 +256,7 @@ func TestKernelSweepsRecorded(t *testing.T) {
 	}
 	rec := obs.NewMetrics()
 	res, err := ExecutePlan(c, plan, Options{
-		Fuse: statevec.FuseExact, Stripes: 4, StripeMin: 1, Recorder: rec,
+		Fuse: statevec.FuseNumeric, Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,12 +266,6 @@ func TestKernelSweepsRecorded(t *testing.T) {
 	}
 	if rec.Counter(obs.KernelSweeps) == 0 {
 		t.Error("no kernel sweeps recorded under fused execution")
-	}
-	if rec.Counter(obs.StripeBarriers) == 0 {
-		t.Error("no stripe barriers recorded with Stripes=4, StripeMin=1")
-	}
-	if rec.Counter(obs.StripeBarriers) > rec.Counter(obs.KernelSweeps) {
-		t.Errorf("barriers %d exceed sweeps %d", rec.Counter(obs.StripeBarriers), rec.Counter(obs.KernelSweeps))
 	}
 }
 

@@ -131,7 +131,7 @@ func TestRegistersReturnToArena(t *testing.T) {
 	} {
 		pool := statevec.NewBufferPool()
 		tc.opt.Pool = pool
-		tc.opt.Fuse = statevec.FuseExact
+		tc.opt.Fuse = statevec.FuseNumeric
 		for rep := range 2 { // the second run starts from a warm pool
 			_, err := tc.run(tc.opt)
 			if (err != nil) != tc.fail {

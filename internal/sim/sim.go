@@ -84,27 +84,21 @@ type Options struct {
 	// its prebuilt plan as built. Under PolicyAdaptive every executor,
 	// ExecutePlan included, reads it at run time as the real-frame cap.
 	SnapshotBudget int
-	// Fuse compiles the circuit once per run into a program of fused
-	// kernels (statevec.Compile) that every trial and worker replays for
-	// StepAdvance ranges. FuseExact is bit-identical to gate-by-gate
-	// dispatch; FuseNumeric folds matrices algebraically (equivalent
+	// Fuse selects how StepAdvance ranges run. FuseOff (the default)
+	// applies dispatch's kernels, bit-identical to gate-by-gate ApplyOp:
+	// the snapshot policy walks the circuit's dispatch table, and the
+	// other policies compile a FuseOff program because reverse execution
+	// needs one. FuseNumeric compiles the circuit once per run into a
+	// program of fused kernels (statevec.CompileWith) that every trial
+	// and worker replays, folding matrices algebraically (equivalent
 	// within rounding). Injected Paulis stay individual ops, so the
 	// basic-op accounting is unchanged in every mode. Baseline ignores
 	// it — it is the dispatch reference the fused paths are checked
 	// against.
 	Fuse statevec.FuseMode
-	// Stripes > 1 splits compiled kernel sweeps across that many
-	// goroutines for states of at least StripeMin amplitudes. It applies
-	// to the plan executors' single-threaded paths (most usefully the
-	// subtree trunk); subtree task bodies always run their kernels
-	// serially because the worker pool already saturates the CPUs.
-	// Setting Stripes without Fuse compiles an unfused program (one
-	// kernel per op), which is also bit-identical to dispatch.
+	// Deprecated: intra-state striping is removed; the plan executors
+	// reject Stripes > 1. Workers run the subtree executor's parallelism.
 	Stripes int
-	// StripeMin overrides the minimum state size for striping (in
-	// amplitudes); 0 means statevec.DefaultStripeMin. Tests set 1 to
-	// exercise striping on small states.
-	StripeMin int
 	// Recorder, when non-nil, receives run metrics (ops, copies,
 	// snapshot push/drop/restore counts, MSV high-water, emitted trials)
 	// from every executor. nil disables observability; the hot path then
@@ -146,21 +140,28 @@ type Options struct {
 	Span *trace.Span
 }
 
+// check rejects options that name removed executors. ExecutePlan and
+// ExecuteSplitPlan, which every plan executor runs through, call it first.
+func (o Options) check() error {
+	if o.Stripes > 1 {
+		return fmt.Errorf("sim: Options.Stripes %d: intra-state striping was removed; Workers > 1 runs the subtree executor", o.Stripes)
+	}
+	return nil
+}
+
 // compileProgram returns the compiled program the options imply for the
 // circuit, or nil when plain gate-by-gate dispatch should run. always
 // compiles even then: reverse execution (the non-snapshot policies)
 // exists only on compiled programs, and a FuseOff program is
 // bit-identical to dispatch.
 func (o Options) compileProgram(c *circuit.Circuit, always bool) *statevec.Program {
-	if !always && o.Fuse == statevec.FuseOff && o.Stripes <= 1 {
+	if !always && o.Fuse == statevec.FuseOff {
 		return nil
 	}
 	return statevec.CompileWith(c, statevec.CompileOptions{
-		Fuse:      o.Fuse,
-		Stripes:   o.Stripes,
-		StripeMin: o.StripeMin,
-		Recorder:  o.Recorder,
-		Span:      o.Span,
+		Fuse:     o.Fuse,
+		Recorder: o.Recorder,
+		Span:     o.Span,
 	})
 }
 
@@ -390,6 +391,9 @@ func Reordered(c *circuit.Circuit, trials []*trial.Trial, opt Options) (*Result,
 // child; all deeper trace activity — segment compiles, snapshot events,
 // policy decisions — nests under that child.
 func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, error) {
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
 	var esp *trace.Span
 	if opt.Span != nil {
 		esp = opt.Span.Child("execute_plan",
@@ -411,7 +415,7 @@ func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, 
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()
 	pool := newStatePool(c.NumQubits(), arena)
-	bs := newBranchState(c, opt, newAdvancer(c, prog, len(plan.Order)), res, &msvTracker{}, pool, true)
+	bs := newBranchState(c, opt, newAdvancer(c, prog, len(plan.Order)), res, &msvTracker{}, pool)
 	// Every StepPush opens a frame, so the plan's stack peak sizes the
 	// frame stack, and with it the spares, once.
 	bs.frames = make([]pframe, 0, plan.MSV())

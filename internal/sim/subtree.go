@@ -198,6 +198,9 @@ func (q *taskQueue) close() {
 // pool. Exposed separately so callers can choose the cut depth and reuse
 // one SplitPlan across runs.
 func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, opt Options) (*Result, error) {
+	if err := opt.check(); err != nil {
+		return nil, err
+	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -237,7 +240,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 			defer wg.Done()
 			res := newResult(c, 0, opt.KeepStates)
 			pool := newStatePool(c.NumQubits(), arena)
-			bs := newBranchState(c, opt, adv, res, &tracker, pool, false)
+			bs := newBranchState(c, opt, adv, res, &tracker, pool)
 			for {
 				qt, ok := queue.pop()
 				if !ok {
@@ -318,14 +321,12 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 
 // runTrunk executes the sequential prefix program, feeding spawned tasks
 // (with cloned entry states) into the queue. It performs each shared
-// prefix computation exactly once; it never emits trials. With a compiled
-// program, trunk advances use the striped Run so the otherwise
-// single-threaded serialization point can borrow idle CPUs. Its step
+// prefix computation exactly once; it never emits trials. Its step
 // events (spawn included) sit on the "trunk" span.
 func runTrunk(c *circuit.Circuit, sp *reorder.SplitPlan, adv advancer, opt Options, queue *taskQueue, sem chan struct{}, tr *msvTracker, pool *statePool) (_ *Result, err error) {
 	defer recoverErr(&err)
 	res := newResult(c, 0, opt.KeepStates)
-	bs := newBranchState(c, opt, adv, res, tr, pool, true)
+	bs := newBranchState(c, opt, adv, res, tr, pool)
 	bs.work = pool.get()
 	defer bs.release()
 	defer bs.sink.flush()

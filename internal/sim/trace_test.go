@@ -143,7 +143,7 @@ func TestSegmentCompileSpansMatchMisses(t *testing.T) {
 		rec := obs.NewMetrics()
 		root := tracer.Start("test", trace.SpanContext{})
 		res, err := ExecutePlan(c, plan, Options{
-			Fuse:     statevec.FuseExact,
+			Fuse:     statevec.FuseNumeric,
 			Policy:   policy,
 			Recorder: rec,
 			Span:     root,

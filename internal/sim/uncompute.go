@@ -26,7 +26,7 @@ import (
 // base state (|0...0> for plans and trunks, the entry state for subtree
 // tasks).
 //
-// Bit-exactness: in non-numeric fusion modes the executors promise
+// Bit-exactness: under FuseOff the executors promise
 // Float64bits-identical outcomes, so a virtual frame may only be
 // reverse-executed when its whole journal suffix is exactly invertible
 // (signed-permutation gates and X/Z injections — see
@@ -165,7 +165,7 @@ func (bs *branchState) rollbackTo(pos int) {
 		for i := len(bs.journal) - 1; i >= pos; i-- {
 			e := bs.journal[i]
 			if e.adv {
-				segOps += int64(bs.runRev(e.from, e.to))
+				segOps += int64(bs.prog.RunReverse(bs.work, e.from, e.to))
 			} else {
 				// Paulis are self-inverse; X and Z reverse bit-exactly.
 				bs.work.ApplyPauli(e.op, e.qubit)
@@ -195,7 +195,7 @@ func (bs *branchState) rollbackTo(pos int) {
 	}
 	for _, e := range bs.journal[from:pos] {
 		if e.adv {
-			bs.res.Ops += int64(bs.runFwd(e.from, e.to))
+			bs.res.Ops += int64(bs.prog.Run(bs.work, e.from, e.to))
 		} else {
 			bs.work.ApplyPauli(e.op, e.qubit)
 			bs.res.Ops++

@@ -50,8 +50,8 @@ func outcomesAndStatesIdentical(t *testing.T, name string, want, got *Result) {
 
 // TestPolicyBitIdenticalOutcomes: uncompute and adaptive executions must
 // reproduce the snapshot executor's outcomes and final states
-// Float64bits-identical, across budgets and fusion modes on the
-// bit-exact path.
+// Float64bits-identical, across budgets, on the compiled FuseOff program
+// (the bit-exact path).
 func TestPolicyBitIdenticalOutcomes(t *testing.T) {
 	for name, c := range policyCircuits() {
 		m := noise.Uniform("u", c.NumQubits(), 5e-3, 5e-2, 2e-2)
@@ -61,15 +61,13 @@ func TestPolicyBitIdenticalOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, budget := range []int{0, 1, 2} {
-			for _, fuse := range []statevec.FuseMode{statevec.FuseOff, statevec.FuseExact} {
-				for _, pol := range []RestorePolicy{PolicyUncompute, PolicyAdaptive} {
-					opt := Options{KeepStates: true, SnapshotBudget: budget, Fuse: fuse, Policy: pol}
-					res, err := Reordered(c, trials, opt)
-					if err != nil {
-						t.Fatalf("%s %v budget %d: %v", name, pol, budget, err)
-					}
-					outcomesAndStatesIdentical(t, name, ref, res)
+			for _, pol := range []RestorePolicy{PolicyUncompute, PolicyAdaptive} {
+				opt := Options{KeepStates: true, SnapshotBudget: budget, Policy: pol}
+				res, err := Reordered(c, trials, opt)
+				if err != nil {
+					t.Fatalf("%s %v budget %d: %v", name, pol, budget, err)
 				}
+				outcomesAndStatesIdentical(t, name, ref, res)
 			}
 		}
 	}

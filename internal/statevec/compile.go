@@ -24,47 +24,44 @@ import (
 // Two fusion modes exist because the differential harness compares final
 // states by Float64bits:
 //
-//   - FuseExact performs sweep fusion only: adjacent single-qubit gates on
-//     the same qubit become one per-pair sweep that replays each gate's
-//     dispatch formula in sequence, and adjacent diagonal gates (on any
-//     qubits, CZ included) become one per-amplitude phase sweep. Every
-//     amplitude sees exactly the floating-point operations, in exactly the
-//     order, that gate-by-gate dispatch would produce, so the result is
-//     bit-identical — what fusion saves is memory traffic and loop/dispatch
-//     overhead, not arithmetic.
+//   - FuseOff lowers one kernel per op, each sweeping exactly the routine
+//     dispatch would, so the result is bit-identical to gate-by-gate
+//     ApplyOp. Reverse execution (the uncompute and adaptive restore
+//     policies) exists only on compiled programs, and runs FuseOff
+//     programs for the dispatch path.
 //
-//   - FuseNumeric additionally folds matrices algebraically: single-qubit
-//     runs collapse to one 2x2 product, diagonal runs collapse to one phase
-//     per touched qubit, and adjacent gates on an overlapping qubit pair
-//     fold into a single 4x4. This changes rounding (fl(VU)·a ≠ V·(U·a) in
-//     general), so it is mathematically equivalent within ~1 ulp per fold
-//     but not bit-identical; it is validated against brute-force Kronecker
-//     products and kept out of the bit-exact differential registry.
+//   - FuseNumeric folds matrices algebraically: single-qubit runs collapse
+//     to one 2x2 product, diagonal runs collapse to one phase per touched
+//     qubit (or one phase table), and adjacent gates on an overlapping
+//     qubit pair fold into a single 4x4. This changes rounding
+//     (fl(VU)·a ≠ V·(U·a) in general), so it is mathematically equivalent
+//     within ~1 ulp per fold but not bit-identical; it is validated against
+//     brute-force Kronecker products and kept out of the bit-exact
+//     differential registry.
 //
-// FuseOff compiles one kernel per op — useful to get striped execution
-// with dispatch-identical kernel structure.
+// Every segment runs through one serial sweep path (execSeg); the subtree
+// executor's worker pool is the only parallelism.
 
-// FuseMode selects how aggressively Compile fuses adjacent gates.
+// FuseMode selects how CompileWith fuses adjacent gates.
 type FuseMode int
 
 const (
 	// FuseOff lowers one kernel per circuit op.
 	FuseOff FuseMode = iota
-	// FuseExact fuses sweeps without changing any floating-point
-	// operation: results are bit-identical to gate-by-gate dispatch.
-	FuseExact
 	// FuseNumeric folds matrices algebraically: fastest, equivalent
 	// within rounding, not bit-identical.
 	FuseNumeric
 )
+
+// Deprecated: exact sweep fusion is removed. FuseExact promised output
+// bit-identical to dispatch, which FuseOff keeps.
+const FuseExact = FuseOff
 
 // String names the mode as the CLI spells it.
 func (m FuseMode) String() string {
 	switch m {
 	case FuseOff:
 		return "off"
-	case FuseExact:
-		return "exact"
 	case FuseNumeric:
 		return "numeric"
 	default:
@@ -77,34 +74,18 @@ func ParseFuseMode(s string) (FuseMode, error) {
 	switch s {
 	case "off":
 		return FuseOff, nil
-	case "exact":
-		return FuseExact, nil
 	case "numeric":
 		return FuseNumeric, nil
 	}
-	return FuseOff, fmt.Errorf("unknown fuse mode %q (off, exact, numeric)", s)
+	return FuseOff, fmt.Errorf("unknown fuse mode %q (off, numeric)", s)
 }
 
-// DefaultStripeMin is the state dimension below which striped execution
-// falls back to serial: under ~2^12 amplitudes the goroutine fan-out costs
-// more than the sweep itself.
-const DefaultStripeMin = 1 << 12
-
-// CompileOptions configures Compile.
+// CompileOptions configures CompileWith.
 type CompileOptions struct {
 	// Fuse selects the fusion mode.
 	Fuse FuseMode
-	// Stripes > 1 splits every kernel sweep into that many goroutine-
-	// partitioned amplitude stripes when Run executes on a state of at
-	// least StripeMin amplitudes. Kernels are barriers: all stripes of
-	// one kernel complete before the next kernel starts.
-	Stripes int
-	// StripeMin overrides the minimum state dimension (in amplitudes)
-	// for striping; 0 means DefaultStripeMin. Tests set 1 to exercise
-	// striping on tiny states.
-	StripeMin int
-	// Recorder, when non-nil, counts kernel sweeps and stripe barriers
-	// (obs.KernelSweeps, obs.StripeBarriers) at one Add per Run call.
+	// Recorder, when non-nil, counts kernel sweeps (obs.KernelSweeps) at
+	// one Add per Run call and times each sweep (obs.HistKernelSweep).
 	// It never affects the logical-op counts Run returns.
 	Recorder obs.Recorder
 	// Span, when non-nil, parents one "segment_compile" span per
@@ -114,13 +95,6 @@ type CompileOptions struct {
 	// open no span, keeping the span count reconcilable against
 	// obs.SegCacheMisses exactly.
 	Span *trace.Span
-}
-
-func (o CompileOptions) stripeMin() int {
-	if o.StripeMin <= 0 {
-		return DefaultStripeMin
-	}
-	return o.StripeMin
 }
 
 // loweredOp is one circuit op captured at compile time.
@@ -153,19 +127,10 @@ type Program struct {
 	revSegs map[segKey]*segment // reverse lowerings, cached like forward segments
 }
 
-// Compile lowers the circuit with exact (bit-identical) fusion and no
-// striping.
-func Compile(c *circuit.Circuit) *Program {
-	return CompileWith(c, CompileOptions{Fuse: FuseExact})
-}
-
 // CompileWith lowers the circuit with explicit options. The circuit's
 // layer structure and ops are snapshotted; later mutation of the circuit
 // does not affect the program.
 func CompileWith(c *circuit.Circuit, opt CompileOptions) *Program {
-	if opt.Stripes < 1 {
-		opt.Stripes = 1
-	}
 	layers := c.Layers()
 	ops := c.Ops()
 	p := &Program{
@@ -209,76 +174,29 @@ func (p *Program) NumLayers() int { return len(p.layers) }
 func (p *Program) Options() CompileOptions { return p.opt }
 
 // Run applies layers [from, to) to the state and returns the number of
-// logical circuit ops that represents. Sweeps are striped across
-// goroutines when the options ask for it and the state is large enough.
+// logical circuit ops that represents.
 func (p *Program) Run(s *State, from, to int) int {
 	p.checkState(s)
 	return p.execSeg(p.segment(from, to), s)
 }
 
-// execSeg applies one compiled segment to the state, striping when the
-// options ask for it, and returns the segment's logical-op count.
+// execSeg applies one compiled segment to the state and returns the
+// segment's logical-op count.
 func (p *Program) execSeg(seg *segment, s *State) int {
 	amp := s.amp
-	if p.opt.Stripes > 1 && len(amp) >= p.opt.stripeMin() {
-		barriers := 0
-		if rec := p.opt.Recorder; rec != nil {
-			// Recorder path times every sweep individually; the nil path
-			// below stays untimed so benchmarks see zero overhead.
-			for _, k := range seg.kernels {
-				t0 := time.Now()
-				if p.runStriped(k, amp) {
-					barriers++
-				}
-				rec.Observe(obs.HistKernelSweep, int64(time.Since(t0)))
-			}
-			rec.Add(obs.KernelSweeps, int64(len(seg.kernels)))
-			rec.Add(obs.StripeBarriers, int64(barriers))
-			return seg.ops
-		}
-		for _, k := range seg.kernels {
-			if p.runStriped(k, amp) {
-				barriers++
-			}
-		}
-		return seg.ops
-	}
 	if rec := p.opt.Recorder; rec != nil {
+		// Recorder path times every sweep individually; the nil path
+		// below stays untimed so benchmarks see zero overhead.
 		for _, k := range seg.kernels {
 			t0 := time.Now()
-			k.run(amp, 0, k.units(len(amp)))
+			k.run(amp)
 			rec.Observe(obs.HistKernelSweep, int64(time.Since(t0)))
 		}
 		rec.Add(obs.KernelSweeps, int64(len(seg.kernels)))
 		return seg.ops
 	}
 	for _, k := range seg.kernels {
-		k.run(amp, 0, k.units(len(amp)))
-	}
-	return seg.ops
-}
-
-// RunSerial is Run without striping, for callers that already execute in
-// a worker pool (the subtree executor's task bodies).
-func (p *Program) RunSerial(s *State, from, to int) int {
-	p.checkState(s)
-	return p.execSegSerial(p.segment(from, to), s)
-}
-
-// execSegSerial applies one compiled segment without striping.
-func (p *Program) execSegSerial(seg *segment, s *State) int {
-	amp := s.amp
-	if rec := p.opt.Recorder; rec != nil {
-		for _, k := range seg.kernels {
-			t0 := time.Now()
-			k.run(amp, 0, k.units(len(amp)))
-			rec.Observe(obs.HistKernelSweep, int64(time.Since(t0)))
-		}
-		rec.Add(obs.KernelSweeps, int64(len(seg.kernels)))
-		return seg.ops
-	}
-	for _, k := range seg.kernels {
-		k.run(amp, 0, k.units(len(amp)))
+		k.run(amp)
 	}
 	return seg.ops
 }
@@ -290,35 +208,6 @@ func (p *Program) checkState(s *State) {
 	if s.n != p.n {
 		panic(fmt.Sprintf("statevec: program compiled for %d qubits run on %d-qubit state", p.n, s.n))
 	}
-}
-
-// runStriped sweeps one kernel across goroutine-partitioned stripes,
-// reporting whether it actually striped (one WaitGroup barrier).
-func (p *Program) runStriped(k kernel, amp []complex128) bool {
-	units := k.units(len(amp))
-	w := p.opt.Stripes
-	if w > units {
-		w = units
-	}
-	if w <= 1 || units == 0 {
-		k.run(amp, 0, units)
-		return false
-	}
-	chunk := (units + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < units; lo += chunk {
-		hi := lo + chunk
-		if hi > units {
-			hi = units
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			k.run(amp, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return true
 }
 
 // segment returns the compiled kernels for layers [from, to), compiling

@@ -7,20 +7,16 @@ import (
 	"repro/internal/qmath"
 )
 
-// kernel is one compiled sweep over the amplitude vector. units reports
-// how many independent work units the sweep decomposes into for a given
-// state dimension; run executes units [lo, hi). Units never overlap, so
-// striped execution may call run concurrently on disjoint ranges.
+// kernel is one compiled sweep over the whole amplitude vector.
 type kernel interface {
-	units(dim int) int
-	run(amp []complex128, lo, hi int)
+	run(amp []complex128)
 	info() KernelInfo
 }
 
 // ---- single-qubit chains ----
 
-// step opcodes. The specialized opcodes replay exactly the formulas the
-// dispatch kernels use, which is what keeps FuseExact bit-identical.
+// step opcodes: the sweep routine a single-qubit gate takes (pairRoutine)
+// and, under FuseNumeric, how a chain's product is tagged.
 const (
 	sGeneric = iota
 	sX
@@ -70,54 +66,20 @@ func (st gstep) mat() qmath.Matrix {
 	})
 }
 
-// chainKernel applies a run of single-qubit gates on one qubit in a
-// single sweep: each amplitude pair is loaded once, every step is applied
-// in registers, and the pair is stored once.
+// chainKernel applies single-qubit gates on one qubit. While a segment is
+// lowered under FuseNumeric a chain collects several steps; foldChains
+// multiplies them into one, so every lowered chain sweeps one step
+// through the routine pickRoutines resolves for it (dispatch's, under
+// FuseOff).
 type chainKernel struct {
 	q, bit int
 	steps  []gstep
 	ops    int
-	r      routine // a one-step chain's sweep (see pickRoutines)
+	r      routine // the one step's sweep (see pickRoutines)
 }
 
-func (k *chainKernel) units(dim int) int { return dim >> uint(k.q+1) }
-
-func (k *chainKernel) run(amp []complex128, lo, hi int) {
-	bit := k.bit
-	if len(k.steps) == 1 {
-		// A one-step chain is exactly a dispatch kernel; sweep its routine.
-		sweepPairs(amp, k.r, bit, lo, hi, &k.steps[0].u)
-		return
-	}
-	stride := bit << 1
-	steps := k.steps
-	for u := lo; u < hi; u++ {
-		base := u * stride
-		for i := base; i < base+bit; i++ {
-			a0, a1 := amp[i], amp[i|bit]
-			for s := range steps {
-				st := &steps[s]
-				switch st.op {
-				case sX:
-					a0, a1 = a1, a0
-				case sY:
-					a0, a1 = pairY(a0, a1)
-				case sZ:
-					a1 = -a1
-				case sH:
-					a0, a1 = pairH(a0, a1)
-				case sDiag1:
-					a1 *= st.u[3]
-				case sDiag:
-					a0 *= st.u[0]
-					a1 *= st.u[3]
-				default:
-					a0, a1 = pair1(a0, a1, st.u[0], st.u[1], st.u[2], st.u[3])
-				}
-			}
-			amp[i], amp[i|bit] = a0, a1
-		}
-	}
+func (k *chainKernel) run(amp []complex128) {
+	sweepPairs(amp, k.r, k.bit, 0, len(amp)>>uint(k.q+1), &k.steps[0].u)
 }
 
 func (k *chainKernel) info() KernelInfo {
@@ -154,20 +116,18 @@ type dstep struct {
 // diagRunKernel applies a run of diagonal gates — on any mix of qubits,
 // CZ included — in a single pass over the amplitudes: each amplitude is
 // loaded once, every phase is applied in a register, and it is stored
-// once. Diagonal gates touch each amplitude independently, so replaying
-// them per amplitude in sequence order is bit-identical to sweeping them
-// one by one.
+// once. FuseNumeric collects these runs and folds most of them into
+// phase tables (foldDiagTables); a run that keeps one step, or spans
+// more than 16 qubits, sweeps as is.
 type diagRunKernel struct {
 	steps  []dstep
 	qubits []int // union of touched qubits, ascending
 	ops    int
 }
 
-func (k *diagRunKernel) units(dim int) int { return dim }
-
-func (k *diagRunKernel) run(amp []complex128, lo, hi int) {
+func (k *diagRunKernel) run(amp []complex128) {
 	steps := k.steps
-	for i := lo; i < hi; i++ {
+	for i := range amp {
 		a := amp[i]
 		for s := range steps {
 			st := &steps[s]
@@ -370,19 +330,17 @@ func newDiagTableKernel(dk *diagRunKernel) *diagTableKernel {
 	return t
 }
 
-func (k *diagTableKernel) units(dim int) int { return dim }
-
-func (k *diagTableKernel) run(amp []complex128, lo, hi int) {
+func (k *diagTableKernel) run(amp []complex128) {
 	tab := k.table
 	if k.span >= 0 {
 		shift, mask := uint(k.span), k.spanMask
-		for i := lo; i < hi; i++ {
+		for i := range amp {
 			amp[i] *= tab[i>>shift&mask]
 		}
 		return
 	}
 	bits := k.bits
-	for i := lo; i < hi; i++ {
+	for i := range amp {
 		p := 0
 		for j, b := range bits {
 			if i&b != 0 {
@@ -414,9 +372,8 @@ type cxKernel struct {
 	r         routine // see pickRoutines
 }
 
-func (k *cxKernel) units(dim int) int { return dim >> 2 }
-func (k *cxKernel) run(amp []complex128, lo, hi int) {
-	sweepUnits(amp, k.r, 1<<uint(k.ctrl), 1<<uint(k.tgt), lo, hi, nil)
+func (k *cxKernel) run(amp []complex128) {
+	sweepUnits(amp, k.r, 1<<uint(k.ctrl), 1<<uint(k.tgt), 0, len(amp)>>2, nil)
 }
 func (k *cxKernel) info() KernelInfo {
 	return KernelInfo{Kind: "cx", Qubits: []int{k.ctrl, k.tgt}, Ops: 1, Matrix: gate.CX().Matrix()}
@@ -424,9 +381,8 @@ func (k *cxKernel) info() KernelInfo {
 
 type czKernel struct{ q0, q1 int }
 
-func (k *czKernel) units(dim int) int { return dim >> 2 }
-func (k *czKernel) run(amp []complex128, lo, hi int) {
-	kernCZ(amp, 1<<uint(k.q0), 1<<uint(k.q1), lo, hi)
+func (k *czKernel) run(amp []complex128) {
+	kernCZ(amp, 1<<uint(k.q0), 1<<uint(k.q1), 0, len(amp)>>2)
 }
 func (k *czKernel) info() KernelInfo {
 	return KernelInfo{Kind: "cz", Qubits: []int{k.q0, k.q1}, Ops: 1, Matrix: gate.CZ().Matrix()}
@@ -434,9 +390,8 @@ func (k *czKernel) info() KernelInfo {
 
 type swapKernel struct{ q0, q1 int }
 
-func (k *swapKernel) units(dim int) int { return dim >> 2 }
-func (k *swapKernel) run(amp []complex128, lo, hi int) {
-	kernSwap(amp, 1<<uint(k.q0), 1<<uint(k.q1), lo, hi)
+func (k *swapKernel) run(amp []complex128) {
+	kernSwap(amp, 1<<uint(k.q0), 1<<uint(k.q1), 0, len(amp)>>2)
 }
 func (k *swapKernel) info() KernelInfo {
 	return KernelInfo{Kind: "swap", Qubits: []int{k.q0, k.q1}, Ops: 1, Matrix: gate.Swap().Matrix()}
@@ -444,9 +399,8 @@ func (k *swapKernel) info() KernelInfo {
 
 type ccxKernel struct{ c0, c1, t int }
 
-func (k *ccxKernel) units(dim int) int { return dim >> 3 }
-func (k *ccxKernel) run(amp []complex128, lo, hi int) {
-	kernCCX(amp, 1<<uint(k.c0), 1<<uint(k.c1), 1<<uint(k.t), lo, hi)
+func (k *ccxKernel) run(amp []complex128) {
+	kernCCX(amp, 1<<uint(k.c0), 1<<uint(k.c1), 1<<uint(k.t), 0, len(amp)>>3)
 }
 func (k *ccxKernel) info() KernelInfo {
 	return KernelInfo{Kind: "ccx", Qubits: []int{k.c0, k.c1, k.t}, Ops: 1, Matrix: gate.CCX().Matrix()}
@@ -461,9 +415,8 @@ type twoQKernel struct {
 	r      routine // see pickRoutines
 }
 
-func (k *twoQKernel) units(dim int) int { return dim >> 2 }
-func (k *twoQKernel) run(amp []complex128, lo, hi int) {
-	sweepUnits(amp, k.r, 1<<uint(k.q0), 1<<uint(k.q1), lo, hi, &k.m)
+func (k *twoQKernel) run(amp []complex128) {
+	sweepUnits(amp, k.r, 1<<uint(k.q0), 1<<uint(k.q1), 0, len(amp)>>2, &k.m)
 }
 func (k *twoQKernel) info() KernelInfo {
 	m := qmath.New(4)
@@ -503,15 +456,13 @@ func newKQKernel(m qmath.Matrix, qubits []int) *kqKernel {
 	return &kqKernel{qubits: append([]int(nil), qubits...), m: m, bits: bits, sorted: sorted}
 }
 
-func (k *kqKernel) units(dim int) int { return dim >> uint(len(k.qubits)) }
-
-func (k *kqKernel) run(amp []complex128, lo, hi int) {
+func (k *kqKernel) run(amp []complex128) {
 	kk := len(k.qubits)
 	sub := 1 << uint(kk)
 	scratchIn := make([]complex128, sub)
 	scratchOut := make([]complex128, sub)
 	idx := make([]int, sub)
-	for u := lo; u < hi; u++ {
+	for u := range len(amp) >> uint(kk) {
 		base := u
 		for _, b := range k.sorted {
 			base = spreadBit(base, b)
@@ -541,8 +492,7 @@ func (k *kqKernel) info() KernelInfo {
 // numeric mode (e.g. CZ·CZ). It executes nothing.
 type nopKernel struct{ ops int }
 
-func (k *nopKernel) units(dim int) int                { return 0 }
-func (k *nopKernel) run(amp []complex128, lo, hi int) {}
+func (k *nopKernel) run(amp []complex128) {}
 func (k *nopKernel) info() KernelInfo {
 	return KernelInfo{Kind: "nop", Ops: k.ops}
 }
@@ -740,21 +690,14 @@ func diagMatrix2(m qmath.Matrix) ([4]complex128, bool) {
 // included (they are counted but compile to nothing, matching dispatch
 // where ApplyOp on I is a counted no-op).
 //
-// FuseExact only merges gates that are truly consecutive in dispatch
-// order (same-qubit chains, trailing diagonal runs) — replaying their
-// per-element formulas in sequence keeps the result bit-identical.
-// FuseNumeric additionally reorders across structurally commuting kernels
-// (disjoint qubit sets, or diagonal against diagonal) via the backward
-// merge scan, then folds the accumulated kernels algebraically.
+// FuseOff lowers one kernel per op. FuseNumeric merges across
+// structurally commuting kernels (disjoint qubit sets, or diagonal against
+// diagonal) via the backward merge scan, then folds the accumulated
+// kernels algebraically.
 func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, int) {
 	var ks []kernel
 	ops := 0
-	last := func() kernel {
-		if len(ks) == 0 {
-			return nil
-		}
-		return ks[len(ks)-1]
-	}
+	numeric := mode == FuseNumeric
 	for l := from; l < to; l++ {
 		for _, op := range layers[l] {
 			ops++
@@ -766,8 +709,7 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 				}
 				q := op.qubits[0]
 				st := gstepFor(&g)
-				switch mode {
-				case FuseNumeric:
+				if numeric {
 					if mergeOneQ(ks, q, st) {
 						continue
 					}
@@ -777,26 +719,10 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 						ks = append(ks, dk)
 						continue
 					}
-				case FuseExact:
-					if ck, ok := last().(*chainKernel); ok && ck.q == q {
-						ck.steps = append(ck.steps, st)
-						ck.ops++
-						continue
-					}
-					if diagStep(st) {
-						if dk, ok := last().(*diagRunKernel); ok {
-							dk.add1q(q, st)
-							continue
-						}
-						dk := &diagRunKernel{}
-						dk.add1q(q, st)
-						ks = append(ks, dk)
-						continue
-					}
 				}
 				ks = append(ks, &chainKernel{q: q, bit: 1 << uint(q), steps: []gstep{st}, ops: 1})
 			case g.Kind() == gate.KindCX:
-				if mode == FuseNumeric {
+				if numeric {
 					var m [16]complex128
 					mat2Flat(g.Matrix(), &m)
 					if merge2Q(ks, op.qubits[0], op.qubits[1], m, false) {
@@ -805,18 +731,8 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 				}
 				ks = append(ks, &cxKernel{ctrl: op.qubits[0], tgt: op.qubits[1]})
 			case g.Kind() == gate.KindCZ:
-				if mode == FuseNumeric {
+				if numeric {
 					if mergeDiag2Q(ks, op.qubits[0], op.qubits[1], true, [4]complex128{}) {
-						continue
-					}
-					dk := &diagRunKernel{}
-					dk.addCZ(op.qubits[0], op.qubits[1])
-					ks = append(ks, dk)
-					continue
-				}
-				if mode == FuseExact {
-					if dk, ok := last().(*diagRunKernel); ok {
-						dk.addCZ(op.qubits[0], op.qubits[1])
 						continue
 					}
 					dk := &diagRunKernel{}
@@ -826,7 +742,7 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 				}
 				ks = append(ks, &czKernel{q0: op.qubits[0], q1: op.qubits[1]})
 			case g.Kind() == gate.KindSwap:
-				if mode == FuseNumeric {
+				if numeric {
 					var m [16]complex128
 					mat2Flat(g.Matrix(), &m)
 					if merge2Q(ks, op.qubits[0], op.qubits[1], m, false) {
@@ -837,7 +753,7 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 			case g.Kind() == gate.KindCCX:
 				ks = append(ks, &ccxKernel{c0: op.qubits[0], c1: op.qubits[1], t: op.qubits[2]})
 			case g.Qubits() == 2:
-				if mode == FuseNumeric {
+				if numeric {
 					if dd, ok := diagMatrix2(g.Matrix()); ok {
 						if mergeDiag2Q(ks, op.qubits[0], op.qubits[1], false, dd) {
 							continue
@@ -861,11 +777,9 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 			}
 		}
 	}
-	if mode != FuseOff {
+	if numeric {
 		ks = demoteSingleGateDiagRuns(ks)
 		ks = mergeAdjacentChains(ks)
-	}
-	if mode == FuseNumeric {
 		ks = foldChains(ks)
 		ks = foldDiagRuns(ks)
 		ks = foldPairs(ks)
@@ -875,18 +789,18 @@ func lowerSegment(layers [][]loweredOp, from, to int, mode FuseMode) ([]kernel, 
 	return ks, ops
 }
 
-// pickRoutines resolves the sweep routine of every one-step chain, CX and
-// general 4x4 kernel once the segment is lowered, in its fuse mode: only
+// pickRoutines resolves the sweep routine of every chain, CX and general
+// 4x4 kernel once the segment is lowered, in its fuse mode: only
 // FuseNumeric kernels may take the FMA routines, which round once per
-// multiply-add where FuseOff and FuseExact must stay Float64bits-identical
-// to dispatch.
+// multiply-add where FuseOff must stay Float64bits-identical to dispatch.
 func pickRoutines(ks []kernel, mode FuseMode) {
 	for _, k := range ks {
 		switch t := k.(type) {
 		case *chainKernel:
-			if len(t.steps) == 1 {
-				t.r = pairRoutine(t.steps[0].op, t.bit, mode, useAVX2)
+			if len(t.steps) != 1 {
+				panic(fmt.Sprintf("statevec: chain on qubit %d lowered with %d steps, want 1", t.q, len(t.steps)))
 			}
+			t.r = pairRoutine(t.steps[0].op, t.bit, mode, useAVX2)
 		case *cxKernel:
 			t.r = unitRoutine(true, 1<<uint(t.ctrl), 1<<uint(t.tgt), mode, useAVX2)
 		case *twoQKernel:
@@ -897,7 +811,6 @@ func pickRoutines(ks []kernel, mode FuseMode) {
 
 // demoteSingleGateDiagRuns rewrites diagonal runs that ended up covering a
 // single qubit (or a lone CZ) into the cheaper block-structured kernels.
-// The rewrite replays identical per-amplitude arithmetic, so it is exact.
 func demoteSingleGateDiagRuns(ks []kernel) []kernel {
 	for i, k := range ks {
 		dk, ok := k.(*diagRunKernel)
@@ -941,8 +854,8 @@ func demoteSingleGateDiagRuns(ks []kernel) []kernel {
 }
 
 // mergeAdjacentChains joins neighboring chains on the same qubit (these
-// arise from diag-run demotion). Exact: applying chain A's steps then
-// chain B's steps per pair is the same arithmetic as two sweeps.
+// arise from diag-run demotion), so foldChains multiplies them into one
+// step.
 func mergeAdjacentChains(ks []kernel) []kernel {
 	out := ks[:0]
 	for _, k := range ks {

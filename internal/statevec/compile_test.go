@@ -3,6 +3,7 @@ package statevec
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -115,20 +116,11 @@ func applyDispatch(c *circuit.Circuit, s *State) int {
 	return ops
 }
 
-// TestCompileBitIdentical is the core exactness property: FuseOff and
-// FuseExact programs — serial and striped — must reproduce gate-by-gate
-// dispatch bit-for-bit, on every amplitude, including zero signs.
+// TestCompileBitIdentical is the core exactness property: FuseOff
+// programs, whole and layer by layer, must reproduce gate-by-gate dispatch
+// bit-for-bit, on every amplitude, including zero signs.
 func TestCompileBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	variants := []struct {
-		name string
-		opt  CompileOptions
-	}{
-		{"off", CompileOptions{Fuse: FuseOff}},
-		{"exact", CompileOptions{Fuse: FuseExact}},
-		{"off-striped", CompileOptions{Fuse: FuseOff, Stripes: 3, StripeMin: 1}},
-		{"exact-striped", CompileOptions{Fuse: FuseExact, Stripes: 4, StripeMin: 1}},
-	}
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(5)
 		c := randCompileCircuit(rng, n, 3+rng.Intn(25))
@@ -137,25 +129,21 @@ func TestCompileBitIdentical(t *testing.T) {
 		want := init.Clone()
 		wantOps := applyDispatch(c, want)
 
-		for _, v := range variants {
-			p := CompileWith(c, v.opt)
-			got := init.Clone()
-			gotOps := p.RunAll(got)
-			if gotOps != wantOps {
-				t.Fatalf("trial %d %s: ops %d, dispatch applied %d", trial, v.name, gotOps, wantOps)
-			}
-			if i, ok := statesBitEqual(want, got); !ok {
-				t.Fatalf("trial %d %s (n=%d): amplitude %d differs: %v vs %v",
-					trial, v.name, n, i, want.amp[i], got.amp[i])
-			}
-			// RunSerial must agree with Run.
-			got2 := init.Clone()
-			for l := 0; l < p.NumLayers(); l++ {
-				p.RunSerial(got2, l, l+1)
-			}
-			if i, ok := statesBitEqual(want, got2); !ok {
-				t.Fatalf("trial %d %s RunSerial per-layer: amplitude %d differs", trial, v.name, i)
-			}
+		p := CompileWith(c, CompileOptions{Fuse: FuseOff})
+		got := init.Clone()
+		if gotOps := p.RunAll(got); gotOps != wantOps {
+			t.Fatalf("trial %d: ops %d, dispatch applied %d", trial, gotOps, wantOps)
+		}
+		if i, ok := statesBitEqual(want, got); !ok {
+			t.Fatalf("trial %d (n=%d): amplitude %d differs: %v vs %v",
+				trial, n, i, want.amp[i], got.amp[i])
+		}
+		got2 := init.Clone()
+		for l := 0; l < p.NumLayers(); l++ {
+			p.Run(got2, l, l+1)
+		}
+		if i, ok := statesBitEqual(want, got2); !ok {
+			t.Fatalf("trial %d per-layer: amplitude %d differs", trial, i)
 		}
 	}
 }
@@ -236,7 +224,7 @@ func TestCompileKernelMatrixProduct(t *testing.T) {
 			}
 		}
 
-		for _, mode := range []FuseMode{FuseOff, FuseExact, FuseNumeric} {
+		for _, mode := range []FuseMode{FuseOff, FuseNumeric} {
 			p := CompileWith(c, CompileOptions{Fuse: mode})
 			got := qmath.Identity(dim)
 			for _, ki := range p.SegmentKernels(0, p.NumLayers()) {
@@ -262,7 +250,7 @@ func TestCompileOpsAccounting(t *testing.T) {
 		n := 2 + rng.Intn(4)
 		c := randCompileCircuit(rng, n, 5+rng.Intn(30))
 		layers := c.Layers()
-		for _, mode := range []FuseMode{FuseOff, FuseExact, FuseNumeric} {
+		for _, mode := range []FuseMode{FuseOff, FuseNumeric} {
 			p := CompileWith(c, CompileOptions{Fuse: mode})
 			if got := p.SegmentOps(0, p.NumLayers()); got != c.NumOps() {
 				t.Fatalf("mode %v: full-range ops %d, circuit has %d", mode, got, c.NumOps())
@@ -282,14 +270,15 @@ func TestCompileOpsAccounting(t *testing.T) {
 	}
 }
 
-// TestCompileFusesChains pins that fusion actually happens: a run of
-// same-qubit gates compiles to one chain kernel, a run of diagonal gates
-// to one diagonal sweep, and numeric mode folds an overlapping-pair
-// sandwich into a single 4x4.
+// TestCompileFusesChains pins that numeric fusion actually happens: a run
+// of same-qubit gates compiles to one chain kernel, a run of diagonal
+// gates to one diagonal sweep, and an overlapping-pair sandwich to a
+// single 4x4; FuseOff keeps one kernel per op.
 func TestCompileFusesChains(t *testing.T) {
+	numeric := CompileOptions{Fuse: FuseNumeric}
 	c := circuit.New("chain", 2)
 	c.Append(gate.H(), 0).Append(gate.T(), 0).Append(gate.X(), 0).Append(gate.RZ(0.3), 0)
-	p := Compile(c)
+	p := CompileWith(c, numeric)
 	ks := p.SegmentKernels(0, p.NumLayers())
 	if len(ks) != 1 || ks[0].Kind != "chain" || ks[0].Ops != 4 {
 		t.Fatalf("4-gate same-qubit run compiled to %+v, want one chain of 4", ks)
@@ -297,7 +286,7 @@ func TestCompileFusesChains(t *testing.T) {
 
 	d := circuit.New("diag", 3)
 	d.Append(gate.S(), 0).Append(gate.CZ(), 0, 1).Append(gate.T(), 2).Append(gate.Z(), 1)
-	p = Compile(d)
+	p = CompileWith(d, numeric)
 	ks = p.SegmentKernels(0, p.NumLayers())
 	if len(ks) != 1 || ks[0].Kind != "diag" || ks[0].Ops != 4 {
 		t.Fatalf("diagonal run compiled to %+v, want one diag sweep of 4", ks)
@@ -305,16 +294,16 @@ func TestCompileFusesChains(t *testing.T) {
 
 	s := circuit.New("sandwich", 2)
 	s.Append(gate.H(), 0).Append(gate.CX(), 0, 1).Append(gate.RY(0.7), 1)
-	p = CompileWith(s, CompileOptions{Fuse: FuseNumeric})
+	p = CompileWith(s, numeric)
 	ks = p.SegmentKernels(0, p.NumLayers())
 	if len(ks) != 1 || ks[0].Kind != "2q" || ks[0].Ops != 3 {
 		t.Fatalf("overlapping sandwich compiled to %+v, want one fused 4x4 of 3 ops", ks)
 	}
 
-	// Exact mode must NOT fold the sandwich (that would change rounding).
-	p = Compile(s)
-	if ks = p.SegmentKernels(0, p.NumLayers()); len(ks) != 3 {
-		t.Fatalf("exact mode folded across a CX: %+v", ks)
+	// FuseOff must NOT fold anything (that would change rounding).
+	p = CompileWith(c, CompileOptions{Fuse: FuseOff})
+	if ks = p.SegmentKernels(0, p.NumLayers()); len(ks) != 4 {
+		t.Fatalf("FuseOff fused a same-qubit run: %+v", ks)
 	}
 }
 
@@ -498,7 +487,7 @@ func TestCompileNumericSegmentsMatchDispatch(t *testing.T) {
 func TestCompileSegmentCaching(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := randCompileCircuit(rng, 3, 20)
-	p := Compile(c)
+	p := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
 	a := p.segment(0, p.NumLayers())
 	b := p.segment(0, p.NumLayers())
 	if a != b {
@@ -557,7 +546,7 @@ func TestParseFuseMode(t *testing.T) {
 	for _, tc := range []struct {
 		s    string
 		want FuseMode
-	}{{"off", FuseOff}, {"exact", FuseExact}, {"numeric", FuseNumeric}} {
+	}{{"off", FuseOff}, {"numeric", FuseNumeric}} {
 		got, err := ParseFuseMode(tc.s)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseFuseMode(%q) = %v, %v", tc.s, got, err)
@@ -566,14 +555,17 @@ func TestParseFuseMode(t *testing.T) {
 			t.Errorf("FuseMode(%v).String() = %q, want %q", got, got.String(), tc.s)
 		}
 	}
-	if _, err := ParseFuseMode("bogus"); err == nil {
-		t.Error("ParseFuseMode accepted bogus mode")
+	// "exact" named the removed exact sweep fusion.
+	for _, bad := range []string{"bogus", "exact"} {
+		if _, err := ParseFuseMode(bad); err == nil || !strings.Contains(err.Error(), "(off, numeric)") {
+			t.Errorf("ParseFuseMode(%q) error %v, want one naming (off, numeric)", bad, err)
+		}
 	}
 }
 
 // FuzzCompileParity fuzzes the exactness property: any seed-derived
-// circuit must execute bit-identically through FuseOff, FuseExact, and
-// striped programs.
+// circuit must execute bit-identically through a FuseOff program, whole
+// and layer by layer.
 func FuzzCompileParity(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(12))
 	f.Add(int64(20200720), uint8(3), uint8(30))
@@ -588,16 +580,16 @@ func FuzzCompileParity(f *testing.F) {
 		want := init.Clone()
 		applyDispatch(c, want)
 
-		for _, opt := range []CompileOptions{
-			{Fuse: FuseOff},
-			{Fuse: FuseExact},
-			{Fuse: FuseExact, Stripes: 4, StripeMin: 1},
-		} {
-			got := init.Clone()
-			CompileWith(c, opt).RunAll(got)
+		p := CompileWith(c, CompileOptions{Fuse: FuseOff})
+		whole, layered := init.Clone(), init.Clone()
+		p.RunAll(whole)
+		for l := 0; l < p.NumLayers(); l++ {
+			p.Run(layered, l, l+1)
+		}
+		for name, got := range map[string]*State{"whole": whole, "layered": layered} {
 			if i, ok := statesBitEqual(want, got); !ok {
-				t.Fatalf("opt %+v: amplitude %d differs (seed %d n %d ops %d)",
-					opt, i, seed, n, nops)
+				t.Fatalf("%s: amplitude %d differs (seed %d n %d ops %d)",
+					name, i, seed, n, nops)
 			}
 		}
 	})
@@ -606,7 +598,7 @@ func FuzzCompileParity(f *testing.F) {
 func TestCompileWidthMismatchPanics(t *testing.T) {
 	c := circuit.New("w", 3)
 	c.Append(gate.H(), 0)
-	p := Compile(c)
+	p := CompileWith(c, CompileOptions{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Run on mismatched width did not panic")

@@ -8,16 +8,14 @@ import (
 
 // This file holds the amplitude-sweep kernels behind every gate
 // application. Each kernel is a free function over a raw amplitude slice
-// plus an explicit work-unit range, so the same code path serves three
+// plus an explicit work-unit range, so the same code path serves both
 // callers with bit-identical arithmetic:
 //
 //   - the per-gate dispatch (State.ApplyOp / State.ApplyPauli), which
 //     passes the full unit range;
-//   - the compiled programs of compile.go, which replay the same per-pair
-//     formulas inside fused sweeps;
-//   - the striped executor, which partitions the unit range across
-//     goroutines (every unit is an independent block of amplitudes, so
-//     stripes never overlap).
+//   - the compiled programs of compile.go, whose FuseOff kernels sweep
+//     exactly the routines dispatch picks and whose FuseNumeric kernels
+//     sweep folded matrices through the same routines.
 //
 // A "unit" is the smallest independent block of the sweep: one `base`
 // block of 2*bit amplitudes for single-qubit kernels, one amplitude for
@@ -27,7 +25,7 @@ import (
 //
 // The per-pair formulas are deliberately tiny functions: the compiler
 // inlines them, and writing each formula exactly once is what guarantees
-// that fused execution stays bit-identical to gate-by-gate dispatch —
+// that FuseOff programs stay bit-identical to gate-by-gate dispatch —
 // the differential harness compares amplitudes by Float64bits, so even a
 // reassociated addition or a flipped zero sign is a detectable bug.
 //
@@ -128,8 +126,8 @@ var (
 // op on bit in fuse mode. asm reports that the assembly may run: the CPU
 // has AVX2 and, for a whole-state sweep, the state holds at least two
 // pairs. Only FuseNumeric general 2x2 sweeps take the FMA routines (in
-// ZMM registers for bit >= 4 where the CPU has AVX-512F): FuseOff and
-// FuseExact stay Float64bits-identical to the Go bodies.
+// ZMM registers for bit >= 4 where the CPU has AVX-512F): FuseOff stays
+// Float64bits-identical to the Go bodies.
 func pairRoutine(op uint8, bit int, mode FuseMode, asm bool) routine {
 	switch {
 	case !asm:
@@ -213,7 +211,7 @@ func pair1(a0, a1, u00, u01, u10, u11 complex128) (complex128, complex128) {
 
 // pairY applies Pauli-Y: (a0, a1) -> (-i*a1, i*a0). This is the formula
 // ApplyPauli has always used for injected Y errors; the Y-gate dispatch
-// and the fused kernels share it.
+// shares it.
 func pairY(a0, a1 complex128) (complex128, complex128) {
 	return -1i * a1, 1i * a0
 }

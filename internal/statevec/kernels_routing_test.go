@@ -28,7 +28,7 @@ func kernelRoutine(k kernel) routine {
 }
 
 // TestSweepRouting pins the routing table: the routine ResolveOp (for
-// dispatch) and lowering (for FuseOff, FuseExact and FuseNumeric
+// dispatch) and lowering (for FuseOff and FuseNumeric
 // programs) pick for each kernel kind and qubit shape at every ISA level
 // the host can run. The FMA routines are within a few ulps of the exact
 // ones, so a numeric kernel routed to an exact routine would pass every
@@ -81,7 +81,7 @@ func TestSweepRouting(t *testing.T) {
 						t.Errorf("ResolveOp %s%v: %s, want %s", c.g.Name(), qs, got, exact)
 					}
 					layers := [][]loweredOp{{{g: c.g, qubits: qs}}}
-					for _, mode := range []FuseMode{FuseOff, FuseExact, FuseNumeric} {
+					for _, mode := range []FuseMode{FuseOff, FuseNumeric} {
 						want := exact
 						if mode == FuseNumeric {
 							want = numeric

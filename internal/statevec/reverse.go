@@ -21,7 +21,7 @@ import (
 //
 // Bit-exactness: reverse execution undoes forward execution bit-for-bit
 // only when every op in the range is exactly invertible (see
-// ExactlyInvertible) and fusion is not numeric. Those gates lower to pure
+// ExactlyInvertible) and fusion is off. Those gates lower to pure
 // amplitude swaps and sign flips, both of which are exact in IEEE 754
 // (including signed zeros), so the composition reverse(forward(x)) == x
 // for every bit pattern. Gates whose kernels multiply (H, S/T phases, Y,
@@ -55,7 +55,7 @@ func ExactlyInvertiblePauli(p gate.Pauli) bool {
 
 // SegmentExactlyInvertible reports whether every op in layers [from, to)
 // is exactly invertible, i.e. whether RunReverse undoes Run bit-for-bit
-// on this range (in non-numeric fusion modes).
+// on this range (under FuseOff).
 func (p *Program) SegmentExactlyInvertible(from, to int) bool {
 	if from < 0 || to > len(p.layers) || from > to {
 		panic(fmt.Sprintf("statevec: segment [%d,%d) outside [0,%d]", from, to, len(p.layers)))
@@ -151,18 +151,10 @@ func (p *Program) CompileReverse(from, to int) int {
 
 // RunReverse applies the adjoint of layers [from, to) to the state —
 // undoing a prior Run(s, from, to) — and returns the number of logical
-// ops that represents (equal to the forward count of the range). Sweeps
-// are striped exactly like Run.
+// ops that represents (equal to the forward count of the range).
 func (p *Program) RunReverse(s *State, from, to int) int {
 	p.checkState(s)
 	return p.execSeg(p.reverseSegment(from, to), s)
-}
-
-// RunReverseSerial is RunReverse without striping, for callers already
-// inside a worker pool.
-func (p *Program) RunReverseSerial(s *State, from, to int) int {
-	p.checkState(s)
-	return p.execSegSerial(p.reverseSegment(from, to), s)
 }
 
 // ReverseSegmentKernels returns descriptions of the compiled reverse

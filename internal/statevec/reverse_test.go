@@ -45,36 +45,25 @@ func randPermCircuit(rng *rand.Rand, n, nops int) *circuit.Circuit {
 
 // TestRunReverseExactRoundTrip is the core uncompute property: on a
 // circuit of exactly invertible gates, RunReverse undoes Run bit-for-bit
-// — every amplitude, including zero signs — in every non-numeric mode,
-// striped or not.
+// — every amplitude, including zero signs — under FuseOff.
 func TestRunReverseExactRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	variants := []struct {
-		name string
-		opt  CompileOptions
-	}{
-		{"off", CompileOptions{Fuse: FuseOff}},
-		{"exact", CompileOptions{Fuse: FuseExact}},
-		{"exact-striped", CompileOptions{Fuse: FuseExact, Stripes: 4, StripeMin: 1}},
-	}
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(5)
 		c := randPermCircuit(rng, n, 3+rng.Intn(20))
 		init := randState(rng, n)
-		for _, v := range variants {
-			p := CompileWith(c, v.opt)
-			if !p.SegmentExactlyInvertible(0, p.NumLayers()) {
-				t.Fatalf("%s: permutation circuit reported not exactly invertible", v.name)
-			}
-			s := init.Clone()
-			fwd := p.Run(s, 0, p.NumLayers())
-			rev := p.RunReverse(s, 0, p.NumLayers())
-			if fwd != rev {
-				t.Fatalf("%s: reverse ops %d != forward ops %d", v.name, rev, fwd)
-			}
-			if i, ok := statesBitEqual(init, s); !ok {
-				t.Fatalf("%s trial %d: amplitude %d differs after reverse round trip", v.name, trial, i)
-			}
+		p := CompileWith(c, CompileOptions{Fuse: FuseOff})
+		if !p.SegmentExactlyInvertible(0, p.NumLayers()) {
+			t.Fatal("permutation circuit reported not exactly invertible")
+		}
+		s := init.Clone()
+		fwd := p.Run(s, 0, p.NumLayers())
+		rev := p.RunReverse(s, 0, p.NumLayers())
+		if fwd != rev {
+			t.Fatalf("reverse ops %d != forward ops %d", rev, fwd)
+		}
+		if i, ok := statesBitEqual(init, s); !ok {
+			t.Fatalf("trial %d: amplitude %d differs after reverse round trip", trial, i)
 		}
 	}
 }
@@ -86,7 +75,7 @@ func TestRunReverseExactRoundTrip(t *testing.T) {
 // amplitude.
 func TestRunReverseNumericTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	modes := []FuseMode{FuseOff, FuseExact, FuseNumeric}
+	modes := []FuseMode{FuseOff, FuseNumeric}
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(5)
 		c := randCompileCircuit(rng, n, 3+rng.Intn(15))
@@ -115,7 +104,7 @@ func cmplxAbs(c complex128) float64 {
 func TestReverseSegmentOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := randCompileCircuit(rng, 4, 30)
-	for _, mode := range []FuseMode{FuseOff, FuseExact, FuseNumeric} {
+	for _, mode := range []FuseMode{FuseOff, FuseNumeric} {
 		p := CompileWith(c, CompileOptions{Fuse: mode})
 		L := p.NumLayers()
 		for from := 0; from <= L; from++ {
@@ -136,7 +125,7 @@ func TestSegmentExactlyInvertible(t *testing.T) {
 	c.Append(gate.CX(), 0, 1)
 	c.Append(gate.H(), 0) // some later layer: not exact
 	c.Append(gate.Z(), 1)
-	p := Compile(c)
+	p := CompileWith(c, CompileOptions{})
 	if !p.SegmentExactlyInvertible(0, 0) {
 		t.Error("empty range must be exactly invertible")
 	}
@@ -186,7 +175,7 @@ func TestReverseSegmentCacheSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := randCompileCircuit(rng, 3, 12)
 
-	p1 := CompileWith(c, CompileOptions{Fuse: FuseExact})
+	p1 := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
 	p1.Run(NewState(3), 0, p1.NumLayers())
 	_, missFwd := SegmentCacheStats()
 	p1.CompileReverse(0, p1.NumLayers())
@@ -195,7 +184,7 @@ func TestReverseSegmentCacheSharing(t *testing.T) {
 		t.Fatalf("reverse lowering must miss the cache once: misses %d -> %d", missFwd, missRev)
 	}
 
-	p2 := CompileWith(c, CompileOptions{Fuse: FuseExact})
+	p2 := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
 	p2.CompileReverse(0, p2.NumLayers())
 	hits1, miss1 := SegmentCacheStats()
 	if miss1 != missRev || hits1 != hits0+1 {

@@ -20,9 +20,7 @@ import (
 // register width. Any Program whose [from, to) range lowers to the same
 // content reuses the one compiled segment. Segments are immutable and
 // kernels are stateless over the amplitude slice they are run on, so
-// sharing is safe across programs, goroutines, and striping
-// configurations (striping is a Program-level run concern, not a segment
-// property).
+// sharing is safe across programs and goroutines.
 //
 // The cache is process-global. Two properties matter for long-running
 // processes (cmd/qsimd) that a one-shot CLI run never exercised:
@@ -183,7 +181,7 @@ func hashU64(h, v uint64) uint64 {
 
 // hashLayer digests one lowered layer: every op's gate identity (name and
 // parameters), qubit list, and full matrix, in order. Matrix entries are
-// hashed by their exact float bit patterns because FuseExact's guarantee
+// hashed by their exact float bit patterns because FuseOff's guarantee
 // is bit-identity: two gates are interchangeable only if every float they
 // contribute is identical.
 func hashLayer(ops []loweredOp) uint64 {

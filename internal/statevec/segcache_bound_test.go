@@ -22,7 +22,7 @@ func distinctCircuit(tag int) *circuit.Circuit {
 // touching the shared cache exactly once per distinct content.
 func runFresh(c *circuit.Circuit) *State {
 	s := NewState(c.NumQubits())
-	CompileWith(c, CompileOptions{Fuse: FuseExact}).RunAll(s)
+	CompileWith(c, CompileOptions{Fuse: FuseNumeric}).RunAll(s)
 	return s
 }
 
@@ -112,7 +112,7 @@ func TestSegmentCacheCollisionRejected(t *testing.T) {
 
 	c := distinctCircuit(7)
 	ref := runFresh(c) // honest compile for the reference amplitudes
-	p := CompileWith(c, CompileOptions{Fuse: FuseExact})
+	p := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
 	ck := p.contentKey(0, len(p.layers))
 
 	// Forge: re-point the circuit's real content key at an empty segment

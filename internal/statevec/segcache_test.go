@@ -18,7 +18,7 @@ func TestSegmentCacheSharesAcrossPrograms(t *testing.T) {
 	defer ResetSegmentCache()
 	rng := rand.New(rand.NewSource(3))
 	c := randCompileCircuit(rng, 4, 40)
-	for _, fuse := range []FuseMode{FuseOff, FuseExact, FuseNumeric} {
+	for _, fuse := range []FuseMode{FuseOff, FuseNumeric} {
 		ResetSegmentCache()
 		p1 := CompileWith(c, CompileOptions{Fuse: fuse})
 		s1 := NewState(4)
@@ -56,7 +56,7 @@ func TestSegmentCacheKeysOnContent(t *testing.T) {
 	defer ResetSegmentCache()
 	rng := rand.New(rand.NewSource(5))
 	c := randCompileCircuit(rng, 3, 24)
-	p := CompileWith(c, CompileOptions{Fuse: FuseExact})
+	p := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
 	pOff := CompileWith(c, CompileOptions{Fuse: FuseOff})
 	s := NewState(3)
 	p.RunAll(s)
@@ -75,9 +75,9 @@ func TestSegmentCacheKeysOnContent(t *testing.T) {
 	c3.Append(gate.RZ(1.0), 0)
 	ResetSegmentCache()
 	s.Reset()
-	CompileWith(c2, CompileOptions{Fuse: FuseExact}).RunAll(s)
+	CompileWith(c2, CompileOptions{Fuse: FuseNumeric}).RunAll(s)
 	s.Reset()
-	CompileWith(c3, CompileOptions{Fuse: FuseExact}).RunAll(s)
+	CompileWith(c3, CompileOptions{Fuse: FuseNumeric}).RunAll(s)
 	hits, misses = SegmentCacheStats()
 	if hits != 0 || misses != 2 {
 		t.Errorf("one-ulp angle difference: (hits %d, misses %d), want (0, 2)", hits, misses)
@@ -87,7 +87,7 @@ func TestSegmentCacheKeysOnContent(t *testing.T) {
 	// range is served from the per-program map without consulting the
 	// shared cache again.
 	ResetSegmentCache()
-	q := CompileWith(c, CompileOptions{Fuse: FuseExact})
+	q := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
 	half := q.NumLayers() / 2
 	s.Reset()
 	q.Run(s, 0, half)
@@ -109,9 +109,9 @@ func TestSegmentCacheRecorder(t *testing.T) {
 	c := randCompileCircuit(rng, 3, 20)
 	rec := obs.NewMetrics()
 	s := NewState(3)
-	CompileWith(c, CompileOptions{Fuse: FuseExact, Recorder: rec}).RunAll(s)
+	CompileWith(c, CompileOptions{Fuse: FuseNumeric, Recorder: rec}).RunAll(s)
 	s.Reset()
-	CompileWith(c, CompileOptions{Fuse: FuseExact, Recorder: rec}).RunAll(s)
+	CompileWith(c, CompileOptions{Fuse: FuseNumeric, Recorder: rec}).RunAll(s)
 	if got := rec.Counter(obs.SegCacheMisses); got != 1 {
 		t.Errorf("SegCacheMisses = %d, want 1", got)
 	}
@@ -129,7 +129,7 @@ func TestSegmentCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := randCompileCircuit(rng, 4, 30)
 	ref := NewState(4)
-	Compile(c).RunAll(ref)
+	CompileWith(c, CompileOptions{Fuse: FuseNumeric}).RunAll(ref)
 	refAmp := ref.Amplitudes()
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
@@ -137,7 +137,7 @@ func TestSegmentCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := CompileWith(c, CompileOptions{Fuse: FuseExact})
+			p := CompileWith(c, CompileOptions{Fuse: FuseNumeric})
 			s := NewState(4)
 			p.RunAll(s)
 			for i, a := range s.Amplitudes() {

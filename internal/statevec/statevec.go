@@ -273,7 +273,7 @@ func (s *State) ApplyKernel(k *OpKernel) {
 	case okCCX:
 		kernCCX(amp, k.b0, k.b1, k.b2, 0, len(amp)>>3)
 	case okK:
-		k.kq.run(amp, 0, k.kq.units(len(amp)))
+		k.kq.run(amp)
 	}
 }
 

@@ -163,12 +163,11 @@ func TestEventCap(t *testing.T) {
 func TestTailSampling(t *testing.T) {
 	tr := New(Config{Seed: 1, SampleRate: -1})
 
+	// The errored trace ends after the fast ones: ended first, its
+	// duration would arm the tail rule one trace early, and the last fast
+	// trace would be kept as slow whenever it reached the running p99.
 	fail := tr.Start("failing", SpanContext{})
 	fail.SetError(errors.New("boom"))
-	fail.End()
-	if sum := fail.Trace().Summary(); sum.Verdict != "error" || !sum.Error {
-		t.Fatalf("errored trace verdict = %+v", sum)
-	}
 
 	// Feed the duration histogram enough fast traces to arm the tail
 	// rule; all are dropped by the negative rate.
@@ -179,6 +178,11 @@ func TestTailSampling(t *testing.T) {
 	st := tr.Stats()
 	if st.Dropped != int64(tailMinSamples) {
 		t.Fatalf("dropped = %d, want %d", st.Dropped, tailMinSamples)
+	}
+
+	fail.End()
+	if sum := fail.Trace().Summary(); sum.Verdict != "error" || !sum.Error {
+		t.Fatalf("errored trace verdict = %+v", sum)
 	}
 
 	slow := tr.Start("slow", SpanContext{})
