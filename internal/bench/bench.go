@@ -223,6 +223,9 @@ func QV(n, d int, rng *rand.Rand) *circuit.Circuit {
 		panic(fmt.Sprintf("bench: QV needs >= 2 qubits, got %d", n))
 	}
 	c := circuit.New(fmt.Sprintf("qv_n%dd%d", n, d), n)
+	// Each of the d·⌊n/2⌋ blocks appends 11 ops on 14 qubit indices.
+	blocks := d * (n / 2)
+	c.Grow(blocks*qvBlockOps, blocks*qvBlockQubits)
 	drawQV(n, d, rng, func(a, b int, u *[8][3]float64) { appendSU4(c, a, b, u) })
 	c.MeasureAll()
 	return c
@@ -249,6 +252,13 @@ func drawQV(n, d int, rng *rand.Rand, block func(a, b int, u *[8][3]float64)) {
 		}
 	}
 }
+
+// qvBlockOps and qvBlockQubits count the ops of one appendSU4 block (8 u3
+// and 3 CX) and the qubit indices they name.
+const (
+	qvBlockOps    = 11
+	qvBlockQubits = 14
+)
 
 // appendSU4 emits a Haar-ish random two-qubit block in the standard 3-CX
 // template: u3 pairs (angles u, in order a, b, a, b, ...) interleaved with

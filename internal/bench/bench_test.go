@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -199,6 +200,51 @@ func TestQVDeterministicBySeed(t *testing.T) {
 	for i := 0; i < a.NumOps(); i++ {
 		if a.Op(i).String() != b.Op(i).String() {
 			t.Fatalf("op %d differs: %s vs %s", i, a.Op(i), b.Op(i))
+		}
+	}
+}
+
+// TestQVPresizedMatchesAppend: QV, which sizes its circuit for its
+// blocks up front, builds the circuit op for op that appending each block
+// to an empty circuit builds (the same ops, layers and QASM), and
+// allocates less for it.
+func TestQVPresizedMatchesAppend(t *testing.T) {
+	unsized := func(n, d int, seed int64) *circuit.Circuit {
+		c := circuit.New(fmt.Sprintf("qv_n%dd%d", n, d), n)
+		drawQV(n, d, rand.New(rand.NewSource(seed)), func(a, b int, u *[8][3]float64) { appendSU4(c, a, b, u) })
+		c.MeasureAll()
+		return c
+	}
+	for _, shape := range [][2]int{{2, 1}, {5, 5}, {7, 3}, {10, 3}, {14, 3}} {
+		n, d := shape[0], shape[1]
+		got, want := QV(n, d, rand.New(rand.NewSource(int64(n*d)))), unsized(n, d, int64(n*d))
+		gq, err := circuit.WriteQASM(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wq, err := circuit.WriteQASM(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gq != wq {
+			t.Errorf("qv n=%d d=%d: QASM differs", n, d)
+		}
+		if got.NumOps() != want.NumOps() {
+			t.Fatalf("qv n=%d d=%d: %d ops, want %d", n, d, got.NumOps(), want.NumOps())
+		}
+		for i, op := range got.Ops() {
+			w := want.Op(i)
+			if op.Gate.Name() != w.Gate.Name() || !slices.Equal(op.Gate.Params(), w.Gate.Params()) || !slices.Equal(op.Qubits, w.Qubits) {
+				t.Fatalf("qv n=%d d=%d: op %d is %s, want %s", n, d, i, op, w)
+			}
+		}
+		if !slices.EqualFunc(got.Layers(), want.Layers(), slices.Equal[[]int]) {
+			t.Errorf("qv n=%d d=%d: layers differ", n, d)
+		}
+		sized := testing.AllocsPerRun(5, func() { QV(n, d, rand.New(rand.NewSource(1))) })
+		grown := testing.AllocsPerRun(5, func() { unsized(n, d, 1) })
+		if n >= 5 && sized >= grown {
+			t.Errorf("qv n=%d d=%d: %v allocations presized, %v appending", n, d, sized, grown)
 		}
 	}
 }

@@ -138,16 +138,25 @@ func BenchmarkExecuteYorktown(b *testing.B) {
 	}
 }
 
-// BenchmarkRunYorktown runs one paper-yorktown repetition per op: core.Run
-// of the 12 Table I circuits transpiled onto Yorktown, 1,024 trials each,
-// reordered with the default fuse mode and one shared pool, trial seeds
-// drawn afresh per op. Next to B/op and allocs/op it reports mean-MB, the
-// heap objects sampled every 5 ms as perfbench's mean_heap_mb samples
-// them, and live-MB, the heap objects left after a GC at the end: the
-// sampled heap next to allocation per repetition and retention.
+// BenchmarkRunYorktown runs one paper-yorktown repetition per op: the 12
+// Table I circuits transpiled onto Yorktown, 1,024 trials each, reordered
+// with the default fuse mode and one shared pool, trial seeds drawn
+// afresh per op. The "run" sub-benchmark calls core.Run, the one-shot
+// path perfbench times; "runner" runs the same jobs through one Runner,
+// as a loop that holds one would. Next to B/op and allocs/op each reports
+// mean-MB, the heap objects sampled every 5 ms as perfbench's
+// mean_heap_mb samples them, and live-MB, the heap objects left after a
+// GC at the end: the sampled heap next to allocation per repetition and
+// retention.
 //
 //	go test ./internal/core -run ^$ -bench RunYorktown -count 5
 func BenchmarkRunYorktown(b *testing.B) {
+	var runner Runner
+	b.Run("run", func(b *testing.B) { benchmarkRunYorktown(b, Run) })
+	b.Run("runner", func(b *testing.B) { benchmarkRunYorktown(b, runner.Run) })
+}
+
+func benchmarkRunYorktown(b *testing.B, run func(Config) (*Report, error)) {
 	suite := bench.Suite(1)
 	dev := device.Yorktown()
 	pool := statevec.NewBufferPool()
@@ -176,7 +185,7 @@ func BenchmarkRunYorktown(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, ref := range bench.TableI {
-			rep, err := Run(Config{
+			rep, err := run(Config{
 				Circuit: suite[ref.Name], Device: dev, Transpile: true,
 				Trials: 1024, Seed: int64(i+1)*1000 + int64(j) + 1, Mode: ModeReordered, Pool: pool,
 			})
@@ -197,8 +206,9 @@ func BenchmarkRunYorktown(b *testing.B) {
 	b.ReportMetric(float64(heap[0].Value.Uint64())/1e6, "live-MB")
 }
 
-// BenchmarkRunDaemonShape runs qsimd's default job shape through core.Run
-// with the observability qsimd's runJob attaches: the Recorder is
+// BenchmarkRunDaemonShape runs qsimd's default job shape through one
+// Runner, as a qsimd worker does, with the observability qsimd's runJob
+// attaches: the Recorder is
 // obs.Multi of two Metrics (the daemon's aggregate and the tenant's) and
 // the Span is the root of a keep-all tracer's trace. One op is 12 jobs,
 // one per Table I circuit on Yorktown (not transpiled), reordered with
@@ -224,6 +234,7 @@ func BenchmarkRunDaemonShape(b *testing.B) {
 	pool := statevec.NewBufferPool()
 	agg, tenant := obs.NewMetrics(), obs.NewMetrics()
 	tracer := trace.New(trace.Config{Seed: 1})
+	var runner Runner
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -231,7 +242,7 @@ func BenchmarkRunDaemonShape(b *testing.B) {
 			k := (i + j) % (2 * len(trials))
 			seed := k / len(trials)
 			root := tracer.Start("request", trace.SpanContext{})
-			rep, err := Run(Config{
+			rep, err := runner.Run(Config{
 				Circuit: circs[seed][j], Device: dev,
 				Trials: trials[k%len(trials)], Seed: int64(seed + 1), Mode: ModeReordered,
 				Workers: 1, Pool: pool, Recorder: obs.Multi(agg, tenant), Span: root,

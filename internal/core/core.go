@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/device"
@@ -169,8 +170,57 @@ type Report struct {
 	Reordered *sim.Result
 }
 
-// Run executes one job per the config.
+// Run executes one job per the config: new(Runner).Run(cfg).
 func Run(cfg Config) (*Report, error) {
+	return new(Runner).Run(cfg)
+}
+
+// Runner runs jobs one after another and keeps each job's slabs for the
+// next: the math/rand source (reseeded, which gives the stream a new
+// source would), the trial generator's tables, the trial slab and key
+// arena, the reorder sort's order and scratch, the plan's steps and layer
+// tables, and the sequential executor's dispatch table, frames, step sink
+// and result histogram. The zero Runner is ready to use. A Runner is not
+// safe for concurrent use: hold one per goroutine, as each qsimd worker
+// does.
+//
+// Aliasing: the Report of a Run shares the Runner's slabs. Report.Trials,
+// Report.Plan (Order and Steps included) and Report.Reordered's Outcomes
+// and Counts stay valid until the Runner's next Run, which reuses them; a
+// caller that keeps them longer copies them first. Run's own reports do
+// not alias anything, since each comes from a Runner of its own.
+//
+// Retention: after each job the Runner drops the slabs of any layer
+// (trial generation, reorder, execution) that hold more than RetainBytes,
+// so one very large job does not pin its memory in an idle Runner.
+type Runner struct {
+	rng    *rand.Rand
+	trials trial.Workspace
+	order  reorder.Workspace
+	exec   sim.Workspace
+}
+
+// RetainBytes bounds the slabs a Runner keeps per layer between jobs:
+// about the trial slab and pointers of 2^16 trials.
+const RetainBytes = 4 << 20
+
+// Run executes one job per the config, reusing the slabs of the Runner's
+// previous job. Its report equals Run's field by field.
+func (r *Runner) Run(cfg Config) (*Report, error) {
+	rep, err := r.run(cfg)
+	if r.trials.Bytes() > RetainBytes {
+		r.trials = trial.Workspace{}
+	}
+	if r.order.Bytes() > RetainBytes {
+		r.order = reorder.Workspace{}
+	}
+	if r.exec.Bytes() > RetainBytes {
+		r.exec = sim.Workspace{}
+	}
+	return rep, err
+}
+
+func (r *Runner) run(cfg Config) (*Report, error) {
 	if cfg.Circuit == nil {
 		return nil, fmt.Errorf("core: Config.Circuit is required")
 	}
@@ -210,7 +260,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	gen, err := trial.NewGeneratorMode(rep.Circuit, model, cfg.ErrorMode)
+	gen, err := r.trials.Generator(rep.Circuit, model, cfg.ErrorMode)
 	if err != nil {
 		return nil, err
 	}
@@ -224,21 +274,21 @@ func Run(cfg Config) (*Report, error) {
 			trace.String("policy", cfg.Policy.String()),
 			trace.Int("workers", int64(cfg.Workers)))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	genDone := obs.StartPhase(cfg.Recorder, obs.PhaseTrialGen)
-	genSpan := cfg.Span.Child("trial_gen")
-	rep.Trials = gen.Generate(rng, cfg.Trials)
-	genSpan.End()
-	genDone()
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		r.rng.Seed(cfg.Seed)
+	}
+	ph := startPhase(&cfg, obs.PhaseTrialGen, "trial_gen")
+	rep.Trials = gen.GenerateInto(&r.trials, r.rng, cfg.Trials)
+	ph.end(nil)
 
 	// Sort and plan construction are timed as separate phases; building
 	// from the presorted order is equivalent to BuildPlan/BuildPlanBudget
 	// over the raw trial set.
-	sortDone := obs.StartPhase(cfg.Recorder, obs.PhaseSort)
-	sortSpan := cfg.Span.Child("sort")
-	ordered := reorder.Sort(rep.Trials)
-	sortSpan.End()
-	sortDone()
+	ph = startPhase(&cfg, obs.PhaseSort, "sort")
+	ordered := r.order.Sort(rep.Trials)
+	ph.end(nil)
 	rep.TrialStats = trial.SummarizeSorted(ordered)
 	budget := math.MaxInt
 	if cfg.SnapshotBudget > 0 && cfg.Policy == sim.PolicySnapshot {
@@ -246,31 +296,27 @@ func Run(cfg Config) (*Report, error) {
 		// stays unbudgeted (no restore/replay steps).
 		budget = cfg.SnapshotBudget
 	}
-	buildPlan := reorder.BuildPlanOrderedBudget
+	buildPlan := r.order.BuildPlanOrderedBudget
 	if cfg.Workers > 1 {
 		// Only the sequential executor runs the plan's steps.
-		buildPlan = reorder.CountPlanOrderedBudget
+		buildPlan = r.order.CountPlanOrderedBudget
 	}
-	planDone := obs.StartPhase(cfg.Recorder, obs.PhasePlanBuild)
-	planSpan := cfg.Span.Child("plan_build")
+	ph = startPhase(&cfg, obs.PhasePlanBuild, "plan_build")
 	rep.Plan, err = buildPlan(rep.Circuit, ordered, budget)
 	if err != nil {
-		planSpan.SetError(err)
-		planSpan.End()
-		planDone()
+		ph.end(err)
 		return nil, err
 	}
 	rep.Analysis = rep.Plan.Analysis()
-	if planSpan != nil {
-		planSpan.SetAttr(
+	if ph.span != nil {
+		ph.span.SetAttr(
 			trace.Int("optimized_ops", rep.Analysis.OptimizedOps),
 			trace.Int("baseline_ops", rep.Analysis.BaselineOps),
 			trace.Int("msv", int64(rep.Analysis.MSV)))
 	}
-	planSpan.End()
-	planDone()
+	ph.end(nil)
 
-	execSpan := cfg.Span.Child("execute")
+	ph = startPhase(&cfg, obs.PhaseExecute, "execute")
 	opt := sim.Options{
 		SnapshotBudget: cfg.SnapshotBudget,
 		Fuse:           cfg.Fuse,
@@ -278,7 +324,7 @@ func Run(cfg Config) (*Report, error) {
 		Policy:         cfg.Policy,
 		MemProbe:       cfg.MemProbe,
 		Pool:           cfg.Pool,
-		Span:           execSpan,
+		Span:           ph.span,
 	}
 	// The subtree executor takes the plan's order, so each job is sorted
 	// once.
@@ -286,9 +332,8 @@ func Run(cfg Config) (*Report, error) {
 		if cfg.Workers > 1 {
 			return sim.ParallelSubtreeOrdered(rep.Circuit, ordered, cfg.Workers, opt)
 		}
-		return sim.ExecutePlan(rep.Circuit, rep.Plan, opt)
+		return r.exec.ExecutePlan(rep.Circuit, rep.Plan, opt)
 	}
-	execDone := obs.StartPhase(cfg.Recorder, obs.PhaseExecute)
 	switch cfg.Mode {
 	case ModeStatic:
 	case ModeBaseline:
@@ -301,26 +346,49 @@ func Run(cfg Config) (*Report, error) {
 			rep.Reordered, err = runReordered()
 		}
 	default:
-		execSpan.End()
-		execDone()
+		ph.end(nil)
 		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
 	}
-	if execSpan != nil {
-		if err != nil {
-			execSpan.SetError(err)
-		} else if rep.Reordered != nil {
-			execSpan.SetAttr(
-				trace.Int("ops", rep.Reordered.Ops),
-				trace.Int("copies", rep.Reordered.Copies),
-				trace.Int("msv", int64(rep.Reordered.MSV)))
-		}
+	if ph.span != nil && err == nil && rep.Reordered != nil {
+		ph.span.SetAttr(
+			trace.Int("ops", rep.Reordered.Ops),
+			trace.Int("copies", rep.Reordered.Copies),
+			trace.Int("msv", int64(rep.Reordered.MSV)))
 	}
-	execSpan.End()
-	execDone()
+	ph.end(err)
 	if err != nil {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// phase is one timed pipeline phase: its Recorder timing and its child
+// span of the run's span.
+type phase struct {
+	rec   obs.Recorder
+	p     obs.Phase
+	start time.Time
+	span  *trace.Span
+}
+
+// startPhase starts timing phase p (when the run records) and opens its
+// span (when the run traces).
+func startPhase(cfg *Config, p obs.Phase, name string) phase {
+	ph := phase{rec: cfg.Recorder, p: p}
+	if ph.rec != nil {
+		ph.start = time.Now()
+	}
+	ph.span = cfg.Span.Child(name)
+	return ph
+}
+
+// end closes the phase's span, marked with err, and records its time.
+func (ph phase) end(err error) {
+	ph.span.SetError(err)
+	ph.span.End()
+	if ph.rec != nil {
+		ph.rec.PhaseDone(ph.p, time.Since(ph.start))
+	}
 }
 
 // MeasuredSaving returns 1 - executedReorderedOps/executedBaselineOps when

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -34,6 +35,10 @@ import (
 //   - Default: the same job naming no fuse mode runs gate-by-gate
 //     dispatch, with the direct FuseOff run's histogram and no segcache
 //     lookups.
+//   - Mixed shapes: every worker reuses one core.Runner's slabs across
+//     its jobs; each serves a large job after a small one and a small
+//     one after a large one, and every histogram equals a direct
+//     core.Run's.
 //   - Bounds: the segment cache stays within its configured capacity and
 //     the shared buffer arena within its retention cap.
 //   - Observability: /metrics serves a valid Prometheus exposition with
@@ -204,6 +209,18 @@ func Service(cfg Config) (*Table, error) {
 	t.AddRow("default", "1", durMS(time.Duration(plain.QueueWaitNs+plain.RunNs)),
 		"0", "0", "fuse off: dispatch, nothing compiled")
 
+	// Mixed shapes: jobs submitted one at a time cycle through a small,
+	// a large and another small shape. Three shapes over four workers
+	// hand each worker every shape in turn as idle workers take jobs
+	// round robin; the phase runs until every worker has served a large
+	// job after a small one and the reverse.
+	mixed, err := mixedShapes(ctx, client, seed, workers)
+	if err != nil {
+		return fail("%v", err)
+	}
+	t.AddRow("mixed", fmt.Sprintf("%d", mixed), "-", "-", "-",
+		fmt.Sprintf("each of %d workers grew and shrank its slabs; histograms equal core.Run", workers))
+
 	// Shared-state bounds.
 	st, err := client.Stats(ctx)
 	if err != nil {
@@ -276,9 +293,9 @@ func Service(cfg Config) (*Table, error) {
 		return fail("drain: %v", err)
 	}
 	final := srv.Stats()
-	if final.Jobs.Completed != 2+warmJobs || final.Jobs.Failed != 0 {
+	if final.Jobs.Completed != int64(2+warmJobs+mixed) || final.Jobs.Failed != 0 {
 		return fail("after drain: %d completed, %d failed (want %d, 0)",
-			final.Jobs.Completed, final.Jobs.Failed, 2+warmJobs)
+			final.Jobs.Completed, final.Jobs.Failed, 2+warmJobs+mixed)
 	}
 	if _, err := client.Submit(ctx, coldReq); err == nil {
 		return fail("post-drain submission was admitted")
@@ -288,6 +305,74 @@ func Service(cfg Config) (*Table, error) {
 		fmt.Sprintf("complete; cache %d/%d entries, pool %d retained / %d dropped",
 			final.SegCache.Size, segCap, final.Pool.Retained, final.Pool.Drops))
 	return t, nil
+}
+
+// mixedShapes submits jobs one at a time, cycling through a small, a
+// large and another small shape, until each of the daemon's workers has
+// served a large job right after a small one and a small one right after
+// a large one, and checks each job's histogram, ops and copies against a
+// direct core.Run. It returns the number of jobs it ran, failing after
+// 16 per worker.
+func mixedShapes(ctx context.Context, client *service.Client, seed int64, workers int) (int, error) {
+	shapes := []service.JobRequest{
+		{Tenant: "mixed", Bench: "bv5", Trials: 64, Seed: seed},
+		{Tenant: "mixed", Bench: "qv_n5d5", Trials: 2048, Seed: seed},
+		{Tenant: "mixed", Bench: "qft5", Trials: 96, Seed: seed, Fuse: "numeric"},
+	}
+	large := func(i int) bool { return shapes[i].Trials > 1000 }
+	type ref struct {
+		counts      map[string]int
+		ops, copies int64
+	}
+	refs := make([]ref, len(shapes))
+	for i, req := range shapes {
+		c, err := bench.Build(req.Bench, req.Seed)
+		if err != nil {
+			return 0, err
+		}
+		fuse, err := statevec.ParseFuseMode(cmp.Or(req.Fuse, "off"))
+		if err != nil {
+			return 0, err
+		}
+		rep, err := core.Run(core.Config{
+			Circuit: c, Device: device.Yorktown(), Trials: req.Trials, Seed: req.Seed,
+			Mode: core.ModeReordered, Fuse: fuse, Workers: 1,
+		})
+		if err != nil {
+			return 0, fmt.Errorf("mixed shapes: reference run: %v", err)
+		}
+		refs[i] = ref{service.FormatCounts(rep.Reordered.Counts, rep.Circuit), rep.Reordered.Ops, rep.Reordered.Copies}
+	}
+	last := make(map[int]int) // worker -> shape of its previous job
+	grew, shrank := make(map[int]bool), make(map[int]bool)
+	for n := 0; n < 16*workers; n++ {
+		if len(grew) == workers && len(shrank) == workers {
+			return n, nil
+		}
+		i := n % len(shapes)
+		v, err := client.Run(ctx, shapes[i])
+		if err != nil {
+			return 0, fmt.Errorf("mixed shapes: job %d: %v", n, err)
+		}
+		if v.State != service.StateDone {
+			return 0, fmt.Errorf("mixed shapes: job %d ended %q: %s", n, v.State, v.Error)
+		}
+		if !sameCounts(v.Counts, refs[i].counts) || v.Ops != refs[i].ops || v.Copies != refs[i].copies {
+			return 0, fmt.Errorf("mixed shapes: job %d (%s, %d trials, worker %d) differs from direct core.Run",
+				n, shapes[i].Bench, shapes[i].Trials, v.Worker)
+		}
+		if prev, ok := last[v.Worker]; ok {
+			switch {
+			case large(i) && !large(prev):
+				grew[v.Worker] = true
+			case !large(i) && large(prev):
+				shrank[v.Worker] = true
+			}
+		}
+		last[v.Worker] = i
+	}
+	return 0, fmt.Errorf("mixed shapes: after %d jobs %d workers grew and %d shrank, want all %d",
+		16*workers, len(grew), len(shrank), workers)
 }
 
 // sameCounts compares two formatted histograms exactly.

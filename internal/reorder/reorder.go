@@ -22,6 +22,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/gate"
@@ -43,13 +44,62 @@ import (
 // child node. When key spread and rank need more than 64 bits, the node
 // sorts ranks by (key, rank) instead. Scratch is sized once per call.
 func Sort(trials []*trial.Trial) []*trial.Trial {
-	out := make([]*trial.Trial, len(trials))
+	var w Workspace
+	return w.Sort(trials)
+}
+
+// Workspace holds Sort's order and scratch and the plan builder's steps,
+// layer tables, prefix and snapshot stack between runs. Its zero value
+// is ready to use. The order Sort returns stays valid until the
+// workspace's next Sort, and a plan it builds (its Steps and layer
+// tables) until its next BuildPlanOrderedBudget or
+// CountPlanOrderedBudget: the next call of the same kind reuses the
+// slabs. A plan may therefore be built over the workspace's own order.
+type Workspace struct {
+	part   partitioner
+	steps  []Step
+	layers []int // a plan's layerOps and layerCum, one slab
+	prefix []trial.Key
+	snaps  []snap
+}
+
+// Sort is the package-level Sort over w's slabs.
+func (w *Workspace) Sort(trials []*trial.Trial) []*trial.Trial {
+	n := len(trials)
+	p := &w.part
+	if cap(p.order) < n {
+		p.order = make([]*trial.Trial, n)
+	}
+	if n > 1 && cap(p.keys) < n {
+		p.keys, p.held = make([]uint64, n), make([]*trial.Trial, n)
+	}
+	out := p.order[:n]
 	copy(out, trials)
-	if len(out) > 1 {
-		p := partitioner{order: out, keys: make([]uint64, len(out)), held: make([]*trial.Trial, len(out))}
-		p.node(0, len(out), 0)
+	if n > 1 {
+		q := partitioner{order: out, keys: p.keys[:n], held: p.held[:n]}
+		q.node(0, n, 0)
 	}
 	return out
+}
+
+// BuildPlanOrderedBudget is the package-level BuildPlanOrderedBudget
+// over w's slabs.
+func (w *Workspace) BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
+	return buildPlanOrdered(c, ordered, budget, true, w)
+}
+
+// CountPlanOrderedBudget is the package-level CountPlanOrderedBudget
+// over w's slabs.
+func (w *Workspace) CountPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
+	return buildPlanOrdered(c, ordered, budget, false, w)
+}
+
+// Bytes returns the capacity the workspace's slabs hold, in bytes.
+func (w *Workspace) Bytes() int {
+	ptr := int(unsafe.Sizeof(&trial.Trial{}))
+	return (cap(w.part.order)+cap(w.part.held))*ptr + cap(w.part.keys)*8 +
+		cap(w.steps)*int(unsafe.Sizeof(Step{})) + cap(w.layers)*int(unsafe.Sizeof(0)) +
+		cap(w.prefix)*int(unsafe.Sizeof(trial.Key(0))) + cap(w.snaps)*int(unsafe.Sizeof(snap{}))
 }
 
 // partitioner holds Sort's order and its scratch. A node uses only the
@@ -378,7 +428,8 @@ func BuildPlanOrdered(c *circuit.Circuit, ordered []*trial.Trial) (*Plan, error)
 // is allocated once at its exact size. Budgeted plans presize to a bound
 // and grow when their replays exceed it.
 func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
-	return buildPlanOrdered(c, ordered, budget, true)
+	var w Workspace
+	return w.BuildPlanOrderedBudget(c, ordered, budget)
 }
 
 // CountPlanOrderedBudget is BuildPlanOrderedBudget without the steps: the
@@ -389,16 +440,17 @@ func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget i
 // such as the subtree-parallel executors, which build their own split
 // plans.
 func CountPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
-	return buildPlanOrdered(c, ordered, budget, false)
+	var w Workspace
+	return w.CountPlanOrderedBudget(c, ordered, budget)
 }
 
 // buildPlanOrdered builds (record) or counts the plan of a presorted
-// trial slice under a snapshot budget.
-func buildPlanOrdered(c *circuit.Circuit, ordered []*trial.Trial, budget int, record bool) (*Plan, error) {
+// trial slice under a snapshot budget over w's slabs.
+func buildPlanOrdered(c *circuit.Circuit, ordered []*trial.Trial, budget int, record bool, w *Workspace) (*Plan, error) {
 	if budget < 0 {
 		return nil, fmt.Errorf("reorder: negative snapshot budget %d", budget)
 	}
-	p, err := planShell(c, ordered)
+	p, err := planShell(c, ordered, w)
 	if err != nil {
 		return nil, err
 	}
@@ -413,12 +465,20 @@ func buildPlanOrdered(c *circuit.Circuit, ordered []*trial.Trial, budget int, re
 		steps = 4*p.injections + 2*len(ordered) + 1
 	}
 	if record {
-		p.Steps = make([]Step, 0, steps)
+		// Exactly sized when new, so an unbudgeted plan's Steps has no
+		// spare capacity.
+		if cap(w.steps) < steps {
+			w.steps = make([]Step, 0, steps)
+		}
+		p.Steps = w.steps[:0]
 	}
 
-	b := newPlanBuilder(p, math.MaxInt, budget)
+	b := newPlanBuilder(p, math.MaxInt, budget, w)
 	b.record = record
 	b.build(0, len(p.Order), 0)
+	if record {
+		w.steps = p.Steps // a budgeted plan may have grown them
+	}
 	if b.layersDone != p.nLayers {
 		// The final emit always advances to the end; reaching here means
 		// the builder has a bug, so fail loudly.
@@ -484,10 +544,10 @@ func scanOrder(ordered []*trial.Trial, depth, entry, nLayers int) (int, error) {
 }
 
 // planShell builds a Plan over an already-ordered trial sequence with the
-// circuit's layer metadata and the baseline op count filled in, ready for a
-// planBuilder to populate steps and metrics. It rejects orders and
-// circuits too large for a Step's int32 fields.
-func planShell(c *circuit.Circuit, ordered []*trial.Trial) (*Plan, error) {
+// circuit's layer metadata, in w's layer slab, and the baseline op count
+// filled in, ready for a planBuilder to populate steps and metrics. It
+// rejects orders and circuits too large for a Step's int32 fields.
+func planShell(c *circuit.Circuit, ordered []*trial.Trial, w *Workspace) (*Plan, error) {
 	if len(ordered) == 0 {
 		return nil, fmt.Errorf("reorder: empty trial set")
 	}
@@ -495,12 +555,17 @@ func planShell(c *circuit.Circuit, ordered []*trial.Trial) (*Plan, error) {
 	if err := checkStepRange(len(ordered), len(layers)); err != nil {
 		return nil, err
 	}
+	n := len(layers)
+	if cap(w.layers) < 2*n+1 {
+		w.layers = make([]int, 2*n+1)
+	}
 	p := &Plan{
 		Order:    ordered,
-		nLayers:  len(layers),
-		layerOps: make([]int, len(layers)),
-		layerCum: make([]int, len(layers)+1),
+		nLayers:  n,
+		layerOps: w.layers[:n:n],
+		layerCum: w.layers[n : 2*n+1 : 2*n+1],
 	}
+	p.layerCum[0] = 0
 	for l, idx := range layers {
 		p.layerOps[l] = len(idx)
 		p.layerCum[l+1] = p.layerCum[l] + len(idx)
@@ -543,12 +608,15 @@ type planBuilder struct {
 
 // newPlanBuilder returns a builder over p's trial order. The prefix and
 // the snapshot stack are never deeper than the longest injection list, so
-// both are sized once.
-func newPlanBuilder(p *Plan, depthCap, budget int) *planBuilder {
+// both are sized once, in w's slabs.
+func newPlanBuilder(p *Plan, depthCap, budget int, w *Workspace) *planBuilder {
+	if cap(w.prefix) < p.maxInj {
+		w.prefix, w.snaps = make([]trial.Key, 0, p.maxInj), make([]snap, 0, p.maxInj)
+	}
 	return &planBuilder{
 		plan: p, depthCap: depthCap, budget: budget,
-		prefix: make([]trial.Key, 0, p.maxInj),
-		snaps:  make([]snap, 0, p.maxInj),
+		prefix: w.prefix[:0],
+		snaps:  w.snaps[:0],
 	}
 }
 
@@ -709,11 +777,12 @@ func AnalyzeCapped(c *circuit.Circuit, trials []*trial.Trial, maxShared int) (An
 // and a snapshot budget: the planBuilder recursion without steps, so its
 // metrics match BuildPlanBudget's exactly.
 func analyze(c *circuit.Circuit, trials []*trial.Trial, depthCap, budget int) (Analysis, error) {
-	p, err := planShell(c, Sort(trials))
+	var w Workspace
+	p, err := planShell(c, w.Sort(trials), &w)
 	if err != nil {
 		return Analysis{}, err
 	}
-	b := newPlanBuilder(p, depthCap, budget)
+	b := newPlanBuilder(p, depthCap, budget, &w)
 	b.build(0, len(p.Order), 0)
 	if b.layersDone != p.nLayers || len(b.snaps) != 0 {
 		return Analysis{}, fmt.Errorf("reorder: internal analysis error (layer %d of %d, stack %d)", b.layersDone, p.nLayers, len(b.snaps))

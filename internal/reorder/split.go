@@ -144,7 +144,8 @@ func SplitPlanOrderedCut(c *circuit.Circuit, ordered []*trial.Trial, cut, budget
 	if budget < 0 {
 		return nil, fmt.Errorf("reorder: negative snapshot budget %d", budget)
 	}
-	shell, err := planShell(c, ordered)
+	var w Workspace
+	shell, err := planShell(c, ordered, &w)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +160,7 @@ func SplitPlanOrderedCut(c *circuit.Circuit, ordered []*trial.Trial, cut, budget
 		layerCum: shell.layerCum,
 		baseline: shell.baseline,
 	}
-	b := newPlanBuilder(shell, math.MaxInt, budget)
+	b := newPlanBuilder(shell, math.MaxInt, budget, &w)
 	b.record = true
 	b.split, b.cut = sp, cut
 	b.build(0, len(ordered), 0)

@@ -174,6 +174,9 @@ type JobView struct {
 	// reused kernels another request compiled. A FuseOff job makes none.
 	SegCacheHits   int64 `json:"segcache_hits"`
 	SegCacheMisses int64 `json:"segcache_misses"`
+	// Worker is the index of the worker that picked the job up (0 while
+	// queued). Each worker reuses one core.Runner's slabs across its jobs.
+	Worker int `json:"worker"`
 }
 
 // Stats is the JSON body of GET /v1/stats: the daemon-wide shared state.
@@ -234,6 +237,7 @@ type job struct {
 	finished  time.Time
 	segHits   int64
 	segMisses int64
+	worker    int // the worker that picked the job up
 	done      chan struct{}
 	retired   bool // finished and counted against the retention cap
 
@@ -270,8 +274,9 @@ type Server struct {
 	draining bool
 	tenantMs map[string]*obs.Metrics
 
-	// run executes one job; core.Run outside tests.
-	run func(core.Config) (*core.Report, error)
+	// run executes one job on its worker's Runner; (*core.Runner).Run
+	// outside tests.
+	run func(*core.Runner, core.Config) (*core.Report, error)
 
 	wg sync.WaitGroup
 }
@@ -304,7 +309,7 @@ func New(cfg Config) *Server {
 		retain:   DefaultJobRetention,
 		tenantQs: make(map[string][]*job),
 		tenantMs: make(map[string]*obs.Metrics),
-		run:      core.Run,
+		run:      (*core.Runner).Run,
 	}
 	s.tracer = trace.New(trace.Config{
 		SampleRate: cfg.TraceSample,
@@ -555,10 +560,10 @@ func (s *Server) tenantMetrics(tenant string) *obs.Metrics {
 	return s.tenantMetricsLocked(tenant)
 }
 
-// next pops the next job in tenant round-robin order, blocking until one
-// is available or drain empties the queue. Returns nil when the worker
-// should exit.
-func (s *Server) next() *job {
+// next pops the next job in tenant round-robin order for worker w,
+// blocking until one is available or drain empties the queue. Returns nil
+// when the worker should exit.
+func (s *Server) next(w int) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -579,6 +584,7 @@ func (s *Server) next() *job {
 				s.queued--
 				j.state = StateRunning
 				j.started = time.Now()
+				j.worker = w
 				return j
 			}
 		}
@@ -589,22 +595,26 @@ func (s *Server) next() *job {
 	}
 }
 
-// worker executes jobs until drain empties the queue.
+// worker executes jobs until drain empties the queue. It owns one
+// core.Runner, so each job reuses the slabs of the worker's previous job.
 func (s *Server) worker(i int) {
 	defer s.wg.Done()
+	var r core.Runner
 	for {
-		j := s.next()
+		j := s.next(i)
 		if j == nil {
 			s.logger.Debug("worker exiting", "worker", i)
 			return
 		}
-		s.runJob(j)
+		s.runJob(&r, j)
 	}
 }
 
-// runJob executes one admitted job against the shared arena and segment
-// cache, recording into both the aggregate and the tenant recorder.
-func (s *Server) runJob(j *job) {
+// runJob executes one admitted job on the worker's Runner against the
+// shared arena and segment cache, recording into both the aggregate and
+// the tenant recorder. The report aliases the Runner's slabs, so the job
+// keeps copies (its countList and counters), never the report.
+func (s *Server) runJob(r *core.Runner, j *job) {
 	j.queueSpan.End()
 	tm := s.tenantMetrics(j.tenant)
 	rec := obs.Multi(s.metrics, tm)
@@ -614,7 +624,7 @@ func (s *Server) runJob(j *job) {
 
 	h0 := tm.Counter(obs.SegCacheHits)
 	m0 := tm.Counter(obs.SegCacheMisses)
-	rep, err := s.runRecovered(cfg)
+	rep, err := s.runRecovered(r, cfg)
 
 	s.mu.Lock()
 	j.finished = time.Now()
@@ -703,14 +713,15 @@ func (s *Server) retireLocked(j *job) {
 // runRecovered is s.run with a panic turned into the job's error, so one
 // bad job fails alone instead of taking every tenant's jobs down with the
 // daemon. It covers the job's own goroutine; executor worker goroutines
-// are not covered.
-func (s *Server) runRecovered(cfg core.Config) (rep *core.Report, err error) {
+// are not covered. The Runner stays usable: each Run resets what it
+// reuses.
+func (s *Server) runRecovered(r *core.Runner, cfg core.Config) (rep *core.Report, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			rep, err = nil, fmt.Errorf("service: job panicked: %v", r)
+		if p := recover(); p != nil {
+			rep, err = nil, fmt.Errorf("service: job panicked: %v", p)
 		}
 	}()
-	return s.run(cfg)
+	return s.run(r, cfg)
 }
 
 // FormatCounts renders an outcome histogram with fixed-width binary keys,
@@ -842,6 +853,7 @@ func (s *Server) view(j *job) JobView {
 		Trials:         j.req.Trials,
 		SegCacheHits:   j.segHits,
 		SegCacheMisses: j.segMisses,
+		Worker:         j.worker,
 	}
 	if j.err != nil {
 		v.Error = j.err.Error()

@@ -224,6 +224,70 @@ func TestDefaultRequestRunsDispatch(t *testing.T) {
 	}
 }
 
+// TestWorkersServeMixedShapes: two workers, each reusing one Runner
+// across its jobs, serve jobs whose shapes grow and shrink (trials 64 to
+// 2,048, five circuits, both fuse modes, every restore policy, a budget,
+// executor workers), and every histogram, op and copy count equals a
+// direct core.Run of the same configuration.
+func TestWorkersServeMixedShapes(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 2, QueueCap: 64})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	benches := []string{"qv_n5d5", "bv5", "qft5", "grover", "qv_n5d3"}
+	trials := []int{2048, 64, 1024, 128, 512, 96}
+	var reqs []JobRequest
+	for i := range 18 {
+		req := JobRequest{Tenant: []string{"alice", "bob"}[i%2], Bench: benches[i%len(benches)],
+			Trials: trials[i%len(trials)], Seed: int64(i + 1)}
+		switch i % 6 {
+		case 1:
+			req.Fuse = "numeric"
+		case 2:
+			req.Policy = "uncompute"
+		case 3:
+			req.Policy, req.Budget = "adaptive", 1
+		case 4:
+			req.Budget = 2
+		case 5:
+			req.Workers = 2
+		}
+		reqs = append(reqs, req)
+	}
+	ids := make([]string, len(reqs))
+	for i, req := range reqs {
+		id, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids[i] = id
+	}
+	for i, id := range ids {
+		v, err := c.Wait(ctx, id)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if v.State != StateDone {
+			t.Fatalf("job %d: state %q (err %q), want done", i, v.State, v.Error)
+		}
+		req := reqs[i]
+		cfg, err := s.buildConfig(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := FormatCounts(rep.Reordered.Counts, rep.Circuit); !maps.Equal(v.Counts, want) {
+			t.Fatalf("job %d (%s, %d trials): daemon histogram %v, direct %v", i, req.Bench, req.Trials, v.Counts, want)
+		}
+		if v.Ops != rep.Reordered.Ops || v.Copies != rep.Reordered.Copies {
+			t.Fatalf("job %d: daemon ops %d copies %d, direct ops %d copies %d",
+				i, v.Ops, v.Copies, rep.Reordered.Ops, rep.Reordered.Copies)
+		}
+	}
+}
+
 // TestQueueFull429: with no workers draining the queue, submissions
 // beyond QueueCap are rejected with 429 and counted.
 func TestQueueFull429(t *testing.T) {
@@ -361,11 +425,11 @@ func TestFinishedJobDropsWorkingSet(t *testing.T) {
 // the job and its trace — and the daemon goes on serving the next job.
 func TestJobPanicRecovered(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 1, QueueCap: 8, TraceSeed: 3})
-	s.run = func(cfg core.Config) (*core.Report, error) {
+	s.run = func(r *core.Runner, cfg core.Config) (*core.Report, error) {
 		if cfg.Seed == 13 {
 			panic("boom")
 		}
-		return core.Run(cfg)
+		return r.Run(cfg)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -419,7 +483,7 @@ func TestRoundRobinFairness(t *testing.T) {
 
 	want := []string{a1, b1, c1, a2, a3}
 	for i, wantID := range want {
-		j := s.next()
+		j := s.next(0)
 		if j == nil {
 			t.Fatalf("next %d: nil", i)
 		}
@@ -636,11 +700,11 @@ func TestJobRetentionBounded(t *testing.T) {
 	s.mu.Unlock()
 	// Jobs with seed 1 and 2 run until their gate closes.
 	gates := map[int64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
-	s.run = func(cfg core.Config) (*core.Report, error) {
+	s.run = func(r *core.Runner, cfg core.Config) (*core.Report, error) {
 		if g := gates[cfg.Seed]; g != nil {
 			<-g
 		}
-		return core.Run(cfg)
+		return r.Run(cfg)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

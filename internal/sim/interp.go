@@ -82,10 +82,14 @@ type advancer struct {
 	bits bitsTable
 }
 
-func newAdvancer(c *circuit.Circuit, prog *statevec.Program, trials int) advancer {
-	adv := advancer{prog: prog, bits: newBitsTable(c, trials)}
+// newAdvancer returns the advancer of a run of trials trials of c. It
+// resolves the dispatch table into tab, which it needs only without prog,
+// and the measured-bits table into bits's slab.
+func newAdvancer(c *circuit.Circuit, prog *statevec.Program, trials int, tab *dispatchTable, bits bitsTable) advancer {
+	adv := advancer{prog: prog, bits: bits.fill(c, trials)}
 	if prog == nil {
-		adv.tab = newDispatchTable(c)
+		tab.reset(c)
+		adv.tab = tab
 	}
 	return adv
 }
@@ -101,10 +105,17 @@ type dispatchTable struct {
 	pauli []statevec.OpKernel // Pauli p on qubit q is pauli[3q+p]
 }
 
-func newDispatchTable(c *circuit.Circuit) *dispatchTable {
+// reset resolves c into t, reusing t's slabs when they are large enough.
+func (t *dispatchTable) reset(c *circuit.Circuit) {
 	layers, ops, n := c.Layers(), c.Ops(), c.NumQubits()
-	all := make([]statevec.OpKernel, 0, len(ops)+3*n)
-	t := &dispatchTable{start: make([]int, len(layers)+1)}
+	all := t.kern[:0] // kern's capacity spans the Pauli kernels too
+	if size := len(ops) + 3*n; cap(all) < size {
+		all = make([]statevec.OpKernel, 0, size)
+	}
+	if cap(t.start) < len(layers)+1 {
+		t.start = make([]int, len(layers)+1)
+	}
+	t.start = t.start[:len(layers)+1] // start[0] is never written: always 0
 	for l, idx := range layers {
 		for _, oi := range idx {
 			all = append(all, statevec.ResolveOp(n, ops[oi].Gate, ops[oi].Qubits...))
@@ -118,7 +129,6 @@ func newDispatchTable(c *circuit.Circuit) *dispatchTable {
 		}
 	}
 	t.pauli = all[len(t.kern):]
-	return t
 }
 
 // injection returns the kernel of Pauli op on qubit, or nil without a
@@ -137,11 +147,22 @@ func (t *dispatchTable) injection(op gate.Pauli, qubit int) []statevec.OpKernel 
 // as a Handler, so it lives on the heap: reuse keeps that to one allocation
 // per goroutine, not one per task.
 func newBranchState(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool) *branchState {
-	return &branchState{
-		c: c, opt: opt, sink: newStepSink(opt.Recorder, opt.Span), tr: tr, pool: pool,
+	bs := new(branchState)
+	bs.reset(c, opt, adv, res, tr, pool, nil)
+	return bs
+}
+
+// reset readies bs for a new walk, keeping its frame stack and journal
+// for reuse, and sink too when the walk has one (see newStepSink). Every
+// register must have been released.
+func (bs *branchState) reset(c *circuit.Circuit, opt Options, adv advancer, res *Result, tr *msvTracker, pool *statePool, sink *stepSink) {
+	*bs = branchState{
+		c: c, opt: opt, sink: newStepSink(opt.Recorder, opt.Span, sink), tr: tr, pool: pool,
 		prog: adv.prog, tab: adv.tab, bits: adv.bits, res: res,
-		policy: opt.Policy != PolicySnapshot,
-		exact:  opt.Fuse != statevec.FuseNumeric,
+		journal: bs.journal[:0],
+		frames:  bs.frames[:0],
+		policy:  opt.Policy != PolicySnapshot,
+		exact:   opt.Fuse != statevec.FuseNumeric,
 	}
 }
 

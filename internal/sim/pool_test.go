@@ -7,8 +7,10 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/noise"
+	"repro/internal/obs"
 	"repro/internal/reorder"
 	"repro/internal/statevec"
+	"repro/internal/trace"
 )
 
 // TestRegistersReturnToArena is the register accounting of the
@@ -141,6 +143,39 @@ func TestRegistersReturnToArena(t *testing.T) {
 			if back := int64(pool.Retained()) + pool.Drops(); back != misses {
 				t.Errorf("%s: run %d: drew %d registers, %d back in the pool or dropped", tc.name, rep, misses, back)
 			}
+		}
+	}
+}
+
+// TestWorkspaceKeepsNoJob: after ExecutePlan, a Workspace keeps its
+// slabs but no reference to the run's circuit, options, result, arena,
+// Recorder or span, also when the walk fails, so an idle workspace does
+// not hold a finished job's working set.
+func TestWorkspaceKeepsNoJob(t *testing.T) {
+	c, err := bench.Build("qft5", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := reorder.BuildPlan(c, genTrials(t, c, noise.Uniform("u", c.NumQubits(), 0.01, 0.05, 0.02), 256, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := *plan
+	broken.Steps = slices.Clone(plan.Steps)
+	broken.Steps[len(broken.Steps)/2].Kind = reorder.StepKind(7)
+	var w Workspace
+	for _, p := range []*reorder.Plan{plan, &broken} {
+		root := trace.New(trace.Config{Seed: 1}).Start("test", trace.SpanContext{})
+		_, err := w.ExecutePlan(c, p, Options{Recorder: obs.NewMetrics(), Span: root, Pool: statevec.NewBufferPool()})
+		if (err != nil) != (p == &broken) {
+			t.Fatalf("error %v", err)
+		}
+		if w.bs.c != nil || w.bs.res != nil || w.bs.work != nil || w.bs.opt.Recorder != nil || w.bs.opt.Span != nil || w.bs.opt.Pool != nil || w.pool.arena != nil ||
+			w.sink.rec != nil || w.sink.span != nil {
+			t.Errorf("an idle workspace still references its last run")
+		}
+		if cap(w.outcomes) == 0 || len(w.tab.kern) == 0 {
+			t.Errorf("the workspace dropped its slabs")
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/obs"
@@ -287,11 +288,16 @@ func sampleBitsRaw(st *statevec.State, c *circuit.Circuit, t *trial.Trial) uint6
 // outcome loops.
 type bitsTable []uint64
 
-func newBitsTable(c *circuit.Circuit, trials int) bitsTable {
+// fill returns the table of a run of trials trials of c in t's slab,
+// grown when it is too small, or nil when the run should loop instead.
+func (t bitsTable) fill(c *circuit.Circuit, trials int) bitsTable {
 	if c.NumQubits() >= 31 || 1<<c.NumQubits() > trials {
 		return nil
 	}
-	t := make(bitsTable, 1<<c.NumQubits())
+	if cap(t) < 1<<c.NumQubits() {
+		t = make(bitsTable, 1<<c.NumQubits())
+	}
+	t = t[:1<<c.NumQubits()]
 	for i := range t {
 		t[i] = measuredBits(c, i)
 	}
@@ -391,6 +397,29 @@ func Reordered(c *circuit.Circuit, trials []*trial.Trial, opt Options) (*Result,
 // child; all deeper trace activity — segment compiles, snapshot events,
 // policy decisions — nests under that child.
 func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, error) {
+	return new(Workspace).ExecutePlan(c, plan, opt)
+}
+
+// Workspace holds a sequential plan walk's slabs between runs: the
+// dispatch table, the measured-bits table, the branch state with its
+// frame stack and journal, the step sink with its tally and event
+// buffer, and the result's outcomes and histogram. Its zero value is
+// ready to use. The Outcomes and Counts of a Result it returned stay
+// valid until its next ExecutePlan, which reuses them; the rest of the
+// Result is the caller's.
+type Workspace struct {
+	tab      dispatchTable
+	bits     bitsTable
+	bs       branchState
+	pool     statePool
+	tr       msvTracker
+	sink     *stepSink
+	outcomes []Outcome
+	counts   map[uint64]int
+}
+
+// ExecutePlan is the package-level ExecutePlan over w's slabs.
+func (w *Workspace) ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, error) {
 	if err := opt.check(); err != nil {
 		return nil, err
 	}
@@ -405,23 +434,35 @@ func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, 
 	if err := c.Validate(); err != nil {
 		return traceDone(esp, nil, err)
 	}
-	res := newResult(c, len(plan.Order), opt.KeepStates)
+	res := reuseResult(w.outcomes, w.counts, c, len(plan.Order), opt.KeepStates)
+	w.outcomes, w.counts = res.Outcomes, res.Counts
 	rec := opt.Recorder
 	prog := plan.Prog
 	if prog == nil {
 		prog = opt.compileProgram(c, opt.Policy != PolicySnapshot)
 	}
+	adv := newAdvancer(c, prog, len(plan.Order), &w.tab, w.bits)
+	if adv.bits != nil {
+		w.bits = adv.bits
+	}
 	arena, owned := opt.bufferPool()
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()
-	pool := newStatePool(c.NumQubits(), arena)
-	bs := newBranchState(c, opt, newAdvancer(c, prog, len(plan.Order)), res, &msvTracker{}, pool)
+	w.pool = statePool{qubits: c.NumQubits(), arena: arena}
+	w.tr = msvTracker{}
+	bs := &w.bs
+	bs.reset(c, opt, adv, res, &w.tr, &w.pool, w.sink)
+	if bs.sink != nil {
+		w.sink = bs.sink
+	}
 	// Every StepPush opens a frame, so the plan's stack peak sizes the
 	// frame stack, and with it the spares, once.
-	bs.frames = make([]pframe, 0, plan.MSV())
-	bs.work = pool.get()
-	// A panic hands the registers back too.
-	defer bs.release()
+	if cap(bs.frames) < plan.MSV() {
+		bs.frames = make([]pframe, 0, plan.MSV())
+	}
+	bs.work = w.pool.get()
+	// A panic hands the registers back too, and lets go of the run.
+	defer w.detach()
 	bs.work.Reset()
 	err := bs.run(plan.Steps, plan.Order, len(plan.Order), nil)
 	bs.sink.flush()
@@ -443,11 +484,49 @@ func ExecutePlan(c *circuit.Circuit, plan *reorder.Plan, opt Options) (*Result, 
 	return traceDone(esp, res, nil)
 }
 
+// detach returns the walk's registers to the arena and drops the run's
+// circuit, options, result, arena and span from the workspace, keeping
+// only its slabs, so an idle workspace holds no job's working set.
+func (w *Workspace) detach() {
+	w.bs.release()
+	w.bs = branchState{journal: w.bs.journal[:0], frames: w.bs.frames[:0]}
+	w.pool = statePool{}
+	if w.sink != nil {
+		w.sink.rec, w.sink.span = nil, nil
+	}
+}
+
+// Bytes returns the capacity the workspace's slabs hold, in bytes; the
+// histogram is estimated at 32 bytes per entry.
+func (w *Workspace) Bytes() int {
+	n := cap(w.tab.kern)*int(unsafe.Sizeof(statevec.OpKernel{})) + cap(w.tab.start)*8 +
+		cap(w.bits)*8 + cap(w.bs.journal)*int(unsafe.Sizeof(jentry{})) +
+		cap(w.bs.frames)*int(unsafe.Sizeof(pframe{})) +
+		cap(w.outcomes)*int(unsafe.Sizeof(Outcome{})) + 32*len(w.counts)
+	if w.sink != nil {
+		n += int(unsafe.Sizeof(*w.sink)) + cap(w.sink.events)*int(unsafe.Sizeof(trace.StepEvent{}))
+	}
+	return n
+}
+
 // newResult returns an empty Result with room for the outcomes of trials
 // trials of circuit c (nil: no histogram hint), with the final-state map
 // when the run keeps states.
 func newResult(c *circuit.Circuit, trials int, keepStates bool) *Result {
-	res := &Result{Outcomes: make([]Outcome, 0, trials), Counts: make(map[uint64]int, countsHint(c, trials))}
+	return reuseResult(nil, nil, c, trials, keepStates)
+}
+
+// reuseResult is newResult over an outcome slab and a histogram to reuse
+// (nil: allocate), the slab grown and the histogram emptied first.
+func reuseResult(outcomes []Outcome, counts map[uint64]int, c *circuit.Circuit, trials int, keepStates bool) *Result {
+	if outcomes == nil || cap(outcomes) < trials {
+		outcomes = make([]Outcome, 0, trials)
+	}
+	if counts == nil {
+		counts = make(map[uint64]int, countsHint(c, trials))
+	}
+	clear(counts)
+	res := &Result{Outcomes: outcomes[:0], Counts: counts}
 	if keepStates {
 		res.FinalStates = make(map[int]*statevec.State, trials)
 	}

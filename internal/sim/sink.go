@@ -19,14 +19,22 @@ import (
 // itself every sinkFlushEvery step events, so a long walk's counters
 // reach /metrics while it runs.
 //
+// The sink buffers no more events than the span has room for (its
+// per-span cap): it learns the room when it is given the span and at
+// each flush, and counts the events past it as dropped without buffering
+// them. The span keeps and drops the same events it would if every
+// event were handed to it.
+//
 // A walk with neither a Recorder nor a span has no sink (nil), so the
 // untraced path pays one nil check per instrumented step.
 type stepSink struct {
-	rec    obs.Recorder
-	span   *trace.Span // where events go; a worker's changes per task
-	base   time.Time   // clock origin: the trace's start, else the sink's creation
-	tally  obs.Tally
-	events []trace.StepEvent
+	rec     obs.Recorder
+	span    *trace.Span // where events go; a worker's changes per task
+	base    time.Time   // clock origin: the trace's start, else the sink's creation
+	tally   obs.Tally
+	events  []trace.StepEvent
+	room    int // the span's room for events when last learned; buffered events fill it
+	refused int // events past room since the last flush
 
 	pending  int   // step events since the last flush
 	emitMark int64 // Recorder only: when the previous emit batch ended
@@ -40,28 +48,49 @@ const sinkFlushEvery = 4096
 const sinkEventsHint = 64
 
 // newStepSink returns the sink of a walk that records into rec and
-// traces into span, or nil when both are nil.
-func newStepSink(rec obs.Recorder, span *trace.Span) *stepSink {
+// traces into span, or nil when both are nil. A non-nil reuse is reset
+// and returned instead of a new sink.
+func newStepSink(rec obs.Recorder, span *trace.Span, reuse *stepSink) *stepSink {
 	if rec == nil && span == nil {
 		return nil
 	}
-	s := &stepSink{rec: rec, span: span, base: span.TraceStart()}
+	s := reuse
+	if s == nil {
+		s = new(stepSink)
+	}
+	s.rec, s.base = rec, span.TraceStart()
 	if span == nil {
 		s.base = time.Now()
-	} else {
+	} else if s.events == nil {
 		s.events = make([]trace.StepEvent, 0, sinkEventsHint)
 	}
+	s.tally.Reset()
+	s.events = s.events[:0]
+	s.pending, s.emitMark = 0, 0
+	s.setSpan(span)
 	return s
+}
+
+// setSpan points the sink's events at span, learning its room. The
+// events buffered for the previous span must have been flushed.
+func (s *stepSink) setSpan(span *trace.Span) {
+	s.span, s.room, s.refused = span, span.StepRoom(), 0
 }
 
 // clock reads the time on the sink's clock: nanoseconds since base, so
 // a step event's time is its trace.StepEvent.At.
 func (s *stepSink) clock() int64 { return int64(time.Since(s.base)) }
 
-// event buffers a step event for the span, if the walk has one.
+// event buffers a step event for the span, if the walk has one and the
+// span has room for it; otherwise the span will count it as dropped.
 func (s *stepSink) event(k trace.StepKind, at, v int64) {
-	if s.span != nil {
+	if s.span == nil {
+		return
+	}
+	if len(s.events) < s.room {
 		s.events = append(s.events, trace.StepEvent{At: at, Kind: k, Value: v})
+	} else {
+		s.refused++
 	}
 }
 
@@ -171,8 +200,10 @@ func (s *stepSink) flushEvents() {
 	if s == nil {
 		return
 	}
-	s.span.AddSteps(s.events)
-	s.events = s.events[:0]
+	if len(s.events) > 0 || s.refused > 0 {
+		s.room = s.span.AddSteps(s.events, s.refused)
+	}
+	s.events, s.refused = s.events[:0], 0
 }
 
 // flush merges the tally into the Recorder and hands the buffered step

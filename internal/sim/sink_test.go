@@ -233,3 +233,47 @@ func TestStepEventsMatchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSinkBuffersOnlyTheSpansRoom: a walk whose step events overflow
+// its span's event cap, before and after the sink's periodic flush,
+// buffers no more events than the cap admits; the trace keeps the first
+// cap events and counts every other as dropped, as it would if the sink
+// handed it every event.
+func TestSinkBuffersOnlyTheSpansRoom(t *testing.T) {
+	c := bench.QV(5, 4, rand.New(rand.NewSource(9)))
+	trials := genTrials(t, c, noise.Uniform("noisy", 5, 2e-2, 8e-2, 0), 6000, 3)
+	plan, err := reorder.BuildPlan(c, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxEvents := range []int{16, 256} {
+		root := trace.New(trace.Config{Seed: 1, MaxEvents: maxEvents}).Start("test", trace.SpanContext{})
+		rec := obs.NewMetrics()
+		var w Workspace
+		if _, err := w.ExecutePlan(c, plan, Options{Recorder: rec, Span: root}); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		// A snapshot plan's only step events are its pushes.
+		pushes := rec.Counter(obs.SnapshotPushes)
+		if pushes <= sinkFlushEvery {
+			t.Fatalf("%d pushes; the test needs more than the %d step events between flushes", pushes, sinkFlushEvery)
+		}
+		if buffered := cap(w.sink.events); buffered > max(maxEvents, sinkEventsHint) {
+			t.Errorf("cap %d: the sink buffered up to %d events", maxEvents, buffered)
+		}
+		if w.sink.room != 0 {
+			t.Errorf("cap %d: after the walk the sink counts room for %d more events on a full span", maxEvents, w.sink.room)
+		}
+		var spans, spansDropped, events, dropped int64
+		header := strings.SplitN(root.Trace().Digest(), "\n", 2)[0]
+		if _, err := fmt.Sscanf(header, "span trace: %d spans (%d dropped), %d events (%d dropped)",
+			&spans, &spansDropped, &events, &dropped); err != nil {
+			t.Fatalf("digest header %q: %v", header, err)
+		}
+		if events != int64(maxEvents) || dropped != pushes-int64(maxEvents) {
+			t.Errorf("cap %d, %d pushes: trace kept %d events and dropped %d, want %d and %d",
+				maxEvents, pushes, events, dropped, maxEvents, pushes-int64(maxEvents))
+		}
+	}
+}

@@ -226,7 +226,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 	if prog == nil {
 		prog = opt.compileProgram(c, opt.Policy != PolicySnapshot)
 	}
-	adv := newAdvancer(c, prog, len(sp.Order))
+	adv := newAdvancer(c, prog, len(sp.Order), new(dispatchTable), nil)
 	arena, owned := opt.bufferPool()
 	h0, m0 := arena.Stats()
 	d0 := arena.Drops()
@@ -255,7 +255,7 @@ func ExecuteSplitPlan(c *circuit.Circuit, sp *reorder.SplitPlan, workers int, op
 						tsp.SetWorker(w)
 					}
 					if bs.sink != nil {
-						bs.sink.span = tsp
+						bs.sink.setSpan(tsp)
 					}
 					errs[w] = runSubtree(sp, bs, qt)
 					tsp.SetError(errs[w])

@@ -209,8 +209,8 @@ func TestStepEventsExportAsEvents(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	sp.Event("between")
 	steps = append(steps, StepEvent{At: at(), Kind: StepUncompute, Value: 9}, StepEvent{At: at(), Kind: StepSpawn, Value: 3})
-	sp.AddSteps(steps) // two fit beside the two events; uncompute and spawn are dropped
-	sp.Event("late")   // over the cap
+	sp.AddSteps(steps, 0) // two fit beside the two events; uncompute and spawn are dropped
+	sp.Event("late")      // over the cap
 	sp.End()
 	root.End()
 

@@ -568,21 +568,44 @@ func (s *Span) Event(name string, attrs ...Attr) {
 }
 
 // AddSteps appends plan-walk step events, in time order, to the span
-// under one lock. They count against the same per-span event cap as
-// Event: the events past it are dropped and counted. Nil-safe.
-func (s *Span) AddSteps(evs []StepEvent) {
-	if s == nil || len(evs) == 0 {
-		return
+// under one lock, and counts refused more events that the caller kept
+// out past the room StepRoom or an earlier AddSteps reported. Step
+// events count against the same per-span event cap as Event: the ones
+// past it are dropped and counted with the refused ones. It returns the
+// room left. Nil-safe.
+func (s *Span) AddSteps(evs []StepEvent, refused int) int {
+	if s == nil {
+		return 0
 	}
 	tr := s.tr
 	tr.mu.Lock()
-	room := max(tr.tracer.maxEvents-len(s.events)-len(s.steps), 0)
+	defer tr.mu.Unlock()
+	room := s.roomLocked()
 	if len(evs) > room {
-		tr.droppedEvents += int64(len(evs) - room)
+		refused += len(evs) - room
 		evs = evs[:room]
 	}
+	tr.droppedEvents += int64(refused)
 	s.steps = append(s.steps, evs...)
-	tr.mu.Unlock()
+	return room - len(evs)
+}
+
+// StepRoom returns how many more events the span's cap admits (0 for
+// nil). Events only accumulate, so the room never grows: a caller that
+// buffers at most this many step events for AddSteps buffers none that
+// the cap would drop.
+func (s *Span) StepRoom() int {
+	if s == nil {
+		return 0
+	}
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	return s.roomLocked()
+}
+
+// roomLocked is StepRoom with the trace lock held.
+func (s *Span) roomLocked() int {
+	return max(s.tr.tracer.maxEvents-len(s.events)-len(s.steps), 0)
 }
 
 // TraceStart returns the time the span's trace started, the origin of

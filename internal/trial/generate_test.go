@@ -87,8 +87,8 @@ func TestGenerateInjListsAreIsolated(t *testing.T) {
 
 // TestNewGeneratorAllocs pins the constructor's allocations to a small
 // constant, whatever the slot count: the Generator, the slot table sized
-// from the op count, the measurement copy and its three tables, and the
-// busy table when there are idle errors.
+// from the op count, the measurement table, and the busy table when
+// there are idle errors.
 func TestNewGeneratorAllocs(t *testing.T) {
 	qv := bench.QV(14, 3, rand.New(rand.NewSource(1)))
 	idle := noise.Uniform("idle", 14, 1e-3, 1e-2, 1e-2)
@@ -101,9 +101,9 @@ func TestNewGeneratorAllocs(t *testing.T) {
 		mode ErrorMode
 		max  float64
 	}{
-		{"qv14", noise.Uniform("qv14", 14, 1e-3, 1e-2, 1e-2), PerGate, 6},
-		{"qv14/per-qubit", noise.Uniform("qv14", 14, 1e-3, 1e-2, 1e-2), PerQubit, 6},
-		{"qv14/idle", idle, PerGate, 7},
+		{"qv14", noise.Uniform("qv14", 14, 1e-3, 1e-2, 1e-2), PerGate, 3},
+		{"qv14/per-qubit", noise.Uniform("qv14", 14, 1e-3, 1e-2, 1e-2), PerQubit, 3},
+		{"qv14/idle", idle, PerGate, 4},
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := NewGeneratorMode(qv, tc.m, tc.mode); err != nil {

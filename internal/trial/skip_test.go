@@ -154,9 +154,9 @@ func refGenerate(g *Generator, rng *rand.Rand, n int) []Trial {
 		}
 		slices.Sort(inj)
 		t.Inj = inj
-		for i, p := range g.measProb {
-			if p > 0 && rng.Float64() < p {
-				t.MeasFlips |= 1 << uint(g.measBits[i])
+		for _, ms := range g.meas {
+			if ms.prob > 0 && rng.Float64() < ms.prob {
+				t.MeasFlips |= 1 << uint(ms.bit)
 			}
 		}
 		t.SampleU = rng.Float64()

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/circuit"
 	"repro/internal/gate"
@@ -240,11 +241,18 @@ type Generator struct {
 	// thresholds is slots extended by one row in its spare capacity:
 	// thresholds[m].thr is q^m for m = 0..len(slots).
 	thresholds []slot
-	// measured qubits, their readout error rates, and the classical bit
-	// each writes, ordered by classical bit
-	measQubit []int
-	measProb  []float64
-	measBits  []int
+	// meas holds the readout error rate of each measured qubit, ordered
+	// by the classical bit it writes.
+	meas []measSlot
+	// busy is Reset's scratch: the qubits a gate touches in one layer.
+	busy []bool
+}
+
+// measSlot is one measured qubit's readout error: the classical bit it
+// writes and the probability that bit is flipped.
+type measSlot struct {
+	bit  int
+	prob float64
 }
 
 // NewGenerator precomputes the slot table with the paper's per-gate error
@@ -256,11 +264,26 @@ func NewGenerator(c *circuit.Circuit, m *noise.Model) (*Generator, error) {
 
 // NewGeneratorMode is NewGenerator with an explicit error-injection mode.
 func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Generator, error) {
+	g := new(Generator)
+	if err := g.Reset(c, m, mode); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Reset rebuilds g for circuit c under model m in the given mode, as
+// NewGeneratorMode builds a new generator, reusing g's tables when they
+// are large enough. On error g is unchanged.
+func (g *Generator) Reset(c *circuit.Circuit, m *noise.Model, mode ErrorMode) error {
 	if m.NumQubits() < c.NumQubits() {
-		return nil, fmt.Errorf("trial: model covers %d qubits, circuit needs %d", m.NumQubits(), c.NumQubits())
+		return fmt.Errorf("trial: model covers %d qubits, circuit needs %d", m.NumQubits(), c.NumQubits())
 	}
 	if c.NumLayers() > keyLayerMax || c.NumQubits() > keyQubitMax {
-		return nil, fmt.Errorf("trial: circuit too large to pack (%d layers, %d qubits)", c.NumLayers(), c.NumQubits())
+		return fmt.Errorf("trial: circuit too large to pack (%d layers, %d qubits)", c.NumLayers(), c.NumQubits())
+	}
+	ms := c.Measurements()
+	if len(ms) > 64 {
+		return fmt.Errorf("trial: %d measured bits exceed the 64-bit flip mask", len(ms))
 	}
 	// An op has at most one slot per qubit (a PerGate pair has one) and
 	// a layer at most one idle slot per qubit, which bounds the slot
@@ -275,10 +298,19 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 	}
 	var busy []bool
 	if m.HasIdleErrors() {
-		busy = make([]bool, c.NumQubits())
 		size += c.NumLayers() * c.NumQubits()
+		if cap(g.busy) < c.NumQubits() {
+			g.busy = make([]bool, c.NumQubits())
+		}
+		busy = g.busy[:c.NumQubits()]
 	}
-	g := &Generator{circ: c, model: m, mode: mode, slots: make([]slot, 0, size)}
+	if cap(g.slots) < size {
+		g.slots = make([]slot, 0, size)
+	}
+	if cap(g.meas) < len(ms) {
+		g.meas = make([]measSlot, 0, len(ms))
+	}
+	*g = Generator{circ: c, model: m, mode: mode, slots: g.slots[:0], meas: g.meas[:0], busy: g.busy}
 	for l, idx := range c.Layers() {
 		start := len(g.slots)
 		for _, i := range idx {
@@ -333,20 +365,11 @@ func NewGeneratorMode(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Gene
 		}
 	}
 	g.initSkip()
-	ms := slices.Clone(c.Measurements())
-	slices.SortFunc(ms, func(a, b circuit.Measurement) int { return a.Bit - b.Bit })
-	if len(ms) > 64 {
-		return nil, fmt.Errorf("trial: %d measured bits exceed the 64-bit flip mask", len(ms))
+	for _, mm := range ms {
+		g.meas = append(g.meas, measSlot{bit: mm.Bit, prob: m.Measure(mm.Qubit)})
 	}
-	g.measQubit = make([]int, len(ms))
-	g.measProb = make([]float64, len(ms))
-	g.measBits = make([]int, len(ms))
-	for i, mm := range ms {
-		g.measQubit[i] = mm.Qubit
-		g.measProb[i] = m.Measure(mm.Qubit)
-		g.measBits[i] = mm.Bit
-	}
-	return g, nil
+	slices.SortFunc(g.meas, func(a, b measSlot) int { return a.bit - b.bit })
+	return nil
 }
 
 // NumSlots returns the number of error-injection opportunities per trial.
@@ -426,9 +449,9 @@ func (g *Generator) sample(rng *rand.Rand, id int, t *Trial, arena []Key) []Key 
 	if end := len(arena); end > start {
 		t.Inj = arena[start:end:end]
 	}
-	for i, p := range g.measProb {
-		if p > 0 && rng.Float64() < p {
-			t.MeasFlips |= 1 << uint(g.measBits[i])
+	for _, ms := range g.meas {
+		if ms.prob > 0 && rng.Float64() < ms.prob {
+			t.MeasFlips |= 1 << uint(ms.bit)
 		}
 	}
 	t.SampleU = rng.Float64()
@@ -559,17 +582,60 @@ func (g *Generator) fire(rng *rand.Rand, inj []Key, sl *slot) []Key {
 // trial's Inj is cap-limited, so appending to it never disturbs another
 // trial.
 func (g *Generator) Generate(rng *rand.Rand, n int) []*Trial {
-	slab := make([]Trial, n)
-	out := make([]*Trial, n)
+	var w Workspace
+	return g.GenerateInto(&w, rng, n)
+}
+
+// Workspace holds trial generation's slabs between runs: a generator's
+// tables, the trial slab, its pointer slice and the injection key arena.
+// Its zero value is ready to use. The generator Generator returns stays
+// valid until the next Generator call, and the trials GenerateInto draws
+// into the workspace (with their keys) until the next GenerateInto: each
+// call reuses the slabs.
+type Workspace struct {
+	gen    Generator
+	trials []Trial
+	ptrs   []*Trial
+	keys   []Key
+}
+
+// Generator rebuilds the workspace's generator for circuit c under model
+// m in the given mode (see Generator.Reset) and returns it.
+func (w *Workspace) Generator(c *circuit.Circuit, m *noise.Model, mode ErrorMode) (*Generator, error) {
+	if err := w.gen.Reset(c, m, mode); err != nil {
+		return nil, err
+	}
+	return &w.gen, nil
+}
+
+// GenerateInto is Generate drawing into w's slabs, growing them when
+// they are too small.
+func (g *Generator) GenerateInto(w *Workspace, rng *rand.Rand, n int) []*Trial {
+	if cap(w.trials) < n {
+		w.trials, w.ptrs = make([]Trial, n), make([]*Trial, n)
+	}
+	slab, out := w.trials[:n], w.ptrs[:n]
 	// Size the arena for the expected injections plus headroom. A run
-	// that outgrows it moves on to a larger copy; the trials drawn before
-	// keep their keys in the old array.
-	arena := make([]Key, 0, int(float64(n)*g.ExpectedErrors()*1.25)+64)
+	// that outgrows it moves on to a larger copy, which the workspace
+	// keeps; the trials drawn before keep their keys in the old array.
+	if want := int(float64(n)*g.ExpectedErrors()*1.25) + 64; cap(w.keys) < want {
+		w.keys = make([]Key, 0, want)
+	}
+	arena := w.keys[:0]
 	for i := range slab {
+		slab[i] = Trial{}
 		arena = g.sample(rng, i, &slab[i], arena)
 		out[i] = &slab[i]
 	}
+	w.keys = arena
 	return out
+}
+
+// Bytes returns the capacity the workspace's slabs hold, in bytes.
+func (w *Workspace) Bytes() int {
+	return cap(w.gen.slots)*int(unsafe.Sizeof(slot{})) + cap(w.gen.meas)*int(unsafe.Sizeof(measSlot{})) +
+		cap(w.gen.busy) + cap(w.trials)*int(unsafe.Sizeof(Trial{})) +
+		cap(w.ptrs)*int(unsafe.Sizeof(&Trial{})) + cap(w.keys)*int(unsafe.Sizeof(Key(0)))
 }
 
 // Circuit returns the generator's circuit.
