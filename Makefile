@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-verify bench bench-json perfbench verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke asm-digest
+.PHONY: build vet test race race-verify bench bench-json perfbench verify verify-deep selftest fuzz-smoke metrics-smoke serve-smoke trace-smoke asm-digest loc
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,13 @@ perfbench:
 		echo "== $$w"; \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
 	done
+
+# Non-test Go lines per package outside perfbench/ and examples/, then
+# their total: the line counts ROADMAP.md and CHANGES.md quote.
+loc:
+	@for d in $$(find cmd internal -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		printf '%6d %s\n' $$(cat $$(ls $$d/*.go | grep -v _test) | wc -l) $$d; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 # One sha256 (first 16 hex digits) per TEXT symbol of
 # internal/statevec/kernels_amd64.s, over the instruction bytes go tool

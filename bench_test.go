@@ -79,11 +79,7 @@ func BenchmarkFig5NormalizedComputation(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					rng := rand.New(rand.NewSource(benchSeed + int64(n)))
 					trials := gen.Generate(rng, n)
-					a, err := reorder.Analyze(c, trials)
-					if err != nil {
-						b.Fatal(err)
-					}
-					norm = a.Normalized
+					norm = countPlan(b, c, trials, reorder.Options{}).Normalized
 				}
 				b.ReportMetric(norm, "normcomp")
 			})
@@ -106,10 +102,7 @@ func BenchmarkFig6MSV(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(benchSeed + 1024))
 				trials := gen.Generate(rng, 1024)
-				a, err := reorder.Analyze(c, trials)
-				if err != nil {
-					b.Fatal(err)
-				}
+				a := countPlan(b, c, trials, reorder.Options{})
 				msv = a.MSV
 			}
 			b.ReportMetric(float64(msv), "MSV")
@@ -135,10 +128,7 @@ func scalabilityCase(b *testing.B, n, d int, p1 float64, trials int) {
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(seed))
 		ts := gen.Generate(rng, trials)
-		a, err := reorder.Analyze(c, ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		a := countPlan(b, c, ts, reorder.Options{})
 		norm, msv = a.Normalized, a.MSV
 	}
 	b.ReportMetric(norm, "normcomp")
@@ -226,7 +216,7 @@ func BenchmarkExecBaseline(b *testing.B) {
 func BenchmarkExecReordered(b *testing.B) {
 	for _, name := range []string{"bv5", "grover", "qft5", "qv_n5d5"} {
 		c, trials := execCase(b, name, 1024)
-		plan, err := reorder.BuildPlan(c, trials)
+		plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,6 +233,18 @@ func BenchmarkExecReordered(b *testing.B) {
 	}
 }
 
+// countPlan counts the plan of the trials under opt, without steps, and
+// returns its static metrics.
+func countPlan(b *testing.B, c *circuit.Circuit, trials []*trial.Trial, opt reorder.Options) reorder.Analysis {
+	b.Helper()
+	opt.Count = true
+	p, err := reorder.BuildPlan(c, trials, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p.Analysis()
+}
+
 // BenchmarkPlanConstruction isolates the overhead the scheme adds before
 // any amplitude math: sorting the trials and building the plan.
 func BenchmarkPlanConstruction(b *testing.B) {
@@ -254,16 +256,14 @@ func BenchmarkPlanConstruction(b *testing.B) {
 	})
 	b.Run("plan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := reorder.BuildPlan(c, trials); err != nil {
+			if _, err := reorder.BuildPlan(c, trials, reorder.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("analyze-stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := reorder.Analyze(c, trials); err != nil {
-				b.Fatal(err)
-			}
+			countPlan(b, c, trials, reorder.Options{})
 		}
 	})
 }
@@ -311,10 +311,11 @@ func BenchmarkAblationReorderDepth(b *testing.B) {
 			var norm float64
 			var msv int
 			for i := 0; i < b.N; i++ {
-				a, err := reorder.AnalyzeCapped(c, trials, tc.cap)
-				if err != nil {
-					b.Fatal(err)
+				opt := reorder.Options{MaxShared: tc.cap}
+				if tc.cap == 0 {
+					opt.MaxShared = reorder.NoSharing
 				}
+				a := countPlan(b, c, trials, opt)
 				norm, msv = a.Normalized, a.MSV
 			}
 			b.ReportMetric(norm, "normcomp")
@@ -337,10 +338,7 @@ func BenchmarkAblationErrorMode(b *testing.B) {
 			var norm float64
 			for i := 0; i < b.N; i++ {
 				trials := gen.Generate(rand.New(rand.NewSource(benchSeed)), 2048)
-				a, err := reorder.Analyze(c, trials)
-				if err != nil {
-					b.Fatal(err)
-				}
+				a := countPlan(b, c, trials, reorder.Options{})
 				norm = a.Normalized
 			}
 			b.ReportMetric(norm, "normcomp")
@@ -376,7 +374,7 @@ func BenchmarkExecTableau(b *testing.B) {
 		b.Fatal(err)
 	}
 	trials := gen.Generate(rand.New(rand.NewSource(benchSeed)), 512)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -427,7 +425,7 @@ func BenchmarkParallelSubtreeWorkers(b *testing.B) {
 // workload, the yardstick both parallel benchmarks report against.
 func sequentialOps(b *testing.B, c *circuit.Circuit, trials []*trial.Trial) int64 {
 	b.Helper()
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -512,7 +510,7 @@ func BenchmarkExecFused(b *testing.B) {
 		b.Fatal(err)
 	}
 	trials := gen.Generate(rand.New(rand.NewSource(benchSeed)), 256)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -560,11 +558,7 @@ func BenchmarkAblationLayering(b *testing.B) {
 				var norm float64
 				for i := 0; i < b.N; i++ {
 					trials := gen.Generate(rand.New(rand.NewSource(benchSeed)), 2048)
-					a, err := reorder.Analyze(c, trials)
-					if err != nil {
-						b.Fatal(err)
-					}
-					norm = a.Normalized
+					norm = countPlan(b, c, trials, reorder.Options{}).Normalized
 				}
 				b.ReportMetric(norm, "normcomp")
 			})

@@ -297,7 +297,7 @@ func execCases(n, trials int, minTime time.Duration, mets *benchMetrics) ([]resu
 		return nil, err
 	}
 	ts := gen.Generate(rand.New(rand.NewSource(benchSeed)), trials)
-	plan, err := reorder.BuildPlan(c, ts)
+	plan, err := reorder.BuildPlan(c, ts, reorder.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -86,7 +86,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -380,13 +379,13 @@ func runBatch(circ *circuit.Circuit, dev *device.Device, em trial.ErrorMode,
 	for vi := range variants {
 		sets[vi] = g.Generate(rng, trialsPer)
 	}
-	planBudget := math.MaxInt
+	var popt reorder.Options
 	if budget > 0 && policy == sim.PolicySnapshot {
 		// Non-snapshot policies enforce the budget at run time; the batch
 		// plan stays unbudgeted (no restore/replay steps).
-		planBudget = budget
+		popt.Budget = budget
 	}
-	bp, err := reorder.BuildBatchPlanBudget(circ, variants, sets, planBudget)
+	bp, err := reorder.BuildBatchPlan(circ, variants, sets, popt)
 	if err != nil {
 		return err
 	}

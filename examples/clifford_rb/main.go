@@ -101,7 +101,7 @@ func main() {
 	fmt.Printf("RB on %d qubits, %d gates, %d trials (%.2f mean errors/trial)\n",
 		nQubits, circ.NumOps(), trialsN, st.MeanErrors)
 
-	plan, err := reorder.BuildPlan(circ, trials)
+	plan, err := reorder.BuildPlan(circ, trials, reorder.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := reorder.BuildPlan(c, trials)
+	full, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,11 @@ func main() {
 		len(trials), base.Ops, perVec)
 	fmt.Println("budget  stored(peak)  ops       vs baseline  extra copies  identical?")
 	for _, budget := range []int{0, 1, 2, 3, full.MSV() + 1} {
-		plan, err := reorder.BuildPlanBudget(c, trials, budget)
+		opt := reorder.Options{Budget: budget}
+		if budget == 0 {
+			opt.Budget = reorder.NoSnapshots
+		}
+		plan, err := reorder.BuildPlan(c, trials, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

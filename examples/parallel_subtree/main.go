@@ -53,7 +53,7 @@ func main() {
 		seq.Ops, seq.MSV, time.Since(start).Round(time.Millisecond))
 
 	// The static decomposition shows where the tasks come from.
-	sp, err := reorder.BuildSplitPlan(c, trials)
+	sp, err := reorder.BuildSplitPlan(c, trials, 1, reorder.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func chunkedOps(c *circuit.Circuit, ordered []*trial.Trial, workers int) int64 {
 	var total int64
 	for w := 0; w < workers; w++ {
 		lo, hi := w*len(ordered)/workers, (w+1)*len(ordered)/workers
-		plan, err := reorder.BuildPlanOrdered(c, ordered[lo:hi])
+		plan, err := reorder.BuildPlan(c, ordered[lo:hi], reorder.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

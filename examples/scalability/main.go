@@ -32,10 +32,11 @@ func main() {
 				log.Fatal(err)
 			}
 			ts := gen.Generate(rand.New(rand.NewSource(42)), trials)
-			a, err := reorder.Analyze(circ, ts)
+			counted, err := reorder.BuildPlan(circ, ts, reorder.Options{Count: true})
 			if err != nil {
 				log.Fatal(err)
 			}
+			a := counted.Analysis()
 			st := trial.Summarize(ts)
 			fmt.Printf("n%02d,d%02d     %-7.0e  %-8.2f  %.3f       %5.1f%%  %3d\n",
 				shape.n, shape.d, p1, st.MeanErrors, a.Normalized, a.Saving*100, a.MSV)

@@ -299,10 +299,30 @@ func (c *Circuit) ensureLayers() {
 			}
 		}
 	}
-	c.layers = make([][]int, depth)
-	for i := range c.ops {
+	// The op indices of every layer, in op order, share one slab: a
+	// counting sort by layer, filled from the back. Each layer is a
+	// cap-limited window of it, so layering allocates the same few
+	// slices at any depth.
+	start := make([]int, depth) // where each layer ends, then where it starts
+	for _, l := range c.opLayer {
+		start[l]++
+	}
+	for l := 1; l < depth; l++ {
+		start[l] += start[l-1]
+	}
+	slab := make([]int, len(c.ops))
+	for i := len(c.ops) - 1; i >= 0; i-- {
 		l := c.opLayer[i]
-		c.layers[l] = append(c.layers[l], i)
+		start[l]--
+		slab[start[l]] = i
+	}
+	c.layers = make([][]int, depth)
+	for l := range c.layers {
+		end := len(slab)
+		if l+1 < depth {
+			end = start[l+1]
+		}
+		c.layers[l] = slab[start[l]:end:end]
 	}
 	c.layersDirty = false
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"runtime/metrics"
@@ -25,12 +24,11 @@ import (
 // onto Yorktown, its trial generator and seed, its 1,024 trials and their
 // plan.
 type yorktownJob struct {
-	c       *circuit.Circuit
-	gen     *trial.Generator
-	seed    int64
-	trials  []*trial.Trial
-	ordered []*trial.Trial
-	plan    *reorder.Plan
+	c      *circuit.Circuit
+	gen    *trial.Generator
+	seed   int64
+	trials []*trial.Trial
+	plan   *reorder.Plan
 }
 
 // yorktownJobs builds the 12 Table I jobs with trial seeds 1001-1012.
@@ -51,16 +49,17 @@ func yorktownJobs(b *testing.B) []yorktownJob {
 		if err != nil {
 			b.Fatal(err)
 		}
-		jobs[i] = yorktownJob{c: rep.Circuit, gen: gen, seed: seed, trials: rep.Trials, ordered: rep.Plan.Order, plan: rep.Plan}
+		jobs[i] = yorktownJob{c: rep.Circuit, gen: gen, seed: seed, trials: rep.Trials, plan: rep.Plan}
 	}
 	return jobs
 }
 
-// BenchmarkSortPlanYorktown times trial generation, the reorder sort and
-// the plan build alone on the paper-yorktown job shapes: the 12 Table I
-// circuits transpiled onto Yorktown, 1,024 trials each, trial seeds
-// 1001-1012. One op generates (or sorts, or plans) all 12 jobs;
-// allocations are reported.
+// BenchmarkSortPlanYorktown times trial generation, the reorder sort
+// alone and the plan walk (Algorithm 1's sort and the plan build in one
+// walk, as core.Run times plan_build) on the paper-yorktown job shapes:
+// the 12 Table I circuits transpiled onto Yorktown, 1,024 trials each,
+// trial seeds 1001-1012. One op generates (or sorts, or plans) all 12
+// jobs; allocations are reported.
 //
 //	go test ./internal/core -run ^$ -bench SortPlanYorktown -benchmem
 func BenchmarkSortPlanYorktown(b *testing.B) {
@@ -87,7 +86,7 @@ func BenchmarkSortPlanYorktown(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, j := range jobs {
-				if _, err := reorder.BuildPlanOrderedBudget(j.c, j.ordered, math.MaxInt); err != nil {
+				if _, err := reorder.BuildPlan(j.c, j.trials, reorder.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

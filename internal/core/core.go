@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -91,7 +90,7 @@ type Config struct {
 	ErrorMode trial.ErrorMode
 	// SnapshotBudget caps the concurrently stored state vectors; 0 means
 	// unlimited (the paper's scheme). A positive budget trades
-	// recomputation for memory via reorder.BuildPlanBudget. With Workers
+	// recomputation for memory via reorder.Options.Budget. With Workers
 	// set, the budget caps each parallel component's stack (see
 	// sim.Options.SnapshotBudget).
 	SnapshotBudget int
@@ -126,7 +125,7 @@ type Config struct {
 	// sim.Options.MemProbe); nil means no pressure.
 	MemProbe func() bool
 	// Recorder, when non-nil, receives run metrics: per-phase wall-clock
-	// timings (trial generation, reorder sort, plan build, execution) and
+	// timings (trial generation, plan build, execution) and
 	// the executors' counters and trace events (see internal/obs). nil
 	// disables all recording; recording never changes any Result field.
 	Recorder obs.Recorder
@@ -137,8 +136,8 @@ type Config struct {
 	Pool *statevec.BufferPool
 	// Span, when non-nil, parents the run's causal trace: Run opens one
 	// child per pipeline phase (transpile when mapping is requested, then
-	// trial_gen, sort, plan_build and execute — the last four mirroring
-	// the Recorder's phase timings) and threads the execute
+	// trial_gen, plan_build and execute — the last three mirroring the
+	// Recorder's phase timings) and threads the execute
 	// child into the sim executors, which hang their own spans and
 	// segment-compile children under it. nil disables tracing; like the
 	// Recorder, a span never changes any Result field.
@@ -157,8 +156,8 @@ type Report struct {
 	// TrialStats summarizes the trial set.
 	TrialStats trial.Stats
 	// Plan is the reordered execution plan. When Workers > 1 the plan is
-	// counted, not built (reorder.CountPlanOrderedBudget): it carries the
-	// order and every counter (OptimizedOps, MSV, Analysis) but nil
+	// counted, not built (reorder.Options.Count): it carries the order
+	// and every counter (OptimizedOps, MSV, Analysis, SplitTasks) but nil
 	// Steps, since the subtree executor runs the order through a split
 	// plan of its own.
 	Plan *reorder.Plan
@@ -178,7 +177,7 @@ func Run(cfg Config) (*Report, error) {
 // Runner runs jobs one after another and keeps each job's slabs for the
 // next: the math/rand source (reseeded, which gives the stream a new
 // source would), the trial generator's tables, the trial slab and key
-// arena, the reorder sort's order and scratch, the plan's steps and layer
+// arena, the plan walk's order and scratch, the plan's steps and layer
 // tables, and the sequential executor's dispatch table, frames, step sink
 // and result histogram. The zero Runner is ready to use. A Runner is not
 // safe for concurrent use: hold one per goroutine, as each qsimd worker
@@ -283,26 +282,18 @@ func (r *Runner) run(cfg Config) (*Report, error) {
 	rep.Trials = gen.GenerateInto(&r.trials, r.rng, cfg.Trials)
 	ph.end(nil)
 
-	// Sort and plan construction are timed as separate phases; building
-	// from the presorted order is equivalent to BuildPlan/BuildPlanBudget
-	// over the raw trial set.
-	ph = startPhase(&cfg, obs.PhaseSort, "sort")
-	ordered := r.order.Sort(rep.Trials)
-	ph.end(nil)
-	rep.TrialStats = trial.SummarizeSorted(ordered)
-	budget := math.MaxInt
+	// Algorithm 1 is one walk: it sorts the trials and builds the plan,
+	// timed as one phase. Only the sequential executor runs the plan's
+	// steps, so with workers the walk counts: the subtree executor splits
+	// the plan's order at the cut its task counts choose.
+	popt := reorder.Options{Count: cfg.Workers > 1}
 	if cfg.SnapshotBudget > 0 && cfg.Policy == sim.PolicySnapshot {
 		// Non-snapshot policies enforce the budget themselves; the plan
 		// stays unbudgeted (no restore/replay steps).
-		budget = cfg.SnapshotBudget
-	}
-	buildPlan := r.order.BuildPlanOrderedBudget
-	if cfg.Workers > 1 {
-		// Only the sequential executor runs the plan's steps.
-		buildPlan = r.order.CountPlanOrderedBudget
+		popt.Budget = cfg.SnapshotBudget
 	}
 	ph = startPhase(&cfg, obs.PhasePlanBuild, "plan_build")
-	rep.Plan, err = buildPlan(rep.Circuit, ordered, budget)
+	rep.Plan, err = r.order.BuildPlan(rep.Circuit, rep.Trials, popt)
 	if err != nil {
 		ph.end(err)
 		return nil, err
@@ -315,6 +306,7 @@ func (r *Runner) run(cfg Config) (*Report, error) {
 			trace.Int("msv", int64(rep.Analysis.MSV)))
 	}
 	ph.end(nil)
+	rep.TrialStats = trial.SummarizeSorted(rep.Plan.Order)
 
 	ph = startPhase(&cfg, obs.PhaseExecute, "execute")
 	opt := sim.Options{
@@ -326,11 +318,9 @@ func (r *Runner) run(cfg Config) (*Report, error) {
 		Pool:           cfg.Pool,
 		Span:           ph.span,
 	}
-	// The subtree executor takes the plan's order, so each job is sorted
-	// once.
 	runReordered := func() (*sim.Result, error) {
 		if cfg.Workers > 1 {
-			return sim.ParallelSubtreeOrdered(rep.Circuit, ordered, cfg.Workers, opt)
+			return sim.ParallelSubtreeOrdered(rep.Circuit, rep.Plan, cfg.Workers, opt)
 		}
 		return r.exec.ExecutePlan(rep.Circuit, rep.Plan, opt)
 	}

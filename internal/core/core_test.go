@@ -267,7 +267,7 @@ func TestRunErrorModeOption(t *testing.T) {
 // pipeline phase under the caller's span, in pipeline order, sequential
 // or parallel.
 func TestRunSpanChildrenInOrder(t *testing.T) {
-	want := []string{"transpile", "trial_gen", "sort", "plan_build", "execute"}
+	want := []string{"transpile", "trial_gen", "plan_build", "execute"}
 	for _, workers := range []int{1, 2} {
 		tracer := trace.New(trace.Config{Seed: 1})
 		root := tracer.Start("job", trace.SpanContext{})

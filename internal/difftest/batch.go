@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/circuit"
@@ -100,13 +99,9 @@ func CheckBatchWorkload(bw *BatchWorkload) (*BatchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := math.MaxInt
-	if bw.Budget > 0 {
-		budget = bw.Budget
-	}
-	bp, err := reorder.BuildBatchPlanBudget(bw.Circuit, bw.Variants, sets, budget)
+	bp, err := reorder.BuildBatchPlan(bw.Circuit, bw.Variants, sets, reorder.Options{Budget: bw.Budget})
 	if err != nil {
-		return nil, fmt.Errorf("BuildBatchPlanBudget(%d): %w", budget, err)
+		return nil, fmt.Errorf("BuildBatchPlan(budget %d): %w", bw.Budget, err)
 	}
 	if err := bp.Validate(); err != nil {
 		return nil, fmt.Errorf("batch plan invalid: %w", err)
@@ -164,7 +159,7 @@ func CheckBatchWorkload(bw *BatchWorkload) (*BatchReport, error) {
 	// sharing (same convention as the per-circuit engine).
 	opsFloor := bp.Plan.OptimizedOps()
 	if bw.Budget > 0 {
-		free, err := reorder.BuildBatchPlan(bw.Circuit, bw.Variants, sets)
+		free, err := reorder.BuildBatchPlan(bw.Circuit, bw.Variants, sets, reorder.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("unbudgeted reference batch plan: %w", err)
 		}

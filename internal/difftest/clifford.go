@@ -68,7 +68,7 @@ func CheckClifford(seed int64) error {
 func checkCliffordTrials(c *circuit.Circuit, trials []*trial.Trial) error {
 	// Order invariance of the tableau backend: the reorder plan and the
 	// naive backend loop must sample identical per-trial outcomes.
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		return err
 	}

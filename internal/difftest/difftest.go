@@ -17,7 +17,7 @@
 //     outcomes and averaged distributions, op-count equality with the
 //     sequential plan, and MSV within the snapshot budget — plus
 //     metamorphic properties (trial-order permutation invariance,
-//     plan ops <= naive ops, BuildPlanOrdered == BuildPlan).
+//     plan ops <= naive ops, one plan from any trial order).
 //   - SelfTest: the same engine as a seeded smoke run, wired into the
 //     CLI as `qsim -selftest` for CI and user machines.
 //   - A golden-file regression corpus under testdata/ (see golden.go)

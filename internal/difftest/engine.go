@@ -66,14 +66,14 @@ func CheckWorkload(w *Workload) (*Report, error) {
 	// The static plans the measured executions are audited against: the
 	// unbudgeted plan is the op-count floor for every executor; the
 	// budgeted plan is what the sequential executor must realize exactly.
-	freePlan, err := reorder.BuildPlan(w.Circuit, trials)
+	freePlan, err := reorder.BuildPlan(w.Circuit, trials, reorder.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("BuildPlan: %w", err)
 	}
 	budPlan := freePlan
 	if w.Budget > 0 {
-		if budPlan, err = reorder.BuildPlanBudget(w.Circuit, trials, w.Budget); err != nil {
-			return nil, fmt.Errorf("BuildPlanBudget(%d): %w", w.Budget, err)
+		if budPlan, err = reorder.BuildPlan(w.Circuit, trials, reorder.Options{Budget: w.Budget}); err != nil {
+			return nil, fmt.Errorf("BuildPlan(budget %d): %w", w.Budget, err)
 		}
 	}
 	if err := checkStaticPlans(w, naive, freePlan, budPlan); err != nil {
@@ -134,15 +134,13 @@ func checkStaticPlans(w *Workload, naive *sim.Result, freePlan, budPlan *reorder
 	if w.Budget > 0 && budPlan.MSV() > w.Budget {
 		return fmt.Errorf("budgeted plan MSV %d exceeds budget %d", budPlan.MSV(), w.Budget)
 	}
-	// The static analyzer must agree with the materialized plan.
-	an, err := reorder.Analyze(w.Circuit, budPlan.Order)
-	if w.Budget == 0 {
-		if err != nil {
-			return fmt.Errorf("Analyze: %w", err)
-		}
-		if an != budPlan.Analysis() {
-			return fmt.Errorf("Analyze disagrees with BuildPlan: %+v vs %+v", an, budPlan.Analysis())
-		}
+	// The count-only walk must agree with the materialized plan.
+	counted, err := reorder.BuildPlan(w.Circuit, budPlan.Order, reorder.Options{Budget: w.Budget, Count: true})
+	if err != nil {
+		return fmt.Errorf("count-only BuildPlan: %w", err)
+	}
+	if counted.Analysis() != budPlan.Analysis() {
+		return fmt.Errorf("count-only walk disagrees with BuildPlan: %+v vs %+v", counted.Analysis(), budPlan.Analysis())
 	}
 	return nil
 }
@@ -248,9 +246,8 @@ func msvBound(ex Executor, b int) int {
 //   - permutation invariance: reordered execution of a shuffled trial
 //     slice yields the identical per-trial outcomes and final states
 //     (the plan depends only on the trial multiset);
-//   - BuildPlanOrdered on the sorted slice is BuildPlan on the raw one:
-//     identical steps and metrics;
-//   - sorting is idempotent at the plan level.
+//   - BuildPlan on the shuffled slice is BuildPlan on the raw one:
+//     identical steps and metrics, the same order up to duplicates.
 func checkMetamorphic(w *Workload, naive *sim.Result, trials []*trial.Trial, freePlan *reorder.Plan) error {
 	shuffled := append([]*trial.Trial(nil), trials...)
 	rand.New(rand.NewSource(w.Seed^0x7065726d)).Shuffle(len(shuffled), func(i, j int) {
@@ -264,12 +261,12 @@ func checkMetamorphic(w *Workload, naive *sim.Result, trials []*trial.Trial, fre
 		return err
 	}
 
-	orderedPlan, err := reorder.BuildPlanOrdered(w.Circuit, reorder.Sort(shuffled))
+	shuffledPlan, err := reorder.BuildPlan(w.Circuit, shuffled, reorder.Options{})
 	if err != nil {
-		return fmt.Errorf("BuildPlanOrdered: %w", err)
+		return fmt.Errorf("BuildPlan of permuted trials: %w", err)
 	}
-	if err := plansEquivalent(freePlan, orderedPlan); err != nil {
-		return fmt.Errorf("BuildPlanOrdered != BuildPlan: %w", err)
+	if err := plansEquivalent(freePlan, shuffledPlan); err != nil {
+		return fmt.Errorf("BuildPlan of permuted trials != BuildPlan: %w", err)
 	}
 	return nil
 }

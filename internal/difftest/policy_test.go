@@ -120,7 +120,7 @@ func TestPolicyUncomputeExactReversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freePlan, err := reorder.BuildPlan(c, trials)
+	freePlan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

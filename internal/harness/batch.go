@@ -80,7 +80,7 @@ func BatchData(cfg Config) ([]BatchRow, error) {
 		}
 		genDone()
 		planDone := obs.StartPhase(rec, obs.PhasePlanBuild)
-		bp, err := reorder.BuildBatchPlan(c, vars, sets)
+		bp, err := reorder.BuildBatchPlan(c, vars, sets, reorder.Options{})
 		planDone()
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s batch plan: %v", ref.Name, err)

@@ -134,6 +134,17 @@ func (cfg Config) scenario(experiment, name string) (*obs.SuiteEntry, obs.Record
 	return e, e.Metrics
 }
 
+// analyze counts the plan of the trials under opt: its static metrics,
+// without steps.
+func analyze(c *circuit.Circuit, trials []*trial.Trial, opt reorder.Options) (reorder.Analysis, error) {
+	opt.Count = true
+	p, err := reorder.BuildPlan(c, trials, opt)
+	if err != nil {
+		return reorder.Analysis{}, err
+	}
+	return p.Analysis(), nil
+}
+
 // planStatics converts a static analysis into the metrics-JSON form.
 func planStatics(a reorder.Analysis) *obs.PlanStatics {
 	return &obs.PlanStatics{
@@ -257,7 +268,7 @@ func Fig5Data(cfg Config) ([]Fig5Result, error) {
 			trials := gen.Generate(rng, n)
 			genDone()
 			planDone := obs.StartPhase(rec, obs.PhasePlanBuild)
-			a, err := reorder.Analyze(c, trials)
+			a, err := analyze(c, trials, reorder.Options{})
 			planDone()
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s/%d: %v", ref.Name, n, err)
@@ -344,7 +355,7 @@ func Fig6(cfg Config) (*Table, error) {
 		trials := gen.Generate(rng, cfg.Fig6Trials)
 		genDone()
 		planDone := obs.StartPhase(rec, obs.PhasePlanBuild)
-		a, err := reorder.Analyze(c, trials)
+		a, err := analyze(c, trials, reorder.Options{})
 		planDone()
 		if err != nil {
 			return nil, err
@@ -377,7 +388,7 @@ type ScalResult struct {
 
 // ScalabilityData runs the artificial-model sweep: Quantum Volume circuits
 // of growing width and depth under four uniform error-rate settings, all
-// via the streaming static analyzer (no state vectors are allocated, so
+// via the count-only plan walk (no state vectors are allocated, so
 // the 40-qubit configurations are exact, not scaled down).
 func ScalabilityData(cfg Config) ([]ScalResult, error) {
 	var out []ScalResult
@@ -401,7 +412,7 @@ func ScalabilityData(cfg Config) ([]ScalResult, error) {
 			trials := gen.Generate(rng, cfg.ScalabilityTrials)
 			genDone()
 			planDone := obs.StartPhase(rec, obs.PhasePlanBuild)
-			a, err := reorder.Analyze(c, trials)
+			a, err := analyze(c, trials, reorder.Options{})
 			planDone()
 			if err != nil {
 				return nil, err
@@ -517,7 +528,11 @@ func Ablation(cfg Config) (*Table, error) {
 		for _, cap := range AblationDepths {
 			entry, rec := cfg.scenario("ablation", fmt.Sprintf("%s/cap%d", ref.Name, cap))
 			planDone := obs.StartPhase(rec, obs.PhasePlanBuild)
-			a, err := reorder.AnalyzeCapped(c, trials, cap)
+			opt := reorder.Options{MaxShared: cap}
+			if cap == 0 {
+				opt.MaxShared = reorder.NoSharing
+			}
+			a, err := analyze(c, trials, opt)
 			planDone()
 			if err != nil {
 				return nil, err

@@ -45,7 +45,7 @@ func Latency(cfg Config) (*Table, error) {
 		trials := gen.Generate(rng, cfg.Fig6Trials)
 		genDone()
 		planDone := obs.StartPhase(combined, obs.PhasePlanBuild)
-		plan, err := reorder.BuildPlan(c, trials)
+		plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 		planDone()
 		if err != nil {
 			return nil, err

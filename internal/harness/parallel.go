@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/bench"
@@ -51,7 +50,7 @@ func ParallelSharing(cfg Config) (*Table, error) {
 		trials := gen.Generate(rng, cfg.Fig6Trials)
 		genDone()
 		planDone := obs.StartPhase(rec, obs.PhasePlanBuild)
-		plan, err := reorder.BuildPlan(c, trials)
+		plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 		planDone()
 		if err != nil {
 			return nil, err
@@ -60,15 +59,14 @@ func ParallelSharing(cfg Config) (*Table, error) {
 			entry.Plan = planStatics(plan.Analysis())
 		}
 		row := []string{ref.Name, fmt.Sprintf("%d", plan.OptimizedOps())}
-		ordered := reorder.Sort(trials)
 		for _, w := range ParallelWorkers {
-			total, err := chunkedOps(c, ordered, w)
+			total, err := chunkedOps(c, plan.Order, w)
 			if err != nil {
 				return nil, err
 			}
 			row = append(row, fmt.Sprintf("%d", total))
 		}
-		sp, err := reorder.SplitPlanOrderedCut(c, ordered, 1, math.MaxInt)
+		sp, err := reorder.BuildSplitPlan(c, trials, 1, reorder.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +87,7 @@ func chunkedOps(c *circuit.Circuit, ordered []*trial.Trial, workers int) (int64,
 		if lo == hi {
 			continue
 		}
-		plan, err := reorder.BuildPlanOrdered(c, ordered[lo:hi])
+		plan, err := reorder.BuildPlan(c, ordered[lo:hi], reorder.Options{})
 		if err != nil {
 			return 0, err
 		}

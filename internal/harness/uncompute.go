@@ -83,7 +83,7 @@ func Uncompute(cfg Config) (*Table, error) {
 			}
 			dur := time.Since(start)
 			if entry != nil {
-				a, err := reorder.Analyze(c, trialSet)
+				a, err := analyze(c, trialSet, reorder.Options{})
 				if err != nil {
 					return nil, err
 				}

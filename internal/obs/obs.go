@@ -196,10 +196,8 @@ type Phase uint8
 const (
 	// PhaseTrialGen is Monte Carlo trial generation.
 	PhaseTrialGen Phase = iota
-	// PhaseSort is the reorder sort of the trial set (Algorithm 1's
-	// grouping step).
-	PhaseSort
-	// PhasePlanBuild is execution-plan (or split-plan) construction.
+	// PhasePlanBuild is Algorithm 1's walk: the reorder sort of the
+	// trial set and the execution-plan (or split-plan) construction.
 	PhasePlanBuild
 	// PhaseExecute is plan execution with real state vectors.
 	PhaseExecute
@@ -209,7 +207,6 @@ const (
 
 var phaseNames = [numPhases]string{
 	PhaseTrialGen:  "trial_gen",
-	PhaseSort:      "sort",
 	PhasePlanBuild: "plan_build",
 	PhaseExecute:   "execute",
 }

@@ -90,7 +90,7 @@ func TestNamesAreUniqueAndNonEmpty(t *testing.T) {
 }
 
 func TestStartPhaseNilRecorder(t *testing.T) {
-	done := StartPhase(nil, PhaseSort)
+	done := StartPhase(nil, PhasePlanBuild)
 	done() // must not panic
 }
 

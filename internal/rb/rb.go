@@ -112,7 +112,7 @@ func Run(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			trials := gen.Generate(rng, cfg.Trials)
-			plan, err := reorder.BuildPlan(c, trials)
+			plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -2,7 +2,6 @@ package reorder
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/trial"
@@ -23,8 +22,8 @@ import (
 //
 // The accounting is exact by construction: the batch plan is a Plan over
 // the merged trials, so its OptimizedOps is what an executor performs,
-// and the per-variant sum-of-parts is the same streaming analysis run on
-// each variant's merged trials alone (identical budget). SavedOps is their
+// and the per-variant sum-of-parts is the same walk, counting only, over
+// each variant's merged trials alone (identical options). SavedOps is their
 // difference; the difftest suite proves executed ops equal both sides.
 
 // BatchOrigin attributes one merged trial back to its source: the
@@ -85,26 +84,19 @@ type BatchAnalysis struct {
 	SumPartsCopies int64
 }
 
-// BuildBatchPlan builds the shared plan for a variant batch with an
-// unlimited snapshot budget. vars[i] owns trialSets[i]; every variant
-// must validate against the base circuit.
-func BuildBatchPlan(c *circuit.Circuit, vars []circuit.Variant, trialSets [][]*trial.Trial) (*BatchPlan, error) {
-	return BuildBatchPlanBudget(c, vars, trialSets, math.MaxInt)
-}
-
-// BuildBatchPlanBudget is BuildBatchPlan under a hard cap on concurrently
-// stored state vectors (see BuildPlanBudget; the same budget is applied
-// to the per-variant reference plans, so SavedOps compares like with
-// like).
-func BuildBatchPlanBudget(c *circuit.Circuit, vars []circuit.Variant, trialSets [][]*trial.Trial, budget int) (*BatchPlan, error) {
+// BuildBatchPlan builds the shared plan for a variant batch: vars[i]
+// owns trialSets[i], and every variant must validate against the base
+// circuit. The options apply to the shared plan and, counting only, to
+// the per-variant reference plans, so SavedOps compares like with like.
+func BuildBatchPlan(c *circuit.Circuit, vars []circuit.Variant, trialSets [][]*trial.Trial, opt Options) (*BatchPlan, error) {
 	if len(vars) == 0 {
 		return nil, fmt.Errorf("reorder: empty variant batch")
 	}
 	if len(vars) != len(trialSets) {
 		return nil, fmt.Errorf("reorder: %d variants but %d trial sets", len(vars), len(trialSets))
 	}
-	if budget < 0 {
-		return nil, fmt.Errorf("reorder: negative snapshot budget %d", budget)
+	if _, _, err := opt.caps(); err != nil {
+		return nil, err
 	}
 	total := 0
 	for vi, ts := range trialSets {
@@ -118,7 +110,7 @@ func BuildBatchPlanBudget(c *circuit.Circuit, vars []circuit.Variant, trialSets 
 		src:       make([]*trial.Trial, 0, total),
 		varKeys:   make([][]trial.Key, len(vars)),
 		byVariant: make([][]*trial.Trial, len(vars)),
-		budget:    budget,
+		budget:    opt.Budget,
 	}
 	merged := make([]*trial.Trial, 0, total)
 	for vi, v := range vars {
@@ -145,24 +137,24 @@ func BuildBatchPlanBudget(c *circuit.Circuit, vars []circuit.Variant, trialSets 
 		}
 		bp.byVariant[vi] = mv
 	}
-	plan, err := BuildPlanBudget(c, merged, budget)
+	plan, err := BuildPlan(c, merged, opt)
 	if err != nil {
 		return nil, err
 	}
 	bp.Plan = plan
-	// Per-variant sum-of-parts: the identical streaming recursion run on
-	// each variant's merged trials alone, same budget.
+	// Per-variant sum-of-parts: the same walk over each variant's merged
+	// trials alone, same options, counting only.
 	bp.perVarOps = make([]int64, len(vars))
 	bp.perVarMSV = make([]int, len(vars))
 	bp.perVarCopies = make([]int64, len(vars))
+	var ws Workspace
+	opt.Count = true
 	for vi := range vars {
-		a, err := analyze(c, bp.byVariant[vi], math.MaxInt, budget)
+		p, err := ws.BuildPlan(c, bp.byVariant[vi], opt)
 		if err != nil {
 			return nil, fmt.Errorf("reorder: variant %d analysis: %v", vi, err)
 		}
-		bp.perVarOps[vi] = a.OptimizedOps
-		bp.perVarMSV[vi] = a.MSV
-		bp.perVarCopies[vi] = a.Copies
+		bp.perVarOps[vi], bp.perVarMSV[vi], bp.perVarCopies[vi] = p.OptimizedOps(), p.MSV(), p.Copies()
 	}
 	return bp, nil
 }
@@ -173,7 +165,7 @@ func (bp *BatchPlan) NumVariants() int { return len(bp.varKeys) }
 // NumTrials returns the merged (variant, trial) pair count.
 func (bp *BatchPlan) NumTrials() int { return len(bp.origin) }
 
-// Budget returns the snapshot budget the batch was planned under.
+// Budget returns the Options.Budget the batch was planned under.
 func (bp *BatchPlan) Budget() int { return bp.budget }
 
 // Origin maps a merged trial ID back to (variant index, original trial

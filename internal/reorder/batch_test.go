@@ -38,9 +38,9 @@ func buildRandomBatch(t *testing.T, seed int64, layers, variants, trialsPer, bud
 	for vi := range vars {
 		sets[vi] = randomTrials(rng, trialsPer, layers, 2, 2)
 	}
-	bp, err := BuildBatchPlanBudget(c, vars, sets, budget)
+	bp, err := BuildBatchPlan(c, vars, sets, budgetOpt(budget))
 	if err != nil {
-		t.Fatalf("BuildBatchPlanBudget(seed %d, budget %d): %v", seed, budget, err)
+		t.Fatalf("BuildBatchPlan(seed %d, budget %d): %v", seed, budget, err)
 	}
 	return c, bp
 }
@@ -85,7 +85,7 @@ func TestBatchAccountingIdentity(t *testing.T) {
 		// Sum-of-parts must equal building each variant's plan for real.
 		var sum int64
 		for vi := 0; vi < bp.NumVariants(); vi++ {
-			p, err := BuildPlan(chainFromPlan(bp), bp.VariantTrials(vi))
+			p, err := BuildPlan(chainFromPlan(bp), bp.VariantTrials(vi), Options{})
 			if err != nil {
 				t.Fatalf("seed %d variant %d: %v", seed, vi, err)
 			}
@@ -112,11 +112,11 @@ func TestBatchSingleCleanVariantEqualsPlainPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := chain(5)
 	trials := randomTrials(rng, 20, 5, 2, 2)
-	bp, err := BuildBatchPlan(c, []circuit.Variant{{ID: 0}}, [][]*trial.Trial{trials})
+	bp, err := BuildBatchPlan(c, []circuit.Variant{{ID: 0}}, [][]*trial.Trial{trials}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := BuildPlan(c, trials)
+	plain, err := BuildPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestBatchBudgetExhaustedAtVariantFork(t *testing.T) {
 	}
 	var prevOps int64 = math.MaxInt64
 	for _, budget := range []int{0, 1, 2, math.MaxInt} {
-		bp, err := BuildBatchPlanBudget(c, vars, sets, budget)
+		bp, err := BuildBatchPlan(c, vars, sets, budgetOpt(budget))
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -198,24 +198,24 @@ func TestBatchBudgetExhaustedAtVariantFork(t *testing.T) {
 func TestBatchPlanRejectsMalformedInput(t *testing.T) {
 	c := chain(4)
 	ok := [][]*trial.Trial{{mkTrial(0)}}
-	if _, err := BuildBatchPlan(c, nil, nil); err == nil {
+	if _, err := BuildBatchPlan(c, nil, nil, Options{}); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := BuildBatchPlan(c, []circuit.Variant{{ID: 0}}, nil); err == nil {
+	if _, err := BuildBatchPlan(c, []circuit.Variant{{ID: 0}}, nil, Options{}); err == nil {
 		t.Error("variant/trial-set length mismatch accepted")
 	}
-	if _, err := BuildBatchPlan(c, []circuit.Variant{{ID: 0}}, [][]*trial.Trial{{}}); err == nil {
+	if _, err := BuildBatchPlan(c, []circuit.Variant{{ID: 0}}, [][]*trial.Trial{{}}, Options{}); err == nil {
 		t.Error("empty trial set accepted")
 	}
-	if _, err := BuildBatchPlanBudget(c, []circuit.Variant{{ID: 0}}, ok, -1); err == nil {
+	if _, err := BuildBatchPlan(c, []circuit.Variant{{ID: 0}}, ok, Options{Budget: -2}); err == nil {
 		t.Error("negative budget accepted")
 	}
 	bad := circuit.Variant{ID: 0, Ins: []circuit.Insertion{{Layer: 99, Qubit: 0, Op: gate.PauliX}}}
-	if _, err := BuildBatchPlan(c, []circuit.Variant{bad}, ok); err == nil {
+	if _, err := BuildBatchPlan(c, []circuit.Variant{bad}, ok, Options{}); err == nil {
 		t.Error("out-of-range insertion layer accepted")
 	}
 	dup := [][]*trial.Trial{{mkTrial(3), mkTrial(3)}}
-	if _, err := BuildBatchPlan(c, []circuit.Variant{{ID: 0}}, dup); err == nil {
+	if _, err := BuildBatchPlan(c, []circuit.Variant{{ID: 0}}, dup, Options{}); err == nil {
 		t.Error("duplicate trial IDs within a variant accepted")
 	}
 }

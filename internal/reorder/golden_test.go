@@ -142,15 +142,14 @@ func goldenLines(t testing.TB) []string {
 	t.Helper()
 	var lines []string
 	for _, job := range goldenJobs(t) {
-		ordered := Sort(job.trials)
 		for _, budget := range goldenBudgets {
-			p, err := BuildPlanOrderedBudget(job.c, ordered, budget)
+			p, err := BuildPlan(job.c, job.trials, budgetOpt(budget))
 			if err != nil {
 				t.Fatalf("%s seed %d budget %s: %v", job.name, job.seed, budgetLabel(budget), err)
 			}
 			lines = append(lines, fmt.Sprintf("plan %s seed=%d budget=%s %s", job.name, job.seed, budgetLabel(budget), planDigest(p)))
 			for cut := 1; cut <= 3; cut++ {
-				sp, err := SplitPlanOrderedCut(job.c, ordered, cut, budget)
+				sp, err := BuildSplitPlan(job.c, job.trials, cut, budgetOpt(budget))
 				if err != nil {
 					t.Fatalf("%s seed %d budget %s cut %d: %v", job.name, job.seed, budgetLabel(budget), cut, err)
 				}

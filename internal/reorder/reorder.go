@@ -35,144 +35,54 @@ import (
 // sorting last, and trials with equal sequences in input order — exactly
 // the stable sort by trial.Compare. The input slice is not modified.
 //
-// Sort is Algorithm 1's recursive partition. At each trie node, a range
-// of trials that share their first d injections and sit in input order,
-// the trials with no d-th injection move to the tail in input order, and
-// the rest are sorted by one uint64 each: the d-th key minus the node's
-// smallest, shifted left past the trial's rank in input order, so that
-// equal keys tie by input position. Each run of equal keys is then a
-// child node. When key spread and rank need more than 64 bits, the node
-// sorts ranks by (key, rank) instead. Scratch is sized once per call.
+// Sort is Algorithm 1's recursive partition: the plan walk (walk.node)
+// with no plan to build. BuildPlan sorts in the same walk, so a caller
+// that plans the trials need not sort them first.
 func Sort(trials []*trial.Trial) []*trial.Trial {
 	var w Workspace
 	return w.Sort(trials)
 }
 
-// Workspace holds Sort's order and scratch and the plan builder's steps,
-// layer tables, prefix and snapshot stack between runs. Its zero value
-// is ready to use. The order Sort returns stays valid until the
-// workspace's next Sort, and a plan it builds (its Steps and layer
-// tables) until its next BuildPlanOrderedBudget or
-// CountPlanOrderedBudget: the next call of the same kind reuses the
-// slabs. A plan may therefore be built over the workspace's own order.
+// Workspace holds the plan walk's order and scratch, a plan's steps and
+// layer tables, and the walk's prefix and snapshot stack between runs.
+// Its zero value is ready to use. The order Sort returns, and the plan
+// BuildPlan returns (its Order, Steps and layer tables), stay valid until
+// the workspace's next Sort or BuildPlan, which reuses the slabs.
 type Workspace struct {
-	part   partitioner
+	order  []*trial.Trial
+	keys   []uint64       // a node's sort keys, then each placed trial's group key
+	held   []*trial.Trial // a node's trials with a next key, in input order
 	steps  []Step
-	layers []int // a plan's layerOps and layerCum, one slab
+	layers []int // a plan's layerCum
 	prefix []trial.Key
 	snaps  []snap
 }
 
 // Sort is the package-level Sort over w's slabs.
 func (w *Workspace) Sort(trials []*trial.Trial) []*trial.Trial {
+	wk := walk{maxShared: math.MaxInt}
+	w.load(&wk, trials)
+	wk.node(0, len(trials), 0)
+	return wk.order
+}
+
+// load copies the trials into w's order slab, sized with the scratch
+// once for len(trials), and hands both to wk.
+func (w *Workspace) load(wk *walk, trials []*trial.Trial) {
 	n := len(trials)
-	p := &w.part
-	if cap(p.order) < n {
-		p.order = make([]*trial.Trial, n)
+	if cap(w.order) < n {
+		w.order, w.keys, w.held = make([]*trial.Trial, n), make([]uint64, n), make([]*trial.Trial, n)
 	}
-	if n > 1 && cap(p.keys) < n {
-		p.keys, p.held = make([]uint64, n), make([]*trial.Trial, n)
-	}
-	out := p.order[:n]
-	copy(out, trials)
-	if n > 1 {
-		q := partitioner{order: out, keys: p.keys[:n], held: p.held[:n]}
-		q.node(0, n, 0)
-	}
-	return out
-}
-
-// BuildPlanOrderedBudget is the package-level BuildPlanOrderedBudget
-// over w's slabs.
-func (w *Workspace) BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
-	return buildPlanOrdered(c, ordered, budget, true, w)
-}
-
-// CountPlanOrderedBudget is the package-level CountPlanOrderedBudget
-// over w's slabs.
-func (w *Workspace) CountPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
-	return buildPlanOrdered(c, ordered, budget, false, w)
+	wk.order, wk.keys, wk.held = w.order[:n], w.keys[:n], w.held[:n]
+	copy(wk.order, trials)
 }
 
 // Bytes returns the capacity the workspace's slabs hold, in bytes.
 func (w *Workspace) Bytes() int {
 	ptr := int(unsafe.Sizeof(&trial.Trial{}))
-	return (cap(w.part.order)+cap(w.part.held))*ptr + cap(w.part.keys)*8 +
+	return (cap(w.order)+cap(w.held))*ptr + cap(w.keys)*8 +
 		cap(w.steps)*int(unsafe.Sizeof(Step{})) + cap(w.layers)*int(unsafe.Sizeof(0)) +
 		cap(w.prefix)*int(unsafe.Sizeof(trial.Key(0))) + cap(w.snaps)*int(unsafe.Sizeof(snap{}))
-}
-
-// partitioner holds Sort's order and its scratch. A node uses only the
-// scratch of its own range, so a child never overwrites what its parent
-// still reads.
-type partitioner struct {
-	order []*trial.Trial
-	keys  []uint64       // a node's sort keys, then each placed trial's group key
-	held  []*trial.Trial // a node's trials with a next key, in input order
-}
-
-// node orders trials order[lo:hi), which share their first depth
-// injections and are in input order.
-func (p *partitioner) node(lo, hi, depth int) {
-	for hi-lo > 1 {
-		// One pass: trials with a depth-th key to held, their keys to
-		// keys, exhausted trials packed to the front of the range.
-		held, keys := p.held[lo:hi], p.keys[lo:hi]
-		live, minK, maxK := 0, ^uint64(0), uint64(0)
-		for i, t := range p.order[lo:hi] {
-			if len(t.Inj) <= depth {
-				p.order[lo+i-live] = t
-				continue
-			}
-			k := uint64(t.Inj[depth])
-			held[live], keys[live] = t, k
-			minK, maxK = min(minK, k), max(maxK, k)
-			live++
-		}
-		if live == 0 {
-			return // all exhausted: identical sequences, already in input order
-		}
-		if live == hi-lo && minK == maxK {
-			depth++ // a single child: nothing moves
-			continue
-		}
-		copy(p.order[lo+live:hi], p.order[lo:hi-live])
-		held, keys = held[:live], keys[:live]
-		if rankBits := bits.Len(uint(live - 1)); bits.Len64(maxK-minK)+rankBits <= 64 {
-			for j, k := range keys {
-				keys[j] = (k-minK)<<rankBits | uint64(j)
-			}
-			slices.Sort(keys)
-			mask := uint64(1)<<rankBits - 1
-			for j, k := range keys {
-				p.order[lo+j] = held[k&mask]
-				keys[j] = k >> rankBits
-			}
-		} else {
-			for j := range keys {
-				keys[j] = uint64(j)
-			}
-			slices.SortFunc(keys, func(a, b uint64) int {
-				if c := cmp.Compare(held[a].Inj[depth], held[b].Inj[depth]); c != 0 {
-					return c
-				}
-				return cmp.Compare(a, b)
-			})
-			for j, k := range keys {
-				p.order[lo+j] = held[k]
-				keys[j] = uint64(held[k].Inj[depth])
-			}
-		}
-		for i := 0; i < live; {
-			j := i + 1
-			for j < live && keys[j] == keys[i] {
-				j++
-			}
-			p.node(lo+i, lo+j, depth+1)
-			i = j
-		}
-		return
-	}
 }
 
 // StepKind discriminates plan steps.
@@ -281,16 +191,29 @@ type Plan struct {
 	Prog *statevec.Program
 
 	nLayers   int
-	layerOps  []int // gate count per layer
-	layerCum  []int // prefix sums of layerOps
+	layerCum  []int // gates in layers [0, l), per l
 	totalOps  int   // gates in one full circuit pass
 	baseline  int64 // baseline basic-op count for the same trial set
 	planOps   int64 // optimized basic-op count
 	msv       int   // peak snapshot-stack depth
 	pushCount int64 // number of state copies the plan performs
+	tasks     [CountedCuts + 1]int
+}
 
-	injections int // total injections over Order
-	maxInj     int // longest injection list in Order
+// CountedCuts is the deepest split cut whose task count a plan records
+// (see SplitTasks).
+const CountedCuts = 3
+
+// SplitTasks returns how many subtree tasks BuildSplitPlan makes of the
+// plan's trials at cut depth cut, 1 to CountedCuts (0 otherwise): the
+// trie nodes at depth cut, plus the clean tails above it. The walk that
+// built or counted the plan recorded them; a walk capped by
+// Options.MaxShared records only the nodes above its cap.
+func (p *Plan) SplitTasks(cut int) int {
+	if cut < 1 || cut > CountedCuts {
+		return 0
+	}
+	return p.tasks[cut]
 }
 
 // NumLayers returns the circuit depth the plan was built against.
@@ -387,357 +310,423 @@ func (r *rollback) Restore() error {
 
 func (r *rollback) Unwound() error { return nil }
 
-// BuildPlan sorts the trials with Sort and constructs the execution plan:
-// a depth-first walk of the injection-prefix trie in which each trie
-// branch point stores one snapshot that is dropped after its last child,
-// and the last child of a branch consumes the parent's state in place
-// (the paper's "S1 can be dropped since it is no longer used").
-func BuildPlan(c *circuit.Circuit, trials []*trial.Trial) (*Plan, error) {
-	return BuildPlanBudget(c, trials, math.MaxInt)
+// NoSnapshots is the Options.Budget of a plan that stores no snapshot:
+// every later sibling replays its prefix from |0...0>.
+const NoSnapshots = -1
+
+// NoSharing is the Options.MaxShared of a walk that shares no
+// injection: every trial replays alone, at the baseline's cost.
+const NoSharing = -1
+
+// Options select what the plan walk builds. The zero value is the
+// paper's scheme: a snapshot at every branch point, every shared
+// injection shared, and the steps recorded.
+type Options struct {
+	// Budget caps the snapshots stored at once; 0 sets no cap, and
+	// NoSnapshots stores none. When a branch point cannot afford a
+	// snapshot, its later siblings restore a copy of the nearest stored
+	// ancestor (or |0...0>) and replay the missing gates and injections,
+	// trading computation for memory, the graceful degradation the
+	// paper's memory discussion motivates.
+	Budget int
+	// MaxShared caps the injections trials share; 0 sets no cap, and
+	// NoSharing reproduces the baseline cost. Past the cap every trial
+	// replays alone from its node's entry state, and the walk neither
+	// orders those trials further nor has steps for them, so a capped
+	// walk must Count. A cap of 1 orders by the first error only,
+	// without Algorithm 1's recursion: the ablation of the reorder depth.
+	MaxShared int
+	// Count makes the walk count without recording steps: the plan has
+	// its order and every counter, but nil Steps, so it can be neither
+	// executed nor validated. Million-trial, 40-qubit sweeps fit in
+	// memory this way, and the subtree executor chooses its cut from a
+	// counted plan.
+	Count bool
 }
 
-// BuildPlanBudget is BuildPlan under a hard cap on concurrently stored
-// state vectors. When a branch point cannot afford a snapshot, its later
-// siblings restore a copy of the nearest stored ancestor (or the initial
-// state) and replay the missing gates and injections — trading computation
-// for memory, the graceful degradation the paper's memory discussion
-// motivates. A budget of math.MaxInt reproduces BuildPlan exactly; a
-// budget of 0 stores nothing and replays everything.
-func BuildPlanBudget(c *circuit.Circuit, trials []*trial.Trial, budget int) (*Plan, error) {
-	if len(trials) == 0 {
-		return nil, fmt.Errorf("reorder: empty trial set")
+// caps returns the walk's snapshot budget and sharing cap, math.MaxInt
+// for no cap.
+func (o Options) caps() (budget, maxShared int, err error) {
+	if o.MaxShared != 0 && !o.Count {
+		return 0, 0, fmt.Errorf("reorder: a walk capped at %d shared injections has no steps; set Count", o.MaxShared)
 	}
-	return BuildPlanOrderedBudget(c, Sort(trials), budget)
-}
-
-// BuildPlanOrdered is BuildPlan for a trial slice that is already in Sort
-// order, skipping the O(n log n) re-sort. The parallel executors use it so
-// that sorting the full trial set once is enough: each worker's sub-range
-// of the global order is already sorted. The input slice is retained (not
-// copied) as Plan.Order and must not be mutated afterwards; passing an
-// unsorted slice is an error.
-func BuildPlanOrdered(c *circuit.Circuit, ordered []*trial.Trial) (*Plan, error) {
-	return BuildPlanOrderedBudget(c, ordered, math.MaxInt)
-}
-
-// BuildPlanOrderedBudget is BuildPlanBudget over a presorted trial slice
-// (see BuildPlanOrdered).
-//
-// The pass that checks the order also counts the unbudgeted plan's steps
-// from the adjacent common-prefix lengths, so an unbudgeted plan's Steps
-// is allocated once at its exact size. Budgeted plans presize to a bound
-// and grow when their replays exceed it.
-func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
-	var w Workspace
-	return w.BuildPlanOrderedBudget(c, ordered, budget)
-}
-
-// CountPlanOrderedBudget is BuildPlanOrderedBudget without the steps: the
-// same walk counting only, as Analyze does. The plan carries the order
-// and every counter BuildPlanOrderedBudget's would (OptimizedOps, MSV,
-// copies, Analysis), but its Steps are nil, so it cannot be executed or
-// validated. It serves callers that execute the order some other way,
-// such as the subtree-parallel executors, which build their own split
-// plans.
-func CountPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
-	var w Workspace
-	return w.CountPlanOrderedBudget(c, ordered, budget)
-}
-
-// buildPlanOrdered builds (record) or counts the plan of a presorted
-// trial slice under a snapshot budget over w's slabs.
-func buildPlanOrdered(c *circuit.Circuit, ordered []*trial.Trial, budget int, record bool, w *Workspace) (*Plan, error) {
-	if budget < 0 {
-		return nil, fmt.Errorf("reorder: negative snapshot budget %d", budget)
-	}
-	p, err := planShell(c, ordered, w)
-	if err != nil {
-		return nil, err
-	}
-	steps, err := scanOrder(ordered, 0, 0, p.nLayers)
-	if err != nil {
-		return nil, err
-	}
-	if budget != math.MaxInt {
-		// At most four steps per trie node (advance, push, inject, pop),
-		// no more trie nodes than injections, plus an advance and an emit
-		// per trial.
-		steps = 4*p.injections + 2*len(ordered) + 1
-	}
-	if record {
-		// Exactly sized when new, so an unbudgeted plan's Steps has no
-		// spare capacity.
-		if cap(w.steps) < steps {
-			w.steps = make([]Step, 0, steps)
+	capOf := func(name string, v int) (int, error) {
+		switch {
+		case v == 0:
+			return math.MaxInt, nil
+		case v == -1:
+			return 0, nil
+		case v < 0:
+			return 0, fmt.Errorf("reorder: negative %s %d", name, v)
 		}
-		p.Steps = w.steps[:0]
+		return v, nil
 	}
+	if budget, err = capOf("snapshot budget", o.Budget); err != nil {
+		return 0, 0, err
+	}
+	maxShared, err = capOf("sharing cap", o.MaxShared)
+	return budget, maxShared, err
+}
 
-	b := newPlanBuilder(p, math.MaxInt, budget, w)
-	b.record = record
-	b.build(0, len(p.Order), 0)
-	if record {
-		w.steps = p.Steps // a budgeted plan may have grown them
+// BuildPlan sorts the trials with Algorithm 1 and, in the same walk,
+// builds their execution plan: a depth-first walk of the
+// injection-prefix trie in which each branch point stores one snapshot
+// that is dropped after its last child, and the last child of a branch
+// consumes the parent's state in place (the paper's "S1 can be dropped
+// since it is no longer used"). The trials may come in any order; the
+// input slice is not modified. Options set a snapshot budget, a sharing
+// cap, or counting only.
+func BuildPlan(c *circuit.Circuit, trials []*trial.Trial, opt Options) (*Plan, error) {
+	var w Workspace
+	return w.BuildPlan(c, trials, opt)
+}
+
+// BuildPlan is the package-level BuildPlan over w's slabs.
+func (w *Workspace) BuildPlan(c *circuit.Circuit, trials []*trial.Trial, opt Options) (*Plan, error) {
+	var wk walk
+	if err := w.start(&wk, c, trials, opt); err != nil {
+		return nil, err
 	}
-	if b.layersDone != p.nLayers {
-		// The final emit always advances to the end; reaching here means
-		// the builder has a bug, so fail loudly.
-		return nil, fmt.Errorf("reorder: internal error, plan ended at layer %d of %d", b.layersDone, p.nLayers)
+	wk.node(0, len(trials), 0)
+	if wk.record {
+		w.steps = wk.cur.steps // a budgeted plan may have grown them
 	}
-	if len(b.snaps) != 0 {
-		return nil, fmt.Errorf("reorder: internal error, %d snapshots leaked", len(b.snaps))
+	if wk.layersDone != wk.plan.nLayers || len(wk.snaps) != 0 {
+		// The final emit always advances to the end and every push pops;
+		// reaching here means the walk has a bug, so fail loudly.
+		return nil, fmt.Errorf("reorder: internal error, plan ended at layer %d of %d with %d snapshots", wk.layersDone, wk.plan.nLayers, len(wk.snaps))
 	}
-	if record && budget == math.MaxInt && len(p.Steps) != steps {
-		return nil, fmt.Errorf("reorder: internal error, plan has %d steps, counted %d", len(p.Steps), steps)
-	}
+	p := wk.plan
+	p.Steps, p.planOps, p.msv, p.pushCount = wk.cur.steps, wk.cur.ops, wk.cur.msv, wk.cur.copies
+	p.tasks = wk.tasks
 	return p, nil
 }
 
-// scanOrder returns an error unless ordered is in Sort order, and counts
-// the steps of its unbudgeted walk from a working state that has applied
-// the first depth injections every trial shares and entry gate layers: a
-// whole plan from |0...0> (0, 0), or a split plan's task below its branch
-// injection. The first trial adds its injections beyond depth. Each later
-// trial that starts a new distinct sequence branches from its predecessor
-// at depth p, their common-prefix length. Exhausted trials sort last, so
-// the predecessor has a p-th injection, and the walk resumes from the
-// snapshot taken before it: one push/pop pair per branch, the state
-// advanced through the layer of that injection. From there the trial adds
-// one inject per injection beyond p, an advance wherever the layer
-// frontier rises (before an injection in a later layer, and to the
-// circuit's end) and one emit. Duplicates share their predecessor's emit
-// and add nothing.
-func scanOrder(ordered []*trial.Trial, depth, entry, nLayers int) (int, error) {
-	steps := 0
-	var prev []trial.Key
-	for i, t := range ordered {
-		cur := t.Inj
-		p, frontier := depth, entry
-		if i > 0 {
-			n := min(len(prev), len(cur))
-			for p < n && prev[p] == cur[p] {
-				p++
-			}
-			if (p < n && prev[p] > cur[p]) || (p == n && len(prev) < len(cur)) {
-				return 0, fmt.Errorf("reorder: trials not in Sort order at index %d (use Sort first)", i)
-			}
-			if p == n && len(prev) == len(cur) {
-				continue
-			}
-			steps += 2
-			frontier = prev[p].Layer() + 1
-		}
-		for _, k := range cur[p:] {
-			if l := k.Layer() + 1; l > frontier {
-				steps++
-				frontier = l
-			}
-			steps++
-		}
-		if frontier < nLayers {
-			steps++
-		}
-		steps++
-		prev = cur
-	}
-	return steps, nil
+// BuildPlanOrderedBudget builds the plan of presorted trials under a
+// snapshot budget, math.MaxInt for none and 0 for NoSnapshots.
+//
+// Deprecated: use BuildPlan, which takes trials in any order.
+func BuildPlanOrderedBudget(c *circuit.Circuit, ordered []*trial.Trial, budget int) (*Plan, error) {
+	return BuildPlan(c, ordered, Options{Budget: cmp.Or(budget, NoSnapshots)})
 }
 
-// planShell builds a Plan over an already-ordered trial sequence with the
-// circuit's layer metadata, in w's layer slab, and the baseline op count
-// filled in, ready for a planBuilder to populate steps and metrics. It
-// rejects orders and circuits too large for a Step's int32 fields.
-func planShell(c *circuit.Circuit, ordered []*trial.Trial, w *Workspace) (*Plan, error) {
-	if len(ordered) == 0 {
-		return nil, fmt.Errorf("reorder: empty trial set")
+// start checks the options, the trials and the circuit, and sets wk up
+// to walk the trials in w's slabs from the root: its plan has the order,
+// the circuit's layer tables and the baseline, and its step slab is
+// presized. It rejects orders and circuits too large for a Step's int32
+// fields.
+func (w *Workspace) start(wk *walk, c *circuit.Circuit, trials []*trial.Trial, opt Options) error {
+	budget, maxShared, err := opt.caps()
+	if err != nil {
+		return err
+	}
+	if len(trials) == 0 {
+		return fmt.Errorf("reorder: empty trial set")
 	}
 	layers := c.Layers()
-	if err := checkStepRange(len(ordered), len(layers)); err != nil {
-		return nil, err
+	if err := checkStepRange(len(trials), len(layers)); err != nil {
+		return err
 	}
 	n := len(layers)
-	if cap(w.layers) < 2*n+1 {
-		w.layers = make([]int, 2*n+1)
+	if cap(w.layers) < n+1 {
+		w.layers = make([]int, n+1)
 	}
-	p := &Plan{
-		Order:    ordered,
-		nLayers:  n,
-		layerOps: w.layers[:n:n],
-		layerCum: w.layers[n : 2*n+1 : 2*n+1],
-	}
+	p := &Plan{nLayers: n, layerCum: w.layers[: n+1 : n+1]}
 	p.layerCum[0] = 0
 	for l, idx := range layers {
-		p.layerOps[l] = len(idx)
 		p.layerCum[l+1] = p.layerCum[l] + len(idx)
 	}
-	p.totalOps = p.layerCum[len(layers)]
-	for _, t := range ordered {
-		if len(t.Inj) > 0 && t.Inj[len(t.Inj)-1].Layer() >= len(layers) {
-			return nil, fmt.Errorf("reorder: trial %d injects at layer %d, circuit has %d layers", t.ID, t.Inj[len(t.Inj)-1].Layer(), len(layers))
+	p.totalOps = p.layerCum[n]
+	injections, injected, maxInj := 0, 0, 0
+	for _, t := range trials {
+		if len(t.Inj) == 0 {
+			continue
 		}
-		p.baseline += int64(p.totalOps) + int64(len(t.Inj))
-		p.injections += len(t.Inj)
-		p.maxInj = max(p.maxInj, len(t.Inj))
+		if l := t.Inj[len(t.Inj)-1].Layer(); l >= n {
+			return fmt.Errorf("reorder: trial %d injects at layer %d, circuit has %d layers", t.ID, l, n)
+		}
+		injections += len(t.Inj)
+		injected++
+		maxInj = max(maxInj, len(t.Inj))
 	}
-	return p, nil
+	p.baseline = int64(len(trials))*int64(p.totalOps) + int64(injections)
+	// The prefix is never deeper than the longest injection list, nor is
+	// a stack; a split task's stack sits above the trunk's, one deeper
+	// for a budgeted task's entry.
+	if cap(w.prefix) < maxInj || cap(w.snaps) < maxInj+1 {
+		w.prefix, w.snaps = make([]trial.Key, 0, maxInj), make([]snap, 0, maxInj+1)
+	}
+	*wk = walk{plan: p, record: !opt.Count, budget: budget, maxShared: maxShared, prefix: w.prefix[:0], snaps: w.snaps[:0]}
+	w.load(wk, trials)
+	p.Order = wk.order
+	if wk.record {
+		// An unbudgeted plan never has more steps than this bound, so its
+		// slab never regrows. Take the distinct injection sequences in
+		// walk order. The first applies its injections, each an inject
+		// and at most one advance before it, then at most one advance to
+		// the end and an emit. Each later sequence branches from its
+		// predecessor at their common prefix (exhausted trials sort
+		// last, so it is a proper prefix of the predecessor): one push
+		// and one pop, then the same at most two steps per injection past
+		// the branch and two to finish. Duplicates share an emit. With D
+		// sequences, that is at most 2·injections + 4·D − 2 steps, and
+		// D <= injected + 1, since each nonempty sequence has a trial with
+		// an injection and at most one sequence is empty. A split plan's
+		// tasks fit too: a task has the steps of its subtree less the
+		// branch point's advance, push and pop. Budgeted plans replay on
+		// top and may regrow the slab.
+		bound := 2*injections + 4*injected + 2
+		if cap(w.steps) < bound {
+			w.steps = make([]Step, 0, bound)
+		}
+		wk.cur.steps = w.steps[:0]
+	}
+	return nil
 }
 
 // snap records what a pushed snapshot holds: how many gate layers were
-// applied and how many of the builder's prefix injections.
+// applied and how many of the walk's prefix injections.
 type snap struct {
 	layers    int
 	prefixLen int
 }
 
-// planBuilder walks the injection-prefix trie of its plan's order. The
-// one walk builds a whole plan, counts one without steps (Analyze), or,
-// with split set, builds a SplitPlan's trunk: it then spawns a task for
-// each trie child at depth cut and for each clean tail above it, and
-// each task body is again a whole-plan walk of that subtree.
-type planBuilder struct {
-	plan       *Plan
-	record     bool       // false: streaming analysis, count but emit no steps
-	depthCap   int        // max shared injections exploited; 0 disables sharing
-	budget     int        // max concurrent snapshots (MaxInt for BuildPlan)
-	split      *SplitPlan // non-nil: this walk is the trunk of split
-	cut        int        // with split, the depth tasks hang at
-	layersDone int
-	prefix     []trial.Key // injections applied to the working state
+// part is what the walk has made of one plan component: the whole plan,
+// a split plan's trunk, or one of its tasks.
+type part struct {
+	steps  []Step
+	ops    int64 // basic operations
+	copies int64 // pushes and restores from a stored snapshot
+	msv    int   // peak snapshot-stack depth
+}
+
+// walk is one run of Algorithm 1 over an order (see node). Without a
+// plan it only sorts (Sort). With one it builds the plan's steps and
+// counters, or counts only; with split set, it builds split's trunk, and
+// spawns a task for each trie child at depth cut and each clean tail
+// above it, each task body the same walk of that subtree.
+type walk struct {
+	order []*trial.Trial
+	keys  []uint64
+	held  []*trial.Trial
+
+	plan      *Plan // nil: sort only
+	record    bool  // false: count without steps
+	budget    int   // max snapshots stored at once (math.MaxInt: no cap)
+	maxShared int   // shared injections exploited (math.MaxInt: no cap)
+	split     *SplitPlan
+	cut       int
+	slab      []Step // with split, the tasks' steps, one task after another
+
+	cur        part // the component being walked
+	layersDone int  // gate layers the working state has applied
+	prefix     []trial.Key
 	snaps      []snap
+	tasks      [CountedCuts + 1]int // see Plan.SplitTasks
 }
 
-// newPlanBuilder returns a builder over p's trial order. The prefix and
-// the snapshot stack are never deeper than the longest injection list, so
-// both are sized once, in w's slabs.
-func newPlanBuilder(p *Plan, depthCap, budget int, w *Workspace) *planBuilder {
-	if cap(w.prefix) < p.maxInj {
-		w.prefix, w.snaps = make([]trial.Key, 0, p.maxInj), make([]snap, 0, p.maxInj)
-	}
-	return &planBuilder{
-		plan: p, depthCap: depthCap, budget: budget,
-		prefix: w.prefix[:0],
-		snaps:  w.snaps[:0],
-	}
-}
-
-func (b *planBuilder) emit(s Step) {
-	if b.record {
-		b.plan.Steps = append(b.plan.Steps, s)
-	}
-}
-
-// advanceTo emits an Advance covering layers [layersDone, to) and accounts
-// for its gate applications.
-func (b *planBuilder) advanceTo(to int) {
-	if to < b.layersDone {
-		panic(fmt.Sprintf("reorder: advance backwards from %d to %d", b.layersDone, to))
-	}
-	if to == b.layersDone {
+// node walks trials order[lo:hi), which share their first depth
+// injections and sit in input order, from a working state that has
+// applied those injections and layersDone gate layers. It partitions the
+// range, and then, for each child (the trials sharing a depth-th
+// injection), advances to the injection's layer; pushes a snapshot, or,
+// at a split's cut, spawns a task; injects; walks the child; and returns
+// to the branch point by a pop, or by a restore and replay when the
+// budget allowed no snapshot. The last child of a range without
+// exhausted trials consumes the working state in place. The exhausted
+// trials, last in the range, are its clean tail: an advance to the end
+// and one emit, or above a split's cut, a task of their own.
+//
+// node is the package's one recursion over the trie: Sort, the plans and
+// counts of BuildPlan and BuildBatchPlan, and the trunks and tasks of
+// BuildSplitPlan are all this walk.
+func (w *walk) node(lo, hi, depth int) {
+	if depth >= w.maxShared {
+		w.replay(lo, hi, depth)
 		return
 	}
-	b.emit(Step{Kind: StepAdvance, From: int32(b.layersDone), To: int32(to)})
-	b.plan.planOps += int64(b.plan.GatesInLayers(b.layersDone, to))
-	b.layersDone = to
-}
-
-// build processes sorted trials [lo, hi), which agree on their first
-// `depth` injections (already applied to the working state). The working
-// state has b.layersDone gate layers applied — at least the layer of the
-// depth-th injection plus one, and no injections beyond depth.
-func (b *planBuilder) build(lo, hi, depth int) {
-	// Depth-capped ablation mode: beyond the cap, every trial in the
-	// range replays individually from the range's entry state. Used by
-	// AnalyzeCapped to quantify how much each recursion level of
-	// Algorithm 1 contributes; the cap is MaxInt in normal operation.
-	if depth >= b.depthCap {
-		for i := lo; i < hi; i++ {
-			t := b.plan.Order[i]
-			b.plan.planOps += int64(b.plan.GatesInLayers(b.layersDone, b.plan.nLayers))
-			b.plan.planOps += int64(len(t.Inj) - depth)
-		}
-		b.layersDone = b.plan.nLayers
-		return
-	}
-	// Exhausted trials (exactly `depth` injections) sort to the tail of
-	// the range; they are served by the error-free frontier last.
-	cleanStart := hi
-	for cleanStart > lo && len(b.plan.Order[cleanStart-1].Inj) == depth {
-		cleanStart--
-	}
-	i := lo
-	for i < cleanStart {
-		key := b.plan.Order[i].Inj[depth]
+	tail := lo + w.partition(lo, hi, depth)
+	for i := lo; i < tail; {
 		j := i + 1
-		for j < cleanStart && b.plan.Order[j].Inj[depth] == key {
+		for j < tail && w.keys[j] == w.keys[i] {
 			j++
 		}
-		inj := key.Unpack()
-		b.advanceTo(inj.Layer + 1)
-		if b.split != nil && depth == b.cut-1 {
-			b.spawnBranch(i, j, depth, key)
+		if w.plan == nil {
+			if j-i > 1 { // one trial is ordered
+				w.node(i, j, depth+1)
+			}
 			i = j
 			continue
 		}
-		// Consume the working state in place for the last child of a
-		// tail-free range, snapshot when the budget allows, replay
-		// otherwise.
-		last := j == cleanStart && cleanStart == hi
-		pushed := false
-		if !last && len(b.snaps) < b.budget {
-			b.emit(Step{Kind: StepPush})
-			b.plan.pushCount++
-			b.snaps = append(b.snaps, snap{layers: b.layersDone, prefixLen: depth})
-			if len(b.snaps) > b.plan.msv {
-				b.plan.msv = len(b.snaps)
-			}
+		if depth < CountedCuts {
+			w.tasks[depth+1]++
+		}
+		key := w.order[i].Inj[depth]
+		w.advanceTo(key.Layer() + 1)
+		spawn, last, pushed := w.split != nil && depth == w.cut-1, j == hi, false
+		var trunk resume
+		switch {
+		case spawn:
+			trunk = w.enterTask(i, j, depth)
+		case !last && len(w.snaps) < w.budget:
+			w.push(depth)
 			pushed = true
 		}
-		b.emit(Step{Kind: StepInject, Qubit: int32(inj.Qubit), Op: inj.Op})
-		b.plan.planOps++
-		b.prefix = append(b.prefix[:depth], key)
-		b.build(i, j, depth+1)
-		if !last {
-			if pushed {
-				b.emit(Step{Kind: StepPop})
-				top := b.snaps[len(b.snaps)-1]
-				b.snaps = b.snaps[:len(b.snaps)-1]
-				b.layersDone = top.layers
-				b.prefix = b.prefix[:top.prefixLen]
-			} else {
-				b.restoreTo(depth)
-			}
+		w.inject(key)
+		w.prefix = append(w.prefix[:depth], key)
+		w.node(i, j, depth+1)
+		switch {
+		case spawn:
+			w.leaveTask(trunk)
+		case pushed:
+			w.pop()
+		case !last:
+			w.restoreTo(depth)
 		}
 		i = j
 	}
-	switch {
-	case cleanStart == hi:
-	case b.split != nil:
-		b.spawnClean(cleanStart, hi, depth)
-	default:
-		b.advanceTo(b.plan.nLayers)
-		b.emit(Step{Kind: StepEmit, From: int32(cleanStart), To: int32(hi)})
+	if tail == hi || w.plan == nil {
+		return
 	}
+	for cut := depth + 1; cut <= CountedCuts; cut++ {
+		w.tasks[cut]++
+	}
+	if w.split != nil && depth < w.cut {
+		w.spawnClean(tail, hi, depth)
+		return
+	}
+	w.advanceTo(w.plan.nLayers)
+	w.emit(Step{Kind: StepEmit, From: int32(tail), To: int32(hi)})
+}
+
+// partition is Algorithm 1's step at the trie node order[lo:hi): trials
+// that share their first depth injections and sit in input order. It
+// returns how many have a depth-th injection. Those come first, sorted
+// by it, equal keys in input order, with keys[lo+i] equal for equal
+// injections; the exhausted trials follow in input order. A node that
+// mixes both, or several keys, sorts one uint64 per live trial: the
+// depth-th key minus the node's smallest, shifted left past the trial's
+// rank in input order, so that equal keys tie by input position. When
+// key spread and rank need more than 64 bits, it sorts ranks by (key,
+// rank) instead. Only the scratch of the node's own range is written, so
+// a child never overwrites what its parent still reads.
+func (w *walk) partition(lo, hi, depth int) int {
+	// One pass: trials with a depth-th key to held, their keys to keys,
+	// exhausted trials packed to the front of the range.
+	held, keys := w.held[lo:hi], w.keys[lo:hi]
+	live, minK, maxK := 0, ^uint64(0), uint64(0)
+	for i, t := range w.order[lo:hi] {
+		if len(t.Inj) <= depth {
+			w.order[lo+i-live] = t
+			continue
+		}
+		k := uint64(t.Inj[depth])
+		held[live], keys[live] = t, k
+		minK, maxK = min(minK, k), max(maxK, k)
+		live++
+	}
+	if live == 0 || (live == hi-lo && minK == maxK) {
+		return live // all exhausted, or a single child: nothing moves
+	}
+	copy(w.order[lo+live:hi], w.order[lo:hi-live])
+	held, keys = held[:live], keys[:live]
+	if rankBits := bits.Len(uint(live - 1)); bits.Len64(maxK-minK)+rankBits <= 64 {
+		for j, k := range keys {
+			keys[j] = (k-minK)<<rankBits | uint64(j)
+		}
+		slices.Sort(keys)
+		mask := uint64(1)<<rankBits - 1
+		for j, k := range keys {
+			w.order[lo+j] = held[k&mask]
+			keys[j] = k >> rankBits
+		}
+	} else {
+		for j := range keys {
+			keys[j] = uint64(j)
+		}
+		slices.SortFunc(keys, func(a, b uint64) int {
+			if c := cmp.Compare(held[a].Inj[depth], held[b].Inj[depth]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		for j, k := range keys {
+			w.order[lo+j] = held[k]
+			keys[j] = uint64(held[k].Inj[depth])
+		}
+	}
+	return live
+}
+
+func (w *walk) emit(s Step) {
+	if w.record {
+		w.cur.steps = append(w.cur.steps, s)
+	}
+}
+
+// advanceTo emits an Advance covering layers [layersDone, to) and counts
+// its gate applications.
+func (w *walk) advanceTo(to int) {
+	if to < w.layersDone {
+		panic(fmt.Sprintf("reorder: advance backwards from %d to %d", w.layersDone, to))
+	}
+	if to == w.layersDone {
+		return
+	}
+	w.emit(Step{Kind: StepAdvance, From: int32(w.layersDone), To: int32(to)})
+	w.cur.ops += int64(w.plan.GatesInLayers(w.layersDone, to))
+	w.layersDone = to
+}
+
+func (w *walk) inject(k trial.Key) {
+	in := k.Unpack()
+	w.emit(Step{Kind: StepInject, Qubit: int32(in.Qubit), Op: in.Op})
+	w.cur.ops++
+}
+
+// push snapshots the working state, which has applied the prefix's
+// first depth injections.
+func (w *walk) push(depth int) {
+	w.emit(Step{Kind: StepPush})
+	w.cur.copies++
+	w.snaps = append(w.snaps, snap{layers: w.layersDone, prefixLen: depth})
+	w.cur.msv = max(w.cur.msv, len(w.snaps))
+}
+
+func (w *walk) pop() {
+	w.emit(Step{Kind: StepPop})
+	top := w.snaps[len(w.snaps)-1]
+	w.snaps = w.snaps[:len(w.snaps)-1]
+	w.layersDone, w.prefix = top.layers, w.prefix[:top.prefixLen]
 }
 
 // restoreTo resumes the working state to (prefix[:depth], the associated
 // layer frontier) without a dedicated snapshot: restore a copy of the
-// nearest stored ancestor (or reset to |0...0|) and replay the missing
+// nearest stored ancestor (or reset to |0...0>) and replay the missing
 // gates and injections. Only budgeted plans reach this path.
-func (b *planBuilder) restoreTo(depth int) {
+func (w *walk) restoreTo(depth int) {
 	base := snap{} // empty stack: replay from the initial state
-	if len(b.snaps) > 0 {
-		base = b.snaps[len(b.snaps)-1]
-		b.plan.pushCount++ // restoring copies one stored vector
+	if n := len(w.snaps); n > 0 {
+		base = w.snaps[n-1]
+		w.cur.copies++ // restoring copies one stored vector
 	}
-	b.emit(Step{Kind: StepRestore})
-	b.layersDone = base.layers
-	for _, k := range b.prefix[base.prefixLen:depth] {
-		in := k.Unpack()
-		b.advanceTo(in.Layer + 1)
-		b.emit(Step{Kind: StepInject, Qubit: int32(in.Qubit), Op: in.Op})
-		b.plan.planOps++
+	w.emit(Step{Kind: StepRestore})
+	w.layersDone = base.layers
+	for _, k := range w.prefix[base.prefixLen:depth] {
+		w.advanceTo(k.Layer() + 1)
+		w.inject(k)
 	}
-	b.prefix = b.prefix[:depth]
+	w.prefix = w.prefix[:depth]
+}
+
+// replay counts trials order[lo:hi) past the sharing cap: each finishes
+// alone from the range's entry state.
+func (w *walk) replay(lo, hi, depth int) {
+	rest := int64(w.plan.GatesInLayers(w.layersDone, w.plan.nLayers))
+	for _, t := range w.order[lo:hi] {
+		w.cur.ops += rest + int64(len(t.Inj)-depth)
+	}
+	w.layersDone = w.plan.nLayers
 }
 
 // Analysis bundles the static metrics of a plan, matching the evaluation
@@ -752,42 +741,6 @@ type Analysis struct {
 	Copies        int64   // state-vector copies performed
 	CircuitLayers int
 	CircuitGates  int
-}
-
-// Analyze runs the static analysis for a circuit, trial set pair without
-// materializing plan steps: the same recursion as BuildPlan but counting
-// only, so million-trial, 40-qubit sweeps fit in memory. It reports
-// exactly the metrics BuildPlan would (the test suite asserts equality).
-func Analyze(c *circuit.Circuit, trials []*trial.Trial) (Analysis, error) {
-	return AnalyzeCapped(c, trials, math.MaxInt)
-}
-
-// AnalyzeCapped is Analyze with the prefix-sharing depth capped at
-// maxShared injections: trials reuse computation only through their first
-// maxShared shared errors, and replay individually beyond that. A cap of 0
-// disables sharing entirely (reproducing the baseline cost exactly); a cap
-// of 1 corresponds to ordering by the first error location only, without
-// Algorithm 1's recursion. Intended for ablation studies of the reorder
-// depth.
-func AnalyzeCapped(c *circuit.Circuit, trials []*trial.Trial, maxShared int) (Analysis, error) {
-	return analyze(c, trials, maxShared, math.MaxInt)
-}
-
-// analyze sorts trials and counts their plan under a sharing depth cap
-// and a snapshot budget: the planBuilder recursion without steps, so its
-// metrics match BuildPlanBudget's exactly.
-func analyze(c *circuit.Circuit, trials []*trial.Trial, depthCap, budget int) (Analysis, error) {
-	var w Workspace
-	p, err := planShell(c, w.Sort(trials), &w)
-	if err != nil {
-		return Analysis{}, err
-	}
-	b := newPlanBuilder(p, depthCap, budget, &w)
-	b.build(0, len(p.Order), 0)
-	if b.layersDone != p.nLayers || len(b.snaps) != 0 {
-		return Analysis{}, fmt.Errorf("reorder: internal analysis error (layer %d of %d, stack %d)", b.layersDone, p.nLayers, len(b.snaps))
-	}
-	return p.Analysis(), nil
 }
 
 // Analysis reports the plan's static metrics.

@@ -63,6 +63,37 @@ func randomTrials(rng *rand.Rand, n, layers, qubits, maxErr int) []*trial.Trial 
 	return trials
 }
 
+// budgetOpt is the Options of a snapshot budget as the golden set labels
+// it: math.MaxInt for no cap, 0 for NoSnapshots.
+func budgetOpt(budget int) Options {
+	switch budget {
+	case math.MaxInt:
+		return Options{}
+	case 0:
+		return Options{Budget: NoSnapshots}
+	}
+	return Options{Budget: budget}
+}
+
+// capOpt is the Options of a sharing cap, 0 for NoSharing.
+func capOpt(maxShared int) Options {
+	if maxShared == 0 {
+		maxShared = NoSharing
+	}
+	return Options{MaxShared: maxShared}
+}
+
+// countPlan counts the plan of the trials under opt and returns its
+// analysis.
+func countPlan(c *circuit.Circuit, trials []*trial.Trial, opt Options) (Analysis, error) {
+	opt.Count = true
+	p, err := BuildPlan(c, trials, opt)
+	if err != nil {
+		return Analysis{}, err
+	}
+	return p.Analysis(), nil
+}
+
 // TestSortMatchesAlgorithmOne proves the lexicographic sort and the
 // literal recursive Algorithm 1 produce the same execution order.
 func TestSortMatchesAlgorithmOne(t *testing.T) {
@@ -128,7 +159,7 @@ func TestSortNeighborSharingDominatesLaterTrials(t *testing.T) {
 }
 
 func TestBuildPlanEmptyTrials(t *testing.T) {
-	if _, err := BuildPlan(chain(3), nil); err == nil {
+	if _, err := BuildPlan(chain(3), nil, Options{}); err == nil {
 		t.Error("empty trial set accepted")
 	}
 }
@@ -136,7 +167,7 @@ func TestBuildPlanEmptyTrials(t *testing.T) {
 func TestBuildPlanRejectsOutOfRangeLayer(t *testing.T) {
 	c := chain(2)
 	bad := []*trial.Trial{mkTrial(0, trial.Injection{Layer: 5, Qubit: 0, Op: gate.PauliX})}
-	if _, err := BuildPlan(c, bad); err == nil {
+	if _, err := BuildPlan(c, bad, Options{}); err == nil {
 		t.Error("out-of-range injection layer accepted")
 	}
 }
@@ -144,7 +175,7 @@ func TestBuildPlanRejectsOutOfRangeLayer(t *testing.T) {
 func TestPlanCleanTrialsOnly(t *testing.T) {
 	c := chain(4) // 4 layers x 2 gates = 8 gates
 	trials := []*trial.Trial{mkTrial(0), mkTrial(1), mkTrial(2)}
-	p, err := BuildPlan(c, trials)
+	p, err := BuildPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +205,7 @@ func TestPlanFigure2(t *testing.T) {
 		mkTrial(3, trial.Injection{Layer: 0, Qubit: 0, Op: gate.PauliX}), // trial 3
 		mkTrial(0), // error-free
 	}
-	p, err := BuildPlan(c, trials)
+	p, err := BuildPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +269,7 @@ func TestPlanDuplicateTrialsShareEverything(t *testing.T) {
 	c := chain(5)
 	inj := trial.Injection{Layer: 2, Qubit: 1, Op: gate.PauliZ}
 	trials := []*trial.Trial{mkTrial(0, inj), mkTrial(1, inj), mkTrial(2, inj)}
-	p, err := BuildPlan(c, trials)
+	p, err := BuildPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +304,7 @@ func TestPlanValidateOnRandomSets(t *testing.T) {
 		layers := 3 + rng.Intn(6)
 		c := chain(layers)
 		trials := randomTrials(rng, 1+rng.Intn(80), layers, 2, 4)
-		p, err := BuildPlan(c, trials)
+		p, err := BuildPlan(c, trials, Options{})
 		if err != nil {
 			return false
 		}
@@ -291,7 +322,7 @@ func TestOptimizedNeverExceedsBaselineProperty(t *testing.T) {
 		layers := 2 + rng.Intn(8)
 		c := chain(layers)
 		trials := randomTrials(rng, 1+rng.Intn(100), layers, 2, 5)
-		a, err := Analyze(c, trials)
+		a, err := countPlan(c, trials, Options{})
 		if err != nil {
 			return false
 		}
@@ -309,7 +340,7 @@ func TestMSVBoundedBySharedErrorDepth(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := chain(8)
 	trials := randomTrials(rng, 200, 8, 2, 5)
-	p, err := BuildPlan(c, trials)
+	p, err := BuildPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +379,7 @@ func TestMoreTrialsImproveSaving(t *testing.T) {
 	prev := math.Inf(1)
 	for _, n := range []int{256, 1024, 4096} {
 		trials := gen.Generate(rng, n)
-		a, err := Analyze(c, trials)
+		a, err := countPlan(c, trials, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +400,7 @@ func TestLowerErrorRateImprovesSaving(t *testing.T) {
 			t.Fatal(err)
 		}
 		trials := g.Generate(rand.New(rand.NewSource(11)), 2000)
-		a, err := Analyze(c, trials)
+		a, err := countPlan(c, trials, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +424,7 @@ func TestYorktownBenchmarkSavings(t *testing.T) {
 		t.Fatal(err)
 	}
 	trials := g.Generate(rand.New(rand.NewSource(12)), 1024)
-	a, err := Analyze(c, trials)
+	a, err := countPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +450,7 @@ func TestStepKindString(t *testing.T) {
 
 func TestGatesInLayers(t *testing.T) {
 	c := chain(4)
-	p, err := BuildPlan(c, []*trial.Trial{mkTrial(0)})
+	p, err := BuildPlan(c, []*trial.Trial{mkTrial(0)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,19 +462,19 @@ func TestGatesInLayers(t *testing.T) {
 	}
 }
 
-// TestAnalyzeMatchesBuildPlan proves the streaming analyzer reports
-// exactly the metrics of the step-materializing plan builder.
+// TestAnalyzeMatchesBuildPlan proves the count-only walk reports exactly
+// the metrics of the walk that records steps.
 func TestAnalyzeMatchesBuildPlan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		layers := 2 + rng.Intn(8)
 		c := chain(layers)
 		trials := randomTrials(rng, 1+rng.Intn(120), layers, 2, 5)
-		a, err := Analyze(c, trials)
+		a, err := countPlan(c, trials, Options{})
 		if err != nil {
 			return false
 		}
-		p, err := BuildPlan(c, trials)
+		p, err := BuildPlan(c, trials, Options{})
 		if err != nil {
 			return false
 		}
@@ -454,17 +485,18 @@ func TestAnalyzeMatchesBuildPlan(t *testing.T) {
 	}
 }
 
-// TestAnalyzeCappedExtremes: cap 0 reproduces the baseline exactly; a huge
-// cap reproduces the full analysis; savings are monotone in the cap.
+// TestAnalyzeCappedExtremes: a sharing cap of 0 (NoSharing) reproduces
+// the baseline exactly; a huge cap reproduces the full analysis; savings
+// are monotone in the cap.
 func TestAnalyzeCappedExtremes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	c := chain(8)
 	trials := randomTrials(rng, 150, 8, 2, 5)
-	full, err := Analyze(c, trials)
+	full, err := countPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := AnalyzeCapped(c, trials, 0)
+	zero, err := countPlan(c, trials, capOpt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +506,7 @@ func TestAnalyzeCappedExtremes(t *testing.T) {
 	if zero.MSV != 0 {
 		t.Errorf("cap 0 MSV = %d, want 0", zero.MSV)
 	}
-	huge, err := AnalyzeCapped(c, trials, 1<<30)
+	huge, err := countPlan(c, trials, capOpt(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +515,7 @@ func TestAnalyzeCappedExtremes(t *testing.T) {
 	}
 	prev := zero.OptimizedOps
 	for cap := 1; cap <= 6; cap++ {
-		a, err := AnalyzeCapped(c, trials, cap)
+		a, err := countPlan(c, trials, capOpt(cap))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,12 +533,12 @@ func TestBudgetedPlanInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	c := chain(8)
 	trials := randomTrials(rng, 200, 8, 2, 5)
-	full, err := BuildPlan(c, trials)
+	full, err := BuildPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for budget := 0; budget <= full.MSV()+1; budget++ {
-		p, err := BuildPlanBudget(c, trials, budget)
+		p, err := BuildPlan(c, trials, budgetOpt(budget))
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -523,14 +555,14 @@ func TestBudgetedPlanInvariants(t *testing.T) {
 			t.Errorf("budget %d: ops %d exceed baseline %d", budget, p.OptimizedOps(), p.BaselineOps())
 		}
 	}
-	unlimited, err := BuildPlanBudget(c, trials, 1<<40)
+	unlimited, err := BuildPlan(c, trials, budgetOpt(1<<40))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if unlimited.Analysis() != full.Analysis() {
 		t.Error("unlimited budget differs from BuildPlan")
 	}
-	if _, err := BuildPlanBudget(c, trials, -1); err == nil {
+	if _, err := BuildPlan(c, trials, Options{Budget: -2}); err == nil {
 		t.Error("negative budget accepted")
 	}
 }
@@ -544,7 +576,7 @@ func TestBudgetedOpsMonotoneInBudget(t *testing.T) {
 		trials := randomTrials(rng, 1+rng.Intn(80), layers, 2, 4)
 		prev := int64(-1)
 		for budget := 5; budget >= 0; budget-- {
-			p, err := BuildPlanBudget(c, trials, budget)
+			p, err := BuildPlan(c, trials, budgetOpt(budget))
 			if err != nil {
 				return false
 			}
@@ -569,7 +601,7 @@ func TestPlanDump(t *testing.T) {
 		mkTrial(0, trial.Injection{Layer: 1, Qubit: 0, Op: gate.PauliX}),
 		mkTrial(1),
 	}
-	p, err := BuildPlan(c, trials)
+	p, err := BuildPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,8 +619,8 @@ func TestPlanDump(t *testing.T) {
 
 // TestBuildPlanAllocsIndependentOfTrials: building a plan allocates the
 // same number of times at 256 and 4,096 trials. Emits name a range of
-// the order instead of a slice of indices, Steps is allocated once at
-// its exact size, and the builder's prefix and stack are sized once.
+// the order instead of a slice of indices, Steps is allocated once at a
+// bound, and the walk's order, scratch, prefix and stack are sized once.
 func TestBuildPlanAllocsIndependentOfTrials(t *testing.T) {
 	// A collection cycle triggered by the multi-MB step slice can count
 	// runtime allocations of its own; count only the builder's.
@@ -597,28 +629,52 @@ func TestBuildPlanAllocsIndependentOfTrials(t *testing.T) {
 		c, trials := benchTrials(t, "qv_n5d5", n, 5)
 		ordered := Sort(trials)
 		return testing.AllocsPerRun(5, func() {
-			if _, err := BuildPlanOrdered(c, ordered); err != nil {
+			if _, err := BuildPlan(c, ordered, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if small, large := allocs(256), allocs(4096); small != large {
-		t.Errorf("BuildPlanOrdered allocates %.0f times at 256 trials, %.0f at 4096", small, large)
+		t.Errorf("BuildPlan allocates %.0f times at 256 trials, %.0f at 4096", small, large)
 	}
 }
 
-// TestPlanStepsExactSize: an unbudgeted plan's Steps is allocated once,
-// at exactly the size the order scan counts, on the golden jobs and on
-// random sets full of duplicates and shared prefixes.
-func TestPlanStepsExactSize(t *testing.T) {
+// TestPlanStepsNeverRegrow: an unbudgeted walk presizes its step slab to
+// 2·injections + 4·(trials with an injection) + 2, a bound known before
+// the walk, and never regrows it: a plan's Steps, and a split plan's task
+// steps laid one after another, sit in one slab of exactly that capacity.
+// Checked on the golden jobs and on random sets full of duplicates and
+// shared prefixes, at every cut a split plan counts.
+func TestPlanStepsNeverRegrow(t *testing.T) {
 	check := func(label string, c *circuit.Circuit, trials []*trial.Trial) {
 		t.Helper()
-		p, err := BuildPlan(c, trials)
+		bound := 2
+		for _, tr := range trials {
+			if len(tr.Inj) > 0 {
+				bound += 2*len(tr.Inj) + 4
+			}
+		}
+		p, err := BuildPlan(c, trials, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if len(p.Steps) != cap(p.Steps) {
-			t.Fatalf("%s: %d steps in a slice of capacity %d", label, len(p.Steps), cap(p.Steps))
+		if len(p.Steps) > bound || cap(p.Steps) != bound {
+			t.Fatalf("%s: %d steps in a slab of capacity %d, bound %d", label, len(p.Steps), cap(p.Steps), bound)
+		}
+		for cut := 1; cut <= CountedCuts; cut++ {
+			sp, err := BuildSplitPlan(c, trials, cut, Options{})
+			if err != nil {
+				t.Fatalf("%s cut %d: %v", label, cut, err)
+			}
+			first := sp.Subtrees[0].Steps
+			slab := unsafe.Slice(&first[:1][0], bound)
+			at := 0
+			for _, st := range sp.Subtrees {
+				if len(st.Steps) != cap(st.Steps) || at+len(st.Steps) > bound || &st.Steps[0] != &slab[at] {
+					t.Fatalf("%s cut %d: task %d's %d steps are not the next %d of the slab", label, cut, st.ID, len(st.Steps), bound-at)
+				}
+				at += len(st.Steps)
+			}
 		}
 	}
 	for _, job := range goldenJobs(t) {
@@ -757,7 +813,7 @@ func TestValidateRejectsCorruptPlans(t *testing.T) {
 	for _, budget := range []int{math.MaxInt, 1} {
 		label := budgetLabel(budget)
 		plan := func() *Plan {
-			p, err := BuildPlanBudget(c, trials, budget)
+			p, err := BuildPlan(c, trials, budgetOpt(budget))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -767,7 +823,7 @@ func TestValidateRejectsCorruptPlans(t *testing.T) {
 			return p
 		}
 		split := func() *SplitPlan {
-			sp, err := SplitPlanCut(c, trials, 2, budget)
+			sp, err := BuildSplitPlan(c, trials, 2, budgetOpt(budget))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -816,7 +872,7 @@ func TestValidateRecountsCounters(t *testing.T) {
 			"MSV":    func(p *Plan) { p.msv++ },
 			"copies": func(p *Plan) { p.pushCount-- },
 		} {
-			p, err := BuildPlanBudget(c, trials, budget)
+			p, err := BuildPlan(c, trials, budgetOpt(budget))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -831,7 +887,7 @@ func TestValidateRecountsCounters(t *testing.T) {
 			"task ops":  func(sp *SplitPlan) { sp.Subtrees[len(sp.Subtrees)/2].Ops++ },
 			"task MSV":  func(sp *SplitPlan) { sp.Subtrees[len(sp.Subtrees)/2].MSV++ },
 		} {
-			sp, err := SplitPlanCut(c, trials, 2, budget)
+			sp, err := BuildSplitPlan(c, trials, 2, budgetOpt(budget))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -167,5 +167,78 @@ func FuzzSortMatchesStable(f *testing.F) {
 			}
 		}
 		checkSortMatchesStable(t, "fuzzed", trials)
+		checkWalkAgrees(t, plannable(trials))
 	})
+}
+
+// plannable returns a copy of fuzzed trials a plan can be built for on
+// chain(16): the top layers a wide key names map to layers 8-15, and each
+// trial's injections are in ascending order, as generated trials' are.
+func plannable(trials []*trial.Trial) []*trial.Trial {
+	out := make([]*trial.Trial, len(trials))
+	for i, tr := range trials {
+		inj := make([]trial.Key, len(tr.Inj))
+		for k, key := range tr.Inj {
+			in := key.Unpack()
+			if in.Layer > 7 {
+				in.Layer -= topLayer - 15
+			}
+			inj[k] = trial.Pack(in.Layer, in.Qubit, in.Op)
+		}
+		slices.Sort(inj)
+		out[i] = &trial.Trial{ID: tr.ID, Inj: inj}
+	}
+	return out
+}
+
+// checkWalkAgrees fails unless the plan walk over trials agrees with
+// itself every way it can run: the plan validates, budgeted or not; the
+// count-only walk reports the same order and counters; a shuffled copy
+// of the trials yields the same steps; and the walk's split task counts
+// equal the reference count and the split plans it predicts.
+func checkWalkAgrees(t *testing.T, trials []*trial.Trial) {
+	t.Helper()
+	c := chain(16)
+	p, err := BuildPlan(c, trials, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	budgeted, err := BuildPlan(c, trials, Options{Budget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := budgeted.Validate(); err != nil {
+		t.Fatalf("budget 1 plan: %v", err)
+	}
+	counted, err := BuildPlan(c, trials, Options{Count: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counted.Steps != nil || counted.Analysis() != p.Analysis() || !slices.Equal(counted.Order, p.Order) {
+		t.Fatalf("count-only walk reports %+v, the plan %+v", counted.Analysis(), p.Analysis())
+	}
+	shuffled := slices.Clone(trials)
+	rand.New(rand.NewSource(int64(len(trials)))).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	sp, err := BuildPlan(c, shuffled, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sp.Steps, p.Steps) {
+		t.Fatal("a shuffled copy of the trials yields other steps")
+	}
+	for cut := 1; cut <= CountedCuts; cut++ {
+		split, err := BuildSplitPlan(c, trials, cut, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := countSubtrees(p.Order, cut)
+		if got := counted.SplitTasks(cut); got != want || len(split.Subtrees) != want {
+			t.Fatalf("cut %d: walk counts %d tasks, the split plan has %d, the reference %d", cut, got, len(split.Subtrees), want)
+		}
+	}
 }

@@ -116,134 +116,105 @@ func (sp *SplitPlan) Budget() int { return sp.budget }
 // NumLayers returns the circuit depth the plan was built against.
 func (sp *SplitPlan) NumLayers() int { return sp.nLayers }
 
-// BuildSplitPlan decomposes the trial set at cut depth 1 (the root's
-// branch children) with no memory budget — the default configuration of
-// the subtree-parallel executor.
-func BuildSplitPlan(c *circuit.Circuit, trials []*trial.Trial) (*SplitPlan, error) {
-	return SplitPlanCut(c, trials, 1, math.MaxInt)
-}
-
-// SplitPlanCut sorts the trials and decomposes them at the given cut
-// depth under a per-component snapshot budget (math.MaxInt = unlimited).
-// A deeper cut yields more, smaller tasks (better load balancing for many
-// workers) at the price of more sequential trunk work and one entry clone
-// per task.
-func SplitPlanCut(c *circuit.Circuit, trials []*trial.Trial, cut, budget int) (*SplitPlan, error) {
-	if len(trials) == 0 {
-		return nil, fmt.Errorf("reorder: empty trial set")
-	}
-	return SplitPlanOrderedCut(c, Sort(trials), cut, budget)
-}
-
-// SplitPlanOrderedCut is SplitPlanCut over a trial slice already in Sort
-// order (see BuildPlanOrdered for the contract).
-func SplitPlanOrderedCut(c *circuit.Circuit, ordered []*trial.Trial, cut, budget int) (*SplitPlan, error) {
+// BuildSplitPlan sorts the trials and decomposes their plan at the given
+// cut depth, in one walk, under Options.Budget applied per component. A
+// deeper cut yields more, smaller tasks (better load balancing for many
+// workers) at the price of more sequential trunk work and one entry
+// clone per task; Plan.SplitTasks counts them ahead. A split plan
+// records every step and shares every injection, so Count and MaxShared
+// must be unset.
+func BuildSplitPlan(c *circuit.Circuit, trials []*trial.Trial, cut int, opt Options) (*SplitPlan, error) {
 	if cut < 1 {
 		return nil, fmt.Errorf("reorder: split cut depth %d < 1", cut)
 	}
-	if budget < 0 {
-		return nil, fmt.Errorf("reorder: negative snapshot budget %d", budget)
+	if opt.Count || opt.MaxShared != 0 {
+		return nil, fmt.Errorf("reorder: a split plan neither counts only nor caps sharing")
 	}
 	var w Workspace
-	shell, err := planShell(c, ordered, &w)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := scanOrder(ordered, 0, 0, shell.nLayers); err != nil {
+	var wk walk
+	if err := w.start(&wk, c, trials, opt); err != nil {
 		return nil, err
 	}
 	sp := &SplitPlan{
-		Order:    ordered,
+		Order:    wk.order,
 		Cut:      cut,
-		budget:   budget,
-		nLayers:  shell.nLayers,
-		layerCum: shell.layerCum,
-		baseline: shell.baseline,
+		budget:   wk.budget,
+		nLayers:  wk.plan.nLayers,
+		layerCum: wk.plan.layerCum,
+		baseline: wk.plan.baseline,
 	}
-	b := newPlanBuilder(shell, math.MaxInt, budget, &w)
-	b.record = true
-	b.split, b.cut = sp, cut
-	b.build(0, len(ordered), 0)
-	if len(b.snaps) != 0 {
-		return nil, fmt.Errorf("reorder: internal error, %d trunk snapshots leaked", len(b.snaps))
+	// The tasks carve their steps from the presized slab; the trunk's
+	// steps grow apart.
+	wk.split, wk.cut = sp, cut
+	wk.slab, wk.cur.steps = wk.cur.steps, nil
+	wk.node(0, len(trials), 0)
+	if len(wk.snaps) != 0 {
+		return nil, fmt.Errorf("reorder: internal error, %d trunk snapshots leaked", len(wk.snaps))
 	}
-	sp.Trunk, sp.trunkOps, sp.trunkMSV = shell.Steps, shell.planOps, shell.msv
+	sp.Trunk, sp.trunkOps, sp.trunkMSV = wk.cur.steps, wk.cur.ops, wk.cur.msv
 	return sp, nil
 }
 
-// spawnBranch packages trials [lo, hi) — which share injections
-// [0, depth] with the branch key at index depth — as one subtree task:
-// the branch injection followed by the whole-plan walk below it,
-// generated against the trunk's current (EntryLayer, prefix). An
-// unbudgeted task's steps are counted first (scanOrder) and allocated
-// once at that size.
-func (b *planBuilder) spawnBranch(lo, hi, depth int, key trial.Key) {
-	task := &Subtree{
-		ID:         len(b.split.Subtrees),
-		EntryLayer: b.layersDone,
-		EntryDepth: depth,
-		Trials:     hi - lo,
-	}
-	shell := &Plan{
-		Order:    b.plan.Order,
-		nLayers:  b.plan.nLayers,
-		layerOps: b.plan.layerOps,
-		layerCum: b.plan.layerCum,
-		totalOps: b.plan.totalOps,
-	}
-	counted := -1 // budgeted tasks grow their steps
-	if b.budget == math.MaxInt {
-		n, err := scanOrder(b.plan.Order[lo:hi], depth+1, b.layersDone, b.plan.nLayers)
-		if err != nil {
-			panic(fmt.Sprintf("reorder: subtree %d: %v", task.ID, err))
-		}
-		counted = 1 + n // the branch injection, then the walk below it
-		shell.Steps = make([]Step, 0, counted)
-	}
-	tb := &planBuilder{plan: shell, record: true, depthCap: math.MaxInt, budget: b.budget, layersDone: b.layersDone}
-	tb.prefix = append(tb.prefix, b.prefix[:depth]...)
-	baseSnaps := 0
-	if b.budget != math.MaxInt && b.budget >= 1 {
-		// Budgeted tasks preserve their entry clone as the bottom of the
-		// snapshot stack so replays can resume from it; it occupies one
-		// budget slot and counts as a stored vector.
-		tb.snaps = append(tb.snaps, snap{layers: b.layersDone, prefixLen: depth})
-		shell.msv = 1
-		baseSnaps = 1
-	}
-	inj := key.Unpack()
-	tb.emit(Step{Kind: StepInject, Qubit: int32(inj.Qubit), Op: inj.Op})
-	shell.planOps++
-	tb.prefix = append(tb.prefix, key)
-	tb.build(lo, hi, depth+1)
-	if tb.layersDone != shell.nLayers || len(tb.snaps) != baseSnaps {
-		panic(fmt.Sprintf("reorder: subtree %d ended at layer %d of %d with %d of %d snapshots", task.ID, tb.layersDone, shell.nLayers, len(tb.snaps), baseSnaps))
-	}
-	if counted >= 0 && len(shell.Steps) != counted {
-		panic(fmt.Sprintf("reorder: internal error, subtree %d has %d steps, counted %d", task.ID, len(shell.Steps), counted))
-	}
-	task.Steps = shell.Steps
-	task.Ops = shell.planOps
-	task.MSV = shell.msv
-	b.emit(spawnStep(task.ID))
-	b.split.Subtrees = append(b.split.Subtrees, task)
+// keepsEntry reports whether a split plan's tasks under budget keep their
+// entry clone as the bottom of their snapshot stack, so replays can
+// resume from it: a budgeted task that may store a snapshot. The entry
+// occupies one budget slot and counts as a stored vector.
+func keepsEntry(budget int) bool { return budget != math.MaxInt && budget >= 1 }
+
+// resume is what a trunk walk resumes with after a task.
+type resume struct {
+	trunk  part
+	snaps  []snap
+	layers int
+	task   *Subtree
+	start  int // the task's first step in the slab
 }
 
-// spawnClean packages exhausted trials [lo, hi) at the current depth as
-// an advance-and-emit task, so the trunk never performs the final layers
+// enterTask starts the task of trials [lo, hi), which share injections
+// [0, depth] with the branch key at index depth: the walk's component
+// becomes the task, generated against the trunk's current (layersDone,
+// prefix) with a stack of its own.
+func (w *walk) enterTask(lo, hi, depth int) resume {
+	r := resume{trunk: w.cur, snaps: w.snaps, layers: w.layersDone, start: len(w.slab),
+		task: &Subtree{ID: len(w.split.Subtrees), EntryLayer: w.layersDone, EntryDepth: depth, Trials: hi - lo}}
+	w.cur = part{steps: w.slab}
+	w.snaps = w.snaps[len(w.snaps):]
+	if keepsEntry(w.budget) {
+		w.snaps = append(w.snaps, snap{layers: w.layersDone, prefixLen: depth})
+		w.cur.msv = 1
+	}
+	return r
+}
+
+// leaveTask closes the task enterTask started (its branch injection and
+// the walk below it), and returns to the trunk, which spawns it.
+func (w *walk) leaveTask(r resume) {
+	t, entry := r.task, 0
+	if keepsEntry(w.budget) {
+		entry = 1
+	}
+	if w.layersDone != w.plan.nLayers || len(w.snaps) != entry {
+		panic(fmt.Sprintf("reorder: subtree %d ended at layer %d of %d with %d of %d snapshots", t.ID, w.layersDone, w.plan.nLayers, len(w.snaps), entry))
+	}
+	w.slab = w.cur.steps
+	t.Steps, t.Ops, t.MSV = w.slab[r.start:len(w.slab):len(w.slab)], w.cur.ops, w.cur.msv
+	w.cur, w.snaps, w.layersDone = r.trunk, r.snaps, r.layers
+	w.emit(spawnStep(t.ID))
+	w.split.Subtrees = append(w.split.Subtrees, t)
+}
+
+// spawnClean packages exhausted trials [lo, hi) at depth as an
+// advance-and-emit task, so the trunk never performs the final layers
 // itself and stays free to reach the next spawn point sooner.
-func (b *planBuilder) spawnClean(lo, hi, depth int) {
-	task := &Subtree{
-		ID:         len(b.split.Subtrees),
-		EntryLayer: b.layersDone,
-		EntryDepth: depth,
-		Trials:     hi - lo,
+func (w *walk) spawnClean(lo, hi, depth int) {
+	t := &Subtree{ID: len(w.split.Subtrees), EntryLayer: w.layersDone, EntryDepth: depth, Trials: hi - lo}
+	start := len(w.slab)
+	if n := w.plan.nLayers; w.layersDone < n {
+		w.slab = append(w.slab, Step{Kind: StepAdvance, From: int32(w.layersDone), To: int32(n)})
+		t.Ops = int64(w.plan.GatesInLayers(w.layersDone, n))
 	}
-	if b.layersDone < b.plan.nLayers {
-		task.Steps = append(task.Steps, Step{Kind: StepAdvance, From: int32(b.layersDone), To: int32(b.plan.nLayers)})
-		task.Ops = int64(b.plan.GatesInLayers(b.layersDone, b.plan.nLayers))
-	}
-	task.Steps = append(task.Steps, Step{Kind: StepEmit, From: int32(lo), To: int32(hi)})
-	b.emit(spawnStep(task.ID))
-	b.split.Subtrees = append(b.split.Subtrees, task)
+	w.slab = append(w.slab, Step{Kind: StepEmit, From: int32(lo), To: int32(hi)})
+	t.Steps = w.slab[start:len(w.slab):len(w.slab)]
+	w.emit(spawnStep(t.ID))
+	w.split.Subtrees = append(w.split.Subtrees, t)
 }

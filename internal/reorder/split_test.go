@@ -3,6 +3,7 @@ package reorder
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,12 +34,12 @@ func benchTrials(t *testing.T, name string, n int, seed int64) (*circuit.Circuit
 func TestSplitPlanOpsEqualSequential(t *testing.T) {
 	for _, name := range []string{"bv5", "grover", "qft5", "qv_n5d5"} {
 		c, trials := benchTrials(t, name, 600, 11)
-		plan, err := BuildPlan(c, trials)
+		plan, err := BuildPlan(c, trials, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := 1; cut <= 3; cut++ {
-			sp, err := SplitPlanCut(c, trials, cut, math.MaxInt)
+			sp, err := BuildSplitPlan(c, trials, cut, Options{})
 			if err != nil {
 				t.Fatalf("%s cut=%d: %v", name, cut, err)
 			}
@@ -61,7 +62,7 @@ func TestSplitPlanOpsEqualSequential(t *testing.T) {
 // they contain.
 func TestSplitPlanTaskShape(t *testing.T) {
 	c, trials := benchTrials(t, "qft5", 500, 12)
-	sp, err := BuildSplitPlan(c, trials)
+	sp, err := BuildSplitPlan(c, trials, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +108,13 @@ func TestSplitPlanTaskShape(t *testing.T) {
 // static stored-vector peak respects the cap.
 func TestSplitPlanBudget(t *testing.T) {
 	c, trials := benchTrials(t, "grover", 400, 13)
-	plan, err := BuildPlan(c, trials)
+	plan, err := BuildPlan(c, trials, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int{0, 1, 2, 4} {
 		for cut := 1; cut <= 2; cut++ {
-			sp, err := SplitPlanCut(c, trials, cut, budget)
+			sp, err := BuildSplitPlan(c, trials, cut, budgetOpt(budget))
 			if err != nil {
 				t.Fatalf("budget=%d cut=%d: %v", budget, cut, err)
 			}
@@ -146,11 +147,11 @@ func TestSplitPlanFuzz(t *testing.T) {
 		cut := 1 + int(cutRaw%3)
 		rng := rand.New(rand.NewSource(seed))
 		trials := randomTrials(rng, 60, 8, 2, 4)
-		plan, err := BuildPlan(c, trials)
+		plan, err := BuildPlan(c, trials, Options{})
 		if err != nil {
 			return false
 		}
-		sp, err := SplitPlanCut(c, trials, cut, math.MaxInt)
+		sp, err := BuildSplitPlan(c, trials, cut, Options{})
 		if err != nil {
 			return false
 		}
@@ -165,55 +166,117 @@ func TestSplitPlanFuzz(t *testing.T) {
 func TestSplitPlanErrors(t *testing.T) {
 	c := chain(3)
 	trials := []*trial.Trial{mkTrial(0)}
-	if _, err := SplitPlanCut(c, nil, 1, math.MaxInt); err == nil {
+	if _, err := BuildSplitPlan(c, nil, 1, Options{}); err == nil {
 		t.Error("empty trial set accepted")
 	}
-	if _, err := SplitPlanCut(c, trials, 0, math.MaxInt); err == nil {
+	if _, err := BuildSplitPlan(c, trials, 0, Options{}); err == nil {
 		t.Error("cut 0 accepted")
 	}
-	if _, err := SplitPlanCut(c, trials, 1, -1); err == nil {
+	if _, err := BuildSplitPlan(c, trials, 1, Options{Budget: -2}); err == nil {
 		t.Error("negative budget accepted")
 	}
-	unsorted := []*trial.Trial{
-		mkTrial(0, trial.Injection{Layer: 1, Qubit: 0, Op: 1}),
-		mkTrial(1, trial.Injection{Layer: 0, Qubit: 0, Op: 1}),
+	if _, err := BuildSplitPlan(c, trials, 1, Options{Count: true}); err == nil {
+		t.Error("count-only split accepted")
 	}
-	if _, err := SplitPlanOrderedCut(c, unsorted, 1, math.MaxInt); err == nil {
-		t.Error("unsorted trials accepted by ordered constructor")
+	if _, err := BuildSplitPlan(c, trials, 1, Options{MaxShared: 1}); err == nil {
+		t.Error("sharing cap accepted")
 	}
 }
 
-// TestBuildPlanOrdered: the presorted fast path produces the identical
-// plan to BuildPlan, and rejects unsorted input.
+// TestBuildPlanOrdered: the deprecated presorted entry builds the same
+// plan as BuildPlan, and BuildPlan builds the same plan from any order of
+// the trials, budgeted or not.
 func TestBuildPlanOrdered(t *testing.T) {
 	c, trials := benchTrials(t, "bv5", 400, 14)
-	want, err := BuildPlan(c, trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := BuildPlanOrdered(c, Sort(trials))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.OptimizedOps() != want.OptimizedOps() || got.MSV() != want.MSV() || got.Copies() != want.Copies() {
-		t.Errorf("ordered plan metrics (%d,%d,%d) != BuildPlan (%d,%d,%d)",
-			got.OptimizedOps(), got.MSV(), got.Copies(),
-			want.OptimizedOps(), want.MSV(), want.Copies())
-	}
-	if len(got.Steps) != len(want.Steps) {
-		t.Fatalf("ordered plan has %d steps, BuildPlan %d", len(got.Steps), len(want.Steps))
-	}
-	for i := range got.Steps {
-		a, b := got.Steps[i], want.Steps[i]
-		if a.Kind != b.Kind || a.From != b.From || a.To != b.To || a.Qubit != b.Qubit || a.Op != b.Op {
-			t.Fatalf("step %d differs: %+v vs %+v", i, a, b)
+	reversed := slices.Clone(trials)
+	slices.Reverse(reversed)
+	for _, budget := range []int{0, 2, math.MaxInt} {
+		want, err := BuildPlan(c, trials, budgetOpt(budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ordered, err := BuildPlanOrderedBudget(c, Sort(trials), budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shuffled, err := BuildPlan(c, reversed, budgetOpt(budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]*Plan{"BuildPlanOrderedBudget": ordered, "reversed trials": shuffled} {
+			if got.Analysis() != want.Analysis() || !slices.Equal(got.Steps, want.Steps) {
+				t.Errorf("budget %s: %s plan differs from BuildPlan's", budgetLabel(budget), name)
+			}
+		}
+		if !slices.Equal(ordered.Order, want.Order) {
+			t.Errorf("budget %s: BuildPlanOrderedBudget order differs from BuildPlan's", budgetLabel(budget))
 		}
 	}
-	unsorted := []*trial.Trial{
-		mkTrial(0, trial.Injection{Layer: 1, Qubit: 0, Op: 1}),
-		mkTrial(1, trial.Injection{Layer: 0, Qubit: 0, Op: 1}),
+}
+
+// countSubtrees is the reference count of the tasks a split plan cut at
+// depth cut makes of trials in Sort order, by one scan of the order: each
+// task's trials are contiguous, and a boundary falls wherever the task
+// key changes. Trials with at least cut injections share a task iff their
+// first cut injections agree; shallower trials are exhausted at their
+// trie node and share a task iff their whole injection lists agree.
+func countSubtrees(ordered []*trial.Trial, cut int) int {
+	sameTask := func(a, b *trial.Trial) bool {
+		if (len(a.Inj) >= cut) != (len(b.Inj) >= cut) {
+			return false
+		}
+		n := cut
+		if len(a.Inj) < cut {
+			if len(a.Inj) != len(b.Inj) {
+				return false
+			}
+			n = len(a.Inj)
+		}
+		return slices.Equal(a.Inj[:n], b.Inj[:n])
 	}
-	if _, err := BuildPlanOrdered(c, unsorted); err == nil {
-		t.Error("unsorted trials accepted")
+	count := 1
+	for i := 1; i < len(ordered); i++ {
+		if !sameTask(ordered[i-1], ordered[i]) {
+			count++
+		}
+	}
+	return count
+}
+
+// TestSplitTasksMatchReference: the task counts the walk records equal
+// the reference scan of the order and the split plans themselves, at
+// cuts 1-3, counted or built, on the golden jobs and on random sets.
+func TestSplitTasksMatchReference(t *testing.T) {
+	check := func(label string, c *circuit.Circuit, trials []*trial.Trial) {
+		t.Helper()
+		for _, opt := range []Options{{}, {Count: true}, {Budget: 2}} {
+			p, err := BuildPlan(c, trials, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for cut := 1; cut <= CountedCuts; cut++ {
+				if got, want := p.SplitTasks(cut), countSubtrees(p.Order, cut); got != want {
+					t.Fatalf("%s %+v cut %d: walk counts %d tasks, reference %d", label, opt, cut, got, want)
+				}
+			}
+		}
+		for cut := 1; cut <= CountedCuts; cut++ {
+			sp, err := BuildSplitPlan(c, trials, cut, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if want := countSubtrees(sp.Order, cut); len(sp.Subtrees) != want {
+				t.Fatalf("%s cut %d: split plan has %d tasks, reference %d", label, cut, len(sp.Subtrees), want)
+			}
+		}
+	}
+	for _, job := range goldenJobs(t) {
+		if job.seed <= 2 {
+			check(job.name, job.c, job.trials)
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	for round := 0; round < 100; round++ {
+		check("random", chain(12), randTrialSet(rng, 1+rng.Intn(300)))
 	}
 }

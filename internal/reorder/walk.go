@@ -3,7 +3,6 @@ package reorder
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/gate"
@@ -240,7 +239,7 @@ func (sp *SplitPlan) Validate() error {
 	if c.ops != sp.trunkOps || c.peak != sp.trunkMSV {
 		return fmt.Errorf("reorder: trunk declares %d ops, MSV %d; its steps make %d, %d", sp.trunkOps, sp.trunkMSV, c.ops, c.peak)
 	}
-	keep := sp.budget != math.MaxInt && sp.budget >= 1
+	keep := keepsEntry(sp.budget)
 	for i, st := range sp.Subtrees {
 		e := c.entries[i]
 		switch {

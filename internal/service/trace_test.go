@@ -85,7 +85,7 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Fatalf("span %q carries trace_id %q, want %q", ev.Name, tid, callerTrace)
 		}
 	}
-	for _, want := range []string{"request", "admission", "queue_wait", "trial_gen", "sort", "plan_build", "execute", "execute_plan", "segment_compile"} {
+	for _, want := range []string{"request", "admission", "queue_wait", "trial_gen", "plan_build", "execute", "execute_plan", "segment_compile"} {
 		if names[want] == 0 {
 			t.Errorf("export missing span %q (have %v)", want, names)
 		}

@@ -24,7 +24,7 @@ func TestSteadyStateAllocsFlatAcrossWorkers(t *testing.T) {
 	const seed, nTrials = 20200720, 256
 	c := bench.QV(8, 3, rand.New(rand.NewSource(seed)))
 	trials := genTrials(t, c, noise.Uniform("uniform", 8, 1e-3, 1e-2, 1e-2), nTrials, seed)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestExecutePlanAllocsFlatInTrials(t *testing.T) {
 		}
 		m := noise.Uniform("uniform", c.NumQubits(), 1e-3, 1e-2, 1e-2)
 		allocs := func(n int) float64 {
-			plan, err := reorder.BuildPlan(c, genTrials(t, c, m, n, seed))
+			plan, err := reorder.BuildPlan(c, genTrials(t, c, m, n, seed), reorder.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/obs"
@@ -54,15 +53,13 @@ func ExecuteBatchSubtree(c *circuit.Circuit, bp *reorder.BatchPlan, workers int,
 	if workers <= 1 {
 		return ExecuteBatchPlan(c, bp, opt)
 	}
-	ordered := bp.Plan.Order
-	cut := chooseCut(ordered, workers)
-	budget := bp.Budget()
+	popt := reorder.Options{Budget: bp.Budget()}
 	if opt.Policy != PolicySnapshot {
 		// Non-snapshot policies enforce the budget at run time; the
 		// split plan stays unbudgeted (no restore/replay steps).
-		budget = math.MaxInt
+		popt = reorder.Options{}
 	}
-	sp, err := reorder.SplitPlanOrderedCut(c, ordered, cut, budget)
+	sp, err := reorder.BuildSplitPlan(c, bp.Plan.Order, chooseCut(bp.Plan, workers), popt)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func buildBenchBatch(t *testing.T, c *circuit.Circuit, variants, trialsPer int, 
 	for vi := range vars {
 		sets[vi] = g.Generate(rng, trialsPer)
 	}
-	bp, err := reorder.BuildBatchPlanBudget(c, vars, sets, budget)
+	bp, err := reorder.BuildBatchPlan(c, vars, sets, budgetOptions(budget))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestFusedExecutionBitIdentical(t *testing.T) {
 			run   func() (*Result, error)
 		}{
 			{"plan-compiled", func() (*Result, error) {
-				plan, err := reorder.BuildPlan(c, trials)
+				plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -61,7 +61,7 @@ func TestFusedExecutionBitIdentical(t *testing.T) {
 				return ExecutePlan(c, plan, opt)
 			}},
 			{"plan-compiled-budget2", func() (*Result, error) {
-				plan, err := reorder.BuildPlanBudget(c, trials, 2)
+				plan, err := reorder.BuildPlan(c, trials, budgetOptions(2))
 				if err != nil {
 					return nil, err
 				}
@@ -69,7 +69,7 @@ func TestFusedExecutionBitIdentical(t *testing.T) {
 				return ExecutePlan(c, plan, opt)
 			}},
 			{"subtree-2-compiled", func() (*Result, error) {
-				sp, err := reorder.SplitPlanCut(c, trials, 1, math.MaxInt)
+				sp, err := reorder.BuildSplitPlan(c, trials, 1, reorder.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -111,7 +111,7 @@ func TestFusedOpAccounting(t *testing.T) {
 	m := noise.Uniform("u", 4, 1e-2, 5e-2, 0)
 	trials := genTrials(t, c, m, 300, 3)
 
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestNumericFusedEquivalence(t *testing.T) {
 func TestExecutorsRejectStripes(t *testing.T) {
 	c := bench.QFT(3)
 	trials := genTrials(t, c, noise.Uniform("u", 3, 1e-2, 5e-2, 0), 64, 5)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

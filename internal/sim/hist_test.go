@@ -21,7 +21,7 @@ func TestTrialLatencyCountMatchesTrials(t *testing.T) {
 	c := bench.QV(5, 4, rand.New(rand.NewSource(13)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 400, 19)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestWorkerHistogramsMergeOrderInvariant(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		lo := w * len(ordered) / workers
 		hi := (w + 1) * len(ordered) / workers
-		plan, err := reorder.BuildPlanOrderedBudget(c, ordered[lo:hi], planBudgetFor(0))
+		plan, err := reorder.BuildPlan(c, ordered[lo:hi], reorder.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestMetricsAgreeSequential(t *testing.T) {
 	c := bench.QV(5, 3, rand.New(rand.NewSource(7)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 400, 11)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMetricsAgreeAllExecutors(t *testing.T) {
 	c := bench.QV(5, 4, rand.New(rand.NewSource(3)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 300, 5)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +187,11 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 // clones, and every worker at the deepest task's peak.
 func subtreeMSVBound(t *testing.T, c *circuit.Circuit, trials []*trial.Trial, workers int) int {
 	t.Helper()
-	ordered := reorder.Sort(trials)
-	sp, err := reorder.SplitPlanOrderedCut(c, ordered, chooseCut(ordered, workers), planBudgetFor(0))
+	counted, err := reorder.BuildPlan(c, trials, reorder.Options{Count: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := reorder.BuildSplitPlan(c, trials, chooseCut(counted, workers), reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestTraceDepthMatchesMSV(t *testing.T) {
 	c := bench.QV(5, 3, rand.New(rand.NewSource(2)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 350, 8)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +253,7 @@ func TestKernelSweepsRecorded(t *testing.T) {
 	c := bench.QV(5, 3, rand.New(rand.NewSource(4)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 150, 3)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +280,7 @@ func TestSubtreeSpawnAccounting(t *testing.T) {
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 300, 17)
 	ordered := reorder.Sort(trials)
-	sp, err := reorder.SplitPlanOrderedCut(c, ordered, 1, planBudgetFor(0))
+	sp, err := reorder.BuildSplitPlan(c, ordered, 1, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -27,15 +26,15 @@ func TestRegistersReturnToArena(t *testing.T) {
 	}
 	trials := genTrials(t, c, noise.Uniform("u", c.NumQubits(), 0.01, 0.05, 0.02), 512, 7)
 	ordered := reorder.Sort(trials)
-	plan, err := reorder.BuildPlanOrdered(c, ordered)
+	plan, err := reorder.BuildPlan(c, ordered, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := reorder.BuildPlanOrderedBudget(c, ordered, 1)
+	budgeted, err := reorder.BuildPlan(c, ordered, budgetOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := reorder.SplitPlanOrderedCut(c, ordered, 1, math.MaxInt)
+	sp, err := reorder.BuildSplitPlan(c, ordered, 1, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestRegistersReturnToArena(t *testing.T) {
 		return func(opt Options) (*Result, error) { return ExecuteSplitPlan(c, p, w, opt) }
 	}
 	subtree := func(w int) run {
-		return func(opt Options) (*Result, error) { return ParallelSubtreeOrdered(c, ordered, w, opt) }
+		return func(opt Options) (*Result, error) { return ParallelSubtreeOrdered(c, plan, w, opt) }
 	}
 	for _, tc := range []struct {
 		name string
@@ -156,7 +155,7 @@ func TestWorkspaceKeepsNoJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := reorder.BuildPlan(c, genTrials(t, c, noise.Uniform("u", c.NumQubits(), 0.01, 0.05, 0.02), 256, 3))
+	plan, err := reorder.BuildPlan(c, genTrials(t, c, noise.Uniform("u", c.NumQubits(), 0.01, 0.05, 0.02), 256, 3), reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sync/atomic"
@@ -77,7 +76,7 @@ type Options struct {
 	// state in Result.FinalStates. Intended for equivalence tests only.
 	KeepStates bool
 	// SnapshotBudget caps the stored prefix state vectors, trading
-	// recomputation for memory (reorder.BuildPlanBudget). 0 or negative
+	// recomputation for memory (reorder.Options.Budget). 0 or negative
 	// means unlimited. Under PolicySnapshot it applies to the
 	// plan-building entry points — Reordered and ParallelSubtree (where
 	// it caps each component's stack: the trunk's and every worker's,
@@ -166,19 +165,17 @@ func (o Options) compileProgram(c *circuit.Circuit, always bool) *statevec.Progr
 	})
 }
 
-// planBudget maps the public budget convention (0 = unlimited) onto the
-// reorder package's (math.MaxInt = unlimited). Non-snapshot policies
-// always build unbudgeted plans: the policy enforces the budget at run
-// time (uncomputing instead of dropping), so plan-level restore/replay
-// steps would only duplicate work the policy already avoids.
-func (o Options) planBudget() int {
-	if o.Policy != PolicySnapshot {
-		return math.MaxInt
+// planOptions returns the reorder options of the plans a run builds:
+// budgeted by SnapshotBudget (0 or negative: unlimited) under the
+// snapshot policy only. Non-snapshot policies always build unbudgeted
+// plans: the policy enforces the budget at run time (uncomputing instead
+// of dropping), so plan-level restore/replay steps would only duplicate
+// work the policy already avoids.
+func (o Options) planOptions() reorder.Options {
+	if o.Policy != PolicySnapshot || o.SnapshotBudget <= 0 {
+		return reorder.Options{}
 	}
-	if o.SnapshotBudget <= 0 {
-		return math.MaxInt
-	}
-	return o.SnapshotBudget
+	return reorder.Options{Budget: o.SnapshotBudget}
 }
 
 // msvTracker maintains a concurrent high-water mark of stored state
@@ -383,7 +380,7 @@ func Baseline(c *circuit.Circuit, trials []*trial.Trial, opt Options) (*Result, 
 // one working register, a snapshot stack for prefix states, snapshots
 // dropped at their last use.
 func Reordered(c *circuit.Circuit, trials []*trial.Trial, opt Options) (*Result, error) {
-	plan, err := reorder.BuildPlanBudget(c, trials, opt.planBudget())
+	plan, err := reorder.BuildPlan(c, trials, opt.planOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -159,7 +159,7 @@ func TestExecutedOpsMatchStaticAnalysis(t *testing.T) {
 	c := bench.Grover3()
 	m := noise.Uniform("u", 3, 2e-3, 2e-2, 1e-2)
 	trials := genTrials(t, c, m, 300, 9)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestBudgetedExecutionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int{0, 1, 2, 5} {
-		plan, err := reorder.BuildPlanBudget(c, trials, budget)
+		plan, err := reorder.BuildPlan(c, trials, budgetOptions(budget))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +500,7 @@ func TestBudgetedEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		plan, err := reorder.BuildPlanBudget(c, trials, budget)
+		plan, err := reorder.BuildPlan(c, trials, budgetOptions(budget))
 		if err != nil {
 			return false
 		}

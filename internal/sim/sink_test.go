@@ -53,7 +53,7 @@ func TestRecorderCallsIndependentOfSteps(t *testing.T) {
 	noisy := genTrials(t, c, noise.Uniform("noisy", 5, 1e-2, 1e-2, 0), n, 1)
 	executors := map[string]func(trials []*trial.Trial, rec obs.Recorder) (*Result, error){
 		"plan": func(trials []*trial.Trial, rec obs.Recorder) (*Result, error) {
-			plan, err := reorder.BuildPlan(c, trials)
+			plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -101,7 +101,7 @@ func stepEventLines(t *testing.T) []string {
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 600, 13)
 	plan := func(opt Options) (*Result, error) {
-		p, err := reorder.BuildPlanBudget(c, trials, opt.planBudget())
+		p, err := reorder.BuildPlan(c, trials, opt.planOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +242,7 @@ func TestStepEventsMatchGolden(t *testing.T) {
 func TestSinkBuffersOnlyTheSpansRoom(t *testing.T) {
 	c := bench.QV(5, 4, rand.New(rand.NewSource(9)))
 	trials := genTrials(t, c, noise.Uniform("noisy", 5, 2e-2, 8e-2, 0), 6000, 3)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

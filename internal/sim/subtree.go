@@ -39,33 +39,40 @@ func ParallelSubtree(c *circuit.Circuit, trials []*trial.Trial, workers int, opt
 
 // ParallelSubtreeCut is ParallelSubtree with an explicit trie cut depth;
 // cut 0 chooses automatically (deep enough that every worker has several
-// tasks, capped at 3).
+// tasks, capped at 3) from a counted plan of the trials.
 func ParallelSubtreeCut(c *circuit.Circuit, trials []*trial.Trial, workers, cut int, opt Options) (*Result, error) {
-	return parallelSubtree(c, reorder.Sort(trials), workers, cut, opt)
+	return parallelSubtree(c, trials, nil, workers, cut, opt)
 }
 
-// ParallelSubtreeOrdered is ParallelSubtree over trials already in
-// reorder.Sort order, as reorder.BuildPlanOrdered is BuildPlan: a caller
-// that has sorted the trials for its own plan hands the order over
-// instead of having it sorted again. An unsorted slice is an error.
-func ParallelSubtreeOrdered(c *circuit.Circuit, ordered []*trial.Trial, workers int, opt Options) (*Result, error) {
-	return parallelSubtree(c, ordered, workers, 0, opt)
+// ParallelSubtreeOrdered is ParallelSubtree over a plan's trials, built
+// or counted (reorder.Options.Count): it splits the plan's order at the
+// cut the plan's task counts choose, so a caller that has walked the
+// trials for its own plan does not have them walked again to choose it.
+func ParallelSubtreeOrdered(c *circuit.Circuit, plan *reorder.Plan, workers int, opt Options) (*Result, error) {
+	return parallelSubtree(c, plan.Order, plan, workers, 0, opt)
 }
 
-func parallelSubtree(c *circuit.Circuit, ordered []*trial.Trial, workers, cut int, opt Options) (*Result, error) {
+// parallelSubtree splits the trials at cut, or, at cut 0, at the cut
+// counted's task counts choose (counted is walked from the trials when
+// nil), and executes the split plan.
+func parallelSubtree(c *circuit.Circuit, trials []*trial.Trial, counted *reorder.Plan, workers, cut int, opt Options) (*Result, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sim: worker count %d < 1", workers)
 	}
-	if len(ordered) == 0 {
+	if len(trials) == 0 {
 		return nil, fmt.Errorf("sim: empty trial set")
 	}
-	if workers > len(ordered) {
-		workers = len(ordered)
-	}
+	workers = min(workers, len(trials))
 	if cut == 0 {
-		cut = chooseCut(ordered, workers)
+		if counted == nil {
+			var err error
+			if counted, err = reorder.BuildPlan(c, trials, reorder.Options{Count: true}); err != nil {
+				return nil, err
+			}
+		}
+		cut = chooseCut(counted, workers)
 	}
-	sp, err := reorder.SplitPlanOrderedCut(c, ordered, cut, opt.planBudget())
+	sp, err := reorder.BuildSplitPlan(c, trials, cut, opt.planOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -74,48 +81,15 @@ func parallelSubtree(c *circuit.Circuit, ordered []*trial.Trial, workers, cut in
 
 // chooseCut picks the shallowest trie cut that yields a comfortable
 // number of tasks per worker (more tasks = better dynamic balancing, but
-// deeper cuts serialize more trunk work), capped at depth 3.
-func chooseCut(ordered []*trial.Trial, workers int) int {
+// deeper cuts serialize more trunk work), capped at depth 3. The plan's
+// walk counted the tasks of each cut.
+func chooseCut(p *reorder.Plan, workers int) int {
 	const tasksPerWorker = 4
-	for cut := 1; ; cut++ {
-		if cut == 3 || countSubtrees(ordered, cut) >= tasksPerWorker*workers {
-			return cut
-		}
+	cut := 1
+	for cut < reorder.CountedCuts && p.SplitTasks(cut) < tasksPerWorker*workers {
+		cut++
 	}
-}
-
-// countSubtrees counts the tasks a cut would produce without building the
-// plan: trials are in Sort order, so each task's trials are contiguous,
-// and a boundary falls wherever the task key changes. Trials with at
-// least `cut` injections share a task iff their first `cut` injections
-// agree; shallower trials are exhausted at their trie node and share a
-// task iff their whole injection lists agree.
-func countSubtrees(ordered []*trial.Trial, cut int) int {
-	sameTask := func(a, b *trial.Trial) bool {
-		if (len(a.Inj) >= cut) != (len(b.Inj) >= cut) {
-			return false
-		}
-		n := cut
-		if len(a.Inj) < cut {
-			if len(a.Inj) != len(b.Inj) {
-				return false
-			}
-			n = len(a.Inj)
-		}
-		for i := 0; i < n; i++ {
-			if a.Inj[i] != b.Inj[i] {
-				return false
-			}
-		}
-		return true
-	}
-	count := 1
-	for i := 1; i < len(ordered); i++ {
-		if !sameTask(ordered[i-1], ordered[i]) {
-			count++
-		}
-	}
-	return count
+	return cut
 }
 
 // queuedTask is a spawned subtree waiting for a worker: the static task

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -52,30 +51,29 @@ func TestSubtreeMatchesSequential(t *testing.T) {
 }
 
 // TestOrderedEntriesTakeTheOrder: ParallelSubtreeOrdered runs the order
-// it is given. On a sorted order it matches ParallelSubtree exactly, and
-// an unsorted order is an error, which it could not be if it sorted the
-// order again.
+// of the plan it is given, built or counted, at the cut the plan's task
+// counts choose, and matches ParallelSubtree exactly.
 func TestOrderedEntriesTakeTheOrder(t *testing.T) {
 	c := bench.QFT(5)
 	m := noise.Uniform("u", 5, 1e-2, 5e-2, 1e-2)
 	trials := genTrials(t, c, m, 400, 23)
-	ordered := reorder.Sort(trials)
-	unsorted := slices.Clone(ordered)
-	slices.Reverse(unsorted)
-	for _, workers := range []int{1, 2, 4} {
-		want, err := ParallelSubtree(c, trials, workers, Options{})
+	for _, count := range []bool{false, true} {
+		plan, err := reorder.BuildPlan(c, trials, reorder.Options{Count: count})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ParallelSubtreeOrdered(c, ordered, workers, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !EqualOutcomes(got, want) || got.Ops != want.Ops || got.Copies != want.Copies {
-			t.Errorf("workers=%d: ParallelSubtreeOrdered differs from ParallelSubtree", workers)
-		}
-		if _, err := ParallelSubtreeOrdered(c, unsorted, workers, Options{}); err == nil {
-			t.Errorf("workers=%d: ParallelSubtreeOrdered accepts an unsorted order", workers)
+		for _, workers := range []int{1, 2, 4} {
+			want, err := ParallelSubtree(c, trials, workers, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ParallelSubtreeOrdered(c, plan, workers, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !EqualOutcomes(got, want) || got.Ops != want.Ops || got.Copies != want.Copies {
+				t.Errorf("count=%v workers=%d: ParallelSubtreeOrdered differs from ParallelSubtree", count, workers)
+			}
 		}
 	}
 }
@@ -97,7 +95,7 @@ func TestSubtreeVsChunkedOps(t *testing.T) {
 	ordered := reorder.Sort(trials)
 	var chunked int64
 	for w := 0; w < workers; w++ {
-		plan, err := reorder.BuildPlanOrdered(c, ordered[w*len(ordered)/workers:(w+1)*len(ordered)/workers])
+		plan, err := reorder.BuildPlan(c, ordered[w*len(ordered)/workers:(w+1)*len(ordered)/workers], reorder.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +165,7 @@ func TestSubtreeBudget(t *testing.T) {
 			if !EqualOutcomes(seq, par) {
 				t.Errorf("budget=%d workers=%d: outcomes differ", budget, workers)
 			}
-			sp, err := reorder.SplitPlanCut(c, trials, 1, planBudgetFor(budget))
+			sp, err := reorder.BuildSplitPlan(c, trials, 1, Options{SnapshotBudget: budget}.planOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,12 +177,16 @@ func TestSubtreeBudget(t *testing.T) {
 	}
 }
 
-// planBudgetFor mirrors Options.planBudget for test-side static plans.
-func planBudgetFor(budget int) int {
-	if budget <= 0 {
-		return math.MaxInt
+// budgetOptions is the reorder.Options of a snapshot budget in the
+// plan convention: math.MaxInt for no cap, 0 for reorder.NoSnapshots.
+func budgetOptions(budget int) reorder.Options {
+	switch budget {
+	case math.MaxInt:
+		return reorder.Options{}
+	case 0:
+		return reorder.Options{Budget: reorder.NoSnapshots}
 	}
-	return budget
+	return reorder.Options{Budget: budget}
 }
 
 // TestSubtreeMSVBounded: with a budget, the concurrent high-water mark of
@@ -296,7 +298,7 @@ func TestExecuteSplitPlanDirect(t *testing.T) {
 	c := bench.QFT(4)
 	m := noise.Uniform("u", 4, 1e-2, 5e-2, 1e-2)
 	trials := genTrials(t, c, m, 300, 28)
-	sp, err := reorder.SplitPlanCut(c, trials, 2, math.MaxInt)
+	sp, err := reorder.BuildSplitPlan(c, trials, 2, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +329,7 @@ func TestSubtreeCopyAccounting(t *testing.T) {
 	trials := genTrials(t, c, m, 400, 31)
 	ordered := reorder.Sort(trials)
 	for cut := 1; cut <= 3; cut++ {
-		sp, err := reorder.SplitPlanOrderedCut(c, ordered, cut, math.MaxInt)
+		sp, err := reorder.BuildSplitPlan(c, ordered, cut, reorder.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +377,7 @@ func TestSubtreeWorkerPanicFailsRun(t *testing.T) {
 		return false
 	}
 	for _, where := range []string{"subtree", "trunk"} {
-		sp, err := reorder.SplitPlanCut(c, trials, 2, math.MaxInt)
+		sp, err := reorder.BuildSplitPlan(c, trials, 2, reorder.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,9 +52,9 @@ func TestTableauBaselineMatchesReordered(t *testing.T) {
 	for _, budget := range []int{-1, 0, 1, 2} {
 		var plan *reorder.Plan
 		if budget < 0 {
-			plan, err = reorder.BuildPlan(c, trials)
+			plan, err = reorder.BuildPlan(c, trials, reorder.Options{})
 		} else {
-			plan, err = reorder.BuildPlanBudget(c, trials, budget)
+			plan, err = reorder.BuildPlan(c, trials, budgetOptions(budget))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func TestTableauDistributionMatchesStateVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestTableauWideNoisySimulation(t *testing.T) {
 		c2.Measure(q, q)
 	}
 	trials := genTrials(t, c2, m, 200, 46)
-	plan, err := reorder.BuildPlan(c2, trials)
+	plan, err := reorder.BuildPlan(c2, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestTableauBackendRejectsNonClifford(t *testing.T) {
 	if _, err := BaselineTableau(c, trials); err == nil {
 		t.Error("non-Clifford circuit accepted by the tableau baseline")
 	}
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestTableauBackendRejectsNonClifford(t *testing.T) {
 func TestExecutorsRejectCorruptEmitRange(t *testing.T) {
 	c := cliffordChain(5, 6, 7)
 	trials := genTrials(t, c, noise.Uniform("u", 5, 5e-3, 3e-2, 1e-2), 200, 8)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestTraceDigestMatchesCounters(t *testing.T) {
 	c := bench.QV(5, 3, rand.New(rand.NewSource(2)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 2000, 8)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSegmentCompileSpansMatchMisses(t *testing.T) {
 	c := bench.QV(5, 3, rand.New(rand.NewSource(7)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 300, 11)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestTracedExecutorsInvariant(t *testing.T) {
 	c := bench.QV(5, 4, rand.New(rand.NewSource(3)))
 	m := device.Yorktown().Model()
 	trials := genTrials(t, c, m, 300, 5)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestSpanEventsMatchCounters(t *testing.T) {
 	trials := genTrials(t, c, m, 300, 13)
 	executors := map[string]func(opt Options) (*Result, error){
 		"plan": func(opt Options) (*Result, error) {
-			plan, err := reorder.BuildPlanBudget(c, trials, opt.planBudget())
+			plan, err := reorder.BuildPlan(c, trials, opt.planOptions())
 			if err != nil {
 				return nil, err
 			}

@@ -179,7 +179,7 @@ func TestUncomputeAccountingSeparate(t *testing.T) {
 	c := bench.QFT(4)
 	m := noise.Uniform("u", 4, 1e-2, 5e-2, 1e-2)
 	trials := genTrials(t, c, m, 400, 29)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestBranchRollbackOpsAgreement(t *testing.T) {
 	c := bench.QFT(4)
 	m := noise.Uniform("u", 4, 1e-2, 5e-2, 1e-2)
 	trials := genTrials(t, c, m, 400, 37)
-	plan, err := reorder.BuildPlan(c, trials)
+	plan, err := reorder.BuildPlan(c, trials, reorder.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func FuzzValidatedPlanExecutes(f *testing.F) {
 	}
 	plans := make([]*reorder.Plan, 2)
 	for i, budget := range []int{math.MaxInt, 1} {
-		if plans[i], err = reorder.BuildPlanBudget(c, trials, budget); err != nil {
+		if plans[i], err = reorder.BuildPlan(c, trials, budgetOptions(budget)); err != nil {
 			f.Fatal(err)
 		}
 	}
